@@ -21,7 +21,7 @@ import numpy as np
 
 from .dini import DiniSchedule, grid_dini_profile
 from .domain import SampledDomain
-from .oracle import Verdict, Witness, auto_tol, grid_values
+from .oracle import Verdict, Witness, auto_tol, grid_values, undefined_witnesses
 
 __all__ = [
     "MonotoneDecomposition",
@@ -88,18 +88,9 @@ def decompose(
     vals = phi if isinstance(phi, np.ndarray) else phi(dom.points)
     vals = np.asarray(vals, dtype=float)
     n = dom.n
-    bad = np.flatnonzero(~np.isfinite(vals))
     tol_r = auto_tol(vals) if tol is None else tol
-    if bad.size:
-        wits = tuple(
-            Witness(
-                kind="undefined_grid_value",
-                points=(float(dom.points[i]),),
-                values=(float(vals[i]),),
-                detail="phi is undefined or non-finite at a grid point",
-            )
-            for i in bad[:_WITNESS_CAP]
-        )
+    wits = undefined_witnesses(dom, vals)
+    if wits:
         return MonotoneDecomposition(
             (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, wits
         )
@@ -327,15 +318,9 @@ def martos_segments(
     vals = np.asarray(vals, dtype=float)
     n = dom.n
     tol_r = auto_tol(vals) if tol is None else tol
-    if not np.isfinite(vals).all():
-        i = int(np.argmax(~np.isfinite(vals)))
-        wit = Witness(
-            kind="undefined_grid_value",
-            points=(float(dom.points[i]),),
-            values=(float(vals[i]),),
-            detail="phi is undefined or non-finite at a grid point",
-        )
-        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, (wit,))
+    bad = undefined_witnesses(dom, vals, cap=1)
+    if bad:
+        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, bad)
     deltas = np.diff(vals)
     a = 0
     while a < deltas.size and deltas[a] < -tol_r:
@@ -377,15 +362,9 @@ def quasiconvex_martos(
     vals = phi if isinstance(phi, np.ndarray) else phi(dom.points)
     vals = np.asarray(vals, dtype=float)
     tol_r = auto_tol(vals) if tol is None else tol
-    if not np.isfinite(vals).all():
-        i = int(np.argmax(~np.isfinite(vals)))
-        wit = Witness(
-            kind="undefined_grid_value",
-            points=(float(dom.points[i]),),
-            values=(float(vals[i]),),
-            detail="phi is undefined or non-finite at a grid point",
-        )
-        return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol, (wit,),
+    bad = undefined_witnesses(dom, vals, cap=1)
+    if bad:
+        return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol, bad,
                        notes="grid evaluation failed")
     deltas = np.diff(vals)
     rises = np.flatnonzero(deltas > tol_r)

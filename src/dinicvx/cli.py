@@ -505,7 +505,9 @@ def _cmd_verify(cfg: RunConfig, manifest: str | None, n_random: int) -> int:
 
 
 def _parse_box(text: str, arity: int) -> tuple[Interval, ...]:
-    parts = [p for p in text.split("x") if p.strip()]
+    parts = text.split("x")
+    if not all(p.strip() for p in parts):
+        raise _ConfigError(f"malformed box {text!r}: empty interval around an 'x'")
     box = tuple(parse_interval(p) for p in parts)
     if len(box) != arity:
         raise _ConfigError(
@@ -552,12 +554,17 @@ def _scalar_text(v) -> str:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser, function_required: bool = True) -> None:
-    p.add_argument("--function", required=function_required,
+def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
+    """Flags of every subcommand; ``problem`` adds those that pose one
+    function (verify-theorems reads its functions from a manifest)."""
+    p.add_argument("--function", required=problem,
                    help="expression string, e.g. 't^2' or 'x1^2 + x2^2'")
-    p.add_argument("--arity", type=int, default=1)
-    p.add_argument("--domain", help="interval such as [-1,1] or (0,1]")
-    p.add_argument("--box", help="product of intervals such as [-1,1]x[-1,1]")
+    if problem:
+        p.add_argument("--arity", type=int, default=1)
+        p.add_argument("--domain", help="interval such as [-1,1] or (0,1]")
+        p.add_argument("--box", help="product of intervals such as [-1,1]x[-1,1]")
+        p.add_argument("--method", default="both",
+                       choices=["definitional", "characterization", "martos", "both"])
     p.add_argument("--grid", type=int, default=257)
     p.add_argument("--margin", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=None,
@@ -567,8 +574,6 @@ def _add_common(p: argparse.ArgumentParser, function_required: bool = True) -> N
     p.add_argument("--dini-ratio", type=float, default=0.6)
     p.add_argument("--dini-steps", type=int, default=40)
     p.add_argument("--dini-tol", type=float, default=1e-7)
-    p.add_argument("--method", default="both",
-                   choices=["definitional", "characterization", "martos", "both"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="json", choices=["json", "text"])
     p.add_argument("--pairs", type=int, default=24,
@@ -599,9 +604,11 @@ def _build_parser() -> _Parser:
                    help="battery manifest JSON; default: built-in golden battery")
     p.add_argument("--random", type=int, default=0,
                    help="append this many seeded random functions")
-    _add_common(p, function_required=False)
-    # the theorem suite probes with a noise-safe step floor by default
-    p.set_defaults(dini_steps=28, dini_tol=1e-6)
+    _add_common(p, problem=False)
+    # the theorem suite probes with a noise-safe step floor by default; the
+    # fixed problem fields fill the report's config block
+    p.set_defaults(dini_steps=28, dini_tol=1e-6, arity=1, domain="[-1,1]",
+                   box=None, method="both")
     return top
 
 
@@ -637,27 +644,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "verify-theorems":
-            if args.function:
-                raise _ConfigError("verify-theorems takes a manifest, not --function")
-            cfg = RunConfig(
-                function="", arity=1, domain="[-1,1]", box=None,
-                grid=args.grid, margin=args.margin, tol=args.tol,
-                stat_tol=args.stat_tol,
-                schedule=DiniSchedule(args.dini_t0, args.dini_ratio,
-                                      args.dini_steps, args.dini_tol),
-                method=args.method, seed=args.seed, output=args.output,
-                pairs=args.pairs, checks=_CHECKS,
-            )
-            code = _cmd_verify(cfg, args.manifest, args.random)
+        if args.cmd == "verify-theorems" and args.function:
+            raise _ConfigError("verify-theorems takes a manifest, not --function")
+        cfg = _config_from(args)
+        if args.cmd == "classify":
+            code = _cmd_classify(cfg)
+        elif args.cmd == "decompose":
+            code = _cmd_decompose(cfg, args.csv)
+        elif args.cmd == "dini":
+            code = _cmd_dini(cfg, args.at, args.dir)
         else:
-            cfg = _config_from(args)
-            if args.cmd == "classify":
-                code = _cmd_classify(cfg)
-            elif args.cmd == "decompose":
-                code = _cmd_decompose(cfg, args.csv)
-            else:
-                code = _cmd_dini(cfg, args.at, args.dir)
+            code = _cmd_verify(cfg, args.manifest, args.random)
     except (_ConfigError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,6 +5,12 @@ difference quotients [phi(t + s u) - phi(t)] / s as s -> 0+.  It is
 estimated by the minimum quotient over the trailing half of a geometric
 step schedule, probing along the unit direction and rescaling by |u|
 afterwards so that decisions are invariant to the magnitude of u.
+
+One kernel, :func:`_dini_rows`, applies that rule to a (rows x steps) block
+of probe values, masking the probes outside the domain and the undefined
+ones.  Every public estimator is a thin caller: :func:`lower_dini` and
+:func:`lower_dini_along` pass one row, :func:`is_stationary` two, and
+:func:`grid_dini_profile` the grid in blocks of ``_BLOCK_ROWS`` points.
 """
 
 from __future__ import annotations
@@ -31,8 +37,13 @@ __all__ = [
 _INF = float("inf")
 
 # Factor separating a genuine jump (function difference bounded away from
-# zero while the step vanishes) from a steep smooth slope; see _finish.
+# zero while the step vanishes) from a steep smooth slope; see _dini_rows.
 _JUMP_FACTOR = 10.0
+
+# Grid points per block in grid_dini_profile.  Each block's probe arrays hold
+# _BLOCK_ROWS * steps floats (1.3 MB apiece at 40 steps), where one block for
+# the whole grid would take 3 GB per direction at 10^7 points.
+_BLOCK_ROWS = 4096
 
 
 class DiniDomainError(ValueError):
@@ -93,69 +104,102 @@ class StationarityCheck:
     decisive: bool = True
 
 
-def _finish(
-    steps: np.ndarray, diffs: np.ndarray, dini_tol: float
-) -> tuple[float, tuple[float, ...], bool, bool]:
-    """Turn defined (step, difference) samples into an estimate.
-
-    ``steps`` decreasing, ``diffs`` the corresponding phi differences; both
-    restricted to defined probes inside the trailing half of the in-domain
-    sequence, except that ``diffs_all``-style screening for jumps uses the
-    same arrays.  Returns (unit_value, trace, converged, all_undefined).
-    """
-    if steps.size == 0:
-        return _INF, (), True, True
-    quots = diffs / steps
-    trace = np.minimum.accumulate(quots)
-    value = float(trace[-1])
-    if trace.size >= 2:
-        converged = bool(abs(trace[-1] - trace[-2]) <= dini_tol)
-    else:
-        converged = bool(np.isinf(trace[0]))
-
-    # Divergence screen: if the raw differences stay bounded away from zero
-    # while the steps vanish, the quotients blow up and the liminf is +-inf.
-    # The threshold compares against what a slope of size |value| could
-    # produce at the smallest step, so steep smooth functions never trigger.
-    if steps.size >= 2:
-        s_min = float(steps[-1])
-        if value > 0 and np.min(diffs) >= _JUMP_FACTOR * value * s_min:
-            return _INF, tuple(trace), True, False
-        q_max = float(np.max(quots))
-        if q_max < 0 and np.max(diffs) <= _JUMP_FACTOR * q_max * s_min:
-            return -_INF, tuple(trace), True, False
-    return value, tuple(trace), converged, False
-
-
-def _estimate_one(
-    base: float,
-    probe_vals: np.ndarray,
+def _dini_rows(
+    vals: np.ndarray,
     in_domain: np.ndarray,
-    step_sizes: np.ndarray,
+    base: np.ndarray,
+    s: np.ndarray,
     dini_tol: float,
-) -> DiniEstimate:
-    idx_in = np.flatnonzero(in_domain)
-    if idx_in.size == 0:
-        raise DiniDomainError("direction leaves domain")
-    # trailing half of the in-domain step sequence
-    window = idx_in[idx_in.size // 2 :]
-    defined_w = window[~np.isnan(probe_vals[window])]
-    if defined_w.size == 0:
-        defined_in = idx_in[~np.isnan(probe_vals[idx_in])]
-        if defined_in.size == 0:
-            # every feasible probe left the effective domain of phi
-            return DiniEstimate(_INF, _INF, (), True, int(idx_in.size), True)
-        defined_w = defined_in[defined_in.size // 2 :]
-    steps = step_sizes[defined_w]
-    with np.errstate(invalid="ignore"):
-        diffs = probe_vals[defined_w] - base
-    unit_value, trace, converged, _ = _finish(steps, diffs, dini_tol)
-    return DiniEstimate(
-        value=unit_value,
-        unit_value=unit_value,
-        tail_min_trace=trace,
-        converged=converged,
-        n_probes=int(idx_in.size),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the estimate rule to every row of a (rows x steps) probe block.
+
+    Row r probes ``base[r]`` at the decreasing steps ``s``; ``vals[r]`` holds
+    the probe values (NaN where undefined) and ``in_domain[r]`` marks the
+    probes inside the feasible set.  The quotients used are those of the
+    defined probes in the trailing half of the in-domain steps or, when that
+    window holds none, in the trailing half of the defined in-domain probes.
+    Their running minimum is the trace and its last entry the estimate,
+    converged when the last used step moved it by at most ``dini_tol``.
+
+    Returns (value, converged, trace, used, n_in): ``trace[r][used[r]]`` is
+    row r's trace and ``n_in[r]`` its count of in-domain probes.  A row that
+    uses no probe has value +inf, is converged and has an empty trace.
+    ``trace`` and ``used`` start at the first column any row uses.
+    """
+    n_in = in_domain.sum(axis=1)
+    defined = in_domain & ~np.isnan(vals)
+    used = defined & (np.cumsum(in_domain, axis=1) > n_in[:, None] // 2)
+    empty = ~used.any(axis=1)
+    if empty.any():
+        d = defined[empty]
+        used[empty] = d & (np.cumsum(d, axis=1) > d.sum(axis=1)[:, None] // 2)
+    c0 = int(np.argmax(used.any(axis=0)))
+    used, s = used[:, c0:], s[c0:]
+    last = s.shape[0] - 1 - np.argmax(used[:, ::-1], axis=1)
+    s_min = s[last]
+    two = used.sum(axis=1) >= 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        diffs = vals[:, c0:] - base[:, None]
+        quots = diffs / s
+        trace = np.minimum.accumulate(np.where(used, quots, _INF), axis=1)
+        value = trace[:, -1].copy()
+        # a single quotient settles only when it is already infinite
+        prev = trace[np.arange(last.shape[0]), last - 1]
+        converged = np.where(two, np.abs(value - prev) <= dini_tol, np.isinf(value))
+        # Divergence screen: if the raw differences stay bounded away from
+        # zero while the steps vanish, the quotients blow up and the liminf
+        # is +-inf.  The threshold compares against what a slope of size
+        # |value| could produce at the smallest step, so steep smooth
+        # functions never trigger.
+        d_min = diffs.min(axis=1, where=used, initial=_INF)
+        up = two & (value > 0) & (d_min >= _JUMP_FACTOR * value * s_min)
+        q_max = quots.max(axis=1, where=used, initial=-_INF)
+        d_max = diffs.max(axis=1, where=used, initial=-_INF)
+        down = two & (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s_min)
+    value[up] = _INF
+    value[down] = -_INF
+    return value, converged | up | down, trace, used, n_in
+
+
+def _estimates(
+    base: float,
+    vals: np.ndarray,
+    in_domain: np.ndarray,
+    s: np.ndarray,
+    dini_tol: float,
+    scale: float = 1.0,
+) -> list[DiniEstimate]:
+    """One estimate per probe row, ``value`` scaled by ``scale``.  A row
+    without in-domain probes comes back with ``n_probes == 0``."""
+    value, converged, trace, used, n_in = _dini_rows(
+        vals, in_domain, np.full(vals.shape[0], base), s, dini_tol
+    )
+    return [
+        DiniEstimate(scale * float(v), float(v), tuple(tr[u]), bool(c), int(k), not u.any())
+        for v, c, tr, u, k in zip(value, converged, trace, used, n_in)
+    ]
+
+
+def _line_estimates(
+    phi: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    signs: tuple[float, ...],
+    feasible: Interval,
+    schedule: DiniSchedule,
+    scale: float = 1.0,
+) -> list[DiniEstimate]:
+    """Estimates at ``t`` toward each unit direction in ``signs``, probed in
+    one call of ``phi``."""
+    if not feasible.contains(t):
+        raise ValueError(f"base point {t} outside feasible interval {feasible}")
+    s = schedule.step_sizes()
+    probes = t + np.outer(signs, s)
+    base = float(phi(np.asarray([t], dtype=float))[0])
+    if np.isnan(base):
+        raise ValueError(f"phi undefined at base point {t}")
+    vals = phi(probes.reshape(-1)).reshape(probes.shape)
+    return _estimates(
+        base, vals, feasible.contains_many(probes), s, schedule.dini_tol, scale
     )
 
 
@@ -180,27 +224,11 @@ def lower_dini(
         schedule = DiniSchedule()
     if u == 0 or not np.isfinite(u):
         raise ValueError(f"direction must be finite and nonzero, got {u}")
-    if not feasible.contains(t):
-        raise ValueError(f"base point {t} outside feasible interval {feasible}")
-    scale = abs(float(u))
     sign = 1.0 if u > 0 else -1.0
-    s = schedule.step_sizes()
-    probes = t + s * sign
-    in_domain = feasible.contains_many(probes)
-    base_arr = phi(np.asarray([t], dtype=float))
-    base = float(base_arr[0])
-    if np.isnan(base):
-        raise ValueError(f"phi undefined at base point {t}")
-    vals = phi(probes)
-    est = _estimate_one(base, vals, in_domain, s, schedule.dini_tol)
-    return DiniEstimate(
-        value=scale * est.unit_value,
-        unit_value=est.unit_value,
-        tail_min_trace=est.tail_min_trace,
-        converged=est.converged,
-        n_probes=est.n_probes,
-        all_undefined=est.all_undefined,
-    )
+    est = _line_estimates(phi, t, (sign,), feasible, schedule, abs(float(u)))[0]
+    if est.n_probes == 0:
+        raise DiniDomainError("direction leaves domain")
+    return est
 
 
 def lower_dini_along(
@@ -234,15 +262,10 @@ def lower_dini_along(
     if np.isnan(base):
         raise ValueError("f undefined at the base point")
     vals = f(probes)
-    est = _estimate_one(base, vals, in_domain, s, schedule.dini_tol)
-    return DiniEstimate(
-        value=norm * est.unit_value,
-        unit_value=est.unit_value,
-        tail_min_trace=est.tail_min_trace,
-        converged=est.converged,
-        n_probes=est.n_probes,
-        all_undefined=est.all_undefined,
-    )
+    est = _estimates(base, vals[None, :], in_domain[None, :], s, schedule.dini_tol, norm)[0]
+    if est.n_probes == 0:
+        raise DiniDomainError("direction leaves domain")
+    return est
 
 
 def is_stationary(
@@ -261,21 +284,10 @@ def is_stationary(
     """
     if schedule is None:
         schedule = DiniSchedule()
-    estimates: dict[str, DiniEstimate] = {}
-    stationary = True
-    decisive = True
-    for label, u in (("+1", 1.0), ("-1", -1.0)):
-        try:
-            est = lower_dini(phi, t, u, feasible, schedule)
-        except DiniDomainError:
-            continue
-        estimates[label] = est
-        if est.unit_value < -stat_tol:
-            stationary = False
-    if stationary:
-        for est in estimates.values():
-            if not est.converged:
-                decisive = False
+    found = _line_estimates(phi, t, (1.0, -1.0), feasible, schedule)
+    estimates = {label: est for label, est in zip(("+1", "-1"), found) if est.n_probes}
+    stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
+    decisive = not stationary or all(est.converged for est in estimates.values())
     return StationarityCheck(stationary=stationary, estimates=estimates, decisive=decisive)
 
 
@@ -315,7 +327,9 @@ def grid_dini_profile(
     """Batch unit-direction estimates for every grid point of ``dom``.
 
     Numerically identical to calling :func:`lower_dini` per point with
-    u = +-1; the probe matrix is evaluated in one vectorized pass.
+    u = +-1.  The grid is probed in blocks of ``_BLOCK_ROWS`` points, one
+    call of ``phi`` and of the estimate kernel per block and direction, so
+    memory stays bounded however fine the grid.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -323,56 +337,26 @@ def grid_dini_profile(
     n = pts.shape[0]
     s = schedule.step_sizes()
     base = phi(pts)
+    ok_base = ~np.isnan(base)
 
     out: dict[str, np.ndarray] = {}
     for label, sign in (("minus", -1.0), ("plus", 1.0)):
-        probes = pts[:, None] + sign * s[None, :]
-        in_domain = dom.interval.contains_many(probes)
-        vals = phi(probes.reshape(-1)).reshape(n, s.shape[0])
         value = np.full(n, np.nan)
         conv = np.zeros(n, dtype=bool)
         feas = np.zeros(n, dtype=bool)
-
-        # fast path: rows with every probe in-domain and defined share one
-        # fixed trailing window, so the whole batch reduces to array ops
-        # that reproduce _estimate_one exactly
-        clean = in_domain.all(axis=1) & ~np.isnan(vals).any(axis=1) & ~np.isnan(base)
-        if s.shape[0] - s.shape[0] // 2 < 2:
-            clean[:] = False  # window too short for the batched form
-        if clean.any():
-            k0 = s.shape[0] // 2
-            w_steps = s[k0:]
-            diffs = vals[np.ix_(clean, np.arange(k0, s.shape[0]))] - base[clean, None]
-            quots = diffs / w_steps[None, :]
-            trace = np.minimum.accumulate(quots, axis=1)
-            v = trace[:, -1].copy()
-            c = np.abs(trace[:, -1] - trace[:, -2]) <= schedule.dini_tol
-            s_min = float(w_steps[-1])
-            up = (v > 0) & (np.min(diffs, axis=1) >= _JUMP_FACTOR * v * s_min)
-            q_max = np.max(quots, axis=1)
-            down = (q_max < 0) & (np.max(diffs, axis=1) <= _JUMP_FACTOR * q_max * s_min)
-            v[up] = _INF
-            v[down] = -_INF
-            c[up | down] = True
-            value[clean] = v
-            conv[clean] = c
-            feas[clean] = True
-
-        for i in np.flatnonzero(~clean):
-            if not in_domain[i].any() or np.isnan(base[i]):
-                continue
-            feas[i] = True
-            est = _estimate_one(float(base[i]), vals[i], in_domain[i], s, schedule.dini_tol)
-            value[i] = est.unit_value
-            conv[i] = est.converged
+        for a in range(0, n, _BLOCK_ROWS):
+            rows = slice(a, a + _BLOCK_ROWS)
+            probes = pts[rows, None] + sign * s[None, :]
+            vals = phi(probes.reshape(-1)).reshape(probes.shape)
+            v, c, _, _, n_in = _dini_rows(
+                vals, dom.interval.contains_many(probes), base[rows], s,
+                schedule.dini_tol,
+            )
+            f = (n_in > 0) & ok_base[rows]
+            value[rows] = np.where(f, v, np.nan)
+            conv[rows] = c & f
+            feas[rows] = f
         out[label + "_value"] = value
         out[label + "_converged"] = conv
         out[label + "_feasible"] = feas
-    return GridDiniProfile(
-        minus_value=out["minus_value"],
-        plus_value=out["plus_value"],
-        minus_converged=out["minus_converged"],
-        plus_converged=out["plus_converged"],
-        minus_feasible=out["minus_feasible"],
-        plus_feasible=out["plus_feasible"],
-    )
+    return GridDiniProfile(**out)

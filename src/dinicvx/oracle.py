@@ -82,20 +82,22 @@ def grid_values(
 ) -> tuple[np.ndarray, tuple[Witness, ...]]:
     """Evaluate phi on the grid; report points that are undefined/non-finite."""
     vals = phi(dom.points)
-    bad = ~np.isfinite(vals)
-    if not bad.any():
-        return vals, ()
-    wits = []
-    for i in np.flatnonzero(bad)[:_WITNESS_CAP]:
-        wits.append(
-            Witness(
-                kind="undefined_grid_value",
-                points=(float(dom.points[i]),),
-                values=(float(vals[i]),),
-                detail="phi is undefined or non-finite at a grid point",
-            )
+    return vals, undefined_witnesses(dom, vals)
+
+
+def undefined_witnesses(
+    dom: SampledDomain, vals: np.ndarray, cap: int = _WITNESS_CAP
+) -> tuple[Witness, ...]:
+    """Witnesses at the first ``cap`` grid points where ``vals`` is not finite."""
+    return tuple(
+        Witness(
+            kind="undefined_grid_value",
+            points=(float(dom.points[i]),),
+            values=(float(vals[i]),),
+            detail="phi is undefined or non-finite at a grid point",
         )
-    return vals, tuple(wits)
+        for i in np.flatnonzero(~np.isfinite(vals))[:cap]
+    )
 
 
 def _resolve(
@@ -324,7 +326,7 @@ def semistrictly_quasiconvex_def(
         # rightward: z in (x, y), some y > z with phi(y) < c
         if x + 2 < n:
             zs = np.arange(x + 1, n - 1)
-            mask = (vals[zs] >= c) & (suf[zs + 1] < c)
+            mask = (vals[zs] >= c) & (suf[zs] < c)
             hits = np.flatnonzero(mask)
             if hits.size:
                 z = int(zs[hits[0]])

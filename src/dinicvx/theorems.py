@@ -63,6 +63,10 @@ __all__ = [
 # curvature updates near 2e-9 * f'', both safely inside the tolerance.
 SUITE_SCHEDULE = DiniSchedule(t0=1e-2, ratio=0.6, steps=28, dini_tol=1e-6)
 
+# Consecutive draws of nearly equal points after which sample_pairs gives up.
+# On a box with any side wider than np.allclose's tolerance a miss is rare.
+_PAIR_DRAWS = 1000
+
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -232,16 +236,30 @@ def check_t7(
 def sample_pairs(
     box: tuple[Interval, ...], count: int, seed: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Deterministic (x, y) pairs inside the box, componentwise uniform."""
+    """Deterministic (x, y) pairs inside the box, componentwise uniform.
+
+    Raises ValueError for a box of infinite width, and for one too thin to
+    yield a distinct pair within ``_PAIR_DRAWS`` draws (a single point, say).
+    """
     rng = np.random.default_rng(seed)
     lo = np.array([iv.lo for iv in box])
     hi = np.array([iv.hi for iv in box])
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.isfinite(width).all():
+        raise ValueError("sampling pairs needs a box of finite width")
     out = []
+    misses = 0
     while len(out) < count:
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
         if not np.allclose(x, y):
             out.append((x, y))
+            misses = 0
+            continue
+        misses += 1
+        if misses == _PAIR_DRAWS:
+            raise ValueError("box too thin to sample distinct (x, y) pairs")
     return tuple(out)
 
 

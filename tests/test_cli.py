@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dinicvx
 from dinicvx import golden_battery, write_manifest
 from dinicvx.cli import (
     EXIT_CONFIG,
@@ -212,6 +217,53 @@ class TestVerify:
         code, _, err = run(["verify-theorems", "--function", "t^2"], capsys)
         assert code == EXIT_CONFIG
         assert "manifest" in err
+
+    @pytest.mark.parametrize("flag", ["--method=definitional", "--arity=2",
+                                      "--domain=[0,1]", "--box=[0,1]x[0,1]"])
+    def test_rejects_flags_it_would_ignore(self, flag, capsys):
+        code, _, err = run(["verify-theorems", flag], capsys)
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments" in err
+
+    def test_config_block(self, tmp_path, capsys):
+        by_id = {e.id: e for e in golden_battery()}
+        path = tmp_path / "mini.json"
+        write_manifest((by_id["sq"],), path)
+        _, out, _ = run(["verify-theorems", str(path), "--grid", "65"], capsys)
+        cfg = json.loads(out)["config"]
+        assert (cfg["function"], cfg["arity"], cfg["domain"], cfg["box"]) == (
+            "", 1, "[-1,1]", None)
+        assert cfg["method"] == "both"
+        assert cfg["checks"] == ["pseudoconvex", "strict-pseudoconvex",
+                                 "quasiconvex", "semistrict-quasiconvex"]
+        assert (cfg["grid"], cfg["dini"]["steps"], cfg["dini"]["dini_tol"]) == (
+            65, 28, 1e-6)
+
+
+class TestHostileBox:
+    """Each bad box ends, within a time limit, with exit code 1 and a
+    one-line message; the CLI runs in a child process so a hang is killed."""
+
+    @pytest.mark.parametrize("box", [
+        "[0,0]x[0,0]",              # no two distinct points to draw
+        "[0,1e-12]x[5,5]",          # every pair within allclose's tolerance
+        "(-inf,inf)x[0,1]",         # uniform draws overflow
+        "[-1e308,1e308]x[0,1]",     # finite ends, infinite width
+        "[-1,1]x[-1,1]x",           # trailing separator
+        "[-1,1]xx[-1,1]",           # empty interval between separators
+    ])
+    def test_exits_one_with_a_message(self, box):
+        env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinicvx", "classify", "--function=x1 + x2",
+             "--arity=2", f"--box={box}", "--pairs=2"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        message, elapsed = proc.stderr.splitlines()
+        assert message.startswith("error: ")
+        assert elapsed.startswith("elapsed: ")
 
 
 class TestCanonicalJson:

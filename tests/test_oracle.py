@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinicvx import (
+    anchored_grid,
     auto_tol,
+    eval_many,
     make_grid,
+    martos_segments,
+    parse,
     parse_interval,
     pseudoconvex_def,
     quasiconvex_def,
+    restrict,
+    sample_pairs,
     semistrictly_quasiconvex_def,
     strictly_pseudoconvex_def,
 )
@@ -156,3 +164,54 @@ class TestStrictImpliesNonStrict:
         pc = pseudoconvex_def(phi_of(src), unit_grid)
         assert spc.outcome == "holds"
         assert pc.outcome == "holds"
+
+
+def triple_loop_semistrict(vals, tol):
+    """Literal definition: phi(y) < phi(x) - tol forces every z strictly
+    between x and y to satisfy phi(z) < phi(x) - tol."""
+    n = len(vals)
+    for x in range(n):
+        for y in range(n):
+            if vals[y] < vals[x] - tol:
+                lo, hi = min(x, y), max(x, y)
+                for z in range(lo + 1, hi):
+                    if not vals[z] < vals[x] - tol:
+                        return "fails"
+    return "holds"
+
+
+def grid_function(vals):
+    """A phi taking the given values on the standard grid over [0,1]."""
+    dom = make_grid(parse_interval("[0,1]"), len(vals))
+    table = np.asarray(vals, dtype=float)
+    return (lambda ts: table[np.searchsorted(dom.points, ts)]), dom
+
+
+class TestSemistrictScan:
+    def test_flat_cell_before_the_last_drop(self):
+        # the only y below phi(x) - tol is the point right after the flat z
+        phi, dom = grid_function([3.0, 2.0, 2.0, 1.0])
+        v = semistrictly_quasiconvex_def(phi, dom, tol=0.1)
+        assert v.outcome == "fails"
+        assert v.witnesses[0].values == (2.0, 2.0, 1.0)
+
+    def test_cubic_restriction_agrees_with_martos(self):
+        # pair 18 of `classify --function=x1^3 --arity 2 --box=[-1,1]x[-1,1]
+        # --pairs 24 --seed 1699654999`: its grid has one flat cell before
+        # a further drop, which the scan once missed
+        box = (parse_interval("[-1,1]"),) * 2
+        fn = parse("x1^3", 2)
+        x, y = sample_pairs(box, 24, 1699654999)[18]
+        r = restrict(lambda pts: eval_many(fn, pts), x, y, box)
+        dom = anchored_grid(r.feasible, 257, 1e-6)
+        split = martos_segments(r.phi, dom)
+        assert not split.valid
+        assert semistrictly_quasiconvex_def(r.phi, dom).outcome == "fails"
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_triple_loop(self, ints):
+        vals = [float(v) for v in ints]
+        phi, dom = grid_function(vals)
+        v = semistrictly_quasiconvex_def(phi, dom, tol=0.5)
+        assert v.outcome == triple_loop_semistrict(vals, 0.5)
