@@ -7,6 +7,7 @@ characterization; the two must agree wherever both are conclusive.
 import numpy as np
 
 from dinicvx import (
+    SampledProblem,
     eval_many,
     make_grid,
     parse,
@@ -32,15 +33,17 @@ CASES = [
 
 def classify(source, domain):
     fn = parse(source, 1)
-    phi = lambda ts: eval_many(fn, ts)
-    dom = make_grid(parse_interval(domain), 257, 1e-6)
+    # one problem per function: every classifier below shares its grid
+    # values, equality band and Dini profile
+    p = SampledProblem(lambda ts: eval_many(fn, ts),
+                       make_grid(parse_interval(domain), 257, 1e-6))
     return {
-        "pseudoconvex (def)": pseudoconvex_def(phi, dom),
-        "pseudoconvex (char)": pseudoconvex_char(phi, dom),
-        "strictly pseudoconvex": strictly_pseudoconvex_def(phi, dom),
-        "quasiconvex (def)": quasiconvex_def(phi, dom),
-        "quasiconvex (martos)": quasiconvex_martos(phi, dom),
-        "semistrictly quasiconvex": semistrictly_quasiconvex_def(phi, dom),
+        "pseudoconvex (def)": pseudoconvex_def(p),
+        "pseudoconvex (char)": pseudoconvex_char(p),
+        "strictly pseudoconvex": strictly_pseudoconvex_def(p),
+        "quasiconvex (def)": quasiconvex_def(p),
+        "quasiconvex (martos)": quasiconvex_martos(p),
+        "semistrictly quasiconvex": semistrictly_quasiconvex_def(p),
     }
 
 

@@ -7,7 +7,15 @@ decompose is not quasiconvex, and the failure witness says where.
 
 import numpy as np
 
-from dinicvx import decompose, eval_many, make_grid, martos_segments, parse, parse_interval
+from dinicvx import (
+    SampledProblem,
+    decompose,
+    eval_many,
+    make_grid,
+    martos_segments,
+    parse,
+    parse_interval,
+)
 
 CASES = [
     ("t^2", "[-1,1]"),
@@ -20,8 +28,8 @@ CASES = [
 def show(source, domain):
     fn = parse(source, 1)
     dom = make_grid(parse_interval(domain), 257, 1e-6)
-    vals = eval_many(fn, dom.points)
-    dec = decompose(vals, dom)
+    p = SampledProblem(lambda ts: eval_many(fn, ts), dom)
+    dec = decompose(p)
     print(f"\n{source}  on {domain}")
     if not dec.ok:
         w = dec.witnesses[0]
@@ -35,7 +43,7 @@ def show(source, domain):
           f"  ({hi - lo} points at level {dec.min_value:.6g})")
     print(f"  rising    : {dom.points[min(hi, dom.n - 1)]:.4g} .. {dom.points[-1]:.4g}"
           f"  ({dom.n - hi} points)")
-    split = martos_segments(vals, dom)
+    split = martos_segments(p)
     print(f"  martos    : valid={split.valid}  decreasing={split.decreasing}"
           f"  constant={split.constant}  increasing={split.increasing}")
 

@@ -55,6 +55,7 @@ from .expr import (
     to_source,
 )
 from .oracle import (
+    SampledProblem,
     Verdict,
     Witness,
     auto_tol,
@@ -96,6 +97,7 @@ __all__ = [
     "LineRestriction",
     "MonotoneDecomposition",
     "SampledDomain",
+    "SampledProblem",
     "SegmentSplit",
     "StationarityCheck",
     "TheoremReport",

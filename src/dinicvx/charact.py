@@ -15,13 +15,10 @@ Dini values against ``stat_tol``, and index ranges reported half-open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dini import DiniSchedule, grid_dini_profile
-from .domain import SampledDomain
-from .oracle import Verdict, Witness, auto_tol, grid_values, undefined_witnesses
+from .oracle import _WITNESS_CAP, SampledProblem, Verdict, Witness
 
 __all__ = [
     "MonotoneDecomposition",
@@ -32,8 +29,6 @@ __all__ = [
     "martos_segments",
     "quasiconvex_martos",
 ]
-
-_WITNESS_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -71,11 +66,7 @@ class MonotoneDecomposition:
         return labels
 
 
-def decompose(
-    phi: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    dom: SampledDomain,
-    tol: float | None = None,
-) -> MonotoneDecomposition:
+def decompose(p: SampledProblem) -> MonotoneDecomposition:
     """Split the grid into strict descent, minimum band, strict ascent.
 
     The band is every index whose value lies within ``tol`` of the grid
@@ -85,14 +76,11 @@ def decompose(
     band.  A strictly monotone grid running into an open endpoint reports
     an empty band instead: the infimum is not attained.
     """
-    vals = phi if isinstance(phi, np.ndarray) else phi(dom.points)
-    vals = np.asarray(vals, dtype=float)
+    vals, tol_r, dom = p.values, p.band, p.dom
     n = dom.n
-    tol_r = auto_tol(vals) if tol is None else tol
-    wits = undefined_witnesses(dom, vals)
-    if wits:
+    if p.undefined:
         return MonotoneDecomposition(
-            (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, wits
+            (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, p.undefined
         )
     vmin = float(np.min(vals))
     deltas = np.diff(vals)
@@ -158,24 +146,18 @@ def decompose(
 
 
 def _stationarity_scan(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    dec: MonotoneDecomposition,
-    schedule: DiniSchedule | None,
-    stat_tol: float,
-    vals: np.ndarray,
+    p: SampledProblem, dec: MonotoneDecomposition
 ) -> tuple[list[Witness], list[Witness]]:
     """Find stationary grid points outside the minimum band.
 
     Returns (violations, blocked): blocked entries are points whose
     no-descent call rests on an unconverged estimate.
     """
-    profile = grid_dini_profile(phi, dom, schedule)
+    profile = p.profile
     violations: list[Witness] = []
     blocked: list[Witness] = []
-    minus_desc = profile.minus_feasible & (profile.minus_value < -stat_tol)
-    plus_desc = profile.plus_feasible & (profile.plus_value < -stat_tol)
-    for i in range(dom.n):
+    minus_desc, plus_desc = profile.descent(p.stat_tol)
+    for i in range(p.dom.n):
         if dec.in_band(i):
             continue
         if minus_desc[i] or plus_desc[i]:
@@ -185,8 +167,8 @@ def _stationarity_scan(
         )
         wit = Witness(
             kind="stationary_outside_min",
-            points=(float(dom.points[i]),),
-            values=(float(vals[i]),),
+            points=(float(p.dom.points[i]),),
+            values=(float(p.values[i]),),
             detail=(
                 "grid point outside the minimum band with no descending "
                 "direction (lower Dini derivative >= -stat_tol both ways)"
@@ -207,21 +189,13 @@ def _stationarity_scan(
     return violations, blocked
 
 
-def _char_verdict(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None,
-    tol: float | None,
-    stat_tol: float,
-    strict: bool,
-) -> Verdict:
+def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_char" if strict else "pseudoconvex_char"
-    vals, bad = grid_values(phi, dom)
-    tol_r = auto_tol(vals) if tol is None else tol
-    if bad:
-        return Verdict("inconclusive", method, tol_r, stat_tol, bad,
+    tol_r, stat_tol, pts, vals = p.band, p.stat_tol, p.dom.points, p.values
+    if p.undefined:
+        return Verdict("inconclusive", method, tol_r, stat_tol, p.undefined,
                        notes="grid evaluation failed")
-    dec = decompose(vals, dom, tol_r)
+    dec = decompose(p)
     if not dec.ok:
         return Verdict("fails", method, tol_r, stat_tol, dec.witnesses,
                        notes=f"decomposition pattern: {dec.pattern}")
@@ -231,7 +205,7 @@ def _char_verdict(
         witnesses.append(
             Witness(
                 kind="flat_minimum",
-                points=(float(dom.points[lo]), float(dom.points[hi - 1])),
+                points=(float(pts[lo]), float(pts[hi - 1])),
                 values=(float(vals[lo]), float(vals[hi - 1])),
                 detail=(
                     "minimum band spans more than one grid cell; the minimizer "
@@ -239,7 +213,7 @@ def _char_verdict(
                 ),
             )
         )
-    violations, blocked = _stationarity_scan(phi, dom, dec, schedule, stat_tol, vals)
+    violations, blocked = _stationarity_scan(p, dec)
     witnesses.extend(violations)
     if witnesses:
         return Verdict("fails", method, tol_r, stat_tol, tuple(witnesses[:_WITNESS_CAP]),
@@ -251,29 +225,17 @@ def _char_verdict(
                    notes=f"decomposition pattern: {dec.pattern}")
 
 
-def pseudoconvex_char(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def pseudoconvex_char(p: SampledProblem) -> Verdict:
     """Structural pseudoconvexity: valid monotone decomposition and no
     stationary grid point outside the minimum band."""
-    return _char_verdict(phi, dom, schedule, tol, stat_tol, strict=False)
+    return _char_verdict(p, strict=False)
 
 
-def strictly_pseudoconvex_char(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def strictly_pseudoconvex_char(p: SampledProblem) -> Verdict:
     """Structural strict pseudoconvexity: additionally, the minimum band may
     not span more than one grid cell (two adjacent points at most, so ties
     across a single cell are tolerated but plateaus are not)."""
-    return _char_verdict(phi, dom, schedule, tol, stat_tol, strict=True)
+    return _char_verdict(p, strict=True)
 
 
 @dataclass(frozen=True)
@@ -301,11 +263,7 @@ class SegmentSplit:
         return labels
 
 
-def martos_segments(
-    phi: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    dom: SampledDomain,
-    tol: float | None = None,
-) -> SegmentSplit:
+def martos_segments(p: SampledProblem) -> SegmentSplit:
     """Split grid values into strict decrease, a constant run, strict increase.
 
     The scan takes the longest strictly decreasing prefix (consecutive
@@ -314,13 +272,10 @@ def martos_segments(
     split is the semistrict-quasiconvexity shape test: any later descent or
     flat stretch invalidates it.
     """
-    vals = phi if isinstance(phi, np.ndarray) else phi(dom.points)
-    vals = np.asarray(vals, dtype=float)
+    vals, tol_r, dom = p.values, p.band, p.dom
     n = dom.n
-    tol_r = auto_tol(vals) if tol is None else tol
-    bad = undefined_witnesses(dom, vals, cap=1)
-    if bad:
-        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, bad)
+    if p.undefined:
+        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, p.undefined[:1])
     deltas = np.diff(vals)
     a = 0
     while a < deltas.size and deltas[a] < -tol_r:
@@ -347,25 +302,17 @@ def martos_segments(
     )
 
 
-def quasiconvex_martos(
-    phi: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    dom: SampledDomain,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def quasiconvex_martos(p: SampledProblem) -> Verdict:
     """Structural quasiconvexity: no strict rise followed by a strict fall.
 
     Equivalent to the grid values being weakly decreasing then weakly
     increasing up to ``tol``; the witness on failure is an ordered triple
     with the interior point above both ends.
     """
-    vals = phi if isinstance(phi, np.ndarray) else phi(dom.points)
-    vals = np.asarray(vals, dtype=float)
-    tol_r = auto_tol(vals) if tol is None else tol
-    bad = undefined_witnesses(dom, vals, cap=1)
-    if bad:
-        return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol, bad,
-                       notes="grid evaluation failed")
+    vals, tol_r, stat_tol, pts = p.values, p.band, p.stat_tol, p.dom.points
+    if p.undefined:
+        return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol,
+                       p.undefined[:1], notes="grid evaluation failed")
     deltas = np.diff(vals)
     rises = np.flatnonzero(deltas > tol_r)
     drops = np.flatnonzero(deltas < -tol_r)
@@ -375,7 +322,7 @@ def quasiconvex_martos(
         z = i + 1 + int(np.argmax(vals[i + 1 : j + 1]))
         wit = Witness(
             kind="rise_then_fall",
-            points=(float(dom.points[i]), float(dom.points[z]), float(dom.points[j + 1])),
+            points=(float(pts[i]), float(pts[z]), float(pts[j + 1])),
             values=(float(vals[i]), float(vals[z]), float(vals[j + 1])),
             detail="a strict rise precedes a strict fall",
         )

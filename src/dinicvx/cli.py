@@ -38,6 +38,7 @@ from .dini import DiniEstimate, DiniSchedule, lower_dini
 from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
 from .expr import ExpressionError, eval_many, parse
 from .oracle import (
+    SampledProblem,
     Verdict,
     Witness,
     pseudoconvex_def,
@@ -273,34 +274,30 @@ def _config_json(cfg: RunConfig) -> dict:
 # classification plumbing
 
 
-def _split_as_verdict(split: SegmentSplit) -> Verdict:
+def _semistrict_martos(p: SampledProblem) -> Verdict:
+    split = martos_segments(p)
     outcome = "holds" if split.valid else "fails"
     return Verdict(outcome, "martos_segments", split.tol, 0.0, split.witnesses)
 
 
-def _run_methods(check: str, want_def: bool, want_struct: bool, phi, dom,
-                 schedule, tol, stat_tol) -> dict[str, Verdict]:
+def _run_methods(check: str, want_def: bool, want_struct: bool,
+                 p: SampledProblem) -> dict[str, Verdict]:
+    # check -> (definitional oracle, structural method name, structural
+    # classifier); built per call, so the classifiers are looked up as the
+    # modules now bind them
+    definitional, name, structural = {
+        "pseudoconvex": (pseudoconvex_def, "characterization", pseudoconvex_char),
+        "strict-pseudoconvex": (strictly_pseudoconvex_def, "characterization",
+                                strictly_pseudoconvex_char),
+        "quasiconvex": (quasiconvex_def, "martos", quasiconvex_martos),
+        "semistrict-quasiconvex": (semistrictly_quasiconvex_def, "martos",
+                                   _semistrict_martos),
+    }[check]
     out: dict[str, Verdict] = {}
-    if check == "pseudoconvex":
-        if want_def:
-            out["definitional"] = pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
-        if want_struct:
-            out["characterization"] = pseudoconvex_char(phi, dom, schedule, tol, stat_tol)
-    elif check == "strict-pseudoconvex":
-        if want_def:
-            out["definitional"] = strictly_pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
-        if want_struct:
-            out["characterization"] = strictly_pseudoconvex_char(phi, dom, schedule, tol, stat_tol)
-    elif check == "quasiconvex":
-        if want_def:
-            out["definitional"] = quasiconvex_def(phi, dom, tol, stat_tol)
-        if want_struct:
-            out["martos"] = quasiconvex_martos(phi, dom, tol, stat_tol)
-    else:  # semistrict-quasiconvex
-        if want_def:
-            out["definitional"] = semistrictly_quasiconvex_def(phi, dom, tol, stat_tol)
-        if want_struct:
-            out["martos"] = _split_as_verdict(martos_segments(phi, dom, tol))
+    if want_def:
+        out["definitional"] = definitional(p)
+    if want_struct:
+        out[name] = structural(p)
     return out
 
 
@@ -332,11 +329,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
     if cfg.arity == 1:
         interval = parse_interval(cfg.domain)
-        dom = make_grid(interval, cfg.grid, cfg.margin)
-        phi = lambda ts: eval_many(fn, ts)
+        p = SampledProblem(lambda ts: eval_many(fn, ts),
+                           make_grid(interval, cfg.grid, cfg.margin),
+                           cfg.schedule, cfg.tol, cfg.stat_tol)
         for check in cfg.checks:
-            methods = _run_methods(check, want_def, want_struct, phi, dom,
-                                   cfg.schedule, cfg.tol, cfg.stat_tol)
+            methods = _run_methods(check, want_def, want_struct, p)
             outcomes = [v.outcome for v in methods.values()]
             conclusive = [o for o in outcomes if o != "inconclusive"]
             agree = len(set(conclusive)) <= 1
@@ -346,17 +343,14 @@ def _cmd_classify(cfg: RunConfig) -> int:
                 inconclusive = True
             checks_out[check] = {
                 "methods": {
-                    name: _verdict_json(v, phi, interval, cfg.schedule)
+                    name: _verdict_json(v, p.phi, interval, cfg.schedule)
                     for name, v in methods.items()
                 },
                 "agree": agree,
                 "outcome": _merge_outcomes(outcomes),
             }
-        vals = phi(dom.points)
-        if np.isfinite(vals).all() and want_struct:
-            report["decomposition"] = _decomposition_json(
-                decompose(vals, dom, cfg.tol), dom.points
-            )
+        if not p.undefined and want_struct:
+            report["decomposition"] = _decomposition_json(decompose(p), p.dom.points)
     else:
         box = _parse_box(cfg.box, cfg.arity)
         f = lambda pts: eval_many(fn, pts)
@@ -367,7 +361,8 @@ def _cmd_classify(cfg: RunConfig) -> int:
         }
         for x, y in pair_list:
             r = restrict(f, x, y, box)
-            dom_r = anchored_grid(r.feasible, cfg.grid, cfg.margin)
+            p = SampledProblem(r.phi, anchored_grid(r.feasible, cfg.grid, cfg.margin),
+                               cfg.schedule, cfg.tol, cfg.stat_tol)
             entry: dict = {
                 "x": [float(v) for v in x],
                 "y": [float(v) for v in y],
@@ -375,8 +370,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
                 "checks": {},
             }
             for check in cfg.checks:
-                methods = _run_methods(check, want_def, want_struct, r.phi,
-                                       dom_r, cfg.schedule, cfg.tol, cfg.stat_tol)
+                methods = _run_methods(check, want_def, want_struct, p)
                 entry["checks"][check] = {
                     name: v.outcome for name, v in methods.items()
                 }
@@ -421,27 +415,27 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
     if cfg.arity != 1:
         raise _ConfigError("decompose handles one-variable functions only")
     fn = parse(cfg.function, cfg.arity)
-    interval = parse_interval(cfg.domain)
-    dom = make_grid(interval, cfg.grid, cfg.margin)
-    vals = eval_many(fn, dom.points)
-    dec = decompose(vals, dom, cfg.tol)
-    report = {
+    p = SampledProblem(lambda ts: eval_many(fn, ts),
+                       make_grid(parse_interval(cfg.domain), cfg.grid, cfg.margin),
+                       tol=cfg.tol)
+    pts = p.dom.points
+    dec = decompose(p)
+    if csv_path is not None:
+        lines = ["t,value,segment"]
+        for t, v, lab in zip(pts, p.values, dec.segment_labels(p.dom.n)):
+            lines.append(f"{format(float(t), '.17g')},{format(float(v), '.17g')},{lab}")
+        try:
+            with open(csv_path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise _ConfigError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
+    _emit({
         "command": "decompose",
         "config": _config_json(cfg),
-        "decomposition": _decomposition_json(dec, dom.points),
-        "martos": _split_json(martos_segments(vals, dom, cfg.tol), dom.points),
-    }
-    _emit(report, cfg.output)
-    if csv_path is not None:
-        labels = dec.segment_labels(dom.n)
-        lines = ["t,value,segment"]
-        for t, v, lab in zip(dom.points, vals, labels):
-            lines.append(f"{format(float(t), '.17g')},{format(float(v), '.17g')},{lab}")
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if not np.isfinite(vals).all():
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        "decomposition": _decomposition_json(dec, pts),
+        "martos": _split_json(martos_segments(p), pts),
+    }, cfg.output)
+    return EXIT_INCONCLUSIVE if p.undefined else EXIT_OK
 
 
 def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
@@ -563,8 +557,6 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
         p.add_argument("--arity", type=int, default=1)
         p.add_argument("--domain", help="interval such as [-1,1] or (0,1]")
         p.add_argument("--box", help="product of intervals such as [-1,1]x[-1,1]")
-        p.add_argument("--method", default="both",
-                       choices=["definitional", "characterization", "martos", "both"])
     p.add_argument("--grid", type=int, default=257)
     p.add_argument("--margin", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=None,
@@ -587,17 +579,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="classify a function", parents=[])
     _add_common(p)
+    p.add_argument("--method", default="both",
+                   choices=["definitional", "characterization", "martos", "both"])
     p.add_argument("--check", action="append", choices=list(_CHECKS) + ["all"],
                    help="property to test; repeatable; default all")
 
     p = sub.add_parser("decompose", help="three-part monotone split")
     _add_common(p)
     p.add_argument("--csv", help="write t,value,segment rows to this path")
+    p.set_defaults(method="both")  # fills the report's config block
 
     p = sub.add_parser("dini", help="one lower Dini estimate with trace")
     _add_common(p)
     p.add_argument("--at", type=float, required=True)
     p.add_argument("--dir", type=float, default=1.0)
+    p.set_defaults(method="both")
 
     p = sub.add_parser("verify-theorems", help="run the theorem suite")
     p.add_argument("manifest", nargs="?", default=None,

@@ -146,8 +146,8 @@ class SampledDomain:
 def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain:
     """Sample ``interval`` at ``n`` uniform points, honoring open endpoints.
 
-    Requires a bounded, non-degenerate interval, ``n >= 2``, ``margin > 0``,
-    and enough room for the margins on open ends.
+    Requires a bounded, non-degenerate interval of finite width, ``n >= 2``,
+    ``margin > 0``, and enough room for the margins on open ends.
     """
     if not interval.bounded:
         raise ValueError(f"cannot grid unbounded interval {interval}")
@@ -155,10 +155,12 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
         raise ValueError("cannot grid a degenerate interval")
     if n < 2:
         raise ValueError(f"grid needs n >= 2, got {n}")
-    if margin <= 0:
+    if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
     lo = interval.lo if interval.lo_closed else interval.lo + margin
     hi = interval.hi if interval.hi_closed else interval.hi - margin
+    if not float(hi) - float(lo) < _INF:
+        raise ValueError(f"cannot grid interval {interval} of infinite width")
     if lo >= hi:
         raise ValueError(
             f"interval {interval} too narrow for margin {margin}"

@@ -15,7 +15,10 @@ All comparisons share one equality band ``tol``; by default it is scaled
 from the grid values as ``1e-9 * (1 + max |phi|)`` so that classifying
 ``phi`` and ``1000 * phi`` behaves identically.  Sign decisions on Dini
 estimates use the unit-direction value against ``stat_tol``, which keeps
-the outcome invariant to the magnitude of the probed direction.
+the outcome invariant to the magnitude of the probed direction.  Every
+classifier, here and in :mod:`dinicvx.charact`, takes one
+:class:`SampledProblem`, which holds the function, the grid and these
+settings, and computes the shared inputs once.
 
 A verdict is ``inconclusive`` only when a Dini estimate that the decision
 actually depends on failed to converge, or when the grid contains
@@ -25,6 +28,7 @@ undefined or non-finite values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +39,7 @@ from .domain import SampledDomain
 __all__ = [
     "Witness",
     "Verdict",
+    "SampledProblem",
     "auto_tol",
     "grid_values",
     "pseudoconvex_def",
@@ -80,35 +85,17 @@ def auto_tol(values: np.ndarray) -> float:
 def grid_values(
     phi: Callable[[np.ndarray], np.ndarray], dom: SampledDomain
 ) -> tuple[np.ndarray, tuple[Witness, ...]]:
-    """Evaluate phi on the grid; report points that are undefined/non-finite."""
+    """Evaluate phi on the grid; report the first undefined/non-finite points."""
     vals = phi(dom.points)
-    return vals, undefined_witnesses(dom, vals)
-
-
-def undefined_witnesses(
-    dom: SampledDomain, vals: np.ndarray, cap: int = _WITNESS_CAP
-) -> tuple[Witness, ...]:
-    """Witnesses at the first ``cap`` grid points where ``vals`` is not finite."""
-    return tuple(
+    return vals, tuple(
         Witness(
             kind="undefined_grid_value",
             points=(float(dom.points[i]),),
             values=(float(vals[i]),),
             detail="phi is undefined or non-finite at a grid point",
         )
-        for i in np.flatnonzero(~np.isfinite(vals))[:cap]
+        for i in np.flatnonzero(~np.isfinite(vals))[:_WITNESS_CAP]
     )
-
-
-def _resolve(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    tol: float | None,
-) -> tuple[np.ndarray | None, float, tuple[Witness, ...]]:
-    vals, bad = grid_values(phi, dom)
-    if bad:
-        return None, 0.0 if tol is None else tol, bad
-    return vals, auto_tol(vals) if tol is None else tol, ()
 
 
 def _exclusive_prefix_min(v: np.ndarray) -> np.ndarray:
@@ -119,29 +106,75 @@ def _exclusive_prefix_min(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exclusive_suffix_min(v: np.ndarray) -> np.ndarray:
-    return _exclusive_prefix_min(v[::-1])[::-1]
+@dataclass(frozen=True, eq=False)
+class SampledProblem:
+    """One function on one sampled interval: what every classifier reads.
+
+    The grid values, the equality band, the exclusive prefix and suffix
+    minima and the Dini profile are each computed at most once, when a
+    classifier first reads them, and then shared by the definitional
+    oracles, the structural characterizations and the theorem checks.
+    Only these inputs are shared; every classifier keeps its own decision
+    logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
+    called, so a rebound module attribute (as a tracer installs) is used.
+    """
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    dom: SampledDomain
+    schedule: DiniSchedule | None = None
+    tol: float | None = None
+    stat_tol: float = 1e-7
+
+    @cached_property
+    def _sampled(self) -> tuple[np.ndarray, tuple[Witness, ...]]:
+        return grid_values(self.phi, self.dom)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._sampled[0]
+
+    @property
+    def undefined(self) -> tuple[Witness, ...]:
+        """Witnesses at the first grid points where phi is not finite."""
+        return self._sampled[1]
+
+    @cached_property
+    def band(self) -> float:
+        """``tol`` if given, else scaled from the finite grid values."""
+        return auto_tol(self.values) if self.tol is None else self.tol
+
+    @cached_property
+    def prefix_min(self) -> np.ndarray:
+        """``prefix_min[i]`` is the least value left of grid index i."""
+        return _exclusive_prefix_min(self.values)
+
+    @cached_property
+    def suffix_min(self) -> np.ndarray:
+        """``suffix_min[i]`` is the least value right of grid index i."""
+        return _exclusive_prefix_min(self.values[::-1])[::-1]
+
+    @cached_property
+    def profile(self) -> GridDiniProfile:
+        return grid_dini_profile(self.phi, self.dom, self.schedule)
+
+
+def _undefined_verdict(p: SampledProblem, method: str) -> Verdict:
+    # An unset tol reads 0 here, where the structural side reports the band.
+    return Verdict("inconclusive", method, 0.0 if p.tol is None else p.tol,
+                   p.stat_tol, p.undefined, notes="grid evaluation failed")
 
 
 @dataclass
 class _DescentAudit:
     """Collects failures and unconverged blockers for one pair-based scan."""
 
+    p: SampledProblem
     witnesses: list[Witness] = field(default_factory=list)
     blocked: list[Witness] = field(default_factory=list)
 
-    def check(
-        self,
-        dom: SampledDomain,
-        vals: np.ndarray,
-        profile: GridDiniProfile,
-        i: int,
-        side: int,
-        y_index: int,
-        stat_tol: float,
-        trigger: str,
-    ) -> None:
+    def check(self, i: int, side: int, y_index: int, trigger: str) -> None:
         """Require descent at grid index i toward side (-1 left, +1 right)."""
+        profile = self.p.profile
         if side < 0:
             value = profile.minus_value[i]
             conv = profile.minus_converged[i]
@@ -150,9 +183,10 @@ class _DescentAudit:
             value = profile.plus_value[i]
             conv = profile.plus_converged[i]
             feas = profile.plus_feasible[i]
-        if feas and value < -stat_tol:
+        if feas and value < -self.p.stat_tol:
             return  # descending; a running minimum below the bar is final
-        x_t, y_t = float(dom.points[i]), float(dom.points[y_index])
+        pts, vals = self.p.dom.points, self.p.values
+        x_t, y_t = float(pts[i]), float(pts[y_index])
         x_v, y_v = float(vals[i]), float(vals[y_index])
         if feas and not conv:
             if len(self.blocked) < _WITNESS_CAP:
@@ -182,25 +216,13 @@ class _DescentAudit:
             )
 
 
-def _pair_based(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None,
-    tol: float | None,
-    stat_tol: float,
-    strict: bool,
-) -> Verdict:
+def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_def" if strict else "pseudoconvex_def"
-    vals, tol_r, bad = _resolve(phi, dom, tol)
-    if vals is None:
-        return Verdict("inconclusive", method, tol_r, stat_tol, bad,
-                       notes="grid evaluation failed")
-    profile = grid_dini_profile(phi, dom, schedule)
-    pre = _exclusive_prefix_min(vals)
-    suf = _exclusive_suffix_min(vals)
-    audit = _DescentAudit()
-    n = dom.n
-    for i in range(n):
+    if p.undefined:
+        return _undefined_verdict(p, method)
+    vals, tol_r, pre, suf = p.values, p.band, p.prefix_min, p.suffix_min
+    audit = _DescentAudit(p)
+    for i in range(p.dom.n):
         if strict:
             left_hit = pre[i] <= vals[i] + tol_r
             right_hit = suf[i] <= vals[i] + tol_r
@@ -210,72 +232,50 @@ def _pair_based(
             right_hit = suf[i] < vals[i] - tol_r
             trigger = "phi(y) < phi(x) - tol"
         if left_hit:
-            y_index = int(np.argmin(vals[:i]))
-            audit.check(dom, vals, profile, i, -1, y_index, stat_tol, trigger)
+            audit.check(i, -1, int(np.argmin(vals[:i])), trigger)
         if right_hit:
-            y_index = i + 1 + int(np.argmin(vals[i + 1 :]))
-            audit.check(dom, vals, profile, i, +1, y_index, stat_tol, trigger)
+            audit.check(i, +1, i + 1 + int(np.argmin(vals[i + 1 :])), trigger)
     if audit.witnesses:
-        return Verdict("fails", method, tol_r, stat_tol, tuple(audit.witnesses))
+        return Verdict("fails", method, tol_r, p.stat_tol, tuple(audit.witnesses))
     if audit.blocked:
-        return Verdict("inconclusive", method, tol_r, stat_tol, tuple(audit.blocked))
-    return Verdict("holds", method, tol_r, stat_tol)
+        return Verdict("inconclusive", method, tol_r, p.stat_tol, tuple(audit.blocked))
+    return Verdict("holds", method, tol_r, p.stat_tol)
 
 
-def pseudoconvex_def(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def pseudoconvex_def(p: SampledProblem) -> Verdict:
     """Definitional pseudoconvexity over all ordered grid pairs.
 
     For every pair with phi(y) < phi(x) - tol the lower Dini derivative at
     x toward y must fall below -stat_tol.  Since the estimate only depends
     on the side y lies on, each grid point is probed once per direction.
     """
-    return _pair_based(phi, dom, schedule, tol, stat_tol, strict=False)
+    return _pair_based(p, strict=False)
 
 
-def strictly_pseudoconvex_def(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def strictly_pseudoconvex_def(p: SampledProblem) -> Verdict:
     """Strict variant: phi(y) <= phi(x) + tol with y != x forces descent."""
-    return _pair_based(phi, dom, schedule, tol, stat_tol, strict=True)
+    return _pair_based(p, strict=True)
 
 
-def quasiconvex_def(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def quasiconvex_def(p: SampledProblem) -> Verdict:
     """Definitional quasiconvexity over all ordered grid triples.
 
     Checks phi(z) <= max(phi(x), phi(y)) + tol for x < z < y, scanning each
     z against the running minima on both sides (equivalent to the full
     triple loop, with the first offending triple reported).
     """
-    vals, tol_r, bad = _resolve(phi, dom, tol)
-    if vals is None:
-        return Verdict("inconclusive", "quasiconvex_def", tol_r, stat_tol, bad,
-                       notes="grid evaluation failed")
-    pre = _exclusive_prefix_min(vals)
-    suf = _exclusive_suffix_min(vals)
+    if p.undefined:
+        return _undefined_verdict(p, "quasiconvex_def")
+    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
     witnesses: list[Witness] = []
-    for z in range(1, dom.n - 1):
+    for z in range(1, p.dom.n - 1):
         if pre[z] < vals[z] - tol_r and suf[z] < vals[z] - tol_r:
             x = int(np.argmin(vals[:z]))
             y = z + 1 + int(np.argmin(vals[z + 1 :]))
             witnesses.append(
                 Witness(
                     kind="interior_peak",
-                    points=(float(dom.points[x]), float(dom.points[z]), float(dom.points[y])),
+                    points=(float(pts[x]), float(pts[z]), float(pts[y])),
                     values=(float(vals[x]), float(vals[z]), float(vals[y])),
                     detail="phi(z) > max(phi(x), phi(y)) + tol on an ordered triple",
                 )
@@ -283,28 +283,20 @@ def quasiconvex_def(
             if len(witnesses) >= _WITNESS_CAP:
                 break
     if witnesses:
-        return Verdict("fails", "quasiconvex_def", tol_r, stat_tol, tuple(witnesses))
-    return Verdict("holds", "quasiconvex_def", tol_r, stat_tol)
+        return Verdict("fails", "quasiconvex_def", tol_r, p.stat_tol, tuple(witnesses))
+    return Verdict("holds", "quasiconvex_def", tol_r, p.stat_tol)
 
 
-def semistrictly_quasiconvex_def(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-) -> Verdict:
+def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     """Definitional semistrict quasiconvexity over ordered pairs.
 
     For every pair with phi(y) < phi(x) - tol, every grid point strictly
     between x and y must satisfy phi(z) < phi(x) up to the shared band.
     """
-    vals, tol_r, bad = _resolve(phi, dom, tol)
-    if vals is None:
-        return Verdict("inconclusive", "semistrictly_quasiconvex_def", tol_r,
-                       stat_tol, bad, notes="grid evaluation failed")
-    n = dom.n
-    suf = _exclusive_suffix_min(vals)
-    pre = _exclusive_prefix_min(vals)
+    if p.undefined:
+        return _undefined_verdict(p, "semistrictly_quasiconvex_def")
+    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
+    n = p.dom.n
     witnesses: list[Witness] = []
 
     def emit(x: int, z: int, y: int) -> None:
@@ -312,7 +304,7 @@ def semistrictly_quasiconvex_def(
             witnesses.append(
                 Witness(
                     kind="non_descending_interior",
-                    points=(float(dom.points[x]), float(dom.points[z]), float(dom.points[y])),
+                    points=(float(pts[x]), float(pts[z]), float(pts[y])),
                     values=(float(vals[x]), float(vals[z]), float(vals[y])),
                     detail=(
                         "phi(y) < phi(x) - tol but an interior point does not "
@@ -346,6 +338,6 @@ def semistrictly_quasiconvex_def(
         if len(witnesses) >= _WITNESS_CAP:
             break
     if witnesses:
-        return Verdict("fails", "semistrictly_quasiconvex_def", tol_r, stat_tol,
+        return Verdict("fails", "semistrictly_quasiconvex_def", tol_r, p.stat_tol,
                        tuple(witnesses))
-    return Verdict("holds", "semistrictly_quasiconvex_def", tol_r, stat_tol)
+    return Verdict("holds", "semistrictly_quasiconvex_def", tol_r, p.stat_tol)

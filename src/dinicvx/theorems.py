@@ -20,16 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import (
-    DiniDomainError,
-    DiniSchedule,
-    grid_dini_profile,
-    is_stationary,
-    lower_dini_along,
-)
-from .domain import Interval, SampledDomain, anchored_grid, make_grid, parse_interval, restrict
+from .dini import DiniDomainError, DiniSchedule, is_stationary, lower_dini_along
+from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
 from .expr import eval_many, parse
 from .oracle import (
+    SampledProblem,
     Verdict,
     Witness,
     pseudoconvex_def,
@@ -98,28 +93,21 @@ def _report_fail(
     )
 
 
-def check_t3(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-    function_id: str = "",
-) -> TheoremReport:
+def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     """Pseudoconvex implies semistrictly quasiconvex and quasiconvex.
 
     Vacuous when the premise fails; requires the function to be declared
     lower semicontinuous by the caller (battery metadata).
     """
-    premise = pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
+    premise = pseudoconvex_def(p)
     if premise.outcome == "inconclusive":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; vacuous")
-    ssq = semistrictly_quasiconvex_def(phi, dom, tol, stat_tol)
-    qc = quasiconvex_def(phi, dom, tol, stat_tol)
+    ssq = semistrictly_quasiconvex_def(p)
+    qc = quasiconvex_def(p)
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
         return _report_fail("T3", function_id, (premise,), (ssq, qc),
@@ -128,31 +116,21 @@ def check_t3(
     return TheoremReport("T3", function_id, (premise,), (ssq, qc), True)
 
 
-def check_t4(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-    function_id: str = "",
-) -> TheoremReport:
+def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     """Pseudoconvex iff quasiconvex with every stationary point a minimizer.
 
     Only meaningful for radially continuous functions (battery metadata).
     """
-    lhs = pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
-    qc = quasiconvex_def(phi, dom, tol, stat_tol)
+    lhs = pseudoconvex_def(p)
+    qc = quasiconvex_def(p)
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
-    vals = phi(dom.points)
-    tol_r = qc.tol
-    profile = grid_dini_profile(phi, dom, schedule)
-    stationary = profile.stationary_mask(stat_tol) & (
+    vals, profile = p.values, p.profile
+    stationary = profile.stationary_mask(p.stat_tol) & (
         profile.minus_feasible | profile.plus_feasible
     )
-    vmin = float(np.min(vals))
-    above_min = vals > vmin + tol_r
+    above_min = vals > float(np.min(vals)) + p.band
     offenders = np.flatnonzero(stationary & above_min)
     unconverged = stationary & ~(
         (~profile.minus_feasible | profile.minus_converged)
@@ -170,7 +148,7 @@ def check_t4(
         wits.append(
             Witness(
                 kind="stationary_nonminimizer",
-                points=(float(dom.points[i]),),
+                points=(float(p.dom.points[i]),),
                 values=(float(vals[i]),),
                 detail="stationary grid point above the minimum level",
             )
@@ -179,14 +157,7 @@ def check_t4(
                         "pseudoconvexity and the stationarity form disagree")
 
 
-def check_t7(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-    function_id: str = "",
-) -> TheoremReport:
+def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     """For pseudoconvex functions: strict variant iff radially nonconstant.
 
     Nonconstancy proxy on the grid: no run of two or more consecutive cells
@@ -194,20 +165,19 @@ def check_t7(
     because a smooth minimum halfway between grid points produces one
     coincidental tie without any genuine constancy.
     """
-    premise = pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
+    premise = pseudoconvex_def(p)
     if premise.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; skipped")
-    strict = strictly_pseudoconvex_def(phi, dom, schedule, tol, stat_tol)
+    strict = strictly_pseudoconvex_def(p)
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
-    vals = phi(dom.points)
-    tol_r = strict.tol
-    flat = np.abs(np.diff(vals)) <= tol_r
+    vals = p.values
+    flat = np.abs(np.diff(vals)) <= p.band
     run = 0
     longest = 0
     where = 0
@@ -224,7 +194,7 @@ def check_t7(
         wits.append(
             Witness(
                 kind="constant_run",
-                points=(float(dom.points[i0]), float(dom.points[where + 1])),
+                points=(float(p.dom.points[i0]), float(p.dom.points[where + 1])),
                 values=(float(vals[i0]), float(vals[where + 1])),
                 detail=f"constant run of {longest} grid cells",
             )
@@ -288,9 +258,10 @@ def check_t6(
     wits: list[Witness] = []
     for x, y in pairs:
         r = restrict(f, x, y, box)
-        dom_r = anchored_grid(r.feasible, n_grid, margin)
-        pc = pseudoconvex_def(r.phi, dom_r, schedule, tol, stat_tol)
-        ssq = semistrictly_quasiconvex_def(r.phi, dom_r, tol, stat_tol)
+        p = SampledProblem(r.phi, anchored_grid(r.feasible, n_grid, margin),
+                           schedule, tol, stat_tol)
+        pc = pseudoconvex_def(p)
+        ssq = semistrictly_quasiconvex_def(p)
         premises.append(pc)
         conclusions.append(ssq)
         if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
@@ -447,14 +418,6 @@ class BatteryRunResult:
     ok: bool
 
 
-_LABEL_CHECKS = {
-    "pseudoconvex": lambda phi, dom, sch, tol, st: pseudoconvex_def(phi, dom, sch, tol, st),
-    "strictly_pseudoconvex": lambda phi, dom, sch, tol, st: strictly_pseudoconvex_def(phi, dom, sch, tol, st),
-    "quasiconvex": lambda phi, dom, sch, tol, st: quasiconvex_def(phi, dom, tol, st),
-    "semistrictly_quasiconvex": lambda phi, dom, sch, tol, st: semistrictly_quasiconvex_def(phi, dom, tol, st),
-}
-
-
 def _status(report: TheoremReport) -> CaseLine:
     if not report.implication_holds:
         detail = report.notes
@@ -489,18 +452,27 @@ def run_battery(
     """
     if schedule is None:
         schedule = SUITE_SCHEDULE
+    # built per call, so the oracles are looked up as the module now binds them
+    label_checks = {
+        "pseudoconvex": pseudoconvex_def,
+        "strictly_pseudoconvex": strictly_pseudoconvex_def,
+        "quasiconvex": quasiconvex_def,
+        "semistrictly_quasiconvex": semistrictly_quasiconvex_def,
+    }
     cases: list[CaseLine] = []
     reports: list[TheoremReport] = []
     mismatches: list[str] = []
     for entry in entries:
         fn = parse(entry.expression, entry.arity)
         if entry.arity == 1:
-            dom = make_grid(parse_interval(entry.domain), n_grid, margin)
-            phi = lambda ts, fn=fn: eval_many(fn, ts)
+            p = SampledProblem(
+                lambda ts, fn=fn: eval_many(fn, ts),
+                make_grid(parse_interval(entry.domain), n_grid, margin),
+                schedule, tol, stat_tol,
+            )
             if entry.expected is not None:
                 for name, want in entry.expected.items():
-                    v = _LABEL_CHECKS[name](phi, dom, schedule, tol, stat_tol)
-                    got = v.outcome
+                    got = label_checks[name](p).outcome
                     want_s = "holds" if want else "fails"
                     if got == "inconclusive":
                         cases.append(CaseLine("label", entry.id, "inconclusive", name))
@@ -513,14 +485,14 @@ def run_battery(
                     else:
                         cases.append(CaseLine("label", entry.id, "ok", name))
             if entry.lsc:
-                rep = check_t3(phi, dom, schedule, tol, stat_tol, entry.id)
+                rep = check_t3(p, entry.id)
                 reports.append(rep)
                 cases.append(_status(rep))
             if entry.radially_continuous:
-                rep = check_t4(phi, dom, schedule, tol, stat_tol, entry.id)
+                rep = check_t4(p, entry.id)
                 reports.append(rep)
                 cases.append(_status(rep))
-            rep = check_t7(phi, dom, schedule, tol, stat_tol, entry.id)
+            rep = check_t7(p, entry.id)
             reports.append(rep)
             cases.append(_status(rep))
             continue

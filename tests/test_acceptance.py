@@ -13,6 +13,7 @@ import pytest
 from dinicvx import (
     SUITE_SCHEDULE,
     DiniSchedule,
+    SampledProblem,
     check_abc,
     check_t4,
     eval_many,
@@ -58,17 +59,16 @@ def verdicts(corpus):
     t0 = time.perf_counter()
     out = {}
     for e in corpus:
-        phi = phi_of(e.expression)
-        dom = grid_for(e.domain)
+        p = SampledProblem(phi_of(e.expression), grid_for(e.domain))
         out[e.id] = {
-            "pc_def": pseudoconvex_def(phi, dom),
-            "pc_char": pseudoconvex_char(phi, dom),
-            "spc_def": strictly_pseudoconvex_def(phi, dom),
-            "spc_char": strictly_pseudoconvex_char(phi, dom),
-            "qc_def": quasiconvex_def(phi, dom),
-            "qc_martos": quasiconvex_martos(phi, dom),
-            "ssqc_def": semistrictly_quasiconvex_def(phi, dom),
-            "split": martos_segments(phi, dom),
+            "pc_def": pseudoconvex_def(p),
+            "pc_char": pseudoconvex_char(p),
+            "spc_def": strictly_pseudoconvex_def(p),
+            "spc_char": strictly_pseudoconvex_char(p),
+            "qc_def": quasiconvex_def(p),
+            "qc_martos": quasiconvex_martos(p),
+            "ssqc_def": semistrictly_quasiconvex_def(p),
+            "split": martos_segments(p),
             "lsc": e.lsc,
         }
     return out, time.perf_counter() - t0
@@ -178,7 +178,8 @@ def test_criterion_5_stationarity_equivalence():
     required = {"sq", "cube", "vee", "plateau-bowl", "ramp", "const"}
     failures = []
     for e in entries:
-        rep = check_t4(phi_of(e.expression), grid_for(e.domain), SUITE_SCHEDULE)
+        p = SampledProblem(phi_of(e.expression), grid_for(e.domain), SUITE_SCHEDULE)
+        rep = check_t4(p)
         if rep.inconclusive or not rep.implication_holds:
             failures.append(f"{e.id}: {rep.notes or 'sides disagree'}")
     report(5, len(entries) >= 12 and required <= ids and not failures,
@@ -212,21 +213,21 @@ def test_criterion_7_golden_counterexamples(unit_grid):
     cell = 2.0 / 256.0
     problems = []
 
-    cube = pseudoconvex_def(phi_of("t^3"), unit_grid)
+    cube = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))
     if cube.outcome != "fails":
         problems.append("t^3 not flagged")
     elif abs(cube.witnesses[0].points[0]) > cell:
         problems.append(f"t^3 witness at {cube.witnesses[0].points[0]}")
 
     hpr = phi_of("piecewise(t < 0: 1, else: t)")
-    hpr_pc = pseudoconvex_def(hpr, unit_grid)
-    hpr_ssq = semistrictly_quasiconvex_def(hpr, unit_grid)
+    hpr_pc = pseudoconvex_def(SampledProblem(hpr, unit_grid))
+    hpr_ssq = semistrictly_quasiconvex_def(SampledProblem(hpr, unit_grid))
     if hpr_pc.outcome != "fails" or hpr_pc.witnesses[0].points[0] >= 0:
         problems.append("plateau-ramp pseudoconvexity witness missing")
     if hpr_ssq.outcome != "fails" or hpr_ssq.witnesses[0].points[1] >= 0:
         problems.append("plateau-ramp semistrict witness missing")
 
-    peak = quasiconvex_def(phi_of("-t^2"), unit_grid)
+    peak = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))
     if peak.outcome != "fails" or peak.witnesses[0].kind != "interior_peak":
         problems.append("-t^2 not flagged with an interior peak")
 

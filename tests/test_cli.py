@@ -266,6 +266,49 @@ class TestHostileBox:
         assert elapsed.startswith("elapsed: ")
 
 
+class TestHostileInput:
+    """Bad margins, widths, paths and flags end with exit code 1 and a
+    one-line message on stderr (plus the elapsed line), nothing on stdout."""
+
+    @staticmethod
+    def assert_config_error(argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        message, elapsed = err.splitlines()
+        assert message.startswith("error: ")
+        assert elapsed.startswith("elapsed: ")
+        return message
+
+    def test_nan_margin(self, capsys):
+        message = self.assert_config_error(
+            ["classify", "--function=t^2", "--domain=(-1,1)", "--margin", "nan"],
+            capsys)
+        assert "margin" in message
+
+    def test_infinite_width_domain(self, capsys):
+        message = self.assert_config_error(
+            ["classify", "--function=t^2", "--domain=[-1e308,1e308]"], capsys)
+        assert "infinite width" in message
+
+    def test_unwritable_csv_path(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "x.csv"
+        message = self.assert_config_error(
+            ["decompose", "--function=t^2", "--domain=[-1,1]", "--csv", str(target)],
+            capsys)
+        assert str(target) in message
+
+    @pytest.mark.parametrize("cmd", [
+        ["decompose", "--function=t^2", "--domain=[-1,1]"],
+        ["dini", "--function=t^2", "--domain=[-1,1]", "--at=0.5"],
+    ])
+    def test_method_only_on_classify(self, cmd, capsys):
+        code, out, _ = run(cmd, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["method"] == "both"
+        self.assert_config_error(cmd + ["--method", "definitional"], capsys)
+
+
 class TestCanonicalJson:
     def test_special_floats_and_sorting(self):
         text = canonical_json({"b": 1.0, "a": float("inf"),

@@ -1,0 +1,109 @@
+"""Fuzz the command line in-process over hostile argv fragments.
+
+Whatever the intervals, boxes, margins, tolerances and Dini schedules, a
+run of ``classify``, ``decompose`` or ``dini`` must end within a time
+limit, with an exit code in {0, 1, 2, 3}, and without a traceback.  The
+grid is capped at 65 points and the pairs at 3 so the suite stays quick.
+"""
+
+import contextlib
+import io
+import signal
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dinicvx.cli import main
+
+# Seconds one run may take before it counts as a hang.
+_LIMIT = 10.0
+
+ENDPOINTS = st.sampled_from(
+    ["-1", "0", "1", "0.5", "2", "-inf", "inf", "nan", "1e308", "-1e308",
+     "1e-300", "x"]
+)
+INTERVALS = st.one_of(
+    st.builds(
+        lambda lb, lo, hi, rb: f"{lb}{lo},{hi}{rb}",
+        st.sampled_from("[("), ENDPOINTS, ENDPOINTS, st.sampled_from("])"),
+    ),
+    st.sampled_from(["[-1,1]", "(0,1]", "[0,0]", "(0,0)", "[1,-1]", "", "[1,2,3]"]),
+)
+BOXES = st.lists(INTERVALS, min_size=0, max_size=3).map("x".join)
+ONE_VAR = st.sampled_from(
+    ["t^2", "t^3", "abs(t)", "log(t)", "1/t", "sqrt(t)", "-t^2", "1",
+     "piecewise(t < 0: 1, else: t)", "exp(1000*t)", "t +"]
+)
+TWO_VAR = st.sampled_from(
+    ["x1^2 + x2^2", "x1^3", "x1 / x2", "log(x1) + x2", "max(abs(x1), abs(x2))"]
+)
+
+
+def _flag(name, values):
+    """An optional ``--name=value`` pair drawn from ``values``."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [f"--{name}={v}"]))
+
+
+COMMON = st.tuples(
+    _flag("grid", ["8", "9", "33", "65", "7", "0", "-5"]),
+    _flag("margin", ["1e-6", "0.3", "0", "-1", "nan", "inf", "1e-300"]),
+    _flag("tol", ["1e-6", "0.5", "0", "-1", "nan", "inf"]),
+    _flag("stat-tol", ["1e-7", "0", "nan", "inf"]),
+    _flag("dini-t0", ["1e-2", "0.5", "0", "-1", "nan", "inf"]),
+    _flag("dini-ratio", ["0.6", "0.9", "0", "1", "nan"]),
+    _flag("dini-steps", ["2", "28", "40", "200", "1", "0"]),
+    _flag("dini-tol", ["1e-7", "1e-2", "0", "nan"]),
+    _flag("output", ["json", "text"]),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(["classify", "decompose", "dini"]))
+    argv = [cmd]
+    if cmd == "classify" and draw(st.booleans()):
+        argv += [f"--function={draw(TWO_VAR)}", "--arity=2", f"--box={draw(BOXES)}"]
+        argv += draw(_flag("pairs", ["1", "2", "3", "0", "-1"]))
+        argv += draw(_flag("seed", ["0", "7", "-3"]))
+    else:
+        argv += [f"--function={draw(ONE_VAR)}", f"--domain={draw(INTERVALS)}"]
+    if cmd == "classify":
+        argv += draw(_flag("method", ["definitional", "characterization", "martos", "both"]))
+        argv += draw(_flag("check", ["all", "pseudoconvex", "semistrict-quasiconvex"]))
+    if cmd == "dini":
+        argv += [f"--at={draw(st.sampled_from(['0', '0.5', '-1', '1', 'nan', 'inf', '5']))}"]
+        argv += draw(_flag("dir", ["1", "-1", "2", "0", "nan", "inf"]))
+    return argv + draw(COMMON)
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; a BaseException, so no handler in the CLI catches it."""
+
+
+def _alarm(signum, frame):
+    raise _Hang()
+
+
+def run_bounded(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, _LIMIT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except _Hang:
+        pytest.fail(f"no result within {_LIMIT} s: {argv}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_survives_hostile_arguments(argv):
+    code, _, err = run_bounded(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,20 @@ class TestMakeGrid:
             make_grid(parse_interval("[0,1]"), 10, margin=0.0)
         with pytest.raises(ValueError):
             make_grid(parse_interval("(0,1)"), 10, margin=0.6)
+
+    @pytest.mark.parametrize("domain", ["(-1,1)", "[-1,1]"])
+    def test_rejects_nan_margin(self, domain):
+        with pytest.raises(ValueError, match="margin"):
+            make_grid(parse_interval(domain), 10, margin=float("nan"))
+
+    @pytest.mark.parametrize("domain", ["[-1e308,1e308]", "(-1.7e308,1.7e308)"])
+    def test_rejects_infinite_width(self, domain):
+        # finite endpoints whose difference overflows, rejected before
+        # linspace can warn about it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinite width"):
+                make_grid(parse_interval(domain), 10)
 
     @given(st.integers(2, 400), st.booleans(), st.booleans())
     @settings(max_examples=50, deadline=None)

@@ -4,20 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinicvx import (
+    SUITE_SCHEDULE,
+    SampledProblem,
     anchored_grid,
+    check_t3,
+    check_t4,
+    check_t7,
+    decompose,
     auto_tol,
     eval_many,
+    golden_battery,
     make_grid,
     martos_segments,
     parse,
     parse_interval,
+    pseudoconvex_char,
     pseudoconvex_def,
     quasiconvex_def,
+    quasiconvex_martos,
     restrict,
     sample_pairs,
     semistrictly_quasiconvex_def,
+    strictly_pseudoconvex_char,
     strictly_pseudoconvex_def,
 )
+from dinicvx import oracle
 
 from conftest import grid_for, phi_of
 
@@ -25,13 +36,12 @@ H = 2.0 / 256  # spacing of the standard 257-point grid on [-1,1]
 
 
 def outcomes(src, domain="[-1,1]", n=257):
-    phi = phi_of(src)
-    dom = grid_for(domain, n)
+    p = SampledProblem(phi_of(src), grid_for(domain, n))
     return {
-        "pc": pseudoconvex_def(phi, dom).outcome,
-        "spc": strictly_pseudoconvex_def(phi, dom).outcome,
-        "qc": quasiconvex_def(phi, dom).outcome,
-        "ssqc": semistrictly_quasiconvex_def(phi, dom).outcome,
+        "pc": pseudoconvex_def(p).outcome,
+        "spc": strictly_pseudoconvex_def(p).outcome,
+        "qc": quasiconvex_def(p).outcome,
+        "ssqc": semistrictly_quasiconvex_def(p).outcome,
     }
 
 
@@ -83,14 +93,16 @@ class TestGoldenLabels:
 
 class TestWitnesses:
     def test_cube_no_descent_witness_at_origin(self, unit_grid):
-        v = pseudoconvex_def(phi_of("t^3"), unit_grid)
+        v = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))
         w = v.witnesses[0]
         assert w.kind == "no_descent"
         assert w.points[0] == 0.0  # the stationary non-minimizer
         assert w.values[1] < w.values[0]  # y really is lower
 
     def test_half_plateau_pc_witness_on_plateau(self, unit_grid):
-        v = pseudoconvex_def(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid)
+        v = pseudoconvex_def(
+            SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid)
+        )
         w = v.witnesses[0]
         assert w.kind == "no_descent"
         assert w.points == (-1.0, 0.0)
@@ -98,7 +110,7 @@ class TestWitnesses:
 
     def test_half_plateau_ssqc_witness_triple(self, unit_grid):
         v = semistrictly_quasiconvex_def(
-            phi_of("piecewise(t < 0: 1, else: t)"), unit_grid
+            SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid)
         )
         w = v.witnesses[0]
         assert w.kind == "non_descending_interior"
@@ -108,14 +120,14 @@ class TestWitnesses:
         assert w.values[2] < w.values[0]
 
     def test_negated_square_qc_witness(self, unit_grid):
-        v = quasiconvex_def(phi_of("-t^2"), unit_grid)
+        v = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))
         w = v.witnesses[0]
         assert w.kind == "interior_peak"
         assert w.points == (-1.0, -1.0 + H, 1.0)
 
     def test_witness_values_match_function(self, unit_grid):
         phi = phi_of("-t^2")
-        v = quasiconvex_def(phi, unit_grid)
+        v = quasiconvex_def(SampledProblem(phi, unit_grid))
         for w in v.witnesses:
             np.testing.assert_allclose(
                 phi(np.asarray(w.points)), np.asarray(w.values)
@@ -125,7 +137,7 @@ class TestWitnesses:
         # a genuine violation found at n=257 is still found at n=513
         for n in (257, 513):
             dom = grid_for("[-1,1]", n)
-            v = pseudoconvex_def(phi_of("t^3"), dom)
+            v = pseudoconvex_def(SampledProblem(phi_of("t^3"), dom))
             assert v.outcome == "fails"
             assert any(abs(w.points[0]) <= 2.0 / (n - 1) for w in v.witnesses)
 
@@ -138,20 +150,22 @@ class TestToleranceHandling:
 
     def test_explicit_tol_respected(self, unit_grid):
         # a 0.1-amplitude wiggle vanishes inside a generous band
-        v = quasiconvex_def(phi_of("0.01*t^2 - 0.001*abs(t - 0.3)"), unit_grid,
-                            tol=1.0)
+        v = quasiconvex_def(SampledProblem(
+            phi_of("0.01*t^2 - 0.001*abs(t - 0.3)"), unit_grid, tol=1.0))
         assert v.outcome == "holds"
 
     def test_verdict_records_tols(self, unit_grid):
-        v = pseudoconvex_def(phi_of("t^2"), unit_grid, tol=1e-5, stat_tol=1e-6)
+        v = pseudoconvex_def(
+            SampledProblem(phi_of("t^2"), unit_grid, tol=1e-5, stat_tol=1e-6)
+        )
         assert v.tol == 1e-5
         assert v.stat_tol == 1e-6
 
     def test_strict_requires_unique_minimum(self, unit_grid):
         # two equal minima: quasiconvex but not strictly pseudoconvex
         phi = phi_of("max(abs(t) - 0.5, 0)")
-        assert strictly_pseudoconvex_def(phi, unit_grid).outcome == "fails"
-        assert pseudoconvex_def(phi, unit_grid).outcome == "holds"
+        assert strictly_pseudoconvex_def(SampledProblem(phi, unit_grid)).outcome == "fails"
+        assert pseudoconvex_def(SampledProblem(phi, unit_grid)).outcome == "holds"
 
 
 class TestStrictImpliesNonStrict:
@@ -160,8 +174,8 @@ class TestStrictImpliesNonStrict:
 
     @pytest.mark.parametrize("src", CASES)
     def test_strict_subset(self, src, unit_grid):
-        spc = strictly_pseudoconvex_def(phi_of(src), unit_grid)
-        pc = pseudoconvex_def(phi_of(src), unit_grid)
+        spc = strictly_pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))
+        pc = pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))
         assert spc.outcome == "holds"
         assert pc.outcome == "holds"
 
@@ -191,7 +205,7 @@ class TestSemistrictScan:
     def test_flat_cell_before_the_last_drop(self):
         # the only y below phi(x) - tol is the point right after the flat z
         phi, dom = grid_function([3.0, 2.0, 2.0, 1.0])
-        v = semistrictly_quasiconvex_def(phi, dom, tol=0.1)
+        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.1))
         assert v.outcome == "fails"
         assert v.witnesses[0].values == (2.0, 2.0, 1.0)
 
@@ -204,14 +218,56 @@ class TestSemistrictScan:
         x, y = sample_pairs(box, 24, 1699654999)[18]
         r = restrict(lambda pts: eval_many(fn, pts), x, y, box)
         dom = anchored_grid(r.feasible, 257, 1e-6)
-        split = martos_segments(r.phi, dom)
+        p = SampledProblem(r.phi, dom)
+        split = martos_segments(p)
         assert not split.valid
-        assert semistrictly_quasiconvex_def(r.phi, dom).outcome == "fails"
+        assert semistrictly_quasiconvex_def(p).outcome == "fails"
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=9))
     @settings(max_examples=300, deadline=None)
     def test_matches_triple_loop(self, ints):
         vals = [float(v) for v in ints]
         phi, dom = grid_function(vals)
-        v = semistrictly_quasiconvex_def(phi, dom, tol=0.5)
+        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.5))
         assert v.outcome == triple_loop_semistrict(vals, 0.5)
+
+
+CLASSIFIERS = (
+    pseudoconvex_def, strictly_pseudoconvex_def, quasiconvex_def,
+    semistrictly_quasiconvex_def, pseudoconvex_char, strictly_pseudoconvex_char,
+    quasiconvex_martos, decompose, martos_segments, check_t3, check_t4, check_t7,
+)
+
+
+class TestSampledProblem:
+    def test_shared_inputs_built_once(self, unit_grid, monkeypatch):
+        counts = {"grid_values": 0, "grid_dini_profile": 0}
+        for name in counts:
+            real = getattr(oracle, name)
+
+            def counting(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        p = SampledProblem(phi_of("t^3"), unit_grid, SUITE_SCHEDULE)
+        for classify in CLASSIFIERS:
+            classify(p)
+        assert counts == {"grid_values": 1, "grid_dini_profile": 1}
+
+    def test_nothing_built_before_it_is_read(self, unit_grid):
+        p = SampledProblem(phi_of("t^2"), unit_grid)
+        quasiconvex_def(p)
+        assert "profile" not in vars(p)
+        assert "_sampled" in vars(p)
+
+    @pytest.mark.parametrize("entry", [e for e in golden_battery() if e.arity == 1],
+                             ids=lambda e: e.id)
+    def test_shared_problem_matches_fresh_problems(self, entry):
+        # sharing the inputs must not change any result: each classifier on
+        # the shared problem against the same classifier on its own problem
+        dom = grid_for(entry.domain)
+        shared = SampledProblem(phi_of(entry.expression), dom, SUITE_SCHEDULE)
+        for classify in CLASSIFIERS:
+            fresh = SampledProblem(phi_of(entry.expression), dom, SUITE_SCHEDULE)
+            assert repr(classify(shared)) == repr(classify(fresh)), classify.__name__

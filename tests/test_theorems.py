@@ -4,6 +4,7 @@ import pytest
 from dinicvx import (
     SUITE_SCHEDULE,
     BatteryEntry,
+    SampledProblem,
     check_abc,
     check_t3,
     check_t4,
@@ -24,26 +25,26 @@ SCHED = SUITE_SCHEDULE
 
 class TestT3:
     def test_square_nonvacuous(self, unit_grid):
-        rep = check_t3(phi_of("t^2"), unit_grid, SCHED)
+        rep = check_t3(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
         assert rep.implication_holds and not rep.vacuous and not rep.inconclusive
         assert len(rep.conclusion_verdicts) == 2
 
     def test_cube_vacuous(self, unit_grid):
-        rep = check_t3(phi_of("t^3"), unit_grid, SCHED)
+        rep = check_t3(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
         assert rep.implication_holds and rep.vacuous
 
     def test_undefined_inconclusive(self, unit_grid):
-        rep = check_t3(phi_of("log(t)"), unit_grid, SCHED)
+        rep = check_t3(SampledProblem(phi_of("log(t)"), unit_grid, SCHED))
         assert rep.inconclusive
 
 
 class TestT4:
     def test_square_both_sides_hold(self, unit_grid):
-        rep = check_t4(phi_of("t^2"), unit_grid, SCHED)
+        rep = check_t4(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
         assert rep.implication_holds and not rep.inconclusive
 
     def test_negated_square_both_sides_fail(self, unit_grid):
-        rep = check_t4(phi_of("-t^2"), unit_grid, SCHED)
+        rep = check_t4(SampledProblem(phi_of("-t^2"), unit_grid, SCHED))
         assert rep.implication_holds
         assert rep.premise_verdicts[0].outcome == "fails"
         assert rep.conclusion_verdicts[0].outcome == "fails"
@@ -51,7 +52,9 @@ class TestT4:
     def test_half_plateau_fails_by_stationary_nonminimizer(self, unit_grid):
         # quasiconvex holds, yet the plateau is stationary above the minimum,
         # so the right side fails exactly as pseudoconvexity does
-        rep = check_t4(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid, SCHED)
+        rep = check_t4(
+            SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid, SCHED)
+        )
         assert rep.implication_holds
         assert rep.premise_verdicts[0].outcome == "fails"
         assert rep.conclusion_verdicts[0].outcome == "holds"
@@ -59,21 +62,23 @@ class TestT4:
 
 class TestT7:
     def test_square_strict_and_nonconstant(self, unit_grid):
-        rep = check_t7(phi_of("t^2"), unit_grid, SCHED)
+        rep = check_t7(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
         assert rep.implication_holds and not rep.vacuous
 
     def test_plateau_bowl_nonstrict_and_constant_run(self):
-        rep = check_t7(phi_of("max(0, abs(t) - 1)"), grid_for("[-2,2]"), SCHED)
+        rep = check_t7(
+            SampledProblem(phi_of("max(0, abs(t) - 1)"), grid_for("[-2,2]"), SCHED)
+        )
         assert rep.implication_holds
         assert rep.conclusion_verdicts[0].outcome == "fails"
 
     def test_constant_function(self, unit_grid):
-        rep = check_t7(phi_of("2"), unit_grid, SCHED)
+        rep = check_t7(SampledProblem(phi_of("2"), unit_grid, SCHED))
         assert rep.implication_holds
         assert rep.conclusion_verdicts[0].outcome == "fails"
 
     def test_cube_vacuous(self, unit_grid):
-        rep = check_t7(phi_of("t^3"), unit_grid, SCHED)
+        rep = check_t7(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
         assert rep.vacuous
 
 
