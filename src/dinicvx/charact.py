@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import _WITNESS_CAP, SampledProblem, Verdict, Witness
+from .oracle import _WITNESS_CAP, SampledProblem, Verdict, Witness, _witness
 
 __all__ = [
     "MonotoneDecomposition",
@@ -53,9 +53,6 @@ class MonotoneDecomposition:
 
     def band_size(self) -> int:
         return self.i_hat[1] - self.i_hat[0]
-
-    def in_band(self, i: int) -> bool:
-        return self.i_hat[0] <= i < self.i_hat[1]
 
     def segment_labels(self, n: int) -> np.ndarray:
         """Per-grid-point labels 'minus' / 'hat' / 'plus' as an object array."""
@@ -102,43 +99,19 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
         for g in gaps[:_WITNESS_CAP]:
             i, j = int(band[g]), int(band[g + 1])
             mid = i + 1 + int(np.argmax(vals[i + 1 : j]))
-            witnesses.append(
-                Witness(
-                    kind="argmin_gap",
-                    points=(float(dom.points[i]), float(dom.points[mid]), float(dom.points[j])),
-                    values=(float(vals[i]), float(vals[mid]), float(vals[j])),
-                    detail="the set of grid minimizers is not contiguous",
-                )
-            )
+            witnesses.append(_witness(p, "argmin_gap", (i, mid, j),
+                                      "the set of grid minimizers is not contiguous"))
         return MonotoneDecomposition(
             (0, b0), (b0, b1 + 1), (b1 + 1, n), "valley", vmin, tol_r, False,
             tuple(witnesses),
         )
 
-    for i in range(0, b0 - 1):
-        if not deltas[i] < -tol_r:
-            witnesses.append(
-                Witness(
-                    kind="non_strict_decrease",
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
-                    values=(float(vals[i]), float(vals[i + 1])),
-                    detail="left flank is not strictly decreasing",
-                )
-            )
-            if len(witnesses) >= _WITNESS_CAP:
-                break
-    for i in range(b1 + 1, n - 1):
-        if len(witnesses) >= _WITNESS_CAP:
-            break
-        if not deltas[i] > tol_r:
-            witnesses.append(
-                Witness(
-                    kind="non_strict_increase",
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
-                    values=(float(vals[i]), float(vals[i + 1])),
-                    detail="right flank is not strictly increasing",
-                )
-            )
+    # the first failing steps of the left flank, then of the right flank
+    flank = [(i, "non_strict_decrease", "left flank is not strictly decreasing")
+             for i in np.flatnonzero(~(deltas[: max(b0 - 1, 0)] < -tol_r))[:_WITNESS_CAP]]
+    flank += [(b1 + 1 + i, "non_strict_increase", "right flank is not strictly increasing")
+              for i in np.flatnonzero(~(deltas[b1 + 1 :] > tol_r))[: _WITNESS_CAP - len(flank)]]
+    witnesses = [_witness(p, kind, (i, i + 1), detail) for i, kind, detail in flank]
     return MonotoneDecomposition(
         (0, b0), (b0, b1 + 1), (b1 + 1, n), "valley", vmin, tol_r,
         not witnesses, tuple(witnesses),
@@ -154,44 +127,30 @@ def _stationarity_scan(
     no-descent call rests on an unconverged estimate.
     """
     profile = p.profile
-    violations: list[Witness] = []
-    blocked: list[Witness] = []
     minus_desc, plus_desc = profile.descent(p.stat_tol)
-    for i in range(p.dom.n):
-        if dec.in_band(i):
-            continue
-        if minus_desc[i] or plus_desc[i]:
-            continue
-        unconv = (profile.minus_feasible[i] and not profile.minus_converged[i]) or (
-            profile.plus_feasible[i] and not profile.plus_converged[i]
-        )
-        wit = Witness(
-            kind="stationary_outside_min",
-            points=(float(p.dom.points[i]),),
-            values=(float(p.values[i]),),
-            detail=(
-                "grid point outside the minimum band with no descending "
-                "direction (lower Dini derivative >= -stat_tol both ways)"
-            ),
-        )
-        if unconv:
-            if len(blocked) < _WITNESS_CAP:
-                blocked.append(
-                    Witness(
-                        kind="unconverged_dini",
-                        points=wit.points,
-                        values=wit.values,
-                        detail="no-descent call rests on an unconverged Dini estimate",
-                    )
-                )
-        elif len(violations) < _WITNESS_CAP:
-            violations.append(wit)
+    still = ~(minus_desc | plus_desc)
+    still[dec.i_hat[0] : dec.i_hat[1]] = False
+    unconv = (profile.minus_feasible & ~profile.minus_converged) | (
+        profile.plus_feasible & ~profile.plus_converged
+    )
+    violations = [
+        _witness(p, "stationary_outside_min", (i,), (
+            "grid point outside the minimum band with no descending "
+            "direction (lower Dini derivative >= -stat_tol both ways)"
+        ))
+        for i in np.flatnonzero(still & ~unconv)[:_WITNESS_CAP]
+    ]
+    blocked = [
+        _witness(p, "unconverged_dini", (i,),
+                 "no-descent call rests on an unconverged Dini estimate")
+        for i in np.flatnonzero(still & unconv)[:_WITNESS_CAP]
+    ]
     return violations, blocked
 
 
 def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_char" if strict else "pseudoconvex_char"
-    tol_r, stat_tol, pts, vals = p.band, p.stat_tol, p.dom.points, p.values
+    tol_r, stat_tol = p.band, p.stat_tol
     if p.undefined:
         return Verdict("inconclusive", method, tol_r, stat_tol, p.undefined,
                        notes="grid evaluation failed")
@@ -202,17 +161,10 @@ def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
     witnesses: list[Witness] = []
     if strict and dec.pattern == "valley" and dec.band_size() > 2:
         lo, hi = dec.i_hat
-        witnesses.append(
-            Witness(
-                kind="flat_minimum",
-                points=(float(pts[lo]), float(pts[hi - 1])),
-                values=(float(vals[lo]), float(vals[hi - 1])),
-                detail=(
-                    "minimum band spans more than one grid cell; the minimizer "
-                    "is not unique at this resolution"
-                ),
-            )
-        )
+        witnesses.append(_witness(p, "flat_minimum", (lo, hi - 1), (
+            "minimum band spans more than one grid cell; the minimizer "
+            "is not unique at this resolution"
+        )))
     violations, blocked = _stationarity_scan(p, dec)
     witnesses.extend(violations)
     if witnesses:
@@ -272,31 +224,19 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
     split is the semistrict-quasiconvexity shape test: any later descent or
     flat stretch invalidates it.
     """
-    vals, tol_r, dom = p.values, p.band, p.dom
-    n = dom.n
+    vals, tol_r, n = p.values, p.band, p.dom.n
     if p.undefined:
         return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, p.undefined[:1])
     deltas = np.diff(vals)
-    a = 0
-    while a < deltas.size and deltas[a] < -tol_r:
-        a += 1
-    b = a
-    while b < deltas.size and abs(deltas[b]) <= tol_r:
-        b += 1
-    witnesses: list[Witness] = []
-    for i in range(b, deltas.size):
-        if not deltas[i] > tol_r:
-            kind = "second_descent" if deltas[i] < -tol_r else "plateau_after_rise"
-            witnesses.append(
-                Witness(
-                    kind=kind,
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
-                    values=(float(vals[i]), float(vals[i + 1])),
-                    detail="values stop increasing strictly after the constant run",
-                )
-            )
-            if len(witnesses) >= _WITNESS_CAP:
-                break
+    # a run's length is the index of its first miss (argmin finds the
+    # appended False when there is none)
+    a = int(np.argmin(np.append(deltas < -tol_r, False)))
+    b = a + int(np.argmin(np.append(np.abs(deltas[a:]) <= tol_r, False)))
+    witnesses = [
+        _witness(p, "second_descent" if deltas[i] < -tol_r else "plateau_after_rise",
+                 (i, i + 1), "values stop increasing strictly after the constant run")
+        for i in b + np.flatnonzero(~(deltas[b:] > tol_r))[:_WITNESS_CAP]
+    ]
     return SegmentSplit(
         (0, a), (a, b + 1), (b + 1, n), not witnesses, tol_r, tuple(witnesses)
     )
@@ -309,7 +249,7 @@ def quasiconvex_martos(p: SampledProblem) -> Verdict:
     increasing up to ``tol``; the witness on failure is an ordered triple
     with the interior point above both ends.
     """
-    vals, tol_r, stat_tol, pts = p.values, p.band, p.stat_tol, p.dom.points
+    vals, tol_r, stat_tol = p.values, p.band, p.stat_tol
     if p.undefined:
         return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol,
                        p.undefined[:1], notes="grid evaluation failed")
@@ -320,12 +260,7 @@ def quasiconvex_martos(p: SampledProblem) -> Verdict:
         i = int(rises[0])
         j = int(drops[-1])
         z = i + 1 + int(np.argmax(vals[i + 1 : j + 1]))
-        wit = Witness(
-            kind="rise_then_fall",
-            points=(float(pts[i]), float(pts[z]), float(pts[j + 1])),
-            values=(float(vals[i]), float(vals[z]), float(vals[j + 1])),
-            detail="a strict rise precedes a strict fall",
-        )
+        wit = _witness(p, "rise_then_fall", (i, z, j + 1), "a strict rise precedes a strict fall")
         return Verdict("fails", "quasiconvex_martos", tol_r, stat_tol, (wit,))
     if not rises.size and not drops.size:
         shape = "constant"

@@ -11,6 +11,16 @@ of an agreement test against the structural characterizations:
 * semistrictly quasiconvex: phi(y) < phi(x) - tol forces phi(z) strictly
   below phi(x) (up to tol) strictly between x and y.
 
+Each quantifier over pairs or triples is decided exactly, by whole-array
+passes over the grid values and the exclusive prefix and suffix minima
+rather than by a Python loop per grid index.  A pair (x, y) triggers its
+condition for some y on one side of x exactly when the least value on that
+side does, and the triple conditions reduce in the same way, so nothing is
+assumed about the function's shape and the monotone decomposition is never
+read.  The pair and quasiconvexity oracles cost O(n) on an n-point grid,
+the semistrict one O(n log n).  Witnesses are the first violations in grid
+order, at most ``_WITNESS_CAP`` of each kind.
+
 All comparisons share one equality band ``tol``; by default it is scaled
 from the grid values as ``1e-9 * (1 + max |phi|)`` so that classifying
 ``phi`` and ``1000 * phi`` behaves identically.  Sign decisions on Dini
@@ -27,7 +37,7 @@ undefined or non-finite values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -111,9 +121,10 @@ class SampledProblem:
     """One function on one sampled interval: what every classifier reads.
 
     The grid values, the equality band, the exclusive prefix and suffix
-    minima and the Dini profile are each computed at most once, when a
-    classifier first reads them, and then shared by the definitional
-    oracles, the structural characterizations and the theorem checks.
+    minima with their first minimizers and the Dini profile are each
+    computed at most once, when a classifier first reads them, and then
+    shared by the definitional oracles, the structural characterizations
+    and the theorem checks.
     Only these inputs are shared; every classifier keeps its own decision
     logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
     called, so a rebound module attribute (as a tracer installs) is used.
@@ -154,6 +165,27 @@ class SampledProblem:
         return _exclusive_prefix_min(self.values[::-1])[::-1]
 
     @cached_property
+    def prefix_argmin(self) -> np.ndarray:
+        """``prefix_argmin[i]`` is the first index left of i that holds
+        ``prefix_min[i]`` (0 at i = 0, which has nothing left of it)."""
+        idx = np.arange(self.dom.n)
+        # a point below everything before it is the first holder of its value
+        first = np.maximum.accumulate(np.where(self.values < self.prefix_min, idx, 0))
+        return np.concatenate(([0], first[:-1]))
+
+    @cached_property
+    def suffix_argmin(self) -> np.ndarray:
+        """``suffix_argmin[i]`` is the first index right of i that holds
+        ``suffix_min[i]`` (n - 1 at i = n - 1)."""
+        n = self.dom.n
+        idx = np.arange(n)
+        # a point at or below everything after it holds the least value from
+        # it on, and the leftmost such point at or after j is the first holder
+        # of the least value from j on
+        first = np.minimum.accumulate(np.where(self.values <= self.suffix_min, idx, n)[::-1])[::-1]
+        return np.concatenate((first[1:], [n - 1]))
+
+    @cached_property
     def profile(self) -> GridDiniProfile:
         return grid_dini_profile(self.phi, self.dom, self.schedule)
 
@@ -164,81 +196,58 @@ def _undefined_verdict(p: SampledProblem, method: str) -> Verdict:
                    p.stat_tol, p.undefined, notes="grid evaluation failed")
 
 
-@dataclass
-class _DescentAudit:
-    """Collects failures and unconverged blockers for one pair-based scan."""
-
-    p: SampledProblem
-    witnesses: list[Witness] = field(default_factory=list)
-    blocked: list[Witness] = field(default_factory=list)
-
-    def check(self, i: int, side: int, y_index: int, trigger: str) -> None:
-        """Require descent at grid index i toward side (-1 left, +1 right)."""
-        profile = self.p.profile
-        if side < 0:
-            value = profile.minus_value[i]
-            conv = profile.minus_converged[i]
-            feas = profile.minus_feasible[i]
-        else:
-            value = profile.plus_value[i]
-            conv = profile.plus_converged[i]
-            feas = profile.plus_feasible[i]
-        if feas and value < -self.p.stat_tol:
-            return  # descending; a running minimum below the bar is final
-        pts, vals = self.p.dom.points, self.p.values
-        x_t, y_t = float(pts[i]), float(pts[y_index])
-        x_v, y_v = float(vals[i]), float(vals[y_index])
-        if feas and not conv:
-            if len(self.blocked) < _WITNESS_CAP:
-                self.blocked.append(
-                    Witness(
-                        kind="unconverged_dini",
-                        points=(x_t, y_t),
-                        values=(x_v, y_v),
-                        detail=(
-                            f"{trigger}; the Dini estimate toward y did not "
-                            "converge, leaving the sign undecided"
-                        ),
-                    )
-                )
-            return
-        if len(self.witnesses) < _WITNESS_CAP:
-            self.witnesses.append(
-                Witness(
-                    kind="no_descent",
-                    points=(x_t, y_t),
-                    values=(x_v, y_v),
-                    detail=(
-                        f"{trigger} but the lower Dini derivative at x toward y "
-                        f"is {float(value):.6g} >= -stat_tol"
-                    ),
-                )
-            )
+def _witness(p: SampledProblem, kind: str, idx: tuple[int, ...], detail: str) -> Witness:
+    """A witness at the grid indices ``idx``, with their points and values."""
+    return Witness(
+        kind=kind,
+        points=tuple(float(p.dom.points[i]) for i in idx),
+        values=tuple(float(p.values[i]) for i in idx),
+        detail=detail,
+    )
 
 
 def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_def" if strict else "pseudoconvex_def"
     if p.undefined:
         return _undefined_verdict(p, method)
-    vals, tol_r, pre, suf = p.values, p.band, p.prefix_min, p.suffix_min
-    audit = _DescentAudit(p)
-    for i in range(p.dom.n):
-        if strict:
-            left_hit = pre[i] <= vals[i] + tol_r
-            right_hit = suf[i] <= vals[i] + tol_r
-            trigger = "phi(y) <= phi(x) + tol with y != x"
-        else:
-            left_hit = pre[i] < vals[i] - tol_r
-            right_hit = suf[i] < vals[i] - tol_r
-            trigger = "phi(y) < phi(x) - tol"
-        if left_hit:
-            audit.check(i, -1, int(np.argmin(vals[:i])), trigger)
-        if right_hit:
-            audit.check(i, +1, i + 1 + int(np.argmin(vals[i + 1 :])), trigger)
-    if audit.witnesses:
-        return Verdict("fails", method, tol_r, p.stat_tol, tuple(audit.witnesses))
-    if audit.blocked:
-        return Verdict("inconclusive", method, tol_r, p.stat_tol, tuple(audit.blocked))
+    vals, tol_r = p.values, p.band
+    # hit[x, side]: some y left (side 0) or right (side 1) of x triggers
+    if strict:
+        hit = np.stack((p.prefix_min <= vals + tol_r, p.suffix_min <= vals + tol_r), axis=1)
+        trigger = "phi(y) <= phi(x) + tol with y != x"
+    else:
+        hit = np.stack((p.prefix_min < vals - tol_r, p.suffix_min < vals - tol_r), axis=1)
+        trigger = "phi(y) < phi(x) - tol"
+    if not hit.any():
+        return Verdict("holds", method, tol_r, p.stat_tol)
+    prof = p.profile
+    value = np.stack((prof.minus_value, prof.plus_value), axis=1).ravel()
+    undecided = (hit & ~np.stack(prof.descent(p.stat_tol), axis=1)).ravel()
+    unconverged = np.stack(
+        (prof.minus_feasible & ~prof.minus_converged, prof.plus_feasible & ~prof.plus_converged),
+        axis=1,
+    ).ravel()
+
+    def pairs(mask: np.ndarray, kind: str, detail: Callable[[int], str]) -> tuple[Witness, ...]:
+        # entry k is x = k // 2 toward its side; the first (x, left), (x, right) win
+        out = []
+        for k in np.flatnonzero(mask)[:_WITNESS_CAP]:
+            x, side = divmod(int(k), 2)
+            y = (p.suffix_argmin if side else p.prefix_argmin)[x]
+            out.append(_witness(p, kind, (x, y), detail(k)))
+        return tuple(out)
+
+    failed = pairs(undecided & ~unconverged, "no_descent", lambda k: (
+        f"{trigger} but the lower Dini derivative at x toward y "
+        f"is {float(value[k]):.6g} >= -stat_tol"
+    ))
+    if failed:
+        return Verdict("fails", method, tol_r, p.stat_tol, failed)
+    blocked = pairs(undecided & unconverged, "unconverged_dini", lambda k: (
+        f"{trigger}; the Dini estimate toward y did not converge, leaving the sign undecided"
+    ))
+    if blocked:
+        return Verdict("inconclusive", method, tol_r, p.stat_tol, blocked)
     return Verdict("holds", method, tol_r, p.stat_tol)
 
 
@@ -247,7 +256,11 @@ def pseudoconvex_def(p: SampledProblem) -> Verdict:
 
     For every pair with phi(y) < phi(x) - tol the lower Dini derivative at
     x toward y must fall below -stat_tol.  Since the estimate only depends
-    on the side y lies on, each grid point is probed once per direction.
+    on the side y lies on, and some y on a side of x is low enough exactly
+    when the least value on that side is, each grid point is tested once
+    per direction against the exclusive prefix and suffix minima: O(n).
+    Failures are reported at the first (x, side) entries, left before
+    right, each with the first grid minimizer on that side as y.
     """
     return _pair_based(p, strict=False)
 
@@ -260,84 +273,87 @@ def strictly_pseudoconvex_def(p: SampledProblem) -> Verdict:
 def quasiconvex_def(p: SampledProblem) -> Verdict:
     """Definitional quasiconvexity over all ordered grid triples.
 
-    Checks phi(z) <= max(phi(x), phi(y)) + tol for x < z < y, scanning each
-    z against the running minima on both sides (equivalent to the full
-    triple loop, with the first offending triple reported).
+    phi(z) <= max(phi(x), phi(y)) + tol fails for some x < z < y exactly
+    when both the least value left of z and the least value right of z lie
+    more than tol below phi(z), so one pass over the exclusive prefix and
+    suffix minima decides every triple in O(n).  The first offending z are
+    reported, each with the first grid minimizers on its two sides.
     """
     if p.undefined:
         return _undefined_verdict(p, "quasiconvex_def")
-    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
-    witnesses: list[Witness] = []
-    for z in range(1, p.dom.n - 1):
-        if pre[z] < vals[z] - tol_r and suf[z] < vals[z] - tol_r:
-            x = int(np.argmin(vals[:z]))
-            y = z + 1 + int(np.argmin(vals[z + 1 :]))
-            witnesses.append(
-                Witness(
-                    kind="interior_peak",
-                    points=(float(pts[x]), float(pts[z]), float(pts[y])),
-                    values=(float(vals[x]), float(vals[z]), float(vals[y])),
-                    detail="phi(z) > max(phi(x), phi(y)) + tol on an ordered triple",
-                )
-            )
-            if len(witnesses) >= _WITNESS_CAP:
-                break
+    drop = p.values - p.band
+    witnesses = tuple(
+        _witness(p, "interior_peak", (p.prefix_argmin[z], z, p.suffix_argmin[z]),
+                 "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple")
+        for z in np.flatnonzero((p.prefix_min < drop) & (p.suffix_min < drop))[:_WITNESS_CAP]
+    )
     if witnesses:
-        return Verdict("fails", "quasiconvex_def", tol_r, p.stat_tol, tuple(witnesses))
-    return Verdict("holds", "quasiconvex_def", tol_r, p.stat_tol)
+        return Verdict("fails", "quasiconvex_def", p.band, p.stat_tol, witnesses)
+    return Verdict("holds", "quasiconvex_def", p.band, p.stat_tol)
+
+
+def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``max(v[lo[j]:hi[j]])`` for every j, or ``-inf`` where the window is empty.
+
+    Level k of a sparse table holds the maximum of every run of ``2**k``
+    points; a window is the union of the two runs of the longest such length
+    that start at its left end and end at its right end.  Windows are
+    answered level by level, so only one level is held at a time: O(n log n)
+    time and O(n) memory for n windows on n points.
+    """
+    out = np.full(lo.shape, -np.inf)
+    live = np.flatnonzero(hi > lo)
+    level = np.frexp(hi[live] - lo[live])[1] - 1  # floor(log2(width))
+    run = v
+    for k in range(int(level.max(initial=-1)) + 1):
+        if k:
+            run = np.maximum(run[: -(1 << (k - 1))], run[1 << (k - 1) :])
+        at = live[level == k]
+        out[at] = np.maximum(run[lo[at]], run[hi[at] - (1 << k)])
+    return out
 
 
 def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     """Definitional semistrict quasiconvexity over ordered pairs.
 
-    For every pair with phi(y) < phi(x) - tol, every grid point strictly
+    For every pair with phi(y) < phi(x) - tol, every grid point z strictly
     between x and y must satisfy phi(z) < phi(x) up to the shared band.
+    Some triple fails rightward from x exactly when some z > x with
+    phi(z) >= phi(x) - tol has a point beyond it below that level, that is
+    a suffix minimum below it.  The suffix minima never decrease with the
+    index, so those z form one run ending where a binary search puts
+    phi(x) - tol among them, and a range-maximum query over the run decides
+    x; leftward mirrors this with the prefix minima.  Every (x, z, y) is
+    still decided, in O(n log n); only the reported (x, side) entries, the
+    first few in order of x with rightward before leftward, are located
+    by a scan, each with its nearest z and the first such y.
     """
     if p.undefined:
         return _undefined_verdict(p, "semistrictly_quasiconvex_def")
-    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
-    n = p.dom.n
-    witnesses: list[Witness] = []
-
-    def emit(x: int, z: int, y: int) -> None:
-        if len(witnesses) < _WITNESS_CAP:
-            witnesses.append(
-                Witness(
-                    kind="non_descending_interior",
-                    points=(float(pts[x]), float(pts[z]), float(pts[y])),
-                    values=(float(vals[x]), float(vals[z]), float(vals[y])),
-                    detail=(
-                        "phi(y) < phi(x) - tol but an interior point does not "
-                        "drop strictly below phi(x)"
-                    ),
-                )
-            )
-
-    for x in range(n):
-        c = vals[x] - tol_r
-        # rightward: z in (x, y), some y > z with phi(y) < c
-        if x + 2 < n:
-            zs = np.arange(x + 1, n - 1)
-            mask = (vals[zs] >= c) & (suf[zs] < c)
-            hits = np.flatnonzero(mask)
-            if hits.size:
-                z = int(zs[hits[0]])
-                tail = vals[z + 1 :]
-                y = z + 1 + int(np.argmax(tail < c))
-                emit(x, z, y)
-        # leftward mirror
-        if x - 2 >= 0:
-            zs = np.arange(1, x)
-            mask = (vals[zs] >= c) & (pre[zs] < c)
-            hits = np.flatnonzero(mask)
-            if hits.size:
-                z = int(zs[hits[-1]])
-                head = vals[:z]
-                y = int(np.argmax(head < c))
-                emit(x, z, y)
-        if len(witnesses) >= _WITNESS_CAP:
-            break
+    vals, n = p.values, p.dom.n
+    c = vals - p.band
+    xs = np.arange(n)
+    # suffix_min[z] < c[x] iff z < right_end[x]; prefix_min[z] < c[x] iff z >= left_start[x]
+    right_end = np.searchsorted(p.suffix_min, c)
+    left_start = np.searchsorted(-p.prefix_min, -c, side="right")
+    hits = np.stack(
+        (_window_max(vals, xs + 1, right_end) >= c, _window_max(vals, left_start, xs) >= c),
+        axis=1,
+    )
+    witnesses = []
+    for k in np.flatnonzero(hits)[:_WITNESS_CAP]:
+        x, leftward = divmod(int(k), 2)
+        if leftward:
+            z = x - 1 - int(np.argmax(vals[:x][::-1] >= c[x]))
+            y = int(np.argmax(vals[:z] < c[x]))
+        else:
+            z = x + 1 + int(np.argmax(vals[x + 1 :] >= c[x]))
+            y = z + 1 + int(np.argmax(vals[z + 1 :] < c[x]))
+        witnesses.append(_witness(p, "non_descending_interior", (x, z, y), (
+            "phi(y) < phi(x) - tol but an interior point does not "
+            "drop strictly below phi(x)"
+        )))
     if witnesses:
-        return Verdict("fails", "semistrictly_quasiconvex_def", tol_r, p.stat_tol,
+        return Verdict("fails", "semistrictly_quasiconvex_def", p.band, p.stat_tol,
                        tuple(witnesses))
-    return Verdict("holds", "semistrictly_quasiconvex_def", tol_r, p.stat_tol)
+    return Verdict("holds", "semistrictly_quasiconvex_def", p.band, p.stat_tol)

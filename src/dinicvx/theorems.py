@@ -208,8 +208,10 @@ def sample_pairs(
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Deterministic (x, y) pairs inside the box, componentwise uniform.
 
-    Raises ValueError for a box of infinite width, and for one too thin to
-    yield a distinct pair within ``_PAIR_DRAWS`` draws (a single point, say).
+    A pair with a point outside the box, which a draw from ``[lo, hi]``
+    can only be on an open face, is drawn again.  Raises ValueError for a
+    box of infinite width, and for one too thin to yield a distinct pair of
+    box points within ``_PAIR_DRAWS`` draws (a single point, say).
     """
     rng = np.random.default_rng(seed)
     lo = np.array([iv.lo for iv in box])
@@ -223,7 +225,8 @@ def sample_pairs(
     while len(out) < count:
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
-        if not np.allclose(x, y):
+        inside = all(iv.contains(a) and iv.contains(b) for iv, a, b in zip(box, x, y))
+        if inside and not np.allclose(x, y):
             out.append((x, y))
             misses = 0
             continue

@@ -31,6 +31,7 @@ from dinicvx import (
 from dinicvx import oracle
 
 from conftest import grid_for, phi_of
+from oracle_reference import semistrict_triple_loop
 
 H = 2.0 / 256  # spacing of the standard 257-point grid on [-1,1]
 
@@ -180,20 +181,6 @@ class TestStrictImpliesNonStrict:
         assert pc.outcome == "holds"
 
 
-def triple_loop_semistrict(vals, tol):
-    """Literal definition: phi(y) < phi(x) - tol forces every z strictly
-    between x and y to satisfy phi(z) < phi(x) - tol."""
-    n = len(vals)
-    for x in range(n):
-        for y in range(n):
-            if vals[y] < vals[x] - tol:
-                lo, hi = min(x, y), max(x, y)
-                for z in range(lo + 1, hi):
-                    if not vals[z] < vals[x] - tol:
-                        return "fails"
-    return "holds"
-
-
 def grid_function(vals):
     """A phi taking the given values on the standard grid over [0,1]."""
     dom = make_grid(parse_interval("[0,1]"), len(vals))
@@ -229,7 +216,7 @@ class TestSemistrictScan:
         vals = [float(v) for v in ints]
         phi, dom = grid_function(vals)
         v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.5))
-        assert v.outcome == triple_loop_semistrict(vals, 0.5)
+        assert v.outcome == semistrict_triple_loop(vals, 0.5)
 
 
 CLASSIFIERS = (

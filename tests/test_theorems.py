@@ -158,6 +158,19 @@ class TestSampling:
             assert not np.allclose(x, y)
             assert np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0)
 
+    def test_pairs_redrawn_off_open_faces(self):
+        # four subnormal steps wide: about one draw in four lands on a face
+        box = (parse_interval("[-1,1]"), parse_interval("(0,2e-323)"))
+        for pair in sample_pairs(box, 24, seed=1):
+            assert all(iv.contains(v) for pt in pair for iv, v in zip(box, pt))
+
+    def test_closed_box_pairs_are_the_plain_draws(self):
+        rng = np.random.default_rng(4)
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        for x, y in sample_pairs(BOX, 10, seed=4):
+            assert np.array_equal(x, rng.uniform(lo, hi))
+            assert np.array_equal(y, rng.uniform(lo, hi))
+
 
 class TestRunBattery:
     def test_golden_subset_passes(self):
