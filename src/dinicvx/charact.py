@@ -207,13 +207,6 @@ class SegmentSplit:
     tol: float
     witnesses: tuple[Witness, ...] = ()
 
-    def segment_labels(self, n: int) -> np.ndarray:
-        labels = np.empty(n, dtype=object)
-        labels[self.decreasing[0] : self.decreasing[1]] = "decreasing"
-        labels[self.constant[0] : self.constant[1]] = "constant"
-        labels[self.increasing[0] : self.increasing[1]] = "increasing"
-        return labels
-
 
 def martos_segments(p: SampledProblem) -> SegmentSplit:
     """Split grid values into strict decrease, a constant run, strict increase.

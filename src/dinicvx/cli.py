@@ -34,7 +34,7 @@ from .charact import (
     quasiconvex_martos,
     strictly_pseudoconvex_char,
 )
-from .dini import DiniEstimate, DiniSchedule, lower_dini
+from .dini import DiniEstimate, DiniSchedule, is_stationary, lower_dini
 from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
 from .expr import ExpressionError, eval_many, parse
 from .oracle import (
@@ -189,16 +189,13 @@ def _witness_json(w: Witness, phi=None, feasible: Interval | None = None,
     if w.estimate is not None:
         d["dini"] = _estimate_json(w.estimate)
     elif phi is not None and feasible is not None and len(w.points) >= 1:
-        traces = {}
-        for label, u in (("plus", 1.0), ("minus", -1.0)):
-            try:
-                traces[label] = _estimate_json(
-                    lower_dini(phi, float(w.points[0]), u, feasible, schedule)
-                )
-            except (ValueError, ZeroDivisionError):
-                continue
-        if traces:
-            d["dini"] = traces
+        try:
+            found = is_stationary(phi, float(w.points[0]), feasible, schedule).estimates
+        except ValueError:
+            found = {}
+        if found:
+            d["dini"] = {("plus" if label == "+1" else "minus"): _estimate_json(est)
+                         for label, est in found.items()}
     return d
 
 
@@ -301,16 +298,6 @@ def _run_methods(check: str, want_def: bool, want_struct: bool,
     return out
 
 
-def _method_selection(cfg: RunConfig) -> tuple[bool, bool]:
-    if cfg.method == "both":
-        return True, True
-    if cfg.method == "definitional":
-        return True, False
-    if cfg.method in ("characterization", "martos"):
-        return False, True
-    raise _ConfigError(f"unknown method {cfg.method!r}")
-
-
 def _merge_outcomes(outcomes: list[str]) -> str:
     if any(o == "fails" for o in outcomes):
         return "fails"
@@ -321,7 +308,9 @@ def _merge_outcomes(outcomes: list[str]) -> str:
 
 def _cmd_classify(cfg: RunConfig) -> int:
     fn = parse(cfg.function, cfg.arity)
-    want_def, want_struct = _method_selection(cfg)
+    # argparse's choices leave both, definitional, characterization, martos
+    want_def = cfg.method in ("both", "definitional")
+    want_struct = cfg.method != "definitional"
     report: dict = {"command": "classify", "config": _config_json(cfg)}
     checks_out: dict = {}
     disagreement = False

@@ -8,14 +8,17 @@ afterwards so that decisions are invariant to the magnitude of u.
 
 One kernel, :func:`_dini_rows`, applies that rule to a (rows x steps) block
 of probe values, masking the probes outside the domain and the undefined
-ones.  Every public estimator is a thin caller: :func:`lower_dini` and
-:func:`lower_dini_along` pass one row, :func:`is_stationary` two, and
-:func:`grid_dini_profile` the grid in blocks of ``_BLOCK_ROWS`` points.
+ones.  :func:`lower_dini_along` estimates one point along a block of
+directions, one kernel row each, from one call of the function for the
+base point and one for all the probes.  :func:`lower_dini` (one direction)
+and :func:`is_stationary` (both) call it on the line, and
+:func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
+points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -161,48 +164,6 @@ def _dini_rows(
     return value, converged | up | down, trace, used, n_in
 
 
-def _estimates(
-    base: float,
-    vals: np.ndarray,
-    in_domain: np.ndarray,
-    s: np.ndarray,
-    dini_tol: float,
-    scale: float = 1.0,
-) -> list[DiniEstimate]:
-    """One estimate per probe row, ``value`` scaled by ``scale``.  A row
-    without in-domain probes comes back with ``n_probes == 0``."""
-    value, converged, trace, used, n_in = _dini_rows(
-        vals, in_domain, np.full(vals.shape[0], base), s, dini_tol
-    )
-    return [
-        DiniEstimate(scale * float(v), float(v), tuple(tr[u]), bool(c), int(k), not u.any())
-        for v, c, tr, u, k in zip(value, converged, trace, used, n_in)
-    ]
-
-
-def _line_estimates(
-    phi: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    signs: tuple[float, ...],
-    feasible: Interval,
-    schedule: DiniSchedule,
-    scale: float = 1.0,
-) -> list[DiniEstimate]:
-    """Estimates at ``t`` toward each unit direction in ``signs``, probed in
-    one call of ``phi``."""
-    if not feasible.contains(t):
-        raise ValueError(f"base point {t} outside feasible interval {feasible}")
-    s = schedule.step_sizes()
-    probes = t + np.outer(signs, s)
-    base = float(phi(np.asarray([t], dtype=float))[0])
-    if np.isnan(base):
-        raise ValueError(f"phi undefined at base point {t}")
-    vals = phi(probes.reshape(-1)).reshape(probes.shape)
-    return _estimates(
-        base, vals, feasible.contains_many(probes), s, schedule.dini_tol, scale
-    )
-
-
 def lower_dini(
     phi: Callable[[np.ndarray], np.ndarray],
     t: float,
@@ -213,59 +174,69 @@ def lower_dini(
     """Estimate the lower Dini derivative of ``phi`` at ``t`` toward ``u``.
 
     ``phi`` maps a float64 array to values with NaN for undefined.  The
-    direction is normalized to unit length before probing and the returned
-    ``value`` is rescaled by |u| (positive homogeneity); ``unit_value``
-    keeps the unnormalized-decision figure.  Probe steps that leave
-    ``feasible`` are skipped; if none remain, :class:`DiniDomainError` is
-    raised.  Undefined probe values are skipped as well, and the estimate
-    is +inf only when every feasible probe is undefined.
+    probes go along sign(u) and the returned ``value`` is rescaled by |u|
+    (positive homogeneity); ``unit_value`` keeps the unit-direction
+    figure.  Probe steps that leave ``feasible`` are skipped; if none
+    remain, :class:`DiniDomainError` is raised.  Undefined probe values are
+    skipped as well, and the estimate is +inf only when every feasible
+    probe is undefined.
     """
-    if schedule is None:
-        schedule = DiniSchedule()
     if u == 0 or not np.isfinite(u):
         raise ValueError(f"direction must be finite and nonzero, got {u}")
-    sign = 1.0 if u > 0 else -1.0
-    est = _line_estimates(phi, t, (sign,), feasible, schedule, abs(float(u)))[0]
+    est = lower_dini_along(lambda pts: phi(pts.reshape(-1)), [t], [[np.sign(u)]],
+                           (feasible,), schedule)[0]
     if est.n_probes == 0:
         raise DiniDomainError("direction leaves domain")
-    return est
+    return replace(est, value=abs(float(u)) * est.unit_value)
 
 
 def lower_dini_along(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    u: np.ndarray,
+    dirs: np.ndarray,
     box: tuple[Interval, ...],
     schedule: DiniSchedule | None = None,
-) -> DiniEstimate:
-    """Lower Dini derivative of a multivariate ``f`` at ``x`` along ``u``.
+) -> list[DiniEstimate]:
+    """Lower Dini derivatives of a multivariate ``f`` at ``x`` along each
+    row of the (k, n) block ``dirs``.
 
-    ``f`` maps an (m, n) array of points to (m,) values.  The direction is
-    normalized to unit Euclidean length for probing; ``value`` is rescaled
-    by |u|.  Probes outside the box are skipped; :class:`DiniDomainError`
-    if none stay inside.
+    ``f`` maps an (m, n) array of points to (m,) values; it is called once
+    for the base point and once for the probes of every direction.  Each
+    direction is normalized to unit Euclidean length for probing, and its
+    ``value`` is rescaled by that length.  Probes outside the box are
+    skipped; a direction with none inside comes back with ``n_probes == 0``
+    and an empty trace.  Raises ValueError for a zero or non-finite
+    direction, and for a base point outside the box or where ``f`` is
+    undefined.
     """
     if schedule is None:
         schedule = DiniSchedule()
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    norm = float(np.linalg.norm(u))
-    if norm == 0 or not np.isfinite(norm):
+    dirs = np.asarray(dirs, dtype=float)
+    # a row's dot product with itself rounds as np.linalg.norm of that one
+    # row does; np.linalg.norm(dirs, axis=1) sums differently
+    norms = np.sqrt((dirs[:, None, :] @ dirs[:, :, None]).reshape(-1))
+    if not (np.isfinite(norms) & (norms > 0)).all():
         raise ValueError("direction must be finite and nonzero")
-    u_hat = u / norm
-    s = schedule.step_sizes()
-    probes = x[None, :] + s[:, None] * u_hat[None, :]
-    in_domain = np.ones(s.shape[0], dtype=bool)
-    for i, iv in enumerate(box):
-        in_domain &= iv.contains_many(probes[:, i])
+    if not all(iv.contains(v) for iv, v in zip(box, x)):
+        raise ValueError(f"base point {x.tolist()} outside {'x'.join(map(str, box))}")
     base = float(f(x[None, :])[0])
     if np.isnan(base):
-        raise ValueError("f undefined at the base point")
-    vals = f(probes)
-    est = _estimates(base, vals[None, :], in_domain[None, :], s, schedule.dini_tol, norm)[0]
-    if est.n_probes == 0:
-        raise DiniDomainError("direction leaves domain")
-    return est
+        raise ValueError(f"function undefined at the base point {x.tolist()}")
+    s = schedule.step_sizes()
+    probes = x + s[None, :, None] * (dirs / norms[:, None])[:, None, :]
+    in_domain = np.ones(probes.shape[:2], dtype=bool)
+    for i, iv in enumerate(box):
+        in_domain &= iv.contains_many(probes[..., i])
+    vals = f(probes.reshape(-1, x.shape[0])).reshape(in_domain.shape)
+    value, converged, trace, used, n_in = _dini_rows(
+        vals, in_domain, np.full(vals.shape[0], base), s, schedule.dini_tol
+    )
+    return [
+        DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
+                     not row.any())
+        for norm, v, c, tr, row, k in zip(norms, value, converged, trace, used, n_in)
+    ]
 
 
 def is_stationary(
@@ -282,9 +253,8 @@ def is_stationary(
     (the running minimum can only fall further), but a "no descent"
     conclusion from an unconverged estimate is flagged indecisive.
     """
-    if schedule is None:
-        schedule = DiniSchedule()
-    found = _line_estimates(phi, t, (1.0, -1.0), feasible, schedule)
+    found = lower_dini_along(lambda pts: phi(pts.reshape(-1)), [t], [[1.0], [-1.0]],
+                             (feasible,), schedule)
     estimates = {label: est for label, est in zip(("+1", "-1"), found) if est.n_probes}
     stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
     decisive = not stationary or all(est.converged for est in estimates.values())

@@ -81,10 +81,6 @@ class Verdict:
     witnesses: tuple[Witness, ...] = ()
     notes: str = ""
 
-    @property
-    def holds(self) -> bool:
-        return self.outcome == "holds"
-
 
 def auto_tol(values: np.ndarray) -> float:
     finite = values[np.isfinite(values)]

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import DiniDomainError, DiniSchedule, is_stationary, lower_dini_along
+from .dini import DiniSchedule, is_stationary, lower_dini_along
 from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
 from .expr import eval_many, parse
 from .oracle import (
@@ -177,14 +177,7 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
     vals = p.values
-    flat = np.abs(np.diff(vals)) <= p.band
-    run = 0
-    longest = 0
-    where = 0
-    for i, f in enumerate(flat):
-        run = run + 1 if f else 0
-        if run > longest:
-            longest, where = run, i
+    longest, where = _longest_run(np.abs(np.diff(vals)) <= p.band)
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
         return TheoremReport("T7", function_id, (premise,), (strict,), True)
@@ -201,6 +194,17 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
         )
     return _report_fail("T7", function_id, (premise,), (strict,), wits,
                         "strictness and nonconstancy disagree")
+
+
+def _longest_run(flags: np.ndarray) -> tuple[int, int]:
+    """Length and last index of the first longest run of True in ``flags``;
+    (0, 0) when there is none."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flags, [0]))))
+    lengths = edges[1::2] - edges[::2]
+    if not lengths.size:
+        return 0, 0
+    k = int(np.argmax(lengths))
+    return int(lengths[k]), int(edges[2 * k + 1]) - 1
 
 
 def sample_pairs(
@@ -272,8 +276,7 @@ def check_t6(
             continue
         lhs_pair = pc.outcome == "holds"
         rhs_pair = ssq.outcome == "holds"
-        fx = float(r.phi(np.asarray([0.0]))[0])
-        fy = float(r.phi(np.asarray([1.0]))[0])
+        fx, fy = (float(v) for v in r.phi(np.asarray([0.0, 1.0])))
         if rhs_pair and fy < fx - ssq.tol:
             st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
             if not st.decisive:
@@ -327,7 +330,6 @@ def check_abc(
     y: np.ndarray,
     box: tuple[Interval, ...],
     schedule: DiniSchedule | None = None,
-    tol: float | None = None,
     stat_tol: float = 1e-7,
     n_dirs: int = 64,
     seed: int = 0,
@@ -337,12 +339,16 @@ def check_abc(
 ) -> TheoremReport:
     """A or B iff C, for quasiconvex radially-usc f and a pair (x, y).
 
-    A: x is stationary for f (no descent over a deterministic direction
-    sample; approximate, refinable).  B: t=0 attains the minimum of the
-    restriction over its feasible set, measured against the grid values
-    together with the Dini probe values near 0 (a pure-grid minimum misses
-    sub-grid dips next to 0 and would assert B spuriously).  C: t=0 is
-    stationary for the restriction.
+    A: x is stationary for f: no feasible direction of a deterministic
+    sample of ``n_dirs`` descends (approximate, refinable).  All directions
+    are estimated in one :func:`lower_dini_along` call; those with no probe
+    in the box are skipped.  B: t=0 attains the minimum of the restriction
+    over its feasible set, measured against the grid values together with
+    the Dini probe values near 0 (a pure-grid minimum misses sub-grid dips
+    next to 0 and would assert B spuriously).  C: t=0 is stationary for the
+    restriction.  The report is inconclusive when an unconverged feasible
+    direction comes before the first descending one in sample order, or C
+    rests on an unconverged estimate.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -354,37 +360,26 @@ def check_abc(
     if np.isnan(vals).any():
         return TheoremReport("Lpr1", function_id, (), (), True,
                              inconclusive=True, notes="undefined restriction values")
-    inconclusive = False
 
-    a_true = True
-    for u in sample_directions(x.shape[0], n_dirs, seed):
-        try:
-            est = lower_dini_along(f, x, u, box, schedule)
-        except DiniDomainError:
-            continue  # direction leaves the box immediately
-        if est.unit_value < -stat_tol:
-            a_true = False
-            break
-        if not est.converged:
-            inconclusive = True
+    ests = lower_dini_along(f, x, sample_directions(x.shape[0], n_dirs, seed),
+                            box, schedule)
+    # a direction with no probe in the box has unit_value +inf and is
+    # converged, so it neither descends nor leaves A open
+    descends = [e.unit_value < -stat_tol for e in ests]
+    seen = descends.index(True) if True in descends else len(ests)
+    a_true = seen == len(ests)
+    a_open = not all(e.converged for e in ests[:seen])
 
-    phi0 = float(r.phi(np.asarray([0.0]))[0])
     s = schedule.step_sizes()
     probes = np.concatenate([s, -s])
-    probes = probes[r.feasible.contains_many(probes)]
-    probe_vals = r.phi(probes) if probes.size else np.asarray([])
-    cands = [float(np.min(vals))]
-    finite_probes = probe_vals[np.isfinite(probe_vals)] if probe_vals.size else probe_vals
-    if finite_probes.size:
-        cands.append(float(np.min(finite_probes)))
-    b_true = phi0 <= min(cands) + 1e-12 * (1.0 + abs(phi0))
+    near = r.phi(np.concatenate([[0.0], probes[r.feasible.contains_many(probes)]]))
+    phi0, probe_vals = float(near[0]), near[1:]
+    lowest = float(np.min(np.concatenate([vals, probe_vals[np.isfinite(probe_vals)]])))
+    b_true = phi0 <= lowest + 1e-12 * (1.0 + abs(phi0))
 
     st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
     c_true = st.stationary
-    if not st.decisive:
-        inconclusive = True
-
-    if inconclusive:
+    if a_open or not st.decisive:
         return TheoremReport("Lpr1", function_id, (), (), True,
                              inconclusive=True,
                              notes="a Dini estimate did not converge")
@@ -444,7 +439,6 @@ def run_battery(
     tol: float | None = None,
     stat_tol: float = 1e-7,
     pairs: int = 12,
-    dirs: int = 64,
     seed: int = 0,
 ) -> BatteryRunResult:
     """Theorem sweep plus expected-label verification over a battery.
@@ -514,9 +508,9 @@ def run_battery(
         cases.append(_status(rep))
         if entry.expected is not None and entry.expected.get("quasiconvex"):
             for k, (x, y) in enumerate(pair_list):
-                rep = check_abc(fmv, x, y, box, schedule, tol, stat_tol,
-                                dirs, seed, n_grid, margin,
-                                f"{entry.id}#pair{k}")
+                rep = check_abc(fmv, x, y, box, schedule, stat_tol,
+                                seed=seed, n_grid=n_grid, margin=margin,
+                                function_id=f"{entry.id}#pair{k}")
                 reports.append(rep)
                 cases.append(_status(rep))
     n_vac = sum(1 for c in cases if c.status == "vacuous")

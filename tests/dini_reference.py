@@ -3,13 +3,27 @@
 This is the scalar, one-row form of the rule that ``dinicvx.dini`` applies
 to whole blocks of rows at once.  The tests compare the block kernel and
 every public Dini function against it bit for bit.
+
+``lower_dini_along`` is the one-direction form that the block form of
+``dinicvx.lower_dini_along`` replaced, with the row wrapper ``_estimates``
+it called; each row of a block must match it.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from dinicvx.dini import _INF, _JUMP_FACTOR, DiniDomainError, DiniEstimate
+from dinicvx.dini import (
+    _INF,
+    _JUMP_FACTOR,
+    DiniDomainError,
+    DiniEstimate,
+    DiniSchedule,
+    _dini_rows,
+)
+from dinicvx.domain import Interval
 
 
 def _finish(
@@ -76,3 +90,59 @@ def _estimate_one(
         converged=converged,
         n_probes=int(idx_in.size),
     )
+
+
+def _estimates(
+    base: float,
+    vals: np.ndarray,
+    in_domain: np.ndarray,
+    s: np.ndarray,
+    dini_tol: float,
+    scale: float = 1.0,
+) -> list[DiniEstimate]:
+    """One estimate per probe row, ``value`` scaled by ``scale``.  A row
+    without in-domain probes comes back with ``n_probes == 0``."""
+    value, converged, trace, used, n_in = _dini_rows(
+        vals, in_domain, np.full(vals.shape[0], base), s, dini_tol
+    )
+    return [
+        DiniEstimate(scale * float(v), float(v), tuple(tr[u]), bool(c), int(k), not u.any())
+        for v, c, tr, u, k in zip(value, converged, trace, used, n_in)
+    ]
+
+
+def lower_dini_along(
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    u: np.ndarray,
+    box: tuple[Interval, ...],
+    schedule: DiniSchedule | None = None,
+) -> DiniEstimate:
+    """Lower Dini derivative of a multivariate ``f`` at ``x`` along ``u``.
+
+    ``f`` maps an (m, n) array of points to (m,) values.  The direction is
+    normalized to unit Euclidean length for probing; ``value`` is rescaled
+    by |u|.  Probes outside the box are skipped; :class:`DiniDomainError`
+    if none stay inside.
+    """
+    if schedule is None:
+        schedule = DiniSchedule()
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    norm = float(np.linalg.norm(u))
+    if norm == 0 or not np.isfinite(norm):
+        raise ValueError("direction must be finite and nonzero")
+    u_hat = u / norm
+    s = schedule.step_sizes()
+    probes = x[None, :] + s[:, None] * u_hat[None, :]
+    in_domain = np.ones(s.shape[0], dtype=bool)
+    for i, iv in enumerate(box):
+        in_domain &= iv.contains_many(probes[:, i])
+    base = float(f(x[None, :])[0])
+    if np.isnan(base):
+        raise ValueError("f undefined at the base point")
+    vals = f(probes)
+    est = _estimates(base, vals[None, :], in_domain[None, :], s, schedule.dini_tol, norm)[0]
+    if est.n_probes == 0:
+        raise DiniDomainError("direction leaves domain")
+    return est

@@ -97,6 +97,23 @@ class TestClassifyReport:
         wits = rep["checks"]["pseudoconvex"]["methods"]["definitional"]["witnesses"]
         assert wits and abs(wits[0]["points"][0]) <= 2.0 / 256.0
 
+    def test_witness_traces_are_one_sided_estimates(self, capsys):
+        # phi'(t) = 3t^2 - 1; a witness on the left end has no minus side
+        _, out, _ = run(["classify", "--function", "t^3 - t", "--domain", "[-1,1]",
+                         "--grid", "33", "--check", "quasiconvex"], capsys)
+        rep = json.loads(out)
+        wits = rep["checks"]["quasiconvex"]["methods"]["definitional"]["witnesses"]
+        sides = 0
+        for w in wits:
+            t = w["points"][0]
+            assert ("minus" in w["dini"]) == (t > -1)
+            for label, sign in (("plus", 1.0), ("minus", -1.0)):
+                if label in w["dini"]:
+                    sides += 1
+                    got = w["dini"][label]["unit_value"]
+                    assert got == pytest.approx(sign * (3 * t * t - 1), abs=1e-4)
+        assert sides >= 3
+
     def test_method_definitional_only(self, capsys):
         _, out, _ = run(CUBE + ["--method", "definitional"], capsys)
         rep = json.loads(out)

@@ -227,23 +227,39 @@ class TestLowerDiniAlong:
 
     def test_matches_univariate_on_axis(self):
         f = phi_of("x1^2 + x2^2", 2)
-        est = lower_dini_along(f, np.asarray([0.5, 0.0]), np.asarray([1.0, 0.0]), self.BOX)
+        [est] = lower_dini_along(f, np.asarray([0.5, 0.0]), np.asarray([[1.0, 0.0]]), self.BOX)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_direction_normalized_value_rescaled(self):
         f = phi_of("x1 + 2*x2", 2)
-        u = np.asarray([3.0, 4.0])  # norm 5
-        est = lower_dini_along(f, np.asarray([0.0, 0.0]), u, self.BOX)
+        u = np.asarray([[3.0, 4.0]])  # norm 5
+        [est] = lower_dini_along(f, np.asarray([0.0, 0.0]), u, self.BOX)
         # directional slope along u is 1*3 + 2*4 = 11
         assert est.value == pytest.approx(11.0, abs=1e-6)
         assert est.unit_value == pytest.approx(11.0 / 5.0, abs=1e-7)
 
     def test_corner_infeasible_direction(self):
+        # a direction with no probe in the box is reported, not raised
         f = phi_of("x1^2 + x2^2", 2)
-        with pytest.raises(DiniDomainError):
-            lower_dini_along(f, np.asarray([1.0, 1.0]), np.asarray([1.0, 1.0]), self.BOX)
+        [est] = lower_dini_along(f, np.asarray([1.0, 1.0]), np.asarray([[1.0, 1.0]]), self.BOX)
+        assert est.n_probes == 0 and est.tail_min_trace == ()
+
+    def test_block_rows_are_independent(self):
+        f = phi_of("x1 + 2*x2", 2)
+        dirs = np.asarray([[1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])
+        x = np.asarray([1.0, 0.0])
+        block = lower_dini_along(f, x, dirs, self.BOX)
+        assert [e.n_probes for e in block] == [0, 0, 40]
+        assert block == [lower_dini_along(f, x, d[None, :], self.BOX)[0] for d in dirs]
+        assert block[2].value == pytest.approx(-4.0, rel=1e-5)
+
+    def test_base_point_outside_box_rejected(self):
+        f = phi_of("x1^2 + x2^2", 2)
+        with pytest.raises(ValueError):
+            lower_dini_along(f, np.asarray([1.5, 0.0]), np.asarray([[-1.0, 0.0]]), self.BOX)
 
     def test_zero_direction_rejected(self):
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):
-            lower_dini_along(f, np.asarray([0.0, 0.0]), np.asarray([0.0, 0.0]), self.BOX)
+            lower_dini_along(f, np.asarray([0.0, 0.0]),
+                             np.asarray([[1.0, 0.0], [0.0, 0.0]]), self.BOX)

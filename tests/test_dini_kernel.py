@@ -20,13 +20,17 @@ from dinicvx import (
     grid_dini_profile,
     is_stationary,
     lower_dini,
+    lower_dini_along,
     make_grid,
     parse_interval,
+    sample_directions,
 )
 from dinicvx import dini
+from dinicvx.domain import Interval
 
 from conftest import phi_of
 from dini_reference import _estimate_one
+from dini_reference import lower_dini_along as lower_dini_along_one
 
 
 def bits(x) -> bytes:
@@ -98,17 +102,32 @@ class TestKernelMatchesReference:
             assert trace_bits(trace[r][used[r]]) == trace_bits(ref.tail_min_trace)
             assert (not used[r].any()) == ref.all_undefined
 
-    @given(probe_blocks(), st.floats(0.1, 10.0))
+    @given(probe_blocks(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_estimates_bit_identical(self, block, scale):
-        vals, in_domain, base, s, dini_tol = block
-        ests = dini._estimates(float(base[0]), vals, in_domain, s, dini_tol, scale)
+    def test_estimates_bit_identical(self, block, data):
+        # lower_dini_along wraps each kernel row: row r of the block probes
+        # along axis r with length scales[r], and the box keeps the last
+        # keep[r] of its steps (a ray from an inner point leaves a box
+        # once, so its in-box probes are always the smallest steps)
+        vals, _, base, s, dini_tol = block
+        rows, steps = vals.shape
+        schedule = DiniSchedule(float(s[0]), float(s[1] / s[0]), steps, dini_tol)
+        s = schedule.step_sizes()
+        scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=rows, max_size=rows))
+        keep = data.draw(st.lists(st.integers(0, steps), min_size=rows, max_size=rows))
+        box = tuple(Interval(-1.0, float(s[steps - k]) if k else float(s[-1] / 2), True, True)
+                    for k in keep)
+        dirs = np.diag(scales)
+        f = lambda pts: np.full(1, base[0]) if len(pts) == 1 else vals.reshape(-1)
+        ests = lower_dini_along(f, np.zeros(rows), dirs, box, schedule)
         for r, est in enumerate(ests):
-            ref = reference_row(float(base[0]), vals[r], in_domain[r], s, dini_tol)
+            in_domain = box[r].contains_many(s)
+            assert in_domain.sum() == keep[r]
+            ref = reference_row(float(base[0]), vals[r], in_domain, s, dini_tol)
             if ref is None:
-                assert est.n_probes == 0
+                assert (est.n_probes, est.tail_min_trace) == (0, ())
                 continue
-            assert bits(est.value) == bits(scale * ref.unit_value)
+            assert bits(est.value) == bits(np.linalg.norm(dirs[r]) * ref.unit_value)
             assert bits(est.unit_value) == bits(ref.unit_value)
             assert trace_bits(est.tail_min_trace) == trace_bits(ref.tail_min_trace)
             assert est.converged == ref.converged
@@ -215,3 +234,68 @@ class TestLineCallers:
                 assert label not in chk.estimates
                 continue
             assert chk.estimates[label] == single
+
+    @pytest.mark.parametrize("u", [1e-200, 1e200, -1e-200, -1e200])
+    def test_lower_dini_extreme_magnitudes(self, u):
+        # probes go along sign(u); no norm of u is formed that could
+        # underflow or overflow
+        phi = phi_of("abs(t) - 0.5*t")
+        iv = parse_interval("[-1,1]")
+        unit = lower_dini(phi, 0.0, 1.0 if u > 0 else -1.0, iv)
+        est = lower_dini(phi, 0.0, u, iv)
+        assert bits(est.unit_value) == bits(unit.unit_value)
+        assert bits(est.value) == bits(abs(u) * unit.unit_value)
+        assert est.tail_min_trace == unit.tail_min_trace
+
+
+GOLDEN_2D = [e for e in golden_battery() if e.arity == 2]
+
+
+def block_directions() -> np.ndarray:
+    """The 64 sampled directions, the axes and some non-unit directions."""
+    axes = np.vstack([np.eye(2), -np.eye(2)])
+    odd = np.asarray([[3.0, 4.0], [-1e-3, 2e-3], [250.0, -0.5], [1e-150, 1e-150],
+                      [-7.0, -7.0], [0.1, 0.0]])
+    return np.vstack([sample_directions(2, 64, 0), axes, odd])
+
+
+class TestBlockAlong:
+    @pytest.mark.parametrize("entry", GOLDEN_2D, ids=[e.id for e in GOLDEN_2D])
+    @pytest.mark.parametrize("schedule", [DiniSchedule(), SUITE_SCHEDULE],
+                             ids=["default", "suite"])
+    def test_rows_match_one_direction_reference(self, entry, schedule):
+        f = phi_of(entry.expression, 2)
+        box = tuple(parse_interval(b) for b in entry.box)
+        dirs = block_directions()
+        points = [(0.0, 0.0), (0.3, -0.7),  # interior
+                  (1.0, 0.2), (-0.4, -1.0),  # edges
+                  (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]  # corners
+        for x in map(np.asarray, points):
+            block = lower_dini_along(f, x, dirs, box, schedule)
+            assert len(block) == dirs.shape[0]
+            for u, est in zip(dirs, block):
+                try:
+                    ref = lower_dini_along_one(f, x, u, box, schedule)
+                except DiniDomainError:
+                    assert (est.n_probes, est.tail_min_trace) == (0, ())
+                    assert est.all_undefined
+                    continue
+                assert bits(est.value) == bits(ref.value)
+                assert bits(est.unit_value) == bits(ref.unit_value)
+                assert trace_bits(est.tail_min_trace) == trace_bits(ref.tail_min_trace)
+                assert (est.converged, est.n_probes, est.all_undefined) == (
+                    ref.converged, ref.n_probes, ref.all_undefined)
+
+    def test_one_probe_call_per_block(self):
+        calls = []
+        fn = phi_of("x1^2 + x2^2", 2)
+
+        def f(pts):
+            calls.append(pts.shape)
+            return fn(pts)
+
+        dirs = block_directions()
+        box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
+        lower_dini_along(f, np.asarray([1.0, 0.0]), dirs, box)
+        steps = DiniSchedule().steps
+        assert calls == [(1, 2), (dirs.shape[0] * steps, 2)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinicvx import (
     SUITE_SCHEDULE,
@@ -17,7 +19,11 @@ from dinicvx import (
     sample_pairs,
 )
 
+from dinicvx.theorems import _longest_run
+
 from conftest import grid_for, phi_of
+from theorems_reference import check_abc as check_abc_loop
+from theorems_reference import longest_run_loop
 
 BOX = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
 SCHED = SUITE_SCHEDULE
@@ -123,6 +129,15 @@ class TestAbc:
         assert rep.implication_holds and not rep.inconclusive
         assert "A=False" in rep.notes and "C=False" in rep.notes
 
+    def test_b_sees_the_dip_between_grid_points(self):
+        # along x1 the restriction dips to 0 at t = 1e-3, inside the first
+        # grid cell, so t = 0 is the grid minimum but not the minimum
+        f = phi_of("(x1 - 0.001)^2 + x2^2", 2)
+        rep = check_abc(f, np.asarray([0.0, 0.0]), np.asarray([1.0, 0.0]),
+                        BOX, SCHED)
+        assert rep.implication_holds and not rep.inconclusive
+        assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
+
     def test_plateau_edge_of_linf_norm(self):
         # x on the flat floor of max(|x1|,|x2|)? there is no flat floor, but
         # the ridge function x1^2 is constant along x2: stationarity must
@@ -209,3 +224,68 @@ class TestRunBattery:
         res = run_battery([by_id["bowl2"]], pairs=3)
         assert any(c.theorem_id == "T6" for c in res.cases)
         assert any(c.theorem_id == "Lpr1" for c in res.cases)
+
+
+GOLDEN_QC_2D = [e for e in golden_battery()
+                if e.arity == 2 and e.expected and e.expected.get("quasiconvex")]
+
+
+class TestAbcMatchesLoopReference:
+    @pytest.mark.parametrize("seed", [11, 4242])
+    @pytest.mark.parametrize("entry", GOLDEN_QC_2D, ids=[e.id for e in GOLDEN_QC_2D])
+    def test_golden_pairs_repr_identical(self, entry, seed):
+        f = phi_of(entry.expression, 2)
+        box = tuple(parse_interval(b) for b in entry.box)
+        for k, (x, y) in enumerate(sample_pairs(box, 50, seed)):
+            got = check_abc(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
+            want = check_abc_loop(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
+            assert repr(got) == repr(want)
+
+    # In both functions x = 0 is a kink: the directions that do not
+    # descend have the slowly settling term |.|^1.1 and stay unconverged.
+    # The sample starts near angle 0, along +x1.
+    def test_unconverged_direction_before_first_descent_is_inconclusive(self):
+        f = phi_of("abs(x1) + abs(x1)^1.1 - 2*max(x2, 0)", 2)
+        args = (f, np.zeros(2), np.asarray([0.0, 0.5]), BOX, SCHED)
+        rep = check_abc(*args)
+        assert rep.inconclusive and rep.notes == "a Dini estimate did not converge"
+        assert repr(rep) == repr(check_abc_loop(*args))
+
+    def test_unconverged_direction_after_first_descent_is_ignored(self):
+        f = phi_of("abs(x2) + abs(x2)^1.1 - 2*max(x1, 0)", 2)
+        args = (f, np.zeros(2), np.asarray([0.5, 0.0]), BOX, SCHED)
+        rep = check_abc(*args)
+        assert not rep.inconclusive and "A=False" in rep.notes
+        assert repr(rep) == repr(check_abc_loop(*args))
+
+    def test_directions_probed_in_one_call(self):
+        calls = []
+        fn = phi_of("x1^2 + x2^2", 2)
+
+        def f(pts):
+            calls.append(pts.shape[0])
+            return fn(pts)
+
+        check_abc(f, np.asarray([0.2, 0.1]), np.asarray([0.5, 0.5]), BOX, SCHED)
+        # restriction grid; A at x and its 64 directions; f(x) with the B
+        # probes; C's base point and its two one-sided probe rows
+        n = SCHED.steps
+        assert calls == [258, 1, 64 * n, 1 + 2 * n, 1, 2 * n]
+
+
+class TestLongestRun:
+    @given(st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_loop(self, flags):
+        assert _longest_run(np.asarray(flags, dtype=bool)) == longest_run_loop(flags)
+
+    @pytest.mark.parametrize("flags,want", [
+        ([], (0, 0)),
+        ([False, False], (0, 0)),
+        ([True] * 5, (5, 4)),
+        ([True, True, False, True, True], (2, 1)),  # a tie: the first run wins
+        ([False, True, False, True, True, True, False], (3, 5)),
+    ])
+    def test_cases(self, flags, want):
+        assert _longest_run(np.asarray(flags, dtype=bool)) == want
+        assert longest_run_loop(flags) == want

@@ -1,0 +1,115 @@
+"""Loop references for the theorem checks.
+
+``check_abc`` is the form that asked ``lower_dini_along`` for one direction
+at a time, in sample order, stopping at the first descending direction;
+the block form in ``dinicvx.theorems`` must give ``repr``-identical
+reports.  ``longest_run_loop`` is the scan ``check_t7`` made over the flat
+cells before it became one array pass.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from dinicvx.dini import DiniDomainError, DiniSchedule, is_stationary
+from dinicvx.domain import Interval, anchored_grid, restrict
+from dinicvx.oracle import Witness
+from dinicvx.theorems import TheoremReport, _report_fail, sample_directions
+
+from dini_reference import lower_dini_along
+
+
+def longest_run_loop(flags) -> tuple[int, int]:
+    """The literal scan ``check_t7`` used for its longest run of flat cells."""
+    run = 0
+    longest = 0
+    where = 0
+    for i, f in enumerate(flags):
+        run = run + 1 if f else 0
+        if run > longest:
+            longest, where = run, i
+    return longest, where
+
+
+def check_abc(
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    box: tuple[Interval, ...],
+    schedule: DiniSchedule | None = None,
+    tol: float | None = None,
+    stat_tol: float = 1e-7,
+    n_dirs: int = 64,
+    seed: int = 0,
+    n_grid: int = 257,
+    margin: float = 1e-6,
+    function_id: str = "",
+) -> TheoremReport:
+    """A or B iff C, for quasiconvex radially-usc f and a pair (x, y).
+
+    A: x is stationary for f (no descent over a deterministic direction
+    sample; approximate, refinable).  B: t=0 attains the minimum of the
+    restriction over its feasible set, measured against the grid values
+    together with the Dini probe values near 0 (a pure-grid minimum misses
+    sub-grid dips next to 0 and would assert B spuriously).  C: t=0 is
+    stationary for the restriction.
+    """
+    if schedule is None:
+        schedule = DiniSchedule()
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = restrict(f, x, y, box)
+    dom_r = anchored_grid(r.feasible, n_grid, margin)
+    vals = r.phi(dom_r.points)
+    if np.isnan(vals).any():
+        return TheoremReport("Lpr1", function_id, (), (), True,
+                             inconclusive=True, notes="undefined restriction values")
+    inconclusive = False
+
+    a_true = True
+    for u in sample_directions(x.shape[0], n_dirs, seed):
+        try:
+            est = lower_dini_along(f, x, u, box, schedule)
+        except DiniDomainError:
+            continue  # direction leaves the box immediately
+        if est.unit_value < -stat_tol:
+            a_true = False
+            break
+        if not est.converged:
+            inconclusive = True
+
+    phi0 = float(r.phi(np.asarray([0.0]))[0])
+    s = schedule.step_sizes()
+    probes = np.concatenate([s, -s])
+    probes = probes[r.feasible.contains_many(probes)]
+    probe_vals = r.phi(probes) if probes.size else np.asarray([])
+    cands = [float(np.min(vals))]
+    finite_probes = probe_vals[np.isfinite(probe_vals)] if probe_vals.size else probe_vals
+    if finite_probes.size:
+        cands.append(float(np.min(finite_probes)))
+    b_true = phi0 <= min(cands) + 1e-12 * (1.0 + abs(phi0))
+
+    st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
+    c_true = st.stationary
+    if not st.decisive:
+        inconclusive = True
+
+    if inconclusive:
+        return TheoremReport("Lpr1", function_id, (), (), True,
+                             inconclusive=True,
+                             notes="a Dini estimate did not converge")
+    detail = (
+        f"A={a_true} (over {n_dirs} directions), B={b_true}, C={c_true}, "
+        f"x={[float(v) for v in x]}, y={[float(v) for v in y]}"
+    )
+    if (a_true or b_true) == c_true:
+        return TheoremReport("Lpr1", function_id, (), (), True, notes=detail)
+    wit = Witness(
+        kind="abc_mismatch",
+        points=tuple(float(v) for v in x) + tuple(float(v) for v in y),
+        values=(phi0,),
+        detail=detail,
+    )
+    return _report_fail("Lpr1", function_id, (), (), [wit], detail)
