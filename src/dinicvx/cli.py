@@ -18,6 +18,7 @@ or parse error; 2 method disagreement; 3 inconclusive verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -561,6 +562,9 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
                    help="sampled (x,y) pairs for multivariate runs")
 
 
+# Built once per process: parsing leaves the parser unchanged, and an
+# in-process caller of main() need not pay for it on every call.
+@functools.cache
 def _build_parser() -> _Parser:
     top = _Parser(prog="dinicvx",
                   description="numerical generalized-convexity classifiers")

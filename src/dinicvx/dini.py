@@ -8,10 +8,10 @@ afterwards so that decisions are invariant to the magnitude of u.
 
 One kernel, :func:`_dini_rows`, applies that rule to a (rows x steps) block
 of probe values, masking the probes outside the domain and the undefined
-ones.  :func:`lower_dini_along` estimates one point along a block of
-directions, one kernel row each, from one call of the function for the
-base point and one for all the probes.  :func:`lower_dini` (one direction)
-and :func:`is_stationary` (both) call it on the line, and
+ones; :func:`_probe_rows` feeds it, evaluating only the probes the rule
+can read.  :func:`lower_dini_along` estimates one point along a block of
+directions, one kernel row each.  :func:`lower_dini` (one direction) and
+:func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
 points.
 """
@@ -43,9 +43,10 @@ _INF = float("inf")
 # zero while the step vanishes) from a steep smooth slope; see _dini_rows.
 _JUMP_FACTOR = 10.0
 
-# Grid points per block in grid_dini_profile.  Each block's probe arrays hold
-# _BLOCK_ROWS * steps floats (1.3 MB apiece at 40 steps), where one block for
-# the whole grid would take 3 GB per direction at 10^7 points.
+# Grid points per block in grid_dini_profile.  Each block's probe positions
+# hold _BLOCK_ROWS * steps floats (1.3 MB at 40 steps) and its values half
+# that, where one block for the whole grid would take 3 GB per direction at
+# 10^7 points.
 _BLOCK_ROWS = 4096
 
 
@@ -113,6 +114,7 @@ def _dini_rows(
     base: np.ndarray,
     s: np.ndarray,
     dini_tol: float,
+    skipped: np.ndarray | int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Apply the estimate rule to every row of a (rows x steps) probe block.
 
@@ -124,15 +126,22 @@ def _dini_rows(
     Their running minimum is the trace and its last entry the estimate,
     converged when the last used step moved it by at most ``dini_tol``.
 
+    The block may be the trailing columns of longer rows: ``skipped[r]``
+    counts row r's in-domain probes in the columns left out.  A row with
+    skipped probes that its window reaches, or that it would fall back on,
+    is left using no probe, for the caller to estimate from the whole row.
+
     Returns (value, converged, trace, used, n_in): ``trace[r][used[r]]`` is
-    row r's trace and ``n_in[r]`` its count of in-domain probes.  A row that
-    uses no probe has value +inf, is converged and has an empty trace.
-    ``trace`` and ``used`` start at the first column any row uses.
+    row r's trace and ``n_in[r]`` its count of in-domain probes, skipped ones
+    included.  A row that uses no probe has value +inf, is converged and has
+    an empty trace.  ``trace`` and ``used`` start at the first column any
+    row uses.
     """
-    n_in = in_domain.sum(axis=1)
+    n_in = in_domain.sum(axis=1) + skipped
     defined = in_domain & ~np.isnan(vals)
-    used = defined & (np.cumsum(in_domain, axis=1) > n_in[:, None] // 2)
-    empty = ~used.any(axis=1)
+    used = defined & (np.cumsum(in_domain, axis=1) > (n_in // 2 - skipped)[:, None])
+    used[skipped > n_in // 2] = False
+    empty = ~used.any(axis=1) & (skipped == 0)
     if empty.any():
         d = defined[empty]
         used[empty] = d & (np.cumsum(d, axis=1) > d.sum(axis=1)[:, None] // 2)
@@ -162,6 +171,47 @@ def _dini_rows(
     value[up] = _INF
     value[down] = -_INF
     return value, converged | up | down, trace, used, n_in
+
+
+def _probe_rows(
+    f: Callable[[np.ndarray], np.ndarray],
+    probes: np.ndarray,
+    in_domain: np.ndarray,
+    base: np.ndarray,
+    s: np.ndarray,
+    dini_tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_dini_rows` on whole rows, with ``f`` evaluated only where it reads.
+
+    ``probes[r, k]`` is row r's probe at step ``s[k]``, a number or a point
+    along the trailing axis, ``in_domain`` marks those in the feasible set
+    and ``f`` maps a stack of probes to their values.  From a point of an
+    interval or a box ``t + s`` rounds monotonically in ``s``, so a row's
+    in-domain probes are a suffix of the schedule and its window lies in
+    the columns from ``steps // 2`` on.  Only those are evaluated, and the
+    leading ones of the rows the kernel leaves to their whole row: those
+    that fall back, and any whose in-domain probes are no suffix (a grid
+    point rounded onto an open end) and whose window reaches them.
+    """
+    cut = s.shape[0] // 2
+
+    def values(rows, cols) -> np.ndarray:
+        pts = probes[rows, cols]
+        return f(pts.reshape((-1,) + probes.shape[2:])).reshape(pts.shape[:2])
+
+    skipped = in_domain[:, :cut].sum(axis=1)
+    tail = values(slice(None), slice(cut, None))
+    value, converged, trace, used, n_in = _dini_rows(
+        tail, in_domain[:, cut:], base, s[cut:], dini_tol, skipped
+    )
+    redo = np.flatnonzero(~used.any(axis=1) & (skipped > 0))
+    if not redo.size:
+        return value, converged, trace, used, n_in
+    # The other rows never read their leading probes, so NaN stands in.
+    vals = np.full(in_domain.shape, np.nan)
+    vals[:, cut:] = tail
+    vals[redo, :cut] = values(redo, slice(None, cut))
+    return _dini_rows(vals, in_domain, base, s, dini_tol)
 
 
 def lower_dini(
@@ -201,7 +251,8 @@ def lower_dini_along(
     row of the (k, n) block ``dirs``.
 
     ``f`` maps an (m, n) array of points to (m,) values; it is called once
-    for the base point and once for the probes of every direction.  Each
+    for the base point and once for the probes that :func:`_probe_rows`
+    evaluates (twice if some direction falls back).  Each
     direction is normalized to unit Euclidean length for probing, and its
     ``value`` is rescaled by that length.  Probes outside the box are
     skipped; a direction with none inside comes back with ``n_probes == 0``
@@ -228,9 +279,8 @@ def lower_dini_along(
     in_domain = np.ones(probes.shape[:2], dtype=bool)
     for i, iv in enumerate(box):
         in_domain &= iv.contains_many(probes[..., i])
-    vals = f(probes.reshape(-1, x.shape[0])).reshape(in_domain.shape)
-    value, converged, trace, used, n_in = _dini_rows(
-        vals, in_domain, np.full(vals.shape[0], base), s, schedule.dini_tol
+    value, converged, trace, used, n_in = _probe_rows(
+        f, probes, in_domain, np.full(in_domain.shape[0], base), s, schedule.dini_tol
     )
     return [
         DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
@@ -292,22 +342,23 @@ class GridDiniProfile:
 def grid_dini_profile(
     phi: Callable[[np.ndarray], np.ndarray],
     dom: SampledDomain,
+    values: np.ndarray,
     schedule: DiniSchedule | None = None,
 ) -> GridDiniProfile:
     """Batch unit-direction estimates for every grid point of ``dom``.
 
-    Numerically identical to calling :func:`lower_dini` per point with
-    u = +-1.  The grid is probed in blocks of ``_BLOCK_ROWS`` points, one
-    call of ``phi`` and of the estimate kernel per block and direction, so
-    memory stays bounded however fine the grid.
+    ``values`` holds ``phi`` at ``dom.points``; ``phi`` is called only at
+    probes.  Numerically identical to calling :func:`lower_dini` per point
+    with u = +-1.  The grid is probed in blocks of ``_BLOCK_ROWS`` points
+    through :func:`_probe_rows` per block and direction, so memory stays
+    bounded however fine the grid.
     """
     if schedule is None:
         schedule = DiniSchedule()
     pts = dom.points
     n = pts.shape[0]
     s = schedule.step_sizes()
-    base = phi(pts)
-    ok_base = ~np.isnan(base)
+    ok_base = ~np.isnan(values)
 
     out: dict[str, np.ndarray] = {}
     for label, sign in (("minus", -1.0), ("plus", 1.0)):
@@ -317,9 +368,8 @@ def grid_dini_profile(
         for a in range(0, n, _BLOCK_ROWS):
             rows = slice(a, a + _BLOCK_ROWS)
             probes = pts[rows, None] + sign * s[None, :]
-            vals = phi(probes.reshape(-1)).reshape(probes.shape)
-            v, c, _, _, n_in = _dini_rows(
-                vals, dom.interval.contains_many(probes), base[rows], s,
+            v, c, _, _, n_in = _probe_rows(
+                phi, probes, dom.interval.contains_many(probes), values[rows], s,
                 schedule.dini_tol,
             )
             f = (n_in > 0) & ok_base[rows]

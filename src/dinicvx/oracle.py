@@ -183,7 +183,7 @@ class SampledProblem:
 
     @cached_property
     def profile(self) -> GridDiniProfile:
-        return grid_dini_profile(self.phi, self.dom, self.schedule)
+        return grid_dini_profile(self.phi, self.dom, self.values, self.schedule)
 
 
 def _undefined_verdict(p: SampledProblem, method: str) -> Verdict:

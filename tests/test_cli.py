@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dinicvx
-from dinicvx import golden_battery, write_manifest
+from dinicvx import cli, golden_battery, write_manifest
 from dinicvx.cli import (
     EXIT_CONFIG,
     EXIT_DISAGREE,
@@ -206,6 +206,29 @@ class TestDini:
         rep = json.loads(out)
         assert math.isclose(rep["estimate"]["value"], 2.0, abs_tol=1e-5)
         assert math.isclose(rep["estimate"]["unit_value"], 1.0, abs_tol=1e-5)
+
+
+class TestParserBuiltOnce:
+    def test_calls_in_one_process_print_what_each_prints_alone(self, tmp_path, capsys):
+        by_id = {e.id: e for e in golden_battery()}
+        path = tmp_path / "mini.json"
+        write_manifest((by_id["sq"],), path)
+        calls = [
+            CUBE + ["--check", "quasiconvex", "--check", "pseudoconvex"],
+            CUBE,  # the default checks, after a call that appended two
+            ["verify-theorems", str(path), "--grid", "65"],
+            ["decompose", "--function", "abs(t)", "--domain", "[-1,1]", "--grid", "33"],
+            ["dini", "--function", "t^2", "--domain", "[0,1]", "--at", "0.5"],
+            CUBE + ["--no-such-flag"],
+            CUBE + ["--check", "quasiconvex", "--output", "text"],
+        ]
+        together = [run(argv, capsys)[:2] for argv in calls]
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(run(argv, capsys)[:2])
+        assert together == alone
+        assert [code for code, _ in together].count(EXIT_CONFIG) == 1
 
 
 class TestVerify:

@@ -174,7 +174,7 @@ class TestIsStationary:
 class TestGridProfile:
     def test_matches_pointwise_estimates(self, unit_grid):
         phi = phi_of("piecewise(t < 0: -t, else: t - 1)")
-        prof = grid_dini_profile(phi, unit_grid)
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
         for i in [0, 1, 64, 128, 129, 200, 256]:
             t = float(unit_grid.points[i])
             if prof.minus_feasible[i]:
@@ -191,7 +191,7 @@ class TestGridProfile:
         # their windows are shorter than those of the interior rows
         dom = make_grid(parse_interval("[-1,1]"), 65)
         phi = phi_of("log(t + 1.001)")
-        prof = grid_dini_profile(phi, dom)
+        prof = grid_dini_profile(phi, dom, phi(dom.points))
         for i in [0, 32, 64]:
             t = float(dom.points[i])
             if prof.plus_feasible[i] and not math.isnan(phi(np.asarray([t]))[0]):
@@ -199,14 +199,16 @@ class TestGridProfile:
                 assert prof.plus_value[i] == ref.unit_value
 
     def test_endpoint_feasibility_flags(self, unit_grid):
-        prof = grid_dini_profile(phi_of("t^2"), unit_grid)
+        phi = phi_of("t^2")
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
         assert not prof.minus_feasible[0]
         assert not prof.plus_feasible[-1]
         assert prof.minus_feasible[1:].all()
         assert prof.plus_feasible[:-1].all()
 
     def test_descent_and_stationary_masks(self, unit_grid):
-        prof = grid_dini_profile(phi_of("t^2"), unit_grid)
+        phi = phi_of("t^2")
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
         stat = prof.stationary_mask(1e-7)
         assert stat[128]  # t = 0
         assert stat.sum() == 1
@@ -216,7 +218,8 @@ class TestGridProfile:
 
     def test_tiny_schedule_uses_fallback(self, unit_grid):
         sched = DiniSchedule(t0=1e-2, ratio=0.5, steps=2, dini_tol=1e-7)
-        prof = grid_dini_profile(phi_of("t^2"), unit_grid, sched)
+        phi = phi_of("t^2")
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points), sched)
         assert prof.plus_value.shape == (257,)
         # window of one quotient can never satisfy the two-entry settle test
         assert not prof.plus_converged[:-1].any()

@@ -26,7 +26,7 @@ from dinicvx import (
     sample_directions,
 )
 from dinicvx import dini
-from dinicvx.domain import Interval
+from dinicvx.domain import Interval, SampledDomain
 
 from conftest import phi_of
 from dini_reference import _estimate_one
@@ -81,26 +81,43 @@ def probe_blocks(draw):
     return vals, in_domain, base, s, dini_tol
 
 
+def probed_rows(vals, in_domain, base, s, dini_tol):
+    """``_probe_rows`` on a block whose probes are the flat indices of
+    ``vals``, so that the function it evaluates looks their values up."""
+    probes = np.arange(vals.size, dtype=float).reshape(vals.shape)
+    return dini._probe_rows(lambda idx: vals.reshape(-1)[idx.astype(int)], probes,
+                            in_domain, base, s, dini_tol)
+
+
+def assert_rows_match_reference(block, rows):
+    vals, in_domain, base, s, dini_tol = block
+    value, converged, trace, used, n_in = rows
+    for r in range(vals.shape[0]):
+        ref = reference_row(float(base[r]), vals[r], in_domain[r], s, dini_tol)
+        if ref is None:
+            assert n_in[r] == 0
+            continue
+        assert n_in[r] == ref.n_probes
+        assert bits(value[r]) == bits(ref.unit_value)
+        assert bool(converged[r]) == ref.converged
+        assert trace_bits(trace[r][used[r]]) == trace_bits(ref.tail_min_trace)
+        assert (not used[r].any()) == ref.all_undefined
+
+
 # The reference subtracts infinite trace entries without silencing numpy.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestKernelMatchesReference:
     @given(probe_blocks())
     @settings(max_examples=400, deadline=None)
     def test_rows_bit_identical(self, block):
-        vals, in_domain, base, s, dini_tol = block
-        value, converged, trace, used, n_in = dini._dini_rows(
-            vals, in_domain, base, s, dini_tol
-        )
-        for r in range(vals.shape[0]):
-            ref = reference_row(float(base[r]), vals[r], in_domain[r], s, dini_tol)
-            if ref is None:
-                assert n_in[r] == 0
-                continue
-            assert n_in[r] == ref.n_probes
-            assert bits(value[r]) == bits(ref.unit_value)
-            assert bool(converged[r]) == ref.converged
-            assert trace_bits(trace[r][used[r]]) == trace_bits(ref.tail_min_trace)
-            assert (not used[r].any()) == ref.all_undefined
+        assert_rows_match_reference(block, dini._dini_rows(*block))
+
+    # The masks are arbitrary, not only suffixes: the probe helper must fall
+    # back on whole rows wherever its trailing columns cannot decide a row.
+    @given(probe_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_probed_rows_bit_identical(self, block):
+        assert_rows_match_reference(block, probed_rows(*block))
 
     @given(probe_blocks(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -118,7 +135,16 @@ class TestKernelMatchesReference:
         box = tuple(Interval(-1.0, float(s[steps - k]) if k else float(s[-1] / 2), True, True)
                     for k in keep)
         dirs = np.diag(scales)
-        f = lambda pts: np.full(1, base[0]) if len(pts) == 1 else vals.reshape(-1)
+
+        def f(pts):
+            # the base point is the origin; row r's probe at step s[k] is
+            # s[k] on axis r (a positive scale over the square root of its
+            # square is exactly 1)
+            if not pts.any():
+                return np.full(len(pts), base[0])
+            r = np.argmax(pts, axis=1)
+            return vals[r, np.searchsorted(-s, -pts.max(axis=1))]
+
         ests = lower_dini_along(f, np.zeros(rows), dirs, box, schedule)
         for r, est in enumerate(ests):
             in_domain = box[r].contains_many(s)
@@ -182,20 +208,112 @@ class TestGridProfileMatchesReference:
         dom = make_grid(parse_interval(domain), 65)
         for schedule in SCHEDULES:
             ref = reference_profile(phi, dom, schedule)
-            assert_profiles_identical(grid_dini_profile(phi, dom, schedule), ref)
+            assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
     def test_block_size_does_not_change_the_profile(self, monkeypatch, block_rows):
         dom = make_grid(parse_interval("[-1,1]"), 257)
         for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "max(0, abs(t) - 0.5)"):
             phi = phi_of(source)
-            whole = grid_dini_profile(phi, dom)
+            whole = grid_dini_profile(phi, dom, phi(dom.points))
             monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
-            split = grid_dini_profile(phi, dom)
+            split = grid_dini_profile(phi, dom, phi(dom.points))
             monkeypatch.undo()
             for field in ("minus_value", "plus_value", "minus_converged",
                           "plus_converged", "minus_feasible", "plus_feasible"):
                 assert getattr(split, field).tobytes() == getattr(whole, field).tobytes()
+
+
+def edge_grid(domain, schedule):
+    """Points of ``domain`` at distances from each end from below the
+    smallest step (no probe fits) through one and two probes to half and
+    all of the schedule, with the closed ends themselves."""
+    iv = parse_interval(domain)
+    s = schedule.step_sizes()
+    d = np.asarray([0.5 * s[-1], s[-1], 0.5 * (s[-1] + s[-2]), s[-2],
+                    0.5 * (s[-2] + s[-3]) if s.size > 2 else 2 * s[-1],
+                    s[s.size // 2], 2 * s[0]])
+    pts = np.concatenate([iv.lo + d, iv.hi - d])
+    if iv.lo_closed:
+        pts = np.append(pts, iv.lo)
+    if iv.hi_closed:
+        pts = np.append(pts, iv.hi)
+    return SampledDomain(iv, np.unique(pts[iv.contains_many(pts)]), 1e-6)
+
+
+# Rows whose window holds no defined value fall back on the other defined
+# in-domain probes.  log(t) near 0 going left: every probe is undefined.
+# The product roots at t = 0.5 going right: only the steps of 1e-3 (4e-8)
+# and up are defined, all of them outside the window.  Under the default
+# schedule the second has 30 in-domain probes, so the fallback reads
+# defined probes on both sides of the first trailing column, and its
+# quotients fall with the step, so which of them it reads shows.
+FALLBACK_GRIDS = [
+    ("log(t)", "[-1,1]", [-1e-3, -1e-12, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
+    ("sqrt((t - 0.5)*(t - 0.5 - 0.001))", "[0,1]",
+     [0.4995, 0.4999, 0.5, 0.5005, 0.501, 0.5015]),
+    ("0 - sqrt((t - 0.5)*(t - 0.5 - 4e-8))", "[0,0.50008]",
+     [0.49999, 0.5, 0.50000003, 0.50001]),
+]
+EDGE_DOMAINS = [("abs(t) - 0.3*t", d) for d in ("[-1,1]", "(-1,1)", "[0,1)", "(0,1]")] + [
+    ("sqrt(t)", "[0,1)"), ("log(t)", "(0,1]"), ("1/t", "(0,2)"),
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+class TestProbedProfileRows:
+    """Rows where only the trailing probe columns are not enough, or where
+    the in-domain probes are few, against the per-point reference."""
+
+    @pytest.mark.parametrize("source,domain,points", FALLBACK_GRIDS,
+                             ids=[f"{s} on {d}" for s, d, _ in FALLBACK_GRIDS])
+    def test_fallback_rows(self, monkeypatch, block_rows, source, domain, points):
+        monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
+        phi = phi_of(source)
+        dom = SampledDomain(parse_interval(domain), np.asarray(points), 1e-6)
+        for schedule in SCHEDULES:
+            ref = reference_profile(phi, dom, schedule)
+            assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
+
+    @pytest.mark.parametrize("source,domain", EDGE_DOMAINS,
+                             ids=[f"{s} on {d}" for s, d in EDGE_DOMAINS])
+    def test_edge_and_one_probe_rows(self, monkeypatch, block_rows, source, domain):
+        monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
+        phi = phi_of(source)
+        for schedule in SCHEDULES:
+            dom = edge_grid(domain, schedule)
+            ref = reference_profile(phi, dom, schedule)
+            assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
+            n_probes = [dom.interval.contains_many(t + sign * schedule.step_sizes()).sum()
+                        for t in dom.points for sign in (-1.0, 1.0)]
+            assert 1 in n_probes and 0 in n_probes
+
+    def test_grid_point_rounded_onto_an_open_end(self, monkeypatch, block_rows):
+        # lo + margin rounds to lo, so the first grid point lies outside the
+        # domain; going right, its steps below half an ulp of lo stay on lo,
+        # so its in-domain probes are the leading 28 of 40, and its window
+        # starts left of the trailing columns
+        monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
+        dom = make_grid(parse_interval("(1e8,100000001)"), 9, margin=1e-9)
+        assert not dom.interval.contains(dom.points[0])
+        phi = phi_of("0 - (t - 1e8)^2")
+        ref = reference_profile(phi, dom, DiniSchedule())
+        assert ref["plus"][2][0]
+        assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points)), ref)
+
+
+def test_interior_grid_probes_only_the_trailing_half():
+    schedule = DiniSchedule()
+    dom = SampledDomain(parse_interval("[-1,1]"), np.linspace(-0.5, 0.5, 101), 1e-6)
+    phi = phi_of("abs(t) - 0.3*t")
+    sizes = []
+
+    def counting(pts):
+        sizes.append(pts.size)
+        return phi(pts)
+
+    grid_dini_profile(counting, dom, phi(dom.points), schedule)
+    assert sizes == [dom.n * (schedule.steps - schedule.steps // 2)] * 2
 
 
 class TestLineCallers:
@@ -259,6 +377,21 @@ def block_directions() -> np.ndarray:
     return np.vstack([sample_directions(2, 64, 0), axes, odd])
 
 
+def assert_block_matches_one_direction(block, f, x, dirs, box, schedule):
+    for u, est in zip(dirs, block, strict=True):
+        try:
+            ref = lower_dini_along_one(f, x, u, box, schedule)
+        except DiniDomainError:
+            assert (est.n_probes, est.tail_min_trace) == (0, ())
+            assert est.all_undefined
+            continue
+        assert bits(est.value) == bits(ref.value)
+        assert bits(est.unit_value) == bits(ref.unit_value)
+        assert trace_bits(est.tail_min_trace) == trace_bits(ref.tail_min_trace)
+        assert (est.converged, est.n_probes, est.all_undefined) == (
+            ref.converged, ref.n_probes, ref.all_undefined)
+
+
 class TestBlockAlong:
     @pytest.mark.parametrize("entry", GOLDEN_2D, ids=[e.id for e in GOLDEN_2D])
     @pytest.mark.parametrize("schedule", [DiniSchedule(), SUITE_SCHEDULE],
@@ -273,18 +406,19 @@ class TestBlockAlong:
         for x in map(np.asarray, points):
             block = lower_dini_along(f, x, dirs, box, schedule)
             assert len(block) == dirs.shape[0]
-            for u, est in zip(dirs, block):
-                try:
-                    ref = lower_dini_along_one(f, x, u, box, schedule)
-                except DiniDomainError:
-                    assert (est.n_probes, est.tail_min_trace) == (0, ())
-                    assert est.all_undefined
-                    continue
-                assert bits(est.value) == bits(ref.value)
-                assert bits(est.unit_value) == bits(ref.unit_value)
-                assert trace_bits(est.tail_min_trace) == trace_bits(ref.tail_min_trace)
-                assert (est.converged, est.n_probes, est.all_undefined) == (
-                    ref.converged, ref.n_probes, ref.all_undefined)
+            assert_block_matches_one_direction(block, f, x, dirs, box, schedule)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_direction_blocks_at_corners_and_fallback_edges(self, block):
+        # x1 = 0.5 going right: only the steps of 1e-3 and up are defined
+        f = phi_of("sqrt((x1 - 0.5)*(x1 - 0.5 - 0.001)) + x2^2", 2)
+        box = (parse_interval("[0,1]"), parse_interval("[-1,1]"))
+        dirs = block_directions()
+        for x in map(np.asarray, [(0.0, -1.0), (1.0, 1.0), (1.0, -1.0), (0.5, 1.0),
+                                  (0.5, -1.0)]):
+            ests = [e for a in range(0, dirs.shape[0], block)
+                    for e in lower_dini_along(f, x, dirs[a:a + block], box)]
+            assert_block_matches_one_direction(ests, f, x, dirs, box, DiniSchedule())
 
     def test_one_probe_call_per_block(self):
         calls = []
@@ -298,4 +432,5 @@ class TestBlockAlong:
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
         lower_dini_along(f, np.asarray([1.0, 0.0]), dirs, box)
         steps = DiniSchedule().steps
-        assert calls == [(1, 2), (dirs.shape[0] * steps, 2)]
+        # no row falls back, so only the trailing half of each row is probed
+        assert calls == [(1, 2), (dirs.shape[0] * (steps - steps // 2), 2)]

@@ -242,6 +242,19 @@ class TestSampledProblem:
             classify(p)
         assert counts == {"grid_values": 1, "grid_dini_profile": 1}
 
+    def test_profile_reuses_the_grid_values(self, unit_grid):
+        seen = []
+        phi = phi_of("t^3")
+
+        def recording(pts):
+            seen.append(pts.copy())
+            return phi(pts)
+
+        p = SampledProblem(recording, unit_grid)
+        p.values
+        p.profile
+        assert sum(np.array_equal(pts, unit_grid.points) for pts in seen) == 1
+
     def test_nothing_built_before_it_is_read(self, unit_grid):
         p = SampledProblem(phi_of("t^2"), unit_grid)
         quasiconvex_def(p)
