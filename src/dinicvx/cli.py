@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -112,9 +113,9 @@ class RunConfig:
 
 
 def _f17(x: float) -> str:
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(float(x), ".17g")
 

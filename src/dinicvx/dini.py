@@ -6,12 +6,13 @@ estimated by the minimum quotient over the trailing half of a geometric
 step schedule, probing along the unit direction and rescaling by |u|
 afterwards so that decisions are invariant to the magnitude of u.
 
-One kernel, :func:`_dini_rows`, applies that rule to a (rows x steps) block
-of probe values, masking the probes outside the domain and the undefined
-ones; :func:`_probe_rows` feeds it, evaluating only the probes the rule
-can read.  :func:`lower_dini_along` estimates one point along a block of
-directions, one kernel row each.  :func:`lower_dini` (one direction) and
-:func:`is_stationary` (both) call it on the line, and
+One kernel, :func:`_dini_rows`, applies that rule to a (steps x rows)
+block of probe values, one column per estimate, masking the probes outside
+the domain and the undefined ones; its running counts and minima take one
+whole-row operation per step.  :func:`_probe_rows` feeds it, evaluating
+only the probes the rule can read.  :func:`lower_dini_along` estimates one
+point along a block of directions, one kernel row each.  :func:`lower_dini`
+(one direction) and :func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
 points.
 """
@@ -44,10 +45,11 @@ _INF = float("inf")
 _JUMP_FACTOR = 10.0
 
 # Grid points per block in grid_dini_profile.  Each block's probe positions
-# hold _BLOCK_ROWS * steps floats (1.3 MB at 40 steps) and its values half
-# that, where one block for the whole grid would take 3 GB per direction at
-# 10^7 points.
-_BLOCK_ROWS = 4096
+# hold _BLOCK_ROWS * steps floats (320 KB at 40 steps), and the kernel's
+# (steps x rows) temporaries half that: the 20 trailing steps of 1024 rows
+# are 160 KB, so they stay in a 2 MB L2 cache.  One block for the whole grid
+# would take 3 GB per direction at 10^7 points.
+_BLOCK_ROWS = 1024
 
 
 class DiniDomainError(ValueError):
@@ -108,6 +110,13 @@ class StationarityCheck:
     decisive: bool = True
 
 
+def _accumulate(op, a: np.ndarray) -> np.ndarray:
+    """``op.accumulate(a, axis=0)`` in place, one whole-row call per step."""
+    for k in range(1, a.shape[0]):
+        op(a[k - 1], a[k], out=a[k])
+    return a
+
+
 def _dini_rows(
     vals: np.ndarray,
     in_domain: np.ndarray,
@@ -116,57 +125,58 @@ def _dini_rows(
     dini_tol: float,
     skipped: np.ndarray | int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the estimate rule to every row of a (rows x steps) probe block.
+    """Apply the estimate rule to every row of a (steps x rows) probe block.
 
-    Row r probes ``base[r]`` at the decreasing steps ``s``; ``vals[r]`` holds
-    the probe values (NaN where undefined) and ``in_domain[r]`` marks the
-    probes inside the feasible set.  The quotients used are those of the
-    defined probes in the trailing half of the in-domain steps or, when that
-    window holds none, in the trailing half of the defined in-domain probes.
-    Their running minimum is the trace and its last entry the estimate,
-    converged when the last used step moved it by at most ``dini_tol``.
+    Row r, column r of the block, probes ``base[r]`` at the decreasing steps
+    ``s``; ``vals[:, r]`` holds the probe values (NaN where undefined) and
+    ``in_domain[:, r]`` marks the probes inside the feasible set.  The
+    quotients used are those of the defined probes in the trailing half of
+    the in-domain steps or, when that window holds none, in the trailing
+    half of the defined in-domain probes.  Their running minimum is the
+    trace and its last entry the estimate, converged when the last used
+    step moved it by at most ``dini_tol``.
 
-    The block may be the trailing columns of longer rows: ``skipped[r]``
-    counts row r's in-domain probes in the columns left out.  A row with
+    The block may be the trailing steps of longer rows: ``skipped[r]``
+    counts row r's in-domain probes in the steps left out.  A row with
     skipped probes that its window reaches, or that it would fall back on,
     is left using no probe, for the caller to estimate from the whole row.
 
-    Returns (value, converged, trace, used, n_in): ``trace[r][used[r]]`` is
-    row r's trace and ``n_in[r]`` its count of in-domain probes, skipped ones
-    included.  A row that uses no probe has value +inf, is converged and has
-    an empty trace.  ``trace`` and ``used`` start at the first column any
-    row uses.
+    Returns (value, converged, trace, used, n_in): ``trace[:, r][used[:, r]]``
+    is row r's trace and ``n_in[r]`` its count of in-domain probes, skipped
+    ones included.  A row that uses no probe has value +inf, is converged
+    and has an empty trace.  ``trace`` and ``used`` start at the first step
+    any row uses.
     """
-    n_in = in_domain.sum(axis=1) + skipped
+    n_in = in_domain.sum(axis=0) + skipped
     defined = in_domain & ~np.isnan(vals)
-    used = defined & (np.cumsum(in_domain, axis=1) > (n_in // 2 - skipped)[:, None])
-    used[skipped > n_in // 2] = False
-    empty = ~used.any(axis=1) & (skipped == 0)
+    used = defined & (_accumulate(np.add, in_domain.astype(np.intp)) > n_in // 2 - skipped)
+    used[:, skipped > n_in // 2] = False
+    empty = ~used.any(axis=0) & (skipped == 0)
     if empty.any():
-        d = defined[empty]
-        used[empty] = d & (np.cumsum(d, axis=1) > d.sum(axis=1)[:, None] // 2)
-    c0 = int(np.argmax(used.any(axis=0)))
-    used, s = used[:, c0:], s[c0:]
-    last = s.shape[0] - 1 - np.argmax(used[:, ::-1], axis=1)
+        d = defined[:, empty]
+        used[:, empty] = d & (_accumulate(np.add, d.astype(np.intp)) > d.sum(axis=0) // 2)
+    c0 = int(np.argmax(used.any(axis=1)))
+    used, s = used[c0:], s[c0:]
+    last = s.shape[0] - 1 - np.argmax(used[::-1], axis=0)
     s_min = s[last]
-    two = used.sum(axis=1) >= 2
+    two = used.sum(axis=0) >= 2
     with np.errstate(invalid="ignore", over="ignore"):
-        diffs = vals[:, c0:] - base[:, None]
-        quots = diffs / s
-        trace = np.minimum.accumulate(np.where(used, quots, _INF), axis=1)
-        value = trace[:, -1].copy()
+        diffs = vals[c0:] - base
+        quots = diffs / s[:, None]
+        trace = _accumulate(np.minimum, np.where(used, quots, _INF))
+        value = trace[-1].copy()
         # a single quotient settles only when it is already infinite
-        prev = trace[np.arange(last.shape[0]), last - 1]
+        prev = trace[last - 1, np.arange(last.shape[0])]
         converged = np.where(two, np.abs(value - prev) <= dini_tol, np.isinf(value))
         # Divergence screen: if the raw differences stay bounded away from
         # zero while the steps vanish, the quotients blow up and the liminf
         # is +-inf.  The threshold compares against what a slope of size
         # |value| could produce at the smallest step, so steep smooth
         # functions never trigger.
-        d_min = diffs.min(axis=1, where=used, initial=_INF)
+        d_min = np.where(used, diffs, _INF).min(axis=0)
         up = two & (value > 0) & (d_min >= _JUMP_FACTOR * value * s_min)
-        q_max = quots.max(axis=1, where=used, initial=-_INF)
-        d_max = diffs.max(axis=1, where=used, initial=-_INF)
+        q_max = np.where(used, quots, -_INF).max(axis=0)
+        d_max = np.where(used, diffs, -_INF).max(axis=0)
         down = two & (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s_min)
     value[up] = _INF
     value[down] = -_INF
@@ -183,34 +193,34 @@ def _probe_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_dini_rows` on whole rows, with ``f`` evaluated only where it reads.
 
-    ``probes[r, k]`` is row r's probe at step ``s[k]``, a number or a point
+    ``probes[k, r]`` is row r's probe at step ``s[k]``, a number or a point
     along the trailing axis, ``in_domain`` marks those in the feasible set
     and ``f`` maps a stack of probes to their values.  From a point of an
     interval or a box ``t + s`` rounds monotonically in ``s``, so a row's
     in-domain probes are a suffix of the schedule and its window lies in
-    the columns from ``steps // 2`` on.  Only those are evaluated, and the
+    the steps from ``steps // 2`` on.  Only those are evaluated, and the
     leading ones of the rows the kernel leaves to their whole row: those
     that fall back, and any whose in-domain probes are no suffix (a grid
     point rounded onto an open end) and whose window reaches them.
     """
     cut = s.shape[0] // 2
 
-    def values(rows, cols) -> np.ndarray:
-        pts = probes[rows, cols]
+    def values(steps, rows) -> np.ndarray:
+        pts = probes[steps, rows]
         return f(pts.reshape((-1,) + probes.shape[2:])).reshape(pts.shape[:2])
 
-    skipped = in_domain[:, :cut].sum(axis=1)
-    tail = values(slice(None), slice(cut, None))
+    skipped = in_domain[:cut].sum(axis=0)
+    tail = values(slice(cut, None), slice(None))
     value, converged, trace, used, n_in = _dini_rows(
-        tail, in_domain[:, cut:], base, s[cut:], dini_tol, skipped
+        tail, in_domain[cut:], base, s[cut:], dini_tol, skipped
     )
-    redo = np.flatnonzero(~used.any(axis=1) & (skipped > 0))
+    redo = np.flatnonzero(~used.any(axis=0) & (skipped > 0))
     if not redo.size:
         return value, converged, trace, used, n_in
     # The other rows never read their leading probes, so NaN stands in.
     vals = np.full(in_domain.shape, np.nan)
-    vals[:, cut:] = tail
-    vals[redo, :cut] = values(redo, slice(None, cut))
+    vals[cut:] = tail
+    vals[:cut, redo] = values(slice(None, cut), redo)
     return _dini_rows(vals, in_domain, base, s, dini_tol)
 
 
@@ -275,17 +285,17 @@ def lower_dini_along(
     if np.isnan(base):
         raise ValueError(f"function undefined at the base point {x.tolist()}")
     s = schedule.step_sizes()
-    probes = x + s[None, :, None] * (dirs / norms[:, None])[:, None, :]
+    probes = x + s[:, None, None] * (dirs / norms[:, None])
     in_domain = np.ones(probes.shape[:2], dtype=bool)
     for i, iv in enumerate(box):
         in_domain &= iv.contains_many(probes[..., i])
     value, converged, trace, used, n_in = _probe_rows(
-        f, probes, in_domain, np.full(in_domain.shape[0], base), s, schedule.dini_tol
+        f, probes, in_domain, np.full(in_domain.shape[1], base), s, schedule.dini_tol
     )
     return [
         DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
                      not row.any())
-        for norm, v, c, tr, row, k in zip(norms, value, converged, trace, used, n_in)
+        for norm, v, c, tr, row, k in zip(norms, value, converged, trace.T, used.T, n_in)
     ]
 
 
@@ -367,7 +377,7 @@ def grid_dini_profile(
         feas = np.zeros(n, dtype=bool)
         for a in range(0, n, _BLOCK_ROWS):
             rows = slice(a, a + _BLOCK_ROWS)
-            probes = pts[rows, None] + sign * s[None, :]
+            probes = pts[None, rows] + sign * s[:, None]
             v, c, _, _, n_in = _probe_rows(
                 phi, probes, dom.interval.contains_many(probes), values[rows], s,
                 schedule.dini_tol,

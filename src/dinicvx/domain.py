@@ -147,7 +147,8 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
     """Sample ``interval`` at ``n`` uniform points, honoring open endpoints.
 
     Requires a bounded, non-degenerate interval of finite width, ``n >= 2``,
-    ``margin > 0``, and enough room for the margins on open ends.
+    ``margin > 0``, and enough room for the margins on open ends: each must
+    move its end by at least one ulp, or the grid would start on the end.
     """
     if not interval.bounded:
         raise ValueError(f"cannot grid unbounded interval {interval}")
@@ -165,6 +166,8 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
         raise ValueError(
             f"interval {interval} too narrow for margin {margin}"
         )
+    if not (interval.contains(lo) and interval.contains(hi)):
+        raise ValueError(f"margin {margin} rounds onto an open end of {interval}")
     pts = np.linspace(lo, hi, n)
     return SampledDomain(interval=interval, points=pts, endpoint_margin=margin)
 

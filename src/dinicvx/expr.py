@@ -24,10 +24,14 @@ The evaluator is vectorized: :func:`eval_many` maps a float64 array of
 points through the function in one pass, encoding undefined as NaN.  The
 scalar wrapper :func:`evaluate` returns an :class:`EvalResult`.  No
 simplification is ever applied to the tree; what you parse is what runs.
+Variables read their input columns uncopied.  A constant is a float to
+``+ - * /``, comparisons, ``min`` and ``max``, and a full array elsewhere,
+``^`` included: numpy's power rounds an array exponent unlike a scalar one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -419,82 +423,67 @@ def parse(source: str, arity: int = 1) -> FunctionAst:
 # Evaluation
 
 _NAN = float("nan")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ELEMENTWISE = {"abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos}
+
+
+def _operands(nodes, cols: list[np.ndarray]) -> list:
+    """A ``Num`` stays a float, which numpy broadcasts as it would its full
+    array, unless every operand is one: the first then becomes that array."""
+    out = [n.value if isinstance(n, Num) else _eval(n, cols) for n in nodes]
+    if all(isinstance(n, Num) for n in nodes):
+        out[0] = np.full_like(cols[0], out[0])
+    return out
 
 
 def _eval(node: Node, cols: list[np.ndarray]) -> np.ndarray:
-    # All arithmetic runs with warnings suppressed; undefined is NaN.
+    # All arithmetic runs with warnings suppressed; undefined is NaN.  The
+    # result may be an input column, which no operation writes to.
     if isinstance(node, Num):
         return np.full_like(cols[0], node.value)
     if isinstance(node, Var):
-        return cols[node.index].copy()
+        return cols[node.index]
     if isinstance(node, Neg):
         return -_eval(node.arg, cols)
     if isinstance(node, BinOp):
-        a = _eval(node.left, cols)
-        b = _eval(node.right, cols)
         with np.errstate(all="ignore"):
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                out = a * b
-                # inf * 0 is indeterminate -> undefined, which numpy already
-                # encodes as NaN; nothing extra to do.
-                return out
-            if node.op == "/":
-                out = np.where(b == 0.0, _NAN, a / b)
-                return out
             if node.op == "^":
-                out = np.power(a, b)
+                # Both sides stay full arrays: numpy's power with an array
+                # exponent is not correctly rounded, so neither x*x nor a
+                # scalar exponent gives the same bits.
+                a = _eval(node.left, cols)
+                b = _eval(node.right, cols)
                 # 0 ^ negative is a division by zero in disguise
-                out = np.where((a == 0.0) & (b < 0.0), _NAN, out)
-                return out
-        raise AssertionError(node.op)
+                return np.where((a == 0.0) & (b < 0.0), _NAN, np.power(a, b))
+            a, b = _operands((node.left, node.right), cols)
+            if node.op == "/":
+                return np.where(b == 0.0, _NAN, a / b)
+            # inf * 0 is indeterminate -> undefined, which numpy already
+            # encodes as NaN; nothing extra to do.
+            return _ARITH[node.op](a, b)
     if isinstance(node, Call):
-        args = [_eval(arg, cols) for arg in node.args]
-        a = args[0]
         with np.errstate(all="ignore"):
-            if node.name == "abs":
-                return np.abs(a)
-            if node.name == "exp":
-                return np.exp(a)
+            if node.name in ("min", "max"):
+                op = np.minimum if node.name == "min" else np.maximum
+                args = _operands(node.args, cols)
+                out = args[0]
+                for other in args[1:]:
+                    # propagate NaN: fmin would ignore it
+                    out = op(out, other)
+                return out
+            a = _eval(node.args[0], cols)
             if node.name == "log":
                 return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), _NAN)
             if node.name == "sqrt":
                 return np.where(a >= 0.0, np.sqrt(np.abs(a)), _NAN)
-            if node.name == "sin":
-                return np.sin(a)
-            if node.name == "cos":
-                return np.cos(a)
-            if node.name == "min":
-                out = a
-                for other in args[1:]:
-                    # propagate NaN: fmin would ignore it
-                    out = np.minimum(out, other)
-                return out
-            if node.name == "max":
-                out = a
-                for other in args[1:]:
-                    out = np.maximum(out, other)
-                return out
-        raise AssertionError(node.name)
+            return _ELEMENTWISE[node.name](a)
     if isinstance(node, Piecewise):
         conds = []
         vals = []
         with np.errstate(invalid="ignore"):
             for guard, value in node.branches:
-                gl = _eval(guard.left, cols)
-                gr = _eval(guard.right, cols)
-                if guard.op == "<":
-                    cond = gl < gr
-                elif guard.op == "<=":
-                    cond = gl <= gr
-                elif guard.op == ">":
-                    cond = gl > gr
-                else:
-                    cond = gl >= gr
-                conds.append(cond)
+                conds.append(_COMPARE[guard.op](*_operands((guard.left, guard.right), cols)))
                 vals.append(_eval(value, cols))
         default = _eval(node.otherwise, cols)
         # np.select takes the first true condition, matching first-match
@@ -507,7 +496,8 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
     """Evaluate ``fn`` at many points.
 
     ``points`` has shape (m,) for arity 1 or (m, arity) otherwise.  Returns a
-    float64 array of shape (m,) with NaN marking undefined results.
+    new float64 array of shape (m,) with NaN marking undefined results;
+    ``points`` is never written.
     """
     pts = np.asarray(points, dtype=float)
     if fn.arity == 1:
@@ -515,7 +505,7 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
             pts = pts.reshape(1)
         if pts.ndim != 1:
             pts = pts.reshape(-1)
-        cols = [pts]
+        cols = [np.ascontiguousarray(pts)]
     else:
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -524,7 +514,8 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
                 f"points have {pts.shape[1]} coordinates, function arity is {fn.arity}"
             )
         cols = [np.ascontiguousarray(pts[:, j]) for j in range(fn.arity)]
-    return np.asarray(_eval(fn.root, cols), dtype=float)
+    out = _eval(fn.root, cols)
+    return out.copy() if any(out is c for c in cols) else out
 
 
 def evaluate(fn: FunctionAst, point: float | np.ndarray) -> EvalResult:

@@ -5,12 +5,14 @@ to whole blocks of rows at once.  The tests compare the block kernel and
 every public Dini function against it bit for bit.
 
 ``lower_dini_along`` is the one-direction form that the block form of
-``dinicvx.lower_dini_along`` replaced, with the row wrapper ``_estimates``
-it called; each row of a block must match it.
+``dinicvx.lower_dini_along`` replaced; each row of a block must match it.
+It estimates its one row with ``_estimate_one``, so it shares no code with
+the kernel it checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +23,6 @@ from dinicvx.dini import (
     DiniDomainError,
     DiniEstimate,
     DiniSchedule,
-    _dini_rows,
 )
 from dinicvx.domain import Interval
 
@@ -92,25 +93,6 @@ def _estimate_one(
     )
 
 
-def _estimates(
-    base: float,
-    vals: np.ndarray,
-    in_domain: np.ndarray,
-    s: np.ndarray,
-    dini_tol: float,
-    scale: float = 1.0,
-) -> list[DiniEstimate]:
-    """One estimate per probe row, ``value`` scaled by ``scale``.  A row
-    without in-domain probes comes back with ``n_probes == 0``."""
-    value, converged, trace, used, n_in = _dini_rows(
-        vals, in_domain, np.full(vals.shape[0], base), s, dini_tol
-    )
-    return [
-        DiniEstimate(scale * float(v), float(v), tuple(tr[u]), bool(c), int(k), not u.any())
-        for v, c, tr, u, k in zip(value, converged, trace, used, n_in)
-    ]
-
-
 def lower_dini_along(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -141,8 +123,5 @@ def lower_dini_along(
     base = float(f(x[None, :])[0])
     if np.isnan(base):
         raise ValueError("f undefined at the base point")
-    vals = f(probes)
-    est = _estimates(base, vals[None, :], in_domain[None, :], s, schedule.dini_tol, norm)[0]
-    if est.n_probes == 0:
-        raise DiniDomainError("direction leaves domain")
-    return est
+    est = _estimate_one(base, f(probes), in_domain, s, schedule.dini_tol)
+    return replace(est, value=norm * est.unit_value)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dinicvx
@@ -331,6 +332,13 @@ class TestHostileInput:
             ["classify", "--function=t^2", "--domain=[-1e308,1e308]"], capsys)
         assert "infinite width" in message
 
+    def test_margin_below_an_ulp_of_an_open_end(self, capsys):
+        # 3e10 + 1e-6 rounds to 3e10, so the grid would start on the open end
+        message = self.assert_config_error(
+            ["classify", "--function", "t", "--domain", "(3e10,30000000001)", "--grid", "9"],
+            capsys)
+        assert "rounds onto an open end" in message
+
     def test_unwritable_csv_path(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         message = self.assert_config_error(
@@ -360,6 +368,21 @@ class TestCanonicalJson:
     def test_seventeen_digit_floats(self):
         assert canonical_json(0.1).strip() == "0.10000000000000001"
         assert canonical_json(1.0).strip() == "1"
+
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, -0.1,
+        np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0), np.float64(0.1),
+    ], ids=repr)
+    def test_float_bytes_as_with_numpy_checks(self, x):
+        def numpy_f17(x):  # the form that called np.isnan and np.isinf
+            if np.isnan(x):
+                return '"nan"'
+            if np.isinf(x):
+                return '"inf"' if x > 0 else '"-inf"'
+            return format(float(x), ".17g")
+
+        assert cli._f17(x) == numpy_f17(x)
+        assert canonical_json(x) == numpy_f17(x) + "\n"
 
     def test_stable_ordering_nested(self):
         a = canonical_json({"z": [1.5, {"b": 2, "a": 1}], "y": True})

@@ -56,6 +56,7 @@ _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
 
 @st.composite
 def probe_blocks(draw):
+    """A (steps x rows) block, the kernel's layout: column r is row r."""
     steps = draw(st.integers(2, 12))
     t0 = draw(st.sampled_from([1e-2, 0.5]))
     ratio = draw(st.sampled_from([0.5, 0.6, 0.9]))
@@ -63,20 +64,20 @@ def probe_blocks(draw):
     n_rows = draw(st.integers(1, 6))
     base = np.asarray(draw(st.lists(st.floats(-10, 10), min_size=n_rows, max_size=n_rows)))
     in_domain = np.asarray(draw(st.lists(
-        st.lists(st.booleans(), min_size=steps, max_size=steps),
-        min_size=n_rows, max_size=n_rows,
+        st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
+        min_size=steps, max_size=steps,
     )))
-    vals = np.empty((n_rows, steps))
+    vals = np.empty((steps, n_rows))
     for r in range(n_rows):
         kind = draw(st.sampled_from(["smooth", "arbitrary"]))
         if kind == "smooth":
             a = draw(st.floats(-5, 5))
             b = draw(st.floats(-5, 5))
-            vals[r] = base[r] + a * s + b * s * s
+            vals[:, r] = base[r] + a * s + b * s * s
         else:
-            vals[r] = draw(st.lists(st.floats(-1e3, 1e3), min_size=steps, max_size=steps))
+            vals[:, r] = draw(st.lists(st.floats(-1e3, 1e3), min_size=steps, max_size=steps))
         for k in draw(st.lists(st.integers(0, steps - 1), max_size=steps)):
-            vals[r, k] = draw(_SPECIAL)
+            vals[k, r] = draw(_SPECIAL)
     dini_tol = draw(st.sampled_from([1e-7, 1e-3, 1.0]))
     return vals, in_domain, base, s, dini_tol
 
@@ -92,16 +93,16 @@ def probed_rows(vals, in_domain, base, s, dini_tol):
 def assert_rows_match_reference(block, rows):
     vals, in_domain, base, s, dini_tol = block
     value, converged, trace, used, n_in = rows
-    for r in range(vals.shape[0]):
-        ref = reference_row(float(base[r]), vals[r], in_domain[r], s, dini_tol)
+    for r in range(vals.shape[1]):
+        ref = reference_row(float(base[r]), vals[:, r], in_domain[:, r], s, dini_tol)
         if ref is None:
             assert n_in[r] == 0
             continue
         assert n_in[r] == ref.n_probes
         assert bits(value[r]) == bits(ref.unit_value)
         assert bool(converged[r]) == ref.converged
-        assert trace_bits(trace[r][used[r]]) == trace_bits(ref.tail_min_trace)
-        assert (not used[r].any()) == ref.all_undefined
+        assert trace_bits(trace[:, r][used[:, r]]) == trace_bits(ref.tail_min_trace)
+        assert (not used[:, r].any()) == ref.all_undefined
 
 
 # The reference subtracts infinite trace entries without silencing numpy.
@@ -127,7 +128,7 @@ class TestKernelMatchesReference:
         # keep[r] of its steps (a ray from an inner point leaves a box
         # once, so its in-box probes are always the smallest steps)
         vals, _, base, s, dini_tol = block
-        rows, steps = vals.shape
+        steps, rows = vals.shape
         schedule = DiniSchedule(float(s[0]), float(s[1] / s[0]), steps, dini_tol)
         s = schedule.step_sizes()
         scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=rows, max_size=rows))
@@ -143,13 +144,13 @@ class TestKernelMatchesReference:
             if not pts.any():
                 return np.full(len(pts), base[0])
             r = np.argmax(pts, axis=1)
-            return vals[r, np.searchsorted(-s, -pts.max(axis=1))]
+            return vals[np.searchsorted(-s, -pts.max(axis=1)), r]
 
         ests = lower_dini_along(f, np.zeros(rows), dirs, box, schedule)
         for r, est in enumerate(ests):
             in_domain = box[r].contains_many(s)
             assert in_domain.sum() == keep[r]
-            ref = reference_row(float(base[0]), vals[r], in_domain, s, dini_tol)
+            ref = reference_row(float(base[0]), vals[:, r], in_domain, s, dini_tol)
             if ref is None:
                 assert (est.n_probes, est.tail_min_trace) == (0, ())
                 continue
@@ -210,11 +211,13 @@ class TestGridProfileMatchesReference:
             ref = reference_profile(phi, dom, schedule)
             assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 64])
-    def test_block_size_does_not_change_the_profile(self, monkeypatch, block_rows):
-        dom = make_grid(parse_interval("[-1,1]"), 257)
+    # every grid leaves a ragged last block: 257 = 4 * 64 + 1, 2500 = 2 * 1024 + 452
+    @pytest.mark.parametrize("block_rows,n", [(1, 257), (7, 257), (64, 257), (1024, 2500)])
+    def test_block_size_does_not_change_the_profile(self, monkeypatch, block_rows, n):
+        dom = make_grid(parse_interval("[-1,1]"), n)
         for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "max(0, abs(t) - 0.5)"):
             phi = phi_of(source)
+            monkeypatch.setattr(dini, "_BLOCK_ROWS", n)
             whole = grid_dini_profile(phi, dom, phi(dom.points))
             monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
             split = grid_dini_profile(phi, dom, phi(dom.points))
@@ -260,7 +263,7 @@ EDGE_DOMAINS = [("abs(t) - 0.3*t", d) for d in ("[-1,1]", "(-1,1)", "[0,1)", "(0
 ]
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 1024])
 class TestProbedProfileRows:
     """Rows where only the trailing probe columns are not enough, or where
     the in-domain probes are few, against the per-point reference."""
@@ -292,14 +295,25 @@ class TestProbedProfileRows:
         # lo + margin rounds to lo, so the first grid point lies outside the
         # domain; going right, its steps below half an ulp of lo stay on lo,
         # so its in-domain probes are the leading 28 of 40, and its window
-        # starts left of the trailing columns
+        # starts left of the trailing steps.  make_grid refuses such a grid,
+        # so it is built by hand from the points make_grid used to give.
         monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
-        dom = make_grid(parse_interval("(1e8,100000001)"), 9, margin=1e-9)
+        iv = parse_interval("(1e8,100000001)")
+        dom = SampledDomain(iv, np.linspace(iv.lo + 1e-9, iv.hi - 1e-9, 9), 1e-9)
         assert not dom.interval.contains(dom.points[0])
         phi = phi_of("0 - (t - 1e8)^2")
         ref = reference_profile(phi, dom, DiniSchedule())
         assert ref["plus"][2][0]
+        whole_rows = []  # one flag per kernel call: called without ``skipped``
+        kernel = dini._dini_rows
+
+        def counting(*args):
+            whole_rows.append(len(args) == 5)
+            return kernel(*args)
+
+        monkeypatch.setattr(dini, "_dini_rows", counting)
         assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points)), ref)
+        assert any(whole_rows)  # the rerun on whole rows was reached
 
 
 def test_interior_grid_probes_only_the_trailing_half():

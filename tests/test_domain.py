@@ -100,6 +100,23 @@ class TestMakeGrid:
             with pytest.raises(ValueError, match="infinite width"):
                 make_grid(parse_interval(domain), 10)
 
+    # the margin is below half an ulp of an open end, so lo + margin or
+    # hi - margin rounds back onto that end
+    @pytest.mark.parametrize("domain,margin", [
+        ("(3e10,30000000001)", 1e-6), ("(3e10,30000000001]", 1e-6),
+        ("[3e10,30000000001)", 1e-6), ("(1e8,100000001)", 1e-9),
+    ])
+    def test_rejects_a_margin_that_rounds_onto_an_open_end(self, domain, margin):
+        with pytest.raises(ValueError, match="rounds onto an open end"):
+            make_grid(parse_interval(domain), 9, margin)
+
+    def test_margin_of_one_ulp_is_enough(self):
+        iv = parse_interval("(3e10,30000000001)")
+        ulp = float(np.spacing(3e10))
+        g = make_grid(iv, 9, ulp)
+        assert g.points[0] == 3e10 + ulp
+        assert iv.contains_many(g.points).all()
+
     @given(st.integers(2, 400), st.booleans(), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_grid_sorted_and_inside(self, n, lo_c, hi_c):

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinicvx import ExpressionError, eval_many, evaluate, parse, to_source
+from dinicvx.expr import BinOp, Call, FunctionAst, Guard, Neg, Num, Piecewise, Var
+
+from expr_reference import eval_many_reference
 
 
 def ev(src, x, arity=1):
@@ -177,3 +180,95 @@ class TestRoundTrip:
         a = eval_many(fn, np.asarray([x]))[0]
         b = eval_many(again, np.asarray([x]))[0]
         assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+# ---------------------------------------------------------------------------
+# eval_many against the evaluator it replaced, bit for bit
+
+
+# Constants are what the parser makes: finite non-negative floats and the
+# overflowing literal inf.
+_NUMS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 0.3, 1e-300, 1e300, math.inf])
+# 7.148085531751388 and -8.750837745039075 square differently under
+# np.power with an array exponent than as x*x (numpy's SIMD power).
+_POINTS = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, 1e308, -5e-324,
+                     7.148085531751388, -8.750837745039075]),
+)
+
+
+def trees(arity: int):
+    leaves = st.one_of(_NUMS.map(Num),
+                       st.integers(0, arity - 1).map(lambda i: Var(i, f"x{i + 1}")))
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(lambda name, a: Call(name, (a,)),
+                      st.sampled_from(["abs", "exp", "log", "sqrt", "sin", "cos"]), sub),
+            st.builds(lambda name, args: Call(name, tuple(args)),
+                      st.sampled_from(["min", "max"]), st.lists(sub, min_size=2, max_size=3)),
+            st.builds(lambda branches, otherwise: Piecewise(tuple(branches), otherwise),
+                      st.lists(st.tuples(st.builds(Guard, sub,
+                                                   st.sampled_from(["<", "<=", ">", ">="]),
+                                                   sub), sub),
+                               min_size=1, max_size=2),
+                      sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_TREES = {arity: trees(arity) for arity in (1, 2)}
+
+
+@st.composite
+def evaluations(draw):
+    arity = draw(st.integers(1, 2))
+    root = draw(_TREES[arity])
+    m = draw(st.integers(1, 40))
+    stride = draw(st.integers(1, 3))
+    flat = np.asarray(draw(st.lists(_POINTS, min_size=m * arity * stride,
+                                    max_size=m * arity * stride)))
+    if arity == 1:
+        pts = flat[::stride]
+    else:
+        # rows of stride * arity values, of which every stride-th is read
+        pts = flat.reshape(m, arity * stride)[:, ::stride]
+    return FunctionAst(root, arity, ""), pts
+
+
+def int_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestMatchesReferenceEvaluator:
+    @given(evaluations())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_and_input_untouched(self, case):
+        fn, pts = case
+        before = pts.copy()
+        out = eval_many(fn, pts)
+        np.testing.assert_array_equal(int_bits(out), int_bits(eval_many_reference(fn, pts)))
+        np.testing.assert_array_equal(int_bits(pts), int_bits(before))
+        assert not np.shares_memory(out, pts)
+
+    def test_square_keeps_the_array_exponent_power(self):
+        xs = np.append(np.random.default_rng(0).uniform(-10, 10, 4096),
+                       [7.148085531751388, -8.750837745039075])
+        want = np.power(xs, np.full_like(xs, 2.0))
+        np.testing.assert_array_equal(int_bits(eval_many(parse("t^2"), xs)), int_bits(want))
+        if not (want != xs * xs).any():
+            pytest.skip("numpy's power rounds as x*x does here; the sample tells nothing apart")
+
+    def test_a_bare_variable_is_a_copy(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        out = eval_many(parse("t"), x)
+        assert out is not x and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, x)
+        pts = np.arange(6.0).reshape(3, 2)
+        out = eval_many(parse("x2", 2), pts)
+        assert not np.shares_memory(out, pts)
+        np.testing.assert_array_equal(out, pts[:, 1])
