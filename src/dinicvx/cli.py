@@ -180,8 +180,8 @@ def _estimate_json(est: DiniEstimate) -> dict:
     }
 
 
-def _witness_json(w: Witness, phi=None, feasible: Interval | None = None,
-                  schedule: DiniSchedule | None = None) -> dict:
+def _witness_json(w: Witness, dini_at=None) -> dict:
+    """``dini_at(t)`` maps a point to its one-sided estimates, by label."""
     d = {
         "kind": w.kind,
         "points": list(w.points),
@@ -190,27 +190,22 @@ def _witness_json(w: Witness, phi=None, feasible: Interval | None = None,
     }
     if w.estimate is not None:
         d["dini"] = _estimate_json(w.estimate)
-    elif phi is not None and feasible is not None and len(w.points) >= 1:
-        try:
-            found = is_stationary(phi, float(w.points[0]), feasible, schedule).estimates
-        except ValueError:
-            found = {}
+    elif dini_at is not None and len(w.points) >= 1:
+        found = dini_at(float(w.points[0]))
         if found:
             d["dini"] = {("plus" if label == "+1" else "minus"): _estimate_json(est)
                          for label, est in found.items()}
     return d
 
 
-def _verdict_json(v: Verdict, phi=None, feasible=None, schedule=None) -> dict:
+def _verdict_json(v: Verdict, dini_at=None) -> dict:
     return {
         "outcome": v.outcome,
         "method": v.method,
         "tol": v.tol,
         "stat_tol": v.stat_tol,
         "notes": v.notes,
-        "witnesses": [
-            _witness_json(w, phi, feasible, schedule) for w in v.witnesses
-        ],
+        "witnesses": [_witness_json(w, dini_at) for w in v.witnesses],
     }
 
 
@@ -323,6 +318,17 @@ def _cmd_classify(cfg: RunConfig) -> int:
         p = SampledProblem(lambda ts: eval_many(fn, ts),
                            make_grid(interval, cfg.grid, cfg.margin),
                            cfg.schedule, cfg.tol, cfg.stat_tol)
+
+        # a witness that carries no estimate gets one at its first point, a
+        # grid point (so never both 0.0 and -0.0); the checks report many of
+        # the same points, so each is estimated once
+        @functools.cache
+        def dini_at(t: float) -> dict[str, DiniEstimate]:
+            try:
+                return is_stationary(p.phi, t, interval, cfg.schedule).estimates
+            except ValueError:
+                return {}
+
         for check in cfg.checks:
             methods = _run_methods(check, want_def, want_struct, p)
             outcomes = [v.outcome for v in methods.values()]
@@ -334,8 +340,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
                 inconclusive = True
             checks_out[check] = {
                 "methods": {
-                    name: _verdict_json(v, p.phi, interval, cfg.schedule)
-                    for name, v in methods.items()
+                    name: _verdict_json(v, dini_at) for name, v in methods.items()
                 },
                 "agree": agree,
                 "outcome": _merge_outcomes(outcomes),

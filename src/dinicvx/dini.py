@@ -15,6 +15,18 @@ point along a block of directions, one kernel row each.  :func:`lower_dini`
 (one direction) and :func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
 points.
+
+A block is dense when it has at least 2 steps, every probe in it is in the
+domain and defined, and each row skipped exactly ``n_in // 2`` in-domain
+probes, so that every row's window is the whole block.  Such a block takes
+:func:`_dense_rows`, which runs the same float operations without building
+any mask.  Every other block keeps the masked path: near an end of the
+domain the windows differ from row to row, and undefined probes can empty a
+window and force the fallback.  Interior points are dense: the interior
+blocks of a fine grid (all but 3 of 34 at 16385 points), and
+:func:`lower_dini_along` from a point farther than the largest step from
+the box's faces.  A grid of 257 points is one block per direction, which
+holds an end of the domain, so it stays masked.
 """
 
 from __future__ import annotations
@@ -146,8 +158,18 @@ def _dini_rows(
     ones included.  A row that uses no probe has value +inf, is converged
     and has an empty trace.  ``trace`` and ``used`` start at the first step
     any row uses.
+
+    A dense block, of at least 2 steps, all in the domain and defined, with
+    ``skipped == n_in // 2`` on every row, has the whole block as every
+    window and goes to :func:`_dense_rows`.  Other blocks need the masks:
+    their windows can start at different steps, and an undefined probe can
+    empty a window.  Interior blocks of fine grids and interior points of
+    :func:`lower_dini_along` are dense; grids of 257 points are masked.
     """
     n_in = in_domain.sum(axis=0) + skipped
+    if (s.shape[0] >= 2 and in_domain.all() and (skipped == n_in // 2).all()
+            and not np.isnan(vals).any()):
+        return _dense_rows(vals, base, s, dini_tol, n_in)
     defined = in_domain & ~np.isnan(vals)
     used = defined & (_accumulate(np.add, in_domain.astype(np.intp)) > n_in // 2 - skipped)
     used[:, skipped > n_in // 2] = False
@@ -181,6 +203,34 @@ def _dini_rows(
     value[up] = _INF
     value[down] = -_INF
     return value, converged | up | down, trace, used, n_in
+
+
+def _dense_rows(
+    vals: np.ndarray,
+    base: np.ndarray,
+    s: np.ndarray,
+    dini_tol: float,
+    n_in: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_dini_rows` on a dense block, where every row uses every step.
+
+    Each mask of the general rule is then all true: ``used`` everywhere,
+    ``two`` on every row, and ``last`` the final step.  So the same float
+    operations run on the unmasked arrays, and every result is bit for bit
+    what the masked path gives.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diffs = vals - base
+        quots = diffs / s[:, None]
+        q_max = quots.max(axis=0)
+        trace = _accumulate(np.minimum, quots)
+        value = trace[-1].copy()
+        converged = np.abs(value - trace[-2]) <= dini_tol
+        up = (value > 0) & (diffs.min(axis=0) >= _JUMP_FACTOR * value * s[-1])
+        down = (q_max < 0) & (diffs.max(axis=0) <= _JUMP_FACTOR * q_max * s[-1])
+    value[up] = _INF
+    value[down] = -_INF
+    return value, converged | up | down, trace, np.ones(vals.shape, dtype=bool), n_in
 
 
 def _probe_rows(

@@ -378,6 +378,10 @@ class _Parser:
         while True:
             nxt = self._peek()
             if nxt is not None and nxt.kind == "name" and nxt.text == "else":
+                if not branches:
+                    raise ExpressionError(
+                        "piecewise requires a guarded branch before else", tok.pos
+                    )
                 self._next()
                 self._expect("colon")
                 otherwise = self.expr()

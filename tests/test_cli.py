@@ -19,6 +19,8 @@ from dinicvx.cli import (
     main,
 )
 
+from conftest import phi_of
+
 CUBE = ["classify", "--function", "t^3", "--domain", "[-1,1]"]
 # sub-tolerance creep: individual rises stay under 1e-6 while the total
 # drop past t=0.9 is large enough for the definitional scan to notice
@@ -114,6 +116,32 @@ class TestClassifyReport:
                     got = w["dini"][label]["unit_value"]
                     assert got == pytest.approx(sign * (3 * t * t - 1), abs=1e-4)
         assert sides >= 3
+
+    def test_each_witness_point_estimated_once(self, monkeypatch, capsys):
+        # the definitional and structural sides of the four checks report
+        # the same grid points, and the ends (-1 has no minus side) among them
+        argv = ["classify", "--function", "t^3 - t", "--domain", "[-1,1]", "--grid", "33"]
+        calls = []
+
+        def counting(phi, t, *args):
+            calls.append(t)
+            return dinicvx.is_stationary(phi, t, *args)
+
+        monkeypatch.setattr(cli, "is_stationary", counting)
+        _, out, _ = run(argv, capsys)
+        monkeypatch.undo()
+        wits = [w for block in json.loads(out)["checks"].values()
+                for verdict in block["methods"].values() for w in verdict["witnesses"]]
+        points = {w["points"][0] for w in wits}
+        assert len(wits) > len(points) > 1
+        assert sorted(calls) == sorted(points)
+        phi = phi_of(argv[2])
+        for w in wits:
+            fresh = dinicvx.is_stationary(phi, w["points"][0], dinicvx.parse_interval(argv[4]),
+                                          dinicvx.DiniSchedule())
+            expected = {("plus" if label == "+1" else "minus"): cli._estimate_json(est)
+                        for label, est in fresh.estimates.items()}
+            assert canonical_json(w["dini"]) == canonical_json(expected)
 
     def test_method_definitional_only(self, capsys):
         _, out, _ = run(CUBE + ["--method", "definitional"], capsys)
@@ -338,6 +366,11 @@ class TestHostileInput:
             ["classify", "--function", "t", "--domain", "(3e10,30000000001)", "--grid", "9"],
             capsys)
         assert "rounds onto an open end" in message
+
+    def test_piecewise_without_a_guarded_branch(self, capsys):
+        message = self.assert_config_error(
+            ["classify", "--function", "piecewise(else: t)", "--domain", "[0,1]"], capsys)
+        assert "(at offset 0)" in message
 
     def test_unwritable_csv_path(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"

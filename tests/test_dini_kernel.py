@@ -6,10 +6,11 @@ flags and traces must agree exactly, NaN and signed zeros included.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinicvx import (
@@ -314,6 +315,147 @@ class TestProbedProfileRows:
         monkeypatch.setattr(dini, "_dini_rows", counting)
         assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points)), ref)
         assert any(whole_rows)  # the rerun on whole rows was reached
+
+
+def kernel(*args):
+    """``_dini_rows(*args)`` and whether it took the dense path."""
+    with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+        rows = dini._dini_rows(*args)
+    return rows, dense.called
+
+
+def sliced(block):
+    """The kernel call ``_probe_rows`` makes first on a whole-row block:
+    its trailing steps, with the in-domain probes of the others skipped."""
+    vals, in_domain, base, s, dini_tol = block
+    cut = s.shape[0] // 2
+    return vals[cut:], in_domain[cut:], base, s[cut:], dini_tol, in_domain[:cut].sum(axis=0)
+
+
+# Dense rows may hold anything but NaN: infinities, both zeros, the base.
+_DENSE_SPECIAL = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, "base"])
+
+
+@st.composite
+def dense_blocks(draw):
+    """Whole-row blocks whose sliced call is dense: 2 to 12 trailing steps,
+    every probe there defined, and each row's window exactly those steps.
+    A row may drop its largest step from the domain when the schedule
+    length is even, which keeps ``skipped == n_in // 2``.  The leading
+    probes are NaN, as ``_probe_rows`` never evaluates them."""
+    tail = draw(st.integers(2, 12))
+    cut = draw(st.sampled_from([tail - 1, tail]))
+    steps = cut + tail
+    s = draw(st.sampled_from([1e-2, 0.5])) * draw(st.sampled_from([0.5, 0.6, 0.9])) ** np.arange(steps)
+    n_rows = draw(st.integers(1, 4))
+    base = np.asarray(draw(st.lists(
+        st.floats(-10, 10) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+        min_size=n_rows, max_size=n_rows)))
+    in_domain = np.ones((steps, n_rows), dtype=bool)
+    vals = np.full((steps, n_rows), np.nan)
+    for r in range(n_rows):
+        if cut == tail:
+            in_domain[0, r] = draw(st.booleans())
+        # smooth rows about an infinite or NaN base start from 0 instead
+        anchor = base[r] if math.isfinite(base[r]) else 0.0
+        if draw(st.booleans()):
+            a, b = draw(st.floats(-5, 5)), draw(st.floats(-5, 5))
+            vals[cut:, r] = anchor + a * s[cut:] + b * s[cut:] ** 2
+        else:
+            vals[cut:, r] = draw(st.lists(st.floats(-1e3, 1e3), min_size=tail, max_size=tail))
+        for k, v in draw(st.lists(st.tuples(st.integers(cut, steps - 1), _DENSE_SPECIAL),
+                                  max_size=3)):
+            if v == "base":
+                v = anchor if math.isnan(base[r]) else base[r]
+            vals[k, r] = v
+    dini_tol = draw(st.sampled_from([1e-7, 1e-3, 1.0]))
+    return vals, in_domain, base, s, dini_tol
+
+
+def interior_block(n=16385, a=5120, sign=1.0, schedule=DiniSchedule()):
+    """The whole-row block of the 64 points from ``a`` on of an n-point grid
+    on [-1, 1], probing toward ``sign``, as grid_dini_profile builds it."""
+    dom = make_grid(parse_interval("[-1,1]"), n)
+    pts = dom.points[a:a + 64]
+    s = schedule.step_sizes()
+    probes = pts[None, :] + sign * s[:, None]
+    phi = phi_of("exp(t) - 2*t^2 + abs(t - 0.3)")
+    return (phi(probes.reshape(-1)).reshape(probes.shape),
+            dom.interval.contains_many(probes), phi(pts), s, schedule.dini_tol)
+
+
+def column(block, r):
+    vals, in_domain, base = block[:3]
+    return (vals[:, r:r + 1], in_domain[:, r:r + 1], base[r:r + 1]) + block[3:]
+
+
+def set_entry(block, name, index, value):
+    vals, in_domain = block[0].copy(), block[1].copy()
+    {"vals": vals, "in_domain": in_domain}[name][index] = value
+    return (vals, in_domain) + block[2:]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestDensePath:
+    @given(dense_blocks())
+    @settings(max_examples=150, deadline=None)
+    # the last step moves the minimum by exactly dini_tol: 2.0 -> 1.0
+    @example((np.asarray([[np.nan], [np.nan], [0.5], [0.125]]), np.ones((4, 1), dtype=bool),
+              np.zeros(1), 0.5 ** np.arange(4), 1.0))
+    # jumps up and down: differences of +-1 over steps that shrink 32-fold
+    @example((np.vstack([np.full((6, 2), np.nan), np.tile([1.0, -1.0], (6, 1))]),
+              np.ones((12, 2), dtype=bool), np.zeros(2), 0.5 ** np.arange(12), 1e-7))
+    def test_dense_blocks_bit_identical(self, block):
+        rows, dense = kernel(*sliced(block))
+        assert dense
+        assert_rows_match_reference(block, rows)
+
+    # one case per side of the selection, each against the reference
+    @pytest.mark.parametrize("make,dense", [
+        (lambda: interior_block(), True),
+        (lambda: interior_block(a=0, sign=-1.0), False),  # holds the end row -1
+        (lambda: set_entry(interior_block(), "vals", (-1, 7), np.nan), False),
+        (lambda: set_entry(interior_block(), "in_domain", (-1, 7), False), False),
+        # two leading probes out: skipped 18, n_in // 2 == 19
+        (lambda: set_entry(interior_block(), "in_domain", (slice(0, 2), 7), False), False),
+        # one leading probe out: skipped 19 == 39 // 2, still dense
+        (lambda: set_entry(interior_block(), "in_domain", (0, 7), False), True),
+        (lambda: column(interior_block(), 7), True),
+        (lambda: interior_block(schedule=DiniSchedule(steps=2)), False),  # one step
+    ], ids=["interior", "end-row", "nan-probe", "out-of-domain-probe",
+            "skipped-not-half", "one-leading-probe-out", "one-column", "one-step"])
+    def test_selection(self, make, dense):
+        # through _probe_rows, which reruns on whole rows what its sliced
+        # call leaves; only that sliced call can be dense
+        block = make()
+        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as took:
+            rows = probed_rows(*block)
+        assert took.call_count == dense
+        assert_rows_match_reference(block, rows)
+
+    def test_unsliced_call_is_masked(self):
+        block = interior_block()
+        rows, took = kernel(*block)
+        assert not took
+        assert_rows_match_reference(block, rows)
+
+    def test_rows_skipping_past_their_window_are_masked(self):
+        # left using no probe, for the caller to rerun on whole rows
+        vals, in_domain, base, s, dini_tol, skipped = sliced(interior_block())
+        (value, _, _, used, _), took = kernel(vals, in_domain, base, s, dini_tol, skipped + 2)
+        assert not took
+        assert not used.any() and np.isinf(value).all()
+
+    # only the blocks within the largest step of the end a direction probes
+    # toward are masked: 3 of 34 at 16385 points; a 257-point grid is one
+    # block per direction, holding both ends
+    @pytest.mark.parametrize("n,dense_calls", [(16385, 31), (257, 0)])
+    def test_dense_blocks_of_a_grid_profile(self, n, dense_calls):
+        dom = make_grid(parse_interval("[-1,1]"), n)
+        phi = phi_of("exp(t) - 2*t^2")
+        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+            grid_dini_profile(phi, dom, phi(dom.points))
+        assert dense.call_count == dense_calls
 
 
 def test_interior_grid_probes_only_the_trailing_half():

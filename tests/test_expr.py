@@ -137,6 +137,11 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse("piecewise(t < 0: 1)", 1)
 
+    def test_piecewise_requires_a_guarded_branch(self):
+        with pytest.raises(ExpressionError) as ei:
+            parse("1 + piecewise(else: t)", 1)
+        assert ei.value.position == 4
+
     def test_empty_source(self):
         with pytest.raises(ExpressionError):
             parse("", 1)
