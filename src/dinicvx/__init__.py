@@ -46,13 +46,10 @@ from .domain import (
     restrict,
 )
 from .expr import (
-    EvalResult,
     ExpressionError,
     FunctionAst,
     eval_many,
-    evaluate,
     parse,
-    to_source,
 )
 from .oracle import (
     SampledProblem,
@@ -89,7 +86,6 @@ __all__ = [
     "DiniDomainError",
     "DiniEstimate",
     "DiniSchedule",
-    "EvalResult",
     "ExpressionError",
     "FunctionAst",
     "GridDiniProfile",
@@ -112,7 +108,6 @@ __all__ = [
     "check_t7",
     "decompose",
     "eval_many",
-    "evaluate",
     "golden_battery",
     "grid_dini_profile",
     "is_stationary",
@@ -135,7 +130,6 @@ __all__ = [
     "semistrictly_quasiconvex_def",
     "strictly_pseudoconvex_char",
     "strictly_pseudoconvex_def",
-    "to_source",
     "write_manifest",
     "__version__",
 ]

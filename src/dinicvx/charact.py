@@ -130,9 +130,7 @@ def _stationarity_scan(
     minus_desc, plus_desc = profile.descent(p.stat_tol)
     still = ~(minus_desc | plus_desc)
     still[dec.i_hat[0] : dec.i_hat[1]] = False
-    unconv = (profile.minus_feasible & ~profile.minus_converged) | (
-        profile.plus_feasible & ~profile.plus_converged
-    )
+    unconv = np.logical_or(*profile.unconverged())
     violations = [
         _witness(p, "stationary_outside_min", (i,), (
             "grid point outside the minimum band with no descending "

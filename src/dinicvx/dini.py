@@ -394,6 +394,11 @@ class GridDiniProfile:
             p = self.plus_feasible & (self.plus_value < -stat_tol)
         return m, p
 
+    def unconverged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (minus, plus) arrays: direction feasible, estimate unconverged."""
+        return (self.minus_feasible & ~self.minus_converged,
+                self.plus_feasible & ~self.plus_converged)
+
     def stationary_mask(self, stat_tol: float) -> np.ndarray:
         m, p = self.descent(stat_tol)
         return ~(m | p)

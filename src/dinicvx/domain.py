@@ -126,13 +126,13 @@ def parse_interval(text: str) -> Interval:
 class SampledDomain:
     """A bounded interval with a uniform evaluation grid over it.
 
-    ``points`` is increasing, includes every closed endpoint exactly, and
-    keeps ``endpoint_margin`` distance from every open endpoint.
+    From :func:`make_grid` and :func:`anchored_grid`, ``points`` is
+    increasing, includes every closed endpoint exactly, and stays strictly
+    inside every open endpoint.
     """
 
     interval: Interval
     points: np.ndarray
-    endpoint_margin: float
 
     @property
     def n(self) -> int:
@@ -169,7 +169,7 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
     if not (interval.contains(lo) and interval.contains(hi)):
         raise ValueError(f"margin {margin} rounds onto an open end of {interval}")
     pts = np.linspace(lo, hi, n)
-    return SampledDomain(interval=interval, points=pts, endpoint_margin=margin)
+    return SampledDomain(interval=interval, points=pts)
 
 
 def anchored_grid(
@@ -200,7 +200,7 @@ def anchored_grid(
             inserts.append(a)
     if inserts:
         pts = np.unique(np.concatenate([pts, np.asarray(inserts)]))
-    return SampledDomain(interval=interval, points=pts, endpoint_margin=margin)
+    return SampledDomain(interval=interval, points=pts)
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,6 @@ class LineRestriction:
     y: np.ndarray
     feasible: Interval
     phi: Callable[[np.ndarray], np.ndarray]
-
-    def point_at(self, s: float) -> np.ndarray:
-        return (1.0 - s) * self.x + s * self.y
 
 
 def restrict(

@@ -21,8 +21,7 @@ undefined value is simply false and evaluation falls through to the next
 branch.
 
 The evaluator is vectorized: :func:`eval_many` maps a float64 array of
-points through the function in one pass, encoding undefined as NaN.  The
-scalar wrapper :func:`evaluate` returns an :class:`EvalResult`.  No
+points through the function in one pass, encoding undefined as NaN.  No
 simplification is ever applied to the tree; what you parse is what runs.
 Variables read their input columns uncopied.  A constant is a float to
 ``+ - * /``, comparisons, ``min`` and ``max``, and a full array elsewhere,
@@ -39,12 +38,9 @@ import numpy as np
 
 __all__ = [
     "ExpressionError",
-    "EvalResult",
     "FunctionAst",
     "parse",
-    "evaluate",
     "eval_many",
-    "to_source",
 ]
 
 
@@ -123,36 +119,6 @@ class FunctionAst:
     root: Node
     arity: int
     source: str
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Extended-real result of evaluating a function at one point.
-
-    ``kind`` is one of ``finite``, ``pos_inf``, ``neg_inf``, ``undefined``.
-    ``value`` carries the float encoding (NaN for undefined).
-    """
-
-    kind: str
-    value: float
-
-    @staticmethod
-    def from_float(x: float) -> "EvalResult":
-        if np.isnan(x):
-            return EvalResult("undefined", float("nan"))
-        if np.isposinf(x):
-            return EvalResult("pos_inf", float("inf"))
-        if np.isneginf(x):
-            return EvalResult("neg_inf", float("-inf"))
-        return EvalResult("finite", float(x))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
-    def is_defined(self) -> bool:
-        return self.kind != "undefined"
 
 
 # ---------------------------------------------------------------------------
@@ -520,67 +486,3 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
         cols = [np.ascontiguousarray(pts[:, j]) for j in range(fn.arity)]
     out = _eval(fn.root, cols)
     return out.copy() if any(out is c for c in cols) else out
-
-
-def evaluate(fn: FunctionAst, point: float | np.ndarray) -> EvalResult:
-    """Evaluate ``fn`` at a single point, returning an :class:`EvalResult`."""
-    if fn.arity == 1:
-        vals = eval_many(fn, np.asarray([point], dtype=float))
-    else:
-        vals = eval_many(fn, np.asarray(point, dtype=float).reshape(1, -1))
-    return EvalResult.from_float(float(vals[0]))
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _to_src(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Num):
-        s = _fmt_num(node.value)
-        return s
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _to_src(node.arg, _PREC["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # right associative: give the left child a stricter context
-            ls = _to_src(node.left, prec + 1)
-            rs = _to_src(node.right, prec)
-        else:
-            ls = _to_src(node.left, prec)
-            rs = _to_src(node.right, prec + 1)
-        s = f"{ls} {node.op} {rs}" if node.op in "+-" else f"{ls}{node.op}{rs}"
-        return f"({s})" if parent_prec > prec else s
-    if isinstance(node, Call):
-        args = ", ".join(_to_src(a, 0) for a in node.args)
-        return f"{node.name}({args})"
-    if isinstance(node, Piecewise):
-        parts = []
-        for guard, value in node.branches:
-            g = f"{_to_src(guard.left, 0)} {guard.op} {_to_src(guard.right, 0)}"
-            parts.append(f"{g}: {_to_src(value, 0)}")
-        parts.append(f"else: {_to_src(node.otherwise, 0)}")
-        return f"piecewise({', '.join(parts)})"
-    raise AssertionError(type(node))
-
-
-def to_source(fn: FunctionAst) -> str:
-    """Render the tree back to a parseable string.
-
-    Re-parsing the output yields a tree that evaluates identically; the
-    string may differ from the original source in spacing and parentheses.
-    """
-    return _to_src(fn.root, 0)

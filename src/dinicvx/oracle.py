@@ -120,7 +120,8 @@ class SampledProblem:
     minima with their first minimizers and the Dini profile are each
     computed at most once, when a classifier first reads them, and then
     shared by the definitional oracles, the structural characterizations
-    and the theorem checks.
+    and the theorem checks, which ask for each verdict through
+    :meth:`verdict` and so run each oracle once per problem.
     Only these inputs are shared; every classifier keeps its own decision
     logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
     called, so a rebound module attribute (as a tracer installs) is used.
@@ -185,6 +186,20 @@ class SampledProblem:
     def profile(self) -> GridDiniProfile:
         return grid_dini_profile(self.phi, self.dom, self.values, self.schedule)
 
+    @cached_property
+    def _verdicts(self) -> dict[Callable[[SampledProblem], Verdict], Verdict]:
+        return {}
+
+    def verdict(self, oracle: Callable[[SampledProblem], Verdict]) -> Verdict:
+        """``oracle(self)``, run on the first request and then kept.
+
+        Kept per oracle function object: a caller that passes the oracle as
+        its module binds it now lets a rebound (traced) oracle see that call.
+        """
+        if oracle not in self._verdicts:
+            self._verdicts[oracle] = oracle(self)
+        return self._verdicts[oracle]
+
 
 def _undefined_verdict(p: SampledProblem, method: str) -> Verdict:
     # An unset tol reads 0 here, where the structural side reports the band.
@@ -219,10 +234,7 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     prof = p.profile
     value = np.stack((prof.minus_value, prof.plus_value), axis=1).ravel()
     undecided = (hit & ~np.stack(prof.descent(p.stat_tol), axis=1)).ravel()
-    unconverged = np.stack(
-        (prof.minus_feasible & ~prof.minus_converged, prof.plus_feasible & ~prof.plus_converged),
-        axis=1,
-    ).ravel()
+    unconverged = np.stack(prof.unconverged(), axis=1).ravel()
 
     def pairs(mask: np.ndarray, kind: str, detail: Callable[[int], str]) -> tuple[Witness, ...]:
         # entry k is x = k // 2 toward its side; the first (x, left), (x, right) win

@@ -99,15 +99,15 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     Vacuous when the premise fails; requires the function to be declared
     lower semicontinuous by the caller (battery metadata).
     """
-    premise = pseudoconvex_def(p)
+    premise = p.verdict(pseudoconvex_def)
     if premise.outcome == "inconclusive":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; vacuous")
-    ssq = semistrictly_quasiconvex_def(p)
-    qc = quasiconvex_def(p)
+    ssq = p.verdict(semistrictly_quasiconvex_def)
+    qc = p.verdict(quasiconvex_def)
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
         return _report_fail("T3", function_id, (premise,), (ssq, qc),
@@ -121,8 +121,8 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
 
     Only meaningful for radially continuous functions (battery metadata).
     """
-    lhs = pseudoconvex_def(p)
-    qc = quasiconvex_def(p)
+    lhs = p.verdict(pseudoconvex_def)
+    qc = p.verdict(quasiconvex_def)
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
@@ -132,10 +132,7 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     )
     above_min = vals > float(np.min(vals)) + p.band
     offenders = np.flatnonzero(stationary & above_min)
-    unconverged = stationary & ~(
-        (~profile.minus_feasible | profile.minus_converged)
-        & (~profile.plus_feasible | profile.plus_converged)
-    )
+    unconverged = stationary & np.logical_or(*profile.unconverged())
     if unconverged.any():
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True,
@@ -165,14 +162,14 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     because a smooth minimum halfway between grid points produces one
     coincidental tie without any genuine constancy.
     """
-    premise = pseudoconvex_def(p)
+    premise = p.verdict(pseudoconvex_def)
     if premise.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; skipped")
-    strict = strictly_pseudoconvex_def(p)
+    strict = p.verdict(strictly_pseudoconvex_def)
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
@@ -469,7 +466,7 @@ def run_battery(
             )
             if entry.expected is not None:
                 for name, want in entry.expected.items():
-                    got = label_checks[name](p).outcome
+                    got = p.verdict(label_checks[name]).outcome
                     want_s = "holds" if want else "fails"
                     if got == "inconclusive":
                         cases.append(CaseLine("label", entry.id, "inconclusive", name))

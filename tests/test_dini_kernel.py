@@ -242,7 +242,7 @@ def edge_grid(domain, schedule):
         pts = np.append(pts, iv.lo)
     if iv.hi_closed:
         pts = np.append(pts, iv.hi)
-    return SampledDomain(iv, np.unique(pts[iv.contains_many(pts)]), 1e-6)
+    return SampledDomain(iv, np.unique(pts[iv.contains_many(pts)]))
 
 
 # Rows whose window holds no defined value fall back on the other defined
@@ -274,7 +274,7 @@ class TestProbedProfileRows:
     def test_fallback_rows(self, monkeypatch, block_rows, source, domain, points):
         monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
         phi = phi_of(source)
-        dom = SampledDomain(parse_interval(domain), np.asarray(points), 1e-6)
+        dom = SampledDomain(parse_interval(domain), np.asarray(points))
         for schedule in SCHEDULES:
             ref = reference_profile(phi, dom, schedule)
             assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
@@ -300,7 +300,7 @@ class TestProbedProfileRows:
         # so it is built by hand from the points make_grid used to give.
         monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
         iv = parse_interval("(1e8,100000001)")
-        dom = SampledDomain(iv, np.linspace(iv.lo + 1e-9, iv.hi - 1e-9, 9), 1e-9)
+        dom = SampledDomain(iv, np.linspace(iv.lo + 1e-9, iv.hi - 1e-9, 9))
         assert not dom.interval.contains(dom.points[0])
         phi = phi_of("0 - (t - 1e8)^2")
         ref = reference_profile(phi, dom, DiniSchedule())
@@ -460,7 +460,7 @@ class TestDensePath:
 
 def test_interior_grid_probes_only_the_trailing_half():
     schedule = DiniSchedule()
-    dom = SampledDomain(parse_interval("[-1,1]"), np.linspace(-0.5, 0.5, 101), 1e-6)
+    dom = SampledDomain(parse_interval("[-1,1]"), np.linspace(-0.5, 0.5, 101))
     phi = phi_of("abs(t) - 0.3*t")
     sizes = []
 

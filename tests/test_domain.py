@@ -181,12 +181,6 @@ class TestRestrict:
         r = restrict(f, np.asarray([0.0, 0.0]), np.asarray([0.5, 0.5]), box)
         assert not r.feasible.hi_closed  # binding face is open
 
-    def test_point_at(self):
-        f = phi_of("x1", 2)
-        box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([0.0, -1.0]), np.asarray([1.0, 1.0]), box)
-        np.testing.assert_allclose(r.point_at(0.5), [0.5, 0.0])
-
     def test_rejects_equal_points_and_outside(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
@@ -222,6 +216,6 @@ class TestRestrict:
         lo = max(r.feasible.lo, -10.0)
         hi = min(r.feasible.hi, 10.0)
         for s in np.linspace(lo + 1e-9, hi - 1e-9, 17):
-            pt = r.point_at(float(s))
+            pt = (1.0 - s) * x + s * y
             assert all(iv.contains(c) or abs(c) > 1 - 1e-7
                        for iv, c in zip(box, pt))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinicvx import ExpressionError, eval_many, evaluate, parse, to_source
+from dinicvx import ExpressionError, eval_many, parse
 from dinicvx.expr import BinOp, Call, FunctionAst, Guard, Neg, Num, Piecewise, Var
 
 from expr_reference import eval_many_reference
@@ -94,15 +94,8 @@ class TestUndefined:
         assert math.isnan(ev("t^0.5", -1.0))
 
     def test_overflow_is_infinite_not_undefined(self):
-        r = evaluate(parse("exp(t)", 1), 1e6)
-        assert r.kind == "pos_inf"
-        r = evaluate(parse("-exp(t)", 1), 1e6)
-        assert r.kind == "neg_inf"
-
-    def test_evaluate_kinds(self):
-        assert evaluate(parse("t", 1), 2.0).kind == "finite"
-        assert evaluate(parse("log(t)", 1), -1.0).kind == "undefined"
-        assert not evaluate(parse("log(t)", 1), -1.0).is_defined
+        assert ev("exp(t)", 1e6) == math.inf
+        assert ev("-exp(t)", 1e6) == -math.inf
 
 
 class TestErrors:
@@ -149,42 +142,6 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse("t) + 1", 1)
-
-
-class TestRoundTrip:
-    CASES = [
-        "t^2",
-        "-t^2",
-        "abs(t) + 1",
-        "max(0, abs(t) - 1)",
-        "piecewise(t < 0: -t, else: t - 1)",
-        "piecewise(t < -1: -t, t <= 1: -1, else: t - 1)",
-        "min(t^2, (t - 1.5)^2 + 0.3)",
-        "1/(t + 2)",
-        "exp(abs(t))",
-        "2*t - 3*t^2 + 0.5",
-    ]
-
-    @pytest.mark.parametrize("src", CASES)
-    def test_reparse_preserves_semantics(self, src):
-        fn = parse(src, 1)
-        again = parse(to_source(fn), 1)
-        xs = np.linspace(-2.0, 2.0, 41)
-        a = eval_many(fn, xs)
-        b = eval_many(again, xs)
-        np.testing.assert_array_equal(a, b)
-
-    @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=5),
-           st.floats(-2, 2, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_polynomial_source_round_trip(self, coefs, x):
-        parts = [f"({c!r})*t^{k}" for k, c in enumerate(coefs)]
-        src = " + ".join(parts)
-        fn = parse(src, 1)
-        again = parse(to_source(fn), 1)
-        a = eval_many(fn, np.asarray([x]))[0]
-        b = eval_many(again, np.asarray([x]))[0]
-        assert a == b or (math.isnan(a) and math.isnan(b))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def table_problem(vals, lo_closed=True, hi_closed=True, tol=None, rows=None):
     with the Dini profile given by ``rows`` (pairs of ROWS keys) if set."""
     n = len(vals)
     pts = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
-    dom = SampledDomain(Interval(-1e-3, 1.001, lo_closed, hi_closed), pts, 1e-6)
+    dom = SampledDomain(Interval(-1e-3, 1.001, lo_closed, hi_closed), pts)
     table = np.asarray(vals, dtype=float)
     p = SampledProblem(lambda ts: table[np.searchsorted(pts, ts)], dom,
                        tol=tol, stat_tol=STAT_TOL)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,13 @@ from dinicvx import (
     check_t7,
     golden_battery,
     parse_interval,
+    random_battery,
     run_battery,
     sample_directions,
     sample_pairs,
 )
 
+from dinicvx import theorems
 from dinicvx.theorems import _longest_run
 
 from conftest import grid_for, phi_of
@@ -224,6 +228,32 @@ class TestRunBattery:
         res = run_battery([by_id["bowl2"]], pairs=3)
         assert any(c.theorem_id == "T6" for c in res.cases)
         assert any(c.theorem_id == "Lpr1" for c in res.cases)
+
+
+DEF_ORACLES = ("pseudoconvex_def", "strictly_pseudoconvex_def",
+               "quasiconvex_def", "semistrictly_quasiconvex_def")
+
+
+class TestVerdictPerProblem:
+    def test_each_oracle_runs_once_per_problem(self, monkeypatch):
+        calls = Counter()
+        for name in DEF_ORACLES:
+            real = getattr(theorems, name)
+
+            def counting(p, real=real, name=name):
+                calls[name, p] += 1
+                return real(p)
+
+            monkeypatch.setattr(theorems, name, counting)
+        assert run_battery(golden_battery()).ok
+        assert {name for name, _ in calls} == set(DEF_ORACLES)
+        assert max(calls.values()) == 1
+
+    def test_kept_verdicts_match_recomputed_ones(self, monkeypatch):
+        entries = golden_battery() + random_battery(40)
+        kept = repr(run_battery(entries))
+        monkeypatch.setattr(SampledProblem, "verdict", lambda self, oracle: oracle(self))
+        assert repr(run_battery(entries)) == kept
 
 
 GOLDEN_QC_2D = [e for e in golden_battery()
