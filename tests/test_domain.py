@@ -181,6 +181,15 @@ class TestRestrict:
         r = restrict(f, np.asarray([0.0, 0.0]), np.asarray([0.5, 0.5]), box)
         assert not r.feasible.hi_closed  # binding face is open
 
+    def test_phi_is_f_along_the_line(self):
+        f = phi_of("x1", 2)
+        box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
+        r = restrict(f, np.asarray([0.0, -1.0]), np.asarray([1.0, 1.0]), box)
+        np.testing.assert_allclose(r.phi(np.asarray([0.5])), [0.5])
+        f2 = phi_of("x2", 2)
+        r2 = restrict(f2, np.asarray([0.0, -1.0]), np.asarray([1.0, 1.0]), box)
+        np.testing.assert_allclose(r2.phi(np.asarray([0.5])), [0.0], atol=1e-15)
+
     def test_rejects_equal_points_and_outside(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))

@@ -97,6 +97,12 @@ class TestUndefined:
         assert ev("exp(t)", 1e6) == math.inf
         assert ev("-exp(t)", 1e6) == -math.inf
 
+    def test_value_kinds(self):
+        assert ev("t", 2.0) == 2.0
+        assert math.isnan(ev("log(t)", -1.0))
+        vals = eval_many(parse("log(t)", 1), np.asarray([-1.0, 1.0, 0.0]))
+        assert np.isnan(vals).tolist() == [True, False, True]
+
 
 class TestErrors:
     def test_unknown_variable(self):
@@ -234,3 +240,40 @@ class TestMatchesReferenceEvaluator:
         out = eval_many(parse("x2", 2), pts)
         assert not np.shares_memory(out, pts)
         np.testing.assert_array_equal(out, pts[:, 1])
+
+
+class TestSourceForms:
+    CASES = [
+        "t^2",
+        "-t^2",
+        "abs(t) + 1",
+        "max(0, abs(t) - 1)",
+        "piecewise(t < 0: -t, else: t - 1)",
+        "piecewise(t < -1: -t, t <= 1: -1, else: t - 1)",
+        "min(t^2, (t - 1.5)^2 + 0.3)",
+        "1/(t + 2)",
+        "exp(abs(t))",
+        "2*t - 3*t^2 + 0.5",
+    ]
+
+    @pytest.mark.parametrize("src", CASES)
+    def test_parsed_source_matches_reference_evaluator(self, src):
+        fn = parse(src, 1)
+        xs = np.linspace(-2.0, 2.0, 41)
+        np.testing.assert_array_equal(int_bits(eval_many(fn, xs)),
+                                      int_bits(eval_many_reference(fn, xs)))
+
+    @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=5),
+           st.floats(-2, 2, allow_nan=False))
+    @settings(max_examples=50, deadline=None)
+    def test_polynomial_literals_read_back_exactly(self, coefs, x):
+        # repr of a float is read back as the same float, negatives included
+        for c in coefs:
+            assert int_bits(ev(f"({c!r})", 0.0)) == int_bits(c)
+        src = " + ".join(f"({c!r})*t^{k}" for k, c in enumerate(coefs))
+        fn = parse(src, 1)
+        xs = np.asarray([x])
+        np.testing.assert_array_equal(int_bits(eval_many(fn, xs)),
+                                      int_bits(eval_many_reference(fn, xs)))
+        want = sum(c * x ** k for k, c in enumerate(coefs))
+        assert math.isclose(float(eval_many(fn, xs)[0]), want, rel_tol=1e-12, abs_tol=1e-12)
