@@ -152,12 +152,6 @@ def _poly_src(c: np.ndarray) -> str:
     )
 
 
-def _shifted(c: np.ndarray, delta: float) -> np.ndarray:
-    out = c.copy()
-    out[0] += delta
-    return out
-
-
 def _flank_piece(
     rng: np.random.Generator, lo: float, hi: float, end_value: float,
     direction: int,

@@ -126,10 +126,11 @@ def _stationarity_scan(
     Returns (violations, blocked): blocked entries are points whose
     no-descent call rests on an unconverged estimate.
     """
-    profile = p.profile
+    outside = np.ones(p.dom.n, dtype=bool)
+    outside[dec.i_hat[0] : dec.i_hat[1]] = False
+    profile = p.settle(outside)
     minus_desc, plus_desc = profile.descent(p.stat_tol)
-    still = ~(minus_desc | plus_desc)
-    still[dec.i_hat[0] : dec.i_hat[1]] = False
+    still = ~(minus_desc | plus_desc) & outside
     unconv = np.logical_or(*profile.unconverged())
     violations = [
         _witness(p, "stationary_outside_min", (i,), (

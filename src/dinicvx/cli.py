@@ -60,6 +60,14 @@ EXIT_INCONCLUSIVE = 3
 _CHECKS = ("pseudoconvex", "strict-pseudoconvex", "quasiconvex",
            "semistrict-quasiconvex")
 
+# Caps on the size flags, checked before anything is allocated.  A grid
+# array at the cap is 8 MB; a Dini block at the step cap holds 1024 x 1000
+# probe positions, 8 MB.  Every cap admits the documented workloads.
+MAX_GRID = 2**20 + 1
+MAX_PAIRS = 10_000
+MAX_RANDOM = 10_000
+MAX_DINI_STEPS = 1_000
+
 
 class _ConfigError(Exception):
     pass
@@ -94,12 +102,19 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.grid < 8:
             raise _ConfigError(f"grid must be >= 8, got {self.grid}")
+        if self.grid > MAX_GRID:
+            raise _ConfigError(f"grid must be <= {MAX_GRID}, got {self.grid}")
+        if self.schedule.steps > MAX_DINI_STEPS:
+            raise _ConfigError(
+                f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.schedule.steps}")
         if self.tol is not None and not self.tol > 0:
             raise _ConfigError("tol must be positive")
         if not self.stat_tol > 0:
             raise _ConfigError("stat-tol must be positive")
         if self.pairs < 1:
             raise _ConfigError("pairs must be >= 1")
+        if self.pairs > MAX_PAIRS:
+            raise _ConfigError(f"pairs must be <= {MAX_PAIRS}, got {self.pairs}")
         if self.arity < 1:
             raise _ConfigError("arity must be >= 1")
         if self.arity == 1 and self.domain is None:
@@ -453,6 +468,8 @@ def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, manifest: str | None, n_random: int) -> int:
+    if not 0 <= n_random <= MAX_RANDOM:
+        raise _ConfigError(f"random must be between 0 and {MAX_RANDOM}, got {n_random}")
     if manifest is not None:
         try:
             entries = load_manifest(manifest)
@@ -553,19 +570,21 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
         p.add_argument("--arity", type=int, default=1)
         p.add_argument("--domain", help="interval such as [-1,1] or (0,1]")
         p.add_argument("--box", help="product of intervals such as [-1,1]x[-1,1]")
-    p.add_argument("--grid", type=int, default=257)
+    p.add_argument("--grid", type=int, default=257,
+                   help=f"grid points, 8 to {MAX_GRID}")
     p.add_argument("--margin", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=None,
                    help="equality band; default scales with the grid values")
     p.add_argument("--stat-tol", type=float, default=1e-7)
     p.add_argument("--dini-t0", type=float, default=1e-2)
     p.add_argument("--dini-ratio", type=float, default=0.6)
-    p.add_argument("--dini-steps", type=int, default=40)
+    p.add_argument("--dini-steps", type=int, default=40,
+                   help=f"probe steps per Dini estimate, 2 to {MAX_DINI_STEPS}")
     p.add_argument("--dini-tol", type=float, default=1e-7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="json", choices=["json", "text"])
     p.add_argument("--pairs", type=int, default=24,
-                   help="sampled (x,y) pairs for multivariate runs")
+                   help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}")
 
 
 # Built once per process: parsing leaves the parser unchanged, and an
@@ -598,7 +617,7 @@ def _build_parser() -> _Parser:
     p.add_argument("manifest", nargs="?", default=None,
                    help="battery manifest JSON; default: built-in golden battery")
     p.add_argument("--random", type=int, default=0,
-                   help="append this many seeded random functions")
+                   help=f"append this many seeded random functions, 0 to {MAX_RANDOM}")
     _add_common(p, problem=False)
     # the theorem suite probes with a noise-safe step floor by default; the
     # fixed problem fields fill the report's config block

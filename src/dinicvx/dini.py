@@ -14,7 +14,10 @@ only the probes the rule can read.  :func:`lower_dini_along` estimates one
 point along a block of directions, one kernel row each.  :func:`lower_dini`
 (one direction) and :func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
-points.
+points, or only the rows in its optional mask per direction.  A row's
+bits do not depend on the rows beside it, so a caller can estimate just
+the entries it reads: toward a lower value for a definitional oracle, and
+for a stationarity check one descending direction or both.
 
 A block is dense when it has at least 2 steps, every probe in it is in the
 domain and defined, and each row skipped exactly ``n_in // 2`` in-domain
@@ -373,11 +376,12 @@ def is_stationary(
 
 @dataclass(frozen=True)
 class GridDiniProfile:
-    """Unit-direction Dini estimates at every grid point, both directions.
+    """Unit-direction Dini estimates at the grid points, both directions.
 
     Rows align with ``dom.points``.  ``*_feasible`` marks directions with at
     least one in-domain probe; infeasible entries carry NaN values and are
-    never consulted by the classifiers.
+    never consulted by the classifiers, nor are the entries outside
+    ``*_estimated``, which read as infeasible (all estimated by default).
     """
 
     minus_value: np.ndarray
@@ -386,6 +390,19 @@ class GridDiniProfile:
     plus_converged: np.ndarray
     minus_feasible: np.ndarray
     plus_feasible: np.ndarray
+    minus_estimated: np.ndarray | None = None
+    plus_estimated: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("minus_estimated", "plus_estimated"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.ones(self.minus_value.shape, dtype=bool))
+
+    @classmethod
+    def unestimated(cls, n: int) -> GridDiniProfile:
+        """A profile of ``n`` rows with no entry estimated."""
+        return cls(np.full(n, np.nan), np.full(n, np.nan),
+                   *(np.zeros(n, dtype=bool) for _ in range(6)))
 
     def descent(self, stat_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (minus, plus) arrays: direction descends beyond stat_tol."""
@@ -409,14 +426,20 @@ def grid_dini_profile(
     dom: SampledDomain,
     values: np.ndarray,
     schedule: DiniSchedule | None = None,
+    minus: np.ndarray | None = None,
+    plus: np.ndarray | None = None,
+    out: GridDiniProfile | None = None,
 ) -> GridDiniProfile:
-    """Batch unit-direction estimates for every grid point of ``dom``.
+    """Batch unit-direction estimates at the grid points of ``dom``.
 
     ``values`` holds ``phi`` at ``dom.points``; ``phi`` is called only at
-    probes.  Numerically identical to calling :func:`lower_dini` per point
-    with u = +-1.  The grid is probed in blocks of ``_BLOCK_ROWS`` points
-    through :func:`_probe_rows` per block and direction, so memory stays
-    bounded however fine the grid.
+    probes.  Only the rows in the boolean masks ``minus`` and ``plus`` (all
+    when ``None``) are probed; the others come back infeasible and not
+    estimated, or as they were in ``out``, a profile of the same grid to
+    write the estimates into.  Numerically identical to calling
+    :func:`lower_dini` per point with u = +-1.  The grid is probed in blocks
+    of ``_BLOCK_ROWS`` points through :func:`_probe_rows` per block and
+    direction, so memory stays bounded however fine the grid.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -424,14 +447,18 @@ def grid_dini_profile(
     n = pts.shape[0]
     s = schedule.step_sizes()
     ok_base = ~np.isnan(values)
+    if out is None:
+        out = GridDiniProfile.unestimated(n)
 
-    out: dict[str, np.ndarray] = {}
-    for label, sign in (("minus", -1.0), ("plus", 1.0)):
-        value = np.full(n, np.nan)
-        conv = np.zeros(n, dtype=bool)
-        feas = np.zeros(n, dtype=bool)
+    for label, sign, mask in (("minus", -1.0, minus), ("plus", 1.0, plus)):
+        value, conv, feas, done = (getattr(out, f"{label}_{name}") for name in
+                                   ("value", "converged", "feasible", "estimated"))
         for a in range(0, n, _BLOCK_ROWS):
             rows = slice(a, a + _BLOCK_ROWS)
+            if mask is not None:
+                rows = a + np.flatnonzero(mask[rows])
+                if not rows.size:
+                    continue
             probes = pts[None, rows] + sign * s[:, None]
             v, c, _, _, n_in = _probe_rows(
                 phi, probes, dom.interval.contains_many(probes), values[rows], s,
@@ -441,7 +468,5 @@ def grid_dini_profile(
             value[rows] = np.where(f, v, np.nan)
             conv[rows] = c & f
             feas[rows] = f
-        out[label + "_value"] = value
-        out[label + "_converged"] = conv
-        out[label + "_feasible"] = feas
-    return GridDiniProfile(**out)
+            done[rows] = True
+    return out

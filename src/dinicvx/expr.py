@@ -39,9 +39,15 @@ import numpy as np
 __all__ = [
     "ExpressionError",
     "FunctionAst",
+    "MAX_DEPTH",
     "parse",
     "eval_many",
 ]
+
+# Levels an expression may nest (see docs/grammar.md).  A level costs the
+# parser at most 7 Python frames and the evaluator at most 3, so whatever
+# parses also evaluates well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
@@ -204,6 +210,12 @@ def _tokenize(source: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
+#
+# Each rule returns its node with the node's depth: 1 for a number or a
+# variable, and one more than the deepest operand for an operator, a call,
+# a piecewise, a sign or a pair of parentheses.  ``level`` counts the
+# levels open above the rule; the parser fails as soon as the level and the
+# depth of what it builds there exceed MAX_DEPTH.
 
 
 class _Parser:
@@ -212,6 +224,7 @@ class _Parser:
         self.source = source
         self.arity = arity
         self.k = 0
+        self.level = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -230,69 +243,85 @@ class _Parser:
             raise ExpressionError(f"expected {want!r}, found {tok.text!r}", tok.pos)
         return tok
 
+    def _check(self, depth: int, tok: _Token) -> int:
+        """``depth``, once ``tok`` is known to keep within MAX_DEPTH."""
+        if self.level + depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  tok.pos)
+        return depth
+
+    def _nested(self, tok: _Token, rule, *args) -> tuple[Node, int]:
+        """``rule(*args)`` one level below ``tok``, with the depth that level adds."""
+        self.level += 1
+        self._check(1, tok)
+        node, depth = rule(*args)
+        self.level -= 1
+        return node, depth + 1
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self._peek()
         if tok is not None:
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, depth = self.term()
         while True:
             tok = self._peek()
             if tok is not None and tok.kind == "op" and tok.text in "+-":
                 self._next()
-                node = BinOp(tok.text, node, self.term())
+                right, d = self.term()
+                node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.unary()
         while True:
             tok = self._peek()
             if tok is not None and tok.kind == "op" and tok.text in "*/":
                 self._next()
-                node = BinOp(tok.text, node, self.unary())
+                right, d = self.unary()
+                node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
             else:
-                return node
+                return node, depth
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple[Node, int]:
         tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        if tok is not None and tok.kind == "op" and tok.text in "+-":
             self._next()
-            return Neg(self.unary())
-        if tok is not None and tok.kind == "op" and tok.text == "+":
-            self._next()
-            return self.unary()
+            node, depth = self._nested(tok, self.unary)
+            return (Neg(node) if tok.text == "-" else node), depth
         return self.power()
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> tuple[Node, int]:
+        base, depth = self.atom()
         tok = self._peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
             self._next()
             # right associative; exponent may carry a sign
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, d = self._nested(tok, self.unary)
+            return BinOp("^", base, exponent), self._check(max(depth + 1, d), tok)
+        return base, depth
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         tok = self._next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "lparen":
-            node = self.expr()
+            found = self._nested(tok, self.expr)
             self._expect("rparen")
-            return node
+            return found
         if tok.kind == "name":
             nxt = self._peek()
             if tok.text == "piecewise":
                 if nxt is None or nxt.kind != "lparen":
                     raise ExpressionError("piecewise requires an argument list", tok.pos)
-                return self.piecewise(tok)
+                return self._nested(tok, self.piecewise, tok)
             if nxt is not None and nxt.kind == "lparen":
-                return self.call(tok)
-            return self.variable(tok)
+                return self._nested(tok, self.call, tok)
+            return self.variable(tok), 1
         raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
 
     def variable(self, tok: _Token) -> Node:
@@ -312,7 +341,7 @@ class _Parser:
             return Var(idx - 1, name)
         raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
 
-    def call(self, tok: _Token) -> Node:
+    def call(self, tok: _Token) -> tuple[Node, int]:
         name = tok.text
         if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name!r}", tok.pos)
@@ -335,12 +364,13 @@ class _Parser:
             raise ExpressionError(
                 f"{name} takes at least {-want} arguments, got {len(args)}", tok.pos
             )
-        return Call(name, tuple(args))
+        return Call(name, tuple(a for a, _ in args)), max(d for _, d in args)
 
-    def piecewise(self, tok: _Token) -> Node:
+    def piecewise(self, tok: _Token) -> tuple[Node, int]:
         self._expect("lparen")
         branches: list[tuple[Guard, Node]] = []
         otherwise: Node | None = None
+        depth = 0
         while True:
             nxt = self._peek()
             if nxt is not None and nxt.kind == "name" and nxt.text == "else":
@@ -350,18 +380,20 @@ class _Parser:
                     )
                 self._next()
                 self._expect("colon")
-                otherwise = self.expr()
+                otherwise, d = self.expr()
+                depth = max(depth, d)
                 break
-            left = self.expr()
+            left, d1 = self.expr()
             cmp_tok = self._next()
             if cmp_tok.kind != "cmp":
                 raise ExpressionError(
                     f"expected comparison in piecewise guard, found {cmp_tok.text!r}",
                     cmp_tok.pos,
                 )
-            right = self.expr()
+            right, d2 = self.expr()
             self._expect("colon")
-            value = self.expr()
+            value, d3 = self.expr()
+            depth = max(depth, d1, d2, d3)
             branches.append((Guard(left, cmp_tok.text, right), value))
             sep = self._next()
             if sep.kind != "comma":
@@ -371,14 +403,15 @@ class _Parser:
         self._expect("rparen")
         if otherwise is None:
             raise ExpressionError("piecewise requires a final else branch", tok.pos)
-        return Piecewise(tuple(branches), otherwise)
+        return Piecewise(tuple(branches), otherwise), depth
 
 
 def parse(source: str, arity: int = 1) -> FunctionAst:
     """Parse ``source`` into a :class:`FunctionAst` of the given arity.
 
     Raises :class:`ExpressionError` with a byte offset on syntax errors,
-    unknown identifiers, and arity mismatches.
+    unknown identifiers, arity mismatches, and at the first token that
+    takes the expression more than :data:`MAX_DEPTH` levels deep.
     """
     if arity < 1:
         raise ExpressionError(f"arity must be >= 1, got {arity}", 0)

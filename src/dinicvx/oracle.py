@@ -116,12 +116,14 @@ def _exclusive_prefix_min(v: np.ndarray) -> np.ndarray:
 class SampledProblem:
     """One function on one sampled interval: what every classifier reads.
 
-    The grid values, the equality band, the exclusive prefix and suffix
-    minima with their first minimizers and the Dini profile are each
-    computed at most once, when a classifier first reads them, and then
-    shared by the definitional oracles, the structural characterizations
-    and the theorem checks, which ask for each verdict through
-    :meth:`verdict` and so run each oracle once per problem.
+    The grid values, the equality band and the exclusive prefix and suffix
+    minima with their first minimizers are each computed at most once, when
+    a classifier first reads them, and then shared by the definitional
+    oracles, the structural characterizations and the theorem checks, which
+    ask for each verdict through :meth:`verdict` and so run each oracle once
+    per problem.  Each (grid point, direction) entry of the one kept Dini
+    profile is estimated at most once, when a reader asks for it through
+    :meth:`estimate` or :meth:`settle`; the others read as infeasible.
     Only these inputs are shared; every classifier keeps its own decision
     logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
     called, so a rebound module attribute (as a tracer installs) is used.
@@ -184,7 +186,34 @@ class SampledProblem:
 
     @cached_property
     def profile(self) -> GridDiniProfile:
-        return grid_dini_profile(self.phi, self.dom, self.values, self.schedule)
+        """The kept Dini profile: only the entries asked for are estimated."""
+        return GridDiniProfile.unestimated(self.dom.n)
+
+    def estimate(self, minus: np.ndarray | None = None,
+                 plus: np.ndarray | None = None) -> GridDiniProfile:
+        """The profile, with the entries in the row masks (``None``: all) estimated."""
+        prof = self.profile
+        todo = [~done if mask is None else mask & ~done
+                for mask, done in ((minus, prof.minus_estimated),
+                                   (plus, prof.plus_estimated))]
+        if any(t.any() for t in todo):
+            grid_dini_profile(self.phi, self.dom, self.values, self.schedule, *todo, out=prof)
+        return prof
+
+    def settle(self, rows: np.ndarray) -> GridDiniProfile:
+        """The profile with each row in the mask ``rows`` settled: an estimated
+        direction descends beyond ``stat_tol``, or both are.  A row asks for
+        the direction toward the first grid minimizer, and for the other once
+        that one fails to descend; a row at the minimum level asks for both."""
+        prof = self.profile
+        toward = np.arange(self.dom.n) > np.argmin(self.values)  # minus faces it
+        low = self.values <= np.min(self.values) + self.band
+        for _ in range(2):
+            m, p = prof.descent(self.stat_tol)
+            open_ = rows & ~(m | p)
+            self.estimate(open_ & (toward | low | prof.plus_estimated),
+                          open_ & (~toward | low | prof.minus_estimated))
+        return prof
 
     @cached_property
     def _verdicts(self) -> dict[Callable[[SampledProblem], Verdict], Verdict]:
@@ -231,7 +260,7 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
         trigger = "phi(y) < phi(x) - tol"
     if not hit.any():
         return Verdict("holds", method, tol_r, p.stat_tol)
-    prof = p.profile
+    prof = p.estimate(hit[:, 0], hit[:, 1])
     value = np.stack((prof.minus_value, prof.plus_value), axis=1).ravel()
     undecided = (hit & ~np.stack(prof.descent(p.stat_tol), axis=1)).ravel()
     unconverged = np.stack(prof.unconverged(), axis=1).ravel()

@@ -126,7 +126,7 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
-    vals, profile = p.values, p.profile
+    vals, profile = p.values, p.settle(np.ones(p.dom.n, dtype=bool))
     stationary = profile.stationary_mask(p.stat_tol) & (
         profile.minus_feasible | profile.plus_feasible
     )

@@ -4,7 +4,8 @@ The per-index scans below are the forms that ``dinicvx.oracle`` and
 ``dinicvx.charact`` replace with whole-array passes; the tests require the
 package's results to be ``repr``-identical to theirs.  The literal pair and
 triple loops at the end transcribe each definition with no prefix or suffix
-minima at all, for small grids.
+minima at all, for small grids.  The scans read the Dini profile at any
+grid point, so each first asks the problem to estimate every entry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class _DescentAudit:
 
     def check(self, i: int, side: int, y_index: int, trigger: str) -> None:
         """Require descent at grid index i toward side (-1 left, +1 right)."""
-        profile = self.p.profile
+        profile = self.p.estimate()
         if side < 0:
             value = profile.minus_value[i]
             conv = profile.minus_converged[i]
@@ -288,7 +289,7 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
 def stationarity_scan(
     p: SampledProblem, dec: MonotoneDecomposition
 ) -> tuple[list[Witness], list[Witness]]:
-    profile = p.profile
+    profile = p.estimate()
     violations: list[Witness] = []
     blocked: list[Witness] = []
     minus_desc, plus_desc = profile.descent(p.stat_tol)
@@ -326,7 +327,7 @@ def stationarity_scan(
 
 def _descends(p: SampledProblem, x: int, y: int) -> str:
     """``descends``, ``blocked`` or ``fails``: the Dini estimate at x toward y."""
-    prof = p.profile
+    prof = p.estimate()
     if y < x:
         value, conv, feas = prof.minus_value[x], prof.minus_converged[x], prof.minus_feasible[x]
     else:

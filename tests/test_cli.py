@@ -10,6 +10,7 @@ import pytest
 
 import dinicvx
 from dinicvx import cli, golden_battery, write_manifest
+from dinicvx.expr import MAX_DEPTH
 from dinicvx.cli import (
     EXIT_CONFIG,
     EXIT_DISAGREE,
@@ -388,6 +389,91 @@ class TestHostileInput:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["method"] == "both"
         self.assert_config_error(cmd + ["--method", "definitional"], capsys)
+
+
+# Runs the CLI on its arguments in an interpreter whose address space is
+# capped, so that a size flag allocated before its check fails with a
+# MemoryError traceback rather than taking the machine's memory.
+_CAPPED_MAIN = """
+import resource, sys
+limit = 512 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from dinicvx.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv", [
+        CUBE + ["--grid", "1000000000"],
+        CUBE + ["--grid", str(cli.MAX_GRID + 1)],
+        CUBE + ["--dini-ratio", "0.999999", "--dini-steps", "10000000"],
+        CUBE + ["--dini-steps", str(cli.MAX_DINI_STEPS + 1)],
+        ["classify", "--function=x1 + x2", "--arity=2", "--box=[-1,1]x[-1,1]",
+         "--pairs", "1000000000"],
+        ["verify-theorems", "--random", "1000000000"],
+        ["verify-theorems", "--random", "-1"],
+        ["verify-theorems", "--grid", "1000000000"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_oversized_flag_exits_one_under_a_memory_limit(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stdout == ""
+        message, elapsed = proc.stderr.splitlines()
+        assert message.startswith("error: ")
+        assert elapsed.startswith("elapsed: ")
+
+    def test_caps_admit_the_largest_values(self):
+        cfg = cli._config_from(cli._build_parser().parse_args(
+            CUBE + ["--grid", str(cli.MAX_GRID), "--pairs", str(cli.MAX_PAIRS),
+                    "--dini-ratio", "0.99", "--dini-steps", str(cli.MAX_DINI_STEPS)]))
+        assert (cfg.grid, cfg.pairs, cfg.schedule.steps) == (
+            cli.MAX_GRID, cli.MAX_PAIRS, cli.MAX_DINI_STEPS)
+
+    @pytest.mark.parametrize("cmd,caps", [
+        ("classify", (cli.MAX_GRID, cli.MAX_PAIRS, cli.MAX_DINI_STEPS)),
+        ("verify-theorems", (cli.MAX_GRID, cli.MAX_RANDOM, cli.MAX_DINI_STEPS)),
+    ])
+    def test_caps_are_in_the_help(self, cmd, caps, capsys):
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        text = capsys.readouterr().out
+        for cap in caps:
+            assert f"to {cap}" in text
+
+
+class TestExpressionDepth:
+    """The parser stops at MAX_DEPTH levels with a one-line error; whatever
+    parses at the limit also classifies."""
+
+    @pytest.mark.parametrize("source", [
+        "(" * 10_000 + "t" + ")" * 10_000,
+        "+".join(["t"] * 10_000),
+        "-" * 10_000 + "t",
+        "abs(" * 10_000 + "t" + ")" * 10_000,
+    ], ids=["parentheses", "sum", "signs", "calls"])
+    def test_deep_expressions_exit_one(self, source, capsys):
+        code, out, err = run(["classify", f"--function={source}", "--domain=[-1,1]"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        message, elapsed = err.splitlines()
+        assert message.startswith("error: ") and "deeper than" in message
+        assert elapsed.startswith("elapsed: ")
+
+    @pytest.mark.parametrize("source", [
+        "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "+".join(["t"] * MAX_DEPTH),
+        "max(t, " * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "abs(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+    ], ids=["parentheses", "sum", "max", "abs"])
+    def test_expressions_at_the_limit_classify(self, source, capsys):
+        code, out, err = run(["classify", f"--function={source}", "--domain=[-1,1]",
+                              "--grid=65"], capsys)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["agreement"]
 
 
 class TestCanonicalJson:

@@ -33,7 +33,9 @@ INTERVALS = st.one_of(
 BOXES = st.lists(INTERVALS, min_size=0, max_size=3).map("x".join)
 ONE_VAR = st.sampled_from(
     ["t^2", "t^3", "abs(t)", "log(t)", "1/t", "sqrt(t)", "-t^2", "1",
-     "piecewise(t < 0: 1, else: t)", "exp(1000*t)", "t +"]
+     "piecewise(t < 0: 1, else: t)", "exp(1000*t)", "t +",
+     # past and at the depth limit
+     "(" * 500 + "t" + ")" * 500, "+".join(["t"] * 500), "+".join(["t"] * 100)]
 )
 TWO_VAR = st.sampled_from(
     ["x1^2 + x2^2", "x1^3", "x1 / x2", "log(x1) + x2", "max(abs(x1), abs(x2))"]

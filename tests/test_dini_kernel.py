@@ -227,6 +227,43 @@ class TestGridProfileMatchesReference:
                           "plus_converged", "minus_feasible", "plus_feasible"):
                 assert getattr(split, field).tobytes() == getattr(whole, field).tobytes()
 
+    # masks that leave ragged blocks and split the ends from the interior
+    @pytest.mark.parametrize("n", [257, 2500])
+    def test_masked_rows_match_the_whole_profile(self, n):
+        dom = make_grid(parse_interval("[-1,1]"), n)
+        rng = np.random.default_rng(n)
+        masks = {"minus": rng.random(n) < 0.3, "plus": np.arange(n) % 3 == 0}
+        for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "exp(t) - 2*t^2"):
+            phi = phi_of(source)
+            whole = grid_dini_profile(phi, dom, phi(dom.points))
+            part = grid_dini_profile(phi, dom, phi(dom.points), None, **masks)
+            for side, mask in masks.items():
+                assert np.array_equal(getattr(part, side + "_estimated"), mask)
+                assert getattr(whole, side + "_estimated").all()
+                for name in ("value", "converged", "feasible"):
+                    got, want = (getattr(prof, f"{side}_{name}") for prof in (part, whole))
+                    assert got[mask].tobytes() == want[mask].tobytes()
+                assert np.isnan(getattr(part, side + "_value")[~mask]).all()
+                assert not getattr(part, side + "_converged")[~mask].any()
+                assert not getattr(part, side + "_feasible")[~mask].any()
+            # the rest, written into the same profile, completes it
+            rest = {side: ~mask for side, mask in masks.items()}
+            assert grid_dini_profile(phi, dom, phi(dom.points), None, **rest, out=part) is part
+            for field in ("minus_value", "plus_value", "minus_converged", "plus_converged",
+                          "minus_feasible", "plus_feasible", "minus_estimated",
+                          "plus_estimated"):
+                assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
+
+    def test_empty_masks_probe_nothing(self):
+        dom = make_grid(parse_interval("[-1,1]"), 257)
+        phi = phi_of("t^2")
+        calls = []
+        none = np.zeros(dom.n, dtype=bool)
+        prof = grid_dini_profile(lambda pts: calls.append(pts) or phi(pts), dom,
+                                 phi(dom.points), None, none, none)
+        assert calls == []
+        assert not (prof.minus_feasible | prof.plus_feasible).any()
+
 
 def edge_grid(domain, schedule):
     """Points of ``domain`` at distances from each end from below the

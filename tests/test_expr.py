@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinicvx import ExpressionError, eval_many, parse
-from dinicvx.expr import BinOp, Call, FunctionAst, Guard, Neg, Num, Piecewise, Var
+from dinicvx.expr import (MAX_DEPTH, BinOp, Call, FunctionAst, Guard, Neg, Num,
+                          Piecewise, Var)
 
 from expr_reference import eval_many_reference
 
@@ -210,6 +211,56 @@ def evaluations(draw):
 
 def int_bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def nest(open_: str, inner: str, levels: int, close: str = ")") -> str:
+    return open_ * levels + inner + close * levels
+
+
+class TestDepthLimit:
+    """An expression nests at most MAX_DEPTH levels; the parser stops at the
+    first token that goes deeper, and whatever parses also evaluates."""
+
+    # (source at the limit, its value at t = 0.5)
+    AT_LIMIT = [
+        (nest("(", "t", MAX_DEPTH - 1), 0.5),
+        ("+".join(["t"] * MAX_DEPTH), 0.5 * MAX_DEPTH),
+        ("*".join(["1"] * (MAX_DEPTH - 1) + ["t"]), 0.5),
+        (nest("-", "t", MAX_DEPTH - 1, ""), -0.5),
+        (nest("abs(", "t", MAX_DEPTH - 1), 0.5),
+        (nest("max(t, ", "t", MAX_DEPTH - 1), 0.5),
+        ("t" + "^1" * (MAX_DEPTH - 1), 0.5),
+        (nest("(", "t", MAX_DEPTH - 2) + "^1", 0.5),
+        ("piecewise(t < 0: 1, else: " + nest("(", "t", MAX_DEPTH - 2) + ")", 0.5),
+    ]
+
+    @pytest.mark.parametrize("source,value", AT_LIMIT)
+    def test_at_the_limit_parses_and_evaluates(self, source, value):
+        assert eval_many(parse(source, 1), np.array([0.5]))[0] == value
+
+    # (source one level past the limit, offset of the first token past it)
+    PAST = [
+        (nest("(", "t", MAX_DEPTH), MAX_DEPTH - 1),
+        ("+".join(["t"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        (nest("-", "t", MAX_DEPTH, ""), MAX_DEPTH - 1),
+        (nest("abs(", "t", MAX_DEPTH), 4 * (MAX_DEPTH - 1)),
+        ("t" + "^1" * MAX_DEPTH, 2 * MAX_DEPTH - 1),
+        (nest("(", "t", MAX_DEPTH - 1) + "^1", 2 * MAX_DEPTH - 1),
+        (nest("(", "t", MAX_DEPTH - 1) + " + t", 2 * MAX_DEPTH),
+        ("t + " + nest("(", "t", MAX_DEPTH - 1), 2),
+    ]
+
+    @pytest.mark.parametrize("source,offset", PAST)
+    def test_past_the_limit_fails_at_the_first_token_past_it(self, source, offset):
+        with pytest.raises(ExpressionError, match="deeper than") as ei:
+            parse(source, 1)
+        assert ei.value.position == offset
+
+    @pytest.mark.parametrize("source", [nest("(", "t", 10_000), "+".join(["t"] * 10_000),
+                                        nest("-", "t", 10_000, ""), "t" + "^1" * 10_000])
+    def test_far_past_the_limit_is_an_expression_error(self, source):
+        with pytest.raises(ExpressionError, match="deeper than"):
+            parse(source, 1)
 
 
 class TestMatchesReferenceEvaluator:

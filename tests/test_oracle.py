@@ -22,6 +22,7 @@ from dinicvx import (
     pseudoconvex_def,
     quasiconvex_def,
     quasiconvex_martos,
+    random_battery,
     restrict,
     sample_pairs,
     semistrictly_quasiconvex_def,
@@ -226,21 +227,64 @@ CLASSIFIERS = (
 )
 
 
+def recording_profiles(monkeypatch):
+    """Wrap ``oracle.grid_dini_profile``; returns the list of its (minus,
+    plus) masks, one pair per call, with ``None`` standing for every row."""
+    calls = []
+    real = oracle.grid_dini_profile
+
+    def recording(phi, dom, values, schedule=None, minus=None, plus=None, out=None):
+        calls.append((minus, plus))
+        return real(phi, dom, values, schedule, minus, plus, out)
+
+    monkeypatch.setattr(oracle, "grid_dini_profile", recording)
+    return calls
+
+
+def estimate_counts(calls, n):
+    """(minus, plus) arrays: how many calls estimated each entry."""
+    counts = np.zeros((2, n), dtype=int)
+    for masks in calls:
+        for side, mask in enumerate(masks):
+            counts[side] += True if mask is None else mask
+    return counts
+
+
+def demand_problems():
+    """(id, phi, dom): the 1-D golden and 40 random functions at 257
+    points, and each multivariate golden function along 3 sampled lines."""
+    out = []
+    for e in golden_battery() + random_battery(40):
+        if e.arity == 1:
+            out.append((e.id, phi_of(e.expression), grid_for(e.domain)))
+            continue
+        box = tuple(parse_interval(b) for b in e.box)
+        f = phi_of(e.expression, e.arity)
+        for k, (x, y) in enumerate(sample_pairs(box, 3, 11)):
+            r = restrict(f, x, y, box)
+            out.append((f"{e.id}-line{k}", r.phi, anchored_grid(r.feasible, 257, 1e-6)))
+    return out
+
+
 class TestSampledProblem:
     def test_shared_inputs_built_once(self, unit_grid, monkeypatch):
-        counts = {"grid_values": 0, "grid_dini_profile": 0}
-        for name in counts:
-            real = getattr(oracle, name)
+        # the grid once, and every Dini entry at most once
+        grid_calls = []
+        real = oracle.grid_values
 
-            def counting(*args, real=real, name=name):
-                counts[name] += 1
-                return real(*args)
+        def counting(*args):
+            grid_calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(oracle, name, counting)
+        monkeypatch.setattr(oracle, "grid_values", counting)
+        profiles = recording_profiles(monkeypatch)
         p = SampledProblem(phi_of("t^3"), unit_grid, SUITE_SCHEDULE)
         for classify in CLASSIFIERS:
             classify(p)
-        assert counts == {"grid_values": 1, "grid_dini_profile": 1}
+        assert len(grid_calls) == 1
+        assert profiles
+        for counts in estimate_counts(profiles, unit_grid.n):
+            assert counts.max() <= 1
 
     def test_profile_reuses_the_grid_values(self, unit_grid):
         seen = []
@@ -252,7 +296,7 @@ class TestSampledProblem:
 
         p = SampledProblem(recording, unit_grid)
         p.values
-        p.profile
+        p.estimate()
         assert sum(np.array_equal(pts, unit_grid.points) for pts in seen) == 1
 
     def test_nothing_built_before_it_is_read(self, unit_grid):
@@ -271,3 +315,59 @@ class TestSampledProblem:
         for classify in CLASSIFIERS:
             fresh = SampledProblem(phi_of(entry.expression), dom, SUITE_SCHEDULE)
             assert repr(classify(shared)) == repr(classify(fresh)), classify.__name__
+
+
+class TestDemandDrivenProfile:
+    """Each Dini entry is estimated at most once, and only when read."""
+
+    @pytest.mark.parametrize("case", demand_problems(), ids=lambda c: c[0])
+    def test_verdicts_match_a_fully_estimated_profile(self, case, monkeypatch):
+        _, phi, dom = case
+        full = SampledProblem(phi, dom, SUITE_SCHEDULE)
+        full.estimate()
+        expected = [repr(classify(full)) for classify in CLASSIFIERS]
+        profiles = recording_profiles(monkeypatch)
+        forward = SampledProblem(phi, dom, SUITE_SCHEDULE)
+        assert [repr(classify(forward)) for classify in CLASSIFIERS] == expected
+        for counts in estimate_counts(profiles, dom.n):
+            assert counts.max() <= 1
+        profiles.clear()
+        backward = SampledProblem(phi, dom, SUITE_SCHEDULE)
+        got = [repr(classify(backward)) for classify in reversed(CLASSIFIERS)]
+        assert got[::-1] == expected
+        for counts in estimate_counts(profiles, dom.n):
+            assert counts.max() <= 1
+
+    def test_pseudoconvex_def_estimates_exactly_its_hit_entries(self, unit_grid, monkeypatch):
+        profiles = recording_profiles(monkeypatch)
+        p = SampledProblem(phi_of("t^2"), unit_grid)
+        assert pseudoconvex_def(p).outcome == "holds"
+        drop = p.values - p.band
+        hit = (p.prefix_min < drop, p.suffix_min < drop)
+        # t^2 has a lower value toward its minimum and none away from it
+        assert hit[0].any() and hit[1].any() and not (hit[0] & hit[1]).any()
+        assert len(profiles) == 1
+        for mask, estimated in zip(hit, (p.profile.minus_estimated, p.profile.plus_estimated)):
+            assert np.array_equal(estimated, mask)
+        for counts, mask in zip(estimate_counts(profiles, unit_grid.n), hit):
+            assert np.array_equal(counts, mask.astype(int))
+
+    def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
+        # outside the minimum band of t^2 the direction toward 0 descends, so
+        # the characterization estimates that one alone
+        p = SampledProblem(phi_of("t^2"), unit_grid)
+        assert pseudoconvex_char(p).outcome == "holds"
+        lo, hi = decompose(p).i_hat
+        prof = p.profile
+        outside = np.ones(unit_grid.n, dtype=bool)
+        outside[lo:hi] = False
+        assert (prof.minus_estimated ^ prof.plus_estimated)[outside].all()
+        assert not (prof.minus_estimated | prof.plus_estimated)[lo:hi].any()
+
+    def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
+        p = SampledProblem(phi_of("t^3"), unit_grid)
+        check_t4(p)
+        prof = p.profile
+        stationary = prof.stationary_mask(p.stat_tol)
+        assert stationary.any()
+        assert (prof.minus_estimated & prof.plus_estimated)[stationary].all()
