@@ -109,6 +109,8 @@ class RunConfig:
                 f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.schedule.steps}")
         if self.tol is not None and not self.tol > 0:
             raise _ConfigError("tol must be positive")
+        if self.tol is not None and not math.isfinite(self.tol):
+            raise _ConfigError(f"tol must be finite, got {self.tol}")
         if not self.stat_tol > 0:
             raise _ConfigError("stat-tol must be positive")
         if self.pairs < 1:

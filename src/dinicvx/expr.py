@@ -23,16 +23,21 @@ branch.
 The evaluator is vectorized: :func:`eval_many` maps a float64 array of
 points through the function in one pass, encoding undefined as NaN.  No
 simplification is ever applied to the tree; what you parse is what runs.
-Variables read their input columns uncopied.  A constant is a float to
-``+ - * /``, comparisons, ``min`` and ``max``, and a full array elsewhere,
-``^`` included: numpy's power rounds an array exponent unlike a scalar one.
+A :class:`FunctionAst` is compiled on its first evaluation into a tree of
+closures, one per node, each holding its ufunc and its compiled operands,
+and every later call runs that tree under one ``np.errstate``.  A
+piecewise is a chain of ``np.where`` from its last branch back.  Variables
+read their input columns uncopied.  A constant is a float to ``+ - * /``,
+comparisons, ``min`` and ``max``, and a full array elsewhere, ``^``
+included: numpy's power rounds an array exponent unlike a scalar one.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property, reduce
+from typing import Callable, Union
 
 import numpy as np
 
@@ -45,8 +50,9 @@ __all__ = [
 ]
 
 # Levels an expression may nest (see docs/grammar.md).  A level costs the
-# parser at most 7 Python frames and the evaluator at most 3, so whatever
-# parses also evaluates well inside Python's default recursion limit of 1000.
+# parser at most 7 Python frames, the compiler at most 3 and the compiled
+# closures at most 2, so whatever parses also evaluates well inside Python's
+# default recursion limit of 1000.
 MAX_DEPTH = 100
 
 
@@ -125,6 +131,11 @@ class FunctionAst:
     root: Node
     arity: int
     source: str
+
+    @cached_property
+    def compiled(self) -> _Compiled:
+        """The closure tree :func:`eval_many` runs, built on first use."""
+        return _compile(self.root)
 
 
 # ---------------------------------------------------------------------------
@@ -426,73 +437,77 @@ def parse(source: str, arity: int = 1) -> FunctionAst:
 # Evaluation
 
 _NAN = float("nan")
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# inf * 0 is indeterminate -> undefined, which numpy already encodes as NaN;
+# 0 ^ negative is a division by zero in disguise.
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": lambda a, b: np.where(b == 0.0, _NAN, a / b),
+          "^": lambda a, b: np.where((a == 0.0) & (b < 0.0), _NAN, np.power(a, b))}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ELEMENTWISE = {"abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos}
+_UNARY = {
+    "abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+    "log": lambda a: np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), _NAN),
+    "sqrt": lambda a: np.where(a >= 0.0, np.sqrt(np.abs(a)), _NAN),
+}
+
+_Compiled = Callable[[list[np.ndarray]], np.ndarray]
 
 
-def _operands(nodes, cols: list[np.ndarray]) -> list:
-    """A ``Num`` stays a float, which numpy broadcasts as it would its full
-    array, unless every operand is one: the first then becomes that array."""
-    out = [n.value if isinstance(n, Num) else _eval(n, cols) for n in nodes]
+def _operands(nodes) -> list[_Compiled]:
+    """Compiled operands, a ``Num`` giving its float, which numpy broadcasts
+    as it would its full array, unless every operand is one: the first then
+    gives that array."""
+    out = [(lambda cols, v=n.value: v) if isinstance(n, Num) else _compile(n)
+           for n in nodes]
     if all(isinstance(n, Num) for n in nodes):
-        out[0] = np.full_like(cols[0], out[0])
+        out[0] = _compile(nodes[0])
     return out
 
 
-def _eval(node: Node, cols: list[np.ndarray]) -> np.ndarray:
-    # All arithmetic runs with warnings suppressed; undefined is NaN.  The
-    # result may be an input column, which no operation writes to.
+def _compile(node: Node) -> _Compiled:
+    """A closure computing ``node`` from the input columns, with the same
+    ufuncs on the same operands as a walk of the tree would use.
+
+    The closures run inside the caller's ``np.errstate``; undefined is NaN.
+    The result may be an input column, which no operation writes to.
+    """
     if isinstance(node, Num):
-        return np.full_like(cols[0], node.value)
+        value = node.value
+        return lambda cols: np.full_like(cols[0], value)
     if isinstance(node, Var):
-        return cols[node.index]
+        index = node.index
+        return lambda cols: cols[index]
     if isinstance(node, Neg):
-        return -_eval(node.arg, cols)
+        arg = _compile(node.arg)
+        return lambda cols: -arg(cols)
     if isinstance(node, BinOp):
-        with np.errstate(all="ignore"):
-            if node.op == "^":
-                # Both sides stay full arrays: numpy's power with an array
-                # exponent is not correctly rounded, so neither x*x nor a
-                # scalar exponent gives the same bits.
-                a = _eval(node.left, cols)
-                b = _eval(node.right, cols)
-                # 0 ^ negative is a division by zero in disguise
-                return np.where((a == 0.0) & (b < 0.0), _NAN, np.power(a, b))
-            a, b = _operands((node.left, node.right), cols)
-            if node.op == "/":
-                return np.where(b == 0.0, _NAN, a / b)
-            # inf * 0 is indeterminate -> undefined, which numpy already
-            # encodes as NaN; nothing extra to do.
-            return _ARITH[node.op](a, b)
+        op, sides = _ARITH[node.op], (node.left, node.right)
+        # For ^ both sides stay full arrays: numpy's power with an array
+        # exponent is not correctly rounded, so neither x*x nor a scalar
+        # exponent gives the same bits.
+        left, right = map(_compile, sides) if node.op == "^" else _operands(sides)
+        return lambda cols: op(left(cols), right(cols))
     if isinstance(node, Call):
-        with np.errstate(all="ignore"):
-            if node.name in ("min", "max"):
-                op = np.minimum if node.name == "min" else np.maximum
-                args = _operands(node.args, cols)
-                out = args[0]
-                for other in args[1:]:
-                    # propagate NaN: fmin would ignore it
-                    out = op(out, other)
-                return out
-            a = _eval(node.args[0], cols)
-            if node.name == "log":
-                return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), _NAN)
-            if node.name == "sqrt":
-                return np.where(a >= 0.0, np.sqrt(np.abs(a)), _NAN)
-            return _ELEMENTWISE[node.name](a)
+        if node.name in ("min", "max"):
+            # propagate NaN: fmin would ignore it
+            op = np.minimum if node.name == "min" else np.maximum
+            args = _operands(node.args)
+            return lambda cols: reduce(op, [arg(cols) for arg in args])
+        op, arg = _UNARY[node.name], _compile(node.args[0])
+        return lambda cols: op(arg(cols))
     if isinstance(node, Piecewise):
-        conds = []
-        vals = []
-        with np.errstate(invalid="ignore"):
-            for guard, value in node.branches:
-                conds.append(_COMPARE[guard.op](*_operands((guard.left, guard.right), cols)))
-                vals.append(_eval(value, cols))
-        default = _eval(node.otherwise, cols)
-        # np.select takes the first true condition, matching first-match
-        # branch semantics; a NaN comparison is False and falls through.
-        return np.select(conds, vals, default=default)
+        # A chain of np.where from the last branch back, so the first true
+        # guard wins; a NaN comparison is False and falls through.
+        out = _compile(node.otherwise)
+        for guard, value in reversed(node.branches):
+            out = _branch(_COMPARE[guard.op], *_operands((guard.left, guard.right)),
+                          _compile(value), out)
+        return out
     raise AssertionError(type(node))
+
+
+def _branch(cmp, left: _Compiled, right: _Compiled, then: _Compiled,
+            otherwise: _Compiled) -> _Compiled:
+    return lambda cols: np.where(cmp(left(cols), right(cols)), then(cols), otherwise(cols))
 
 
 def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
@@ -517,5 +532,6 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
                 f"points have {pts.shape[1]} coordinates, function arity is {fn.arity}"
             )
         cols = [np.ascontiguousarray(pts[:, j]) for j in range(fn.arity)]
-    out = _eval(fn.root, cols)
+    with np.errstate(all="ignore"):
+        out = fn.compiled(cols)
     return out.copy() if any(out is c for c in cols) else out

@@ -330,7 +330,8 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
 
 
 def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``max(v[lo[j]:hi[j]])`` for every j, or ``-inf`` where the window is empty.
+    """``max(v[lo[j]:hi[j]])`` for every j, or NaN where the window is empty,
+    so that no comparison counts an empty window as a hit.
 
     Level k of a sparse table holds the maximum of every run of ``2**k``
     points; a window is the union of the two runs of the longest such length
@@ -338,7 +339,7 @@ def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     answered level by level, so only one level is held at a time: O(n log n)
     time and O(n) memory for n windows on n points.
     """
-    out = np.full(lo.shape, -np.inf)
+    out = np.full(lo.shape, np.nan)
     live = np.flatnonzero(hi > lo)
     level = np.frexp(hi[live] - lo[live])[1] - 1  # floor(log2(width))
     run = v

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import DiniSchedule, is_stationary, lower_dini_along
+from .dini import DiniSchedule, _dini_along, _probe_rows, is_stationary
 from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
 from .expr import eval_many, parse
 from .oracle import (
@@ -338,14 +338,19 @@ def check_abc(
 
     A: x is stationary for f: no feasible direction of a deterministic
     sample of ``n_dirs`` descends (approximate, refinable).  All directions
-    are estimated in one :func:`lower_dini_along` call; those with no probe
-    in the box are skipped.  B: t=0 attains the minimum of the restriction
-    over its feasible set, measured against the grid values together with
-    the Dini probe values near 0 (a pure-grid minimum misses sub-grid dips
-    next to 0 and would assert B spuriously).  C: t=0 is stationary for the
-    restriction.  The report is inconclusive when an unconverged feasible
-    direction comes before the first descending one in sample order, or C
-    rests on an unconverged estimate.
+    are estimated in one call of :func:`~dinicvx.dini._dini_along`, the
+    array core of ``lower_dini_along``; those with no probe in the box are
+    skipped.  B: t=0 attains the minimum of the restriction over its
+    feasible set, measured against the grid values together with the Dini
+    probe values near 0 (a pure-grid minimum misses sub-grid dips next to 0
+    and would assert B spuriously).  C: t=0 is stationary for the
+    restriction, as :func:`~dinicvx.dini.is_stationary` finds it: B's
+    values at 0 and at the in-domain probes ``+-s`` are that check's
+    probes, so they go to the Dini kernel as a (steps x 2) block, through
+    the same feeder, and nothing is evaluated again.  The report is
+    inconclusive when an unconverged feasible direction comes before the
+    first descending one in sample order, or C rests on an unconverged
+    estimate.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -358,25 +363,34 @@ def check_abc(
         return TheoremReport("Lpr1", function_id, (), (), True,
                              inconclusive=True, notes="undefined restriction values")
 
-    ests = lower_dini_along(f, x, sample_directions(x.shape[0], n_dirs, seed),
-                            box, schedule)
-    # a direction with no probe in the box has unit_value +inf and is
-    # converged, so it neither descends nor leaves A open
-    descends = [e.unit_value < -stat_tol for e in ests]
-    seen = descends.index(True) if True in descends else len(ests)
-    a_true = seen == len(ests)
-    a_open = not all(e.converged for e in ests[:seen])
+    value, converged = _dini_along(f, x, sample_directions(x.shape[0], n_dirs, seed),
+                                   box, schedule)[1:3]
+    # a direction with no probe in the box has value +inf and is converged,
+    # so it neither descends nor leaves A open
+    descends = np.flatnonzero(value < -stat_tol)
+    seen = int(descends[0]) if descends.size else value.shape[0]
+    a_true = seen == value.shape[0]
+    a_open = not converged[:seen].all()
 
     s = schedule.step_sizes()
     probes = np.concatenate([s, -s])
-    near = r.phi(np.concatenate([[0.0], probes[r.feasible.contains_many(probes)]]))
+    inside = r.feasible.contains_many(probes)
+    near = r.phi(np.concatenate([[0.0], probes[inside]]))
     phi0, probe_vals = float(near[0]), near[1:]
     lowest = float(np.min(np.concatenate([vals, probe_vals[np.isfinite(probe_vals)]])))
     b_true = phi0 <= lowest + 1e-12 * (1.0 + abs(phi0))
 
-    st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
-    c_true = st.stationary
-    if a_open or not st.decisive:
+    # C from the same values: a kernel row toward +s and one toward -s,
+    # whose probes are the values themselves
+    block = np.full(probes.shape, np.nan)
+    block[inside] = probe_vals
+    value, converged, _, _, n_in = _probe_rows(
+        lambda v: v, block.reshape(2, -1).T, inside.reshape(2, -1).T,
+        np.full(2, phi0), s, schedule.dini_tol,
+    )
+    feasible = n_in > 0
+    c_true = not (value[feasible] < -stat_tol).any()
+    if a_open or (c_true and not converged[feasible].all()):
         return TheoremReport("Lpr1", function_id, (), (), True,
                              inconclusive=True,
                              notes="a Dini estimate did not converge")

@@ -68,6 +68,16 @@ class TestExitCodes:
         code, _, err = run(CUBE + ["--no-such-flag"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["verify-theorems"],
+        ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
+    ])
+    def test_infinite_tol_is_a_config_error(self, argv, capsys):
+        code, out, err = run(argv + ["--tol", "inf"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.splitlines()[0] == "error: tol must be finite, got inf"
+
     def test_bad_manifest_path(self, capsys):
         code, _, err = run(["verify-theorems", "/no/such/file.json"], capsys)
         assert code == EXIT_CONFIG

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinicvx import ExpressionError, eval_many, parse
+from dinicvx import ExpressionError, eval_many, expr, parse
 from dinicvx.expr import (MAX_DEPTH, BinOp, Call, FunctionAst, Guard, Neg, Num,
                           Piecewise, Var)
 
@@ -183,7 +183,7 @@ def trees(arity: int):
                       st.lists(st.tuples(st.builds(Guard, sub,
                                                    st.sampled_from(["<", "<=", ">", ">="]),
                                                    sub), sub),
-                               min_size=1, max_size=2),
+                               min_size=1, max_size=4),
                       sub),
         )
 
@@ -281,6 +281,25 @@ class TestMatchesReferenceEvaluator:
         np.testing.assert_array_equal(int_bits(eval_many(parse("t^2"), xs)), int_bits(want))
         if not (want != xs * xs).any():
             pytest.skip("numpy's power rounds as x*x does here; the sample tells nothing apart")
+
+    def test_compiled_once_per_function(self, monkeypatch):
+        compiled = []
+
+        def counting(node):
+            compiled.append(node)
+            return compile_node(node)
+
+        compile_node = expr._compile
+        monkeypatch.setattr(expr, "_compile", counting)
+        fn = FunctionAst(parse("piecewise(t < 0: -t, else: max(t, 2)^2)").root, 1, "")
+        xs = np.linspace(-1.0, 1.0, 9)
+        first = eval_many(fn, xs)
+        nodes = len(compiled)
+        assert compiled[0] is fn.root
+        for _ in range(3):
+            np.testing.assert_array_equal(eval_many(fn, xs), first)
+            eval_many(fn, xs[:3])
+        assert len(compiled) == nodes
 
     def test_a_bare_variable_is_a_copy(self):
         x = np.linspace(-1.0, 1.0, 5)

@@ -156,6 +156,14 @@ class TestToleranceHandling:
             phi_of("0.01*t^2 - 0.001*abs(t - 0.3)"), unit_grid, tol=1.0))
         assert v.outcome == "holds"
 
+    @pytest.mark.parametrize("src", ["t", "t^2", "-t^2", "t^3"])
+    def test_infinite_band_gives_verdicts(self, src, unit_grid):
+        # every pair of values ties, so no triple can fail semistrictly
+        p = SampledProblem(phi_of(src), unit_grid, tol=np.inf)
+        assert semistrictly_quasiconvex_def(p).outcome == "holds"
+        for oracle_def in (pseudoconvex_def, strictly_pseudoconvex_def, quasiconvex_def):
+            assert oracle_def(p).outcome in ("holds", "fails", "inconclusive")
+
     def test_verdict_records_tols(self, unit_grid):
         v = pseudoconvex_def(
             SampledProblem(phi_of("t^2"), unit_grid, tol=1e-5, stat_tol=1e-6)

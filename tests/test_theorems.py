@@ -17,6 +17,7 @@ from dinicvx import (
     golden_battery,
     parse_interval,
     random_battery,
+    restrict,
     run_battery,
     sample_directions,
     sample_pairs,
@@ -298,11 +299,41 @@ class TestAbcMatchesLoopReference:
 
         check_abc(f, np.asarray([0.2, 0.1]), np.asarray([0.5, 0.5]), BOX, SCHED)
         # restriction grid; A at x and the trailing half of its 64 probe
-        # rows; f(x) with the B probes; C's base point and the trailing
-        # half of its two one-sided probe rows
+        # rows; f(x) with the B probes, which C reads too
         n = SCHED.steps
         half = n - n // 2
-        assert calls == [258, 1, 64 * half, 1 + 2 * n, 1, 2 * half]
+        assert calls == [258, 1, 64 * half, 1 + 2 * n]
+
+    # x within the largest step (1e-2) of a face, or on one, so that some
+    # +-s probes of B and C, and some of A's, leave the feasible set
+    NEAR_FACE = [
+        ([0.995, 0.2], [-0.5, 0.1]),
+        ([-0.3, -0.996], [0.4, 0.7]),
+        ([0.999, 0.998], [-0.2, -0.6]),
+        ([1.0, 0.5], [0.2, -0.3]),
+        ([-0.997, 0.1], [0.5, 0.9]),
+    ]
+    NEAR_FACE_BOXES = {"closed": BOX, "open_x1_low": (parse_interval("(-1,1]"),
+                                                      parse_interval("[-1,1]"))}
+
+    @pytest.mark.parametrize("box", NEAR_FACE_BOXES)
+    @pytest.mark.parametrize("source", ["x1^2 + x2^2", "max(abs(x1), abs(x2))",
+                                        "x2^2 - x1", "abs(x1 - 0.995) + x2^2",
+                                        "(x1 - 0.995)^2 + (x2 - 0.2)^2",
+                                        "exp(x1) - 1.3*x2"])
+    def test_near_a_face_repr_identical(self, source, box):
+        box = self.NEAR_FACE_BOXES[box]
+        f = phi_of(source, 2)
+        s = SCHED.step_sizes()
+        left = 0
+        for k, (x, y) in enumerate(self.NEAR_FACE):
+            x, y = np.asarray(x), np.asarray(y)
+            feasible = restrict(f, x, y, box).feasible
+            left += not feasible.contains_many(np.concatenate([s, -s])).all()
+            got = check_abc(f, x, y, box, SCHED, function_id=f"p{k}")
+            want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}")
+            assert repr(got) == repr(want)
+        assert left == len(self.NEAR_FACE)
 
 
 class TestLongestRun:
