@@ -113,6 +113,8 @@ class RunConfig:
             raise _ConfigError(f"tol must be finite, got {self.tol}")
         if not self.stat_tol > 0:
             raise _ConfigError("stat-tol must be positive")
+        if not math.isfinite(self.stat_tol):
+            raise _ConfigError(f"stat-tol must be finite, got {self.stat_tol}")
         if self.pairs < 1:
             raise _ConfigError("pairs must be >= 1")
         if self.pairs > MAX_PAIRS:

@@ -15,10 +15,11 @@ point along a block of directions, one kernel row each, from the arrays
 of :func:`_dini_along`, which a caller can read directly.  :func:`lower_dini`
 (one direction) and :func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
-points, or only the rows in its optional mask per direction.  A row's
-bits do not depend on the rows beside it, so a caller can estimate just
-the entries it reads: toward a lower value for a definitional oracle, and
-for a stationarity check one descending direction or both.
+points, or only the rows in its optional mask per direction, and can stop
+after any block.  A row's bits do not depend on the rows beside it, so a
+caller can estimate just the entries it reads: toward a lower value for a
+definitional oracle, up to the block that holds the last failure it
+reports, and for a stationarity check one descending direction or both.
 
 A block is dense when it has at least 2 steps, every probe in it is in the
 domain and defined, and each row skipped exactly ``n_in // 2`` in-domain
@@ -39,6 +40,7 @@ those rows keep away from the ends.  Over one pass of the benchmark's
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -85,8 +87,8 @@ class DiniSchedule:
     dini_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not (self.t0 > 0):
-            raise ValueError(f"t0 must be positive, got {self.t0}")
+        if not (0 < self.t0 < _INF):
+            raise ValueError(f"t0 must be positive and finite, got {self.t0}")
         if not (0 < self.ratio < 1):
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
         if self.steps < 2:
@@ -100,7 +102,14 @@ class DiniSchedule:
             raise ValueError(f"dini_tol must be positive, got {self.dini_tol}")
 
     def step_sizes(self) -> np.ndarray:
-        return self.t0 * self.ratio ** np.arange(self.steps)
+        """The steps, computed once per schedule and read-only."""
+        return self._steps
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        s = self.t0 * self.ratio ** np.arange(self.steps)
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)
@@ -419,17 +428,20 @@ class GridDiniProfile:
         return cls(np.full(n, np.nan), np.full(n, np.nan),
                    *(np.zeros(n, dtype=bool) for _ in range(6)))
 
-    def descent(self, stat_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (minus, plus) arrays: direction descends beyond stat_tol."""
+    def descent(self, stat_tol: float,
+                rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (minus, plus) arrays over ``rows``: direction descends
+        beyond stat_tol."""
         with np.errstate(invalid="ignore"):
-            m = self.minus_feasible & (self.minus_value < -stat_tol)
-            p = self.plus_feasible & (self.plus_value < -stat_tol)
+            m = self.minus_feasible[rows] & (self.minus_value[rows] < -stat_tol)
+            p = self.plus_feasible[rows] & (self.plus_value[rows] < -stat_tol)
         return m, p
 
-    def unconverged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (minus, plus) arrays: direction feasible, estimate unconverged."""
-        return (self.minus_feasible & ~self.minus_converged,
-                self.plus_feasible & ~self.plus_converged)
+    def unconverged(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (minus, plus) arrays over ``rows``: direction feasible,
+        estimate unconverged."""
+        return (self.minus_feasible[rows] & ~self.minus_converged[rows],
+                self.plus_feasible[rows] & ~self.plus_converged[rows])
 
     def stationary_mask(self, stat_tol: float) -> np.ndarray:
         m, p = self.descent(stat_tol)
@@ -444,6 +456,7 @@ def grid_dini_profile(
     minus: np.ndarray | None = None,
     plus: np.ndarray | None = None,
     out: GridDiniProfile | None = None,
+    until: Callable[[slice], bool] | None = None,
 ) -> GridDiniProfile:
     """Batch unit-direction estimates at the grid points of ``dom``.
 
@@ -453,35 +466,42 @@ def grid_dini_profile(
     estimated, or as they were in ``out``, a profile of the same grid to
     write the estimates into.  Numerically identical to calling
     :func:`lower_dini` per point with u = +-1.  The grid is probed in blocks
-    of ``_BLOCK_ROWS`` points through :func:`_probe_rows` per block and
-    direction, so memory stays bounded however fine the grid.
+    of ``_BLOCK_ROWS`` points, in grid order, through :func:`_probe_rows`
+    per block and direction, so memory stays bounded however fine the grid.
+    Once both directions of a block before the last are written, ``until``,
+    if given, is called with the block's slice of rows, and a true result
+    ends the scan: the rows past that block are left as they were.
     """
     if schedule is None:
         schedule = DiniSchedule()
     pts = dom.points
     n = pts.shape[0]
     s = schedule.step_sizes()
-    ok_base = ~np.isnan(values)
     if out is None:
         out = GridDiniProfile.unestimated(n)
+    sides = [(sign, mask, [getattr(out, f"{label}_{name}") for name in
+                           ("value", "converged", "feasible", "estimated")])
+             for label, sign, mask in (("minus", -1.0, minus), ("plus", 1.0, plus))]
 
-    for label, sign, mask in (("minus", -1.0, minus), ("plus", 1.0, plus)):
-        value, conv, feas, done = (getattr(out, f"{label}_{name}") for name in
-                                   ("value", "converged", "feasible", "estimated"))
-        for a in range(0, n, _BLOCK_ROWS):
-            rows = slice(a, a + _BLOCK_ROWS)
+    for a in range(0, n, _BLOCK_ROWS):
+        block = slice(a, a + _BLOCK_ROWS)
+        for sign, mask, (value, conv, feas, done) in sides:
+            rows = block
             if mask is not None:
-                rows = a + np.flatnonzero(mask[rows])
+                rows = a + np.flatnonzero(mask[block])
                 if not rows.size:
                     continue
             probes = pts[None, rows] + sign * s[:, None]
+            base = values[rows]
             v, c, _, _, n_in = _probe_rows(
-                phi, probes, dom.interval.contains_many(probes), values[rows], s,
+                phi, probes, dom.interval.contains_many(probes), base, s,
                 schedule.dini_tol,
             )
-            f = (n_in > 0) & ok_base[rows]
+            f = (n_in > 0) & ~np.isnan(base)
             value[rows] = np.where(f, v, np.nan)
             conv[rows] = c & f
             feas[rows] = f
             done[rows] = True
+        if until is not None and block.stop < n and until(block):
+            break
     return out

@@ -19,7 +19,10 @@ side does, and the triple conditions reduce in the same way, so nothing is
 assumed about the function's shape and the monotone decomposition is never
 read.  The pair and quasiconvexity oracles cost O(n) on an n-point grid,
 the semistrict one O(n log n).  Witnesses are the first violations in grid
-order, at most ``_WITNESS_CAP`` of each kind.
+order, at most ``_WITNESS_CAP`` of each kind.  The pair oracles estimate
+the Dini entries they read one block of grid rows at a time, in grid order,
+and a failing one stops at the block that holds its ``_WITNESS_CAP``-th
+failure, so it reads no entry past the witnesses it reports.
 
 All comparisons share one equality band ``tol``; by default it is scaled
 from the grid values as ``1e-9 * (1 + max |phi|)`` so that classifying
@@ -189,15 +192,18 @@ class SampledProblem:
         """The kept Dini profile: only the entries asked for are estimated."""
         return GridDiniProfile.unestimated(self.dom.n)
 
-    def estimate(self, minus: np.ndarray | None = None,
-                 plus: np.ndarray | None = None) -> GridDiniProfile:
-        """The profile, with the entries in the row masks (``None``: all) estimated."""
+    def estimate(self, minus: np.ndarray | None = None, plus: np.ndarray | None = None,
+                 until: Callable[[slice], bool] | None = None) -> GridDiniProfile:
+        """The profile, with the entries in the row masks (``None``: all)
+        estimated, up to the block of rows after which ``until`` (as
+        :func:`grid_dini_profile` calls it) returns true."""
         prof = self.profile
         todo = [~done if mask is None else mask & ~done
                 for mask, done in ((minus, prof.minus_estimated),
                                    (plus, prof.plus_estimated))]
         if any(t.any() for t in todo):
-            grid_dini_profile(self.phi, self.dom, self.values, self.schedule, *todo, out=prof)
+            grid_dini_profile(self.phi, self.dom, self.values, self.schedule, *todo,
+                              out=prof, until=until)
         return prof
 
     def settle(self, rows: np.ndarray) -> GridDiniProfile:
@@ -253,17 +259,32 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     vals, tol_r = p.values, p.band
     # hit[x, side]: some y left (side 0) or right (side 1) of x triggers
     if strict:
-        hit = np.stack((p.prefix_min <= vals + tol_r, p.suffix_min <= vals + tol_r), axis=1)
+        sides = (p.prefix_min <= vals + tol_r, p.suffix_min <= vals + tol_r)
         trigger = "phi(y) <= phi(x) + tol with y != x"
     else:
-        hit = np.stack((p.prefix_min < vals - tol_r, p.suffix_min < vals - tol_r), axis=1)
+        sides = (p.prefix_min < vals - tol_r, p.suffix_min < vals - tol_r)
         trigger = "phi(y) < phi(x) - tol"
-    if not hit.any():
+    if not (sides[0].any() or sides[1].any()):
         return Verdict("holds", method, tol_r, p.stat_tol)
-    prof = p.estimate(hit[:, 0], hit[:, 1])
-    value = np.stack((prof.minus_value, prof.plus_value), axis=1).ravel()
-    undecided = (hit & ~np.stack(prof.descent(p.stat_tol), axis=1)).ravel()
-    unconverged = np.stack(prof.unconverged(), axis=1).ravel()
+    # The hit entries are estimated a block of rows at a time, in grid order.
+    # Once the blocks done hold _WITNESS_CAP failures, the failures reported
+    # are known, so the scan stops there and no later entry is read.
+    prof, found, stop = p.profile, 0, p.dom.n
+
+    def enough(rows: slice) -> bool:
+        nonlocal found, stop
+        for hit, d, u in zip(sides, prof.descent(p.stat_tol, rows), prof.unconverged(rows)):
+            found += np.count_nonzero(hit[rows] & ~(d | u))
+        if found >= _WITNESS_CAP:
+            stop = rows.stop
+        return found >= _WITNESS_CAP
+
+    p.estimate(*sides, until=enough)
+    done = slice(0, stop)
+    hit = np.stack([h[done] for h in sides], axis=1)
+    value = np.stack((prof.minus_value[done], prof.plus_value[done]), axis=1).ravel()
+    undecided = (hit & ~np.stack(prof.descent(p.stat_tol, done), axis=1)).ravel()
+    unconverged = np.stack(prof.unconverged(done), axis=1).ravel()
 
     def pairs(mask: np.ndarray, kind: str, detail: Callable[[int], str]) -> tuple[Witness, ...]:
         # entry k is x = k // 2 toward its side; the first (x, left), (x, right) win
@@ -297,7 +318,11 @@ def pseudoconvex_def(p: SampledProblem) -> Verdict:
     when the least value on that side is, each grid point is tested once
     per direction against the exclusive prefix and suffix minima: O(n).
     Failures are reported at the first (x, side) entries, left before
-    right, each with the first grid minimizer on that side as y.
+    right, each with the first grid minimizer on that side as y.  The
+    estimates are made one block of grid points (``dini._BLOCK_ROWS``) at a
+    time, and the scan stops at the block that holds the
+    ``_WITNESS_CAP``-th failure; a verdict that holds, or fails fewer
+    times, estimates every entry toward a lower value, each once.
     """
     return _pair_based(p, strict=False)
 

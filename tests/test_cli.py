@@ -78,6 +78,34 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and out == ""
         assert err.splitlines()[0] == "error: tol must be finite, got inf"
 
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["verify-theorems"],
+        ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
+    ])
+    def test_infinite_stat_tol_is_a_config_error(self, argv, capsys):
+        # with stat_tol inf no direction could descend, so every verdict
+        # would rest on a band no estimate can cross
+        code, out, err = run(argv + ["--stat-tol", "inf"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.splitlines()[0] == "error: stat-tol must be finite, got inf"
+
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
+        ["decompose", "--function", "t^2", "--domain", "[-1,1]"],
+        ["dini", "--function", "t^2", "--domain", "[-1,1]", "--at", "0.5", "--dir", "1"],
+        ["verify-theorems"],
+    ])
+    def test_infinite_dini_t0_is_a_config_error(self, argv, capsys):
+        # an infinite first step probes no point; each subcommand refuses it
+        # before evaluating anything
+        code, out, err = run(argv + ["--dini-t0", "inf"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: t0 must be positive and finite, got inf"
+        assert len(lines) == 2 and lines[1].startswith("elapsed:")
+
     def test_bad_manifest_path(self, capsys):
         code, _, err = run(["verify-theorems", "/no/such/file.json"], capsys)
         assert code == EXIT_CONFIG

@@ -112,6 +112,9 @@ class TestLowerDini:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             DiniSchedule(t0=-1.0)
+        for t0 in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="t0 must be positive and finite"):
+                DiniSchedule(t0=t0)
         with pytest.raises(ValueError):
             DiniSchedule(ratio=1.5)
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from dinicvx import (
     SUITE_SCHEDULE,
     DiniDomainError,
     DiniSchedule,
+    GridDiniProfile,
     golden_battery,
     grid_dini_profile,
     is_stationary,
@@ -253,6 +254,43 @@ class TestGridProfileMatchesReference:
                           "minus_feasible", "plus_feasible", "minus_estimated",
                           "plus_estimated"):
                 assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
+
+    # 2500 = 2 * 1024 + 452: a stop after the first or second block, and none
+    @pytest.mark.parametrize("stop_after", [0, 1, 2])
+    def test_until_ends_the_scan_after_a_block(self, stop_after):
+        n = 2500
+        dom = make_grid(parse_interval("[-1,1]"), n)
+        phi = phi_of("log(t + 0.5)")
+        whole = grid_dini_profile(phi, dom, phi(dom.points))
+        asked = []
+
+        def until(rows):
+            # both directions of the block are written when it is asked
+            assert part.minus_estimated[rows].all() and part.plus_estimated[rows].all()
+            asked.append(rows)
+            return len(asked) > stop_after
+
+        part = GridDiniProfile.unestimated(n)
+        assert grid_dini_profile(phi, dom, phi(dom.points), out=part, until=until) is part
+        # asked after each block but the last, in grid order
+        blocks = [slice(a, a + dini._BLOCK_ROWS) for a in range(0, n, dini._BLOCK_ROWS)]
+        assert asked == blocks[: min(stop_after + 1, len(blocks) - 1)]
+        end = n if stop_after + 1 >= len(blocks) else blocks[stop_after].stop
+        for side in ("minus", "plus"):
+            assert getattr(part, side + "_estimated")[:end].all()
+            assert not getattr(part, side + "_estimated")[end:].any()
+            for name in ("value", "converged", "feasible"):
+                got, want = (getattr(prof, f"{side}_{name}")[:end] for prof in (part, whole))
+                assert got.tobytes() == want.tobytes()
+
+    def test_descent_and_unconverged_over_a_row_range(self):
+        dom = make_grid(parse_interval("[-1,1]"), 2500)
+        phi = phi_of("exp(t) - 2*t^2")
+        prof = grid_dini_profile(phi, dom, phi(dom.points))
+        for rows in (slice(0, 1024), slice(1000, 2100), slice(2048, None)):
+            for part, whole in zip(prof.descent(1e-7, rows) + prof.unconverged(rows),
+                                   prof.descent(1e-7) + prof.unconverged()):
+                assert np.array_equal(part, whole[rows])
 
     def test_empty_masks_probe_nothing(self):
         dom = make_grid(parse_interval("[-1,1]"), 257)

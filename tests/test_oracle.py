@@ -1,3 +1,6 @@
+import inspect
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from dinicvx import (
     strictly_pseudoconvex_char,
     strictly_pseudoconvex_def,
 )
-from dinicvx import oracle
+from dinicvx import dini, oracle
 
 from conftest import grid_for, phi_of
 from oracle_reference import semistrict_triple_loop
@@ -236,14 +239,37 @@ CLASSIFIERS = (
 
 
 def recording_profiles(monkeypatch):
-    """Wrap ``oracle.grid_dini_profile``; returns the list of its (minus,
-    plus) masks, one pair per call, with ``None`` standing for every row."""
+    """Wrap ``oracle.grid_dini_profile``; returns the list of the entries each
+    call estimated, as a pair of full-grid (minus, plus) row masks.
+
+    The call's arguments are bound to the function's signature and forwarded,
+    so any signature works; the masks are read from them by name, and cut
+    after the block at which an ``until`` ended the scan."""
     calls = []
     real = oracle.grid_dini_profile
+    signature = inspect.signature(real)
 
-    def recording(phi, dom, values, schedule=None, minus=None, plus=None, out=None):
-        calls.append((minus, plus))
-        return real(phi, dom, values, schedule, minus, plus, out)
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        arg = dict(bound.arguments)
+        end = [arg["dom"].n]
+        if arg["until"] is not None:
+            def watching(rows):
+                stop = arg["until"](rows)
+                if stop:
+                    end[0] = rows.stop
+                return stop
+
+            bound.arguments["until"] = watching
+        out = real(*bound.args, **bound.kwargs)
+        masks = []
+        for mask in (arg["minus"], arg["plus"]):
+            done = np.ones(arg["dom"].n, dtype=bool) if mask is None else mask.copy()
+            done[end[0]:] = False
+            masks.append(done)
+        calls.append(tuple(masks))
+        return out
 
     monkeypatch.setattr(oracle, "grid_dini_profile", recording)
     return calls
@@ -253,8 +279,7 @@ def estimate_counts(calls, n):
     """(minus, plus) arrays: how many calls estimated each entry."""
     counts = np.zeros((2, n), dtype=int)
     for masks in calls:
-        for side, mask in enumerate(masks):
-            counts[side] += True if mask is None else mask
+        counts += np.stack(masks)
     return counts
 
 
@@ -325,12 +350,42 @@ class TestSampledProblem:
             assert repr(classify(shared)) == repr(classify(fresh)), classify.__name__
 
 
+# t on [-1,1] with a plateau 3e-4 wide every 0.125 from -0.9 on: at 16385
+# points the pair oracles fail at two or three points of each plateau, so
+# the first 8 failures of pseudoconvex_def lie in four different blocks
+STAIRS = "t" + "".join(f" - min(max(t - ({-0.9 + 0.125 * i:.3f}), 0), 0.0003)"
+                       for i in range(5))
+
+
+def multi_block_problems():
+    """(id, phi, dom): grids of several Dini blocks.  The 1-D golden functions
+    at 4097 points, and at 16385 points ``t^2`` (every pair oracle holds),
+    ``-t^2`` and ``1`` (they fail in the first block), ``w-shape`` (the
+    pseudoconvex oracle fails from the middle of the grid on) and
+    ``STAIRS``."""
+    out = [(f"{e.id}-4097", phi_of(e.expression), grid_for(e.domain, 4097))
+           for e in golden_battery() if e.arity == 1]
+    for name, src, domain in (("t^2", "t^2", "[-1,1]"), ("-t^2", "-t^2", "[-1,1]"),
+                              ("1", "1", "[-1,1]"),
+                              ("w-shape", "min(t^2, (t - 1.5)^2 + 0.3)", "[-1,3]"),
+                              ("stairs", STAIRS, "[-1,1]")):
+        out.append((f"{name}-16385", phi_of(src), grid_for(domain, 16385)))
+    return out
+
+
+# seconds for one multi-block case (a fully estimated profile, then every
+# classifier on three problems); the slowest, w-shape at 16385 points, takes
+# about 0.3 s on a 2-core Xeon VM
+MULTI_BLOCK_SECONDS = 3.0
+
+
 class TestDemandDrivenProfile:
     """Each Dini entry is estimated at most once, and only when read."""
 
-    @pytest.mark.parametrize("case", demand_problems(), ids=lambda c: c[0])
-    def test_verdicts_match_a_fully_estimated_profile(self, case, monkeypatch):
-        _, phi, dom = case
+    @staticmethod
+    def assert_matches_full_profile(phi, dom, monkeypatch):
+        # every classifier, run forward and in reverse order on a problem that
+        # estimates on demand, gives the verdict of a fully estimated profile
         full = SampledProblem(phi, dom, SUITE_SCHEDULE)
         full.estimate()
         expected = [repr(classify(full)) for classify in CLASSIFIERS]
@@ -346,9 +401,25 @@ class TestDemandDrivenProfile:
         for counts in estimate_counts(profiles, dom.n):
             assert counts.max() <= 1
 
-    def test_pseudoconvex_def_estimates_exactly_its_hit_entries(self, unit_grid, monkeypatch):
+    @pytest.mark.parametrize("case", demand_problems(), ids=lambda c: c[0])
+    def test_verdicts_match_a_fully_estimated_profile(self, case, monkeypatch):
+        _, phi, dom = case
+        self.assert_matches_full_profile(phi, dom, monkeypatch)
+
+    @pytest.mark.parametrize("case", multi_block_problems(), ids=lambda c: c[0])
+    def test_verdicts_match_a_fully_estimated_profile_on_several_blocks(self, case,
+                                                                        monkeypatch):
+        _, phi, dom = case
+        assert dom.n > dini._BLOCK_ROWS
+        start = time.perf_counter()
+        self.assert_matches_full_profile(phi, dom, monkeypatch)
+        assert time.perf_counter() - start < MULTI_BLOCK_SECONDS
+
+    @pytest.mark.parametrize("n", [257, 16385])
+    def test_pseudoconvex_def_estimates_exactly_its_hit_entries(self, n, monkeypatch):
         profiles = recording_profiles(monkeypatch)
-        p = SampledProblem(phi_of("t^2"), unit_grid)
+        dom = grid_for("[-1,1]", n)
+        p = SampledProblem(phi_of("t^2"), dom)
         assert pseudoconvex_def(p).outcome == "holds"
         drop = p.values - p.band
         hit = (p.prefix_min < drop, p.suffix_min < drop)
@@ -357,25 +428,57 @@ class TestDemandDrivenProfile:
         assert len(profiles) == 1
         for mask, estimated in zip(hit, (p.profile.minus_estimated, p.profile.plus_estimated)):
             assert np.array_equal(estimated, mask)
-        for counts, mask in zip(estimate_counts(profiles, unit_grid.n), hit):
+        for counts, mask in zip(estimate_counts(profiles, n), hit):
             assert np.array_equal(counts, mask.astype(int))
 
-    def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
-        # outside the minimum band of t^2 the direction toward 0 descends, so
-        # the characterization estimates that one alone
-        p = SampledProblem(phi_of("t^2"), unit_grid)
-        assert pseudoconvex_char(p).outcome == "holds"
-        lo, hi = decompose(p).i_hat
+    @pytest.mark.parametrize("source,classify", [("-t^2", pseudoconvex_def),
+                                                 ("1", strictly_pseudoconvex_def)],
+                             ids=["-t^2", "1"])
+    def test_failing_pair_oracle_stops_at_the_first_block(self, source, classify, monkeypatch):
+        # every grid point fails, so the first block holds all the witnesses
+        # reported and no row past it is estimated
+        profiles = recording_profiles(monkeypatch)
+        dom = grid_for("[-1,1]", 16385)
+        p = SampledProblem(phi_of(source), dom)
+        verdict = classify(p)
+        assert verdict.outcome == "fails"
+        assert len(verdict.witnesses) == oracle._WITNESS_CAP
+        counts = estimate_counts(profiles, dom.n)
+        assert len(profiles) == 1 and counts.max() == 1
+        assert counts[:, : dini._BLOCK_ROWS].any()
+        assert not counts[:, dini._BLOCK_ROWS :].any()
         prof = p.profile
-        outside = np.ones(unit_grid.n, dtype=bool)
-        outside[lo:hi] = False
-        assert (prof.minus_estimated ^ prof.plus_estimated)[outside].all()
-        assert not (prof.minus_estimated | prof.plus_estimated)[lo:hi].any()
+        assert not (prof.minus_estimated | prof.plus_estimated)[dini._BLOCK_ROWS :].any()
 
-    def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
-        p = SampledProblem(phi_of("t^3"), unit_grid)
-        check_t4(p)
-        prof = p.profile
-        stationary = prof.stationary_mask(p.stat_tol)
-        assert stationary.any()
-        assert (prof.minus_estimated & prof.plus_estimated)[stationary].all()
+    def test_sparse_failures_stop_at_the_block_of_the_eighth(self):
+        p = SampledProblem(phi_of(STAIRS), grid_for("[-1,1]", 16385))
+        verdict = pseudoconvex_def(p)
+        assert verdict.outcome == "fails"
+        assert len(verdict.witnesses) == oracle._WITNESS_CAP
+        last = int(np.searchsorted(p.dom.points, verdict.witnesses[-1].points[0]))
+        first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
+        block = last // dini._BLOCK_ROWS
+        assert block > first // dini._BLOCK_ROWS
+        estimated = p.profile.minus_estimated | p.profile.plus_estimated
+        assert estimated[block * dini._BLOCK_ROWS : last].any()
+        assert not estimated[(block + 1) * dini._BLOCK_ROWS :].any()
+
+    def test_unconverged_entries_do_not_count_toward_the_stop(self):
+        # a profile filled in by hand up to its last block: the whole first
+        # block is undecided but unconverged, and 8 failures follow in the
+        # second; the scan must read on to them and stop there
+        dom = grid_for("[-1,1]", 3000)
+        p = SampledProblem(phi_of("t"), dom)
+        prof, block = p.profile, dini._BLOCK_ROWS
+        for side in ("minus", "plus"):
+            getattr(prof, side + "_value")[: 2 * block] = -1.0
+            for name in ("converged", "feasible", "estimated"):
+                getattr(prof, f"{side}_{name}")[: 2 * block] = True
+        prof.minus_value[1:block] = 0.0
+        prof.minus_converged[1:block] = False
+        fails = np.arange(block + 76, block + 84)
+        prof.minus_value[fails] = 0.0
+        verdict = pseudoconvex_def(p)
+        assert verdict.outcome == "fails"
+        assert [w.points[0] for w in verdict.witnesses] == dom.points[fails].tolist()
+        assert not (prof.minus_estimated | prof.plus_estimated)[2 * block :].any()
