@@ -98,8 +98,8 @@ class DiniSchedule:
             raise ValueError(
                 f"smallest step {smallest:.3e} below 1e-12; shorten the schedule"
             )
-        if not (self.dini_tol > 0):
-            raise ValueError(f"dini_tol must be positive, got {self.dini_tol}")
+        if not (0 < self.dini_tol < _INF):
+            raise ValueError(f"dini_tol must be positive and finite, got {self.dini_tol}")
 
     def step_sizes(self) -> np.ndarray:
         """The steps, computed once per schedule and read-only."""

@@ -106,6 +106,22 @@ class TestExitCodes:
         assert lines[0] == "error: t0 must be positive and finite, got inf"
         assert len(lines) == 2 and lines[1].startswith("elapsed:")
 
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
+        ["decompose", "--function", "t^2", "--domain", "[-1,1]"],
+        ["dini", "--function", "t^2", "--domain", "[-1,1]", "--at", "0.5", "--dir", "1"],
+        ["verify-theorems"],
+    ])
+    def test_infinite_dini_tol_is_a_config_error(self, argv, capsys):
+        # with an infinite tolerance every estimate would read as converged,
+        # so no verdict could be inconclusive
+        code, out, err = run(argv + ["--dini-tol", "inf"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: dini_tol must be positive and finite, got inf"
+        assert len(lines) == 2 and lines[1].startswith("elapsed:")
+
     def test_bad_manifest_path(self, capsys):
         code, _, err = run(["verify-theorems", "/no/such/file.json"], capsys)
         assert code == EXIT_CONFIG

@@ -55,7 +55,7 @@ COMMON = st.tuples(
     _flag("dini-t0", ["1e-2", "0.5", "0", "-1", "nan", "inf"]),
     _flag("dini-ratio", ["0.6", "0.9", "0", "1", "nan"]),
     _flag("dini-steps", ["2", "28", "40", "200", "1", "0"]),
-    _flag("dini-tol", ["1e-7", "1e-2", "0", "nan"]),
+    _flag("dini-tol", ["1e-7", "1e-2", "0", "nan", "inf"]),
     _flag("output", ["json", "text"]),
 ).map(lambda parts: [a for part in parts for a in part])
 

@@ -115,6 +115,9 @@ class TestLowerDini:
         for t0 in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="t0 must be positive and finite"):
                 DiniSchedule(t0=t0)
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="dini_tol must be positive and finite"):
+                DiniSchedule(dini_tol=tol)
         with pytest.raises(ValueError):
             DiniSchedule(ratio=1.5)
         with pytest.raises(ValueError):

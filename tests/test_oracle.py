@@ -431,6 +431,26 @@ class TestDemandDrivenProfile:
         for counts, mask in zip(estimate_counts(profiles, n), hit):
             assert np.array_equal(counts, mask.astype(int))
 
+    def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
+        # outside the minimum band of t^2 the direction toward 0 descends, so
+        # the characterization estimates that one alone
+        p = SampledProblem(phi_of("t^2"), unit_grid)
+        assert pseudoconvex_char(p).outcome == "holds"
+        lo, hi = decompose(p).i_hat
+        prof = p.profile
+        outside = np.ones(unit_grid.n, dtype=bool)
+        outside[lo:hi] = False
+        assert (prof.minus_estimated ^ prof.plus_estimated)[outside].all()
+        assert not (prof.minus_estimated | prof.plus_estimated)[lo:hi].any()
+
+    def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
+        p = SampledProblem(phi_of("t^3"), unit_grid)
+        check_t4(p)
+        prof = p.profile
+        stationary = prof.stationary_mask(p.stat_tol)
+        assert stationary.any()
+        assert (prof.minus_estimated & prof.plus_estimated)[stationary].all()
+
     @pytest.mark.parametrize("source,classify", [("-t^2", pseudoconvex_def),
                                                  ("1", strictly_pseudoconvex_def)],
                              ids=["-t^2", "1"])
