@@ -129,9 +129,8 @@ def _stationarity_scan(
     outside = np.ones(p.dom.n, dtype=bool)
     outside[dec.i_hat[0] : dec.i_hat[1]] = False
     profile = p.settle(outside)
-    minus_desc, plus_desc = profile.descent(p.stat_tol)
-    still = ~(minus_desc | plus_desc) & outside
-    unconv = np.logical_or(*profile.unconverged())
+    still = ~profile.descent(p.stat_tol).any(axis=0) & outside
+    unconv = profile.unconverged().any(axis=0)
     violations = [
         _witness(p, "stationary_outside_min", (i,), (
             "grid point outside the minimum band with no descending "

@@ -22,7 +22,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .oracle import (
     semistrictly_quasiconvex_def,
     strictly_pseudoconvex_def,
 )
-from .theorems import run_battery, sample_pairs
+from .theorems import SUITE_SCHEDULE, run_battery, sample_pairs
 
 __all__ = ["main", "RunConfig", "canonical_json"]
 
@@ -261,26 +261,10 @@ def _split_json(split: SegmentSplit, pts: np.ndarray) -> dict:
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    return {
-        "function": cfg.function,
-        "arity": cfg.arity,
-        "domain": cfg.domain,
-        "box": cfg.box,
-        "grid": cfg.grid,
-        "margin": cfg.margin,
-        "tol": cfg.tol,
-        "stat_tol": cfg.stat_tol,
-        "dini": {
-            "t0": cfg.schedule.t0,
-            "ratio": cfg.schedule.ratio,
-            "steps": cfg.schedule.steps,
-            "dini_tol": cfg.schedule.dini_tol,
-        },
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "pairs": cfg.pairs,
-        "checks": list(cfg.checks),
-    }
+    out = asdict(cfg)
+    del out["output"]
+    out["dini"] = out.pop("schedule")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +549,11 @@ def _scalar_text(v) -> str:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, problem: bool = True,
+                schedule: DiniSchedule = DiniSchedule()) -> None:
     """Flags of every subcommand; ``problem`` adds those that pose one
-    function (verify-theorems reads its functions from a manifest)."""
+    function (verify-theorems reads its functions from a manifest), and
+    ``schedule`` gives the defaults of the ``--dini-*`` flags."""
     p.add_argument("--function", required=problem,
                    help="expression string, e.g. 't^2' or 'x1^2 + x2^2'")
     if problem:
@@ -580,11 +566,11 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="equality band; default scales with the grid values")
     p.add_argument("--stat-tol", type=float, default=1e-7)
-    p.add_argument("--dini-t0", type=float, default=1e-2)
-    p.add_argument("--dini-ratio", type=float, default=0.6)
-    p.add_argument("--dini-steps", type=int, default=40,
+    p.add_argument("--dini-t0", type=float, default=schedule.t0)
+    p.add_argument("--dini-ratio", type=float, default=schedule.ratio)
+    p.add_argument("--dini-steps", type=int, default=schedule.steps,
                    help=f"probe steps per Dini estimate, 2 to {MAX_DINI_STEPS}")
-    p.add_argument("--dini-tol", type=float, default=1e-7)
+    p.add_argument("--dini-tol", type=float, default=schedule.dini_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="json", choices=["json", "text"])
     p.add_argument("--pairs", type=int, default=24,
@@ -622,11 +608,10 @@ def _build_parser() -> _Parser:
                    help="battery manifest JSON; default: built-in golden battery")
     p.add_argument("--random", type=int, default=0,
                    help=f"append this many seeded random functions, 0 to {MAX_RANDOM}")
-    _add_common(p, problem=False)
     # the theorem suite probes with a noise-safe step floor by default; the
     # fixed problem fields fill the report's config block
-    p.set_defaults(dini_steps=28, dini_tol=1e-6, arity=1, domain="[-1,1]",
-                   box=None, method="both")
+    _add_common(p, problem=False, schedule=SUITE_SCHEDULE)
+    p.set_defaults(arity=1, domain="[-1,1]", box=None, method="both")
     return top
 
 

@@ -15,11 +15,14 @@ point along a block of directions, one kernel row each, from the arrays
 of :func:`_dini_along`, which a caller can read directly.  :func:`lower_dini`
 (one direction) and :func:`is_stationary` (both) call it on the line, and
 :func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
-points, or only the rows in its optional mask per direction, and can stop
-after any block.  A row's bits do not depend on the rows beside it, so a
-caller can estimate just the entries it reads: toward a lower value for a
-definitional oracle, up to the block that holds the last failure it
-reports, and for a stationarity check one descending direction or both.
+points, or only the entries in its optional mask, and can stop after any
+block.  Its profile puts the two sides on one axis: each array is (2, n),
+``[0]`` toward lower t and ``[1]`` toward higher t, so a reader takes both
+sides of a point with one whole-array operation.  A row's bits do not
+depend on the rows beside it, so a caller can estimate just the entries
+it reads: toward a lower value for a definitional oracle, up to the block
+that holds the last failure it reports, and for a stationarity check one
+descending direction or both.
 
 A block is dense when it has at least 2 steps, every probe in it is in the
 domain and defined, and each row skipped exactly ``n_in // 2`` in-domain
@@ -402,50 +405,41 @@ def is_stationary(
 class GridDiniProfile:
     """Unit-direction Dini estimates at the grid points, both directions.
 
-    Rows align with ``dom.points``.  ``*_feasible`` marks directions with at
-    least one in-domain probe; infeasible entries carry NaN values and are
-    never consulted by the classifiers, nor are the entries outside
-    ``*_estimated``, which read as infeasible (all estimated by default).
+    Each field is a (2, n) array with one column per point of ``dom.points``
+    and one row per side: row 0 toward lower t (minus), row 1 toward higher
+    t (plus).  ``feasible`` marks entries with at least one in-domain probe;
+    infeasible entries carry NaN values and are never consulted by the
+    classifiers, nor are the entries outside ``estimated``, which read as
+    infeasible.
     """
 
-    minus_value: np.ndarray
-    plus_value: np.ndarray
-    minus_converged: np.ndarray
-    plus_converged: np.ndarray
-    minus_feasible: np.ndarray
-    plus_feasible: np.ndarray
-    minus_estimated: np.ndarray | None = None
-    plus_estimated: np.ndarray | None = None
+    value: np.ndarray
+    converged: np.ndarray
+    feasible: np.ndarray
+    estimated: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("minus_estimated", "plus_estimated"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.ones(self.minus_value.shape, dtype=bool))
+    # Row views kept for perfbench's tracer, which reads them by name until
+    # ROADMAP item 6.
+    minus_feasible = property(lambda self: self.feasible[0])
+    plus_feasible = property(lambda self: self.feasible[1])
+    minus_converged = property(lambda self: self.converged[0])
+    plus_converged = property(lambda self: self.converged[1])
 
     @classmethod
     def unestimated(cls, n: int) -> GridDiniProfile:
-        """A profile of ``n`` rows with no entry estimated."""
-        return cls(np.full(n, np.nan), np.full(n, np.nan),
-                   *(np.zeros(n, dtype=bool) for _ in range(6)))
+        """A profile of ``n`` points with no entry estimated."""
+        return cls(np.full((2, n), np.nan), *(np.zeros((2, n), dtype=bool) for _ in range(3)))
 
-    def descent(self, stat_tol: float,
-                rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (minus, plus) arrays over ``rows``: direction descends
-        beyond stat_tol."""
+    def descent(self, stat_tol: float, rows: slice = slice(None)) -> np.ndarray:
+        """(2, k) mask over the k grid points ``rows``: the direction
+        descends beyond stat_tol."""
         with np.errstate(invalid="ignore"):
-            m = self.minus_feasible[rows] & (self.minus_value[rows] < -stat_tol)
-            p = self.plus_feasible[rows] & (self.plus_value[rows] < -stat_tol)
-        return m, p
+            return self.feasible[:, rows] & (self.value[:, rows] < -stat_tol)
 
-    def unconverged(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (minus, plus) arrays over ``rows``: direction feasible,
-        estimate unconverged."""
-        return (self.minus_feasible[rows] & ~self.minus_converged[rows],
-                self.plus_feasible[rows] & ~self.plus_converged[rows])
-
-    def stationary_mask(self, stat_tol: float) -> np.ndarray:
-        m, p = self.descent(stat_tol)
-        return ~(m | p)
+    def unconverged(self, rows: slice = slice(None)) -> np.ndarray:
+        """(2, k) mask over the k grid points ``rows``: the direction is
+        feasible, its estimate unconverged."""
+        return self.feasible[:, rows] & ~self.converged[:, rows]
 
 
 def grid_dini_profile(
@@ -453,24 +447,24 @@ def grid_dini_profile(
     dom: SampledDomain,
     values: np.ndarray,
     schedule: DiniSchedule | None = None,
-    minus: np.ndarray | None = None,
-    plus: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
     out: GridDiniProfile | None = None,
     until: Callable[[slice], bool] | None = None,
 ) -> GridDiniProfile:
     """Batch unit-direction estimates at the grid points of ``dom``.
 
     ``values`` holds ``phi`` at ``dom.points``; ``phi`` is called only at
-    probes.  Only the rows in the boolean masks ``minus`` and ``plus`` (all
-    when ``None``) are probed; the others come back infeasible and not
-    estimated, or as they were in ``out``, a profile of the same grid to
-    write the estimates into.  Numerically identical to calling
-    :func:`lower_dini` per point with u = +-1.  The grid is probed in blocks
-    of ``_BLOCK_ROWS`` points, in grid order, through :func:`_probe_rows`
-    per block and direction, so memory stays bounded however fine the grid.
-    Once both directions of a block before the last are written, ``until``,
-    if given, is called with the block's slice of rows, and a true result
-    ends the scan: the rows past that block are left as they were.
+    probes.  Only the entries in the (2, n) boolean ``mask``, laid out as
+    :class:`GridDiniProfile` is (all when ``None``), are probed; the others
+    come back infeasible and not estimated, or as they were in ``out``, a
+    profile of the same grid to write the estimates into.  Numerically
+    identical to calling :func:`lower_dini` per point with u = +-1.  The
+    grid is probed in blocks of ``_BLOCK_ROWS`` points, in grid order,
+    through :func:`_probe_rows` per block and side, so memory stays bounded
+    however fine the grid.  Once both sides of a block before the last are
+    written, ``until``, if given, is called with the block's slice of
+    points, and a true result ends the scan: the points past that block are
+    left as they were.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -479,16 +473,13 @@ def grid_dini_profile(
     s = schedule.step_sizes()
     if out is None:
         out = GridDiniProfile.unestimated(n)
-    sides = [(sign, mask, [getattr(out, f"{label}_{name}") for name in
-                           ("value", "converged", "feasible", "estimated")])
-             for label, sign, mask in (("minus", -1.0, minus), ("plus", 1.0, plus))]
 
     for a in range(0, n, _BLOCK_ROWS):
         block = slice(a, a + _BLOCK_ROWS)
-        for sign, mask, (value, conv, feas, done) in sides:
+        for side, sign in enumerate((-1.0, 1.0)):
             rows = block
             if mask is not None:
-                rows = a + np.flatnonzero(mask[block])
+                rows = a + np.flatnonzero(mask[side, block])
                 if not rows.size:
                     continue
             probes = pts[None, rows] + sign * s[:, None]
@@ -498,10 +489,10 @@ def grid_dini_profile(
                 schedule.dini_tol,
             )
             f = (n_in > 0) & ~np.isnan(base)
-            value[rows] = np.where(f, v, np.nan)
-            conv[rows] = c & f
-            feas[rows] = f
-            done[rows] = True
+            out.value[side, rows] = np.where(f, v, np.nan)
+            out.converged[side, rows] = c & f
+            out.feasible[side, rows] = f
+            out.estimated[side, rows] = True
         if until is not None and block.stop < n and until(block):
             break
     return out

@@ -12,14 +12,15 @@ of an agreement test against the structural characterizations:
   below phi(x) (up to tol) strictly between x and y.
 
 Each quantifier over pairs or triples is decided exactly, by whole-array
-passes over the grid values and the exclusive prefix and suffix minima
-rather than by a Python loop per grid index.  A pair (x, y) triggers its
-condition for some y on one side of x exactly when the least value on that
-side does, and the triple conditions reduce in the same way, so nothing is
-assumed about the function's shape and the monotone decomposition is never
-read.  The pair and quasiconvexity oracles cost O(n) on an n-point grid,
-the semistrict one O(n log n).  Witnesses are the first violations in grid
-order, at most ``_WITNESS_CAP`` of each kind.  The pair oracles estimate
+passes over the grid values and the side minima (the least value strictly
+left and strictly right of each point) rather than by a Python loop per
+grid index.  A pair (x, y) triggers its condition for some y on one side
+of x exactly when the least value on that side does, and the triple
+conditions reduce in the same way, so nothing is assumed about the
+function's shape and the monotone decomposition is never read.  The pair
+and quasiconvexity oracles cost O(n) on an n-point grid, the semistrict
+one O(n log n).  Witnesses are the first violations in grid order, at
+most ``_WITNESS_CAP`` of each kind.  The pair oracles estimate
 the Dini entries they read one block of grid rows at a time, in grid order,
 and a failing one stops at the block that holds its ``_WITNESS_CAP``-th
 failure, so it reads no entry past the witnesses it reports.
@@ -107,27 +108,20 @@ def grid_values(
     )
 
 
-def _exclusive_prefix_min(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[0] = np.inf
-    if v.shape[0] > 1:
-        out[1:] = np.minimum.accumulate(v[:-1])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SampledProblem:
     """One function on one sampled interval: what every classifier reads.
 
-    The grid values, the equality band and the exclusive prefix and suffix
-    minima with their first minimizers are each computed at most once, when
-    a classifier first reads them, and then shared by the definitional
-    oracles, the structural characterizations and the theorem checks, which
-    ask for each verdict through :meth:`verdict` and so run each oracle once
-    per problem.  Each (grid point, direction) entry of the one kept Dini
+    The grid values, the equality band and the side minima with their first
+    minimizers are each computed at most once, when a classifier first reads
+    them, and then shared by the definitional oracles, the structural
+    characterizations and the theorem checks, which ask for each verdict
+    through :meth:`verdict` and so run each oracle once per problem.  Each (grid point, direction) entry of the one kept Dini
     profile is estimated at most once, when a reader asks for it through
-    :meth:`estimate` or :meth:`settle`; the others read as infeasible.
-    Only these inputs are shared; every classifier keeps its own decision
+    :meth:`estimate` or :meth:`settle`; the others read as infeasible.  The
+    side minima, the profile and the masks that ask for its entries share
+    one (2, n) layout: row 0 toward lower t, row 1 toward higher t.  Only
+    these inputs are shared; every classifier keeps its own decision
     logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
     called, so a rebound module attribute (as a tracer installs) is used.
     """
@@ -157,52 +151,46 @@ class SampledProblem:
         return auto_tol(self.values) if self.tol is None else self.tol
 
     @cached_property
-    def prefix_min(self) -> np.ndarray:
-        """``prefix_min[i]`` is the least value left of grid index i."""
-        return _exclusive_prefix_min(self.values)
+    def side_min(self) -> np.ndarray:
+        """``side_min[0, i]`` is the least value left of grid index i and
+        ``side_min[1, i]`` the least value right of it (inf where none)."""
+        v = self.values
+        out = np.full((2, v.shape[0]), np.inf)
+        out[0, 1:] = np.minimum.accumulate(v[:-1])
+        out[1, :-1] = np.minimum.accumulate(v[:0:-1])[::-1]
+        return out
 
     @cached_property
-    def suffix_min(self) -> np.ndarray:
-        """``suffix_min[i]`` is the least value right of grid index i."""
-        return _exclusive_prefix_min(self.values[::-1])[::-1]
-
-    @cached_property
-    def prefix_argmin(self) -> np.ndarray:
-        """``prefix_argmin[i]`` is the first index left of i that holds
-        ``prefix_min[i]`` (0 at i = 0, which has nothing left of it)."""
-        idx = np.arange(self.dom.n)
-        # a point below everything before it is the first holder of its value
-        first = np.maximum.accumulate(np.where(self.values < self.prefix_min, idx, 0))
-        return np.concatenate(([0], first[:-1]))
-
-    @cached_property
-    def suffix_argmin(self) -> np.ndarray:
-        """``suffix_argmin[i]`` is the first index right of i that holds
-        ``suffix_min[i]`` (n - 1 at i = n - 1)."""
+    def side_argmin(self) -> np.ndarray:
+        """``side_argmin[k, i]`` is the first index on side k of i that holds
+        ``side_min[k, i]``, or i itself where that side is empty."""
         n = self.dom.n
+        v, (left, right) = self.values, self.side_min
         idx = np.arange(n)
+        out = np.empty((2, n), dtype=np.intp)
+        out[0, 0], out[1, -1] = 0, n - 1
+        # a point below everything before it is the first holder of its value
+        out[0, 1:] = np.maximum.accumulate(np.where(v < left, idx, 0))[:-1]
         # a point at or below everything after it holds the least value from
         # it on, and the leftmost such point at or after j is the first holder
         # of the least value from j on
-        first = np.minimum.accumulate(np.where(self.values <= self.suffix_min, idx, n)[::-1])[::-1]
-        return np.concatenate((first[1:], [n - 1]))
+        out[1, :-1] = np.minimum.accumulate(np.where(v <= right, idx, n)[::-1])[-2::-1]
+        return out
 
     @cached_property
     def profile(self) -> GridDiniProfile:
         """The kept Dini profile: only the entries asked for are estimated."""
         return GridDiniProfile.unestimated(self.dom.n)
 
-    def estimate(self, minus: np.ndarray | None = None, plus: np.ndarray | None = None,
+    def estimate(self, mask: np.ndarray | None = None,
                  until: Callable[[slice], bool] | None = None) -> GridDiniProfile:
-        """The profile, with the entries in the row masks (``None``: all)
+        """The profile, with the entries in the (2, n) ``mask`` (``None``: all)
         estimated, up to the block of rows after which ``until`` (as
         :func:`grid_dini_profile` calls it) returns true."""
         prof = self.profile
-        todo = [~done if mask is None else mask & ~done
-                for mask, done in ((minus, prof.minus_estimated),
-                                   (plus, prof.plus_estimated))]
-        if any(t.any() for t in todo):
-            grid_dini_profile(self.phi, self.dom, self.values, self.schedule, *todo,
+        todo = ~prof.estimated if mask is None else mask & ~prof.estimated
+        if todo.any():
+            grid_dini_profile(self.phi, self.dom, self.values, self.schedule, todo,
                               out=prof, until=until)
         return prof
 
@@ -213,12 +201,11 @@ class SampledProblem:
         that one fails to descend; a row at the minimum level asks for both."""
         prof = self.profile
         toward = np.arange(self.dom.n) > np.argmin(self.values)  # minus faces it
-        low = self.values <= np.min(self.values) + self.band
+        first = np.stack((toward, ~toward)) | (self.values <= np.min(self.values) + self.band)
         for _ in range(2):
-            m, p = prof.descent(self.stat_tol)
-            open_ = rows & ~(m | p)
-            self.estimate(open_ & (toward | low | prof.plus_estimated),
-                          open_ & (~toward | low | prof.minus_estimated))
+            open_ = rows & ~prof.descent(self.stat_tol).any(axis=0)
+            # a side comes second once the other side of its row is estimated
+            self.estimate(open_ & (first | prof.estimated[::-1]))
         return prof
 
     @cached_property
@@ -257,14 +244,14 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     if p.undefined:
         return _undefined_verdict(p, method)
     vals, tol_r = p.values, p.band
-    # hit[x, side]: some y left (side 0) or right (side 1) of x triggers
+    # hit[side, x]: some y left (side 0) or right (side 1) of x triggers
     if strict:
-        sides = (p.prefix_min <= vals + tol_r, p.suffix_min <= vals + tol_r)
+        hit = p.side_min <= vals + tol_r
         trigger = "phi(y) <= phi(x) + tol with y != x"
     else:
-        sides = (p.prefix_min < vals - tol_r, p.suffix_min < vals - tol_r)
+        hit = p.side_min < vals - tol_r
         trigger = "phi(y) < phi(x) - tol"
-    if not (sides[0].any() or sides[1].any()):
+    if not hit.any():
         return Verdict("holds", method, tol_r, p.stat_tol)
     # The hit entries are estimated a block of rows at a time, in grid order.
     # Once the blocks done hold _WITNESS_CAP failures, the failures reported
@@ -273,35 +260,31 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
 
     def enough(rows: slice) -> bool:
         nonlocal found, stop
-        for hit, d, u in zip(sides, prof.descent(p.stat_tol, rows), prof.unconverged(rows)):
-            found += np.count_nonzero(hit[rows] & ~(d | u))
+        found += np.count_nonzero(
+            hit[:, rows] & ~(prof.descent(p.stat_tol, rows) | prof.unconverged(rows)))
         if found >= _WITNESS_CAP:
             stop = rows.stop
         return found >= _WITNESS_CAP
 
-    p.estimate(*sides, until=enough)
+    p.estimate(hit, until=enough)
     done = slice(0, stop)
-    hit = np.stack([h[done] for h in sides], axis=1)
-    value = np.stack((prof.minus_value[done], prof.plus_value[done]), axis=1).ravel()
-    undecided = (hit & ~np.stack(prof.descent(p.stat_tol, done), axis=1)).ravel()
-    unconverged = np.stack(prof.unconverged(done), axis=1).ravel()
+    undecided = hit[:, done] & ~prof.descent(p.stat_tol, done)
+    unconverged = prof.unconverged(done)
 
-    def pairs(mask: np.ndarray, kind: str, detail: Callable[[int], str]) -> tuple[Witness, ...]:
-        # entry k is x = k // 2 toward its side; the first (x, left), (x, right) win
-        out = []
-        for k in np.flatnonzero(mask)[:_WITNESS_CAP]:
-            x, side = divmod(int(k), 2)
-            y = (p.suffix_argmin if side else p.prefix_argmin)[x]
-            out.append(_witness(p, kind, (x, y), detail(k)))
-        return tuple(out)
+    def pairs(mask: np.ndarray, kind: str, detail: Callable[[float], str]) -> tuple[Witness, ...]:
+        # the first (x, side) entries in grid order, left before right
+        entries = [(x, side) for x in np.flatnonzero(mask[0] | mask[1])[:_WITNESS_CAP]
+                   for side in np.flatnonzero(mask[:, x])]
+        return tuple(_witness(p, kind, (x, p.side_argmin[side, x]), detail(prof.value[side, x]))
+                     for x, side in entries[:_WITNESS_CAP])
 
-    failed = pairs(undecided & ~unconverged, "no_descent", lambda k: (
+    failed = pairs(undecided & ~unconverged, "no_descent", lambda value: (
         f"{trigger} but the lower Dini derivative at x toward y "
-        f"is {float(value[k]):.6g} >= -stat_tol"
+        f"is {float(value):.6g} >= -stat_tol"
     ))
     if failed:
         return Verdict("fails", method, tol_r, p.stat_tol, failed)
-    blocked = pairs(undecided & unconverged, "unconverged_dini", lambda k: (
+    blocked = pairs(undecided & unconverged, "unconverged_dini", lambda value: (
         f"{trigger}; the Dini estimate toward y did not converge, leaving the sign undecided"
     ))
     if blocked:
@@ -316,13 +299,13 @@ def pseudoconvex_def(p: SampledProblem) -> Verdict:
     x toward y must fall below -stat_tol.  Since the estimate only depends
     on the side y lies on, and some y on a side of x is low enough exactly
     when the least value on that side is, each grid point is tested once
-    per direction against the exclusive prefix and suffix minima: O(n).
-    Failures are reported at the first (x, side) entries, left before
-    right, each with the first grid minimizer on that side as y.  The
-    estimates are made one block of grid points (``dini._BLOCK_ROWS``) at a
-    time, and the scan stops at the block that holds the
-    ``_WITNESS_CAP``-th failure; a verdict that holds, or fails fewer
-    times, estimates every entry toward a lower value, each once.
+    per direction against the side minima: O(n).  Failures are reported at
+    the first (x, side) entries, left before right, each with the first
+    grid minimizer on that side as y.  The estimates are made one block of
+    grid points (``dini._BLOCK_ROWS``) at a time, and the scan stops at the
+    block that holds the ``_WITNESS_CAP``-th failure; a verdict that holds,
+    or fails fewer times, estimates every entry toward a lower value, each
+    once.
     """
     return _pair_based(p, strict=False)
 
@@ -337,17 +320,16 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
 
     phi(z) <= max(phi(x), phi(y)) + tol fails for some x < z < y exactly
     when both the least value left of z and the least value right of z lie
-    more than tol below phi(z), so one pass over the exclusive prefix and
-    suffix minima decides every triple in O(n).  The first offending z are
-    reported, each with the first grid minimizers on its two sides.
+    more than tol below phi(z), so one pass over the side minima decides
+    every triple in O(n).  The first offending z are reported, each with
+    the first grid minimizers on its two sides.
     """
     if p.undefined:
         return _undefined_verdict(p, "quasiconvex_def")
-    drop = p.values - p.band
     witnesses = tuple(
-        _witness(p, "interior_peak", (p.prefix_argmin[z], z, p.suffix_argmin[z]),
+        _witness(p, "interior_peak", (p.side_argmin[0, z], z, p.side_argmin[1, z]),
                  "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple")
-        for z in np.flatnonzero((p.prefix_min < drop) & (p.suffix_min < drop))[:_WITNESS_CAP]
+        for z in np.flatnonzero((p.side_min < p.values - p.band).all(axis=0))[:_WITNESS_CAP]
     )
     if witnesses:
         return Verdict("fails", "quasiconvex_def", p.band, p.stat_tol, witnesses)
@@ -383,10 +365,10 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     between x and y must satisfy phi(z) < phi(x) up to the shared band.
     Some triple fails rightward from x exactly when some z > x with
     phi(z) >= phi(x) - tol has a point beyond it below that level, that is
-    a suffix minimum below it.  The suffix minima never decrease with the
+    a right side minimum below it.  Those minima never decrease with the
     index, so those z form one run ending where a binary search puts
     phi(x) - tol among them, and a range-maximum query over the run decides
-    x; leftward mirrors this with the prefix minima.  Every (x, z, y) is
+    x; leftward mirrors this with the left side minima.  Every (x, z, y) is
     still decided, in O(n log n); only the reported (x, side) entries, the
     first few in order of x with rightward before leftward, are located
     by a scan, each with its nearest z and the first such y.
@@ -396,9 +378,9 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     vals, n = p.values, p.dom.n
     c = vals - p.band
     xs = np.arange(n)
-    # suffix_min[z] < c[x] iff z < right_end[x]; prefix_min[z] < c[x] iff z >= left_start[x]
-    right_end = np.searchsorted(p.suffix_min, c)
-    left_start = np.searchsorted(-p.prefix_min, -c, side="right")
+    # side_min[1, z] < c[x] iff z < right_end[x]; side_min[0, z] < c[x] iff z >= left_start[x]
+    right_end = np.searchsorted(p.side_min[1], c)
+    left_start = np.searchsorted(-p.side_min[0], -c, side="right")
     hits = np.stack(
         (_window_max(vals, xs + 1, right_end) >= c, _window_max(vals, left_start, xs) >= c),
         axis=1,

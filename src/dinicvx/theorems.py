@@ -27,6 +27,7 @@ from .oracle import (
     SampledProblem,
     Verdict,
     Witness,
+    _witness,
     pseudoconvex_def,
     quasiconvex_def,
     semistrictly_quasiconvex_def,
@@ -127,12 +128,10 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
     vals, profile = p.values, p.settle(np.ones(p.dom.n, dtype=bool))
-    stationary = profile.stationary_mask(p.stat_tol) & (
-        profile.minus_feasible | profile.plus_feasible
-    )
+    stationary = ~profile.descent(p.stat_tol).any(axis=0) & profile.feasible.any(axis=0)
     above_min = vals > float(np.min(vals)) + p.band
     offenders = np.flatnonzero(stationary & above_min)
-    unconverged = stationary & np.logical_or(*profile.unconverged())
+    unconverged = stationary & profile.unconverged().any(axis=0)
     if unconverged.any():
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True,
@@ -141,15 +140,9 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if (lhs.outcome == "holds") == rhs:
         return TheoremReport("T4", function_id, (lhs,), (qc,), True)
     wits = list(lhs.witnesses) + list(qc.witnesses)
-    for i in offenders[:4]:
-        wits.append(
-            Witness(
-                kind="stationary_nonminimizer",
-                points=(float(p.dom.points[i]),),
-                values=(float(vals[i]),),
-                detail="stationary grid point above the minimum level",
-            )
-        )
+    wits += [_witness(p, "stationary_nonminimizer", (i,),
+                      "stationary grid point above the minimum level")
+             for i in offenders[:4]]
     return _report_fail("T4", function_id, (lhs,), (qc,), wits,
                         "pseudoconvexity and the stationarity form disagree")
 
@@ -173,22 +166,14 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
-    vals = p.values
-    longest, where = _longest_run(np.abs(np.diff(vals)) <= p.band)
+    longest, where = _longest_run(np.abs(np.diff(p.values)) <= p.band)
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
         return TheoremReport("T7", function_id, (premise,), (strict,), True)
     wits = list(strict.witnesses)
     if longest >= 2:
-        i0 = where - longest + 1
-        wits.append(
-            Witness(
-                kind="constant_run",
-                points=(float(p.dom.points[i0]), float(p.dom.points[where + 1])),
-                values=(float(vals[i0]), float(vals[where + 1])),
-                detail=f"constant run of {longest} grid cells",
-            )
-        )
+        wits.append(_witness(p, "constant_run", (where - longest + 1, where + 1),
+                             f"constant run of {longest} grid cells"))
     return _report_fail("T7", function_id, (premise,), (strict,), wits,
                         "strictness and nonconstancy disagree")
 

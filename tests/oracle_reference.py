@@ -3,9 +3,12 @@
 The per-index scans below are the forms that ``dinicvx.oracle`` and
 ``dinicvx.charact`` replace with whole-array passes; the tests require the
 package's results to be ``repr``-identical to theirs.  The literal pair and
-triple loops at the end transcribe each definition with no prefix or suffix
-minima at all, for small grids.  The scans read the Dini profile at any
-grid point, so each first asks the problem to estimate every entry.
+triple loops at the end transcribe each definition with no side minima at
+all, for small grids.  The scans read the Dini profile at any grid point, so
+each first asks the problem to estimate every entry; they take the side
+minima from their own running-minimum loop and decide descent from the
+profile's ``value`` and ``feasible`` entries, so they share neither with
+the package.
 """
 
 from __future__ import annotations
@@ -24,6 +27,28 @@ from dinicvx.oracle import (
 )
 
 
+def _side_minima(vals) -> tuple[list[float], list[float]]:
+    """(left, right): the least value strictly left and strictly right of
+    each index, inf where there is none, by one running minimum each way."""
+    n = len(vals)
+    left, right = [np.inf] * n, [np.inf] * n
+    run = np.inf
+    for i in range(n):
+        left[i] = run
+        run = min(run, vals[i])
+    run = np.inf
+    for i in reversed(range(n)):
+        right[i] = run
+        run = min(run, vals[i])
+    return left, right
+
+
+def _descending(profile, row: int, i: int, stat_tol: float) -> bool:
+    """The estimate at grid index i toward side ``row`` (0 left, 1 right) is
+    feasible and below -stat_tol."""
+    return bool(profile.feasible[row, i] and profile.value[row, i] < -stat_tol)
+
+
 @dataclass
 class _DescentAudit:
     """Collects failures and unconverged blockers for one pair-based scan."""
@@ -35,16 +60,10 @@ class _DescentAudit:
     def check(self, i: int, side: int, y_index: int, trigger: str) -> None:
         """Require descent at grid index i toward side (-1 left, +1 right)."""
         profile = self.p.estimate()
-        if side < 0:
-            value = profile.minus_value[i]
-            conv = profile.minus_converged[i]
-            feas = profile.minus_feasible[i]
-        else:
-            value = profile.plus_value[i]
-            conv = profile.plus_converged[i]
-            feas = profile.plus_feasible[i]
-        if feas and value < -self.p.stat_tol:
+        row = 0 if side < 0 else 1
+        if _descending(profile, row, i, self.p.stat_tol):
             return  # descending; a running minimum below the bar is final
+        conv, feas = profile.converged[row, i], profile.feasible[row, i]
         pts, vals = self.p.dom.points, self.p.values
         x_t, y_t = float(pts[i]), float(pts[y_index])
         x_v, y_v = float(vals[i]), float(vals[y_index])
@@ -70,7 +89,7 @@ class _DescentAudit:
                     values=(x_v, y_v),
                     detail=(
                         f"{trigger} but the lower Dini derivative at x toward y "
-                        f"is {float(value):.6g} >= -stat_tol"
+                        f"is {float(profile.value[row, i]):.6g} >= -stat_tol"
                     ),
                 )
             )
@@ -80,7 +99,8 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_def" if strict else "pseudoconvex_def"
     if p.undefined:
         return _undefined_verdict(p, method)
-    vals, tol_r, pre, suf = p.values, p.band, p.prefix_min, p.suffix_min
+    vals, tol_r = p.values, p.band
+    pre, suf = _side_minima(vals)
     audit = _DescentAudit(p)
     for i in range(p.dom.n):
         if strict:
@@ -113,7 +133,8 @@ def strictly_pseudoconvex_def(p: SampledProblem) -> Verdict:
 def quasiconvex_def(p: SampledProblem) -> Verdict:
     if p.undefined:
         return _undefined_verdict(p, "quasiconvex_def")
-    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
+    vals, tol_r, pts = p.values, p.band, p.dom.points
+    pre, suf = _side_minima(vals)
     witnesses: list[Witness] = []
     for z in range(1, p.dom.n - 1):
         if pre[z] < vals[z] - tol_r and suf[z] < vals[z] - tol_r:
@@ -137,7 +158,8 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
 def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     if p.undefined:
         return _undefined_verdict(p, "semistrictly_quasiconvex_def")
-    vals, tol_r, pre, suf, pts = p.values, p.band, p.prefix_min, p.suffix_min, p.dom.points
+    vals, tol_r, pts = p.values, p.band, p.dom.points
+    pre, suf = np.array(_side_minima(vals))
     n = p.dom.n
     witnesses: list[Witness] = []
 
@@ -292,14 +314,13 @@ def stationarity_scan(
     profile = p.estimate()
     violations: list[Witness] = []
     blocked: list[Witness] = []
-    minus_desc, plus_desc = profile.descent(p.stat_tol)
     for i in range(p.dom.n):
         if dec.i_hat[0] <= i < dec.i_hat[1]:
             continue
-        if minus_desc[i] or plus_desc[i]:
+        if _descending(profile, 0, i, p.stat_tol) or _descending(profile, 1, i, p.stat_tol):
             continue
-        unconv = (profile.minus_feasible[i] and not profile.minus_converged[i]) or (
-            profile.plus_feasible[i] and not profile.plus_converged[i]
+        unconv = (profile.feasible[0, i] and not profile.converged[0, i]) or (
+            profile.feasible[1, i] and not profile.converged[1, i]
         )
         wit = Witness(
             kind="stationary_outside_min",
@@ -328,13 +349,10 @@ def stationarity_scan(
 def _descends(p: SampledProblem, x: int, y: int) -> str:
     """``descends``, ``blocked`` or ``fails``: the Dini estimate at x toward y."""
     prof = p.estimate()
-    if y < x:
-        value, conv, feas = prof.minus_value[x], prof.minus_converged[x], prof.minus_feasible[x]
-    else:
-        value, conv, feas = prof.plus_value[x], prof.plus_converged[x], prof.plus_feasible[x]
-    if feas and value < -p.stat_tol:
+    row = 0 if y < x else 1
+    if _descending(prof, row, x, p.stat_tol):
         return "descends"
-    return "blocked" if feas and not conv else "fails"
+    return "blocked" if prof.feasible[row, x] and not prof.converged[row, x] else "fails"
 
 
 def pair_loop(p: SampledProblem, strict: bool) -> str:

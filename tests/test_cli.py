@@ -10,7 +10,9 @@ import pytest
 
 import dinicvx
 from dinicvx import cli, golden_battery, write_manifest
+from dinicvx.dini import DiniSchedule
 from dinicvx.expr import MAX_DEPTH
+from dinicvx.theorems import SUITE_SCHEDULE
 from dinicvx.cli import (
     EXIT_CONFIG,
     EXIT_DISAGREE,
@@ -313,6 +315,18 @@ class TestParserBuiltOnce:
             alone.append(run(argv, capsys)[:2])
         assert together == alone
         assert [code for code, _ in together].count(EXIT_CONFIG) == 1
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize("argv,schedule", [
+        (CUBE, DiniSchedule()),
+        (["decompose", "--function", "t", "--domain", "[-1,1]"], DiniSchedule()),
+        (["dini", "--function", "t", "--domain", "[-1,1]", "--at", "0"], DiniSchedule()),
+        (["verify-theorems"], SUITE_SCHEDULE),
+    ], ids=["classify", "decompose", "dini", "verify-theorems"])
+    def test_schedule_defaults_are_the_schedule_objects(self, argv, schedule):
+        cfg = cli._config_from(cli._build_parser().parse_args(argv))
+        assert cfg.schedule == schedule
 
 
 class TestVerify:

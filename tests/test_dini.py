@@ -183,14 +183,11 @@ class TestGridProfile:
         prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
         for i in [0, 1, 64, 128, 129, 200, 256]:
             t = float(unit_grid.points[i])
-            if prof.minus_feasible[i]:
-                ref = lower_dini(phi, t, -1.0, unit_grid.interval)
-                assert prof.minus_value[i] == ref.unit_value
-                assert prof.minus_converged[i] == ref.converged
-            if prof.plus_feasible[i]:
-                ref = lower_dini(phi, t, 1.0, unit_grid.interval)
-                assert prof.plus_value[i] == ref.unit_value
-                assert prof.plus_converged[i] == ref.converged
+            for side, u in enumerate((-1.0, 1.0)):
+                if prof.feasible[side, i]:
+                    ref = lower_dini(phi, t, u, unit_grid.interval)
+                    assert prof.value[side, i] == ref.unit_value
+                    assert prof.converged[side, i] == ref.converged
 
     def test_fallback_rows_match_fast_path_contract(self):
         # rows near the ends of the grid have probes outside the domain, so
@@ -200,35 +197,49 @@ class TestGridProfile:
         prof = grid_dini_profile(phi, dom, phi(dom.points))
         for i in [0, 32, 64]:
             t = float(dom.points[i])
-            if prof.plus_feasible[i] and not math.isnan(phi(np.asarray([t]))[0]):
+            if prof.feasible[1, i] and not math.isnan(phi(np.asarray([t]))[0]):
                 ref = lower_dini(phi, t, 1.0, dom.interval)
-                assert prof.plus_value[i] == ref.unit_value
+                assert prof.value[1, i] == ref.unit_value
 
     def test_endpoint_feasibility_flags(self, unit_grid):
         phi = phi_of("t^2")
         prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
-        assert not prof.minus_feasible[0]
-        assert not prof.plus_feasible[-1]
-        assert prof.minus_feasible[1:].all()
-        assert prof.plus_feasible[:-1].all()
+        assert not prof.feasible[0, 0]
+        assert not prof.feasible[1, -1]
+        assert prof.feasible[0, 1:].all()
+        assert prof.feasible[1, :-1].all()
 
     def test_descent_and_stationary_masks(self, unit_grid):
         phi = phi_of("t^2")
         prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
-        stat = prof.stationary_mask(1e-7)
+        down, up = prof.descent(1e-7)
+        stat = ~(down | up)
         assert stat[128]  # t = 0
         assert stat.sum() == 1
-        down, up = prof.descent(1e-7)
         assert down[200] and not up[200]  # right flank descends leftward
         assert up[60] and not down[60]
+
+    def test_tracer_row_names_are_views_of_the_side_rows(self, unit_grid):
+        # perfbench's tracer reads these four names from each returned profile
+        phi = phi_of("abs(t) - 0.3*t")
+        mask = np.stack((np.arange(unit_grid.n) % 2 == 0, np.ones(unit_grid.n, dtype=bool)))
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points), None, mask)
+        for name, rows, side in (("minus_feasible", prof.feasible, 0),
+                                 ("plus_feasible", prof.feasible, 1),
+                                 ("minus_converged", prof.converged, 0),
+                                 ("plus_converged", prof.converged, 1)):
+            view = getattr(prof, name)
+            assert np.shares_memory(view, rows[side])
+            assert not np.shares_memory(view, rows[1 - side])
+            assert np.array_equal(view, rows[side])
 
     def test_tiny_schedule_uses_fallback(self, unit_grid):
         sched = DiniSchedule(t0=1e-2, ratio=0.5, steps=2, dini_tol=1e-7)
         phi = phi_of("t^2")
         prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points), sched)
-        assert prof.plus_value.shape == (257,)
+        assert prof.value.shape == (2, 257)
         # window of one quotient can never satisfy the two-entry settle test
-        assert not prof.plus_converged[:-1].any()
+        assert not prof.converged[1, :-1].any()
 
 
 class TestLowerDiniAlong:

@@ -186,10 +186,10 @@ def reference_profile(phi, dom, schedule):
 
 
 def assert_profiles_identical(prof, ref):
-    for label, (value, conv, feas) in ref.items():
-        assert getattr(prof, label + "_value").tobytes() == value.tobytes()
-        assert np.array_equal(getattr(prof, label + "_converged"), conv)
-        assert np.array_equal(getattr(prof, label + "_feasible"), feas)
+    for side, (value, conv, feas) in enumerate((ref["minus"], ref["plus"])):
+        assert prof.value[side].tobytes() == value.tobytes()
+        assert np.array_equal(prof.converged[side], conv)
+        assert np.array_equal(prof.feasible[side], feas)
 
 
 GOLDEN_1D = [e for e in golden_battery() if e.arity == 1]
@@ -224,8 +224,7 @@ class TestGridProfileMatchesReference:
             monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
             split = grid_dini_profile(phi, dom, phi(dom.points))
             monkeypatch.undo()
-            for field in ("minus_value", "plus_value", "minus_converged",
-                          "plus_converged", "minus_feasible", "plus_feasible"):
+            for field in ("value", "converged", "feasible"):
                 assert getattr(split, field).tobytes() == getattr(whole, field).tobytes()
 
     # masks that leave ragged blocks and split the ends from the interior
@@ -233,26 +232,22 @@ class TestGridProfileMatchesReference:
     def test_masked_rows_match_the_whole_profile(self, n):
         dom = make_grid(parse_interval("[-1,1]"), n)
         rng = np.random.default_rng(n)
-        masks = {"minus": rng.random(n) < 0.3, "plus": np.arange(n) % 3 == 0}
+        mask = np.stack((rng.random(n) < 0.3, np.arange(n) % 3 == 0))
         for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "exp(t) - 2*t^2"):
             phi = phi_of(source)
             whole = grid_dini_profile(phi, dom, phi(dom.points))
-            part = grid_dini_profile(phi, dom, phi(dom.points), None, **masks)
-            for side, mask in masks.items():
-                assert np.array_equal(getattr(part, side + "_estimated"), mask)
-                assert getattr(whole, side + "_estimated").all()
-                for name in ("value", "converged", "feasible"):
-                    got, want = (getattr(prof, f"{side}_{name}") for prof in (part, whole))
-                    assert got[mask].tobytes() == want[mask].tobytes()
-                assert np.isnan(getattr(part, side + "_value")[~mask]).all()
-                assert not getattr(part, side + "_converged")[~mask].any()
-                assert not getattr(part, side + "_feasible")[~mask].any()
+            part = grid_dini_profile(phi, dom, phi(dom.points), None, mask)
+            assert np.array_equal(part.estimated, mask)
+            assert whole.estimated.all()
+            for name in ("value", "converged", "feasible"):
+                got, want = (getattr(prof, name) for prof in (part, whole))
+                assert got[mask].tobytes() == want[mask].tobytes()
+            assert np.isnan(part.value[~mask]).all()
+            assert not part.converged[~mask].any()
+            assert not part.feasible[~mask].any()
             # the rest, written into the same profile, completes it
-            rest = {side: ~mask for side, mask in masks.items()}
-            assert grid_dini_profile(phi, dom, phi(dom.points), None, **rest, out=part) is part
-            for field in ("minus_value", "plus_value", "minus_converged", "plus_converged",
-                          "minus_feasible", "plus_feasible", "minus_estimated",
-                          "plus_estimated"):
+            assert grid_dini_profile(phi, dom, phi(dom.points), None, ~mask, out=part) is part
+            for field in ("value", "converged", "feasible", "estimated"):
                 assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
 
     # 2500 = 2 * 1024 + 452: a stop after the first or second block, and none
@@ -266,7 +261,7 @@ class TestGridProfileMatchesReference:
 
         def until(rows):
             # both directions of the block are written when it is asked
-            assert part.minus_estimated[rows].all() and part.plus_estimated[rows].all()
+            assert part.estimated[:, rows].all()
             asked.append(rows)
             return len(asked) > stop_after
 
@@ -276,31 +271,30 @@ class TestGridProfileMatchesReference:
         blocks = [slice(a, a + dini._BLOCK_ROWS) for a in range(0, n, dini._BLOCK_ROWS)]
         assert asked == blocks[: min(stop_after + 1, len(blocks) - 1)]
         end = n if stop_after + 1 >= len(blocks) else blocks[stop_after].stop
-        for side in ("minus", "plus"):
-            assert getattr(part, side + "_estimated")[:end].all()
-            assert not getattr(part, side + "_estimated")[end:].any()
-            for name in ("value", "converged", "feasible"):
-                got, want = (getattr(prof, f"{side}_{name}")[:end] for prof in (part, whole))
-                assert got.tobytes() == want.tobytes()
+        assert part.estimated[:, :end].all()
+        assert not part.estimated[:, end:].any()
+        for name in ("value", "converged", "feasible"):
+            got, want = (getattr(prof, name)[:, :end] for prof in (part, whole))
+            assert got.tobytes() == want.tobytes()
 
     def test_descent_and_unconverged_over_a_row_range(self):
         dom = make_grid(parse_interval("[-1,1]"), 2500)
         phi = phi_of("exp(t) - 2*t^2")
         prof = grid_dini_profile(phi, dom, phi(dom.points))
         for rows in (slice(0, 1024), slice(1000, 2100), slice(2048, None)):
-            for part, whole in zip(prof.descent(1e-7, rows) + prof.unconverged(rows),
-                                   prof.descent(1e-7) + prof.unconverged()):
-                assert np.array_equal(part, whole[rows])
+            for part, whole in zip((prof.descent(1e-7, rows), prof.unconverged(rows)),
+                                   (prof.descent(1e-7), prof.unconverged())):
+                assert np.array_equal(part, whole[:, rows])
 
     def test_empty_masks_probe_nothing(self):
         dom = make_grid(parse_interval("[-1,1]"), 257)
         phi = phi_of("t^2")
         calls = []
-        none = np.zeros(dom.n, dtype=bool)
+        none = np.zeros((2, dom.n), dtype=bool)
         prof = grid_dini_profile(lambda pts: calls.append(pts) or phi(pts), dom,
-                                 phi(dom.points), None, none, none)
+                                 phi(dom.points), None, none)
         assert calls == []
-        assert not (prof.minus_feasible | prof.plus_feasible).any()
+        assert not prof.feasible.any()
 
 
 def edge_grid(domain, schedule):

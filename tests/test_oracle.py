@@ -240,10 +240,10 @@ CLASSIFIERS = (
 
 def recording_profiles(monkeypatch):
     """Wrap ``oracle.grid_dini_profile``; returns the list of the entries each
-    call estimated, as a pair of full-grid (minus, plus) row masks.
+    call estimated, as full-grid (2, n) masks.
 
     The call's arguments are bound to the function's signature and forwarded,
-    so any signature works; the masks are read from them by name, and cut
+    so any signature works; the mask is read from them by name, and cut
     after the block at which an ``until`` ended the scan."""
     calls = []
     real = oracle.grid_dini_profile
@@ -263,12 +263,10 @@ def recording_profiles(monkeypatch):
 
             bound.arguments["until"] = watching
         out = real(*bound.args, **bound.kwargs)
-        masks = []
-        for mask in (arg["minus"], arg["plus"]):
-            done = np.ones(arg["dom"].n, dtype=bool) if mask is None else mask.copy()
-            done[end[0]:] = False
-            masks.append(done)
-        calls.append(tuple(masks))
+        mask = arg["mask"]
+        done = np.ones((2, arg["dom"].n), dtype=bool) if mask is None else mask.copy()
+        done[:, end[0]:] = False
+        calls.append(done)
         return out
 
     monkeypatch.setattr(oracle, "grid_dini_profile", recording)
@@ -276,10 +274,10 @@ def recording_profiles(monkeypatch):
 
 
 def estimate_counts(calls, n):
-    """(minus, plus) arrays: how many calls estimated each entry."""
+    """(2, n) array: how many calls estimated each entry."""
     counts = np.zeros((2, n), dtype=int)
-    for masks in calls:
-        counts += np.stack(masks)
+    for mask in calls:
+        counts += mask
     return counts
 
 
@@ -421,15 +419,12 @@ class TestDemandDrivenProfile:
         dom = grid_for("[-1,1]", n)
         p = SampledProblem(phi_of("t^2"), dom)
         assert pseudoconvex_def(p).outcome == "holds"
-        drop = p.values - p.band
-        hit = (p.prefix_min < drop, p.suffix_min < drop)
+        hit = p.side_min < p.values - p.band
         # t^2 has a lower value toward its minimum and none away from it
         assert hit[0].any() and hit[1].any() and not (hit[0] & hit[1]).any()
         assert len(profiles) == 1
-        for mask, estimated in zip(hit, (p.profile.minus_estimated, p.profile.plus_estimated)):
-            assert np.array_equal(estimated, mask)
-        for counts, mask in zip(estimate_counts(profiles, n), hit):
-            assert np.array_equal(counts, mask.astype(int))
+        assert np.array_equal(p.profile.estimated, hit)
+        assert np.array_equal(estimate_counts(profiles, n), hit.astype(int))
 
     def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
         # outside the minimum band of t^2 the direction toward 0 descends, so
@@ -440,16 +435,16 @@ class TestDemandDrivenProfile:
         prof = p.profile
         outside = np.ones(unit_grid.n, dtype=bool)
         outside[lo:hi] = False
-        assert (prof.minus_estimated ^ prof.plus_estimated)[outside].all()
-        assert not (prof.minus_estimated | prof.plus_estimated)[lo:hi].any()
+        assert (prof.estimated[0] ^ prof.estimated[1])[outside].all()
+        assert not prof.estimated[:, lo:hi].any()
 
     def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
         p = SampledProblem(phi_of("t^3"), unit_grid)
         check_t4(p)
         prof = p.profile
-        stationary = prof.stationary_mask(p.stat_tol)
+        stationary = ~prof.descent(p.stat_tol).any(axis=0)
         assert stationary.any()
-        assert (prof.minus_estimated & prof.plus_estimated)[stationary].all()
+        assert prof.estimated[:, stationary].all()
 
     @pytest.mark.parametrize("source,classify", [("-t^2", pseudoconvex_def),
                                                  ("1", strictly_pseudoconvex_def)],
@@ -468,7 +463,7 @@ class TestDemandDrivenProfile:
         assert counts[:, : dini._BLOCK_ROWS].any()
         assert not counts[:, dini._BLOCK_ROWS :].any()
         prof = p.profile
-        assert not (prof.minus_estimated | prof.plus_estimated)[dini._BLOCK_ROWS :].any()
+        assert not prof.estimated[:, dini._BLOCK_ROWS :].any()
 
     def test_sparse_failures_stop_at_the_block_of_the_eighth(self):
         p = SampledProblem(phi_of(STAIRS), grid_for("[-1,1]", 16385))
@@ -479,7 +474,7 @@ class TestDemandDrivenProfile:
         first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
         block = last // dini._BLOCK_ROWS
         assert block > first // dini._BLOCK_ROWS
-        estimated = p.profile.minus_estimated | p.profile.plus_estimated
+        estimated = p.profile.estimated.any(axis=0)
         assert estimated[block * dini._BLOCK_ROWS : last].any()
         assert not estimated[(block + 1) * dini._BLOCK_ROWS :].any()
 
@@ -490,15 +485,14 @@ class TestDemandDrivenProfile:
         dom = grid_for("[-1,1]", 3000)
         p = SampledProblem(phi_of("t"), dom)
         prof, block = p.profile, dini._BLOCK_ROWS
-        for side in ("minus", "plus"):
-            getattr(prof, side + "_value")[: 2 * block] = -1.0
-            for name in ("converged", "feasible", "estimated"):
-                getattr(prof, f"{side}_{name}")[: 2 * block] = True
-        prof.minus_value[1:block] = 0.0
-        prof.minus_converged[1:block] = False
+        prof.value[:, : 2 * block] = -1.0
+        for name in ("converged", "feasible", "estimated"):
+            getattr(prof, name)[:, : 2 * block] = True
+        prof.value[0, 1:block] = 0.0
+        prof.converged[0, 1:block] = False
         fails = np.arange(block + 76, block + 84)
-        prof.minus_value[fails] = 0.0
+        prof.value[0, fails] = 0.0
         verdict = pseudoconvex_def(p)
         assert verdict.outcome == "fails"
         assert [w.points[0] for w in verdict.witnesses] == dom.points[fails].tolist()
-        assert not (prof.minus_estimated | prof.plus_estimated)[2 * block :].any()
+        assert not prof.estimated[:, 2 * block :].any()

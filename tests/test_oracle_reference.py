@@ -55,12 +55,12 @@ def table_problem(vals, lo_closed=True, hi_closed=True, tol=None, rows=None):
     p = SampledProblem(lambda ts: table[np.searchsorted(pts, ts)], dom,
                        tol=tol, stat_tol=STAT_TOL)
     if rows is not None:
-        minus = np.array([ROWS[m] for m, _ in rows], dtype=object).T
-        plus = np.array([ROWS[q] for _, q in rows], dtype=object).T
+        # (value, converged, feasible) x side x point
+        entries = np.array([[ROWS[m] for m, _ in rows], [ROWS[q] for _, q in rows]],
+                           dtype=object).transpose(2, 0, 1)
         vars(p)["profile"] = GridDiniProfile(
-            minus[0].astype(float), plus[0].astype(float),
-            minus[1].astype(bool), plus[1].astype(bool),
-            minus[2].astype(bool), plus[2].astype(bool),
+            entries[0].astype(float), entries[1].astype(bool), entries[2].astype(bool),
+            np.ones((2, n), dtype=bool),
         )
     return p
 
