@@ -207,9 +207,7 @@ def _witness_json(w: Witness, dini_at=None) -> dict:
         "values": list(w.values),
         "detail": w.detail,
     }
-    if w.estimate is not None:
-        d["dini"] = _estimate_json(w.estimate)
-    elif dini_at is not None and len(w.points) >= 1:
+    if dini_at is not None and len(w.points) >= 1:
         found = dini_at(float(w.points[0]))
         if found:
             d["dini"] = {("plus" if label == "+1" else "minus"): _estimate_json(est)
@@ -313,8 +311,8 @@ def _cmd_classify(cfg: RunConfig) -> int:
     want_struct = cfg.method != "definitional"
     report: dict = {"command": "classify", "config": _config_json(cfg)}
     checks_out: dict = {}
-    disagreement = False
-    inconclusive = False
+    # check -> method -> outcome, over all pairs for n variables
+    outcomes: dict[str, dict[str, str]] = {}
 
     if cfg.arity == 1:
         interval = parse_interval(cfg.domain)
@@ -322,9 +320,9 @@ def _cmd_classify(cfg: RunConfig) -> int:
                            make_grid(interval, cfg.grid, cfg.margin),
                            cfg.schedule, cfg.tol, cfg.stat_tol)
 
-        # a witness that carries no estimate gets one at its first point, a
-        # grid point (so never both 0.0 and -0.0); the checks report many of
-        # the same points, so each is estimated once
+        # a witness gets the estimates at its first point, a grid point (so
+        # never both 0.0 and -0.0); the checks report many of the same
+        # points, so each is estimated once
         @functools.cache
         def dini_at(t: float) -> dict[str, DiniEstimate]:
             try:
@@ -334,19 +332,9 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
         for check in cfg.checks:
             methods = _run_methods(check, want_def, want_struct, p)
-            outcomes = [v.outcome for v in methods.values()]
-            conclusive = [o for o in outcomes if o != "inconclusive"]
-            agree = len(set(conclusive)) <= 1
-            if not agree:
-                disagreement = True
-            if "inconclusive" in outcomes:
-                inconclusive = True
+            outcomes[check] = {name: v.outcome for name, v in methods.items()}
             checks_out[check] = {
-                "methods": {
-                    name: _verdict_json(v, dini_at) for name, v in methods.items()
-                },
-                "agree": agree,
-                "outcome": _merge_outcomes(outcomes),
+                "methods": {name: _verdict_json(v, dini_at) for name, v in methods.items()}
             }
         if not p.undefined and want_struct:
             report["decomposition"] = _decomposition_json(decompose(p), p.dom.points)
@@ -370,40 +358,28 @@ def _cmd_classify(cfg: RunConfig) -> int:
             }
             for check in cfg.checks:
                 methods = _run_methods(check, want_def, want_struct, p)
-                entry["checks"][check] = {
-                    name: v.outcome for name, v in methods.items()
-                }
+                entry["checks"][check] = {name: v.outcome for name, v in methods.items()}
                 for name, v in methods.items():
                     per_check[check].setdefault(name, []).append(v.outcome)
             pair_reports.append(entry)
         for check in cfg.checks:
-            agg = {
-                name: _merge_outcomes(outs)
-                for name, outs in per_check[check].items()
-            }
-            conclusive = [o for o in agg.values() if o != "inconclusive"]
-            agree = len(set(conclusive)) <= 1
-            if not agree:
-                disagreement = True
-            if "inconclusive" in agg.values():
-                inconclusive = True
-            checks_out[check] = {"methods_aggregate": agg, "agree": agree,
-                                 "outcome": _merge_outcomes(list(agg.values()))}
+            outcomes[check] = {name: _merge_outcomes(outs)
+                               for name, outs in per_check[check].items()}
+            checks_out[check] = {"methods_aggregate": outcomes[check]}
         report["pairs"] = pair_reports
 
-    report["checks"] = checks_out
-    report["agreement"] = not disagreement
-    report["inconclusive"] = inconclusive
+    disagreements = {}
+    for check, by_method in outcomes.items():
+        agree = len({o for o in by_method.values() if o != "inconclusive"}) <= 1
+        checks_out[check].update(agree=agree, outcome=_merge_outcomes(list(by_method.values())))
+        if not agree:
+            disagreements[check] = by_method
+    inconclusive = any("inconclusive" in m.values() for m in outcomes.values())
+    report.update(checks=checks_out, agreement=not disagreements, inconclusive=inconclusive)
     _emit(report, cfg.output)
-    if disagreement:
-        for check, block in checks_out.items():
-            if not block["agree"]:
-                key = "methods" if "methods" in block else "methods_aggregate"
-                sides = {
-                    name: (v["outcome"] if isinstance(v, dict) else v)
-                    for name, v in block[key].items()
-                }
-                print(f"disagreement on {check}: {sides}", file=sys.stderr)
+    for check, sides in disagreements.items():
+        print(f"disagreement on {check}: {sides}", file=sys.stderr)
+    if disagreements:
         return EXIT_DISAGREE
     if inconclusive:
         return EXIT_INCONCLUSIVE

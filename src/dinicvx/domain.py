@@ -172,13 +172,9 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
     return SampledDomain(interval=interval, points=pts)
 
 
-def anchored_grid(
-    interval: Interval,
-    n: int,
-    margin: float = 1e-6,
-    anchors: tuple[float, ...] = (0.0, 1.0),
-) -> SampledDomain:
-    """A uniform grid guaranteed to contain each in-range anchor exactly.
+def anchored_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain:
+    """A uniform grid guaranteed to contain the anchors 0 and 1 exactly, where
+    in range: the parameters of a line restriction's ``x`` and ``y``.
 
     An anchor closer to an existing grid point than ``spacing * 1e-6``
     replaces that point instead of being inserted next to it, so grids stay
@@ -189,8 +185,7 @@ def anchored_grid(
     pts = base.points.copy()
     snap = base.spacing * 1e-6
     inserts = []
-    for a in anchors:
-        a = float(a)
+    for a in (0.0, 1.0):
         if not (pts[0] <= a <= pts[-1]):
             continue
         k = int(np.argmin(np.abs(pts - a)))

@@ -35,9 +35,10 @@ included: numpy's power rounds an array exponent unlike a scalar one.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Callable, Union
+from functools import cached_property, partial, reduce
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -57,7 +58,7 @@ MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
-    """Parse or validation failure, carrying the byte offset of the fault."""
+    """Parse or validation failure, carrying the character offset of the fault."""
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at offset {position})")
@@ -112,17 +113,6 @@ class Piecewise:
 
 Node = Union[Num, Var, Neg, BinOp, Call, Piecewise]
 
-_FUNCTIONS = {
-    "abs": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "sin": 1,
-    "cos": 1,
-    "min": -2,  # at least two arguments
-    "max": -2,
-}
-
 
 @dataclass(frozen=True)
 class FunctionAst:
@@ -141,11 +131,26 @@ class FunctionAst:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_KINDS = ("num", "name", "op", "cmp", "lparen", "rparen", "comma", "colon")
+# One group per token kind, tried in order at each offset; \d, \w and \s
+# are str.isdecimal, str.isalnum or "_", and str.isspace.  Whitespace is a
+# kind of its own, so that ``bad`` sees only a character no kind starts
+# with.  A number is a run of digits and points, started by a digit or a
+# point before one, with an optional exponent; float() then checks it.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<num>(?=\.?\d)[\d.]+(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<cmp>[<>]=?)
+  | (?P<op>[-+*/^])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<colon>:)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -153,69 +158,17 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text!r}", pos)
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ExpressionError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if c in "<>":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(_Token("cmp", source[i : i + 2], i))
-                i += 2
-            else:
-                tokens.append(_Token("cmp", c, i))
-                i += 1
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-            continue
-        if c == ":":
-            tokens.append(_Token("colon", c, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
+                raise ExpressionError(f"malformed number {text!r}", pos) from None
+        if kind != "space":
+            tokens.append(_Token(kind, text, pos))
     return tokens
 
 
@@ -236,6 +189,10 @@ class _Parser:
         self.arity = arity
         self.k = 0
         self.level = 0
+        # a sum of products of unaries, each a left-associative chain; as
+        # partials, not methods, so that they cost no Python frame of their own
+        self.term = partial(self._chain, "*/", self.unary)
+        self.expr = partial(self._chain, "+-", self.term)
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -247,12 +204,20 @@ class _Parser:
         self.k += 1
         return tok
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
+    def _accept(self, kind: str, texts: str | tuple[str, ...] | None = None) -> _Token | None:
+        """The next token, consumed, if it is a ``kind`` with a text in ``texts``
+        (any text when ``texts`` is None); None otherwise."""
+        if self.k < len(self.tokens):
+            tok = self.tokens[self.k]
+            if tok.kind == kind and (texts is None or tok.text in texts):
+                self.k += 1
+                return tok
+        return None
+
+    def _expect(self, kind: str) -> None:
         tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ExpressionError(f"expected {want!r}, found {tok.text!r}", tok.pos)
-        return tok
+        if tok.kind != kind:
+            raise ExpressionError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
 
     def _check(self, depth: int, tok: _Token) -> int:
         """``depth``, once ``tok`` is known to keep within MAX_DEPTH."""
@@ -276,45 +241,29 @@ class _Parser:
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> tuple[Node, int]:
-        node, depth = self.term()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self._next()
-                right, d = self.term()
-                node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
-            else:
-                return node, depth
-
-    def term(self) -> tuple[Node, int]:
-        node, depth = self.unary()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "op" and tok.text in "*/":
-                self._next()
-                right, d = self.unary()
-                node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
-            else:
-                return node, depth
+    def _chain(self, ops: str, operand) -> tuple[Node, int]:
+        """``operand``s joined, left to right, by the operators in ``ops``."""
+        node, depth = operand()
+        while tok := self._accept("op", ops):
+            right, d = operand()
+            node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
+        return node, depth
 
     def unary(self) -> tuple[Node, int]:
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text in "+-":
-            self._next()
-            node, depth = self._nested(tok, self.unary)
-            return (Neg(node) if tok.text == "-" else node), depth
-        return self.power()
+        tok = self._accept("op", "+-")
+        if tok is None:
+            return self.power()
+        node, depth = self._nested(tok, self.unary)
+        return (Neg(node) if tok.text == "-" else node), depth
 
     def power(self) -> tuple[Node, int]:
         base, depth = self.atom()
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self._next()
-            # right associative; exponent may carry a sign
-            exponent, d = self._nested(tok, self.unary)
-            return BinOp("^", base, exponent), self._check(max(depth + 1, d), tok)
-        return base, depth
+        tok = self._accept("op", "^")
+        if tok is None:
+            return base, depth
+        # right associative; exponent may carry a sign
+        exponent, d = self._nested(tok, self.unary)
+        return BinOp("^", base, exponent), self._check(max(depth + 1, d), tok)
 
     def atom(self) -> tuple[Node, int]:
         tok = self._next()
@@ -343,7 +292,7 @@ class _Parser:
                     f"variable 't' requires arity 1, declared arity is {self.arity}", tok.pos
                 )
             return Var(0, "t")
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and name[1:].isdecimal():
             idx = int(name[1:])
             if idx < 1 or idx > self.arity:
                 raise ExpressionError(
@@ -354,19 +303,14 @@ class _Parser:
 
     def call(self, tok: _Token) -> tuple[Node, int]:
         name = tok.text
-        if name not in _FUNCTIONS:
+        if name not in _CALLS:
             raise ExpressionError(f"unknown function {name!r}", tok.pos)
         self._expect("lparen")
         args = [self.expr()]
-        while True:
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "comma":
-                self._next()
-                args.append(self.expr())
-            else:
-                break
+        while self._accept("comma"):
+            args.append(self.expr())
         self._expect("rparen")
-        want = _FUNCTIONS[name]
+        want = _CALLS[name][0]
         if want >= 0 and len(args) != want:
             raise ExpressionError(
                 f"{name} takes {want} argument(s), got {len(args)}", tok.pos
@@ -380,20 +324,8 @@ class _Parser:
     def piecewise(self, tok: _Token) -> tuple[Node, int]:
         self._expect("lparen")
         branches: list[tuple[Guard, Node]] = []
-        otherwise: Node | None = None
         depth = 0
-        while True:
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "name" and nxt.text == "else":
-                if not branches:
-                    raise ExpressionError(
-                        "piecewise requires a guarded branch before else", tok.pos
-                    )
-                self._next()
-                self._expect("colon")
-                otherwise, d = self.expr()
-                depth = max(depth, d)
-                break
+        while not self._accept("name", ("else",)):
             left, d1 = self.expr()
             cmp_tok = self._next()
             if cmp_tok.kind != "cmp":
@@ -411,16 +343,18 @@ class _Parser:
                 raise ExpressionError(
                     f"expected ',' between piecewise branches, found {sep.text!r}", sep.pos
                 )
+        if not branches:
+            raise ExpressionError("piecewise requires a guarded branch before else", tok.pos)
+        self._expect("colon")
+        otherwise, d = self.expr()
         self._expect("rparen")
-        if otherwise is None:
-            raise ExpressionError("piecewise requires a final else branch", tok.pos)
-        return Piecewise(tuple(branches), otherwise), depth
+        return Piecewise(tuple(branches), otherwise), max(depth, d)
 
 
 def parse(source: str, arity: int = 1) -> FunctionAst:
     """Parse ``source`` into a :class:`FunctionAst` of the given arity.
 
-    Raises :class:`ExpressionError` with a byte offset on syntax errors,
+    Raises :class:`ExpressionError` with a character offset on syntax errors,
     unknown identifiers, arity mismatches, and at the first token that
     takes the expression more than :data:`MAX_DEPTH` levels deep.
     """
@@ -443,10 +377,14 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": lambda a, b: np.where(b == 0.0, _NAN, a / b),
           "^": lambda a, b: np.where((a == 0.0) & (b < 0.0), _NAN, np.power(a, b))}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_UNARY = {
-    "abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos,
-    "log": lambda a: np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), _NAN),
-    "sqrt": lambda a: np.where(a >= 0.0, np.sqrt(np.abs(a)), _NAN),
+# Each function's argument count and ufunc.  A count of -2 means at least
+# two arguments, folded left with the ufunc: np.minimum and np.maximum
+# propagate NaN, where fmin and fmax would ignore it.
+_CALLS = {
+    "abs": (1, np.abs), "exp": (1, np.exp), "sin": (1, np.sin), "cos": (1, np.cos),
+    "log": (1, lambda a: np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), _NAN)),
+    "sqrt": (1, lambda a: np.where(a >= 0.0, np.sqrt(np.abs(a)), _NAN)),
+    "min": (-2, np.minimum), "max": (-2, np.maximum),
 }
 
 _Compiled = Callable[[list[np.ndarray]], np.ndarray]
@@ -487,12 +425,11 @@ def _compile(node: Node) -> _Compiled:
         left, right = map(_compile, sides) if node.op == "^" else _operands(sides)
         return lambda cols: op(left(cols), right(cols))
     if isinstance(node, Call):
-        if node.name in ("min", "max"):
-            # propagate NaN: fmin would ignore it
-            op = np.minimum if node.name == "min" else np.maximum
+        want, op = _CALLS[node.name]
+        if want < 0:
             args = _operands(node.args)
             return lambda cols: reduce(op, [arg(cols) for arg in args])
-        op, arg = _UNARY[node.name], _compile(node.args[0])
+        arg = _compile(node.args[0])
         return lambda cols: op(arg(cols))
     if isinstance(node, Piecewise):
         # A chain of np.where from the last branch back, so the first true

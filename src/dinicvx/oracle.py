@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dini import DiniEstimate, DiniSchedule, GridDiniProfile, grid_dini_profile
+from .dini import DiniSchedule, GridDiniProfile, grid_dini_profile
 from .domain import SampledDomain
 
 __all__ = [
@@ -73,7 +73,6 @@ class Witness:
     points: tuple[float, ...]
     values: tuple[float, ...]
     detail: str
-    estimate: DiniEstimate | None = None
 
 
 @dataclass(frozen=True)

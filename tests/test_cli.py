@@ -441,6 +441,12 @@ class TestHostileInput:
             ["classify", "--function", "piecewise(else: t)", "--domain", "[0,1]"], capsys)
         assert "(at offset 0)" in message
 
+    def test_non_decimal_digits_in_a_variable_name(self, capsys):
+        message = self.assert_config_error(
+            ["classify", "--function", "x\u00b2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
+            capsys)
+        assert "(at offset 0)" in message
+
     def test_unwritable_csv_path(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         message = self.assert_config_error(

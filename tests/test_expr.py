@@ -54,6 +54,32 @@ class TestParseBasics:
         assert ev("2.5E2", 0.0) == 250.0
 
 
+class TestLexicalRules:
+    @pytest.mark.parametrize("source,value", [(".5", 0.5), ("2e-3", 0.002), ("\u0663", 3.0)])
+    def test_numbers(self, source, value):
+        # \u0663 is ARABIC-INDIC DIGIT THREE, a decimal digit
+        assert parse(source, 1).root == Num(value)
+
+    def test_exponent_without_digits_is_a_name(self):
+        with pytest.raises(ExpressionError, match="unexpected token 'e'") as ei:
+            parse("1e", 1)
+        assert ei.value.position == 1
+
+    def test_malformed_number_fails_at_its_start(self):
+        with pytest.raises(ExpressionError, match="malformed number '1.2.3'") as ei:
+            parse("1.2.3", 1)
+        assert ei.value.position == 0
+
+    def test_offsets_count_characters(self):
+        # \u00e9 is one character and two bytes of UTF-8: "$" is at offset 4, not 5
+        with pytest.raises(ExpressionError, match=r"unexpected character '\$'") as ei:
+            parse("\u00e9 + $", 1)
+        assert ei.value.position == 4
+
+    def test_whitespace_is_ignored(self):
+        assert parse("\tt +\n 1 \t\n ", 1).root == parse("t+1", 1).root
+
+
 class TestPiecewise:
     def test_first_match_wins(self):
         src = "piecewise(t < 0: 1, t < 2: 2, else: 3)"
@@ -146,6 +172,11 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse("", 1)
 
+    def test_non_decimal_digits_in_a_variable_name(self):
+        with pytest.raises(ExpressionError, match="unknown identifier 'x\u00b2'") as ei:
+            parse("x\u00b2", 2)
+        assert ei.value.position == 0
+
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse("t) + 1", 1)
@@ -226,6 +257,7 @@ class TestDepthLimit:
         (nest("(", "t", MAX_DEPTH - 1), 0.5),
         ("+".join(["t"] * MAX_DEPTH), 0.5 * MAX_DEPTH),
         ("*".join(["1"] * (MAX_DEPTH - 1) + ["t"]), 0.5),
+        ("/".join(["t"] + ["1"] * (MAX_DEPTH - 1)), 0.5),
         (nest("-", "t", MAX_DEPTH - 1, ""), -0.5),
         (nest("abs(", "t", MAX_DEPTH - 1), 0.5),
         (nest("max(t, ", "t", MAX_DEPTH - 1), 0.5),
@@ -242,6 +274,8 @@ class TestDepthLimit:
     PAST = [
         (nest("(", "t", MAX_DEPTH), MAX_DEPTH - 1),
         ("+".join(["t"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        ("*".join(["t"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        ("/".join(["t"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
         (nest("-", "t", MAX_DEPTH, ""), MAX_DEPTH - 1),
         (nest("abs(", "t", MAX_DEPTH), 4 * (MAX_DEPTH - 1)),
         ("t" + "^1" * MAX_DEPTH, 2 * MAX_DEPTH - 1),
