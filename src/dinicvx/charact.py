@@ -18,7 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import _WITNESS_CAP, SampledProblem, Verdict, Witness, _witness
+from .oracle import (
+    _WITNESS_CAP,
+    SampledProblem,
+    Verdict,
+    Witness,
+    _first,
+    _line_verdicts,
+    _outcomes,
+    _undefined_verdict,
+    _witness,
+)
 
 __all__ = [
     "MonotoneDecomposition",
@@ -71,108 +81,120 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
     left flank decreases strictly between its own points, and the right
     flank increases strictly.  Deltas at the junctions are absorbed by the
     band.  A strictly monotone grid running into an open endpoint reports
-    an empty band instead: the infimum is not attained.
+    an empty band instead: the infimum is not attained.  The lines of a
+    problem are split together, one decomposition each.
     """
-    vals, tol_r, dom = p.values, p.band, p.dom
-    n = dom.n
-    if p.undefined:
-        return MonotoneDecomposition(
-            (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, p.undefined
-        )
-    vmin = float(np.min(vals))
-    deltas = np.diff(vals)
-    band = np.flatnonzero(vals <= vmin + tol_r)
-    b0, b1 = int(band[0]), int(band[-1])
+    vals, n, w = p._v, p._n, p._v.shape[1]
+    band, deltas = p._band[:, None], p._deltas
+    with np.errstate(invalid="ignore"):
+        vmin = np.min(vals, axis=1)
+        inband = vals <= vmin[:, None] + band
+    b0 = np.argmax(inband, axis=1)
+    b1 = w - 1 - np.argmax(inband[:, ::-1], axis=1)
+    gap = np.count_nonzero(inband, axis=1) != b1 - b0 + 1
+    rise, fall = deltas > band, deltas < -band
+    # strictly monotone toward an open end
+    intervals = p.dom.interval if p.lines else (p.dom.interval,)
+    increasing = (n > 1) & (b0 == 0) & ~np.array([iv.lo_closed for iv in intervals])
+    decreasing = (n > 1) & (b1 == n - 1) & ~np.array([iv.hi_closed for iv in intervals])
+    increasing &= rise.all(axis=1)
+    decreasing &= np.count_nonzero(fall, axis=1) == n - 1
+    # the failing steps of the left flank, then of the right flank
+    j = np.arange(w - 1)
+    left = ~fall & (j < b0[:, None] - 1)
+    right = ~rise & (j > b1[:, None])
+    flank_ok = ~(left | right).any(axis=1)
 
-    if deltas.size and b0 == 0 and not dom.interval.lo_closed and bool(np.all(deltas > tol_r)):
-        return MonotoneDecomposition(
-            (0, 0), (0, 0), (0, n), "empty_min_increasing", vmin, tol_r, True
-        )
-    if deltas.size and b1 == n - 1 and not dom.interval.hi_closed and bool(np.all(deltas < -tol_r)):
-        return MonotoneDecomposition(
-            (0, n), (0, 0), (n, n), "empty_min_decreasing", vmin, tol_r, True
-        )
+    def split(i: int) -> MonotoneDecomposition:
+        b0_i, b1_i, n_i, tol_i = int(b0[i]), int(b1[i]), int(n[i]), float(p._band[i])
+        if p._bad[i]:
+            return MonotoneDecomposition((0, 0), (0, 0), (0, 0), "undefined", float("nan"),
+                                         tol_i, False, p._undefined[i] if p.witnesses else ())
+        if increasing[i]:
+            return MonotoneDecomposition((0, 0), (0, 0), (0, n_i), "empty_min_increasing",
+                                         float(vmin[i]), tol_i, True)
+        if decreasing[i]:
+            return MonotoneDecomposition((0, n_i), (0, 0), (n_i, n_i), "empty_min_decreasing",
+                                         float(vmin[i]), tol_i, True)
+        witnesses: list[Witness] = []
+        if gap[i] and p.witnesses:
+            at = np.flatnonzero(inband[i])
+            for g in _first(np.diff(at) > 1):
+                a, b = int(at[g]), int(at[g + 1])
+                mid = a + 1 + int(np.argmax(vals[i, a + 1 : b]))
+                witnesses.append(_witness(p, "argmin_gap", (a, mid, b),
+                                          "the set of grid minimizers is not contiguous", i))
+        elif p.witnesses:
+            flank = [(k, "non_strict_decrease", "left flank is not strictly decreasing")
+                     for k in _first(left[i])]
+            flank += [(k, "non_strict_increase", "right flank is not strictly increasing")
+                      for k in _first(right[i])[: _WITNESS_CAP - len(flank)]]
+            witnesses = [_witness(p, kind, (k, k + 1), detail, i) for k, kind, detail in flank]
+        return MonotoneDecomposition((0, b0_i), (b0_i, b1_i + 1), (b1_i + 1, n_i), "valley",
+                                     float(vmin[i]), tol_i, bool(flank_ok[i] and not gap[i]),
+                                     tuple(witnesses))
 
-    witnesses: list[Witness] = []
-    if band.size != b1 - b0 + 1:
-        gaps = np.flatnonzero(np.diff(band) > 1)
-        for g in gaps[:_WITNESS_CAP]:
-            i, j = int(band[g]), int(band[g + 1])
-            mid = i + 1 + int(np.argmax(vals[i + 1 : j]))
-            witnesses.append(_witness(p, "argmin_gap", (i, mid, j),
-                                      "the set of grid minimizers is not contiguous"))
-        return MonotoneDecomposition(
-            (0, b0), (b0, b1 + 1), (b1 + 1, n), "valley", vmin, tol_r, False,
-            tuple(witnesses),
-        )
-
-    # the first failing steps of the left flank, then of the right flank
-    flank = [(i, "non_strict_decrease", "left flank is not strictly decreasing")
-             for i in np.flatnonzero(~(deltas[: max(b0 - 1, 0)] < -tol_r))[:_WITNESS_CAP]]
-    flank += [(b1 + 1 + i, "non_strict_increase", "right flank is not strictly increasing")
-              for i in np.flatnonzero(~(deltas[b1 + 1 :] > tol_r))[: _WITNESS_CAP - len(flank)]]
-    witnesses = [_witness(p, kind, (i, i + 1), detail) for i, kind, detail in flank]
-    return MonotoneDecomposition(
-        (0, b0), (b0, b1 + 1), (b1 + 1, n), "valley", vmin, tol_r,
-        not witnesses, tuple(witnesses),
-    )
+    return p._each([split(i) for i in range(vals.shape[0])])
 
 
-def _stationarity_scan(
-    p: SampledProblem, dec: MonotoneDecomposition
-) -> tuple[list[Witness], list[Witness]]:
-    """Find stationary grid points outside the minimum band.
+def _stationary(p: SampledProblem, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(violations, blocked): (m, W) masks of the grid points of each line i
+    outside its band ``hat[i, 0] <= k < hat[i, 1]`` with no descending
+    direction, blocked where that call rests on an unconverged estimate.
+    One settle serves all the lines."""
+    idx = np.arange(p._pts.shape[1])
+    outside = p._valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:]))
+    p.settle(outside)
+    still = ~p._prof.descent(p.stat_tol).any(axis=1) & outside
+    unconv = p._prof.unconverged().any(axis=1)
+    return still & ~unconv, still & unconv
 
-    Returns (violations, blocked): blocked entries are points whose
-    no-descent call rests on an unconverged estimate.
-    """
-    outside = np.ones(p.dom.n, dtype=bool)
-    outside[dec.i_hat[0] : dec.i_hat[1]] = False
-    profile = p.settle(outside)
-    still = ~profile.descent(p.stat_tol).any(axis=0) & outside
-    unconv = profile.unconverged().any(axis=0)
-    violations = [
-        _witness(p, "stationary_outside_min", (i,), (
+
+def _stationarity_scan(p: SampledProblem, dec: MonotoneDecomposition, line: int = 0,
+                       found: tuple[np.ndarray, np.ndarray] | None = None,
+                       ) -> tuple[list[Witness], list[Witness]]:
+    """The first (violations, blocked) witnesses of :func:`_stationary` on
+    ``line``, from its masks ``found`` (of a one-grid problem and ``dec`` when
+    None)."""
+    violations, blocked = found or _stationary(p, np.array([dec.i_hat]))
+    return [
+        _witness(p, "stationary_outside_min", (k,), (
             "grid point outside the minimum band with no descending "
-            "direction (lower Dini derivative >= -stat_tol both ways)"
-        ))
-        for i in np.flatnonzero(still & ~unconv)[:_WITNESS_CAP]
+            "direction (lower Dini derivative >= -stat_tol both ways)"), line)
+        for k in _first(violations[line])
+    ], [
+        _witness(p, "unconverged_dini", (k,),
+                 "no-descent call rests on an unconverged Dini estimate", line)
+        for k in _first(blocked[line])
     ]
-    blocked = [
-        _witness(p, "unconverged_dini", (i,),
-                 "no-descent call rests on an unconverged Dini estimate")
-        for i in np.flatnonzero(still & unconv)[:_WITNESS_CAP]
-    ]
-    return violations, blocked
 
 
 def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
-    method = "strictly_pseudoconvex_char" if strict else "pseudoconvex_char"
-    tol_r, stat_tol = p.band, p.stat_tol
-    if p.undefined:
-        return Verdict("inconclusive", method, tol_r, stat_tol, p.undefined,
-                       notes="grid evaluation failed")
-    dec = decompose(p)
-    if not dec.ok:
-        return Verdict("fails", method, tol_r, stat_tol, dec.witnesses,
-                       notes=f"decomposition pattern: {dec.pattern}")
-    witnesses: list[Witness] = []
-    if strict and dec.pattern == "valley" and dec.band_size() > 2:
-        lo, hi = dec.i_hat
-        witnesses.append(_witness(p, "flat_minimum", (lo, hi - 1), (
+    decs = p.verdict(decompose)
+    decs = decs if p.lines else (decs,)
+    # only the lines whose decomposition holds are scanned
+    found = _stationary(p, np.array([dec.i_hat if dec.ok else (0, p._pts.shape[1])
+                                     for dec in decs]))
+    flat = [strict and dec.pattern == "valley" and dec.band_size() > 2 for dec in decs]
+
+    def witnesses(i: int) -> tuple[Witness, ...]:
+        if not decs[i].ok:
+            return decs[i].witnesses
+        violations, blocked = _stationarity_scan(p, decs[i], i, found)
+        if not (flat[i] or violations):
+            return blocked
+        lo, hi = decs[i].i_hat
+        flats = [_witness(p, "flat_minimum", (lo, hi - 1), (
             "minimum band spans more than one grid cell; the minimizer "
-            "is not unique at this resolution"
-        )))
-    violations, blocked = _stationarity_scan(p, dec)
-    witnesses.extend(violations)
-    if witnesses:
-        return Verdict("fails", method, tol_r, stat_tol, tuple(witnesses[:_WITNESS_CAP]),
-                       notes=f"decomposition pattern: {dec.pattern}")
-    if blocked:
-        return Verdict("inconclusive", method, tol_r, stat_tol, tuple(blocked),
-                       notes=f"decomposition pattern: {dec.pattern}")
-    return Verdict("holds", method, tol_r, stat_tol,
-                   notes=f"decomposition pattern: {dec.pattern}")
+            "is not unique at this resolution"), i)] if flat[i] else []
+        return (flats + violations)[:_WITNESS_CAP]
+
+    return _line_verdicts(
+        p, "strictly_pseudoconvex_char" if strict else "pseudoconvex_char",
+        _outcomes(~np.array([dec.ok for dec in decs]) | flat | found[0].any(axis=1),
+                  found[1].any(axis=1)),
+        witnesses, [f"decomposition pattern: {dec.pattern}" for dec in decs],
+        lambda p, method, i: _undefined_verdict(p, method, i, band=True))
 
 
 def pseudoconvex_char(p: SampledProblem) -> Verdict:
@@ -213,24 +235,32 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
     deltas below ``-tol``), then the longest constant run (deltas within
     ``tol``), and requires every remaining delta to exceed ``tol``.  The
     split is the semistrict-quasiconvexity shape test: any later descent or
-    flat stretch invalidates it.
+    flat stretch invalidates it.  The lines of a problem are split
+    together, one split each.
     """
-    vals, tol_r, n = p.values, p.band, p.dom.n
-    if p.undefined:
-        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, p.undefined[:1])
-    deltas = np.diff(vals)
+    deltas, band = p._deltas, p._band[:, None]
+    j = np.arange(deltas.shape[1])
     # a run's length is the index of its first miss (argmin finds the
     # appended False when there is none)
-    a = int(np.argmin(np.append(deltas < -tol_r, False)))
-    b = a + int(np.argmin(np.append(np.abs(deltas[a:]) <= tol_r, False)))
-    witnesses = [
-        _witness(p, "second_descent" if deltas[i] < -tol_r else "plateau_after_rise",
-                 (i, i + 1), "values stop increasing strictly after the constant run")
-        for i in b + np.flatnonzero(~(deltas[b:] > tol_r))[:_WITNESS_CAP]
-    ]
-    return SegmentSplit(
-        (0, a), (a, b + 1), (b + 1, n), not witnesses, tol_r, tuple(witnesses)
-    )
+    stop = np.zeros((deltas.shape[0], 1), dtype=bool)
+    a = np.argmin(np.hstack((deltas < -band, stop)), axis=1)
+    flat = (np.abs(deltas) <= band) | (j < a[:, None])
+    b = np.argmin(np.hstack((flat, stop)), axis=1)
+    late = ~(deltas > band) & (j >= b[:, None])
+
+    def split(i: int) -> SegmentSplit:
+        tol_i, a_i, b_i, n_i = float(p._band[i]), int(a[i]), int(b[i]), int(p._n[i])
+        if p._bad[i]:
+            return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_i,
+                                p._undefined[i][:1] if p.witnesses else ())
+        return SegmentSplit((0, a_i), (a_i, b_i + 1), (b_i + 1, n_i), not late[i].any(), tol_i,
+                            tuple(_witness(p, "second_descent" if deltas[i, k] < -tol_i else
+                                           "plateau_after_rise", (k, k + 1),
+                                           "values stop increasing strictly after the "
+                                           "constant run", i)
+                                  for k in (_first(late[i]) if p.witnesses else ())))
+
+    return p._each([split(i) for i in range(deltas.shape[0])])
 
 
 def quasiconvex_martos(p: SampledProblem) -> Verdict:
@@ -240,26 +270,26 @@ def quasiconvex_martos(p: SampledProblem) -> Verdict:
     increasing up to ``tol``; the witness on failure is an ordered triple
     with the interior point above both ends.
     """
-    vals, tol_r, stat_tol = p.values, p.band, p.stat_tol
-    if p.undefined:
-        return Verdict("inconclusive", "quasiconvex_martos", tol_r, stat_tol,
-                       p.undefined[:1], notes="grid evaluation failed")
-    deltas = np.diff(vals)
-    rises = np.flatnonzero(deltas > tol_r)
-    drops = np.flatnonzero(deltas < -tol_r)
-    if rises.size and drops.size and rises[0] < drops[-1]:
-        i = int(rises[0])
-        j = int(drops[-1])
-        z = i + 1 + int(np.argmax(vals[i + 1 : j + 1]))
-        wit = _witness(p, "rise_then_fall", (i, z, j + 1), "a strict rise precedes a strict fall")
-        return Verdict("fails", "quasiconvex_martos", tol_r, stat_tol, (wit,))
-    if not rises.size and not drops.size:
-        shape = "constant"
-    elif not rises.size:
-        shape = "weakly_decreasing"
-    elif not drops.size:
-        shape = "weakly_increasing"
-    else:
-        shape = "valley"
-    return Verdict("holds", "quasiconvex_martos", tol_r, stat_tol,
-                   notes=f"shape: {shape}")
+    deltas, band = p._deltas, p._band[:, None]
+    rises = (deltas > band) & p._valid[:, 1:]
+    drops = deltas < -band
+    any_rise, any_drop = rises.any(axis=1), drops.any(axis=1)
+    # a False column past the end keeps argmax defined on a one-point grid
+    stop = np.zeros((deltas.shape[0], 1), dtype=bool)
+    first_rise = np.argmax(np.hstack((rises, stop)), axis=1)
+    last_drop = deltas.shape[1] - 1 - np.argmax(np.hstack((drops[:, ::-1], stop)), axis=1)
+    fails = any_rise & any_drop & (first_rise < last_drop)
+    shape = {(False, False): "constant", (False, True): "weakly_decreasing",
+             (True, False): "weakly_increasing", (True, True): "valley"}
+
+    def triple(i: int) -> list[Witness]:
+        r, d = int(first_rise[i]), int(last_drop[i])
+        z = r + 1 + int(np.argmax(p._v[i, r + 1 : d + 1]))
+        return [_witness(p, "rise_then_fall", (r, z, d + 1),
+                         "a strict rise precedes a strict fall", i)]
+
+    return _line_verdicts(
+        p, "quasiconvex_martos", _outcomes(fails), triple,
+        ["" if f else f"shape: {shape[r, d]}"
+         for f, r, d in zip(fails.tolist(), any_rise.tolist(), any_drop.tolist())],
+        lambda p, method, i: _undefined_verdict(p, method, i, band=True, keep=1))

@@ -37,7 +37,7 @@ from .charact import (
     strictly_pseudoconvex_char,
 )
 from .dini import DiniEstimate, DiniSchedule, is_stationary, lower_dini
-from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
+from .domain import Interval, make_grid, parse_interval
 from .expr import ExpressionError, eval_many, parse
 from .oracle import (
     SampledProblem,
@@ -48,7 +48,7 @@ from .oracle import (
     semistrictly_quasiconvex_def,
     strictly_pseudoconvex_def,
 )
-from .theorems import SUITE_SCHEDULE, run_battery, sample_pairs
+from .theorems import SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
 
 __all__ = ["main", "RunConfig", "canonical_json"]
 
@@ -270,9 +270,12 @@ def _config_json(cfg: RunConfig) -> dict:
 
 
 def _semistrict_martos(p: SampledProblem) -> Verdict:
-    split = martos_segments(p)
-    outcome = "holds" if split.valid else "fails"
-    return Verdict(outcome, "martos_segments", split.tol, 0.0, split.witnesses)
+    splits = martos_segments(p)
+    return p._each([
+        Verdict("holds" if split.valid else "fails", "martos_segments", split.tol, 0.0,
+                split.witnesses)
+        for split in (splits if p.lines else (splits,))
+    ])
 
 
 def _run_methods(check: str, want_def: bool, want_struct: bool,
@@ -337,31 +340,31 @@ def _cmd_classify(cfg: RunConfig) -> int:
                 "methods": {name: _verdict_json(v, dini_at) for name, v in methods.items()}
             }
         if not p.undefined and want_struct:
-            report["decomposition"] = _decomposition_json(decompose(p), p.dom.points)
+            report["decomposition"] = _decomposition_json(p.verdict(decompose), p.dom.points)
     else:
         box = _parse_box(cfg.box, cfg.arity)
-        f = lambda pts: eval_many(fn, pts)
-        pair_list = sample_pairs(box, cfg.pairs, cfg.seed)
         pair_reports = []
         per_check: dict[str, dict[str, list[str]]] = {
             c: {} for c in cfg.checks
         }
-        for x, y in pair_list:
-            r = restrict(f, x, y, box)
-            p = SampledProblem(r.phi, anchored_grid(r.feasible, cfg.grid, cfg.margin),
-                               cfg.schedule, cfg.tol, cfg.stat_tol)
-            entry: dict = {
-                "x": [float(v) for v in x],
-                "y": [float(v) for v in y],
-                "feasible": str(r.feasible),
-                "checks": {},
-            }
-            for check in cfg.checks:
-                methods = _run_methods(check, want_def, want_struct, p)
-                entry["checks"][check] = {name: v.outcome for name, v in methods.items()}
-                for name, v in methods.items():
-                    per_check[check].setdefault(name, []).append(v.outcome)
-            pair_reports.append(entry)
+        # every line of a batch is decided at once; the report reads outcomes
+        for r, p in line_problems(lambda pts: eval_many(fn, pts),
+                                  sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
+                                  cfg.margin, cfg.schedule, cfg.tol, cfg.stat_tol):
+            outs = {check: {name: [v.outcome for v in verdicts] for name, verdicts in
+                            _run_methods(check, want_def, want_struct, p).items()}
+                    for check in cfg.checks}
+            for i, feasible in enumerate(r.feasible):
+                pair_reports.append({
+                    "x": [float(v) for v in r.x[i]],
+                    "y": [float(v) for v in r.y[i]],
+                    "feasible": str(feasible),
+                    "checks": {check: {name: lines[i] for name, lines in by_name.items()}
+                               for check, by_name in outs.items()},
+                })
+            for check, by_name in outs.items():
+                for name, lines in by_name.items():
+                    per_check[check].setdefault(name, []).extend(lines)
         for check in cfg.checks:
             outcomes[check] = {name: _merge_outcomes(outs)
                                for name, outs in per_check[check].items()}

@@ -8,36 +8,22 @@ afterwards so that decisions are invariant to the magnitude of u.
 
 One kernel, :func:`_dini_rows`, applies that rule to a (steps x rows)
 block of probe values, one column per estimate, masking the probes outside
-the domain and the undefined ones; its running counts and minima take one
-whole-row operation per step.  :func:`_probe_rows` feeds it, evaluating
+the domain and the undefined ones; :func:`_probe_rows` feeds it, evaluating
 only the probes the rule can read.  :func:`lower_dini_along` estimates one
-point along a block of directions, one kernel row each, from the arrays
-of :func:`_dini_along`, which a caller can read directly.  :func:`lower_dini`
-(one direction) and :func:`is_stationary` (both) call it on the line, and
-:func:`grid_dini_profile` passes the grid in blocks of ``_BLOCK_ROWS``
-points, or only the entries in its optional mask, and can stop after any
-block.  Its profile puts the two sides on one axis: each array is (2, n),
-``[0]`` toward lower t and ``[1]`` toward higher t, so a reader takes both
-sides of a point with one whole-array operation.  A row's bits do not
-depend on the rows beside it, so a caller can estimate just the entries
-it reads: toward a lower value for a definitional oracle, up to the block
-that holds the last failure it reports, and for a stationarity check one
-descending direction or both.
+point along a block of directions; :func:`lower_dini` and
+:func:`is_stationary` call it on the line.  :func:`grid_dini_profile`
+estimates the grid points of one grid, or of the m lines of a batch, both
+sides of each point on one axis: (2, n), ``[0]`` toward lower t, behind a
+line axis for a batch.  A row's bits do not depend on the rows beside it,
+so a caller estimates just the entries it reads, block by block, and can
+stop after any block.
 
-A block is dense when it has at least 2 steps, every probe in it is in the
-domain and defined, and each row skipped exactly ``n_in // 2`` in-domain
-probes, so that every row's window is the whole block.  Such a block takes
-:func:`_dense_rows`, which runs the same float operations without building
-any mask.  Every other block keeps the masked path: near an end of the
-domain the windows differ from row to row, and undefined probes can empty a
-window and force the fallback.  Interior points are dense: the interior
-blocks of a fine grid (all but 3 of 34 at 16385 points), and
-:func:`lower_dini_along` from a point farther than the largest step from
-the box's faces.  A whole profile of a 257-point grid is one block per
-direction, which holds an end of the domain, so it stays masked; but the
-masked calls that estimate only the rows a verdict reads are dense when
-those rows keep away from the ends.  Over one pass of the benchmark's
-``battery`` workload (seed 1), 1022 of the 1053 kernel calls are dense.
+A block whose probes all lie in the domain and are defined, with every
+row's window the whole block, takes :func:`_dense_rows`: the same float
+operations without masks.  Blocks near an end of the domain keep the
+masked path.  Over one pass of the benchmark's ``battery`` workload (seed
+1), 876 of the 894 kernel calls are dense; over one of ``classify_nd``,
+77 of 82.
 """
 
 from __future__ import annotations
@@ -48,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Interval, SampledDomain
+from .domain import Interval, LineGrids, SampledDomain, extent
 
 __all__ = [
     "DiniSchedule",
@@ -158,33 +144,24 @@ def _dini_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Apply the estimate rule to every row of a (steps x rows) probe block.
 
-    Row r, column r of the block, probes ``base[r]`` at the decreasing steps
-    ``s``; ``vals[:, r]`` holds the probe values (NaN where undefined) and
-    ``in_domain[:, r]`` marks the probes inside the feasible set.  The
-    quotients used are those of the defined probes in the trailing half of
-    the in-domain steps or, when that window holds none, in the trailing
-    half of the defined in-domain probes.  Their running minimum is the
-    trace and its last entry the estimate, converged when the last used
-    step moved it by at most ``dini_tol``.
-
-    The block may be the trailing steps of longer rows: ``skipped[r]``
-    counts row r's in-domain probes in the steps left out.  A row with
-    skipped probes that its window reaches, or that it would fall back on,
-    is left using no probe, for the caller to estimate from the whole row.
+    Row r probes ``base[r]`` at the decreasing steps ``s``; ``vals[:, r]``
+    holds the probe values (NaN where undefined) and ``in_domain[:, r]``
+    marks the probes inside the feasible set.  The quotients used are those
+    of the defined probes in the trailing half of the in-domain steps or,
+    when that window holds none, in the trailing half of the defined
+    in-domain probes.  Their running minimum is the trace and its last entry
+    the estimate, converged when the last used step moved it by at most
+    ``dini_tol``.  The block may be the trailing steps of longer rows:
+    ``skipped[r]`` counts row r's in-domain probes left out, and a row whose
+    window or fallback reaches them is left using no probe, for the caller
+    to estimate from the whole row.
 
     Returns (value, converged, trace, used, n_in): ``trace[:, r][used[:, r]]``
     is row r's trace and ``n_in[r]`` its count of in-domain probes, skipped
     ones included.  A row that uses no probe has value +inf, is converged
     and has an empty trace.  ``trace`` and ``used`` start at the first step
-    any row uses.
-
-    A dense block, of at least 2 steps, all in the domain and defined, with
-    ``skipped == n_in // 2`` on every row, has the whole block as every
-    window and goes to :func:`_dense_rows`.  Other blocks need the masks:
-    their windows can start at different steps, and an undefined probe can
-    empty a window.  Interior blocks of fine grids, rows of any grid that
-    keep away from its ends, and interior points of
-    :func:`lower_dini_along` are dense.
+    any row uses.  A dense block (at least 2 steps, all in the domain and
+    defined, ``skipped == n_in // 2``) goes to :func:`_dense_rows`.
     """
     n_in = in_domain.sum(axis=0) + skipped
     if (s.shape[0] >= 2 and in_domain.all() and (skipped == n_in // 2).all()
@@ -265,19 +242,17 @@ def _probe_rows(
 
     ``probes[k, r]`` is row r's probe at step ``s[k]``, a number or a point
     along the trailing axis, ``in_domain`` marks those in the feasible set
-    and ``f`` maps a stack of probes to their values.  From a point of an
-    interval or a box ``t + s`` rounds monotonically in ``s``, so a row's
-    in-domain probes are a suffix of the schedule and its window lies in
-    the steps from ``steps // 2`` on.  Only those are evaluated, and the
-    leading ones of the rows the kernel leaves to their whole row: those
-    that fall back, and any whose in-domain probes are no suffix (a grid
-    point rounded onto an open end) and whose window reaches them.
+    and ``f(probes[steps, rows], rows)`` gives the (k, r) values of a block
+    of them.  A row's in-domain probes are a suffix of the schedule, so its
+    window lies in the steps from ``steps // 2`` on.  Only those are
+    evaluated, and the leading ones of the rows the kernel leaves to their
+    whole row: those that fall back, and those whose in-domain probes are no
+    suffix (a grid point rounded onto an open end).
     """
     cut = s.shape[0] // 2
 
     def values(steps, rows) -> np.ndarray:
-        pts = probes[steps, rows]
-        return f(pts.reshape((-1,) + probes.shape[2:])).reshape(pts.shape[:2])
+        return f(probes[steps, rows], rows)
 
     skipped = in_domain[:cut].sum(axis=0)
     tail = values(slice(cut, None), slice(None))
@@ -375,7 +350,8 @@ def _dini_along(
     for i, iv in enumerate(box):
         in_domain &= iv.contains_many(probes[..., i])
     return (norms,) + _probe_rows(
-        f, probes, in_domain, np.full(in_domain.shape[1], base), s, schedule.dini_tol
+        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]), probes, in_domain,
+        np.full(in_domain.shape[1], base), s, schedule.dini_tol,
     )
 
 
@@ -405,12 +381,11 @@ def is_stationary(
 class GridDiniProfile:
     """Unit-direction Dini estimates at the grid points, both directions.
 
-    Each field is a (2, n) array with one column per point of ``dom.points``
-    and one row per side: row 0 toward lower t (minus), row 1 toward higher
-    t (plus).  ``feasible`` marks entries with at least one in-domain probe;
-    infeasible entries carry NaN values and are never consulted by the
-    classifiers, nor are the entries outside ``estimated``, which read as
-    infeasible.
+    Each field is (2, n): one column per grid point, row 0 toward lower t
+    (minus), row 1 toward higher t (plus); a batch of m lines puts a line
+    axis in front, (m, 2, W).  Infeasible entries (no in-domain probe) carry
+    NaN values and are never consulted, nor are the entries outside
+    ``estimated``, which read as infeasible.
     """
 
     value: np.ndarray
@@ -420,31 +395,38 @@ class GridDiniProfile:
 
     # Row views kept for perfbench's tracer, which reads them by name until
     # ROADMAP item 6.
-    minus_feasible = property(lambda self: self.feasible[0])
-    plus_feasible = property(lambda self: self.feasible[1])
-    minus_converged = property(lambda self: self.converged[0])
-    plus_converged = property(lambda self: self.converged[1])
+    minus_feasible = property(lambda self: self.feasible[..., 0, :])
+    plus_feasible = property(lambda self: self.feasible[..., 1, :])
+    minus_converged = property(lambda self: self.converged[..., 0, :])
+    plus_converged = property(lambda self: self.converged[..., 1, :])
 
     @classmethod
-    def unestimated(cls, n: int) -> GridDiniProfile:
-        """A profile of ``n`` points with no entry estimated."""
-        return cls(np.full((2, n), np.nan), *(np.zeros((2, n), dtype=bool) for _ in range(3)))
+    def unestimated(cls, n: int, lines: tuple[int, ...] = ()) -> GridDiniProfile:
+        """A profile of ``n`` points (per line, for the ``lines`` leading
+        shape) with no entry estimated."""
+        shape = (*lines, 2, n)
+        return cls(np.full(shape, np.nan), *(np.zeros(shape, dtype=bool) for _ in range(3)))
+
+    def reshape(self, *shape: int) -> GridDiniProfile:
+        """The same profile, its arrays viewed in ``shape``."""
+        return GridDiniProfile(*(a.reshape(shape) for a in
+                                 (self.value, self.converged, self.feasible, self.estimated)))
 
     def descent(self, stat_tol: float, rows: slice = slice(None)) -> np.ndarray:
-        """(2, k) mask over the k grid points ``rows``: the direction
+        """(..., 2, k) mask over the k grid points ``rows``: the direction
         descends beyond stat_tol."""
         with np.errstate(invalid="ignore"):
-            return self.feasible[:, rows] & (self.value[:, rows] < -stat_tol)
+            return self.feasible[..., rows] & (self.value[..., rows] < -stat_tol)
 
     def unconverged(self, rows: slice = slice(None)) -> np.ndarray:
-        """(2, k) mask over the k grid points ``rows``: the direction is
+        """(..., 2, k) mask over the k grid points ``rows``: the direction is
         feasible, its estimate unconverged."""
-        return self.feasible[:, rows] & ~self.converged[:, rows]
+        return self.feasible[..., rows] & ~self.converged[..., rows]
 
 
 def grid_dini_profile(
     phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain,
+    dom: SampledDomain | LineGrids,
     values: np.ndarray,
     schedule: DiniSchedule | None = None,
     mask: np.ndarray | None = None,
@@ -454,45 +436,77 @@ def grid_dini_profile(
     """Batch unit-direction estimates at the grid points of ``dom``.
 
     ``values`` holds ``phi`` at ``dom.points``; ``phi`` is called only at
-    probes.  Only the entries in the (2, n) boolean ``mask``, laid out as
-    :class:`GridDiniProfile` is (all when ``None``), are probed; the others
-    come back infeasible and not estimated, or as they were in ``out``, a
-    profile of the same grid to write the estimates into.  Numerically
-    identical to calling :func:`lower_dini` per point with u = +-1.  The
-    grid is probed in blocks of ``_BLOCK_ROWS`` points, in grid order,
-    through :func:`_probe_rows` per block and side, so memory stays bounded
-    however fine the grid.  Once both sides of a block before the last are
-    written, ``until``, if given, is called with the block's slice of
-    points, and a true result ends the scan: the points past that block are
-    left as they were.
+    probes, and only for the entries in ``mask`` (all when ``None``); the
+    others stay as they were in ``out`` (default: not estimated).  Equal to
+    :func:`lower_dini` per point with u = +-1.  For the m lines of a
+    :class:`~dinicvx.domain.LineGrids`, ``phi`` maps an (m, k) parameter
+    array to values line by line; ``values`` is (m, W), the profile
+    (m, 2, W).  Each block of at most ``_BLOCK_ROWS`` entries, in grid
+    order, is one :func:`_probe_rows` and one ``phi`` call, so memory stays
+    bounded.  One grid is probed a side at a time; a batch both sides of
+    ``_BLOCK_ROWS // (2 m)`` columns of every line at once, so each line
+    brings a like number of rows and little of what phi reads is padding.
+    After each block but the last, a true ``until(columns)`` ends the scan.
     """
     if schedule is None:
         schedule = DiniSchedule()
-    pts = dom.points
-    n = pts.shape[0]
+    lines = dom.points.shape[:-1]
+    pts = dom.points.reshape(-1, dom.points.shape[-1])
+    m, w = pts.shape
+    vals = np.reshape(values, -1)
     s = schedule.step_sizes()
     if out is None:
-        out = GridDiniProfile.unestimated(n)
+        out = GridDiniProfile.unestimated(w, lines)
+    if mask is None:
+        want = np.broadcast_to((np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
+    else:
+        want = np.reshape(mask, (m, 2, w))
+    line = np.zeros(0, dtype=np.intp)  # the lines of the rows of the block in progress
 
-    for a in range(0, n, _BLOCK_ROWS):
-        block = slice(a, a + _BLOCK_ROWS)
-        for side, sign in enumerate((-1.0, 1.0)):
-            rows = block
-            if mask is not None:
-                rows = a + np.flatnonzero(mask[side, block])
-                if not rows.size:
-                    continue
-            probes = pts[None, rows] + sign * s[:, None]
-            base = values[rows]
-            v, c, _, _, n_in = _probe_rows(
-                phi, probes, dom.interval.contains_many(probes), base, s,
-                schedule.dini_tol,
-            )
+    def evaluate(probes: np.ndarray, rows) -> np.ndarray:
+        if m == 1:
+            return phi(probes.reshape(lines + (-1,))).reshape(probes.shape)
+        # A line's rows are consecutive, so row j of line l goes to column
+        # j - (first row of l) of the probes of l, step by step, in the
+        # (m, k, K) array phi reads; the rest is NaN.
+        of = line[rows]
+        count = np.bincount(of, minlength=m)
+        at = np.arange(of.shape[0]) - (np.cumsum(count) - count)[of]
+        k, most = probes.shape[0], int(count.max())
+        idx = (of * (k * most) + at) + most * np.arange(k)[:, None]
+        grid = np.full(m * k * most, np.nan)
+        grid[idx] = probes
+        return phi(grid.reshape(m, -1)).reshape(-1)[idx]
+
+    least, greatest = extent(dom.interval if lines else (dom.interval,))
+    passes, width = ((slice(0, 1), slice(1, 2)), _BLOCK_ROWS) if m == 1 else \
+        ((slice(0, 2),), max(1, _BLOCK_ROWS // (2 * m)))
+    sign = np.array([-1.0, 1.0])
+    value, converged = out.value.reshape(-1), out.converged.reshape(-1)
+    feasible, estimated = out.feasible.reshape(-1), out.estimated.reshape(-1)
+    for a in range(0, w, width):
+        block = slice(a, a + width)
+        for sides in passes:
+            asked = want[:, sides, block]
+            at = np.flatnonzero(asked)
+            if not at.size:
+                continue
+            # the line, side and column of each entry (one grid: line 0, one side)
+            line, at = np.divmod(at, asked[0].size) if m > 1 else (0, at)
+            side, col = np.divmod(at, asked.shape[2]) if m > 1 else (sides.start, at)
+            col = col + a
+            point = line * w + col
+            probes = pts.reshape(-1)[point] + sign[side] * s[:, None]
+            base = vals[point]
+            in_domain = (probes >= least[line]) & (probes <= greatest[line])
+            v, c, _, _, n_in = _probe_rows(evaluate, probes, in_domain, base, s,
+                                           schedule.dini_tol)
             f = (n_in > 0) & ~np.isnan(base)
-            out.value[side, rows] = np.where(f, v, np.nan)
-            out.converged[side, rows] = c & f
-            out.feasible[side, rows] = f
-            out.estimated[side, rows] = True
-        if until is not None and block.stop < n and until(block):
+            entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
+            value[entry] = np.where(f, v, np.nan)
+            converged[entry] = c & f
+            feasible[entry] = f
+            estimated[entry] = True
+        if until is not None and block.stop < w and until(block):
             break
     return out

@@ -15,6 +15,9 @@ function to the line through two points: ``phi(s) = f((1-s) x + s y)``
 together with the feasible parameter interval ``{s : (1-s) x + s y in box}``
 computed in closed form from the box bounds.  The affine form makes
 ``phi(0) == f(x)`` and ``phi(1) == f(y)`` hold exactly in floating point.
+Given stacks of m points it restricts to m lines at once, and
+:func:`anchored_grid` grids their m feasible intervals into one
+:class:`LineGrids`: a line axis leads, and each line keeps its own points.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "Interval",
     "parse_interval",
     "SampledDomain",
+    "LineGrids",
     "make_grid",
     "anchored_grid",
     "LineRestriction",
@@ -172,44 +176,80 @@ def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain
     return SampledDomain(interval=interval, points=pts)
 
 
-def anchored_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain:
+def extent(intervals: tuple[Interval, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest double in each interval: ``x`` is in
+    interval i exactly when ``least[i] <= x <= greatest[i]``."""
+    return (np.array([iv.lo if iv.lo_closed else np.nextafter(iv.lo, _INF) for iv in intervals]),
+            np.array([iv.hi if iv.hi_closed else np.nextafter(iv.hi, -_INF) for iv in intervals]))
+
+
+@dataclass(frozen=True)
+class LineGrids:
+    """The grids of m lines in one array, a line axis leading.
+
+    Row i of the (m, W) ``points`` holds the ``n[i]`` grid points of line i
+    over ``interval[i]``, as :func:`anchored_grid` makes them for that
+    interval alone, and then NaN up to the width W, the largest ``n``.
+    """
+
+    interval: tuple[Interval, ...]
+    points: np.ndarray
+    n: np.ndarray
+
+
+def anchored_grid(interval: Interval | tuple[Interval, ...], n: int,
+                  margin: float = 1e-6) -> SampledDomain | LineGrids:
     """A uniform grid guaranteed to contain the anchors 0 and 1 exactly, where
     in range: the parameters of a line restriction's ``x`` and ``y``.
 
     An anchor closer to an existing grid point than ``spacing * 1e-6``
     replaces that point instead of being inserted next to it, so grids stay
     free of near-duplicate points (which would defeat strict-monotonicity
-    checks on consecutive deltas).
+    checks on consecutive deltas).  So a grid has ``n``, ``n + 1`` or
+    ``n + 2`` points.  Given a tuple of intervals, the grids of all of them
+    come back as one :class:`LineGrids`, each row as this function makes it
+    for its interval.
     """
-    base = make_grid(interval, n, margin)
-    pts = base.points.copy()
-    snap = base.spacing * 1e-6
-    inserts = []
+    one = isinstance(interval, Interval)
+    intervals = (interval,) if one else tuple(interval)
+    pts = np.array([make_grid(iv, n, margin).points for iv in intervals])
+    rows = np.arange(pts.shape[0])
+    snap = (pts[:, 1] - pts[:, 0]) * 1e-6
+    inserted = []
     for a in (0.0, 1.0):
-        if not (pts[0] <= a <= pts[-1]):
-            continue
-        k = int(np.argmin(np.abs(pts - a)))
-        if abs(pts[k] - a) <= snap:
-            pts[k] = a
-        else:
-            inserts.append(a)
-    if inserts:
-        pts = np.unique(np.concatenate([pts, np.asarray(inserts)]))
-    return SampledDomain(interval=interval, points=pts)
+        k = np.argmin(np.abs(pts - a), axis=1)
+        inside = (pts[:, 0] <= a) & (a <= pts[:, -1])
+        onto = inside & (np.abs(pts[rows, k] - a) <= snap)
+        pts[rows[onto], k[onto]] = a
+        inserted.append(inside & ~onto)
+    zero, one_ = inserted
+    counts = n + zero + one_
+    out = np.full((pts.shape[0], int(counts.max())), np.nan)
+    # each point moves right past the anchors inserted below it
+    shift = (zero[:, None] & (pts > 0.0)).astype(np.intp) + (one_[:, None] & (pts > 1.0))
+    out[rows[:, None], np.arange(n) + shift] = pts
+    out[rows[zero], np.count_nonzero(pts < 0.0, axis=1)[zero]] = 0.0
+    out[rows[one_], (np.count_nonzero(pts < 1.0, axis=1) + zero)[one_]] = 1.0
+    if one:
+        return SampledDomain(interval=interval, points=out[0])
+    return LineGrids(intervals, out, counts)
 
 
 @dataclass(frozen=True)
 class LineRestriction:
-    """Restriction of ``f`` to the line through ``x`` and ``y``.
+    """Restriction of ``f`` to the line through ``x`` and ``y``, or to the m
+    lines through the rows of (m, d) stacks ``x`` and ``y``.
 
     ``phi(s) = f((1-s) x + s y)`` on the feasible set, which always contains
     0 and 1.  ``phi`` accepts a float64 array of parameters and returns the
-    function values with NaN for undefined.
+    function values with NaN for undefined.  For m lines, ``feasible`` holds
+    one interval per line and ``phi`` maps an (m, k) array, row i along line
+    i; a NaN parameter stands for no point and reads NaN.
     """
 
     x: np.ndarray
     y: np.ndarray
-    feasible: Interval
+    feasible: Interval | tuple[Interval, ...]
     phi: Callable[[np.ndarray], np.ndarray]
 
 
@@ -224,42 +264,56 @@ def restrict(
     ``f`` maps an (m, n) array of points to an (m,) array of values.  The
     feasible parameter set is computed per coordinate from the box bounds
     and intersected; openness of binding box faces carries over.  Requires
-    ``x != y`` and both endpoints inside the box.
+    ``x != y`` and both endpoints inside the box.  Given (m, d) stacks of
+    points, the m lines through their rows are restricted at once: every
+    feasible interval comes from one pass of array operations, each line's
+    as it would alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length 1-D points")
-    if len(box) != x.shape[0]:
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError("x and y must be equal-length 1-D points, or stacks of them")
+    if len(box) != x.shape[-1]:
         raise ValueError("box arity does not match the points")
-    if np.array_equal(x, y):
+    xs, ys = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+    if (xs == ys).all(axis=1).any():
         raise ValueError("x and y must differ")
-    for i, iv in enumerate(box):
-        if not iv.contains(x[i]) or not iv.contains(y[i]):
-            raise ValueError(f"endpoint outside the box in coordinate {i + 1}")
+    least, greatest = extent(box)
+    inside = (xs >= least) & (xs <= greatest) & (ys >= least) & (ys <= greatest)
+    if not inside.all():
+        i = int(np.argmax(~inside.all(axis=1)))
+        raise ValueError(f"endpoint outside the box in coordinate {int(np.argmin(inside[i])) + 1}")
 
-    feas = Interval(-_INF, _INF, False, False)
-    d = y - x
-    for i, iv in enumerate(box):
-        if d[i] == 0.0:
-            continue  # coordinate constant on the line; x[i] known inside
-        # a tiny |d[i]| overflows the bound to inf: every representable
-        # parameter is then feasible on that side, hence an open endpoint
-        with np.errstate(over="ignore"):
-            a = (iv.lo - x[i]) / d[i]
-            b = (iv.hi - x[i]) / d[i]
-        if d[i] > 0:
-            lo_s, hi_s, lo_c, hi_c = a, b, iv.lo_closed, iv.hi_closed
-        else:
-            lo_s, hi_s, lo_c, hi_c = b, a, iv.hi_closed, iv.lo_closed
-        coord = Interval(lo_s, hi_s,
-                         lo_c and bool(np.isfinite(lo_s)),
-                         hi_c and bool(np.isfinite(hi_s)))
-        feas = feas.intersect(coord)
+    lo, hi = np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
+    lo_c, hi_c = np.array([iv.lo_closed for iv in box]), np.array([iv.hi_closed for iv in box])
+    d = ys - xs
+    # a tiny |d| overflows a bound to inf: every representable parameter is
+    # then feasible on that side, hence an open endpoint; a coordinate that
+    # is constant on the line (d == 0) bounds nothing
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = (lo - xs) / d
+        b = (hi - xs) / d
+    up, still = d > 0, d == 0
+    lo_s = np.where(still, -_INF, np.where(up, a, b))
+    hi_s = np.where(still, _INF, np.where(up, b, a))
+    lo_sc = np.where(up, lo_c, hi_c) & np.isfinite(lo_s)
+    hi_sc = np.where(up, hi_c, lo_c) & np.isfinite(hi_s)
+    # the intersection: the tightest bound, closed where every coordinate
+    # that attains it is closed
+    s_lo, s_hi = lo_s.max(axis=1), hi_s.min(axis=1)
+    lo_closed = np.where(lo_s == s_lo[:, None], lo_sc, True).all(axis=1)
+    hi_closed = np.where(hi_s == s_hi[:, None], hi_sc, True).all(axis=1)
+    feasible = tuple(Interval(s_lo[i], s_hi[i], bool(lo_closed[i]), bool(hi_closed[i]))
+                     for i in range(xs.shape[0]))
 
     def phi(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float).reshape(-1)
-        pts = (1.0 - s)[:, None] * x[None, :] + s[:, None] * y[None, :]
-        return f(pts)
+        s = np.asarray(s, dtype=float)
+        grid = s.reshape(xs.shape[0], -1)
+        # coordinate-major, so that each column f reads is contiguous
+        cols = (1.0 - grid) * xs.T[:, :, None] + grid * ys.T[:, :, None]
+        out = f(cols.reshape(xs.shape[1], -1).T).reshape(grid.shape)
+        if x.ndim == 1:
+            return out.reshape(-1)
+        return np.where(np.isnan(grid), np.nan, out).reshape(s.shape)
 
-    return LineRestriction(x=x, y=y, feasible=feas, phi=phi)
+    return LineRestriction(x, y, feasible if x.ndim > 1 else feasible[0], phi)

@@ -11,32 +11,24 @@ of an agreement test against the structural characterizations:
 * semistrictly quasiconvex: phi(y) < phi(x) - tol forces phi(z) strictly
   below phi(x) (up to tol) strictly between x and y.
 
-Each quantifier over pairs or triples is decided exactly, by whole-array
-passes over the grid values and the side minima (the least value strictly
-left and strictly right of each point) rather than by a Python loop per
-grid index.  A pair (x, y) triggers its condition for some y on one side
-of x exactly when the least value on that side does, and the triple
-conditions reduce in the same way, so nothing is assumed about the
-function's shape and the monotone decomposition is never read.  The pair
-and quasiconvexity oracles cost O(n) on an n-point grid, the semistrict
-one O(n log n).  Witnesses are the first violations in grid order, at
-most ``_WITNESS_CAP`` of each kind.  The pair oracles estimate
-the Dini entries they read one block of grid rows at a time, in grid order,
-and a failing one stops at the block that holds its ``_WITNESS_CAP``-th
-failure, so it reads no entry past the witnesses it reports.
+Each quantifier is decided exactly by whole-array passes over the grid
+values and the side minima (the least value strictly left and strictly
+right of each point): a pair (x, y) triggers its condition for some y on
+one side of x exactly when the least value on that side does, and the
+triple conditions reduce in the same way.  The pair and quasiconvexity
+oracles cost O(n) on an n-point grid, the semistrict one O(n log n).
+Witnesses are the first violations in grid order, at most
+``_WITNESS_CAP`` of each kind.
 
-All comparisons share one equality band ``tol``; by default it is scaled
-from the grid values as ``1e-9 * (1 + max |phi|)`` so that classifying
-``phi`` and ``1000 * phi`` behaves identically.  Sign decisions on Dini
-estimates use the unit-direction value against ``stat_tol``, which keeps
-the outcome invariant to the magnitude of the probed direction.  Every
-classifier, here and in :mod:`dinicvx.charact`, takes one
-:class:`SampledProblem`, which holds the function, the grid and these
-settings, and computes the shared inputs once.
-
-A verdict is ``inconclusive`` only when a Dini estimate that the decision
-actually depends on failed to converge, or when the grid contains
-undefined or non-finite values.
+All comparisons share one equality band ``tol``, by default
+``1e-9 * (1 + max |phi|)`` so that ``phi`` and ``1000 * phi`` classify
+alike.  Sign decisions on Dini estimates use the unit-direction value
+against ``stat_tol``.  Every classifier, here and in
+:mod:`dinicvx.charact`, takes one :class:`SampledProblem`, which holds the
+function, the grid (or the grids of a batch of lines) and these settings,
+and computes the shared inputs once.  A verdict is ``inconclusive`` only
+when a Dini estimate the decision depends on failed to converge, or when
+the grid holds undefined or non-finite values.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .dini import DiniSchedule, GridDiniProfile, grid_dini_profile
-from .domain import SampledDomain
+from .domain import LineGrids, SampledDomain
 
 __all__ = [
     "Witness",
@@ -85,54 +77,88 @@ class Verdict:
     notes: str = ""
 
 
-def auto_tol(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    scale = float(np.max(np.abs(finite))) if finite.size else 0.0
-    return 1e-9 * (1.0 + scale)
+def auto_tol(values: np.ndarray) -> float | np.ndarray:
+    """The default band of a grid's values, or of each row of an (m, W)
+    array: ``1e-9 * (1 + max |finite value|)``."""
+    with np.errstate(invalid="ignore"):
+        scale = np.where(np.isfinite(values), np.abs(values), 0.0).max(axis=-1, initial=0.0)
+    band = 1e-9 * (1.0 + scale)
+    return float(band) if band.ndim == 0 else band
 
 
 def grid_values(
-    phi: Callable[[np.ndarray], np.ndarray], dom: SampledDomain
-) -> tuple[np.ndarray, tuple[Witness, ...]]:
-    """Evaluate phi on the grid; report the first undefined/non-finite points."""
+    phi: Callable[[np.ndarray], np.ndarray], dom: SampledDomain | LineGrids
+) -> tuple[np.ndarray, tuple]:
+    """Evaluate phi on the grid; report the first undefined/non-finite points.
+
+    For the m lines of a :class:`LineGrids` the values are (m, W), +inf past
+    each line's last point, and the witnesses come as one tuple per line.
+    """
     vals = phi(dom.points)
-    return vals, tuple(
-        Witness(
-            kind="undefined_grid_value",
-            points=(float(dom.points[i]),),
-            values=(float(vals[i]),),
-            detail="phi is undefined or non-finite at a grid point",
-        )
-        for i in np.flatnonzero(~np.isfinite(vals))[:_WITNESS_CAP]
-    )
+    rows = vals.reshape(-1, vals.shape[-1])
+    pts = dom.points.reshape(rows.shape)
+    undefined = ~np.isfinite(rows)
+    if vals.ndim > 1:  # past a line's last point: +inf, and not undefined
+        valid = np.arange(rows.shape[1]) < dom.n[:, None]
+        undefined &= valid
+        rows[~valid] = np.inf
+    per_line = tuple(
+        tuple(Witness("undefined_grid_value", (float(pts[i, j]),), (float(rows[i, j]),),
+                      "phi is undefined or non-finite at a grid point")
+              for j in _first(undefined[i])) if bad else ()
+        for i, bad in enumerate(undefined.any(axis=1).tolist()))
+    return vals, per_line if vals.ndim > 1 else per_line[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SampledProblem:
-    """One function on one sampled interval: what every classifier reads.
+    """Functions on sampled intervals: what every classifier reads.
 
-    The grid values, the equality band and the side minima with their first
-    minimizers are each computed at most once, when a classifier first reads
-    them, and then shared by the definitional oracles, the structural
-    characterizations and the theorem checks, which ask for each verdict
-    through :meth:`verdict` and so run each oracle once per problem.  Each (grid point, direction) entry of the one kept Dini
-    profile is estimated at most once, when a reader asks for it through
-    :meth:`estimate` or :meth:`settle`; the others read as infeasible.  The
-    side minima, the profile and the masks that ask for its entries share
-    one (2, n) layout: row 0 toward lower t, row 1 toward higher t.  Only
-    these inputs are shared; every classifier keeps its own decision
-    logic.  ``grid_values`` and ``grid_dini_profile`` are looked up when
-    called, so a rebound module attribute (as a tracer installs) is used.
+    ``dom`` is one grid, a :class:`SampledDomain`, or the grids of a batch of
+    m lines, a :class:`LineGrids`, whose ``phi`` maps an (m, k) parameter
+    array to values line by line.  A classifier decides all the lines at
+    once and returns a tuple of their verdicts (for one grid, the verdict),
+    each what the line gives alone (for lines of at most ``_BLOCK_ROWS``
+    points); with ``witnesses`` false they carry none.  The values, band and
+    side minima are computed once, when first read; each entry of the kept
+    Dini profile is estimated at most once, for all lines in one
+    :func:`grid_dini_profile` call per :meth:`estimate`.  Side minima,
+    profile and masks are (2, n) per line, row 0 toward lower t.
+    ``grid_values`` and ``grid_dini_profile`` are looked up when called, so
+    a rebound module attribute (as a tracer installs) is used.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
-    dom: SampledDomain
+    dom: SampledDomain | LineGrids
     schedule: DiniSchedule | None = None
     tol: float | None = None
     stat_tol: float = 1e-7
+    witnesses: bool = True
+
+    # every private array below has the line axis in front: (m, ...)
+
+    @property
+    def lines(self) -> tuple[int, ...]:
+        """The leading shape: ``()`` for one grid, ``(m,)`` for m lines."""
+        return self.dom.points.shape[:-1]
+
+    def _each(self, per_line: list):
+        return tuple(per_line) if self.lines else per_line[0]
 
     @cached_property
-    def _sampled(self) -> tuple[np.ndarray, tuple[Witness, ...]]:
+    def _n(self) -> np.ndarray:
+        return np.reshape(self.dom.n, -1)
+
+    @cached_property
+    def _pts(self) -> np.ndarray:
+        return self.dom.points.reshape(self._n.shape[0], -1)
+
+    @cached_property
+    def _valid(self) -> np.ndarray:
+        return np.arange(self._pts.shape[1]) < self._n[:, None]
+
+    @cached_property
+    def _sampled(self) -> tuple[np.ndarray, tuple]:
         return grid_values(self.phi, self.dom)
 
     @property
@@ -140,79 +166,125 @@ class SampledProblem:
         return self._sampled[0]
 
     @property
-    def undefined(self) -> tuple[Witness, ...]:
-        """Witnesses at the first grid points where phi is not finite."""
+    def undefined(self) -> tuple:
+        """Witnesses at the first grid points where phi is not finite (a
+        tuple of them per line for m lines)."""
         return self._sampled[1]
 
     @cached_property
-    def band(self) -> float:
-        """``tol`` if given, else scaled from the finite grid values."""
-        return auto_tol(self.values) if self.tol is None else self.tol
+    def _v(self) -> np.ndarray:
+        return self.values.reshape(self._pts.shape)
 
     @cached_property
+    def _undefined(self) -> tuple[tuple[Witness, ...], ...]:
+        return self.undefined if self.lines else (self.undefined,)
+
+    @cached_property
+    def _bad(self) -> np.ndarray:
+        return np.array([bool(u) for u in self._undefined])
+
+    @cached_property
+    def _whole(self) -> bool:
+        """No line is padded or has undefined values: no mask is needed."""
+        return bool(self._valid.all()) and not self._bad.any()
+
+    @cached_property
+    def _band(self) -> np.ndarray:
+        return auto_tol(self._v) if self.tol is None else np.full(self._n.shape, float(self.tol))
+
+    @property
+    def band(self) -> float | np.ndarray:
+        """``tol`` if given, else scaled from the finite grid values; one
+        per line for m lines."""
+        return self._band if self.lines else float(self._band[0])
+
+    @cached_property
+    def _deltas(self) -> np.ndarray:
+        """Steps between consecutive values, +inf past a line's last point:
+        there no step falls or is flat."""
+        with np.errstate(invalid="ignore"):
+            deltas = np.diff(self._v, axis=1)
+        deltas[~self._valid[:, 1:]] = np.inf
+        return deltas
+
+    @cached_property
+    def _side_min(self) -> np.ndarray:
+        v = self._v
+        out = np.full((v.shape[0], 2, v.shape[1]), np.inf)
+        out[:, 0, 1:] = np.minimum.accumulate(v[:, :-1], axis=1)
+        out[:, 1, :-1] = np.minimum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
+        return out
+
+    @property
     def side_min(self) -> np.ndarray:
         """``side_min[0, i]`` is the least value left of grid index i and
         ``side_min[1, i]`` the least value right of it (inf where none)."""
-        v = self.values
-        out = np.full((2, v.shape[0]), np.inf)
-        out[0, 1:] = np.minimum.accumulate(v[:-1])
-        out[1, :-1] = np.minimum.accumulate(v[:0:-1])[::-1]
-        return out
+        return self._side_min.reshape(self.lines + self._side_min.shape[1:])
 
     @cached_property
-    def side_argmin(self) -> np.ndarray:
-        """``side_argmin[k, i]`` is the first index on side k of i that holds
-        ``side_min[k, i]``, or i itself where that side is empty."""
-        n = self.dom.n
-        v, (left, right) = self.values, self.side_min
-        idx = np.arange(n)
-        out = np.empty((2, n), dtype=np.intp)
-        out[0, 0], out[1, -1] = 0, n - 1
+    def _side_argmin(self) -> np.ndarray:
+        """``[:, k, i]``: the first index on side k of i that holds its side
+        minimum, or i itself where that side is empty."""
+        v, (left, right), w = self._v, self._side_min.transpose(1, 0, 2), self._v.shape[1]
+        idx = np.arange(w)
+        out = np.empty((v.shape[0], 2, w), dtype=np.intp)
+        out[:, 0, 0] = 0
         # a point below everything before it is the first holder of its value
-        out[0, 1:] = np.maximum.accumulate(np.where(v < left, idx, 0))[:-1]
+        out[:, 0, 1:] = np.maximum.accumulate(np.where(v < left, idx, 0), axis=1)[:, :-1]
         # a point at or below everything after it holds the least value from
         # it on, and the leftmost such point at or after j is the first holder
         # of the least value from j on
-        out[1, :-1] = np.minimum.accumulate(np.where(v <= right, idx, n)[::-1])[-2::-1]
+        first = np.minimum.accumulate(np.where(v <= right, idx, w)[:, ::-1], axis=1)
+        out[:, 1, :-1] = first[:, -2::-1]
+        out[:, 1] = np.where(idx >= self._n[:, None] - 1, idx, out[:, 1])
         return out
 
     @cached_property
     def profile(self) -> GridDiniProfile:
         """The kept Dini profile: only the entries asked for are estimated."""
-        return GridDiniProfile.unestimated(self.dom.n)
+        return GridDiniProfile.unestimated(self._pts.shape[1], self.lines)
+
+    @cached_property
+    def _prof(self) -> GridDiniProfile:
+        return self.profile.reshape(self._pts.shape[0], 2, self._pts.shape[1])
 
     def estimate(self, mask: np.ndarray | None = None,
                  until: Callable[[slice], bool] | None = None) -> GridDiniProfile:
         """The profile, with the entries in the (2, n) ``mask`` (``None``: all)
         estimated, up to the block of rows after which ``until`` (as
         :func:`grid_dini_profile` calls it) returns true."""
-        prof = self.profile
-        todo = ~prof.estimated if mask is None else mask & ~prof.estimated
+        todo = self._valid[:, None] if mask is None else np.reshape(mask, self._prof.value.shape)
+        todo = (todo & ~self._prof.estimated).reshape(self.profile.estimated.shape)
         if todo.any():
             grid_dini_profile(self.phi, self.dom, self.values, self.schedule, todo,
-                              out=prof, until=until)
-        return prof
+                              out=self.profile, until=until)
+        return self.profile
 
     def settle(self, rows: np.ndarray) -> GridDiniProfile:
         """The profile with each row in the mask ``rows`` settled: an estimated
         direction descends beyond ``stat_tol``, or both are.  A row asks for
         the direction toward the first grid minimizer, and for the other once
-        that one fails to descend; a row at the minimum level asks for both."""
-        prof = self.profile
-        toward = np.arange(self.dom.n) > np.argmin(self.values)  # minus faces it
-        first = np.stack((toward, ~toward)) | (self.values <= np.min(self.values) + self.band)
-        for _ in range(2):
-            open_ = rows & ~prof.descent(self.stat_tol).any(axis=0)
-            # a side comes second once the other side of its row is estimated
-            self.estimate(open_ & (first | prof.estimated[::-1]))
-        return prof
+        that one fails to descend; a row at the minimum level asks for both.
+        Each of the two rounds is one estimate for all the lines."""
+        prof, v, rows = self._prof, self._v, np.reshape(rows, self._v.shape)
+        if rows.any():
+            toward = np.arange(v.shape[1]) > np.argmin(v, axis=1)[:, None]  # minus faces it
+            level = v <= (np.min(v, axis=1) + self._band)[:, None]
+            first = np.stack((toward, ~toward), axis=1) | level[:, None]
+            for _ in range(2):
+                open_ = rows & ~prof.descent(self.stat_tol).any(axis=1)
+                # a side comes second once the other side of its row is estimated
+                self.estimate(open_[:, None] & (first | prof.estimated[:, ::-1]))
+        return self.profile
 
     @cached_property
     def _verdicts(self) -> dict[Callable[[SampledProblem], Verdict], Verdict]:
         return {}
 
     def verdict(self, oracle: Callable[[SampledProblem], Verdict]) -> Verdict:
-        """``oracle(self)``, run on the first request and then kept.
+        """``oracle(self)``, run on the first request and then kept: a
+        verdict, or another result read from the problem alone (its
+        decomposition).
 
         Kept per oracle function object: a caller that passes the oracle as
         its module binds it now lets a rebound (traced) oracle see that call.
@@ -222,89 +294,116 @@ class SampledProblem:
         return self._verdicts[oracle]
 
 
-def _undefined_verdict(p: SampledProblem, method: str) -> Verdict:
-    # An unset tol reads 0 here, where the structural side reports the band.
-    return Verdict("inconclusive", method, 0.0 if p.tol is None else p.tol,
-                   p.stat_tol, p.undefined, notes="grid evaluation failed")
+def _undefined_verdict(p: SampledProblem, method: str, line: int = 0, band: bool = False,
+                       keep: int | None = None) -> Verdict:
+    """Inconclusive: ``line`` has undefined values, the first ``keep`` of
+    them witnesses.  An unset tol reads 0, where the structural side
+    (``band``) reports the band."""
+    tol = float(p._band[line]) if band else 0.0 if p.tol is None else p.tol
+    return Verdict("inconclusive", method, tol, p.stat_tol,
+                   p._undefined[line][:keep] if p.witnesses else (),
+                   notes="grid evaluation failed")
 
 
-def _witness(p: SampledProblem, kind: str, idx: tuple[int, ...], detail: str) -> Witness:
-    """A witness at the grid indices ``idx``, with their points and values."""
+def _line_verdicts(p: SampledProblem, method: str, outcomes, witnesses, notes=None,
+                   undefined=_undefined_verdict) -> Verdict:
+    """The verdict of each line: ``outcomes[i]``, with the witnesses
+    ``witnesses(i)`` unless it holds or the problem builds none, and the
+    notes ``notes[i]``; a line with undefined values gets
+    ``undefined(p, method, i)``."""
+    return p._each([
+        undefined(p, method, i) if p._bad[i] else
+        Verdict(o, method, float(p._band[i]), p.stat_tol,
+                tuple(witnesses(i)) if o != "holds" and p.witnesses else (),
+                "" if notes is None else notes[i])
+        for i, o in enumerate(outcomes)
+    ])
+
+
+def _outcomes(fails: np.ndarray, blocked: np.ndarray | None = None) -> list[str]:
+    """'fails' where ``fails``, else 'inconclusive' where ``blocked``, else
+    'holds'."""
+    blocked = [False] * len(fails) if blocked is None else blocked.tolist()
+    return ["fails" if f else "inconclusive" if b else "holds"
+            for f, b in zip(fails.tolist(), blocked)]
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(mask)[:_WITNESS_CAP]
+
+
+def _witness(p: SampledProblem, kind: str, idx: tuple[int, ...], detail: str,
+             line: int = 0) -> Witness:
+    """A witness at the grid indices ``idx`` of ``line``, with their points
+    and values."""
     return Witness(
         kind=kind,
-        points=tuple(float(p.dom.points[i]) for i in idx),
-        values=tuple(float(p.values[i]) for i in idx),
+        points=tuple(float(p._pts[line, i]) for i in idx),
+        values=tuple(float(p._v[line, i]) for i in idx),
         detail=detail,
     )
 
 
 def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
-    method = "strictly_pseudoconvex_def" if strict else "pseudoconvex_def"
-    if p.undefined:
-        return _undefined_verdict(p, method)
-    vals, tol_r = p.values, p.band
-    # hit[side, x]: some y left (side 0) or right (side 1) of x triggers
+    vals, band = p._v[:, None], p._band[:, None, None]
+    # hit[line, side, x]: some y left (side 0) or right (side 1) of x triggers
     if strict:
-        hit = p.side_min <= vals + tol_r
+        hit = p._side_min <= vals + band
         trigger = "phi(y) <= phi(x) + tol with y != x"
     else:
-        hit = p.side_min < vals - tol_r
+        hit = p._side_min < vals - band
         trigger = "phi(y) < phi(x) - tol"
-    if not hit.any():
-        return Verdict("holds", method, tol_r, p.stat_tol)
+    if not p._whole:
+        hit &= p._valid[:, None] & ~p._bad[:, None, None]
     # The hit entries are estimated a block of rows at a time, in grid order.
-    # Once the blocks done hold _WITNESS_CAP failures, the failures reported
-    # are known, so the scan stops there and no later entry is read.
-    prof, found, stop = p.profile, 0, p.dom.n
+    # A lone line whose blocks done hold _WITNESS_CAP failures knows the
+    # failures it reports, so its scan stops there and no later entry is
+    # read.  A line that shares its batch fits in one block.
+    prof, stop, found = p._prof, p._pts.shape[1], 0
 
     def enough(rows: slice) -> bool:
         nonlocal found, stop
         found += np.count_nonzero(
-            hit[:, rows] & ~(prof.descent(p.stat_tol, rows) | prof.unconverged(rows)))
+            hit[..., rows] & ~(prof.descent(p.stat_tol, rows) | prof.unconverged(rows)))
         if found >= _WITNESS_CAP:
             stop = rows.stop
         return found >= _WITNESS_CAP
 
-    p.estimate(hit, until=enough)
+    p.estimate(hit, until=enough if hit.shape[0] == 1 else None)
     done = slice(0, stop)
-    undecided = hit[:, done] & ~prof.descent(p.stat_tol, done)
+    undecided = hit[..., done] & ~prof.descent(p.stat_tol, done)
     unconverged = prof.unconverged(done)
+    failed, blocked = undecided & ~unconverged, undecided & unconverged
+    outcomes = _outcomes(failed.any(axis=(1, 2)), blocked.any(axis=(1, 2)))
 
-    def pairs(mask: np.ndarray, kind: str, detail: Callable[[float], str]) -> tuple[Witness, ...]:
+    def pairs(i: int) -> list[Witness]:
+        fails = outcomes[i] == "fails"
+        mask = (failed if fails else blocked)[i]
         # the first (x, side) entries in grid order, left before right
-        entries = [(x, side) for x in np.flatnonzero(mask[0] | mask[1])[:_WITNESS_CAP]
-                   for side in np.flatnonzero(mask[:, x])]
-        return tuple(_witness(p, kind, (x, p.side_argmin[side, x]), detail(prof.value[side, x]))
-                     for x, side in entries[:_WITNESS_CAP])
+        entries = [(x, side) for x in _first(mask[0] | mask[1])
+                   for side in np.flatnonzero(mask[:, x])][:_WITNESS_CAP]
+        return [_witness(p, "no_descent", (x, p._side_argmin[i, side, x]), (
+            f"{trigger} but the lower Dini derivative at x toward y "
+            f"is {float(prof.value[i, side, x]):.6g} >= -stat_tol"), i) if fails else
+            _witness(p, "unconverged_dini", (x, p._side_argmin[i, side, x]), (
+                f"{trigger}; the Dini estimate toward y did not converge, "
+                "leaving the sign undecided"), i)
+            for x, side in entries]
 
-    failed = pairs(undecided & ~unconverged, "no_descent", lambda value: (
-        f"{trigger} but the lower Dini derivative at x toward y "
-        f"is {float(value):.6g} >= -stat_tol"
-    ))
-    if failed:
-        return Verdict("fails", method, tol_r, p.stat_tol, failed)
-    blocked = pairs(undecided & unconverged, "unconverged_dini", lambda value: (
-        f"{trigger}; the Dini estimate toward y did not converge, leaving the sign undecided"
-    ))
-    if blocked:
-        return Verdict("inconclusive", method, tol_r, p.stat_tol, blocked)
-    return Verdict("holds", method, tol_r, p.stat_tol)
+    return _line_verdicts(p, "strictly_pseudoconvex_def" if strict else "pseudoconvex_def",
+                          outcomes, pairs)
 
 
 def pseudoconvex_def(p: SampledProblem) -> Verdict:
     """Definitional pseudoconvexity over all ordered grid pairs.
 
     For every pair with phi(y) < phi(x) - tol the lower Dini derivative at
-    x toward y must fall below -stat_tol.  Since the estimate only depends
-    on the side y lies on, and some y on a side of x is low enough exactly
-    when the least value on that side is, each grid point is tested once
-    per direction against the side minima: O(n).  Failures are reported at
-    the first (x, side) entries, left before right, each with the first
-    grid minimizer on that side as y.  The estimates are made one block of
-    grid points (``dini._BLOCK_ROWS``) at a time, and the scan stops at the
-    block that holds the ``_WITNESS_CAP``-th failure; a verdict that holds,
-    or fails fewer times, estimates every entry toward a lower value, each
-    once.
+    x toward y must fall below -stat_tol.  The estimate depends only on the
+    side y lies on, so each point is tested once per side against the side
+    minima: O(n).  Failures are the first (x, side) entries, left before
+    right, each with the first grid minimizer on that side as y.  A lone
+    line's scan stops at the block of ``dini._BLOCK_ROWS`` points that
+    holds the ``_WITNESS_CAP``-th failure.
     """
     return _pair_based(p, strict=False)
 
@@ -323,38 +422,38 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
     every triple in O(n).  The first offending z are reported, each with
     the first grid minimizers on its two sides.
     """
-    if p.undefined:
-        return _undefined_verdict(p, "quasiconvex_def")
-    witnesses = tuple(
-        _witness(p, "interior_peak", (p.side_argmin[0, z], z, p.side_argmin[1, z]),
-                 "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple")
-        for z in np.flatnonzero((p.side_min < p.values - p.band).all(axis=0))[:_WITNESS_CAP]
-    )
-    if witnesses:
-        return Verdict("fails", "quasiconvex_def", p.band, p.stat_tol, witnesses)
-    return Verdict("holds", "quasiconvex_def", p.band, p.stat_tol)
+    peaks = (p._side_min < (p._v - p._band[:, None])[:, None]).all(axis=1)
+    return _line_verdicts(p, "quasiconvex_def", _outcomes(peaks.any(axis=1)), lambda i: (
+        _witness(p, "interior_peak", (p._side_argmin[i, 0, z], z, p._side_argmin[i, 1, z]),
+                 "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple", i)
+        for z in _first(peaks[i])))
 
 
 def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``max(v[lo[j]:hi[j]])`` for every j, or NaN where the window is empty,
-    so that no comparison counts an empty window as a hit.
+    """``max(v[..., lo[..., j]:hi[..., j]])`` for every j, row by row, or NaN
+    where the window is empty, so no comparison counts it as a hit.
 
     Level k of a sparse table holds the maximum of every run of ``2**k``
-    points; a window is the union of the two runs of the longest such length
-    that start at its left end and end at its right end.  Windows are
-    answered level by level, so only one level is held at a time: O(n log n)
-    time and O(n) memory for n windows on n points.
+    points; a window is the union of the two longest such runs that start at
+    its left end and end at its right end.  Levels are built one at a time,
+    over all rows at once (no window crosses a row's end): O(n log n) time,
+    O(n) memory.
     """
+    shape = lo.shape
+    if v.ndim > 1 and v.shape[0] > 1:  # row i starts at i * width of the flat rows
+        row = np.arange(0, v.size, v.shape[-1])[:, None]
+        lo, hi = lo + row, hi + row
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
     out = np.full(lo.shape, np.nan)
     live = np.flatnonzero(hi > lo)
     level = np.frexp(hi[live] - lo[live])[1] - 1  # floor(log2(width))
-    run = v
+    run = v.reshape(-1)
     for k in range(int(level.max(initial=-1)) + 1):
         if k:
             run = np.maximum(run[: -(1 << (k - 1))], run[1 << (k - 1) :])
         at = live[level == k]
         out[at] = np.maximum(run[lo[at]], run[hi[at] - (1 << k)])
-    return out
+    return out.reshape(shape)
 
 
 def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
@@ -362,42 +461,42 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
 
     For every pair with phi(y) < phi(x) - tol, every grid point z strictly
     between x and y must satisfy phi(z) < phi(x) up to the shared band.
-    Some triple fails rightward from x exactly when some z > x with
-    phi(z) >= phi(x) - tol has a point beyond it below that level, that is
-    a right side minimum below it.  Those minima never decrease with the
-    index, so those z form one run ending where a binary search puts
-    phi(x) - tol among them, and a range-maximum query over the run decides
-    x; leftward mirrors this with the left side minima.  Every (x, z, y) is
-    still decided, in O(n log n); only the reported (x, side) entries, the
-    first few in order of x with rightward before leftward, are located
-    by a scan, each with its nearest z and the first such y.
+    Rightward from x this fails exactly when some z > x with
+    phi(z) >= phi(x) - tol has a right side minimum below that level.  The
+    right side minima never decrease, so those z form one run, found by a
+    binary search (line by line), and one range-maximum query over all
+    lines decides every x; leftward mirrors this.  O(n log n).  Only the
+    reported (x, side) entries, rightward first, are located by a scan,
+    each with its nearest z and the first such y.
     """
-    if p.undefined:
-        return _undefined_verdict(p, "semistrictly_quasiconvex_def")
-    vals, n = p.values, p.dom.n
-    c = vals - p.band
-    xs = np.arange(n)
-    # side_min[1, z] < c[x] iff z < right_end[x]; side_min[0, z] < c[x] iff z >= left_start[x]
-    right_end = np.searchsorted(p.side_min[1], c)
-    left_start = np.searchsorted(-p.side_min[0], -c, side="right")
-    hits = np.stack(
-        (_window_max(vals, xs + 1, right_end) >= c, _window_max(vals, left_start, xs) >= c),
-        axis=1,
-    )
-    witnesses = []
-    for k in np.flatnonzero(hits)[:_WITNESS_CAP]:
-        x, leftward = divmod(int(k), 2)
-        if leftward:
-            z = x - 1 - int(np.argmax(vals[:x][::-1] >= c[x]))
-            y = int(np.argmax(vals[:z] < c[x]))
-        else:
-            z = x + 1 + int(np.argmax(vals[x + 1 :] >= c[x]))
-            y = z + 1 + int(np.argmax(vals[z + 1 :] < c[x]))
-        witnesses.append(_witness(p, "non_descending_interior", (x, z, y), (
-            "phi(y) < phi(x) - tol but an interior point does not "
-            "drop strictly below phi(x)"
-        )))
-    if witnesses:
-        return Verdict("fails", "semistrictly_quasiconvex_def", p.band, p.stat_tol,
-                       tuple(witnesses))
-    return Verdict("holds", "semistrictly_quasiconvex_def", p.band, p.stat_tol)
+    vals, sm = p._v, p._side_min
+    c = vals - p._band[:, None]
+    xs = np.zeros(vals.shape, dtype=np.intp) + np.arange(vals.shape[1])
+    # side_min[1, z] < c[x] iff z < right_end[x]; side_min[0, z] < c[x] iff z >= left_start[x];
+    # a line with undefined values keeps empty windows
+    right_end, left_start = np.zeros_like(xs), np.full_like(xs, vals.shape[1])
+    for i in np.flatnonzero(~p._bad):
+        right_end[i] = np.searchsorted(sm[i, 1], c[i])
+        left_start[i] = np.searchsorted(-sm[i, 0], -c[i], side="right")
+    hits = np.stack((_window_max(vals, xs + 1, right_end) >= c,
+                     _window_max(vals, left_start, xs) >= c), axis=2)
+    if not p._whole:
+        hits &= p._valid[..., None]
+
+    def triples(i: int):
+        v = vals[i]
+        for k in _first(hits[i]):
+            x, leftward = divmod(int(k), 2)
+            if leftward:
+                z = x - 1 - int(np.argmax(v[:x][::-1] >= c[i, x]))
+                y = int(np.argmax(v[:z] < c[i, x]))
+            else:
+                z = x + 1 + int(np.argmax(v[x + 1 :] >= c[i, x]))
+                y = z + 1 + int(np.argmax(v[z + 1 :] < c[i, x]))
+            yield _witness(p, "non_descending_interior", (x, z, y), (
+                "phi(y) < phi(x) - tol but an interior point does not "
+                "drop strictly below phi(x)"
+            ), i)
+
+    return _line_verdicts(p, "semistrictly_quasiconvex_def",
+                          _outcomes(hits.any(axis=(1, 2))), triples)

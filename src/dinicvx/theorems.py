@@ -15,13 +15,21 @@ outcome for the CLI and the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import DiniSchedule, _dini_along, _probe_rows, is_stationary
-from .domain import Interval, anchored_grid, make_grid, parse_interval, restrict
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_along, _probe_rows, is_stationary
+from .domain import (
+    Interval,
+    LineRestriction,
+    anchored_grid,
+    extent,
+    make_grid,
+    parse_interval,
+    restrict,
+)
 from .expr import eval_many, parse
 from .oracle import (
     SampledProblem,
@@ -44,6 +52,7 @@ __all__ = [
     "check_abc",
     "sample_directions",
     "sample_pairs",
+    "line_problems",
     "CaseLine",
     "BatteryRunResult",
     "run_battery",
@@ -62,6 +71,11 @@ SUITE_SCHEDULE = DiniSchedule(t0=1e-2, ratio=0.6, steps=28, dini_tol=1e-6)
 # Consecutive draws of nearly equal points after which sample_pairs gives up.
 # On a box with any side wider than np.allclose's tolerance a miss is rare.
 _PAIR_DRAWS = 1000
+
+# Grid points in one batch of lines at most: 24 lines of 257 points take
+# one batch, and the values, side minima and profile of a batch stay a few
+# hundred KB however many lines a run samples.
+_BATCH_POINTS = 8 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,8 @@ def sample_pairs(
     A pair with a point outside the box, which a draw from ``[lo, hi]``
     can only be on an open face, is drawn again.  Raises ValueError for a
     box of infinite width, and for one too thin to yield a distinct pair of
-    box points within ``_PAIR_DRAWS`` draws (a single point, say).
+    box points within ``_PAIR_DRAWS`` draws (a single point, say).  The k
+    rows of one bulk ``uniform`` draw are the doubles of k draws, x then y.
     """
     rng = np.random.default_rng(seed)
     lo = np.array([iv.lo for iv in box])
@@ -206,20 +221,48 @@ def sample_pairs(
         width = hi - lo
     if not np.isfinite(width).all():
         raise ValueError("sampling pairs needs a box of finite width")
-    out = []
-    misses = 0
+    least, greatest = extent(box)
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    misses = 0  # consecutive rejected pairs so far
     while len(out) < count:
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        inside = all(iv.contains(a) and iv.contains(b) for iv, a, b in zip(box, x, y))
-        if inside and not np.allclose(x, y):
-            out.append((x, y))
-            misses = 0
-            continue
-        misses += 1
-        if misses == _PAIR_DRAWS:
+        draws = rng.uniform(lo, hi, size=(2 * max(count - len(out), 64), len(box)))
+        x, y = draws[0::2], draws[1::2]
+        ok = ((x >= least) & (x <= greatest) & (y >= least) & (y <= greatest)).all(axis=1)
+        ok &= ~np.isclose(x, y).all(axis=1)
+        taken = np.flatnonzero(ok)[: count - len(out)]
+        # the misses before each pair taken, then after the last one
+        runs = np.diff(taken, prepend=-1 - misses) - 1
+        misses = misses + x.shape[0] if not taken.size else x.shape[0] - 1 - taken[-1]
+        if (runs >= _PAIR_DRAWS).any() or (len(out) + taken.size < count
+                                            and misses >= _PAIR_DRAWS):
             raise ValueError("box too thin to sample distinct (x, y) pairs")
+        out += zip(x[taken], y[taken])
     return tuple(out)
+
+
+def line_problems(
+    f: Callable[[np.ndarray], np.ndarray],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    box: tuple[Interval, ...],
+    n_grid: int,
+    margin: float,
+    schedule: DiniSchedule | None,
+    tol: float | None,
+    stat_tol: float,
+) -> Iterator[tuple[LineRestriction, SampledProblem]]:
+    """Each batch of the lines through the pairs: its :class:`LineRestriction`
+    and its witness-free :class:`SampledProblem` on anchored grids.  A line
+    that may pass ``dini._BLOCK_ROWS`` points (``n_grid + 2``) is a batch of
+    its own, so its pair oracles can stop early; other batches hold at most
+    ``_BATCH_POINTS`` grid points and ``_BLOCK_ROWS // 2`` lines, so that
+    both sides of a grid column of every line fit in one Dini block."""
+    xs = np.array([x for x, _ in pairs], dtype=float)
+    ys = np.array([y for _, y in pairs], dtype=float)
+    size = 1 if n_grid + 2 > _BLOCK_ROWS else min(_BLOCK_ROWS // 2, _BATCH_POINTS // (n_grid + 2))
+    for a in range(0, len(pairs), size):
+        r = restrict(f, xs[a : a + size], ys[a : a + size], box)
+        yield r, SampledProblem(r.phi, anchored_grid(r.feasible, n_grid, margin),
+                                schedule, tol, stat_tol, witnesses=False)
 
 
 def check_t6(
@@ -236,47 +279,38 @@ def check_t6(
     """Restriction sweep: pseudoconvex iff semistrictly quasiconvex and 0
     is non-stationary on every restriction whose far end is strictly lower.
 
-    Both sides are quantified over the same sampled pairs; restriction
-    grids are anchored to contain the parameters 0 and 1 exactly.
+    Both sides are quantified over the same sampled pairs, decided in
+    batches (:func:`line_problems`); the verdicts carry no witnesses.
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []
-    lhs_all = True
-    rhs_all = True
+    lhs_all = rhs_all = True
     inconclusive = False
     wits: list[Witness] = []
-    for x, y in pairs:
-        r = restrict(f, x, y, box)
-        p = SampledProblem(r.phi, anchored_grid(r.feasible, n_grid, margin),
-                           schedule, tol, stat_tol)
-        pc = pseudoconvex_def(p)
-        ssq = semistrictly_quasiconvex_def(p)
-        premises.append(pc)
-        conclusions.append(ssq)
-        if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
-            inconclusive = True
-            continue
-        lhs_pair = pc.outcome == "holds"
-        rhs_pair = ssq.outcome == "holds"
-        fx, fy = (float(v) for v in r.phi(np.asarray([0.0, 1.0])))
-        if rhs_pair and fy < fx - ssq.tol:
-            st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
-            if not st.decisive:
+    for r, p in line_problems(f, pairs, box, n_grid, margin, schedule, tol, stat_tol):
+        ends = r.phi(np.tile([0.0, 1.0], (len(r.feasible), 1)))  # f(x) and f(y)
+        for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
+            premises.append(pc)
+            conclusions.append(ssq)
+            if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
                 inconclusive = True
                 continue
-            if st.stationary:
-                rhs_pair = False
-                wits.append(
-                    Witness(
-                        kind="stationary_origin",
-                        points=tuple(float(v) for v in x)
-                        + tuple(float(v) for v in y),
-                        values=(fx, fy),
-                        detail="f(y) < f(x) but t=0 is stationary on the restriction",
-                    )
-                )
-        lhs_all = lhs_all and lhs_pair
-        rhs_all = rhs_all and rhs_pair
+            lhs_pair = pc.outcome == "holds"
+            rhs_pair = ssq.outcome == "holds"
+            fx, fy = (float(v) for v in ends[i])
+            if rhs_pair and fy < fx - ssq.tol:
+                line = restrict(f, r.x[i], r.y[i], box)
+                st = is_stationary(line.phi, 0.0, line.feasible, schedule, stat_tol)
+                if not st.decisive:
+                    inconclusive = True
+                    continue
+                if st.stationary:
+                    rhs_pair = False
+                    wits.append(Witness(
+                        "stationary_origin", tuple(map(float, line.x)) + tuple(map(float, line.y)),
+                        (fx, fy), "f(y) < f(x) but t=0 is stationary on the restriction"))
+            lhs_all = lhs_all and lhs_pair
+            rhs_all = rhs_all and rhs_pair
     if inconclusive:
         return TheoremReport("T6", function_id, tuple(premises),
                              tuple(conclusions), True, inconclusive=True,
@@ -370,7 +404,7 @@ def check_abc(
     block = np.full(probes.shape, np.nan)
     block[inside] = probe_vals
     value, converged, _, _, n_in = _probe_rows(
-        lambda v: v, block.reshape(2, -1).T, inside.reshape(2, -1).T,
+        lambda v, _: v, block.reshape(2, -1).T, inside.reshape(2, -1).T,
         np.full(2, phi0), s, schedule.dini_tol,
     )
     feasible = n_in > 0
@@ -463,60 +497,35 @@ def run_battery(
                 make_grid(parse_interval(entry.domain), n_grid, margin),
                 schedule, tol, stat_tol,
             )
-            if entry.expected is not None:
-                for name, want in entry.expected.items():
-                    got = p.verdict(label_checks[name]).outcome
-                    want_s = "holds" if want else "fails"
-                    if got == "inconclusive":
-                        cases.append(CaseLine("label", entry.id, "inconclusive", name))
-                        continue
-                    if got != want_s:
-                        mismatches.append(
-                            f"{entry.id}: {name} expected {want_s}, got {got}"
-                        )
-                        cases.append(CaseLine("label", entry.id, "FAIL", name))
-                    else:
-                        cases.append(CaseLine("label", entry.id, "ok", name))
-            if entry.lsc:
-                rep = check_t3(p, entry.id)
-                reports.append(rep)
-                cases.append(_status(rep))
-            if entry.radially_continuous:
-                rep = check_t4(p, entry.id)
-                reports.append(rep)
-                cases.append(_status(rep))
-            rep = check_t7(p, entry.id)
-            reports.append(rep)
-            cases.append(_status(rep))
-            continue
-
-        box = tuple(parse_interval(s) for s in entry.box)
-        fmv = lambda pts, fn=fn: eval_many(fn, pts)
-        pair_list = list(sample_pairs(box, pairs, seed))
-        if entry.pairs:
-            pair_list = [
-                (np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float))
-                for p in entry.pairs
-            ] + pair_list
-        rep = check_t6(fmv, box, pair_list, schedule, tol, stat_tol,
-                       n_grid, margin, entry.id)
-        reports.append(rep)
-        cases.append(_status(rep))
-        if entry.expected is not None and entry.expected.get("quasiconvex"):
-            for k, (x, y) in enumerate(pair_list):
-                rep = check_abc(fmv, x, y, box, schedule, stat_tol,
-                                seed=seed, n_grid=n_grid, margin=margin,
-                                function_id=f"{entry.id}#pair{k}")
-                reports.append(rep)
-                cases.append(_status(rep))
-    n_vac = sum(1 for c in cases if c.status == "vacuous")
-    n_inc = sum(1 for c in cases if c.status == "inconclusive")
-    ok = not mismatches and all(r.implication_holds for r in reports)
+            for name, want in (entry.expected or {}).items():
+                got = p.verdict(label_checks[name]).outcome
+                want_s = "holds" if want else "fails"
+                status = ("inconclusive" if got == "inconclusive" else
+                          "ok" if got == want_s else "FAIL")
+                if status == "FAIL":
+                    mismatches.append(f"{entry.id}: {name} expected {want_s}, got {got}")
+                cases.append(CaseLine("label", entry.id, status, name))
+            found = [check(p, entry.id) for check, wanted in (
+                (check_t3, entry.lsc), (check_t4, entry.radially_continuous), (check_t7, True))
+                if wanted]
+        else:
+            box = tuple(parse_interval(s) for s in entry.box)
+            fmv = lambda pts, fn=fn: eval_many(fn, pts)
+            pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+                         for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
+            found = [check_t6(fmv, box, pair_list, schedule, tol, stat_tol, n_grid, margin,
+                              entry.id)]
+            if entry.expected is not None and entry.expected.get("quasiconvex"):
+                found += [check_abc(fmv, x, y, box, schedule, stat_tol, seed=seed, n_grid=n_grid,
+                                    margin=margin, function_id=f"{entry.id}#pair{k}")
+                          for k, (x, y) in enumerate(pair_list)]
+        reports += found
+        cases += [_status(rep) for rep in found]
     return BatteryRunResult(
         cases=tuple(cases),
         reports=tuple(reports),
         label_mismatches=tuple(mismatches),
-        n_vacuous=n_vac,
-        n_inconclusive=n_inc,
-        ok=ok,
+        n_vacuous=sum(1 for c in cases if c.status == "vacuous"),
+        n_inconclusive=sum(1 for c in cases if c.status == "inconclusive"),
+        ok=not mismatches and all(r.implication_holds for r in reports),
     )

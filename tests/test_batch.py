@@ -1,0 +1,168 @@
+"""The lines of a multivariate run decided as one batch.
+
+Every verdict a line gets inside a ragged batch must be ``repr``-equal to
+the verdict of the same line decided alone, as a batch of one and as one
+grid, and, where ``oracle_reference`` has a scan, to that scan.  The guard
+tests pin how many profile and evaluation calls a run makes, and that no
+batch or kernel block grows past its bound.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+import oracle_reference as ref
+from dinicvx import anchored_grid, charact, cli, dini, oracle, parse_interval, restrict, theorems
+from dinicvx.oracle import SampledProblem
+from dinicvx.theorems import sample_pairs
+
+from conftest import phi_of
+
+N_GRID = 257
+
+# (name, verdict function) in the order classify asks for them
+VERDICTS = (
+    ("pseudoconvex_def", oracle.pseudoconvex_def),
+    ("pseudoconvex_char", charact.pseudoconvex_char),
+    ("strictly_pseudoconvex_def", oracle.strictly_pseudoconvex_def),
+    ("strictly_pseudoconvex_char", charact.strictly_pseudoconvex_char),
+    ("quasiconvex_def", oracle.quasiconvex_def),
+    ("quasiconvex_martos", charact.quasiconvex_martos),
+    ("semistrictly_quasiconvex_def", oracle.semistrictly_quasiconvex_def),
+    ("semistrict_martos", cli._semistrict_martos),
+    ("decompose", charact.decompose),
+    ("martos_segments", charact.martos_segments),
+)
+REFERENCED = ("pseudoconvex_def", "strictly_pseudoconvex_def", "quasiconvex_def",
+              "semistrictly_quasiconvex_def", "decompose", "martos_segments")
+
+# A line from x on a face to y whose grid holds both anchors (n points),
+# one on a face with 1 off the grid (n + 1), and generic ones (n + 2).
+FACE_PAIRS = [((-1.0, 0.0), (1.0, 0.0)), ((-1.0, 0.3), (0.1, 0.3)), ((0.2, -1.0), (0.2, 0.6))]
+CASES = {
+    "bowl": ("x1^2 + x2^2", "[-1,1]x[-1,1]"),
+    "cube-open-faces": ("x1^3 + abs(x2)", "(-1,1]x[-1,1)"),
+    "sqrt-undefined": ("sqrt(x1) + x2", "[-1,1]x[-1,1]"),
+    "plateau": ("max(0, abs(x1) - 0.5) + max(x2, 0)", "[-1,1]x[-1,1]"),
+}
+
+
+def lines_of(case: str, seed: int):
+    source, box = CASES[case]
+    box = tuple(parse_interval(b) for b in box.split("x"))
+    pairs = [(np.asarray(x), np.asarray(y)) for x, y in FACE_PAIRS
+             if all(iv.contains(v) for iv, v in zip(box, x + y))]
+    pairs += list(sample_pairs(box, 9, seed))
+    xs = np.array([x for x, _ in pairs])
+    ys = np.array([y for _, y in pairs])
+    return phi_of(source, 2), box, xs, ys
+
+
+def run_all(p: SampledProblem) -> dict:
+    return {name: fn(p) for name, fn in VERDICTS}
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_line_of_a_ragged_batch_as_it_is_alone(case, seed):
+    f, box, xs, ys = lines_of(case, seed)
+    r = restrict(f, xs, ys, box)
+    batch = SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID))
+    got = run_all(batch)
+    assert batch.dom.points.shape == (len(xs), int(batch.dom.n.max()))
+    for i in range(len(xs)):
+        one = restrict(f, xs[i : i + 1], ys[i : i + 1], box)
+        alone = run_all(SampledProblem(one.phi, anchored_grid(one.feasible, N_GRID)))
+        line = restrict(f, xs[i], ys[i], box)
+        grid = anchored_grid(line.feasible, N_GRID)
+        assert grid.n == batch.dom.n[i]
+        assert np.array_equal(grid.points, batch.dom.points[i, : grid.n])
+        single = run_all(SampledProblem(line.phi, grid))
+        for name, _ in VERDICTS:
+            assert repr(got[name][i]) == repr(alone[name][0]) == repr(single[name]), (name, i)
+        for name in REFERENCED:
+            fresh = SampledProblem(line.phi, grid)
+            assert repr(getattr(ref, name)(fresh)) == repr(single[name]), (name, i)
+
+
+def test_batches_cover_ragged_lines_open_faces_and_undefined_values():
+    counts = set()
+    for case in CASES:
+        f, box, xs, ys = lines_of(case, 1)
+        r = restrict(f, xs, ys, box)
+        p = SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID))
+        counts |= set((p.dom.n - N_GRID).tolist())
+        if case == "sqrt-undefined":
+            outcomes = {v.outcome for v in oracle.pseudoconvex_def(p)}
+            assert outcomes == {"inconclusive", "holds"}
+    assert counts == {0, 1, 2}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outcome_only_batches_keep_every_outcome(case):
+    f, box, xs, ys = lines_of(case, 4242)
+    r = restrict(f, xs, ys, box)
+    full = run_all(SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID)))
+    bare = run_all(SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID), witnesses=False))
+    for name, _ in VERDICTS[:8]:
+        for a, b in zip(full[name], bare[name]):
+            assert (a.outcome, a.method, a.tol, a.notes) == (b.outcome, b.method, b.tol, b.notes)
+            assert b.witnesses == ()
+
+
+def classify(argv: list[str]) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+BOWL = ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"]
+
+
+def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
+    calls = {"grid_dini_profile": 0, "eval_many": 0}
+    for module, name in ((oracle, "grid_dini_profile"), (cli, "eval_many")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert classify(BOWL + ["--pairs", "24", "--grid", "257"]) == 0
+    # For the 24 lines at once: the grid values are one evaluation, and the
+    # pair oracles' one round of requests one profile call, which makes one
+    # evaluation per block of probes; every later request finds its entries
+    # estimated.  One line at a time, the same run made 24 and 72.
+    assert calls == {"grid_dini_profile": 1, "eval_many": 14}
+
+
+# the flat function asks for both sides of every point
+@pytest.mark.parametrize("function", ["x1^2 + x2^2", "0*x1 + 0*x2"])
+@pytest.mark.parametrize("grid,pairs", [(8, 1000), (257, 40), (1022, 9), (1023, 3), (2049, 2)])
+def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, function):
+    batches, blocks = [], []
+    real_grid, real_rows = theorems.anchored_grid, dini._probe_rows
+
+    def grids(*args, **kwargs):
+        dom = real_grid(*args, **kwargs)
+        batches.append(dom.n.copy())
+        return dom
+
+    def rows(f, probes, *args):
+        blocks.append(probes.shape[1])
+        return real_rows(f, probes, *args)
+
+    monkeypatch.setattr(theorems, "anchored_grid", grids)
+    monkeypatch.setattr(dini, "_probe_rows", rows)
+    classify(["classify", "--function", function, "--arity", "2", "--box", "[-1,1]x[-1,1]",
+              "--pairs", str(pairs), "--grid", str(grid)])
+    assert sum(len(n) for n in batches) == pairs
+    for n in batches:
+        assert len(n) * n.max() <= theorems._BATCH_POINTS  # the padded (m, W) grid
+        # a line that may pass one kernel block is alone in its batch
+        assert len(n) == 1 or grid + 2 <= dini._BLOCK_ROWS
+    assert max(blocks) <= dini._BLOCK_ROWS

@@ -1,0 +1,83 @@
+"""Byte snapshot of multivariate runs: the sha256 of stdout and the exit code.
+
+The digests in ``cli_snapshot.json`` were recorded before the lines of a
+multivariate run were batched, so they pin the per-pair output bytes,
+including the ``"feasible"`` endpoints printed as ``np.float64(...)``.
+Record them again with ``PYTHONPATH=src python tests/test_cli_snapshot.py``
+only for a change that means to alter the output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dinicvx import cli, golden_battery, write_manifest
+
+SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
+GOLDEN_2D = [e for e in golden_battery() if e.arity == 2]
+SEEDS = (1, 4242)
+
+
+def cases() -> dict[str, list[str]]:
+    """label -> argv; ``<manifest>`` stands for the golden 2-D manifest."""
+    out = {}
+    for e in GOLDEN_2D:
+        for seed in SEEDS:
+            out[f"classify/{e.id}/seed{seed}"] = [
+                "classify", f"--function={e.expression}", "--arity=2",
+                f"--box={'x'.join(e.box)}", "--grid=257", "--pairs=24", f"--seed={seed}"]
+    # open faces, values undefined on part of the box, and lines longer
+    # than one block of the Dini kernel
+    out["classify/open-box"] = ["classify", "--function=x1^2 + x2^2", "--arity=2",
+                                "--box=(-1,1]x[-1,1)", "--pairs=24", "--seed=4242"]
+    out["classify/sqrt-undefined"] = ["classify", "--function=sqrt(x1) + x2", "--arity=2",
+                                      "--box=[-1,1]x[-1,1]", "--pairs=24", "--seed=1"]
+    out["classify/cube-x1-fine"] = ["classify", "--function=x1^3", "--arity=2",
+                                    "--box=[-1,1]x[-1,1]", "--grid=2049", "--pairs=3"]
+    out["verify-theorems/golden-2d"] = ["verify-theorems", "<manifest>", "--seed=1"]
+    return out
+
+
+def digest(argv: list[str], manifest: Path) -> dict:
+    argv = [str(manifest) if a == "<manifest>" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("snapshot") / "golden2d.json"
+    write_manifest(tuple(GOLDEN_2D), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(SNAPSHOT.read_text())
+
+
+@pytest.mark.parametrize("label", sorted(cases()))
+def test_output_bytes_match_the_snapshot(label, manifest, recorded):
+    assert digest(cases()[label], manifest) == recorded[label]
+
+
+def test_snapshot_covers_every_case(recorded):
+    assert sorted(recorded) == sorted(cases())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "golden2d.json"
+        write_manifest(tuple(GOLDEN_2D), path)
+        table = {label: digest(argv, path) for label, argv in sorted(cases().items())}
+    sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -88,7 +88,7 @@ def probed_rows(vals, in_domain, base, s, dini_tol):
     """``_probe_rows`` on a block whose probes are the flat indices of
     ``vals``, so that the function it evaluates looks their values up."""
     probes = np.arange(vals.size, dtype=float).reshape(vals.shape)
-    return dini._probe_rows(lambda idx: vals.reshape(-1)[idx.astype(int)], probes,
+    return dini._probe_rows(lambda idx, _: vals.reshape(-1)[idx.astype(int)], probes,
                             in_domain, base, s, dini_tol)
 
 

@@ -28,6 +28,7 @@ from dinicvx.theorems import _longest_run
 
 from conftest import grid_for, phi_of
 from theorems_reference import check_abc as check_abc_loop
+from theorems_reference import sample_pairs_loop
 from theorems_reference import longest_run_loop
 
 BOX = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
@@ -183,6 +184,53 @@ class TestSampling:
         box = (parse_interval("[-1,1]"), parse_interval("(0,2e-323)"))
         for pair in sample_pairs(box, 24, seed=1):
             assert all(iv.contains(v) for pt in pair for iv, v in zip(box, pt))
+
+    # the golden box, open faces (a few draws rejected on the subnormal one),
+    # and a box where every pair is allclose but one coordinate
+    PAIR_BOXES = {
+        "golden": "[-1,1]x[-1,1]",
+        "open": "(-1,1]x[-0.5,2)",
+        "open-subnormal": "[-1,1]x(0,2e-323)",
+        "mostly-close": "[0,1e-4]x[-1,1]x[3,3]",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 4242])
+    @pytest.mark.parametrize("box", sorted(PAIR_BOXES))
+    def test_bulk_draws_match_one_pair_at_a_time(self, box, seed):
+        box = tuple(parse_interval(b) for b in self.PAIR_BOXES[box].split("x"))
+        for count in (1, 24, 257):
+            got = sample_pairs(box, count, seed)
+            want = sample_pairs_loop(box, count, seed)
+            assert len(got) == len(want) == count
+            for (x, y), (xw, yw) in zip(got, want):
+                assert x.tobytes() == xw.tobytes() and y.tobytes() == yw.tobytes()
+
+    @pytest.mark.parametrize("box", ["[0,1e-12]x[5,5]", "[2,2]x[-3,-3]"])
+    def test_thin_box_still_raises(self, box):
+        box = tuple(parse_interval(b) for b in box.split("x"))
+        for draw in (sample_pairs, sample_pairs_loop):
+            with pytest.raises(ValueError, match="too thin"):
+                draw(box, 3, 0)
+
+    def test_misses_in_a_row_count_across_bulk_draws(self, monkeypatch):
+        # about three pairs in four are allclose here; with the cap at 5, a
+        # run of 5 misses anywhere before the last pair raises, as it does
+        # one pair at a time
+        box = tuple(parse_interval(b) for b in "[0,2e-8]x[5,5]".split("x"))
+        monkeypatch.setattr(theorems, "_PAIR_DRAWS", 5)
+        outcomes = set()
+        for seed in range(60):
+            try:
+                want = ("pairs", sample_pairs_loop(box, 6, seed, cap=5))
+            except ValueError:
+                want = ("raises",)
+            try:
+                got = ("pairs", sample_pairs(box, 6, seed))
+            except ValueError:
+                got = ("raises",)
+            assert repr(got) == repr(want)
+            outcomes.add(want[0])
+        assert outcomes == {"pairs", "raises"}
 
     def test_closed_box_pairs_are_the_plain_draws(self):
         rng = np.random.default_rng(4)

@@ -4,7 +4,8 @@
 at a time, in sample order, stopping at the first descending direction;
 the block form in ``dinicvx.theorems`` must give ``repr``-identical
 reports.  ``longest_run_loop`` is the scan ``check_t7`` made over the flat
-cells before it became one array pass.
+cells before it became one array pass, and ``sample_pairs_loop`` the draw of
+one pair at a time that ``sample_pairs`` made before it drew in bulk.
 """
 
 from __future__ import annotations
@@ -19,6 +20,34 @@ from dinicvx.oracle import Witness
 from dinicvx.theorems import TheoremReport, _report_fail, sample_directions
 
 from dini_reference import lower_dini_along
+
+
+def sample_pairs_loop(
+    box: tuple[Interval, ...], count: int, seed: int, cap: int = 1000,
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Pairs drawn one at a time, x then y, each redrawn while outside the
+    box or ``allclose``; ValueError after ``cap`` misses in a row."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([iv.lo for iv in box])
+    hi = np.array([iv.hi for iv in box])
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.isfinite(width).all():
+        raise ValueError("sampling pairs needs a box of finite width")
+    out = []
+    misses = 0
+    while len(out) < count:
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        inside = all(iv.contains(a) and iv.contains(b) for iv, a, b in zip(box, x, y))
+        if inside and not np.allclose(x, y):
+            out.append((x, y))
+            misses = 0
+            continue
+        misses += 1
+        if misses == cap:
+            raise ValueError("box too thin to sample distinct (x, y) pairs")
+    return tuple(out)
 
 
 def longest_run_loop(flags) -> tuple[int, int]:
