@@ -109,22 +109,20 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
         b0_i, b1_i, n_i, tol_i = int(b0[i]), int(b1[i]), int(n[i]), float(p._band[i])
         if p._bad[i]:
             return MonotoneDecomposition((0, 0), (0, 0), (0, 0), "undefined", float("nan"),
-                                         tol_i, False, p._undefined[i] if p.witnesses else ())
+                                         tol_i, False, p._undefined[i])
         if increasing[i]:
             return MonotoneDecomposition((0, 0), (0, 0), (0, n_i), "empty_min_increasing",
                                          float(vmin[i]), tol_i, True)
         if decreasing[i]:
             return MonotoneDecomposition((0, n_i), (0, 0), (n_i, n_i), "empty_min_decreasing",
                                          float(vmin[i]), tol_i, True)
-        witnesses: list[Witness] = []
-        if gap[i] and p.witnesses:
+        if gap[i]:
             at = np.flatnonzero(inband[i])
-            for g in _first(np.diff(at) > 1):
-                a, b = int(at[g]), int(at[g + 1])
-                mid = a + 1 + int(np.argmax(vals[i, a + 1 : b]))
-                witnesses.append(_witness(p, "argmin_gap", (a, mid, b),
-                                          "the set of grid minimizers is not contiguous", i))
-        elif p.witnesses:
+            gaps = [(int(at[g]), int(at[g + 1])) for g in _first(np.diff(at) > 1)]
+            witnesses = [_witness(p, "argmin_gap", (a, a + 1 + np.argmax(vals[i, a + 1 : b]), b),
+                                  "the set of grid minimizers is not contiguous", i)
+                         for a, b in gaps]
+        else:
             flank = [(k, "non_strict_decrease", "left flank is not strictly decreasing")
                      for k in _first(left[i])]
             flank += [(k, "non_strict_increase", "right flank is not strictly increasing")
@@ -252,13 +250,13 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
         tol_i, a_i, b_i, n_i = float(p._band[i]), int(a[i]), int(b[i]), int(p._n[i])
         if p._bad[i]:
             return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_i,
-                                p._undefined[i][:1] if p.witnesses else ())
+                                p._undefined[i][:1])
         return SegmentSplit((0, a_i), (a_i, b_i + 1), (b_i + 1, n_i), not late[i].any(), tol_i,
                             tuple(_witness(p, "second_descent" if deltas[i, k] < -tol_i else
                                            "plateau_after_rise", (k, k + 1),
                                            "values stop increasing strictly after the "
                                            "constant run", i)
-                                  for k in (_first(late[i]) if p.witnesses else ())))
+                                  for k in _first(late[i])))
 
     return p._each([split(i) for i in range(deltas.shape[0])])
 

@@ -22,8 +22,8 @@ A block whose probes all lie in the domain and are defined, with every
 row's window the whole block, takes :func:`_dense_rows`: the same float
 operations without masks.  Blocks near an end of the domain keep the
 masked path.  Over one pass of the benchmark's ``battery`` workload (seed
-1), 876 of the 894 kernel calls are dense; over one of ``classify_nd``,
-77 of 82.
+1), 647 of the 661 kernel calls are dense; over one of ``classify_nd``,
+39 of 44.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ _INF = float("inf")
 # zero while the step vanishes) from a steep smooth slope; see _dini_rows.
 _JUMP_FACTOR = 10.0
 
-# Grid points per block in grid_dini_profile.  Each block's probe positions
-# hold _BLOCK_ROWS * steps floats (320 KB at 40 steps), and the kernel's
-# (steps x rows) temporaries half that: the 20 trailing steps of 1024 rows
-# are 160 KB, so they stay in a 2 MB L2 cache.  One block for the whole grid
-# would take 3 GB per direction at 10^7 points.
+# Rows (estimates) per block in grid_dini_profile.  Each block's probe
+# positions hold _BLOCK_ROWS * steps floats (320 KB at 40 steps), and the
+# kernel's (steps x rows) temporaries half that: the 20 trailing steps of
+# 1024 rows are 160 KB, so they stay in a 2 MB L2 cache.  One block for the
+# whole grid would take 6 GB at 10^7 points.
 _BLOCK_ROWS = 1024
 
 
@@ -394,7 +394,7 @@ class GridDiniProfile:
     estimated: np.ndarray
 
     # Row views kept for perfbench's tracer, which reads them by name until
-    # ROADMAP item 6.
+    # ROADMAP item 8.
     minus_feasible = property(lambda self: self.feasible[..., 0, :])
     plus_feasible = property(lambda self: self.feasible[..., 1, :])
     minus_converged = property(lambda self: self.converged[..., 0, :])
@@ -441,72 +441,76 @@ def grid_dini_profile(
     :func:`lower_dini` per point with u = +-1.  For the m lines of a
     :class:`~dinicvx.domain.LineGrids`, ``phi`` maps an (m, k) parameter
     array to values line by line; ``values`` is (m, W), the profile
-    (m, 2, W).  Each block of at most ``_BLOCK_ROWS`` entries, in grid
-    order, is one :func:`_probe_rows` and one ``phi`` call, so memory stays
-    bounded.  One grid is probed a side at a time; a batch both sides of
-    ``_BLOCK_ROWS // (2 m)`` columns of every line at once, so each line
-    brings a like number of rows and little of what phi reads is padding.
-    After each block but the last, a true ``until(columns)`` ends the scan.
+    (m, 2, W).  One grid is one line.
+
+    Each block of grid columns, both sides, is one :func:`_probe_rows` and
+    one ``phi`` call, so memory stays bounded.  A block starts at a column
+    that asks for an entry and is the longest run of columns, at least one,
+    that fits in ``_BLOCK_ROWS`` rows: the lines times the entries asked by
+    the line that asks the most in the run.  The columns before the first
+    asked one are a block of no rows.  After each block but the last, a
+    true ``until(columns)`` ends the scan.
     """
-    if schedule is None:
-        schedule = DiniSchedule()
+    schedule = schedule or DiniSchedule()
     lines = dom.points.shape[:-1]
     pts = dom.points.reshape(-1, dom.points.shape[-1])
     m, w = pts.shape
     vals = np.reshape(values, -1)
     s = schedule.step_sizes()
-    if out is None:
-        out = GridDiniProfile.unestimated(w, lines)
-    if mask is None:
-        want = np.broadcast_to((np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
-    else:
-        want = np.reshape(mask, (m, 2, w))
-    line = np.zeros(0, dtype=np.intp)  # the lines of the rows of the block in progress
+    out = out or GridDiniProfile.unestimated(w, lines)
+    want = np.reshape(mask, (m, 2, w)) if mask is not None else np.broadcast_to(
+        (np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
+    # count[l, c]: the entries line l asks left of column c, of which a block
+    # takes `share` at most.  Shifted apart line by line, one sorted search
+    # finds the last column up to which no line's count passes its target.
+    share, count = _BLOCK_ROWS // m, np.zeros((m, w + 1), dtype=np.intp)
+    np.cumsum(want.sum(axis=1), axis=1, out=count[:, 1:])
+    shift = np.arange(m) * (count[:, -1].max() + share + 1)
+    keys, key0 = (count + shift[:, None]).reshape(-1), np.arange(m) * (w + 1) + 1
+
+    def reach(target: np.ndarray) -> int:
+        return int((np.searchsorted(keys, target + shift, "right") - key0).min())
 
     def evaluate(probes: np.ndarray, rows) -> np.ndarray:
-        if m == 1:
-            return phi(probes.reshape(lines + (-1,))).reshape(probes.shape)
-        # A line's rows are consecutive, so row j of line l goes to column
-        # j - (first row of l) of the probes of l, step by step, in the
-        # (m, k, K) array phi reads; the rest is NaN.
+        # A line's rows are consecutive: row j of line l goes to column j -
+        # (first row of l) of line l, step by step, in the (m, k, K) array phi
+        # reads, a reshape where every line brings K rows, else NaN-padded.
         of = line[rows]
-        count = np.bincount(of, minlength=m)
-        at = np.arange(of.shape[0]) - (np.cumsum(count) - count)[of]
-        k, most = probes.shape[0], int(count.max())
+        n_rows = np.bincount(of, minlength=m)
+        k, most = probes.shape[0], int(n_rows.max())
+        if n_rows.min() == most:
+            grid = probes.reshape(k, m, most).swapaxes(0, 1).reshape(lines + (-1,))
+            return phi(grid).reshape(m, k, most).swapaxes(0, 1).reshape(k, -1)
+        at = np.arange(of.shape[0]) - (np.cumsum(n_rows) - n_rows)[of]
         idx = (of * (k * most) + at) + most * np.arange(k)[:, None]
         grid = np.full(m * k * most, np.nan)
         grid[idx] = probes
-        return phi(grid.reshape(m, -1)).reshape(-1)[idx]
+        return phi(grid.reshape(lines + (-1,))).reshape(-1)[idx]
 
     least, greatest = extent(dom.interval if lines else (dom.interval,))
-    passes, width = ((slice(0, 1), slice(1, 2)), _BLOCK_ROWS) if m == 1 else \
-        ((slice(0, 2),), max(1, _BLOCK_ROWS // (2 * m)))
     sign = np.array([-1.0, 1.0])
     value, converged = out.value.reshape(-1), out.converged.reshape(-1)
     feasible, estimated = out.feasible.reshape(-1), out.estimated.reshape(-1)
-    for a in range(0, w, width):
-        block = slice(a, a + width)
-        for sides in passes:
-            asked = want[:, sides, block]
-            at = np.flatnonzero(asked)
-            if not at.size:
-                continue
-            # the line, side and column of each entry (one grid: line 0, one side)
-            line, at = np.divmod(at, asked[0].size) if m > 1 else (0, at)
-            side, col = np.divmod(at, asked.shape[2]) if m > 1 else (sides.start, at)
-            col = col + a
-            point = line * w + col
-            probes = pts.reshape(-1)[point] + sign[side] * s[:, None]
-            base = vals[point]
-            in_domain = (probes >= least[line]) & (probes <= greatest[line])
-            v, c, _, _, n_in = _probe_rows(evaluate, probes, in_domain, base, s,
-                                           schedule.dini_tol)
-            f = (n_in > 0) & ~np.isnan(base)
-            entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
-            value[entry] = np.where(f, v, np.nan)
-            converged[entry] = c & f
-            feasible[entry] = f
-            estimated[entry] = True
-        if until is not None and block.stop < w and until(block):
+    a = reach(0)  # the first column that asks for an entry
+    if 0 < a < w and until is not None and until(slice(0, a)):
+        return out
+    while a < w:
+        b = max(a + 1, reach(count[:, a] + share))
+        # the line (read by evaluate), side and column of each row, line by line
+        line, side, col = np.nonzero(want[:, :, a:b])
+        point = line * w + col + a
+        probes = np.multiply.outer(s, sign[side])
+        probes += pts.reshape(-1)[point]
+        base = vals[point]
+        in_domain = (probes >= least[line]) & (probes <= greatest[line])
+        v, c, _, _, n_in = _probe_rows(evaluate, probes, in_domain, base, s, schedule.dini_tol)
+        f = (n_in > 0) & ~np.isnan(base)
+        entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
+        value[entry] = np.where(f, v, np.nan)
+        converged[entry] = c & f
+        feasible[entry] = f
+        estimated[entry] = True
+        if until is not None and b < w and until(slice(a, b)):
             break
+        a = b
     return out

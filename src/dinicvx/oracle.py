@@ -118,14 +118,13 @@ class SampledProblem:
     m lines, a :class:`LineGrids`, whose ``phi`` maps an (m, k) parameter
     array to values line by line.  A classifier decides all the lines at
     once and returns a tuple of their verdicts (for one grid, the verdict),
-    each what the line gives alone (for lines of at most ``_BLOCK_ROWS``
-    points); with ``witnesses`` false they carry none.  The values, band and
-    side minima are computed once, when first read; each entry of the kept
-    Dini profile is estimated at most once, for all lines in one
-    :func:`grid_dini_profile` call per :meth:`estimate`.  Side minima,
-    profile and masks are (2, n) per line, row 0 toward lower t.
-    ``grid_values`` and ``grid_dini_profile`` are looked up when called, so
-    a rebound module attribute (as a tracer installs) is used.
+    each what the line gives alone.  The values, band and side minima are
+    computed once, when first read; each entry of the kept Dini profile is
+    estimated at most once, for all lines in one :func:`grid_dini_profile`
+    call per :meth:`estimate`.  Side minima, profile and masks are (2, n)
+    per line, row 0 toward lower t.  ``grid_values`` and
+    ``grid_dini_profile`` are looked up when called, so a rebound module
+    attribute (as a tracer installs) is used.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -133,7 +132,6 @@ class SampledProblem:
     schedule: DiniSchedule | None = None
     tol: float | None = None
     stat_tol: float = 1e-7
-    witnesses: bool = True
 
     # every private array below has the line axis in front: (m, ...)
 
@@ -301,20 +299,19 @@ def _undefined_verdict(p: SampledProblem, method: str, line: int = 0, band: bool
     (``band``) reports the band."""
     tol = float(p._band[line]) if band else 0.0 if p.tol is None else p.tol
     return Verdict("inconclusive", method, tol, p.stat_tol,
-                   p._undefined[line][:keep] if p.witnesses else (),
+                   p._undefined[line][:keep],
                    notes="grid evaluation failed")
 
 
 def _line_verdicts(p: SampledProblem, method: str, outcomes, witnesses, notes=None,
                    undefined=_undefined_verdict) -> Verdict:
     """The verdict of each line: ``outcomes[i]``, with the witnesses
-    ``witnesses(i)`` unless it holds or the problem builds none, and the
-    notes ``notes[i]``; a line with undefined values gets
-    ``undefined(p, method, i)``."""
+    ``witnesses(i)`` unless it holds, and the notes ``notes[i]``; a line
+    with undefined values gets ``undefined(p, method, i)``."""
     return p._each([
         undefined(p, method, i) if p._bad[i] else
         Verdict(o, method, float(p._band[i]), p.stat_tol,
-                tuple(witnesses(i)) if o != "holds" and p.witnesses else (),
+                tuple(witnesses(i)) if o != "holds" else (),
                 "" if notes is None else notes[i])
         for i, o in enumerate(outcomes)
     ])
@@ -355,21 +352,21 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
         trigger = "phi(y) < phi(x) - tol"
     if not p._whole:
         hit &= p._valid[:, None] & ~p._bad[:, None, None]
-    # The hit entries are estimated a block of rows at a time, in grid order.
-    # A lone line whose blocks done hold _WITNESS_CAP failures knows the
-    # failures it reports, so its scan stops there and no later entry is
-    # read.  A line that shares its batch fits in one block.
-    prof, stop, found = p._prof, p._pts.shape[1], 0
+    # The hit entries are estimated a block of columns at a time, in grid
+    # order.  Once the blocks done hold _WITNESS_CAP failures of every line,
+    # each line knows the failures it reports, so the scan stops there and
+    # no later entry is read.
+    prof, stop, found = p._prof, None, 0
 
     def enough(rows: slice) -> bool:
         nonlocal found, stop
-        found += np.count_nonzero(
-            hit[..., rows] & ~(prof.descent(p.stat_tol, rows) | prof.unconverged(rows)))
-        if found >= _WITNESS_CAP:
+        found = found + (hit[..., rows] & ~(prof.descent(p.stat_tol, rows)
+                                            | prof.unconverged(rows))).sum(axis=(1, 2))
+        if found.min() >= _WITNESS_CAP:
             stop = rows.stop
-        return found >= _WITNESS_CAP
+        return stop is not None
 
-    p.estimate(hit, until=enough if hit.shape[0] == 1 else None)
+    p.estimate(hit, until=enough)
     done = slice(0, stop)
     undecided = hit[..., done] & ~prof.descent(p.stat_tol, done)
     unconverged = prof.unconverged(done)
@@ -401,9 +398,9 @@ def pseudoconvex_def(p: SampledProblem) -> Verdict:
     x toward y must fall below -stat_tol.  The estimate depends only on the
     side y lies on, so each point is tested once per side against the side
     minima: O(n).  Failures are the first (x, side) entries, left before
-    right, each with the first grid minimizer on that side as y.  A lone
-    line's scan stops at the block of ``dini._BLOCK_ROWS`` points that
-    holds the ``_WITNESS_CAP``-th failure.
+    right, each with the first grid minimizer on that side as y.  The scan
+    stops at the Dini block (:func:`~dinicvx.dini.grid_dini_profile`) that
+    holds the ``_WITNESS_CAP``-th failure of every line.
     """
     return _pair_based(p, strict=False)
 

@@ -251,18 +251,17 @@ def line_problems(
     stat_tol: float,
 ) -> Iterator[tuple[LineRestriction, SampledProblem]]:
     """Each batch of the lines through the pairs: its :class:`LineRestriction`
-    and its witness-free :class:`SampledProblem` on anchored grids.  A line
-    that may pass ``dini._BLOCK_ROWS`` points (``n_grid + 2``) is a batch of
-    its own, so its pair oracles can stop early; other batches hold at most
-    ``_BATCH_POINTS`` grid points and ``_BLOCK_ROWS // 2`` lines, so that
-    both sides of a grid column of every line fit in one Dini block."""
+    and its :class:`SampledProblem` on anchored grids.  A batch holds at
+    least one line, and at most ``_BATCH_POINTS`` grid points and
+    ``_BLOCK_ROWS // 2`` lines, so that both sides of a grid column of every
+    line fit in one Dini block."""
     xs = np.array([x for x, _ in pairs], dtype=float)
     ys = np.array([y for _, y in pairs], dtype=float)
-    size = 1 if n_grid + 2 > _BLOCK_ROWS else min(_BLOCK_ROWS // 2, _BATCH_POINTS // (n_grid + 2))
+    size = max(1, min(_BLOCK_ROWS // 2, _BATCH_POINTS // (n_grid + 2)))
     for a in range(0, len(pairs), size):
         r = restrict(f, xs[a : a + size], ys[a : a + size], box)
         yield r, SampledProblem(r.phi, anchored_grid(r.feasible, n_grid, margin),
-                                schedule, tol, stat_tol, witnesses=False)
+                                schedule, tol, stat_tol)
 
 
 def check_t6(
@@ -280,7 +279,7 @@ def check_t6(
     is non-stationary on every restriction whose far end is strictly lower.
 
     Both sides are quantified over the same sampled pairs, decided in
-    batches (:func:`line_problems`); the verdicts carry no witnesses.
+    batches (:func:`line_problems`).
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []

@@ -103,15 +103,23 @@ def test_batches_cover_ragged_lines_open_faces_and_undefined_values():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outcome_only_batches_keep_every_outcome(case):
+def test_line_problems_carry_the_witnesses_of_each_line_alone(case):
+    # the batches a multivariate run decides give each line its verdicts
+    # with their witnesses, as the line gets them as one grid
     f, box, xs, ys = lines_of(case, 4242)
-    r = restrict(f, xs, ys, box)
-    full = run_all(SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID)))
-    bare = run_all(SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID), witnesses=False))
-    for name, _ in VERDICTS[:8]:
-        for a, b in zip(full[name], bare[name]):
-            assert (a.outcome, a.method, a.tol, a.notes) == (b.outcome, b.method, b.tol, b.notes)
-            assert b.witnesses == ()
+    pairs = list(zip(xs, ys))
+    got = [(r, run_all(p)) for r, p in
+           theorems.line_problems(f, pairs, box, N_GRID, 1e-6, None, None, 1e-7)]
+    assert sum(len(r.feasible) for r, _ in got) == len(pairs)
+    witnessed = 0
+    for r, verdicts in got:
+        for i in range(len(r.feasible)):
+            line = restrict(f, r.x[i], r.y[i], box)
+            single = run_all(SampledProblem(line.phi, anchored_grid(line.feasible, N_GRID)))
+            for name, _ in VERDICTS[:8]:
+                assert repr(verdicts[name][i]) == repr(single[name]), (name, i)
+                witnessed += len(single[name].witnesses)
+    assert witnessed or case == "bowl"  # the bowl holds on every line
 
 
 def classify(argv: list[str]) -> int:
@@ -135,14 +143,17 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
     assert classify(BOWL + ["--pairs", "24", "--grid", "257"]) == 0
     # For the 24 lines at once: the grid values are one evaluation, and the
     # pair oracles' one round of requests one profile call, which makes one
-    # evaluation per block of probes; every later request finds its entries
-    # estimated.  One line at a time, the same run made 24 and 72.
-    assert calls == {"grid_dini_profile": 1, "eval_many": 14}
+    # evaluation per block of probes (7 blocks of about 42 columns, each
+    # line asking about one side of each column); every later request finds
+    # its entries estimated.  One line at a time, the same run made 24 and
+    # 72; with blocks sized for both sides of every column, 1 and 14.
+    assert calls == {"grid_dini_profile": 1, "eval_many": 8}
 
 
 # the flat function asks for both sides of every point
 @pytest.mark.parametrize("function", ["x1^2 + x2^2", "0*x1 + 0*x2"])
-@pytest.mark.parametrize("grid,pairs", [(8, 1000), (257, 40), (1022, 9), (1023, 3), (2049, 2)])
+@pytest.mark.parametrize("grid,pairs", [(8, 1000), (257, 40), (1022, 9), (1023, 3), (2049, 2),
+                                        (16385, 2)])
 def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, function):
     batches, blocks = [], []
     real_grid, real_rows = theorems.anchored_grid, dini._probe_rows
@@ -162,7 +173,42 @@ def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, f
               "--pairs", str(pairs), "--grid", str(grid)])
     assert sum(len(n) for n in batches) == pairs
     for n in batches:
-        assert len(n) * n.max() <= theorems._BATCH_POINTS  # the padded (m, W) grid
-        # a line that may pass one kernel block is alone in its batch
-        assert len(n) == 1 or grid + 2 <= dini._BLOCK_ROWS
+        # the padded (m, W) grid, unless one line passes it alone
+        assert len(n) * n.max() <= theorems._BATCH_POINTS or len(n) == 1
+        # both sides of a column of every line fit in one kernel block
+        assert 2 * len(n) <= dini._BLOCK_ROWS
     assert max(blocks) <= dini._BLOCK_ROWS
+
+
+def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(monkeypatch):
+    # every line of -x1^2 - x2^2 fails the pseudoconvex oracle from its
+    # first columns on, so its scan stops long before the end of the grid
+    f, box = phi_of("-x1^2 - x2^2", 2), tuple(parse_interval("[-1,1]") for _ in range(2))
+    pairs = sample_pairs(box, 3, 0)
+    (r, p), = theorems.line_problems(f, pairs, box, 2049, 1e-6, None, None, 1e-7)
+    blocks = []
+    real = oracle.grid_dini_profile
+
+    def recording(*args, until=None, **kwargs):
+        def asked(rows):
+            blocks.append((rows, until(rows)))
+            return blocks[-1][1]
+        return real(*args, until=asked, **kwargs)
+
+    monkeypatch.setattr(oracle, "grid_dini_profile", recording)
+    verdicts = oracle.pseudoconvex_def(p)
+    monkeypatch.undo()
+    assert [v.outcome for v in verdicts] == ["fails"] * 3
+    # the column of each line's 8th failure, and the block that holds the last
+    eighth = max(int(np.searchsorted(p.dom.points[i, : p.dom.n[i]], v.witnesses[-1].points[0]))
+                 for i, v in enumerate(verdicts))
+    assert all(len(v.witnesses) == oracle._WITNESS_CAP for v in verdicts)
+    (stop, stopped), = blocks[-1:]
+    assert stopped and not any(done for _, done in blocks[:-1])
+    assert stop.start <= eighth < stop.stop < p.dom.points.shape[1]
+    assert p.profile.estimated[..., : stop.stop].any(axis=(0, 1)).all()
+    assert not p.profile.estimated[..., stop.stop :].any()
+    for i, verdict in enumerate(verdicts):
+        line = restrict(f, r.x[i], r.y[i], box)
+        alone = SampledProblem(line.phi, anchored_grid(line.feasible, 2049))
+        assert repr(verdict) == repr(oracle.pseudoconvex_def(alone))

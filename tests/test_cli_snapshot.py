@@ -1,10 +1,13 @@
-"""Byte snapshot of multivariate runs: the sha256 of stdout and the exit code.
+"""Byte snapshot of CLI runs: the sha256 of stdout and the exit code.
 
-The digests in ``cli_snapshot.json`` were recorded before the lines of a
-multivariate run were batched, so they pin the per-pair output bytes,
-including the ``"feasible"`` endpoints printed as ``np.float64(...)``.
-Record them again with ``PYTHONPATH=src python tests/test_cli_snapshot.py``
-only for a change that means to alter the output.
+The multivariate digests in ``cli_snapshot.json`` were recorded before the
+lines of a multivariate run were batched, so they pin the per-pair output
+bytes, including the ``"feasible"`` endpoints printed as ``np.float64(...)``.
+The one-grid digests (1-D ``classify`` at two grid sizes, ``decompose`` and
+``verify-theorems`` on the golden 1-D manifest) were recorded before one
+grid and a batch of lines shared one Dini block rule.  Record them again
+with ``PYTHONPATH=src python tests/test_cli_snapshot.py`` only for a change
+that means to alter the output.
 """
 
 from __future__ import annotations
@@ -22,12 +25,16 @@ import pytest
 from dinicvx import cli, golden_battery, write_manifest
 
 SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
+GOLDEN_1D = [e for e in golden_battery() if e.arity == 1]
 GOLDEN_2D = [e for e in golden_battery() if e.arity == 2]
+# placeholder argument -> the golden entries written to that manifest
+MANIFESTS = {"<manifest>": GOLDEN_2D, "<manifest-1d>": GOLDEN_1D}
 SEEDS = (1, 4242)
 
 
 def cases() -> dict[str, list[str]]:
-    """label -> argv; ``<manifest>`` stands for the golden 2-D manifest."""
+    """label -> argv; ``<manifest>`` stands for the golden 2-D manifest and
+    ``<manifest-1d>`` for the golden 1-D one."""
     out = {}
     for e in GOLDEN_2D:
         for seed in SEEDS:
@@ -43,11 +50,28 @@ def cases() -> dict[str, list[str]]:
     out["classify/cube-x1-fine"] = ["classify", "--function=x1^3", "--arity=2",
                                     "--box=[-1,1]x[-1,1]", "--grid=2049", "--pairs=3"]
     out["verify-theorems/golden-2d"] = ["verify-theorems", "<manifest>", "--seed=1"]
+    # one grid: a block of the Dini kernel at 257 points, many at 16385
+    for e in GOLDEN_1D:
+        for grid in (257, 16385):
+            out[f"classify-1d/{e.id}/grid{grid}"] = [
+                "classify", f"--function={e.expression}", f"--domain={e.domain}",
+                f"--grid={grid}"]
+    for label, source in (("sq", "t^2"), ("log", "log(t)")):
+        out[f"decompose/{label}"] = ["decompose", f"--function={source}", "--domain=[-1,1]"]
+    out["verify-theorems/golden-1d"] = ["verify-theorems", "<manifest-1d>", "--seed=1"]
     return out
 
 
-def digest(argv: list[str], manifest: Path) -> dict:
-    argv = [str(manifest) if a == "<manifest>" else a for a in argv]
+def write_manifests(folder: Path) -> dict[str, Path]:
+    paths = {}
+    for name, entries in MANIFESTS.items():
+        paths[name] = folder / f"{name.strip('<>')}.json"
+        write_manifest(tuple(entries), paths[name])
+    return paths
+
+
+def digest(argv: list[str], manifests: dict[str, Path]) -> dict:
+    argv = [str(manifests.get(a, a)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -55,10 +79,8 @@ def digest(argv: list[str], manifest: Path) -> dict:
 
 
 @pytest.fixture(scope="module")
-def manifest(tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("snapshot") / "golden2d.json"
-    write_manifest(tuple(GOLDEN_2D), path)
-    return path
+def manifests(tmp_path_factory) -> dict[str, Path]:
+    return write_manifests(tmp_path_factory.mktemp("snapshot"))
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +89,8 @@ def recorded() -> dict:
 
 
 @pytest.mark.parametrize("label", sorted(cases()))
-def test_output_bytes_match_the_snapshot(label, manifest, recorded):
-    assert digest(cases()[label], manifest) == recorded[label]
+def test_output_bytes_match_the_snapshot(label, manifests, recorded):
+    assert digest(cases()[label], manifests) == recorded[label]
 
 
 def test_snapshot_covers_every_case(recorded):
@@ -77,7 +99,6 @@ def test_snapshot_covers_every_case(recorded):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "golden2d.json"
-        write_manifest(tuple(GOLDEN_2D), path)
-        table = {label: digest(argv, path) for label, argv in sorted(cases().items())}
+        paths = write_manifests(Path(tmp))
+        table = {label: digest(argv, paths) for label, argv in sorted(cases().items())}
     sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -250,10 +250,11 @@ class TestGridProfileMatchesReference:
             for field in ("value", "converged", "feasible", "estimated"):
                 assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
 
-    # 2500 = 2 * 1024 + 452: a stop after the first or second block, and none
+    # a block holds both sides of _BLOCK_ROWS // 2 columns, and
+    # 1476 = 2 * 512 + 452: a stop after the first or second block, and none
     @pytest.mark.parametrize("stop_after", [0, 1, 2])
     def test_until_ends_the_scan_after_a_block(self, stop_after):
-        n = 2500
+        n = 1476
         dom = make_grid(parse_interval("[-1,1]"), n)
         phi = phi_of("log(t + 0.5)")
         whole = grid_dini_profile(phi, dom, phi(dom.points))
@@ -268,7 +269,8 @@ class TestGridProfileMatchesReference:
         part = GridDiniProfile.unestimated(n)
         assert grid_dini_profile(phi, dom, phi(dom.points), out=part, until=until) is part
         # asked after each block but the last, in grid order
-        blocks = [slice(a, a + dini._BLOCK_ROWS) for a in range(0, n, dini._BLOCK_ROWS)]
+        width = dini._BLOCK_ROWS // 2
+        blocks = [slice(a, a + width) for a in range(0, n, width)]
         assert asked == blocks[: min(stop_after + 1, len(blocks) - 1)]
         end = n if stop_after + 1 >= len(blocks) else blocks[stop_after].stop
         assert part.estimated[:, :end].all()
@@ -516,9 +518,9 @@ class TestDensePath:
         assert not used.any() and np.isinf(value).all()
 
     # only the blocks within the largest step of the end a direction probes
-    # toward are masked: 3 of 34 at 16385 points; a 257-point grid is one
-    # block per direction, holding both ends
-    @pytest.mark.parametrize("n,dense_calls", [(16385, 31), (257, 0)])
+    # toward are masked: 3 of 33 at 16385 points, each block both sides of
+    # 512 columns; a 257-point grid is one block, holding both ends
+    @pytest.mark.parametrize("n,dense_calls", [(16385, 30), (257, 0)])
     def test_dense_blocks_of_a_grid_profile(self, n, dense_calls):
         dom = make_grid(parse_interval("[-1,1]"), n)
         phi = phi_of("exp(t) - 2*t^2")
@@ -538,7 +540,8 @@ def test_interior_grid_probes_only_the_trailing_half():
         return phi(pts)
 
     grid_dini_profile(counting, dom, phi(dom.points), schedule)
-    assert sizes == [dom.n * (schedule.steps - schedule.steps // 2)] * 2
+    # one block holds both sides of every point
+    assert sizes == [2 * dom.n * (schedule.steps - schedule.steps // 2)]
 
 
 class TestLineCallers:

@@ -472,11 +472,16 @@ class TestDemandDrivenProfile:
         assert len(verdict.witnesses) == oracle._WITNESS_CAP
         last = int(np.searchsorted(p.dom.points, verdict.witnesses[-1].points[0]))
         first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
-        block = last // dini._BLOCK_ROWS
-        assert block > first // dini._BLOCK_ROWS
+        # t rises: every point but the first asks for its left side alone, so
+        # a block of _BLOCK_ROWS entries is as many columns, from column 1
+        hit = p.side_min < p.values - p.band
+        assert not hit[1].any() and np.flatnonzero(~hit[0]).tolist() == [0]
+        block = (last - 1) // dini._BLOCK_ROWS
+        assert block > (first - 1) // dini._BLOCK_ROWS
+        end = 1 + (block + 1) * dini._BLOCK_ROWS
         estimated = p.profile.estimated.any(axis=0)
-        assert estimated[block * dini._BLOCK_ROWS : last].any()
-        assert not estimated[(block + 1) * dini._BLOCK_ROWS :].any()
+        assert estimated[end - dini._BLOCK_ROWS : end].all()
+        assert not estimated[end:].any()
 
     def test_unconverged_entries_do_not_count_toward_the_stop(self):
         # a profile filled in by hand up to its last block: the whole first
