@@ -8,22 +8,26 @@ afterwards so that decisions are invariant to the magnitude of u.
 
 One kernel, :func:`_dini_rows`, applies that rule to a (steps x rows)
 block of probe values, one column per estimate, masking the probes outside
-the domain and the undefined ones; :func:`_probe_rows` feeds it, evaluating
-only the probes the rule can read.  :func:`lower_dini_along` estimates one
-point along a block of directions; :func:`lower_dini` and
-:func:`is_stationary` call it on the line.  :func:`grid_dini_profile`
-estimates the grid points of one grid, or of the m lines of a batch, both
-sides of each point on one axis: (2, n), ``[0]`` toward lower t, behind a
-line axis for a batch.  A row's bits do not depend on the rows beside it,
-so a caller estimates just the entries it reads, block by block, and can
-stop after any block.
+the domain and the undefined ones; :func:`_probe_rows` feeds it, building
+and evaluating only the probes the rule can read.  A probe moves
+monotonically with its step, so a row whose largest and smallest probes
+lie in the domain has every probe there, and its window is the trailing
+half of the schedule: only those probes are built, and no bound is
+compared.  :func:`lower_dini_along` estimates one point along a block of
+directions; :func:`lower_dini` and :func:`is_stationary` call it on the
+line.  :func:`grid_dini_profile` estimates the grid points of one grid, or
+of the m lines of a batch, both sides of each point on one axis: (2, n),
+``[0]`` toward lower t, behind a line axis for a batch.  A row's bits do
+not depend on the rows beside it, so a caller estimates just the entries
+it reads, block by block, and can stop after any block.
 
-A block whose probes all lie in the domain and are defined, with every
-row's window the whole block, takes :func:`_dense_rows`: the same float
-operations without masks.  Blocks near an end of the domain keep the
-masked path.  Over one pass of the benchmark's ``battery`` workload (seed
-1), 647 of the 661 kernel calls are dense; over one of ``classify_nd``,
-39 of 44.
+A block of such rows whose values are all defined takes
+:func:`_dense_rows`: the same float operations without masks.  A block
+holding a row near an end of the domain, or an undefined value, keeps the
+masked path for all its rows.  Over one pass of the benchmark's
+``battery`` workload (seed 1), 538 of the 697 kernel calls are dense (145
+of the others are the whole-row calls of ``theorems.check_abc``); over one
+of ``classify_nd``, 75 of 80.
 """
 
 from __future__ import annotations
@@ -54,12 +58,16 @@ _INF = float("inf")
 # zero while the step vanishes) from a steep smooth slope; see _dini_rows.
 _JUMP_FACTOR = 10.0
 
-# Rows (estimates) per block in grid_dini_profile.  Each block's probe
-# positions hold _BLOCK_ROWS * steps floats (320 KB at 40 steps), and the
-# kernel's (steps x rows) temporaries half that: the 20 trailing steps of
-# 1024 rows are 160 KB, so they stay in a 2 MB L2 cache.  One block for the
-# whole grid would take 6 GB at 10^7 points.
-_BLOCK_ROWS = 1024
+# Rows (estimates) per block in grid_dini_profile: both sides of the up to
+# 259 points of an anchored grid at the default 257 fit one block.  A block
+# builds the probe positions of its trailing steps only, _BLOCK_ROWS *
+# (steps - steps // 2) floats (81 KB at 40 steps), and the kernel's
+# (steps x rows) temporaries are as large.  Blocks this small fault few
+# pages in: over one pass of the benchmark's classify_fine workload the
+# profiles took about 3,000 minor page faults, against 38,000 with
+# 1024-row blocks.  One block for the whole grid would take 3 GB at 10^7
+# points.
+_BLOCK_ROWS = 520
 
 
 class DiniDomainError(ValueError):
@@ -160,20 +168,17 @@ def _dini_rows(
     is row r's trace and ``n_in[r]`` its count of in-domain probes, skipped
     ones included.  A row that uses no probe has value +inf, is converged
     and has an empty trace.  ``trace`` and ``used`` start at the first step
-    any row uses.  A dense block (at least 2 steps, all in the domain and
-    defined, ``skipped == n_in // 2``) goes to :func:`_dense_rows`.
+    any row uses.  :func:`_dense_rows` is the same rule for rows whose
+    window is the whole block, every probe of it defined.
     """
     n_in = in_domain.sum(axis=0) + skipped
-    if (s.shape[0] >= 2 and in_domain.all() and (skipped == n_in // 2).all()
-            and not np.isnan(vals).any()):
-        return _dense_rows(vals, base, s, dini_tol, n_in)
     defined = in_domain & ~np.isnan(vals)
-    used = defined & (_accumulate(np.add, in_domain.astype(np.intp)) > n_in // 2 - skipped)
+    used = defined & (np.cumsum(in_domain, axis=0) > n_in // 2 - skipped)
     used[:, skipped > n_in // 2] = False
     empty = ~used.any(axis=0) & (skipped == 0)
     if empty.any():
         d = defined[:, empty]
-        used[:, empty] = d & (_accumulate(np.add, d.astype(np.intp)) > d.sum(axis=0) // 2)
+        used[:, empty] = d & (np.cumsum(d, axis=0) > d.sum(axis=0) // 2)
     c0 = int(np.argmax(used.any(axis=1)))
     used, s = used[c0:], s[c0:]
     last = s.shape[0] - 1 - np.argmax(used[::-1], axis=0)
@@ -218,55 +223,106 @@ def _dense_rows(
     """
     with np.errstate(invalid="ignore", over="ignore"):
         diffs = vals - base
-        quots = diffs / s[:, None]
+        d_min, d_max = diffs.min(axis=0), diffs.max(axis=0)
+        quots = np.divide(diffs, s[:, None], out=diffs)
         q_max = quots.max(axis=0)
         trace = _accumulate(np.minimum, quots)
         value = trace[-1].copy()
         converged = np.abs(value - trace[-2]) <= dini_tol
-        up = (value > 0) & (diffs.min(axis=0) >= _JUMP_FACTOR * value * s[-1])
-        down = (q_max < 0) & (diffs.max(axis=0) <= _JUMP_FACTOR * q_max * s[-1])
+        up = (value > 0) & (d_min >= _JUMP_FACTOR * value * s[-1])
+        down = (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s[-1])
     value[up] = _INF
     value[down] = -_INF
     return value, converged | up | down, trace, np.ones(vals.shape, dtype=bool), n_in
 
 
+def _positions(x: np.ndarray, u: np.ndarray, s: np.ndarray, rows) -> np.ndarray:
+    """The probes ``x[r] + s[k] * u[r]`` of ``rows``, (len(s), rows): a
+    number per probe for the (rows,) arrays of a line, a point along the
+    trailing axis for (rows, n) ones."""
+    p = s.reshape((-1,) + (1,) * u.ndim) * u[rows]
+    p += x[rows]
+    return p
+
+
+def _inside(p: np.ndarray, least: np.ndarray, greatest: np.ndarray) -> np.ndarray:
+    """(k, rows) mask of the probes ``p`` in ``[least, greatest]``, every
+    coordinate of a point inside its own bounds."""
+    ok = (p >= least) & (p <= greatest)
+    return ok if ok.ndim == 2 else ok.all(axis=2)
+
+
 def _probe_rows(
-    f: Callable[[np.ndarray], np.ndarray],
-    probes: np.ndarray,
-    in_domain: np.ndarray,
+    f: Callable[[np.ndarray, np.ndarray | slice], np.ndarray],
+    x: np.ndarray,
+    u: np.ndarray,
+    least: np.ndarray,
+    greatest: np.ndarray,
     base: np.ndarray,
     s: np.ndarray,
     dini_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_dini_rows` on whole rows, with ``f`` evaluated only where it reads.
+    """:func:`_dini_rows` on the whole rows probing from ``x[r]`` along
+    ``u[r]``, with probes built and ``f`` evaluated only where it reads.
 
-    ``probes[k, r]`` is row r's probe at step ``s[k]``, a number or a point
-    along the trailing axis, ``in_domain`` marks those in the feasible set
-    and ``f(probes[steps, rows], rows)`` gives the (k, r) values of a block
-    of them.  A row's in-domain probes are a suffix of the schedule, so its
-    window lies in the steps from ``steps // 2`` on.  Only those are
-    evaluated, and the leading ones of the rows the kernel leaves to their
-    whole row: those that fall back, and those whose in-domain probes are no
-    suffix (a grid point rounded onto an open end).
+    Row r probes ``x[r] + s[k] * u[r]``; ``x``, ``u``, ``least`` and
+    ``greatest`` are (rows,) on a line and (rows, n) in a box, whose probes
+    are points.  A probe is in the domain when it lies in ``[least[r],
+    greatest[r]]``, coordinate by coordinate.  ``f(probes, rows)`` gives the
+    (k, r) values of a (k, r) block of probes of ``rows``.
+
+    Each coordinate of ``fl(x + s * u)`` is monotone in the step, so a
+    row's in-domain steps run without a gap, and when its largest and its
+    smallest probes are in, all are.  That end test, two probes a row, is
+    exact.  It also catches a grid point rounded onto an open end, whose
+    smallest steps round back onto that end.  A row that passes it skips
+    its leading ``steps // 2`` probes, all in, and its window is the
+    trailing steps: only those are built and evaluated, with no bound
+    compared.  The rows that fail the test get their leading positions and
+    their whole in-domain mask.  A block where every row's window is the
+    trailing steps, every value defined, takes :func:`_dense_rows`; any
+    other the masked kernel on its trailing steps.  When that kernel leaves
+    a row using no probe although it skipped some (a fallback, or a window
+    reaching the leading steps), the block is rerun on every step, with the
+    leading probes of those rows evaluated then.
     """
-    cut = s.shape[0] // 2
-
-    def values(steps, rows) -> np.ndarray:
-        return f(probes[steps, rows], rows)
-
-    skipped = in_domain[:cut].sum(axis=0)
-    tail = values(slice(cut, None), slice(None))
-    value, converged, trace, used, n_in = _dini_rows(
-        tail, in_domain[cut:], base, s[cut:], dini_tol, skipped
-    )
-    redo = np.flatnonzero(~used.any(axis=0) & (skipped > 0))
+    steps, cut = s.shape[0], s.shape[0] // 2
+    every, trailing = slice(None), s[cut:]
+    tail = _positions(x, u, trailing, every)
+    vals = f(tail, every)
+    ends = _inside(_positions(x, u, s[[0, -1]], every), least, greatest)
+    near = np.flatnonzero(~ends.all(axis=0))
+    skipped = np.full(base.shape[0], cut)
+    n_in = skipped + trailing.shape[0]
+    dense = trailing.shape[0] >= 2
+    if near.size:
+        whole = _inside(np.concatenate([_positions(x, u, s[:cut], near), tail[:, near]]),
+                        least[near], greatest[near])
+        skipped[near] = whole[:cut].sum(axis=0)
+        n_in[near] = whole.sum(axis=0)
+        dense = dense and whole[cut:].all() and (skipped[near] == n_in[near] // 2).all()
+    # dense: every row's window is the trailing steps, all of them defined
+    if dense and not np.isnan(vals).any():
+        return _dense_rows(vals, base, trailing, dini_tol, n_in)
+    window = np.ones(tail.shape[:2], dtype=bool)
+    if near.size:
+        window[:, near] = whole[cut:]
+    found = _dini_rows(vals, window, base, trailing, dini_tol, skipped)
+    redo = np.flatnonzero(~found[3].any(axis=0) & (skipped > 0))
     if not redo.size:
-        return value, converged, trace, used, n_in
-    # The other rows never read their leading probes, so NaN stands in.
-    vals = np.full(in_domain.shape, np.nan)
-    vals[cut:] = tail
-    vals[:cut, redo] = values(slice(None, cut), redo)
-    return _dini_rows(vals, in_domain, base, s, dini_tol)
+        return found
+    # The whole block again, the redo rows with their leading probes.  The
+    # other rows never read theirs, so NaN stands in, and an interior row's
+    # probes are all in the domain.
+    lead = _positions(x, u, s[:cut], redo)
+    in_domain = np.ones((steps, base.shape[0]), dtype=bool)
+    if near.size:
+        in_domain[:, near] = whole
+    in_domain[:, redo] = _inside(np.concatenate([lead, tail[:, redo]]), least[redo], greatest[redo])
+    full = np.full(in_domain.shape, np.nan)
+    full[cut:] = vals
+    full[:cut, redo] = f(lead, redo)
+    return _dini_rows(full, in_domain, base, s, dini_tol)
 
 
 def lower_dini(
@@ -344,14 +400,12 @@ def _dini_along(
     base = float(f(x[None, :])[0])
     if np.isnan(base):
         raise ValueError(f"function undefined at the base point {x.tolist()}")
-    s = schedule.step_sizes()
-    probes = x + s[:, None, None] * (dirs / norms[:, None])
-    in_domain = np.ones(probes.shape[:2], dtype=bool)
-    for i, iv in enumerate(box):
-        in_domain &= iv.contains_many(probes[..., i])
+    u = dirs / norms[:, None]
+    least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
     return (norms,) + _probe_rows(
-        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]), probes, in_domain,
-        np.full(in_domain.shape[1], base), s, schedule.dini_tol,
+        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
+        np.broadcast_to(x, u.shape), u, least, greatest, np.full(u.shape[0], base),
+        schedule.step_sizes(), schedule.dini_tol,
     )
 
 
@@ -499,11 +553,9 @@ def grid_dini_profile(
         # the line (read by evaluate), side and column of each row, line by line
         line, side, col = np.nonzero(want[:, :, a:b])
         point = line * w + col + a
-        probes = np.multiply.outer(s, sign[side])
-        probes += pts.reshape(-1)[point]
         base = vals[point]
-        in_domain = (probes >= least[line]) & (probes <= greatest[line])
-        v, c, _, _, n_in = _probe_rows(evaluate, probes, in_domain, base, s, schedule.dini_tol)
+        v, c, _, _, n_in = _probe_rows(evaluate, pts.reshape(-1)[point], sign[side], least[line],
+                                       greatest[line], base, s, schedule.dini_tol)
         f = (n_in > 0) & ~np.isnan(base)
         entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
         value[entry] = np.where(f, v, np.nan)

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import _BLOCK_ROWS, DiniSchedule, _dini_along, _probe_rows, is_stationary
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_along, _dini_rows, is_stationary
 from .domain import (
     Interval,
     LineRestriction,
@@ -75,7 +75,7 @@ _PAIR_DRAWS = 1000
 # Grid points in one batch of lines at most: 24 lines of 257 points take
 # one batch, and the values, side minima and profile of a batch stay a few
 # hundred KB however many lines a run samples.
-_BATCH_POINTS = 8 * _BLOCK_ROWS
+_BATCH_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -364,11 +364,10 @@ def check_abc(
     and would assert B spuriously).  C: t=0 is stationary for the
     restriction, as :func:`~dinicvx.dini.is_stationary` finds it: B's
     values at 0 and at the in-domain probes ``+-s`` are that check's
-    probes, so they go to the Dini kernel as a (steps x 2) block, through
-    the same feeder, and nothing is evaluated again.  The report is
-    inconclusive when an unconverged feasible direction comes before the
-    first descending one in sample order, or C rests on an unconverged
-    estimate.
+    probes, so they go to the whole-row Dini kernel as a (steps x 2) block,
+    and nothing is evaluated again.  The report is inconclusive when an
+    unconverged feasible direction comes before the first descending one in
+    sample order, or C rests on an unconverged estimate.
     """
     if schedule is None:
         schedule = DiniSchedule()
@@ -402,9 +401,8 @@ def check_abc(
     # whose probes are the values themselves
     block = np.full(probes.shape, np.nan)
     block[inside] = probe_vals
-    value, converged, _, _, n_in = _probe_rows(
-        lambda v, _: v, block.reshape(2, -1).T, inside.reshape(2, -1).T,
-        np.full(2, phi0), s, schedule.dini_tol,
+    value, converged, _, _, n_in = _dini_rows(
+        block.reshape(2, -1).T, inside.reshape(2, -1).T, np.full(2, phi0), s, schedule.dini_tol,
     )
     feasible = n_in > 0
     c_true = not (value[feasible] < -stat_tol).any()

@@ -143,11 +143,11 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
     assert classify(BOWL + ["--pairs", "24", "--grid", "257"]) == 0
     # For the 24 lines at once: the grid values are one evaluation, and the
     # pair oracles' one round of requests one profile call, which makes one
-    # evaluation per block of probes (7 blocks of about 42 columns, each
+    # evaluation per block of probes (13 blocks of about 21 columns, each
     # line asking about one side of each column); every later request finds
     # its entries estimated.  One line at a time, the same run made 24 and
     # 72; with blocks sized for both sides of every column, 1 and 14.
-    assert calls == {"grid_dini_profile": 1, "eval_many": 8}
+    assert calls == {"grid_dini_profile": 1, "eval_many": 14}
 
 
 # the flat function asks for both sides of every point
@@ -163,9 +163,9 @@ def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, f
         batches.append(dom.n.copy())
         return dom
 
-    def rows(f, probes, *args):
-        blocks.append(probes.shape[1])
-        return real_rows(f, probes, *args)
+    def rows(f, x, *args):
+        blocks.append(x.shape[0])
+        return real_rows(f, x, *args)
 
     monkeypatch.setattr(theorems, "anchored_grid", grids)
     monkeypatch.setattr(dini, "_probe_rows", rows)

@@ -5,6 +5,7 @@ reference selects and runs the same float operations on them, so values,
 flags and traces must agree exactly, NaN and signed zeros included.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -85,11 +86,25 @@ def probe_blocks(draw):
 
 
 def probed_rows(vals, in_domain, base, s, dini_tol):
-    """``_probe_rows`` on a block whose probes are the flat indices of
-    ``vals``, so that the function it evaluates looks their values up."""
-    probes = np.arange(vals.size, dtype=float).reshape(vals.shape)
-    return dini._probe_rows(lambda idx, _: vals.reshape(-1)[idx.astype(int)], probes,
-                            in_domain, base, s, dini_tol)
+    """``_probe_rows`` on the block: row r probes from 0 along +1, so its
+    probe at step k is ``s[k]``, whose value the function it evaluates looks
+    up in ``vals[k, r]``.  Row r's bounds are the smallest and the largest of
+    its in-domain steps, which must run without a gap, as along a ray."""
+    assert np.array_equal(in_domain, gapless(in_domain))
+    rows = np.arange(vals.shape[1])
+    inside = in_domain.any(axis=0)
+    least = np.where(inside, s[vals.shape[0] - 1 - np.argmax(in_domain[::-1], axis=0)], np.inf)
+    greatest = np.where(inside, s[np.argmax(in_domain, axis=0)], -np.inf)
+    return dini._probe_rows(lambda p, r: vals[np.searchsorted(-s, -p), rows[r]],
+                            np.zeros(rows.shape), np.ones(rows.shape), least, greatest,
+                            base, s, dini_tol)
+
+
+def gapless(in_domain):
+    """Each row's in-domain steps widened to all steps from its first to its
+    last: the masks a ray through an interval or a box can give."""
+    ahead = np.cumsum(in_domain, axis=0) > 0
+    return ahead & (np.cumsum(in_domain[::-1], axis=0)[::-1] > 0)
 
 
 def assert_rows_match_reference(block, rows):
@@ -115,11 +130,14 @@ class TestKernelMatchesReference:
     def test_rows_bit_identical(self, block):
         assert_rows_match_reference(block, dini._dini_rows(*block))
 
-    # The masks are arbitrary, not only suffixes: the probe helper must fall
-    # back on whole rows wherever its trailing columns cannot decide a row.
+    # The masks are any run of steps, not only suffixes: the probe helper
+    # must fall back on whole rows wherever its trailing columns cannot
+    # decide a row.
     @given(probe_blocks())
     @settings(max_examples=400, deadline=None)
     def test_probed_rows_bit_identical(self, block):
+        vals, in_domain, base, s, dini_tol = block
+        block = (vals, gapless(in_domain), base, s, dini_tol)
         assert_rows_match_reference(block, probed_rows(*block))
 
     @given(probe_blocks(), st.data())
@@ -250,11 +268,12 @@ class TestGridProfileMatchesReference:
             for field in ("value", "converged", "feasible", "estimated"):
                 assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
 
-    # a block holds both sides of _BLOCK_ROWS // 2 columns, and
-    # 1476 = 2 * 512 + 452: a stop after the first or second block, and none
+    # a block holds both sides of _BLOCK_ROWS // 2 columns, and the grid is
+    # two such blocks and a ragged third: a stop after the first or second
+    # block, and none
     @pytest.mark.parametrize("stop_after", [0, 1, 2])
     def test_until_ends_the_scan_after_a_block(self, stop_after):
-        n = 1476
+        n = 2 * (dini._BLOCK_ROWS // 2) + 196
         dom = make_grid(parse_interval("[-1,1]"), n)
         phi = phi_of("log(t + 0.5)")
         whole = grid_dini_profile(phi, dom, phi(dom.points))
@@ -388,11 +407,71 @@ class TestProbedProfileRows:
         assert any(whole_rows)  # the rerun on whole rows was reached
 
 
-def kernel(*args):
-    """``_dini_rows(*args)`` and whether it took the dense path."""
-    with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
-        rows = dini._dini_rows(*args)
-    return rows, dense.called
+def end_distances(s):
+    """Distances from an end: 0, below the smallest step, every step, the
+    midpoints between steps, and twice the largest step."""
+    return np.concatenate([[0.0, 0.5 * s[-1]], s, 0.5 * (s[:-1] + s[1:]), [2 * s[0]]])
+
+
+# Closed and open ends at magnitudes 1 and 1e8, where the smallest steps
+# are below half an ulp, so a probe near the end rounds onto it.  A point
+# at distance 0 from an open end lies outside the domain: a grid point
+# rounded onto that end.  The square roots are undefined past the ends.
+END_CASES = [
+    ("abs(t) - 0.3*t", "[-1,1]"), ("sqrt(1 - t^2)", "(-1,1)"), ("abs(t) - 0.3*t", "[-1,1)"),
+    ("0 - (t - 1e8)^2", "[1e8,100000001]"),
+    ("sqrt((t - 1e8)*(100000001 - t))", "(1e8,100000001)"),
+    ("0 - (t - 1e8)^2", "(1e8,100000001]"),
+]
+
+
+@pytest.mark.parametrize("block_rows", [7, 1024])
+@pytest.mark.parametrize("source,domain", END_CASES, ids=[f"{s} on {d}" for s, d in END_CASES])
+def test_grid_points_at_every_distance_from_an_end(monkeypatch, block_rows, source, domain):
+    monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
+    phi = phi_of(source)
+    iv = parse_interval(domain)
+    for schedule in SCHEDULES:
+        d = end_distances(schedule.step_sizes())
+        pts = np.concatenate([iv.lo + d, iv.hi - d])
+        dom = SampledDomain(iv, np.unique(pts[(pts >= iv.lo) & (pts <= iv.hi)]))
+        ref = reference_profile(phi, dom, schedule)
+        assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
+
+
+def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
+    # Rows are side by side, minus then plus, one per point and side.  The
+    # points 0 and 0.004 have minus probes outside [0,1], and 1 plus ones;
+    # at 0.5 going right only the steps of 1e-3 and up are defined, so that
+    # row falls back on leading probes.
+    schedule = DiniSchedule()
+    s, cut = schedule.step_sizes(), schedule.steps // 2
+    dom = SampledDomain(parse_interval("[0,1]"), np.asarray([0.0, 0.004, 0.3, 0.5, 1.0]))
+    phi = phi_of("sqrt((t - 0.5)*(t - 0.5 - 0.001))")
+    near = [r for r, (sign, t) in enumerate((sign, t) for sign in (-1.0, 1.0) for t in dom.points)
+            if not dom.interval.contains_many(t + sign * s).all()]
+    assert near == [0, 1, 9]
+    built, sizes = [], []
+    positions = dini._positions
+
+    def recording(x, u, steps, rows):
+        built.append((steps.shape[0], rows))
+        return positions(x, u, steps, rows)
+
+    def counting(pts):
+        sizes.append(pts.size)
+        return phi(pts)
+
+    monkeypatch.setattr(dini, "_positions", recording)
+    prof = grid_dini_profile(counting, dom, phi(dom.points), schedule)
+    assert_profiles_identical(prof, reference_profile(phi, dom, schedule))
+    # every row's trailing steps and two end probes; the leading steps of
+    # the near rows, then of the row that falls back
+    assert [n for n, _ in built] == [schedule.steps - cut, 2, cut, cut]
+    assert built[0][1] == built[1][1] == slice(None)
+    assert [list(rows) for _, rows in built[2:]] == [near, [8]]
+    # the trailing probes of every row, then the leading ones of row 8
+    assert sizes == [2 * dom.n * (schedule.steps - cut), cut]
 
 
 def sliced(block):
@@ -477,8 +556,9 @@ class TestDensePath:
     @example((np.vstack([np.full((6, 2), np.nan), np.tile([1.0, -1.0], (6, 1))]),
               np.ones((12, 2), dtype=bool), np.zeros(2), 0.5 ** np.arange(12), 1e-7))
     def test_dense_blocks_bit_identical(self, block):
-        rows, dense = kernel(*sliced(block))
-        assert dense
+        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+            rows = probed_rows(*block)
+        assert dense.call_count == 1
         assert_rows_match_reference(block, rows)
 
     # one case per side of the selection, each against the reference
@@ -496,8 +576,8 @@ class TestDensePath:
     ], ids=["interior", "end-row", "nan-probe", "out-of-domain-probe",
             "skipped-not-half", "one-leading-probe-out", "one-column", "one-step"])
     def test_selection(self, make, dense):
-        # through _probe_rows, which reruns on whole rows what its sliced
-        # call leaves; only that sliced call can be dense
+        # through _probe_rows, which takes the dense path for a block whose
+        # every row's window is its trailing steps, all defined
         block = make()
         with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as took:
             rows = probed_rows(*block)
@@ -505,22 +585,34 @@ class TestDensePath:
         assert_rows_match_reference(block, rows)
 
     def test_unsliced_call_is_masked(self):
-        block = interior_block()
-        rows, took = kernel(*block)
-        assert not took
+        # row 7 defines no trailing probe, so it falls back on its leading
+        # ones: the whole block is rerun on every step, masked
+        block = set_entry(interior_block(), "vals", (slice(20, None), 7), np.nan)
+        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense, \
+                mock.patch.object(dini, "_dini_rows", wraps=dini._dini_rows) as masked:
+            rows = probed_rows(*block)
+        assert not dense.called
+        assert [c.args[0].shape[0] for c in masked.call_args_list] == [20, 40]
         assert_rows_match_reference(block, rows)
 
     def test_rows_skipping_past_their_window_are_masked(self):
-        # left using no probe, for the caller to rerun on whole rows
+        # the kernel leaves them using no probe, for the caller to rerun on
+        # whole rows
         vals, in_domain, base, s, dini_tol, skipped = sliced(interior_block())
-        (value, _, _, used, _), took = kernel(vals, in_domain, base, s, dini_tol, skipped + 2)
-        assert not took
+        value, _, _, used, _ = dini._dini_rows(vals, in_domain, base, s, dini_tol, skipped + 2)
         assert not used.any() and np.isinf(value).all()
+        # row 7's last three steps leave the domain, so its window reaches
+        # two leading steps: no dense block, and the row is rerun
+        block = set_entry(interior_block(), "in_domain", (slice(-3, None), 7), False)
+        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+            rows = probed_rows(*block)
+        assert not dense.called
+        assert_rows_match_reference(block, rows)
 
     # only the blocks within the largest step of the end a direction probes
-    # toward are masked: 3 of 33 at 16385 points, each block both sides of
-    # 512 columns; a 257-point grid is one block, holding both ends
-    @pytest.mark.parametrize("n,dense_calls", [(16385, 30), (257, 0)])
+    # toward are masked: 3 of 64 at 16385 points, each block both sides of
+    # 260 columns; a 257-point grid is one block, holding both ends
+    @pytest.mark.parametrize("n,dense_calls", [(16385, 61), (257, 0)])
     def test_dense_blocks_of_a_grid_profile(self, n, dense_calls):
         dom = make_grid(parse_interval("[-1,1]"), n)
         phi = phi_of("exp(t) - 2*t^2")
@@ -647,6 +739,28 @@ class TestBlockAlong:
             ests = [e for a in range(0, dirs.shape[0], block)
                     for e in lower_dini_along(f, x, dirs[a:a + block], box)]
             assert_block_matches_one_direction(ests, f, x, dirs, box, DiniSchedule())
+
+    # corners of closed and open boxes, and points inside them at every
+    # distance from a corner, at magnitudes 1 and 1e8, under every schedule
+    @pytest.mark.parametrize("source,box", [
+        ("x1^2 + x2", "[-1,1]x[-1,1]"), ("x1^2 + x2", "(-1,1)x(-1,1)"),
+        ("(x1 - 1e8)^2 - x2", "[1e8,100000001]x[-1,1]"),
+        ("(x1 - 1e8)^2 - x2", "(1e8,100000001)x(-1,1]"),
+    ])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["default", "suite", "two", "nine"])
+    def test_rows_at_box_corners(self, source, box, schedule):
+        f = phi_of(source, 2)
+        box = tuple(parse_interval(b) for b in box.split("x"))
+        dirs = block_directions()
+        s = schedule.step_sizes()
+        for corner in itertools.product(*((iv.lo, iv.hi) for iv in box)):
+            inward = np.asarray([1.0 if c == iv.lo else -1.0 for c, iv in zip(corner, box)])
+            for d in (0.0, 0.5 * s[-1], s[-1], s[s.size // 2], s[0], 2 * s[0]):
+                x = np.asarray(corner) + d * inward
+                if not all(iv.contains(v) for iv, v in zip(box, x)):
+                    continue
+                block = lower_dini_along(f, x, dirs, box, schedule)
+                assert_block_matches_one_direction(block, f, x, dirs, box, schedule)
 
     def test_one_probe_call_per_block(self):
         calls = []
