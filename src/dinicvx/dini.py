@@ -25,9 +25,9 @@ A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
 holding a row near an end of the domain, or an undefined value, keeps the
 masked path for all its rows.  Over one pass of the benchmark's
-``battery`` workload (seed 1), 538 of the 697 kernel calls are dense (145
-of the others are the whole-row calls of ``theorems.check_abc``); over one
-of ``classify_nd``, 75 of 80.
+``battery`` workload (seed 1), 412 of the 432 kernel calls are dense (6
+of the others are the whole-row calls of ``theorems.check_abc``, one a
+batch of lines); over one of ``classify_nd``, 75 of 80.
 """
 
 from __future__ import annotations
@@ -371,7 +371,21 @@ def lower_dini_along(
     direction, and for a base point outside the box or where ``f`` is
     undefined.
     """
-    norms, value, converged, trace, used, n_in = _dini_along(f, x, dirs, box, schedule)
+    if schedule is None:
+        schedule = DiniSchedule()
+    x = np.asarray(x, dtype=float)
+    norms, u = _unit(dirs)
+    if not all(iv.contains(v) for iv, v in zip(box, x)):
+        raise ValueError(f"base point {x.tolist()} outside {'x'.join(map(str, box))}")
+    base = float(f(x[None, :])[0])
+    if np.isnan(base):
+        raise ValueError(f"function undefined at the base point {x.tolist()}")
+    least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
+    value, converged, trace, used, n_in = _probe_rows(
+        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
+        np.broadcast_to(x, u.shape), u, least, greatest, np.full(u.shape[0], base),
+        schedule.step_sizes(), schedule.dini_tol,
+    )
     return [
         DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
                      not row.any())
@@ -379,34 +393,16 @@ def lower_dini_along(
     ]
 
 
-def _dini_along(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dirs: np.ndarray,
-    box: tuple[Interval, ...], schedule: DiniSchedule | None = None,
-) -> tuple[np.ndarray, ...]:
-    """:func:`lower_dini_along` as the arrays (norms, value, converged, trace,
-    used, n_in): the direction lengths, then the unit-direction estimates as
-    :func:`_dini_rows` gives them, so a caller builds no estimate objects."""
-    if schedule is None:
-        schedule = DiniSchedule()
-    x = np.asarray(x, dtype=float)
+def _unit(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the rows of ``dirs`` and the rows scaled to unit
+    length.  Raises ValueError for a zero or non-finite row."""
     dirs = np.asarray(dirs, dtype=float)
     # a row's dot product with itself rounds as np.linalg.norm of that one
     # row does; np.linalg.norm(dirs, axis=1) sums differently
     norms = np.sqrt((dirs[:, None, :] @ dirs[:, :, None]).reshape(-1))
     if not (np.isfinite(norms) & (norms > 0)).all():
         raise ValueError("direction must be finite and nonzero")
-    if not all(iv.contains(v) for iv, v in zip(box, x)):
-        raise ValueError(f"base point {x.tolist()} outside {'x'.join(map(str, box))}")
-    base = float(f(x[None, :])[0])
-    if np.isnan(base):
-        raise ValueError(f"function undefined at the base point {x.tolist()}")
-    u = dirs / norms[:, None]
-    least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
-    return (norms,) + _probe_rows(
-        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
-        np.broadcast_to(x, u.shape), u, least, greatest, np.full(u.shape[0], base),
-        schedule.step_sizes(), schedule.dini_tol,
-    )
+    return norms, dirs / norms[:, None]
 
 
 def is_stationary(

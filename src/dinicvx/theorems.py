@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import _BLOCK_ROWS, DiniSchedule, _dini_along, _dini_rows, is_stationary
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit, is_stationary
 from .domain import (
     Interval,
     LineRestriction,
@@ -264,6 +264,16 @@ def line_problems(
                                 schedule, tol, stat_tol)
 
 
+def _line_ends(r: LineRestriction, p: SampledProblem) -> np.ndarray:
+    """(m, 2): f(x) and f(y) of each line, read from the grid values at the
+    anchors 0 and 1.  An anchor within the margin of an open end is off its
+    grid; then every line's are evaluated."""
+    at = p.dom.points[:, :, None] == np.array([0.0, 1.0])
+    if not at.any(axis=1).all():
+        return r.phi(np.tile([0.0, 1.0], (len(r.feasible), 1)))
+    return np.take_along_axis(p.values, at.argmax(axis=1), axis=1)
+
+
 def check_t6(
     f: Callable[[np.ndarray], np.ndarray],
     box: tuple[Interval, ...],
@@ -287,7 +297,7 @@ def check_t6(
     inconclusive = False
     wits: list[Witness] = []
     for r, p in line_problems(f, pairs, box, n_grid, margin, schedule, tol, stat_tol):
-        ends = r.phi(np.tile([0.0, 1.0], (len(r.feasible), 1)))  # f(x) and f(y)
+        ends = _line_ends(r, p)
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
             premises.append(pc)
             conclusions.append(ssq)
@@ -350,79 +360,108 @@ def check_abc(
     seed: int = 0,
     n_grid: int = 257,
     margin: float = 1e-6,
-    function_id: str = "",
-) -> TheoremReport:
-    """A or B iff C, for quasiconvex radially-usc f and a pair (x, y).
+    function_id: str | Sequence[str] = "",
+) -> TheoremReport | tuple[TheoremReport, ...]:
+    """A or B iff C, for quasiconvex radially-usc f and a pair (x, y), or
+    for each pair of rows of (m, d) stacks ``x`` and ``y``.
 
     A: x is stationary for f: no feasible direction of a deterministic
-    sample of ``n_dirs`` descends (approximate, refinable).  All directions
-    are estimated in one call of :func:`~dinicvx.dini._dini_along`, the
-    array core of ``lower_dini_along``; those with no probe in the box are
-    skipped.  B: t=0 attains the minimum of the restriction over its
-    feasible set, measured against the grid values together with the Dini
-    probe values near 0 (a pure-grid minimum misses sub-grid dips next to 0
-    and would assert B spuriously).  C: t=0 is stationary for the
-    restriction, as :func:`~dinicvx.dini.is_stationary` finds it: B's
-    values at 0 and at the in-domain probes ``+-s`` are that check's
-    probes, so they go to the whole-row Dini kernel as a (steps x 2) block,
-    and nothing is evaluated again.  The report is inconclusive when an
-    unconverged feasible direction comes before the first descending one in
-    sample order, or C rests on an unconverged estimate.
+    sample of ``n_dirs`` descends (approximate, refinable); directions with
+    no probe in the box are skipped.  B: t=0 attains the minimum of the
+    restriction over its feasible set, measured against the grid values
+    together with the Dini probe values near 0 (a pure-grid minimum misses
+    sub-grid dips next to 0 and would assert B spuriously).  C: t=0 is
+    stationary for the restriction, as :func:`~dinicvx.dini.is_stationary`
+    finds it.  The report is inconclusive when the restriction is undefined
+    at a grid point, when an unconverged feasible direction comes before the
+    first descending one in sample order, or when C rests on an unconverged
+    estimate.
+
+    The pairs are decided in the batches of :func:`line_problems`, whose
+    grid values each pair reads.  A probes every defined pair's x along
+    every direction as the rows of :func:`~dinicvx.dini._probe_rows`, in
+    blocks of ``_BLOCK_ROWS``, after one call of ``f`` at every x.  B's
+    values at 0 and at the in-domain probes ``+-s`` of every line are one
+    restriction call, and they are C's probes too: one whole-row kernel
+    call takes them as a (steps x 2m) block.  Every report is what the
+    pair gives alone.  Given stacks, ``function_id`` names each pair's
+    report (a string names them all) and a tuple of reports comes back.
     """
     if schedule is None:
         schedule = DiniSchedule()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = restrict(f, x, y, box)
-    dom_r = anchored_grid(r.feasible, n_grid, margin)
-    vals = r.phi(dom_r.points)
-    if np.isnan(vals).any():
-        return TheoremReport("Lpr1", function_id, (), (), True,
-                             inconclusive=True, notes="undefined restriction values")
-
-    value, converged = _dini_along(f, x, sample_directions(x.shape[0], n_dirs, seed),
-                                   box, schedule)[1:3]
-    # a direction with no probe in the box has value +inf and is converged,
-    # so it neither descends nor leaves A open
-    descends = np.flatnonzero(value < -stat_tol)
-    seen = int(descends[0]) if descends.size else value.shape[0]
-    a_true = seen == value.shape[0]
-    a_open = not converged[:seen].all()
-
-    s = schedule.step_sizes()
+    pairs = list(zip(np.atleast_2d(x), np.atleast_2d(y)))
+    ids = [function_id] * len(pairs) if isinstance(function_id, str) else list(function_id)
+    if len(ids) != len(pairs):
+        raise ValueError(f"{len(ids)} function ids for {len(pairs)} pairs")
+    s, steps, dini_tol = schedule.step_sizes(), schedule.steps, schedule.dini_tol
     probes = np.concatenate([s, -s])
-    inside = r.feasible.contains_many(probes)
-    near = r.phi(np.concatenate([[0.0], probes[inside]]))
-    phi0, probe_vals = float(near[0]), near[1:]
-    lowest = float(np.min(np.concatenate([vals, probe_vals[np.isfinite(probe_vals)]])))
-    b_true = phi0 <= lowest + 1e-12 * (1.0 + abs(phi0))
+    _, u = _unit(sample_directions(x.shape[-1], n_dirs, seed))
+    least, greatest = extent(box)
 
-    # C from the same values: a kernel row toward +s and one toward -s,
-    # whose probes are the values themselves
-    block = np.full(probes.shape, np.nan)
-    block[inside] = probe_vals
-    value, converged, _, _, n_in = _dini_rows(
-        block.reshape(2, -1).T, inside.reshape(2, -1).T, np.full(2, phi0), s, schedule.dini_tol,
-    )
-    feasible = n_in > 0
-    c_true = not (value[feasible] < -stat_tol).any()
-    if a_open or (c_true and not converged[feasible].all()):
-        return TheoremReport("Lpr1", function_id, (), (), True,
-                             inconclusive=True,
-                             notes="a Dini estimate did not converge")
-    detail = (
-        f"A={a_true} (over {n_dirs} directions), B={b_true}, C={c_true}, "
-        f"x={[float(v) for v in x]}, y={[float(v) for v in y]}"
-    )
-    if (a_true or b_true) == c_true:
-        return TheoremReport("Lpr1", function_id, (), (), True, notes=detail)
-    wit = Witness(
-        kind="abc_mismatch",
-        points=tuple(float(v) for v in x) + tuple(float(v) for v in y),
-        values=(phi0,),
-        detail=detail,
-    )
-    return _report_fail("Lpr1", function_id, (), (), [wit], detail)
+    def evaluate(pts: np.ndarray, _) -> np.ndarray:
+        return f(pts.reshape(-1, x.shape[-1])).reshape(pts.shape[:2])
+
+    reports: list[TheoremReport] = []
+    for r, p in line_problems(f, pairs, box, n_grid, margin, schedule, None, stat_tol):
+        m = r.x.shape[0]
+        # p.values is +inf past each line's last point: not NaN, and no minimum
+        defined = ~np.isnan(p.values).any(axis=1)
+        xs = r.x[defined]
+        rows = np.repeat(xs, n_dirs, axis=0)
+        dirs = np.tile(u, (xs.shape[0], 1))
+        base = np.repeat(f(xs), n_dirs) if xs.size else np.empty(0)
+        value = np.empty(rows.shape[0])
+        converged = np.empty(rows.shape[0], dtype=bool)
+        for a in range(0, rows.shape[0], _BLOCK_ROWS):
+            blk = slice(a, a + _BLOCK_ROWS)
+            value[blk], converged[blk] = _probe_rows(
+                evaluate, rows[blk], dirs[blk], np.broadcast_to(least, dirs[blk].shape),
+                np.broadcast_to(greatest, dirs[blk].shape), base[blk], s, dini_tol)[:2]
+        # a direction with no probe in the box has value +inf and is converged,
+        # so it neither descends nor leaves A open
+        descends = (value < -stat_tol).reshape(-1, n_dirs)
+        seen = np.where(descends.any(axis=1), descends.argmax(axis=1), n_dirs)
+        unseen = np.arange(n_dirs) >= seen[:, None]
+        a_true, a_open = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+        a_true[defined] = seen == n_dirs
+        a_open[defined] = ~(converged.reshape(-1, n_dirs) | unseen).all(axis=1)
+
+        lo, hi = extent(r.feasible)
+        inside = (probes >= lo[:, None]) & (probes <= hi[:, None])
+        near = r.phi(np.column_stack([np.zeros(m), np.where(inside, probes, np.nan)]))
+        phi0, probe_vals = near[:, 0], near[:, 1:]
+        lowest = np.minimum(p.values.min(axis=1),
+                            np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
+        b_true = phi0 <= lowest + 1e-12 * (1.0 + np.abs(phi0))
+
+        # C from the same values: a kernel column toward +s and one toward -s
+        # per line, whose probes are the values themselves
+        value, converged, _, _, n_in = _dini_rows(
+            probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(phi0, 2), s,
+            dini_tol)
+        feasible = (n_in > 0).reshape(m, 2)
+        c_true = ~(feasible & (value.reshape(m, 2) < -stat_tol)).any(axis=1)
+        c_open = c_true & (feasible & ~converged.reshape(m, 2)).any(axis=1)
+
+        for i, fid in enumerate(ids[len(reports) : len(reports) + m]):
+            if not defined[i] or a_open[i] or c_open[i]:
+                reports.append(TheoremReport(
+                    "Lpr1", fid, (), (), True, inconclusive=True,
+                    notes="a Dini estimate did not converge" if defined[i]
+                    else "undefined restriction values"))
+                continue
+            xi, yi = [float(v) for v in r.x[i]], [float(v) for v in r.y[i]]
+            detail = (f"A={bool(a_true[i])} (over {n_dirs} directions), B={bool(b_true[i])}, "
+                      f"C={bool(c_true[i])}, x={xi}, y={yi}")
+            if (a_true[i] or b_true[i]) == c_true[i]:
+                reports.append(TheoremReport("Lpr1", fid, (), (), True, notes=detail))
+                continue
+            wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
+                          values=(float(phi0[i]),), detail=detail)
+            reports.append(_report_fail("Lpr1", fid, (), (), [wit], detail))
+    return tuple(reports) if x.ndim > 1 else reports[0]
 
 
 @dataclass(frozen=True)
@@ -513,9 +552,11 @@ def run_battery(
             found = [check_t6(fmv, box, pair_list, schedule, tol, stat_tol, n_grid, margin,
                               entry.id)]
             if entry.expected is not None and entry.expected.get("quasiconvex"):
-                found += [check_abc(fmv, x, y, box, schedule, stat_tol, seed=seed, n_grid=n_grid,
-                                    margin=margin, function_id=f"{entry.id}#pair{k}")
-                          for k, (x, y) in enumerate(pair_list)]
+                found += check_abc(fmv, np.reshape([x for x, _ in pair_list], (-1, len(box))),
+                                   np.reshape([y for _, y in pair_list], (-1, len(box))), box,
+                                   schedule, stat_tol, seed=seed, n_grid=n_grid, margin=margin,
+                                   function_id=[f"{entry.id}#pair{k}"
+                                                for k in range(len(pair_list))])
         reports += found
         cases += [_status(rep) for rep in found]
     return BatteryRunResult(

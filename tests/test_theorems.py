@@ -9,6 +9,7 @@ from dinicvx import (
     SUITE_SCHEDULE,
     BatteryEntry,
     SampledProblem,
+    anchored_grid,
     check_abc,
     check_t3,
     check_t4,
@@ -23,7 +24,7 @@ from dinicvx import (
     sample_pairs,
 )
 
-from dinicvx import theorems
+from dinicvx import dini, theorems
 from dinicvx.theorems import _longest_run
 
 from conftest import grid_for, phi_of
@@ -118,6 +119,19 @@ class TestT6:
         rep = check_t6(f, BOX, pairs, SCHED)
         assert len(rep.premise_verdicts) == 4
         assert len(rep.conclusion_verdicts) == 4
+
+    def test_line_ends_are_the_values_at_the_anchors(self):
+        # the first line's x lies within the margin of the open face x1 > -1,
+        # so t=0 is off its grid and the ends are evaluated
+        f = phi_of("exp(x1) - 1.3*x2", 2)
+        box = (parse_interval("(-1,1]"), parse_interval("[-1,1]"))
+        near = [(np.asarray([-1.0 + 1e-9, 0.1]), np.asarray([0.5, 0.3]))]
+        for pairs in (near + list(sample_pairs(box, 5, 2)), sample_pairs(box, 5, 2)):
+            (r, p), = theorems.line_problems(f, pairs, box, 257, 1e-6, SCHED, None, 1e-7)
+            want = r.phi(np.tile([0.0, 1.0], (len(pairs), 1)))
+            off = ~(p.dom.points == 0.0).any(axis=1)
+            assert off.tolist() == [pairs[0] is near[0]] + [False] * (len(pairs) - 1)
+            assert np.array_equal(theorems._line_ends(r, p), want)
 
 
 class TestAbc:
@@ -313,12 +327,18 @@ class TestAbcMatchesLoopReference:
     @pytest.mark.parametrize("seed", [11, 4242])
     @pytest.mark.parametrize("entry", GOLDEN_QC_2D, ids=[e.id for e in GOLDEN_QC_2D])
     def test_golden_pairs_repr_identical(self, entry, seed):
+        # each pair alone, and all 50 as one batch
         f = phi_of(entry.expression, 2)
         box = tuple(parse_interval(b) for b in entry.box)
-        for k, (x, y) in enumerate(sample_pairs(box, 50, seed)):
+        pairs = sample_pairs(box, 50, seed)
+        batch = check_abc(f, np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]),
+                          box, SCHED, seed=seed, function_id=[f"p{k}" for k in range(50)])
+        assert len(batch) == 50
+        for k, (x, y) in enumerate(pairs):
             got = check_abc(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
             want = check_abc_loop(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
             assert repr(got) == repr(want)
+            assert repr(batch[k]) == repr(want)
 
     # In both functions x = 0 is a kink: the directions that do not
     # descend have the slowly settling term |.|^1.1 and stay unconverged.
@@ -337,7 +357,8 @@ class TestAbcMatchesLoopReference:
         assert not rep.inconclusive and "A=False" in rep.notes
         assert repr(rep) == repr(check_abc_loop(*args))
 
-    def test_directions_probed_in_one_call(self):
+    @pytest.mark.parametrize("m", [1, 8, 9, 20])
+    def test_directions_probed_in_one_call(self, m):
         calls = []
         fn = phi_of("x1^2 + x2^2", 2)
 
@@ -345,12 +366,19 @@ class TestAbcMatchesLoopReference:
             calls.append(pts.shape[0])
             return fn(pts)
 
-        check_abc(f, np.asarray([0.2, 0.1]), np.asarray([0.5, 0.5]), BOX, SCHED)
-        # restriction grid; A at x and the trailing half of its 64 probe
-        # rows; f(x) with the B probes, which C reads too
+        # x stays 0.1 off the faces, so every probe of A is in the box and no
+        # row falls back to its leading probes
+        pairs = sample_pairs((parse_interval("[-0.9,0.9]"),) * 2, m, 5)
+        xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+        assert len(check_abc(f, xs, ys, BOX, SCHED)) == m
+        # the grids of the m lines; f at every x; the trailing half of the
+        # 64 m probe rows of A, _BLOCK_ROWS rows a call; phi(0) and the B
+        # probes of every line, which C reads too
         n = SCHED.steps
         half = n - n // 2
-        assert calls == [258, 1, 64 * half, 1 + 2 * n]
+        rows = [min(dini._BLOCK_ROWS, 64 * m - a) for a in range(0, 64 * m, dini._BLOCK_ROWS)]
+        width = anchored_grid(restrict(fn, xs, ys, BOX).feasible, 257).points.shape[1]
+        assert calls == [m * width, m] + [k * half for k in rows] + [m * (1 + 2 * n)]
 
     # x within the largest step (1e-2) of a face, or on one, so that some
     # +-s probes of B and C, and some of A's, leave the feasible set
@@ -382,6 +410,51 @@ class TestAbcMatchesLoopReference:
             want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}")
             assert repr(got) == repr(want)
         assert left == len(self.NEAR_FACE)
+
+    # (-0.5, -0.5) is undefined, in a hole of radius 0.1; the line of the
+    # other pair crosses it.  The 10 defined pairs take 640 rows of A, more
+    # than one block.
+    HOLE = "(x1 - 0.995)^2 + (x2 - 0.2)^2 + 0*sqrt((x1 + 0.5)^2 + (x2 + 0.5)^2 - 0.01)"
+    UNDEFINED = [([-0.9, -0.4], [-0.2, -0.6]), ([-0.5, -0.5], [0.3, 0.2])]
+
+    @pytest.mark.parametrize("box", NEAR_FACE_BOXES)
+    def test_mixed_batch_repr_identical(self, box):
+        box = self.NEAR_FACE_BOXES[box]
+        f = phi_of(self.HOLE, 2)
+        pairs = (self.NEAR_FACE[:3] + self.UNDEFINED + self.NEAR_FACE[3:]
+                 + [([0.5, 0.2], [0.5, 0.9])] + list(sample_pairs(box, 4, 3)))
+        xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+        ids = [f"p{k}" for k in range(len(pairs))]
+        got = check_abc(f, xs, ys, box, SCHED, function_id=ids)
+        want = [check_abc_loop(f, x, y, box, SCHED, function_id=k) for x, y, k in zip(xs, ys, ids)]
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert [r.notes for r in got[3:5]] == ["undefined restriction values"] * 2
+        assert "A=True" in got[0].notes
+        assert "A=False (over 64 directions), B=True, C=True" in got[7].notes
+        assert 64 * sum(not r.inconclusive for r in got) > dini._BLOCK_ROWS
+
+    @pytest.mark.parametrize("x,y,match", [([0.3, 0.3], [0.3, 0.3], "must differ"),
+                                           ([0.3, 1.5], [0.2, 0.1], "outside the box")])
+    def test_invalid_pairs_raise_as_before(self, x, y, match):
+        f = phi_of("x1^2 + x2^2", 2)
+        with pytest.raises(ValueError, match=match) as want:
+            check_abc_loop(f, np.asarray(x), np.asarray(y), BOX, SCHED)
+        for xs, ys in ((x, y), ([[0.1, 0.2], x], [[0.4, 0.2], y])):
+            with pytest.raises(ValueError) as got:
+                check_abc(f, np.asarray(xs), np.asarray(ys), BOX, SCHED)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", [0, 4242])
+    def test_battery_matches_a_loop_over_the_reference(self, monkeypatch, seed):
+        kept = repr(run_battery(golden_battery(), seed=seed))
+
+        def loop(f, x, y, box, schedule, stat_tol, seed, n_grid, margin, function_id):
+            return tuple(check_abc_loop(f, a, b, box, schedule, stat_tol=stat_tol, seed=seed,
+                                        n_grid=n_grid, margin=margin, function_id=k)
+                         for a, b, k in zip(x, y, function_id))
+
+        monkeypatch.setattr(theorems, "check_abc", loop)
+        assert repr(run_battery(golden_battery(), seed=seed)) == kept
 
 
 class TestLongestRun:
