@@ -71,6 +71,7 @@ from .theorems import (
     check_t4,
     check_t6,
     check_t7,
+    line_problems,
     run_battery,
     sample_directions,
     sample_pairs,
@@ -111,6 +112,7 @@ __all__ = [
     "golden_battery",
     "grid_dini_profile",
     "is_stationary",
+    "line_problems",
     "load_manifest",
     "lower_dini",
     "lower_dini_along",

@@ -61,8 +61,9 @@ _CHECKS = ("pseudoconvex", "strict-pseudoconvex", "quasiconvex",
            "semistrict-quasiconvex")
 
 # Caps on the size flags, checked before anything is allocated.  A grid
-# array at the cap is 8 MB; a Dini block at the step cap holds 1024 x 1000
-# probe positions, 8 MB.  Every cap admits the documented workloads.
+# array at the cap is 8 MB.  At the step cap, the full-step redo arrays of
+# one dini._probe_rows block (dini._BLOCK_ROWS = 520 rows) hold 520 x 1000
+# values, 4.2 MB, and a 0.5 MB mask.  Every cap admits the documented workloads.
 MAX_GRID = 2**20 + 1
 MAX_PAIRS = 10_000
 MAX_RANDOM = 10_000

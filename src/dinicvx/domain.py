@@ -78,21 +78,6 @@ class Interval:
         hi_ok = xs <= self.hi if self.hi_closed else xs < self.hi
         return lo_ok & hi_ok & ~np.isnan(xs)
 
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo < other.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi > other.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
-
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"

@@ -7,9 +7,9 @@ function, and reports whether the sides matched.  A report with
 checker bug, never a refuted statement; vacuous cases (failed premise) are
 marked rather than silently passed.
 
-``run_battery`` sweeps every check over a battery, verifies expected
-classification labels against the definitional oracles, and aggregates the
-outcome for the CLI and the acceptance suite.
+``run_battery`` runs every check over a battery, T6 and Lpr1 on one set of
+line batches per 2-D entry; it compares only 1-D entries' labels with the
+definitional oracles and aggregates the outcome for the CLI and the tests.
 """
 
 from __future__ import annotations
@@ -277,26 +277,21 @@ def _line_ends(r: LineRestriction, p: SampledProblem) -> np.ndarray:
 def check_t6(
     f: Callable[[np.ndarray], np.ndarray],
     box: tuple[Interval, ...],
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    schedule: DiniSchedule | None = None,
-    tol: float | None = None,
-    stat_tol: float = 1e-7,
-    n_grid: int = 257,
-    margin: float = 1e-6,
+    batches: Sequence[tuple[LineRestriction, SampledProblem]],
     function_id: str = "",
 ) -> TheoremReport:
     """Restriction sweep: pseudoconvex iff semistrictly quasiconvex and 0
     is non-stationary on every restriction whose far end is strictly lower.
 
-    Both sides are quantified over the same sampled pairs, decided in
-    batches (:func:`line_problems`).
+    Both sides are quantified over the lines of the :func:`line_problems`
+    ``batches``; the origin test restricts ``f`` to each line again.
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []
     lhs_all = rhs_all = True
     inconclusive = False
     wits: list[Witness] = []
-    for r, p in line_problems(f, pairs, box, n_grid, margin, schedule, tol, stat_tol):
+    for r, p in batches:
         ends = _line_ends(r, p)
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
             premises.append(pc)
@@ -309,7 +304,7 @@ def check_t6(
             fx, fy = (float(v) for v in ends[i])
             if rhs_pair and fy < fx - ssq.tol:
                 line = restrict(f, r.x[i], r.y[i], box)
-                st = is_stationary(line.phi, 0.0, line.feasible, schedule, stat_tol)
+                st = is_stationary(line.phi, 0.0, line.feasible, p.schedule, p.stat_tol)
                 if not st.decisive:
                     inconclusive = True
                     continue
@@ -351,19 +346,15 @@ def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
 
 def check_abc(
     f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
     box: tuple[Interval, ...],
-    schedule: DiniSchedule | None = None,
-    stat_tol: float = 1e-7,
+    batches: Sequence[tuple[LineRestriction, SampledProblem]],
     n_dirs: int = 64,
     seed: int = 0,
-    n_grid: int = 257,
-    margin: float = 1e-6,
-    function_id: str | Sequence[str] = "",
-) -> TheoremReport | tuple[TheoremReport, ...]:
-    """A or B iff C, for quasiconvex radially-usc f and a pair (x, y), or
-    for each pair of rows of (m, d) stacks ``x`` and ``y``.
+    function_id: Sequence[str] | None = None,
+) -> tuple[TheoremReport, ...]:
+    """A or B iff C, for quasiconvex radially-usc f and the pair (x, y) of
+    each line of the :func:`line_problems` ``batches``: a report per line,
+    in batch order, named by ``function_id`` (one id per line, or None).
 
     A: x is stationary for f: no feasible direction of a deterministic
     sample of ``n_dirs`` descends (approximate, refinable); directions with
@@ -375,36 +366,32 @@ def check_abc(
     finds it.  The report is inconclusive when the restriction is undefined
     at a grid point, when an unconverged feasible direction comes before the
     first descending one in sample order, or when C rests on an unconverged
-    estimate.
+    estimate.  Each batch's schedule (the estimator default when None) and
+    ``stat_tol`` decide its lines; its band is never read.
 
-    The pairs are decided in the batches of :func:`line_problems`, whose
-    grid values each pair reads.  A probes every defined pair's x along
-    every direction as the rows of :func:`~dinicvx.dini._probe_rows`, in
-    blocks of ``_BLOCK_ROWS``, after one call of ``f`` at every x.  B's
-    values at 0 and at the in-domain probes ``+-s`` of every line are one
-    restriction call, and they are C's probes too: one whole-row kernel
-    call takes them as a (steps x 2m) block.  Every report is what the
-    pair gives alone.  Given stacks, ``function_id`` names each pair's
-    report (a string names them all) and a tuple of reports comes back.
+    Each pair reads the grid values of its batch.  A probes every defined
+    pair's x along every direction as the rows of
+    :func:`~dinicvx.dini._probe_rows`, in blocks of ``_BLOCK_ROWS``, after
+    one call of ``f`` at every x.  B's values at 0 and at the in-domain
+    probes ``+-s`` of every line are one restriction call, and they are C's
+    probes too: one whole-row kernel call takes them as a (steps x 2m)
+    block.  Every report is what the pair gives alone.
     """
-    if schedule is None:
-        schedule = DiniSchedule()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pairs = list(zip(np.atleast_2d(x), np.atleast_2d(y)))
-    ids = [function_id] * len(pairs) if isinstance(function_id, str) else list(function_id)
-    if len(ids) != len(pairs):
-        raise ValueError(f"{len(ids)} function ids for {len(pairs)} pairs")
-    s, steps, dini_tol = schedule.step_sizes(), schedule.steps, schedule.dini_tol
-    probes = np.concatenate([s, -s])
-    _, u = _unit(sample_directions(x.shape[-1], n_dirs, seed))
+    n_lines = sum(r.x.shape[0] for r, _ in batches)
+    ids = [""] * n_lines if function_id is None else list(function_id)
+    if len(ids) != n_lines:
+        raise ValueError(f"{len(ids)} function ids for {n_lines} lines")
+    _, u = _unit(sample_directions(len(box), n_dirs, seed))
     least, greatest = extent(box)
 
     def evaluate(pts: np.ndarray, _) -> np.ndarray:
-        return f(pts.reshape(-1, x.shape[-1])).reshape(pts.shape[:2])
+        return f(pts.reshape(-1, len(box))).reshape(pts.shape[:2])
 
     reports: list[TheoremReport] = []
-    for r, p in line_problems(f, pairs, box, n_grid, margin, schedule, None, stat_tol):
+    for r, p in batches:
+        schedule, stat_tol = p.schedule or DiniSchedule(), p.stat_tol
+        s, steps, dini_tol = schedule.step_sizes(), schedule.steps, schedule.dini_tol
+        probes = np.concatenate([s, -s])
         m = r.x.shape[0]
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
@@ -461,7 +448,7 @@ def check_abc(
             wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
                           values=(float(phi0[i]),), detail=detail)
             reports.append(_report_fail("Lpr1", fid, (), (), [wit], detail))
-    return tuple(reports) if x.ndim > 1 else reports[0]
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -509,9 +496,14 @@ def run_battery(
 ) -> BatteryRunResult:
     """Theorem sweep plus expected-label verification over a battery.
 
-    ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the bare estimator
-    default, so stationarity conclusions at kinks stay above the rounding
-    noise floor.
+    A 1-D entry's expected labels are compared with the definitional
+    oracles, and T3 (when lower semicontinuous), T4 (when radially
+    continuous) and T7 run on its grid.  A 2-D entry's labels are not
+    compared: T6, and Lpr1 when it is labelled quasiconvex, read the same
+    :func:`line_problems` batches of its explicit pairs and ``pairs``
+    sampled ones.  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the
+    bare estimator default, so stationarity conclusions at kinks stay above
+    the rounding noise floor.
     """
     if schedule is None:
         schedule = SUITE_SCHEDULE
@@ -549,12 +541,11 @@ def run_battery(
             fmv = lambda pts, fn=fn: eval_many(fn, pts)
             pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
                          for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
-            found = [check_t6(fmv, box, pair_list, schedule, tol, stat_tol, n_grid, margin,
-                              entry.id)]
+            batches = list(line_problems(fmv, pair_list, box, n_grid, margin, schedule, tol,
+                                         stat_tol))
+            found = [check_t6(fmv, box, batches, entry.id)]
             if entry.expected is not None and entry.expected.get("quasiconvex"):
-                found += check_abc(fmv, np.reshape([x for x, _ in pair_list], (-1, len(box))),
-                                   np.reshape([y for _, y in pair_list], (-1, len(box))), box,
-                                   schedule, stat_tol, seed=seed, n_grid=n_grid, margin=margin,
+                found += check_abc(fmv, box, batches, seed=seed,
                                    function_id=[f"{entry.id}#pair{k}"
                                                 for k in range(len(pair_list))])
         reports += found

@@ -18,6 +18,7 @@ from dinicvx import (
     check_t4,
     eval_many,
     golden_battery,
+    line_problems,
     lower_dini,
     make_grid,
     martos_segments,
@@ -197,8 +198,9 @@ def test_criterion_6_descent_minimizer_stationarity():
         fn = parse(e.expression, e.arity)
         f = lambda pts: eval_many(fn, pts)
         box = tuple(parse_interval(s) for s in e.box)
-        for x, y in sample_pairs(box, 50, seed=11):
-            rep = check_abc(f, x, y, box, SUITE_SCHEDULE, n_dirs=64)
+        batches = list(line_problems(f, sample_pairs(box, 50, seed=11), box, 257, 1e-6,
+                                     SUITE_SCHEDULE, None, 1e-7))
+        for rep in check_abc(f, box, batches, n_dirs=64):
             n_runs += 1
             n_bad += not rep.implication_holds
             n_inc += rep.inconclusive

@@ -5,9 +5,12 @@ lines of a multivariate run were batched, so they pin the per-pair output
 bytes, including the ``"feasible"`` endpoints printed as ``np.float64(...)``.
 The one-grid digests (1-D ``classify`` at two grid sizes, ``decompose`` and
 ``verify-theorems`` on the golden 1-D manifest) were recorded before one
-grid and a batch of lines shared one Dini block rule.  Record them again
-with ``PYTHONPATH=src python tests/test_cli_snapshot.py`` only for a change
-that means to alter the output.
+grid and a batch of lines shared one Dini block rule.  The golden 2-D
+``verify-theorems`` cases on seed 4242 and at ``--tol=1e-8`` were recorded
+before T6 and Lpr1 read one set of line batches, whose problems Lpr1 once
+built without the user's ``tol``.  Record them again with
+``PYTHONPATH=src python tests/test_cli_snapshot.py`` only for a change that
+means to alter the output.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ def cases() -> dict[str, list[str]]:
     out["classify/cube-x1-fine"] = ["classify", "--function=x1^3", "--arity=2",
                                     "--box=[-1,1]x[-1,1]", "--grid=2049", "--pairs=3"]
     out["verify-theorems/golden-2d"] = ["verify-theorems", "<manifest>", "--seed=1"]
+    out["verify-theorems/golden-2d/seed4242"] = ["verify-theorems", "<manifest>", "--seed=4242"]
+    out["verify-theorems/golden-2d/tol1e-8"] = ["verify-theorems", "<manifest>", "--tol=1e-8"]
     # one grid: a block of the Dini kernel at 257 points, many at 16385
     for e in GOLDEN_1D:
         for grid in (257, 16385):

@@ -33,15 +33,6 @@ class TestInterval:
         got = iv.contains_many(np.asarray([-0.1, 0.0, 0.5, 1.0, np.nan]))
         assert got.tolist() == [False, True, True, False, False]
 
-    def test_intersect(self):
-        a = parse_interval("[0,2)")
-        b = parse_interval("(1,3]")
-        c = a.intersect(b)
-        assert str(c) == "(1,2)"
-        # shared endpoint: closed only if closed in both
-        d = parse_interval("[0,1]").intersect(parse_interval("(0,1]"))
-        assert str(d) == "(0,1]"
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)

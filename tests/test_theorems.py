@@ -36,6 +36,12 @@ BOX = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
 SCHED = SUITE_SCHEDULE
 
 
+def lines(f, pairs, box=BOX):
+    """The line batches of ``pairs`` at 257 points under ``SCHED``."""
+    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in pairs]
+    return list(theorems.line_problems(f, pairs, box, 257, 1e-6, SCHED, None, 1e-7))
+
+
 class TestT3:
     def test_square_nonvacuous(self, unit_grid):
         rep = check_t3(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
@@ -98,8 +104,7 @@ class TestT7:
 class TestT6:
     def test_bowl_all_restrictions_agree(self):
         f = phi_of("x1^2 + x2^2", 2)
-        pairs = sample_pairs(BOX, 6, seed=1)
-        rep = check_t6(f, BOX, pairs, SCHED)
+        rep = check_t6(f, BOX, lines(f, sample_pairs(BOX, 6, seed=1)))
         assert rep.implication_holds and not rep.inconclusive
         assert "hold" in rep.notes
 
@@ -108,15 +113,13 @@ class TestT6:
         # no leftward descent at s=0 (premise fails) while 0 is stationary
         # with a strictly lower far end (conclusion fails): a non-vacuous match
         f = phi_of("x1^3", 2)
-        pairs = [(np.asarray([0.0, 0.0]), np.asarray([-0.5, 0.1]))]
-        rep = check_t6(f, BOX, pairs, SCHED)
+        rep = check_t6(f, BOX, lines(f, [([0.0, 0.0], [-0.5, 0.1])]))
         assert rep.implication_holds and not rep.inconclusive
         assert "fail" in rep.notes
 
     def test_premises_and_conclusions_per_pair(self):
         f = phi_of("abs(x1) + abs(x2)", 2)
-        pairs = sample_pairs(BOX, 4, seed=3)
-        rep = check_t6(f, BOX, pairs, SCHED)
+        rep = check_t6(f, BOX, lines(f, sample_pairs(BOX, 4, seed=3)))
         assert len(rep.premise_verdicts) == 4
         assert len(rep.conclusion_verdicts) == 4
 
@@ -127,7 +130,7 @@ class TestT6:
         box = (parse_interval("(-1,1]"), parse_interval("[-1,1]"))
         near = [(np.asarray([-1.0 + 1e-9, 0.1]), np.asarray([0.5, 0.3]))]
         for pairs in (near + list(sample_pairs(box, 5, 2)), sample_pairs(box, 5, 2)):
-            (r, p), = theorems.line_problems(f, pairs, box, 257, 1e-6, SCHED, None, 1e-7)
+            (r, p), = lines(f, pairs, box)
             want = r.phi(np.tile([0.0, 1.0], (len(pairs), 1)))
             off = ~(p.dom.points == 0.0).any(axis=1)
             assert off.tolist() == [pairs[0] is near[0]] + [False] * (len(pairs) - 1)
@@ -137,15 +140,13 @@ class TestT6:
 class TestAbc:
     def test_at_global_minimizer_all_true(self):
         f = phi_of("x1^2 + x2^2", 2)
-        rep = check_abc(f, np.asarray([0.0, 0.0]), np.asarray([0.5, 0.5]),
-                        BOX, SCHED)
+        rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [0.5, 0.5])]))
         assert rep.implication_holds and not rep.inconclusive
         assert "A=True" in rep.notes and "B=True" in rep.notes and "C=True" in rep.notes
 
     def test_away_from_minimizer_all_false(self):
         f = phi_of("x1^2 + x2^2", 2)
-        rep = check_abc(f, np.asarray([0.5, -0.3]), np.asarray([0.0, 0.0]),
-                        BOX, SCHED)
+        rep, = check_abc(f, BOX, lines(f, [([0.5, -0.3], [0.0, 0.0])]))
         assert rep.implication_holds and not rep.inconclusive
         assert "A=False" in rep.notes and "C=False" in rep.notes
 
@@ -153,8 +154,7 @@ class TestAbc:
         # along x1 the restriction dips to 0 at t = 1e-3, inside the first
         # grid cell, so t = 0 is the grid minimum but not the minimum
         f = phi_of("(x1 - 0.001)^2 + x2^2", 2)
-        rep = check_abc(f, np.asarray([0.0, 0.0]), np.asarray([1.0, 0.0]),
-                        BOX, SCHED)
+        rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [1.0, 0.0])]))
         assert rep.implication_holds and not rep.inconclusive
         assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
 
@@ -163,8 +163,7 @@ class TestAbc:
         # the ridge function x1^2 is constant along x2: stationarity must
         # still hold at x1=0 whatever x2 is
         f = phi_of("x1^2", 2)
-        rep = check_abc(f, np.asarray([0.0, 0.7]), np.asarray([0.3, -0.2]),
-                        BOX, SCHED)
+        rep, = check_abc(f, BOX, lines(f, [([0.0, 0.7], [0.3, -0.2])]))
         assert rep.implication_holds
         assert "C=True" in rep.notes
 
@@ -331,11 +330,11 @@ class TestAbcMatchesLoopReference:
         f = phi_of(entry.expression, 2)
         box = tuple(parse_interval(b) for b in entry.box)
         pairs = sample_pairs(box, 50, seed)
-        batch = check_abc(f, np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]),
-                          box, SCHED, seed=seed, function_id=[f"p{k}" for k in range(50)])
+        batch = check_abc(f, box, lines(f, pairs, box), seed=seed,
+                          function_id=[f"p{k}" for k in range(50)])
         assert len(batch) == 50
         for k, (x, y) in enumerate(pairs):
-            got = check_abc(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
+            got, = check_abc(f, box, lines(f, [(x, y)], box), seed=seed, function_id=[f"p{k}"])
             want = check_abc_loop(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
             assert repr(got) == repr(want)
             assert repr(batch[k]) == repr(want)
@@ -346,14 +345,14 @@ class TestAbcMatchesLoopReference:
     def test_unconverged_direction_before_first_descent_is_inconclusive(self):
         f = phi_of("abs(x1) + abs(x1)^1.1 - 2*max(x2, 0)", 2)
         args = (f, np.zeros(2), np.asarray([0.0, 0.5]), BOX, SCHED)
-        rep = check_abc(*args)
+        rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert rep.inconclusive and rep.notes == "a Dini estimate did not converge"
         assert repr(rep) == repr(check_abc_loop(*args))
 
     def test_unconverged_direction_after_first_descent_is_ignored(self):
         f = phi_of("abs(x2) + abs(x2)^1.1 - 2*max(x1, 0)", 2)
         args = (f, np.zeros(2), np.asarray([0.5, 0.0]), BOX, SCHED)
-        rep = check_abc(*args)
+        rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert not rep.inconclusive and "A=False" in rep.notes
         assert repr(rep) == repr(check_abc_loop(*args))
 
@@ -370,7 +369,7 @@ class TestAbcMatchesLoopReference:
         # row falls back to its leading probes
         pairs = sample_pairs((parse_interval("[-0.9,0.9]"),) * 2, m, 5)
         xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
-        assert len(check_abc(f, xs, ys, BOX, SCHED)) == m
+        assert len(check_abc(f, BOX, lines(f, pairs))) == m
         # the grids of the m lines; f at every x; the trailing half of the
         # 64 m probe rows of A, _BLOCK_ROWS rows a call; phi(0) and the B
         # probes of every line, which C reads too
@@ -406,7 +405,7 @@ class TestAbcMatchesLoopReference:
             x, y = np.asarray(x), np.asarray(y)
             feasible = restrict(f, x, y, box).feasible
             left += not feasible.contains_many(np.concatenate([s, -s])).all()
-            got = check_abc(f, x, y, box, SCHED, function_id=f"p{k}")
+            got, = check_abc(f, box, lines(f, [(x, y)], box), function_id=[f"p{k}"])
             want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}")
             assert repr(got) == repr(want)
         assert left == len(self.NEAR_FACE)
@@ -425,7 +424,7 @@ class TestAbcMatchesLoopReference:
                  + [([0.5, 0.2], [0.5, 0.9])] + list(sample_pairs(box, 4, 3)))
         xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
         ids = [f"p{k}" for k in range(len(pairs))]
-        got = check_abc(f, xs, ys, box, SCHED, function_id=ids)
+        got = check_abc(f, box, lines(f, pairs, box), function_id=ids)
         want = [check_abc_loop(f, x, y, box, SCHED, function_id=k) for x, y, k in zip(xs, ys, ids)]
         assert [repr(r) for r in got] == [repr(r) for r in want]
         assert [r.notes for r in got[3:5]] == ["undefined restriction values"] * 2
@@ -436,25 +435,70 @@ class TestAbcMatchesLoopReference:
     @pytest.mark.parametrize("x,y,match", [([0.3, 0.3], [0.3, 0.3], "must differ"),
                                            ([0.3, 1.5], [0.2, 0.1], "outside the box")])
     def test_invalid_pairs_raise_as_before(self, x, y, match):
+        # line_problems rejects the pairs before Lpr1 sees them
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError, match=match) as want:
             check_abc_loop(f, np.asarray(x), np.asarray(y), BOX, SCHED)
-        for xs, ys in ((x, y), ([[0.1, 0.2], x], [[0.4, 0.2], y])):
+        for pairs in ([(x, y)], [([0.1, 0.2], [0.4, 0.2]), (x, y)]):
             with pytest.raises(ValueError) as got:
-                check_abc(f, np.asarray(xs), np.asarray(ys), BOX, SCHED)
+                lines(f, pairs)
             assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("seed", [0, 4242])
     def test_battery_matches_a_loop_over_the_reference(self, monkeypatch, seed):
         kept = repr(run_battery(golden_battery(), seed=seed))
 
-        def loop(f, x, y, box, schedule, stat_tol, seed, n_grid, margin, function_id):
-            return tuple(check_abc_loop(f, a, b, box, schedule, stat_tol=stat_tol, seed=seed,
-                                        n_grid=n_grid, margin=margin, function_id=k)
-                         for a, b, k in zip(x, y, function_id))
+        # the battery's batches are at the reference's default grid and margin
+        def loop(f, box, batches, seed, function_id):
+            pairs = [(a, b, p) for r, p in batches for a, b in zip(r.x, r.y)]
+            return tuple(check_abc_loop(f, a, b, box, p.schedule, stat_tol=p.stat_tol, seed=seed,
+                                        function_id=k)
+                         for (a, b, p), k in zip(pairs, function_id, strict=True))
 
         monkeypatch.setattr(theorems, "check_abc", loop)
         assert repr(run_battery(golden_battery(), seed=seed)) == kept
+
+
+class TestSharedBatches:
+    def test_t6_and_lpr1_read_one_set_of_batches_per_entry(self, monkeypatch):
+        grids = []
+        real_grid = theorems.anchored_grid
+
+        def counting_grid(*args):
+            grids.append(args)
+            return real_grid(*args)
+
+        monkeypatch.setattr(theorems, "anchored_grid", counting_grid)
+        seen = []
+        for name in ("check_t6", "check_abc"):
+            real = getattr(theorems, name)
+
+            def spy(f, box, batches, *args, real=real, name=name, **kwargs):
+                seen.append((name, [p for _, p in batches]))
+                return real(f, box, batches, *args, **kwargs)
+
+            monkeypatch.setattr(theorems, name, spy)
+        assert run_battery(golden_battery()).ok
+        assert len(grids) == sum(e.arity == 2 for e in golden_battery()) == 6
+        assert [name for name, _ in seen] == ["check_t6", "check_abc"] * 6
+        for (_, t6), (_, abc) in zip(seen[::2], seen[1::2]):
+            assert len(abc) == len(t6) and all(a is b for a, b in zip(abc, t6))
+
+    # 40 lines take two batches
+    @pytest.mark.parametrize("m,n_ids", [(3, 0), (3, 2), (3, 4), (40, 39)])
+    def test_wrong_id_count_raises_before_f_is_called(self, m, n_ids):
+        calls = []
+        fn = phi_of("x1^2 + x2^2", 2)
+
+        def f(pts):
+            calls.append(pts.shape)
+            return fn(pts)
+
+        batches = lines(f, sample_pairs(BOX, m, 0))
+        assert sum(r.x.shape[0] for r, _ in batches) == m
+        with pytest.raises(ValueError, match=f"{n_ids} function ids for {m} lines"):
+            check_abc(f, BOX, batches, function_id=[f"p{k}" for k in range(n_ids)])
+        assert calls == []
 
 
 class TestLongestRun:
