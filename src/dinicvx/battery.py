@@ -325,19 +325,41 @@ def write_manifest(entries: tuple[BatteryEntry, ...], path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _require(ok: bool, raw: dict, field: str, want: str) -> None:
+    if not ok:
+        raise ValueError(f"entry {raw.get('id')!r}: {field} must be {want}")
+
+
 def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
+    """Read a manifest of :func:`write_manifest`; a malformed entry raises
+    ValueError naming the entry and the field."""
     data = json.loads(Path(path).read_text())
-    if data.get("version") != 1:
+    if not isinstance(data, dict) or data.get("version") != 1:
         raise ValueError(f"unsupported manifest version in {path}")
     entries = []
     for raw in data["entries"]:
         raw = dict(raw)
+        n = raw.get("arity")
+        _require(type(n) is int and n >= 1, raw, "arity", "an integer >= 1")
+        _require(isinstance(raw.get("expression"), str), raw, "expression", "a string")
+        if n == 1:
+            _require(isinstance(raw.get("domain"), str), raw, "domain", "an interval string")
+        else:
+            box = raw.get("box")
+            _require(isinstance(box, list) and len(box) == n
+                     and all(isinstance(b, str) for b in box), raw, "box",
+                     f"a list of {n} interval strings")
+        expected = raw.get("expected") or {}
+        _require(isinstance(expected, dict) and set(expected) <= set(LABELS)
+                 and all(type(b) is bool for b in expected.values()), raw, "expected",
+                 f"booleans keyed by {', '.join(LABELS)}")
+        _require(all(len(p) == 2 and all(len(x) == n for x in p)
+                     for p in raw.get("pairs") or ()), raw, "pairs",
+                 f"pairs of two points of {n} coordinates")
         if raw.get("box") is not None:
             raw["box"] = tuple(raw["box"])
         if raw.get("pairs") is not None:
-            raw["pairs"] = tuple(
-                (tuple(p[0]), tuple(p[1])) for p in raw["pairs"]
-            )
+            raw["pairs"] = tuple((tuple(x), tuple(y)) for x, y in raw["pairs"])
         raw["tags"] = tuple(raw.get("tags", ()))
         entries.append(BatteryEntry(**raw))
     return tuple(entries)

@@ -7,7 +7,8 @@ its trace), and ``verify-theorems`` (run the theorem suite over a battery
 manifest).
 
 Reports are canonical JSON: keys sorted, floats printed at 17 significant
-digits, infinities and NaN encoded as the strings "inf"/"-inf"/"nan".
+digits, infinities and NaN encoded as the strings "inf"/"-inf"/"nan".  A
+result object (a dataclass such as ``Verdict``) is written as its fields.
 Re-running any command with the same configuration produces byte-identical
 output; timing is printed to stderr only, so it never perturbs the report.
 
@@ -22,14 +23,12 @@ import functools
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .battery import golden_battery, load_manifest, random_battery
 from .charact import (
-    MonotoneDecomposition,
-    SegmentSplit,
     decompose,
     martos_segments,
     pseudoconvex_char,
@@ -42,7 +41,6 @@ from .expr import ExpressionError, eval_many, parse
 from .oracle import (
     SampledProblem,
     Verdict,
-    Witness,
     pseudoconvex_def,
     quasiconvex_def,
     semistrictly_quasiconvex_def,
@@ -175,6 +173,8 @@ def _dump(obj, out: list[str], ind: int) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_f17(float(obj)))
+    elif is_dataclass(obj):
+        _dump(_fields(obj), out, ind)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -186,84 +186,42 @@ def canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report pieces
+# report pieces: what the field names of a result object do not give
 
 
-def _estimate_json(est: DiniEstimate) -> dict:
-    return {
-        "value": est.value,
-        "unit_value": est.unit_value,
-        "converged": est.converged,
-        "n_probes": est.n_probes,
-        "all_undefined": est.all_undefined,
-        "tail_min_trace": list(est.tail_min_trace),
-    }
+def _fields(obj) -> dict:
+    """A dataclass as the dict of its fields, unconverted.  Not ``vars()``:
+    a cached property, such as ``DiniSchedule._steps``, is no field."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _witness_json(w: Witness, dini_at=None) -> dict:
-    """``dini_at(t)`` maps a point to its one-sided estimates, by label."""
-    d = {
-        "kind": w.kind,
-        "points": list(w.points),
-        "values": list(w.values),
-        "detail": w.detail,
-    }
-    if dini_at is not None and len(w.points) >= 1:
-        found = dini_at(float(w.points[0]))
-        if found:
-            d["dini"] = {("plus" if label == "+1" else "minus"): _estimate_json(est)
-                         for label, est in found.items()}
-    return d
+def _with_dini(v: Verdict, dini_at) -> dict:
+    """A 1-D verdict whose witnesses carry ``dini_at(t)``, the one-sided
+    estimates at their first point, by label."""
+    wits = []
+    for w in v.witnesses:
+        found = dini_at(float(w.points[0])) if w.points else {}
+        wits.append({**_fields(w), "dini": {("plus" if label == "+1" else "minus"): est
+                                            for label, est in found.items()}}
+                    if found else w)
+    return {**_fields(v), "witnesses": wits}
 
 
-def _verdict_json(v: Verdict, dini_at=None) -> dict:
-    return {
-        "outcome": v.outcome,
-        "method": v.method,
-        "tol": v.tol,
-        "stat_tol": v.stat_tol,
-        "notes": v.notes,
-        "witnesses": [_witness_json(w, dini_at) for w in v.witnesses],
-    }
-
-
-def _range_json(r: tuple[int, int], pts: np.ndarray) -> dict:
-    d: dict = {"start": r[0], "end": r[1], "size": r[1] - r[0]}
-    if r[1] > r[0]:
-        d["t_first"] = float(pts[r[0]])
-        d["t_last"] = float(pts[r[1] - 1])
-    return d
-
-
-def _decomposition_json(dec: MonotoneDecomposition, pts: np.ndarray) -> dict:
-    return {
-        "pattern": dec.pattern,
-        "ok": dec.ok,
-        "min_value": dec.min_value,
-        "tol": dec.tol,
-        "i_minus": _range_json(dec.i_minus, pts),
-        "i_hat": _range_json(dec.i_hat, pts),
-        "i_plus": _range_json(dec.i_plus, pts),
-        "witnesses": [_witness_json(w) for w in dec.witnesses],
-    }
-
-
-def _split_json(split: SegmentSplit, pts: np.ndarray) -> dict:
-    return {
-        "valid": split.valid,
-        "tol": split.tol,
-        "decreasing": _range_json(split.decreasing, pts),
-        "constant": _range_json(split.constant, pts),
-        "increasing": _range_json(split.increasing, pts),
-        "witnesses": [_witness_json(w) for w in split.witnesses],
-    }
+def _with_ranges(result, pts: np.ndarray, *names: str) -> dict:
+    """``result`` with its index ranges ``names`` as dicts over the grid ``pts``."""
+    out = _fields(result)
+    for name in names:
+        start, end = out[name]
+        out[name] = d = {"start": start, "end": end, "size": end - start}
+        if end > start:
+            d["t_first"] = float(pts[start])
+            d["t_last"] = float(pts[end - 1])
+    return out
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    out = asdict(cfg)
-    del out["output"]
-    out["dini"] = out.pop("schedule")
-    return out
+    return {("dini" if k == "schedule" else k): v for k, v in _fields(cfg).items()
+            if k != "output"}
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +296,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
             methods = _run_methods(check, want_def, want_struct, p)
             outcomes[check] = {name: v.outcome for name, v in methods.items()}
             checks_out[check] = {
-                "methods": {name: _verdict_json(v, dini_at) for name, v in methods.items()}
+                "methods": {name: _with_dini(v, dini_at) for name, v in methods.items()}
             }
         if not p.undefined and want_struct:
-            report["decomposition"] = _decomposition_json(p.verdict(decompose), p.dom.points)
+            report["decomposition"] = _with_ranges(p.verdict(decompose), p.dom.points,
+                                                   "i_minus", "i_hat", "i_plus")
     else:
         box = _parse_box(cfg.box, cfg.arity)
         pair_reports = []
@@ -411,8 +370,9 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
     _emit({
         "command": "decompose",
         "config": _config_json(cfg),
-        "decomposition": _decomposition_json(dec, pts),
-        "martos": _split_json(martos_segments(p), pts),
+        "decomposition": _with_ranges(dec, pts, "i_minus", "i_hat", "i_plus"),
+        "martos": _with_ranges(martos_segments(p), pts, "decreasing", "constant",
+                               "increasing"),
     }, cfg.output)
     return EXIT_INCONCLUSIVE if p.undefined else EXIT_OK
 
@@ -429,7 +389,7 @@ def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
         "config": _config_json(cfg),
         "at": at,
         "direction": direction,
-        "estimate": _estimate_json(est),
+        "estimate": est,
     }
     _emit(report, cfg.output)
     return EXIT_OK if est.converged else EXIT_INCONCLUSIVE
@@ -500,17 +460,19 @@ def _emit(report: dict, output: str) -> None:
 
 def _render_text(obj, depth: int) -> None:
     pad = "  " * depth
+    if is_dataclass(obj):
+        obj = _fields(obj)
     if isinstance(obj, dict):
         for k in sorted(obj.keys()):
             v = obj[k]
-            if isinstance(v, (dict, list, tuple)) and v:
+            if is_dataclass(v) or isinstance(v, (dict, list, tuple)) and v:
                 print(f"{pad}{k}:")
                 _render_text(v, depth + 1)
             else:
                 print(f"{pad}{k}: {_scalar_text(v)}")
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list, tuple)):
+            if is_dataclass(v) or isinstance(v, (dict, list, tuple)):
                 print(f"{pad}-")
                 _render_text(v, depth + 1)
             else:

@@ -10,8 +10,9 @@ import pytest
 
 import dinicvx
 from dinicvx import cli, golden_battery, write_manifest
-from dinicvx.dini import DiniSchedule
+from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
+from dinicvx.oracle import Verdict, Witness
 from dinicvx.theorems import SUITE_SCHEDULE
 from dinicvx.cli import (
     EXIT_CONFIG,
@@ -196,7 +197,7 @@ class TestClassifyReport:
         for w in wits:
             fresh = dinicvx.is_stationary(phi, w["points"][0], dinicvx.parse_interval(argv[4]),
                                           dinicvx.DiniSchedule())
-            expected = {("plus" if label == "+1" else "minus"): cli._estimate_json(est)
+            expected = {("plus" if label == "+1" else "minus"): est
                         for label, est in fresh.estimates.items()}
             assert canonical_json(w["dini"]) == canonical_json(expected)
 
@@ -362,6 +363,28 @@ class TestVerify:
         code, _, err = run(["verify-theorems", flag], capsys)
         assert code == EXIT_CONFIG
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"expected": {"convex": True}}, "expected"),
+        ({"expected": {"pseudoconvex": "no"}}, "expected"),
+        ({"expected": ["pseudoconvex"]}, "expected"),
+        ({"expression": 5}, "expression"),
+        ({"domain": None}, "domain"),
+        ({"arity": 2, "box": None}, "box"),
+        ({"arity": 2, "box": ["[-1,1]", "[-1,1]"], "pairs": [[[0, 0, 0], [1, 1]]]}, "pairs"),
+        ({"arity": 0}, "arity"),
+    ], ids=["expected-label", "expected-string", "expected-list", "expression", "domain",
+            "box", "pair-coordinates", "arity"])
+    def test_malformed_entry_is_one_error_line(self, entry, field, tmp_path, capsys):
+        raw = {"id": "bad", "expression": "t^2", "arity": 1, "domain": "[-1,1]", **entry}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "entries": [raw]}))
+        code, out, err = run(["verify-theorems", str(path)], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("elapsed:")
+        assert lines[0].startswith("error: ") and f"entry 'bad': {field} must be" in lines[0]
+        assert "Traceback" not in err
 
     def test_config_block(self, tmp_path, capsys):
         by_id = {e.id: e for e in golden_battery()}
@@ -581,3 +604,41 @@ class TestCanonicalJson:
         a = canonical_json({"z": [1.5, {"b": 2, "a": 1}], "y": True})
         b = canonical_json({"y": True, "z": [1.5, {"a": 1, "b": 2}]})
         assert a == b
+
+    def test_dataclass_is_written_as_its_fields(self):
+        schedule = DiniSchedule(t0=0.05, steps=12)
+        schedule.step_sizes()  # caches _steps in the instance's __dict__
+        assert "_steps" in vars(schedule)
+        fields = {"t0": 0.05, "ratio": 0.6, "steps": 12, "dini_tol": 1e-7}
+        assert canonical_json(schedule) == canonical_json(fields)
+        assert canonical_json({"dini": [schedule]}) == canonical_json({"dini": [fields]})
+        assert "_steps" not in canonical_json(schedule)
+
+    def test_text_renders_a_nested_verdict_as_its_fields(self, capsys):
+        verdict = Verdict("fails", "definitional", 0.5, 0.25,
+                          (Witness("descent", (0.5,), (1.0,), "d"),))
+        estimate = DiniEstimate(-1.0, -1.0, (), True, 3)
+        cli._emit({"verdict": verdict, "estimate": estimate}, "text")
+        assert capsys.readouterr().out == "\n".join([
+            "estimate:",
+            "  all_undefined: False",
+            "  converged: True",
+            "  n_probes: 3",
+            "  tail_min_trace: (empty)",
+            "  unit_value: -1",
+            "  value: -1",
+            "verdict:",
+            "  method: definitional",
+            "  notes: ",
+            "  outcome: fails",
+            "  stat_tol: 0.25",
+            "  tol: 0.5",
+            "  witnesses:",
+            "    -",
+            "      detail: d",
+            "      kind: descent",
+            "      points:",
+            "        - 0.5",
+            "      values:",
+            "        - 1",
+        ]) + "\n"

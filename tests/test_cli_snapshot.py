@@ -8,7 +8,9 @@ The one-grid digests (1-D ``classify`` at two grid sizes, ``decompose`` and
 grid and a batch of lines shared one Dini block rule.  The golden 2-D
 ``verify-theorems`` cases on seed 4242 and at ``--tol=1e-8`` were recorded
 before T6 and Lpr1 read one set of line batches, whose problems Lpr1 once
-built without the user's ``tol``.  Record them again with
+built without the user's ``tol``.  The ``--output=text`` and ``dini`` cases
+were recorded before the report was written from the result objects' fields.
+Record them again with
 ``PYTHONPATH=src python tests/test_cli_snapshot.py`` only for a change that
 means to alter the output.
 """
@@ -64,6 +66,18 @@ def cases() -> dict[str, list[str]]:
     for label, source in (("sq", "t^2"), ("log", "log(t)")):
         out[f"decompose/{label}"] = ["decompose", f"--function={source}", "--domain=[-1,1]"]
     out["verify-theorems/golden-1d"] = ["verify-theorems", "<manifest-1d>", "--seed=1"]
+    # the text renderer, witnesses with their "dini" blocks, and the dini report
+    out["classify-1d/cube/text"] = ["classify", "--function=t^3", "--domain=[-1,1]",
+                                    "--output=text"]
+    out["classify/cube-x1/text"] = ["classify", "--function=x1^3", "--arity=2",
+                                    "--box=[-1,1]x[-1,1]", "--pairs=3", "--output=text"]
+    out["decompose/plateau/text"] = ["decompose", "--function=max(0, abs(t) - 1)",
+                                     "--domain=[-2,2]", "--output=text"]
+    for output in ("json", "text"):
+        out[f"dini/abs/{output}"] = ["dini", "--function=abs(t)", "--domain=[-1,1]",
+                                     "--at=0", "--dir=-1", f"--output={output}"]
+    out["verify-theorems/golden-2d/text"] = ["verify-theorems", "<manifest>",
+                                             "--output=text"]
     return out
 
 
