@@ -17,7 +17,7 @@ back, so anything the battery classifies also flows through the grammar.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -117,21 +117,13 @@ def golden_battery() -> tuple[BatteryEntry, ...]:
     )
 
     box = ("[-1,1]", "[-1,1]")
-    e.append(BatteryEntry(
-        id="bowl2", expression="x1^2 + x2^2", arity=2, box=box,
-        expected=_exp(True, True, True, True), tags=("golden", "multivariate")))
-    e.append(BatteryEntry(
-        id="plane", expression="x1 + x2", arity=2, box=box,
-        expected=_exp(True, True, True, True), tags=("golden", "multivariate")))
-    e.append(BatteryEntry(
-        id="l1-norm", expression="abs(x1) + abs(x2)", arity=2, box=box,
-        expected=_exp(True, True, True, True), tags=("golden", "multivariate")))
-    e.append(BatteryEntry(
-        id="linf-norm", expression="max(abs(x1), abs(x2))", arity=2, box=box,
-        expected=_exp(True, False, True, True), tags=("golden", "multivariate")))
-    e.append(BatteryEntry(
-        id="ridge", expression="x1^2", arity=2, box=box,
-        expected=_exp(True, False, True, True), tags=("golden", "multivariate")))
+    for id_, expr, spc in (("bowl2", "x1^2 + x2^2", True), ("plane", "x1 + x2", True),
+                           ("l1-norm", "abs(x1) + abs(x2)", True),
+                           ("linf-norm", "max(abs(x1), abs(x2))", False),
+                           ("ridge", "x1^2", False)):
+        e.append(BatteryEntry(id=id_, expression=expr, arity=2, box=box,
+                              expected=_exp(True, spc, True, True),
+                              tags=("golden", "multivariate")))
     e.append(BatteryEntry(
         id="cube-x1", expression="x1^3", arity=2, box=box,
         expected=_exp(False, False, True, True),
@@ -166,26 +158,23 @@ def _flank_piece(
     a = rng.uniform(0.05, 1.2)
     b = rng.uniform(0.0, 0.8)
     c = rng.uniform(0.0, 0.5)
+    coefs = np.zeros(4)
     if direction < 0:
         # p(t) = v + a (e-t) + b/2 (e-t)^2 + c/3 (e-t)^3 with e = hi
         e_ = hi
-        coefs = np.zeros(4)
         coefs[0] = end_value + a * e_ + (b / 2) * e_**2 + (c / 3) * e_**3
         coefs[1] = -(a + b * e_ + c * e_**2)
         coefs[2] = b / 2 + c * e_
         coefs[3] = -c / 3
-        span = e_ - lo
-        free = end_value + a * span + (b / 2) * span**2 + (c / 3) * span**3
     else:
         # p(t) = v + a (t-s) + b/2 (t-s)^2 + c/3 (t-s)^3 with s = lo
         s_ = lo
-        coefs = np.zeros(4)
         coefs[0] = end_value - a * s_ + (b / 2) * s_**2 - (c / 3) * s_**3
         coefs[1] = a - b * s_ + c * s_**2
         coefs[2] = b / 2 - c * s_
         coefs[3] = c / 3
-        span = hi - lo
-        free = end_value + a * span + (b / 2) * span**2 + (c / 3) * span**3
+    span = hi - lo  # the free end is a whole piece away from the anchored one
+    free = end_value + a * span + (b / 2) * span**2 + (c / 3) * span**3
     return coefs, free
 
 
@@ -325,9 +314,35 @@ def write_manifest(entries: tuple[BatteryEntry, ...], path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+_DEFAULTS = {f.name: f.default for f in fields(BatteryEntry)}  # MISSING if required
+
+
 def _require(ok: bool, raw: dict, field: str, want: str) -> None:
     if not ok:
         raise ValueError(f"entry {raw.get('id')!r}: {field} must be {want}")
+
+
+def _listof(x, ok, n: int | None = None) -> bool:
+    """Whether ``x`` is a list, of ``n`` items if given, each of them ``ok``."""
+    return isinstance(x, (list, tuple)) and n in (None, len(x)) and all(map(ok, x))
+
+
+def _rules(n: int) -> dict:
+    """field -> (what it must be in an entry of arity ``n``, its test)."""
+    text, flag = (lambda v: isinstance(v, str)), (lambda v: type(v) is bool)
+    point = lambda v: _listof(v, lambda c: type(c) in (int, float), n)
+    return {
+        "id": ("a string", text), "expression": ("a string", text),
+        "domain": ("an interval string", lambda v: text(v) or (v is None and n > 1)),
+        "box": (f"a list of {n} interval strings",
+                lambda v: _listof(v, text, n) or (v is None and n == 1)),
+        "lsc": ("a boolean", flag), "radially_continuous": ("a boolean", flag),
+        "expected": (f"booleans keyed by {', '.join(LABELS)}", lambda v: v is None or (
+            isinstance(v, dict) and v.keys() <= set(LABELS) and all(map(flag, v.values())))),
+        "pairs": (f"a list of pairs of two points of {n} numbers",
+                  lambda v: v is None or _listof(v, lambda p: _listof(p, point, 2))),
+        "tags": ("a list of strings", lambda v: _listof(v, text)),
+    }
 
 
 def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
@@ -336,32 +351,22 @@ def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or data.get("version") != 1:
         raise ValueError(f"unsupported manifest version in {path}")
+    if not _listof(data.get("entries"), lambda raw: isinstance(raw, dict)):
+        raise ValueError(f"manifest entries must be a list of objects in {path}")
     entries = []
     for raw in data["entries"]:
-        raw = dict(raw)
+        unknown = sorted(raw.keys() - _DEFAULTS.keys())
+        if unknown:
+            raise ValueError(f"entry {raw.get('id')!r}: unknown field {unknown[0]!r}")
         n = raw.get("arity")
         _require(type(n) is int and n >= 1, raw, "arity", "an integer >= 1")
-        _require(isinstance(raw.get("expression"), str), raw, "expression", "a string")
-        if n == 1:
-            _require(isinstance(raw.get("domain"), str), raw, "domain", "an interval string")
-        else:
-            box = raw.get("box")
-            _require(isinstance(box, list) and len(box) == n
-                     and all(isinstance(b, str) for b in box), raw, "box",
-                     f"a list of {n} interval strings")
-        expected = raw.get("expected") or {}
-        _require(isinstance(expected, dict) and set(expected) <= set(LABELS)
-                 and all(type(b) is bool for b in expected.values()), raw, "expected",
-                 f"booleans keyed by {', '.join(LABELS)}")
-        _require(all(len(p) == 2 and all(len(x) == n for x in p)
-                     for p in raw.get("pairs") or ()), raw, "pairs",
-                 f"pairs of two points of {n} coordinates")
-        if raw.get("box") is not None:
-            raw["box"] = tuple(raw["box"])
-        if raw.get("pairs") is not None:
-            raw["pairs"] = tuple((tuple(x), tuple(y)) for x, y in raw["pairs"])
-        raw["tags"] = tuple(raw.get("tags", ()))
-        entries.append(BatteryEntry(**raw))
+        entry = {name: raw.get(name, default) for name, default in _DEFAULTS.items()}
+        for name, (want, ok) in _rules(n).items():
+            _require(ok(entry[name]), raw, name, want)
+        box, pairs = entry["box"], entry["pairs"]
+        entries.append(BatteryEntry(**{
+            **entry, "box": None if box is None else tuple(box), "tags": tuple(entry["tags"]),
+            "pairs": None if pairs is None else tuple((tuple(x), tuple(y)) for x, y in pairs)}))
     return tuple(entries)
 
 

@@ -148,13 +148,11 @@ def _stationary(p: SampledProblem, hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     return still & ~unconv, still & unconv
 
 
-def _stationarity_scan(p: SampledProblem, dec: MonotoneDecomposition, line: int = 0,
-                       found: tuple[np.ndarray, np.ndarray] | None = None,
+def _stationarity_scan(p: SampledProblem, line: int, found: tuple[np.ndarray, np.ndarray],
                        ) -> tuple[list[Witness], list[Witness]]:
     """The first (violations, blocked) witnesses of :func:`_stationary` on
-    ``line``, from its masks ``found`` (of a one-grid problem and ``dec`` when
-    None)."""
-    violations, blocked = found or _stationary(p, np.array([dec.i_hat]))
+    ``line``, from its masks ``found``."""
+    violations, blocked = found
     return [
         _witness(p, "stationary_outside_min", (k,), (
             "grid point outside the minimum band with no descending "
@@ -178,7 +176,7 @@ def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
     def witnesses(i: int) -> tuple[Witness, ...]:
         if not decs[i].ok:
             return decs[i].witnesses
-        violations, blocked = _stationarity_scan(p, decs[i], i, found)
+        violations, blocked = _stationarity_scan(p, i, found)
         if not (flat[i] or violations):
             return blocked
         lo, hi = decs[i].i_hat

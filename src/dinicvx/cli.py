@@ -401,7 +401,7 @@ def _cmd_verify(cfg: RunConfig, manifest: str | None, n_random: int) -> int:
     if manifest is not None:
         try:
             entries = load_manifest(manifest)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise _ConfigError(f"cannot load manifest {manifest}: {exc}") from exc
     else:
         entries = golden_battery()

@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 # Levels an expression may nest (see docs/grammar.md).  A level costs the
-# parser at most 7 Python frames, the compiler at most 3 and the compiled
+# parser at most 4 Python frames, the compiler at most 3 and the compiled
 # closures at most 2, so whatever parses also evaluates well inside Python's
 # default recursion limit of 1000.
 MAX_DEPTH = 100
@@ -173,13 +173,18 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (recursive descent, with precedence climbing for the operators)
 #
 # Each rule returns its node with the node's depth: 1 for a number or a
 # variable, and one more than the deepest operand for an operator, a call,
 # a piecewise, a sign or a pair of parentheses.  ``level`` counts the
 # levels open above the rule; the parser fails as soon as the level and the
 # depth of what it builds there exceed MAX_DEPTH.
+
+# (left, right) binding powers; a right power below the left one makes ^
+# right-associative.  A sign's operand binds above * and /, below ^.
+_BINDING_POWERS = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5)}
+_SIGN_POWER = 5
 
 
 class _Parser:
@@ -189,10 +194,6 @@ class _Parser:
         self.arity = arity
         self.k = 0
         self.level = 0
-        # a sum of products of unaries, each a left-associative chain; as
-        # partials, not methods, so that they cost no Python frame of their own
-        self.term = partial(self._chain, "*/", self.unary)
-        self.expr = partial(self._chain, "+-", self.term)
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -241,29 +242,24 @@ class _Parser:
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
         return node
 
-    def _chain(self, ops: str, operand) -> tuple[Node, int]:
-        """``operand``s joined, left to right, by the operators in ``ops``."""
-        node, depth = operand()
-        while tok := self._accept("op", ops):
-            right, d = operand()
-            node, depth = BinOp(tok.text, node, right), self._check(1 + max(depth, d), tok)
-        return node, depth
-
-    def unary(self) -> tuple[Node, int]:
+    def expr(self, floor: int = 0) -> tuple[Node, int]:
+        """An operand and every operator after it that binds at ``floor`` or above."""
         tok = self._accept("op", "+-")
         if tok is None:
-            return self.power()
-        node, depth = self._nested(tok, self.unary)
-        return (Neg(node) if tok.text == "-" else node), depth
-
-    def power(self) -> tuple[Node, int]:
-        base, depth = self.atom()
-        tok = self._accept("op", "^")
-        if tok is None:
-            return base, depth
-        # right associative; exponent may carry a sign
-        exponent, d = self._nested(tok, self.unary)
-        return BinOp("^", base, exponent), self._check(max(depth + 1, d), tok)
+            node, depth = self.atom()
+        else:
+            node, depth = self._nested(tok, self.expr, _SIGN_POWER)
+            node = Neg(node) if tok.text == "-" else node
+        while (tok := self._peek()) and tok.kind == "op" and _BINDING_POWERS[tok.text][0] >= floor:
+            self.k += 1
+            right = _BINDING_POWERS[tok.text][1]
+            if tok.text == "^":
+                operand, d = self._nested(tok, self.expr, right)
+                d -= 1  # the level _nested adds is the ^ node, counted below
+            else:
+                operand, d = self.expr(right)
+            node, depth = BinOp(tok.text, node, operand), self._check(1 + max(depth, d), tok)
+        return node, depth
 
     def atom(self) -> tuple[Node, int]:
         tok = self._next()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,47 @@ class TestManifestIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_manifest(tmp_path / "absent.json")
+
+    # (entry id, field, value; None deletes it) -> what the error names
+    MALFORMED = [
+        ("sq", "lsc", "no", "entry 'sq': lsc must be a boolean"),
+        ("sq", "radially_continuous", 0, "entry 'sq': radially_continuous must be a boolean"),
+        ("sq", "id", 3, "entry 3: id must be a string"),
+        ("sq", "tags", "golden", "entry 'sq': tags must be a list of strings"),
+        ("sq", "colour", "red", "entry 'sq': unknown field 'colour'"),
+        ("sq", "arity", True, "entry 'sq': arity must be an integer >= 1"),
+        ("sq", "expression", None, "entry 'sq': expression must be a string"),
+        ("sq", "domain", ["[-1,1]"], "entry 'sq': domain must be an interval string"),
+        ("sq", "expected", {"convex": True}, "entry 'sq': expected must be booleans"),
+        ("sq", "expected", [], "entry 'sq': expected must be booleans"),
+        ("bowl2", "pairs", 5, "entry 'bowl2': pairs must be a list of pairs"),
+        ("bowl2", "pairs", [[[0.5, "a"], [0.1, 0.2]]], "entry 'bowl2': pairs must be"),
+        ("bowl2", "pairs", [[[0.5, 0.1]]], "entry 'bowl2': pairs must be"),
+        ("bowl2", "box", ["[-1,1]"], "entry 'bowl2': box must be a list of 2 interval"),
+        ("bowl2", "domain", 5, "entry 'bowl2': domain must be an interval string"),
+    ]
+
+    @pytest.mark.parametrize("entry_id,field,value,message", MALFORMED)
+    def test_malformed_entry_names_the_entry_and_the_field(self, tmp_path, entry_id, field,
+                                                           value, message):
+        path = tmp_path / "m.json"
+        write_manifest(tuple(e for e in golden_battery() if e.id in ("sq", "bowl2")), path)
+        data = json.loads(path.read_text())
+        raw = next(e for e in data["entries"] if e["id"] == entry_id)
+        if value is None:
+            del raw[field]
+        else:
+            raw[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as ei:
+            load_manifest(path)
+        assert str(ei.value).startswith(message)
+
+    def test_manifest_without_entries(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1}')
+        with pytest.raises(ValueError, match="entries must be a list"):
+            load_manifest(path)
 
     def test_checked_in_manifest_matches_golden(self):
         import pathlib

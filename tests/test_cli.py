@@ -373,8 +373,9 @@ class TestVerify:
         ({"arity": 2, "box": None}, "box"),
         ({"arity": 2, "box": ["[-1,1]", "[-1,1]"], "pairs": [[[0, 0, 0], [1, 1]]]}, "pairs"),
         ({"arity": 0}, "arity"),
+        ({"lsc": "no"}, "lsc"),
     ], ids=["expected-label", "expected-string", "expected-list", "expression", "domain",
-            "box", "pair-coordinates", "arity"])
+            "box", "pair-coordinates", "arity", "lsc"])
     def test_malformed_entry_is_one_error_line(self, entry, field, tmp_path, capsys):
         raw = {"id": "bad", "expression": "t^2", "arity": 1, "domain": "[-1,1]", **entry}
         path = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
+import ast
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,53 @@ class TestParseBasics:
     def test_scientific_notation(self):
         assert ev("1e-3*t", 2.0) == 0.002
         assert ev("2.5E2", 0.0) == 250.0
+
+
+# Python's grammar gives + - * / ** and the signs the precedence and the
+# associativity this one gives + - * / ^ and the signs.
+_PYTHON_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
+
+def from_python(node: ast.expr):
+    """The tree :func:`parse` makes of the source Python parsed as ``node``."""
+    if isinstance(node, ast.Constant):
+        return Num(float(node.value))
+    if isinstance(node, ast.Name):
+        return Var(0, node.id)
+    if isinstance(node, ast.UnaryOp):
+        arg = from_python(node.operand)
+        return Neg(arg) if isinstance(node.op, ast.USub) else arg
+    if isinstance(node, ast.BinOp):
+        return BinOp(_PYTHON_OPS[type(node.op)], from_python(node.left),
+                     from_python(node.right))
+    assert isinstance(node, ast.Call), ast.dump(node)
+    return Call(node.func.id, tuple(map(from_python, node.args)))
+
+
+def unparenthesized(sub):
+    """Sources built without the parentheses a printer would add, so that
+    precedence decides the tree: signs stack (``--t``) and follow an
+    operator (``t^-2``, ``t*-2``)."""
+    return st.one_of(
+        st.builds("{}{}{}".format, sub, st.sampled_from(["+", "-", "*", "/", "^", " ^ "]), sub),
+        st.builds("{}{}".format, st.sampled_from(["-", "+"]), sub),
+        sub.map("({})".format),
+        st.builds("{}({})".format, st.sampled_from(["abs", "exp"]), sub),
+        st.builds(lambda name, args: f"{name}({', '.join(args)})",
+                  st.sampled_from(["max", "min"]), st.lists(sub, min_size=2, max_size=3)),
+    )
+
+
+_SOURCES = st.recursive(st.sampled_from(["t", "2", ".5", "3e-2", "1.25", "0"]),
+                        unparenthesized, max_leaves=12)
+
+
+class TestPrecedence:
+    @given(_SOURCES)
+    @settings(max_examples=500, deadline=None)
+    def test_same_tree_as_pythons_parser(self, source):
+        want = from_python(ast.parse(source.replace("^", "**"), mode="eval").body)
+        assert repr(parse(source, 1).root) == repr(want)
 
 
 class TestLexicalRules:
@@ -248,6 +297,27 @@ def nest(open_: str, inner: str, levels: int, close: str = ")") -> str:
     return open_ * levels + inner + close * levels
 
 
+def calls_left(n: int = 0) -> int:
+    """How many more nested calls the recursion limit admits.  It counts
+    the interpreter's own depth, which pytest's calls through C raise above
+    the number of Python frames."""
+    try:
+        return calls_left(n + 1)
+    except RecursionError:
+        return n
+
+
+def under_frames(per_level: int, run):
+    """``run()`` under a recursion limit of ``per_level`` frames for each of
+    MAX_DEPTH levels, and 10 more, above the current stack depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - calls_left() + per_level * MAX_DEPTH + 10)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestDepthLimit:
     """An expression nests at most MAX_DEPTH levels; the parser stops at the
     first token that goes deeper, and whatever parses also evaluates."""
@@ -269,6 +339,14 @@ class TestDepthLimit:
     @pytest.mark.parametrize("source,value", AT_LIMIT)
     def test_at_the_limit_parses_and_evaluates(self, source, value):
         assert eval_many(parse(source, 1), np.array([0.5]))[0] == value
+
+    @pytest.mark.parametrize("source,value", AT_LIMIT)
+    def test_a_level_costs_the_frames_max_depth_states(self, source, value):
+        # at most 4 frames a level to parse, 3 to compile and 2 to evaluate
+        fn = under_frames(4, lambda: parse(source, 1))
+        compiled = under_frames(3, lambda: fn.compiled)
+        cols = [np.array([0.5])]
+        assert under_frames(2, lambda: compiled(cols))[0] == value
 
     # (source one level past the limit, offset of the first token past it)
     PAST = [

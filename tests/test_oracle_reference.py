@@ -107,7 +107,8 @@ def test_structural_scans_match_reference(p):
     dec = charact.decompose(p)
     assert repr(dec) == repr(ref.decompose(p))
     if not p.undefined:
-        assert repr(charact._stationarity_scan(p, dec)) == repr(ref.stationarity_scan(p, dec))
+        found = charact._stationary(p, np.array([dec.i_hat]))
+        assert repr(charact._stationarity_scan(p, 0, found)) == repr(ref.stationarity_scan(p, dec))
 
 
 def test_one_point_grid():
@@ -144,7 +145,8 @@ def test_battery_grids_match_reference(expression, domain, n):
     dec = charact.decompose(p)
     assert repr(dec) == repr(ref.decompose(p))
     if not p.undefined:
-        assert repr(charact._stationarity_scan(p, dec)) == repr(ref.stationarity_scan(p, dec))
+        found = charact._stationary(p, np.array([dec.i_hat]))
+        assert repr(charact._stationarity_scan(p, 0, found)) == repr(ref.stationarity_scan(p, dec))
 
 
 class _TooSlow(BaseException):
