@@ -24,10 +24,12 @@ it reads, block by block, and can stop after any block.
 A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
 holding a row near an end of the domain, or an undefined value, keeps the
-masked path for all its rows.  Over one pass of the benchmark's
-``battery`` workload (seed 1), 412 of the 432 kernel calls are dense (6
-of the others are the whole-row calls of ``theorems.check_abc``, one a
-batch of lines); over one of ``classify_nd``, 75 of 80.
+masked path for all its rows.
+
+Given ``stat_tol``, :func:`grid_dini_profile` settles a row whose window is
+the trailing half as descending when its quotient at the largest trailing
+step is below ``-stat_tol``: the estimate, a running minimum of quotients,
+can only fall further.  Only the other rows go to :func:`_probe_rows`.
 """
 
 from __future__ import annotations
@@ -435,7 +437,9 @@ class GridDiniProfile:
     (minus), row 1 toward higher t (plus); a batch of m lines puts a line
     axis in front, (m, 2, W).  Infeasible entries (no in-domain probe) carry
     NaN values and are never consulted, nor are the entries outside
-    ``estimated``, which read as infeasible.
+    ``estimated``, which read as infeasible.  A settled entry (see
+    :func:`grid_dini_profile`) is converged, its value a quotient below
+    ``-stat_tol`` that bounds the full estimate from above.
     """
 
     value: np.ndarray
@@ -482,31 +486,35 @@ def grid_dini_profile(
     mask: np.ndarray | None = None,
     out: GridDiniProfile | None = None,
     until: Callable[[slice], bool] | None = None,
+    stat_tol: float | None = None,
 ) -> GridDiniProfile:
     """Batch unit-direction estimates at the grid points of ``dom``.
 
     ``values`` holds ``phi`` at ``dom.points``; ``phi`` is called only at
     probes, and only for the entries in ``mask`` (all when ``None``); the
-    others stay as they were in ``out`` (default: not estimated).  Equal to
-    :func:`lower_dini` per point with u = +-1.  For the m lines of a
-    :class:`~dinicvx.domain.LineGrids`, ``phi`` maps an (m, k) parameter
-    array to values line by line; ``values`` is (m, W), the profile
-    (m, 2, W).  One grid is one line.
+    others stay as they were in ``out`` (default: not estimated).  Without
+    ``stat_tol``, equal to :func:`lower_dini` per point with u = +-1; with
+    it, a row that descends beyond it at the largest trailing step is
+    settled from that probe, and every other entry is as without it.  For
+    the m lines of a :class:`~dinicvx.domain.LineGrids`, ``phi`` maps an
+    (m, k) parameter array to values line by line; ``values`` is (m, W),
+    the profile (m, 2, W).  One grid is one line.
 
     Each block of grid columns, both sides, is one :func:`_probe_rows` and
-    one ``phi`` call, so memory stays bounded.  A block starts at a column
-    that asks for an entry and is the longest run of columns, at least one,
-    that fits in ``_BLOCK_ROWS`` rows: the lines times the entries asked by
-    the line that asks the most in the run.  The columns before the first
-    asked one are a block of no rows.  After each block but the last, a
-    true ``until(columns)`` ends the scan.
+    one ``phi`` call, and with ``stat_tol`` one more for its settling
+    probes, so memory stays bounded.  A block starts at a column that asks
+    for an entry and is the longest run of columns, at least one, that fits
+    in ``_BLOCK_ROWS`` rows: the lines times the entries asked by the line
+    that asks the most in the run.  The columns before the first asked one
+    are a block of no rows.  After each block but the last, a true
+    ``until(columns)`` ends the scan.
     """
     schedule = schedule or DiniSchedule()
     lines = dom.points.shape[:-1]
     pts = dom.points.reshape(-1, dom.points.shape[-1])
     m, w = pts.shape
     vals = np.reshape(values, -1)
-    s = schedule.step_sizes()
+    s, cut = schedule.step_sizes(), schedule.steps // 2
     out = out or GridDiniProfile.unestimated(w, lines)
     want = np.reshape(mask, (m, 2, w)) if mask is not None else np.broadcast_to(
         (np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
@@ -549,15 +557,28 @@ def grid_dini_profile(
         # the line (read by evaluate), side and column of each row, line by line
         line, side, col = np.nonzero(want[:, :, a:b])
         point = line * w + col + a
-        base = vals[point]
-        v, c, _, _, n_in = _probe_rows(evaluate, pts.reshape(-1)[point], sign[side], least[line],
-                                       greatest[line], base, s, schedule.dini_tol)
-        f = (n_in > 0) & ~np.isnan(base)
         entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
-        value[entry] = np.where(f, v, np.nan)
-        converged[entry] = c & f
-        feasible[entry] = f
         estimated[entry] = True
+        x, u = pts.reshape(-1)[point], sign[side]
+        # settle the rows passing _probe_rows's end test that descend at s[cut]
+        down = (_inside(_positions(x, u, s[[0, -1]], slice(None)), least[line], greatest[line])
+                .all(axis=0) if stat_tol is not None else np.zeros(x.shape, dtype=bool))
+        if down.any():
+            with np.errstate(invalid="ignore", over="ignore"):
+                q = (evaluate(_positions(x, u, s[cut:cut + 1], down), down)[0]
+                     - vals[point[down]]) / s[cut]
+            down[down] = q < -stat_tol  # of the rows tested, those that descend
+            value[entry[down]] = q[q < -stat_tol]
+            converged[entry[down]] = feasible[entry[down]] = True
+            line, point, entry, x, u = (r[~down] for r in (line, point, entry, x, u))
+        if point.size:
+            base = vals[point]
+            v, c, _, _, n_in = _probe_rows(evaluate, x, u, least[line], greatest[line], base, s,
+                                           schedule.dini_tol)
+            f = (n_in > 0) & ~np.isnan(base)
+            value[entry] = np.where(f, v, np.nan)
+            converged[entry] = c & f
+            feasible[entry] = f
         if until is not None and b < w and until(slice(a, b)):
             break
         a = b

@@ -255,7 +255,7 @@ class SampledProblem:
         todo = (todo & ~self._prof.estimated).reshape(self.profile.estimated.shape)
         if todo.any():
             grid_dini_profile(self.phi, self.dom, self.values, self.schedule, todo,
-                              out=self.profile, until=until)
+                              out=self.profile, until=until, stat_tol=self.stat_tol)
         return self.profile
 
     def settle(self, rows: np.ndarray) -> GridDiniProfile:

@@ -503,7 +503,8 @@ def run_battery(
     :func:`line_problems` batches of its explicit pairs and ``pairs``
     sampled ones.  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the
     bare estimator default, so stationarity conclusions at kinks stay above
-    the rounding noise floor.
+    the rounding noise floor.  An expression or interval that does not parse
+    raises ValueError naming its entry.
     """
     if schedule is None:
         schedule = SUITE_SCHEDULE
@@ -518,11 +519,15 @@ def run_battery(
     reports: list[TheoremReport] = []
     mismatches: list[str] = []
     for entry in entries:
-        fn = parse(entry.expression, entry.arity)
+        try:
+            fn = parse(entry.expression, entry.arity)
+            box = tuple(map(parse_interval, entry.box or (entry.domain,)))
+        except ValueError as exc:
+            raise ValueError(f"entry {entry.id!r}: {exc}") from exc
         if entry.arity == 1:
             p = SampledProblem(
                 lambda ts, fn=fn: eval_many(fn, ts),
-                make_grid(parse_interval(entry.domain), n_grid, margin),
+                make_grid(box[0], n_grid, margin),
                 schedule, tol, stat_tol,
             )
             for name, want in (entry.expected or {}).items():
@@ -537,7 +542,6 @@ def run_battery(
                 (check_t3, entry.lsc), (check_t4, entry.radially_continuous), (check_t7, True))
                 if wanted]
         else:
-            box = tuple(parse_interval(s) for s in entry.box)
             fmv = lambda pts, fn=fn: eval_many(fn, pts)
             pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
                          for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))

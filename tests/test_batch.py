@@ -144,9 +144,10 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
     # For the 24 lines at once: the grid values are one evaluation, and the
     # pair oracles' one round of requests one profile call, which makes one
     # evaluation per block of probes (13 blocks of about 21 columns, each
-    # line asking about one side of each column); every later request finds
-    # its entries estimated.  One line at a time, the same run made 24 and
-    # 72; with blocks sized for both sides of every column, 1 and 14.
+    # line asking about one side of each column, every entry settled by its
+    # first trailing probe); every later request finds its entries
+    # estimated.  One line at a time, the same run made 24 and 72; with
+    # blocks sized for both sides of every column, 1 and 14.
     assert calls == {"grid_dini_profile": 1, "eval_many": 14}
 
 
@@ -156,19 +157,21 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
                                         (16385, 2)])
 def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, function):
     batches, blocks = [], []
-    real_grid, real_rows = theorems.anchored_grid, dini._probe_rows
+    real_grid, real_inside = theorems.anchored_grid, dini._inside
 
     def grids(*args, **kwargs):
         dom = real_grid(*args, **kwargs)
         batches.append(dom.n.copy())
         return dom
 
-    def rows(f, x, *args):
-        blocks.append(x.shape[0])
-        return real_rows(f, x, *args)
+    # every Dini block tests the ends of all its rows, those the first
+    # trailing probe settles and those it leaves to the kernel
+    def rows(p, *args):
+        blocks.append(p.shape[1])
+        return real_inside(p, *args)
 
     monkeypatch.setattr(theorems, "anchored_grid", grids)
-    monkeypatch.setattr(dini, "_probe_rows", rows)
+    monkeypatch.setattr(dini, "_inside", rows)
     classify(["classify", "--function", function, "--arity", "2", "--box", "[-1,1]x[-1,1]",
               "--pairs", str(pairs), "--grid", str(grid)])
     assert sum(len(n) for n in batches) == pairs

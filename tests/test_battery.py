@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dinicvx import (
     random_battery,
     write_manifest,
 )
+from dinicvx.cli import main
 
 LABELS = ("pseudoconvex", "strictly_pseudoconvex", "quasiconvex",
           "semistrictly_quasiconvex")
@@ -160,6 +162,21 @@ class TestManifestIO:
         with pytest.raises(ValueError) as ei:
             load_manifest(path)
         assert str(ei.value).startswith(message)
+
+    # (field, value) -> the parse error, reported after the entry's id
+    UNPARSABLE = [
+        ("expression", "t +", "unexpected end of expression (at offset 3)"),
+        ("expression", "x2", "variable 'x2' out of range for arity 1 (at offset 0)"),
+        ("domain", "[1,-1]", "empty interval: lo=1.0 > hi=-1.0"),
+    ]
+
+    @pytest.mark.parametrize("field,value,message", UNPARSABLE)
+    def test_unparsable_entry_names_the_entry(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "m.json"
+        sq = next(e for e in golden_battery() if e.id == "sq")
+        write_manifest((replace(sq, **{field: value}),), path)
+        assert main(["verify-theorems", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"error: entry 'sq': {message}"
 
     def test_manifest_without_entries(self, tmp_path):
         path = tmp_path / "m.json"

@@ -22,11 +22,13 @@ from dinicvx import (
     golden_battery,
     grid_dini_profile,
     is_stationary,
+    line_problems,
     lower_dini,
     lower_dini_along,
     make_grid,
     parse_interval,
     sample_directions,
+    sample_pairs,
 )
 from dinicvx import dini
 from dinicvx.domain import Interval, SampledDomain
@@ -316,6 +318,45 @@ class TestGridProfileMatchesReference:
                                  phi(dom.points), None, none)
         assert calls == []
         assert not prof.feasible.any()
+
+
+def settle_problems():
+    """(id, phi, dom): the 1-D golden functions at 257 and 4097 points, an
+    open-ended log and sqrt, a jump, and a batch of 24 lines of a 2-D
+    function."""
+    out = [(f"{e.id}-{n}", phi_of(e.expression), make_grid(parse_interval(e.domain), n))
+           for e in GOLDEN_1D for n in (257, 4097)]
+    out += [(f"{source} on {domain}", phi_of(source), make_grid(parse_interval(domain), 257))
+            for source, domain in [("log(t)", "[-1,1]"), ("sqrt(t)", "(0,2]"),
+                                   ("piecewise(t < 0.3: t^2, else: t - 1)", "[-1,1]")]]
+    box = (parse_interval("[-1,1]"),) * 2
+    f = phi_of("max(abs(x1), abs(x2)) - x1^3", 2)
+    (_, p), = line_problems(f, sample_pairs(box, 24, 7), box, 257, 1e-6, None, None, 1e-7)
+    return out + [("24 lines", p.phi, p.dom)]
+
+
+class TestSettledProfile:
+    """With ``stat_tol``, the entries the one-probe rule settles descend as
+    the full estimate does, and every other entry is the full estimate."""
+
+    @pytest.mark.parametrize("case", settle_problems(), ids=lambda c: c[0])
+    def test_settling_keeps_every_decision(self, case):
+        _, phi, dom = case
+        values = phi(dom.points)
+        for schedule in (DiniSchedule(), SUITE_SCHEDULE, DiniSchedule(steps=2),
+                         DiniSchedule(steps=3)):
+            for stat_tol in (1e-7, 1e-3):
+                full = grid_dini_profile(phi, dom, values, schedule)
+                fast = grid_dini_profile(phi, dom, values, schedule, stat_tol=stat_tol)
+                down = full.descent(stat_tol)
+                assert np.array_equal(fast.descent(stat_tol), down)
+                for name in ("feasible", "estimated"):
+                    assert np.array_equal(getattr(fast, name), getattr(full, name))
+                assert fast.value[~down].tobytes() == full.value[~down].tobytes()
+                assert np.array_equal(fast.converged[~down], full.converged[~down])
+                # a settled entry's quotient bounds the full estimate from above
+                assert (fast.value[down] >= full.value[down]).all()
+                assert (fast.value[down] < -stat_tol).all()
 
 
 def edge_grid(domain, schedule):

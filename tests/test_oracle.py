@@ -383,9 +383,10 @@ class TestDemandDrivenProfile:
     @staticmethod
     def assert_matches_full_profile(phi, dom, monkeypatch):
         # every classifier, run forward and in reverse order on a problem that
-        # estimates on demand, gives the verdict of a fully estimated profile
+        # estimates on demand, gives the verdict of a fully estimated profile,
+        # each entry under the full rule, none settled from its first probe
         full = SampledProblem(phi, dom, SUITE_SCHEDULE)
-        full.estimate()
+        dini.grid_dini_profile(phi, dom, full.values, SUITE_SCHEDULE, out=full.profile)
         expected = [repr(classify(full)) for classify in CLASSIFIERS]
         profiles = recording_profiles(monkeypatch)
         forward = SampledProblem(phi, dom, SUITE_SCHEDULE)
@@ -425,6 +426,18 @@ class TestDemandDrivenProfile:
         assert len(profiles) == 1
         assert np.array_equal(p.profile.estimated, hit)
         assert np.array_equal(estimate_counts(profiles, n), hit.astype(int))
+
+    @pytest.mark.parametrize("check", [pseudoconvex_def, strictly_pseudoconvex_def])
+    def test_pair_oracles_settle_descent_from_one_probe(self, check):
+        # t^2 descends toward its minimum from nearly every entry asked, and
+        # the largest trailing step already shows it: the full rule
+        # evaluates steps - steps // 2 = 20 probes an entry
+        phi, sizes, dom = phi_of("t^2"), [], grid_for("[-1,1]", 16385)
+        p = SampledProblem(lambda pts: sizes.append(pts.size) or phi(pts), dom)
+        p.values
+        sizes.clear()
+        assert check(p).outcome == "holds"
+        assert sum(sizes) < 2 * p.profile.estimated.sum()
 
     def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
         # outside the minimum band of t^2 the direction toward 0 descends, so
