@@ -35,7 +35,7 @@ from .charact import (
     quasiconvex_martos,
     strictly_pseudoconvex_char,
 )
-from .dini import DiniEstimate, DiniSchedule, is_stationary, lower_dini
+from .dini import DiniSchedule, lower_dini, stationarity_estimates
 from .domain import Interval, make_grid, parse_interval
 from .expr import ExpressionError, eval_many, parse
 from .oracle import (
@@ -195,12 +195,12 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _with_dini(v: Verdict, dini_at) -> dict:
-    """A 1-D verdict whose witnesses carry ``dini_at(t)``, the one-sided
+def _with_dini(v: Verdict, dini_at: dict) -> dict:
+    """A 1-D verdict whose witnesses carry ``dini_at[t]``, the one-sided
     estimates at their first point, by label."""
     wits = []
     for w in v.witnesses:
-        found = dini_at(float(w.points[0])) if w.points else {}
+        found = dini_at[float(w.points[0])] if w.points else {}
         wits.append({**_fields(w), "dini": {("plus" if label == "+1" else "minus"): est
                                             for label, est in found.items()}}
                     if found else w)
@@ -282,18 +282,17 @@ def _cmd_classify(cfg: RunConfig) -> int:
                            make_grid(interval, cfg.grid, cfg.margin),
                            cfg.schedule, cfg.tol, cfg.stat_tol)
 
+        results = {check: _run_methods(check, want_def, want_struct, p)
+                   for check in cfg.checks}
         # a witness gets the estimates at its first point, a grid point (so
         # never both 0.0 and -0.0); the checks report many of the same
-        # points, so each is estimated once
-        @functools.cache
-        def dini_at(t: float) -> dict[str, DiniEstimate]:
-            try:
-                return is_stationary(p.phi, t, interval, cfg.schedule).estimates
-            except ValueError:
-                return {}
-
-        for check in cfg.checks:
-            methods = _run_methods(check, want_def, want_struct, p)
+        # points, so each is estimated once, all of them in one kernel call
+        firsts = list(dict.fromkeys(float(w.points[0]) for methods in results.values()
+                                    for v in methods.values() for w in v.witnesses
+                                    if w.points))
+        dini_at = dict(zip(firsts, stationarity_estimates(p.phi, firsts, interval,
+                                                          cfg.schedule)))
+        for check, methods in results.items():
             outcomes[check] = {name: v.outcome for name, v in methods.items()}
             checks_out[check] = {
                 "methods": {name: _with_dini(v, dini_at) for name, v in methods.items()}

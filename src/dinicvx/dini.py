@@ -15,11 +15,13 @@ lie in the domain has every probe there, and its window is the trailing
 half of the schedule: only those probes are built, and no bound is
 compared.  :func:`lower_dini_along` estimates one point along a block of
 directions; :func:`lower_dini` and :func:`is_stationary` call it on the
-line.  :func:`grid_dini_profile` estimates the grid points of one grid, or
-of the m lines of a batch, both sides of each point on one axis: (2, n),
-``[0]`` toward lower t, behind a line axis for a batch.  A row's bits do
-not depend on the rows beside it, so a caller estimates just the entries
-it reads, block by block, and can stop after any block.
+line, and :func:`stationarity_estimates` probes both directions of many
+points of a line at once.  :func:`grid_dini_profile` estimates the grid
+points of one grid, or of the m lines of a batch, both sides of each point
+on one axis: (2, n), ``[0]`` toward lower t, behind a line axis for a
+batch.  A row's bits do not depend on the rows beside it, so a caller
+estimates just the entries it reads, a run of columns at a time, and can
+stop after any run.
 
 A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
@@ -29,7 +31,9 @@ masked path for all its rows.
 Given ``stat_tol``, :func:`grid_dini_profile` settles a row whose window is
 the trailing half as descending when its quotient at the largest trailing
 step is below ``-stat_tol``: the estimate, a running minimum of quotients,
-can only fall further.  Only the other rows go to :func:`_probe_rows`.
+can only fall further.  A window of columns, bounded by probes (one a
+row), is settled at once; only the rows it leaves go to :func:`_probe_rows`,
+with those probes' values, in kernel blocks bounded by rows.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "lower_dini",
     "lower_dini_along",
     "is_stationary",
+    "stationarity_estimates",
     "StationarityCheck",
     "GridDiniProfile",
     "grid_dini_profile",
@@ -60,15 +65,16 @@ _INF = float("inf")
 # zero while the step vanishes) from a steep smooth slope; see _dini_rows.
 _JUMP_FACTOR = 10.0
 
-# Rows (estimates) per block in grid_dini_profile: both sides of the up to
-# 259 points of an anchored grid at the default 257 fit one block.  A block
-# builds the probe positions of its trailing steps only, _BLOCK_ROWS *
+# Rows (estimates) per kernel block in grid_dini_profile: both sides of the
+# up to 259 points of an anchored grid at the default 257 fit one block.  A
+# block builds the probe positions of its trailing steps only, _BLOCK_ROWS *
 # (steps - steps // 2) floats (81 KB at 40 steps), and the kernel's
 # (steps x rows) temporaries are as large.  Blocks this small fault few
 # pages in: over one pass of the benchmark's classify_fine workload the
 # profiles took about 3,000 minor page faults, against 38,000 with
 # 1024-row blocks.  One block for the whole grid would take 3 GB at 10^7
-# points.
+# points.  A settle window is bounded by probes, not rows: as many rows as
+# a block has trailing probes, one probe a row.
 _BLOCK_ROWS = 520
 
 
@@ -263,6 +269,7 @@ def _probe_rows(
     base: np.ndarray,
     s: np.ndarray,
     dini_tol: float,
+    given: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_dini_rows` on the whole rows probing from ``x[r]`` along
     ``u[r]``, with probes built and ``f`` evaluated only where it reads.
@@ -271,7 +278,9 @@ def _probe_rows(
     ``greatest`` are (rows,) on a line and (rows, n) in a box, whose probes
     are points.  A probe is in the domain when it lies in ``[least[r],
     greatest[r]]``, coordinate by coordinate.  ``f(probes, rows)`` gives the
-    (k, r) values of a (k, r) block of probes of ``rows``.
+    (k, r) values of a (k, r) block of probes of ``rows``.  ``given``, when
+    the caller has them, holds the values at the largest trailing step and
+    the end test below, (rows,) each.
 
     Each coordinate of ``fl(x + s * u)`` is monotone in the step, so a
     row's in-domain steps run without a gap, and when its largest and its
@@ -291,9 +300,14 @@ def _probe_rows(
     steps, cut = s.shape[0], s.shape[0] // 2
     every, trailing = slice(None), s[cut:]
     tail = _positions(x, u, trailing, every)
-    vals = f(tail, every)
-    ends = _inside(_positions(x, u, s[[0, -1]], every), least, greatest)
-    near = np.flatnonzero(~ends.all(axis=0))
+    if given is None:
+        vals = f(tail, every)
+        ends = _inside(_positions(x, u, s[[0, -1]], every), least, greatest).all(axis=0)
+    else:
+        vals, ends = given[0][None], given[1]
+        if tail.shape[0] > 1:
+            vals = np.concatenate((vals, f(tail[1:], every)))
+    near = np.flatnonzero(~ends)
     skipped = np.full(base.shape[0], cut)
     n_in = skipped + trailing.shape[0]
     dense = trailing.shape[0] >= 2
@@ -373,8 +387,6 @@ def lower_dini_along(
     direction, and for a base point outside the box or where ``f`` is
     undefined.
     """
-    if schedule is None:
-        schedule = DiniSchedule()
     x = np.asarray(x, dtype=float)
     norms, u = _unit(dirs)
     if not all(iv.contains(v) for iv, v in zip(box, x)):
@@ -382,16 +394,20 @@ def lower_dini_along(
     base = float(f(x[None, :])[0])
     if np.isnan(base):
         raise ValueError(f"function undefined at the base point {x.tolist()}")
+    return _along(lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
+                  np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule, norms)
+
+
+def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
+    """The rows of :func:`_probe_rows` in ``box`` as estimates, directions
+    of length ``norms``."""
+    schedule = schedule or DiniSchedule()
     least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
-    value, converged, trace, used, n_in = _probe_rows(
-        lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
-        np.broadcast_to(x, u.shape), u, least, greatest, np.full(u.shape[0], base),
-        schedule.step_sizes(), schedule.dini_tol,
-    )
     return [
         DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
                      not row.any())
-        for norm, v, c, tr, row, k in zip(norms, value, converged, trace.T, used.T, n_in)
+        for norm, v, c, tr, row, k in zip(norms, *(r.T for r in _probe_rows(
+            f, x, u, least, greatest, base, schedule.step_sizes(), schedule.dini_tol)))
     ]
 
 
@@ -427,6 +443,28 @@ def is_stationary(
     stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
     decisive = not stationary or all(est.converged for est in estimates.values())
     return StationarityCheck(stationary=stationary, estimates=estimates, decisive=decisive)
+
+
+def stationarity_estimates(
+    phi: Callable[[np.ndarray], np.ndarray],
+    ts: list[float],
+    feasible: Interval,
+    schedule: DiniSchedule | None = None,
+) -> list[dict[str, DiniEstimate]]:
+    """``is_stationary(phi, t, feasible, schedule).estimates`` at each t of
+    ``ts``, or ``{}`` where that raises ValueError: both directions of every
+    t in one :func:`_probe_rows` call, with a base per row."""
+    ts = np.asarray(ts, dtype=float)
+    ok = np.flatnonzero(feasible.contains_many(ts))
+    base = phi(ts[ok]) if ok.size else np.empty(0)
+    ok, base = ok[~np.isnan(base)], np.repeat(base[~np.isnan(base)], 2)
+    found = _along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), np.repeat(ts[ok], 2),
+                   np.tile([1.0, -1.0], ok.size), (feasible,), base, schedule,
+                   np.ones(base.shape)) if ok.size else []
+    out: list[dict[str, DiniEstimate]] = [{} for _ in ts]
+    for i, pair in zip(ok, zip(found[::2], found[1::2])):
+        out[i] = {label: est for label, est in zip(("+1", "-1"), pair) if est.n_probes}
+    return out
 
 
 @dataclass(frozen=True)
@@ -478,6 +516,19 @@ class GridDiniProfile:
         return self.feasible[..., rows] & ~self.converged[..., rows]
 
 
+def _reach(asks: np.ndarray, most: int) -> Callable[[int, int], int]:
+    """``reach(a, size)``: the end of the longest run of columns from a in
+    which no line l asks more than ``size <= most`` rows, ``asks[l, c]`` at
+    column c.  Shifted apart line by line, the running counts of the rows
+    are one sorted array, and one sorted search finds that end."""
+    m, k = asks.shape
+    count = np.concatenate((np.zeros((m, 1), np.intp), np.cumsum(asks, axis=1)), axis=1)
+    shift = np.arange(m) * (count[:, -1].max() + most + 1)
+    keys, key0 = (count + shift[:, None]).reshape(-1), np.arange(m) * (k + 1) + 1
+    return lambda a, size: int(
+        (np.searchsorted(keys, count[:, a] + size + shift, "right") - key0).min())
+
+
 def grid_dini_profile(
     phi: Callable[[np.ndarray], np.ndarray],
     dom: SampledDomain | LineGrids,
@@ -500,14 +551,14 @@ def grid_dini_profile(
     (m, k) parameter array to values line by line; ``values`` is (m, W),
     the profile (m, 2, W).  One grid is one line.
 
-    Each block of grid columns, both sides, is one :func:`_probe_rows` and
-    one ``phi`` call, and with ``stat_tol`` one more for its settling
-    probes, so memory stays bounded.  A block starts at a column that asks
-    for an entry and is the longest run of columns, at least one, that fits
-    in ``_BLOCK_ROWS`` rows: the lines times the entries asked by the line
-    that asks the most in the run.  The columns before the first asked one
-    are a block of no rows.  After each block but the last, a true
-    ``until(columns)`` ends the scan.
+    Both sides of the grid columns are walked in windows, each the longest
+    run of columns, at least one, in which no line asks more than its share
+    of ``_BLOCK_ROWS * (steps - steps // 2)`` entries (with ``until``, of
+    ``_BLOCK_ROWS`` at first, doubling).  A window's settling probes are one
+    ``phi`` call; the rows it leaves go to :func:`_probe_rows` in kernel
+    blocks, split from its columns by the same rule with ``_BLOCK_ROWS``,
+    one ``phi`` call each.  After each block, or a window that leaves none,
+    a true ``until(columns)`` ends the scan, unless the columns end the grid.
     """
     schedule = schedule or DiniSchedule()
     lines = dom.points.shape[:-1]
@@ -518,22 +569,16 @@ def grid_dini_profile(
     out = out or GridDiniProfile.unestimated(w, lines)
     want = np.reshape(mask, (m, 2, w)) if mask is not None else np.broadcast_to(
         (np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
-    # count[l, c]: the entries line l asks left of column c, of which a block
-    # takes `share` at most.  Shifted apart line by line, one sorted search
-    # finds the last column up to which no line's count passes its target.
-    share, count = _BLOCK_ROWS // m, np.zeros((m, w + 1), dtype=np.intp)
-    np.cumsum(want.sum(axis=1), axis=1, out=count[:, 1:])
-    shift = np.arange(m) * (count[:, -1].max() + share + 1)
-    keys, key0 = (count + shift[:, None]).reshape(-1), np.arange(m) * (w + 1) + 1
+    # A kernel block takes `share` entries a line at most, a window `wide`:
+    # as many probes at s[cut] as a block has trailing probes.
+    share = _BLOCK_ROWS // m
+    wide = share * (s.shape[0] - cut)
+    reach = _reach(want.sum(axis=1), wide)
 
-    def reach(target: np.ndarray) -> int:
-        return int((np.searchsorted(keys, target + shift, "right") - key0).min())
-
-    def evaluate(probes: np.ndarray, rows) -> np.ndarray:
+    def evaluate(probes: np.ndarray, of: np.ndarray) -> np.ndarray:
         # A line's rows are consecutive: row j of line l goes to column j -
         # (first row of l) of line l, step by step, in the (m, k, K) array phi
         # reads, a reshape where every line brings K rows, else NaN-padded.
-        of = line[rows]
         n_rows = np.bincount(of, minlength=m)
         k, most = probes.shape[0], int(n_rows.max())
         if n_rows.min() == most:
@@ -546,40 +591,53 @@ def grid_dini_profile(
         return phi(grid.reshape(lines + (-1,))).reshape(-1)[idx]
 
     least, greatest = extent(dom.interval if lines else (dom.interval,))
-    sign = np.array([-1.0, 1.0])
+    sign, every = np.array([-1.0, 1.0]), slice(None)
     value, converged = out.value.reshape(-1), out.converged.reshape(-1)
     feasible, estimated = out.feasible.reshape(-1), out.estimated.reshape(-1)
-    a = reach(0)  # the first column that asks for an entry
+    a = reach(0, 0)  # the first column that asks for an entry
     if 0 < a < w and until is not None and until(slice(0, a)):
         return out
+    size = wide if until is None else share
     while a < w:
-        b = max(a + 1, reach(count[:, a] + share))
+        b, size = max(a + 1, reach(a, size)), min(2 * size, wide)
         # the line (read by evaluate), side and column of each row, line by line
         line, side, col = np.nonzero(want[:, :, a:b])
         point = line * w + col + a
         entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
-        estimated[entry] = True
-        x, u = pts.reshape(-1)[point], sign[side]
-        # settle the rows passing _probe_rows's end test that descend at s[cut]
-        down = (_inside(_positions(x, u, s[[0, -1]], slice(None)), least[line], greatest[line])
-                .all(axis=0) if stat_tol is not None else np.zeros(x.shape, dtype=bool))
-        if down.any():
+        x, u, first = pts.reshape(-1)[point], sign[side], None
+        if stat_tol is not None:
+            # every row's probe at s[cut] and _probe_rows's end test: the rows that
+            # pass it and descend there settle, and the others' kernel blocks reuse both
+            first = evaluate(_positions(x, u, s[cut:cut + 1], every), line)[0]
+            ends = _inside(_positions(x, u, s[[0, -1]], every), least[line],
+                           greatest[line]).all(axis=0)
             with np.errstate(invalid="ignore", over="ignore"):
-                q = (evaluate(_positions(x, u, s[cut:cut + 1], down), down)[0]
-                     - vals[point[down]]) / s[cut]
-            down[down] = q < -stat_tol  # of the rows tested, those that descend
-            value[entry[down]] = q[q < -stat_tol]
-            converged[entry[down]] = feasible[entry[down]] = True
-            line, point, entry, x, u = (r[~down] for r in (line, point, entry, x, u))
-        if point.size:
-            base = vals[point]
-            v, c, _, _, n_in = _probe_rows(evaluate, x, u, least[line], greatest[line], base, s,
-                                           schedule.dini_tol)
-            f = (n_in > 0) & ~np.isnan(base)
-            value[entry] = np.where(f, v, np.nan)
-            converged[entry] = c & f
-            feasible[entry] = f
-        if until is not None and b < w and until(slice(a, b)):
-            break
+                q = (first - vals[point]) / s[cut]
+            down = (q < -stat_tol) & ends
+            value[entry[down]] = q[down]
+            converged[entry[down]] = feasible[entry[down]] = estimated[entry[down]] = True
+            line, col, point, entry, x, u, first, ends = (
+                r[~down] for r in (line, col, point, entry, x, u, first, ends))
+        # the others in kernel blocks of the window's columns, from its first;
+        # the block search runs only where a line leaves more than a block's
+        # share, so a 257-point grid's one block costs no search
+        k, c = b - a, 0
+        block = (_reach(np.bincount(line * k + col, minlength=m * k).reshape(m, k), share)
+                 if np.bincount(line, minlength=m).max() > share else lambda c, size: k)
+        while c < k:
+            d = max(c + 1, block(c, share))
+            rows = np.flatnonzero((col >= c) & (col < d))
+            of, at, base = line[rows], entry[rows], vals[point[rows]]
+            if at.size:
+                v, conv, _, _, n_in = _probe_rows(
+                    lambda p, r: evaluate(p, of[r]), x[rows], u[rows], least[of], greatest[of],
+                    base, s, schedule.dini_tol,
+                    None if first is None else (first[rows], ends[rows]))
+                f = (n_in > 0) & ~np.isnan(base)
+                value[at], converged[at], feasible[at], estimated[at] = (
+                    np.where(f, v, np.nan), conv & f, f, True)
+            if until is not None and a + d < w and until(slice(a + c, a + d)):
+                return out
+            c = d
         a = b
     return out

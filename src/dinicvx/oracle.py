@@ -250,7 +250,8 @@ class SampledProblem:
                  until: Callable[[slice], bool] | None = None) -> GridDiniProfile:
         """The profile, with the entries in the (2, n) ``mask`` (``None``: all)
         estimated, up to the block of rows after which ``until`` (as
-        :func:`grid_dini_profile` calls it) returns true."""
+        :func:`grid_dini_profile` calls it) returns true, and those its
+        window settled past it."""
         todo = self._valid[:, None] if mask is None else np.reshape(mask, self._prof.value.shape)
         todo = (todo & ~self._prof.estimated).reshape(self.profile.estimated.shape)
         if todo.any():

@@ -518,12 +518,14 @@ def run_battery(
     cases: list[CaseLine] = []
     reports: list[TheoremReport] = []
     mismatches: list[str] = []
+    parsed = []
     for entry in entries:
         try:
-            fn = parse(entry.expression, entry.arity)
-            box = tuple(map(parse_interval, entry.box or (entry.domain,)))
+            parsed.append((entry, parse(entry.expression, entry.arity),
+                           tuple(map(parse_interval, entry.box or (entry.domain,)))))
         except ValueError as exc:
             raise ValueError(f"entry {entry.id!r}: {exc}") from exc
+    for entry, fn, box in parsed:
         if entry.arity == 1:
             p = SampledProblem(
                 lambda ts, fn=fn: eval_many(fn, ts),

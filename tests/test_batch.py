@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import oracle_reference as ref
-from dinicvx import anchored_grid, charact, cli, dini, oracle, parse_interval, restrict, theorems
+from dinicvx import (GridDiniProfile, anchored_grid, charact, cli, dini, golden_battery,
+                     grid_dini_profile, make_grid, oracle, parse_interval, restrict, theorems)
 from dinicvx.oracle import SampledProblem
 from dinicvx.theorems import sample_pairs
 
@@ -130,7 +131,8 @@ def classify(argv: list[str]) -> int:
 BOWL = ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"]
 
 
-def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
+def count_calls(monkeypatch, argv: list[str]) -> dict[str, int]:
+    """The profile and evaluation calls of one successful CLI run."""
     calls = {"grid_dini_profile": 0, "eval_many": 0}
     for module, name in ((oracle, "grid_dini_profile"), (cli, "eval_many")):
         real = getattr(module, name)
@@ -140,38 +142,59 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    assert classify(BOWL + ["--pairs", "24", "--grid", "257"]) == 0
+    assert classify(argv) == 0
+    return calls
+
+
+def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
+    calls = count_calls(monkeypatch, BOWL + ["--pairs", "24", "--grid", "257"])
     # For the 24 lines at once: the grid values are one evaluation, and the
     # pair oracles' one round of requests one profile call, which makes one
-    # evaluation per block of probes (13 blocks of about 21 columns, each
-    # line asking about one side of each column, every entry settled by its
-    # first trailing probe); every later request finds its entries
-    # estimated.  One line at a time, the same run made 24 and 72; with
-    # blocks sized for both sides of every column, 1 and 14.
-    assert calls == {"grid_dini_profile": 1, "eval_many": 14}
+    # evaluation per settle window (21, 42 and 84 columns, then the rest;
+    # each line asks about one side of each column, and every entry settles
+    # by its first trailing probe, so no kernel block runs); every later
+    # request finds its entries estimated.  One line at a time, the same run
+    # made 24 and 72; with blocks sized for both sides of every column, and
+    # with windows of one kernel block's rows, 1 and 14.
+    assert calls == {"grid_dini_profile": 1, "eval_many": 5}
 
 
-# the flat function asks for both sides of every point
+def test_a_one_variable_run_makes_few_evaluation_calls(monkeypatch):
+    # t^2 holds every check: the grid values, then one pair-oracle profile
+    # whose windows double from one kernel block's rows, nearly every entry
+    # settled by one probe.  With windows of one kernel block's rows the
+    # run made 33 evaluations.
+    calls = count_calls(monkeypatch, ["classify", "--function", "t^2", "--domain", "[-1,1]",
+                                      "--grid", "16385"])
+    assert calls["eval_many"] <= 8
+
+
+# the flat function asks for both sides of every point, and no entry settles
 @pytest.mark.parametrize("function", ["x1^2 + x2^2", "0*x1 + 0*x2"])
 @pytest.mark.parametrize("grid,pairs", [(8, 1000), (257, 40), (1022, 9), (1023, 3), (2049, 2),
                                         (16385, 2)])
 def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, function):
-    batches, blocks = [], []
-    real_grid, real_inside = theorems.anchored_grid, dini._inside
+    batches, probes, blocks = [], [], []
+    real_grid, real_rows = theorems.anchored_grid, dini._probe_rows
+    real_profile = oracle.grid_dini_profile
 
     def grids(*args, **kwargs):
         dom = real_grid(*args, **kwargs)
         batches.append(dom.n.copy())
         return dom
 
-    # every Dini block tests the ends of all its rows, those the first
-    # trailing probe settles and those it leaves to the kernel
-    def rows(p, *args):
-        blocks.append(p.shape[1])
-        return real_inside(p, *args)
+    # every evaluation a profile makes: the padded (m, k) probe array of a
+    # settle window or of a kernel block
+    def profile(phi, *args, **kwargs):
+        return real_profile(lambda pts: probes.append(pts.size) or phi(pts), *args, **kwargs)
+
+    def rows(f, x, *args):
+        blocks.append(x.shape[0])
+        return real_rows(f, x, *args)
 
     monkeypatch.setattr(theorems, "anchored_grid", grids)
-    monkeypatch.setattr(dini, "_inside", rows)
+    monkeypatch.setattr(oracle, "grid_dini_profile", profile)
+    monkeypatch.setattr(dini, "_probe_rows", rows)
     classify(["classify", "--function", function, "--arity", "2", "--box", "[-1,1]x[-1,1]",
               "--pairs", str(pairs), "--grid", str(grid)])
     assert sum(len(n) for n in batches) == pairs
@@ -180,7 +203,54 @@ def test_batches_and_blocks_stay_within_their_bounds(monkeypatch, grid, pairs, f
         assert len(n) * n.max() <= theorems._BATCH_POINTS or len(n) == 1
         # both sides of a column of every line fit in one kernel block
         assert 2 * len(n) <= dini._BLOCK_ROWS
-    assert max(blocks) <= dini._BLOCK_ROWS
+    steps = dini.DiniSchedule().steps
+    assert 0 < max(probes) <= dini._BLOCK_ROWS * (steps - steps // 2)
+    assert max(blocks, default=0) <= dini._BLOCK_ROWS
+    assert blocks or function == "x1^2 + x2^2"
+
+
+def parity_problems():
+    """(phi, dom): the 1-D golden functions, an open-ended log and sqrt and
+    a jump at 257 points, three of them at 2049 (several windows of the
+    default size), and a ragged batch of each case."""
+    one = [(e.expression, e.domain, 257) for e in golden_battery() if e.arity == 1]
+    one += [(source, domain, n) for n in (257, 2049) for source, domain in
+            [("log(t)", "[-1,1]"), ("sqrt(t)", "(0,2]"), ("piecewise(t < 0.3: t^2, else: t - 1)",
+                                                          "[-1,1]")]]
+    out = [(phi_of(source), make_grid(parse_interval(domain), n)) for source, domain, n in one]
+    for case in sorted(CASES):
+        f, box, xs, ys = lines_of(case, 1)
+        r = restrict(f, xs, ys, box)
+        out.append((r.phi, anchored_grid(r.feasible, N_GRID)))
+    return out
+
+
+PARITY = parity_problems()
+
+
+def decided(phi, dom) -> tuple[list[str], list[GridDiniProfile]]:
+    """Every verdict's repr, the profile the verdicts left, and the whole
+    profile without ``until``, with and without ``stat_tol``."""
+    p = SampledProblem(phi, dom)
+    verdicts = [repr(v) for v in run_all(p).values()]
+    return verdicts, [p.profile] + [grid_dini_profile(phi, dom, p.values, p.schedule,
+                                                      stat_tol=tol) for tol in (p.stat_tol, None)]
+
+
+@pytest.mark.parametrize("block_rows", [7, 64])
+def test_small_windows_and_blocks_decide_as_the_default(monkeypatch, block_rows):
+    want = [decided(phi, dom) for phi, dom in PARITY]
+    monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
+    for (phi, dom), (verdicts, profiles) in zip(PARITY, want):
+        got_verdicts, got_profiles = decided(phi, dom)
+        assert got_verdicts == verdicts
+        # the verdicts may leave settled entries past their stop estimated in
+        # one run and not the other: those estimated in both are equal
+        both = got_profiles[0].estimated & profiles[0].estimated
+        for got, prof, mask in zip(got_profiles, profiles, (both, ..., ...)):
+            for name in ("value", "converged", "feasible", "estimated"):
+                assert (getattr(got, name)[mask].tobytes()
+                        == getattr(prof, name)[mask].tobytes()), name
 
 
 def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(monkeypatch):

@@ -14,6 +14,7 @@ from dinicvx import (
     random_battery,
     write_manifest,
 )
+from dinicvx import theorems
 from dinicvx.cli import main
 
 LABELS = ("pseudoconvex", "strictly_pseudoconvex", "quasiconvex",
@@ -177,6 +178,20 @@ class TestManifestIO:
         write_manifest((replace(sq, **{field: value}),), path)
         assert main(["verify-theorems", str(path)]) == 1
         assert capsys.readouterr().err.splitlines()[0] == f"error: entry 'sq': {message}"
+
+    def test_an_unparsable_last_entry_fails_before_any_entry_runs(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        path = tmp_path / "m.json"
+        bad = replace(next(e for e in golden_battery() if e.id == "sq"), id="last",
+                      expression="t +")
+        write_manifest(golden_battery() + (bad,), path)
+        calls = []
+        real = theorems.check_t3
+        monkeypatch.setattr(theorems, "check_t3", lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert main(["verify-theorems", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: entry 'last': unexpected end of expression (at offset 3)"
+        assert len(golden_battery()) == 26 and calls == []
 
     def test_manifest_without_entries(self, tmp_path):
         path = tmp_path / "m.json"

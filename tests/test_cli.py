@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dinicvx
-from dinicvx import cli, golden_battery, write_manifest
+from dinicvx import cli, dini, golden_battery, write_manifest
 from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
 from dinicvx.oracle import Verdict, Witness
@@ -177,22 +177,24 @@ class TestClassifyReport:
 
     def test_each_witness_point_estimated_once(self, monkeypatch, capsys):
         # the definitional and structural sides of the four checks report
-        # the same grid points, and the ends (-1 has no minus side) among them
+        # the same grid points, and the ends (-1 has no minus side) among
+        # them; all of them are estimated in one call
         argv = ["classify", "--function", "t^3 - t", "--domain", "[-1,1]", "--grid", "33"]
         calls = []
 
-        def counting(phi, t, *args):
-            calls.append(t)
-            return dinicvx.is_stationary(phi, t, *args)
+        def counting(phi, ts, *args):
+            calls.append(list(ts))
+            return dini.stationarity_estimates(phi, ts, *args)
 
-        monkeypatch.setattr(cli, "is_stationary", counting)
+        monkeypatch.setattr(cli, "stationarity_estimates", counting)
         _, out, _ = run(argv, capsys)
         monkeypatch.undo()
         wits = [w for block in json.loads(out)["checks"].values()
                 for verdict in block["methods"].values() for w in verdict["witnesses"]]
         points = {w["points"][0] for w in wits}
         assert len(wits) > len(points) > 1
-        assert sorted(calls) == sorted(points)
+        (ts,) = calls
+        assert sorted(ts) == sorted(points)
         phi = phi_of(argv[2])
         for w in wits:
             fresh = dinicvx.is_stationary(phi, w["points"][0], dinicvx.parse_interval(argv[4]),

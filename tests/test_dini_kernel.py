@@ -674,7 +674,50 @@ def test_interior_grid_probes_only_the_trailing_half():
 
     grid_dini_profile(counting, dom, phi(dom.points), schedule)
     # one block holds both sides of every point
-    assert sizes == [2 * dom.n * (schedule.steps - schedule.steps // 2)]
+    trailing = schedule.steps - schedule.steps // 2
+    assert sizes == [2 * dom.n * trailing]
+    # with stat_tol, one window probes every row at its largest trailing
+    # step and makes the end test, and the kernel takes both for the rows
+    # left unsettled, so no probe is evaluated and no end tested twice
+    sizes.clear()
+    with mock.patch.object(dini, "_inside", wraps=dini._inside) as inside:
+        prof = grid_dini_profile(counting, dom, phi(dom.points), schedule, stat_tol=1e-7)
+    left = int((~prof.descent(1e-7)).sum())
+    assert 0 < left < 2 * dom.n
+    assert sizes == [2 * dom.n, left * (trailing - 1)]
+    assert inside.call_count == 1
+
+
+class TestStationarityEstimates:
+    """The witnesses' one kernel call against ``is_stationary`` point by point."""
+
+    @pytest.mark.parametrize(
+        "source,domain",
+        [(e.expression, e.domain) for e in GOLDEN_1D]
+        + [("log(t)", "[-1,1]"), ("sqrt(t)", "(0,2]"), ("piecewise(t < 0: 0, else: 1)", "[-1,1]")],
+        ids=[e.id for e in GOLDEN_1D] + ["log", "sqrt", "jump"],
+    )
+    def test_each_point_as_is_stationary_gives_it(self, source, domain):
+        phi, iv = phi_of(source), parse_interval(domain)
+        # a grid, repeated points, both zeros, the ends and points past them
+        ts = make_grid(iv, 65).points.tolist()
+        ts += [ts[3], ts[3], 0.0, -0.0, iv.lo, iv.hi, iv.lo - 0.5, iv.hi + 0.5]
+        for schedule in SCHEDULES:
+            got = dini.stationarity_estimates(phi, ts, iv, schedule)
+            assert len(got) == len(ts)
+            for t, found in zip(ts, got):
+                try:
+                    want = is_stationary(phi, t, iv, schedule).estimates
+                except ValueError:
+                    want = {}
+                assert repr(found) == repr(want), t
+            assert {} in got and any(len(found) == 2 for found in got)
+
+    def test_no_point_probes_nothing(self):
+        calls = []
+        assert dini.stationarity_estimates(lambda pts: calls.append(pts), [],
+                                           parse_interval("[-1,1]")) == []
+        assert calls == []
 
 
 class TestLineCallers:

@@ -243,8 +243,9 @@ def recording_profiles(monkeypatch):
     call estimated, as full-grid (2, n) masks.
 
     The call's arguments are bound to the function's signature and forwarded,
-    so any signature works; the mask is read from them by name, and cut
-    after the block at which an ``until`` ended the scan."""
+    so any signature works; the mask is read from them by name.  Past the
+    block at which an ``until`` ended the scan, only the entries the call
+    newly estimated (settled in that block's window) count."""
     calls = []
     real = oracle.grid_dini_profile
     signature = inspect.signature(real)
@@ -262,10 +263,12 @@ def recording_profiles(monkeypatch):
                 return stop
 
             bound.arguments["until"] = watching
+        before = (np.zeros((2, arg["dom"].n), dtype=bool) if arg["out"] is None
+                  else arg["out"].estimated.copy())
         out = real(*bound.args, **bound.kwargs)
         mask = arg["mask"]
         done = np.ones((2, arg["dom"].n), dtype=bool) if mask is None else mask.copy()
-        done[:, end[0]:] = False
+        done[:, end[0]:] &= out.estimated[:, end[0]:] & ~before[:, end[0]:]
         calls.append(done)
         return out
 
@@ -478,23 +481,53 @@ class TestDemandDrivenProfile:
         prof = p.profile
         assert not prof.estimated[:, dini._BLOCK_ROWS :].any()
 
-    def test_sparse_failures_stop_at_the_block_of_the_eighth(self):
+    def test_sparse_failures_stop_at_the_block_of_the_eighth(self, monkeypatch):
         p = SampledProblem(phi_of(STAIRS), grid_for("[-1,1]", 16385))
+        probed, asked = [], []
+        real_rows, real_profile = dini._probe_rows, oracle.grid_dini_profile
+
+        def rows(f, x, *args):
+            probed.append(x.copy())
+            return real_rows(f, x, *args)
+
+        def profile(*args, until=None, **kwargs):
+            def watching(columns):
+                asked.append((columns, until(columns)))
+                return asked[-1][1]
+            return real_profile(*args, until=watching, **kwargs)
+
+        monkeypatch.setattr(dini, "_probe_rows", rows)
+        monkeypatch.setattr(oracle, "grid_dini_profile", profile)
         verdict = pseudoconvex_def(p)
+        monkeypatch.undo()
         assert verdict.outcome == "fails"
         assert len(verdict.witnesses) == oracle._WITNESS_CAP
         last = int(np.searchsorted(p.dom.points, verdict.witnesses[-1].points[0]))
-        first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
         # t rises: every point but the first asks for its left side alone, so
-        # a block of _BLOCK_ROWS entries is as many columns, from column 1
+        # a window or a block of k entries is k columns, from column 1
         hit = p.side_min < p.values - p.band
         assert not hit[1].any() and np.flatnonzero(~hit[0]).tolist() == [0]
-        block = (last - 1) // dini._BLOCK_ROWS
-        assert block > (first - 1) // dini._BLOCK_ROWS
-        end = 1 + (block + 1) * dini._BLOCK_ROWS
-        estimated = p.profile.estimated.any(axis=0)
-        assert estimated[end - dini._BLOCK_ROWS : end].all()
-        assert not estimated[end:].any()
+        # until reads column 0, asking nothing, then each block once, in grid
+        # order, and stops at the block that holds the eighth failure, well
+        # before the end of the grid
+        (stop, stopped), columns = asked[-1], [c for c, _ in asked]
+        assert stopped and not any(done for _, done in asked[:-1])
+        assert columns[0] == slice(0, 1)
+        assert [c.start for c in columns[1:]] == [c.stop for c in columns[:-1]]
+        first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
+        assert first < stop.start <= last < stop.stop < p.dom.n // 2
+        # the kernel estimated no row past that block, the eighth failure in it
+        kernel = np.searchsorted(p.dom.points, np.concatenate(probed))
+        assert last in kernel and kernel.max() < stop.stop
+        # windows double from one kernel block's rows; the one holding the
+        # stop is estimated up to its end, past the stop only where settled
+        steps = dini.DiniSchedule().steps
+        end, size, wide = 1, dini._BLOCK_ROWS, dini._BLOCK_ROWS * (steps - steps // 2)
+        while end < stop.stop:
+            end, size = end + size, min(2 * size, wide)
+        estimated = p.profile.estimated[0]
+        assert estimated[1:end].all() and not estimated[end:].any()
+        assert np.array_equal(estimated[stop.stop:], p.profile.descent(p.stat_tol)[0, stop.stop:])
 
     def test_unconverged_entries_do_not_count_toward_the_stop(self):
         # a profile filled in by hand up to its last block: the whole first
