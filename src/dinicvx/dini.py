@@ -13,10 +13,10 @@ and evaluating only the probes the rule can read.  A probe moves
 monotonically with its step, so a row whose largest and smallest probes
 lie in the domain has every probe there, and its window is the trailing
 half of the schedule: only those probes are built, and no bound is
-compared.  :func:`lower_dini_along` estimates one point along a block of
-directions; :func:`lower_dini` and :func:`is_stationary` call it on the
-line, and :func:`stationarity_estimates` probes both directions of many
-points of a line at once.  :func:`grid_dini_profile` estimates the grid
+compared.  :func:`lower_dini` estimates one point of a line in one
+direction, and :func:`stationarity_estimates` both directions of many
+points of a line at once, each one :func:`_probe_rows` call through
+:func:`_along`.  :func:`grid_dini_profile` estimates the grid
 points of one grid, or of the m lines of a batch, both sides of each point
 on one axis: (2, n), ``[0]`` toward lower t, behind a line axis for a
 batch.  A row's bits do not depend on the rows beside it, so a caller
@@ -38,7 +38,7 @@ with those probes' values, in kernel blocks bounded by rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -51,10 +51,7 @@ __all__ = [
     "DiniEstimate",
     "DiniDomainError",
     "lower_dini",
-    "lower_dini_along",
-    "is_stationary",
     "stationarity_estimates",
-    "StationarityCheck",
     "GridDiniProfile",
     "grid_dini_profile",
 ]
@@ -134,13 +131,6 @@ class DiniEstimate:
     converged: bool
     n_probes: int
     all_undefined: bool = False
-
-
-@dataclass(frozen=True)
-class StationarityCheck:
-    stationary: bool
-    estimates: dict[str, DiniEstimate] = field(default_factory=dict)
-    decisive: bool = True
 
 
 def _accumulate(op, a: np.ndarray) -> np.ndarray:
@@ -360,42 +350,18 @@ def lower_dini(
     """
     if u == 0 or not np.isfinite(u):
         raise ValueError(f"direction must be finite and nonzero, got {u}")
-    est = lower_dini_along(lambda pts: phi(pts.reshape(-1)), [t], [[np.sign(u)]],
-                           (feasible,), schedule)[0]
+    x = np.asarray([t], dtype=float)
+    if not feasible.contains(x[0]):
+        raise ValueError(f"base point {x.tolist()} outside {feasible}")
+    base = float(phi(x)[0])
+    if np.isnan(base):
+        raise ValueError(f"function undefined at the base point {x.tolist()}")
+    [est] = _along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), x,
+                   np.array([np.sign(u)], dtype=float), (feasible,), np.full(1, base), schedule,
+                   np.ones(1))
     if est.n_probes == 0:
         raise DiniDomainError("direction leaves domain")
     return replace(est, value=abs(float(u)) * est.unit_value)
-
-
-def lower_dini_along(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    dirs: np.ndarray,
-    box: tuple[Interval, ...],
-    schedule: DiniSchedule | None = None,
-) -> list[DiniEstimate]:
-    """Lower Dini derivatives of a multivariate ``f`` at ``x`` along each
-    row of the (k, n) block ``dirs``.
-
-    ``f`` maps an (m, n) array of points to (m,) values; it is called once
-    for the base point and once for the probes that :func:`_probe_rows`
-    evaluates (twice if some direction falls back).  Each
-    direction is normalized to unit Euclidean length for probing, and its
-    ``value`` is rescaled by that length.  Probes outside the box are
-    skipped; a direction with none inside comes back with ``n_probes == 0``
-    and an empty trace.  Raises ValueError for a zero or non-finite
-    direction, and for a base point outside the box or where ``f`` is
-    undefined.
-    """
-    x = np.asarray(x, dtype=float)
-    norms, u = _unit(dirs)
-    if not all(iv.contains(v) for iv, v in zip(box, x)):
-        raise ValueError(f"base point {x.tolist()} outside {'x'.join(map(str, box))}")
-    base = float(f(x[None, :])[0])
-    if np.isnan(base):
-        raise ValueError(f"function undefined at the base point {x.tolist()}")
-    return _along(lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
-                  np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule, norms)
 
 
 def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
@@ -423,37 +389,17 @@ def _unit(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, dirs / norms[:, None]
 
 
-def is_stationary(
-    phi: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    feasible: Interval,
-    schedule: DiniSchedule | None = None,
-    stat_tol: float = 1e-7,
-) -> StationarityCheck:
-    """Check whether no feasible direction descends faster than -stat_tol.
-
-    A direction is feasible when at least one probe step stays inside
-    ``feasible``.  Descent along an unfinished trace is still decisive
-    (the running minimum can only fall further), but a "no descent"
-    conclusion from an unconverged estimate is flagged indecisive.
-    """
-    found = lower_dini_along(lambda pts: phi(pts.reshape(-1)), [t], [[1.0], [-1.0]],
-                             (feasible,), schedule)
-    estimates = {label: est for label, est in zip(("+1", "-1"), found) if est.n_probes}
-    stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
-    decisive = not stationary or all(est.converged for est in estimates.values())
-    return StationarityCheck(stationary=stationary, estimates=estimates, decisive=decisive)
-
-
 def stationarity_estimates(
     phi: Callable[[np.ndarray], np.ndarray],
     ts: list[float],
     feasible: Interval,
     schedule: DiniSchedule | None = None,
 ) -> list[dict[str, DiniEstimate]]:
-    """``is_stationary(phi, t, feasible, schedule).estimates`` at each t of
-    ``ts``, or ``{}`` where that raises ValueError: both directions of every
-    t in one :func:`_probe_rows` call, with a base per row."""
+    """The estimates of :func:`lower_dini` toward +1 and -1 at each t of
+    ``ts``, keyed ``"+1"`` and ``"-1"``, a direction with no probe in
+    ``feasible`` left out, or ``{}`` for a t outside ``feasible`` or where
+    ``phi`` is undefined: both directions of every t in one
+    :func:`_probe_rows` call, with a base per row."""
     ts = np.asarray(ts, dtype=float)
     ok = np.flatnonzero(feasible.contains_many(ts))
     base = phi(ts[ok]) if ok.size else np.empty(0)

@@ -283,7 +283,7 @@ class SampledProblem:
     def verdict(self, oracle: Callable[[SampledProblem], Verdict]) -> Verdict:
         """``oracle(self)``, run on the first request and then kept: a
         verdict, or another result read from the problem alone (its
-        decomposition).
+        decomposition, or the origin test of its lines).
 
         Kept per oracle function object: a caller that passes the oracle as
         its module binds it now lets a rebound (traced) oracle see that call.

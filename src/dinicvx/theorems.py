@@ -10,6 +10,8 @@ marked rather than silently passed.
 ``run_battery`` runs every check over a battery, T6 and Lpr1 on one set of
 line batches per 2-D entry; it compares only 1-D entries' labels with the
 definitional oracles and aggregates the outcome for the CLI and the tests.
+Whether t=0 is stationary on a line, T6's origin test and Lpr1's C, is one
+computation per batch, :func:`_origin`, kept by the batch's problem.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
-from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit, is_stationary
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit
 from .domain import (
     Interval,
     LineRestriction,
@@ -274,9 +276,36 @@ def _line_ends(r: LineRestriction, p: SampledProblem) -> np.ndarray:
     return np.take_along_axis(p.values, at.argmax(axis=1), axis=1)
 
 
+def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Whether t=0 is stationary on each line of a batch, and what that reads.
+
+    Returns (phi0, probe_vals, stationary, open): the value at 0, the values
+    at the in-domain probes ``s`` then ``-s`` of the batch's schedule (the
+    estimator default when None), NaN at the others, (m,) and (m, 2 steps);
+    whether no feasible side descends beyond ``stat_tol``; and whether a
+    stationary line rests on an unconverged estimate.  The values are one
+    ``phi`` call, and one whole-row kernel call takes them as a (steps x 2m)
+    block, a column toward +s and one toward -s per line.  T6's origin test
+    and Lpr1's B and C read it through ``p.verdict``.
+    """
+    schedule = p.schedule or DiniSchedule()
+    s, steps = schedule.step_sizes(), schedule.steps
+    probes = np.concatenate([s, -s])
+    m = len(p.dom.interval)
+    lo, hi = extent(p.dom.interval)
+    inside = (probes >= lo[:, None]) & (probes <= hi[:, None])
+    near = p.phi(np.column_stack([np.zeros(m), np.where(inside, probes, np.nan)]))
+    phi0, probe_vals = near[:, 0], near[:, 1:]
+    value, converged, _, _, n_in = _dini_rows(
+        probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(phi0, 2), s,
+        schedule.dini_tol)
+    feasible = (n_in > 0).reshape(m, 2)
+    stationary = ~(feasible & (value.reshape(m, 2) < -p.stat_tol)).any(axis=1)
+    unconverged = (feasible & ~converged.reshape(m, 2)).any(axis=1)
+    return phi0, probe_vals, stationary, stationary & unconverged
+
+
 def check_t6(
-    f: Callable[[np.ndarray], np.ndarray],
-    box: tuple[Interval, ...],
     batches: Sequence[tuple[LineRestriction, SampledProblem]],
     function_id: str = "",
 ) -> TheoremReport:
@@ -284,7 +313,8 @@ def check_t6(
     is non-stationary on every restriction whose far end is strictly lower.
 
     Both sides are quantified over the lines of the :func:`line_problems`
-    ``batches``; the origin test restricts ``f`` to each line again.
+    ``batches``; the origin test is the one Lpr1's C reads, one kernel call
+    per batch that needs it.
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []
@@ -303,15 +333,14 @@ def check_t6(
             rhs_pair = ssq.outcome == "holds"
             fx, fy = (float(v) for v in ends[i])
             if rhs_pair and fy < fx - ssq.tol:
-                line = restrict(f, r.x[i], r.y[i], box)
-                st = is_stationary(line.phi, 0.0, line.feasible, p.schedule, p.stat_tol)
-                if not st.decisive:
+                _, _, stationary, unsettled = p.verdict(_origin)
+                if unsettled[i]:
                     inconclusive = True
                     continue
-                if st.stationary:
+                if stationary[i]:
                     rhs_pair = False
                     wits.append(Witness(
-                        "stationary_origin", tuple(map(float, line.x)) + tuple(map(float, line.y)),
+                        "stationary_origin", tuple(map(float, r.x[i])) + tuple(map(float, r.y[i])),
                         (fx, fy), "f(y) < f(x) but t=0 is stationary on the restriction"))
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
@@ -362,20 +391,19 @@ def check_abc(
     restriction over its feasible set, measured against the grid values
     together with the Dini probe values near 0 (a pure-grid minimum misses
     sub-grid dips next to 0 and would assert B spuriously).  C: t=0 is
-    stationary for the restriction, as :func:`~dinicvx.dini.is_stationary`
-    finds it.  The report is inconclusive when the restriction is undefined
-    at a grid point, when an unconverged feasible direction comes before the
-    first descending one in sample order, or when C rests on an unconverged
-    estimate.  Each batch's schedule (the estimator default when None) and
+    stationary for the restriction, no feasible side of it descending beyond
+    ``stat_tol``: T6's origin test.  The report is inconclusive when the
+    restriction is undefined at a grid point, when an unconverged feasible
+    direction comes before the first descending one in sample order, or
+    when C rests on an unconverged estimate.  Each batch's schedule (the estimator default when None) and
     ``stat_tol`` decide its lines; its band is never read.
 
     Each pair reads the grid values of its batch.  A probes every defined
     pair's x along every direction as the rows of
     :func:`~dinicvx.dini._probe_rows`, in blocks of ``_BLOCK_ROWS``, after
     one call of ``f`` at every x.  B's values at 0 and at the in-domain
-    probes ``+-s`` of every line are one restriction call, and they are C's
-    probes too: one whole-row kernel call takes them as a (steps x 2m)
-    block.  Every report is what the pair gives alone.
+    probes ``+-s`` of every line, and C, are the batch's :func:`_origin`,
+    which T6 reads too.  Every report is what the pair gives alone.
     """
     n_lines = sum(r.x.shape[0] for r, _ in batches)
     ids = [""] * n_lines if function_id is None else list(function_id)
@@ -390,8 +418,7 @@ def check_abc(
     reports: list[TheoremReport] = []
     for r, p in batches:
         schedule, stat_tol = p.schedule or DiniSchedule(), p.stat_tol
-        s, steps, dini_tol = schedule.step_sizes(), schedule.steps, schedule.dini_tol
-        probes = np.concatenate([s, -s])
+        s, dini_tol = schedule.step_sizes(), schedule.dini_tol
         m = r.x.shape[0]
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
@@ -415,22 +442,10 @@ def check_abc(
         a_true[defined] = seen == n_dirs
         a_open[defined] = ~(converged.reshape(-1, n_dirs) | unseen).all(axis=1)
 
-        lo, hi = extent(r.feasible)
-        inside = (probes >= lo[:, None]) & (probes <= hi[:, None])
-        near = r.phi(np.column_stack([np.zeros(m), np.where(inside, probes, np.nan)]))
-        phi0, probe_vals = near[:, 0], near[:, 1:]
+        phi0, probe_vals, c_true, c_open = p.verdict(_origin)
         lowest = np.minimum(p.values.min(axis=1),
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
         b_true = phi0 <= lowest + 1e-12 * (1.0 + np.abs(phi0))
-
-        # C from the same values: a kernel column toward +s and one toward -s
-        # per line, whose probes are the values themselves
-        value, converged, _, _, n_in = _dini_rows(
-            probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(phi0, 2), s,
-            dini_tol)
-        feasible = (n_in > 0).reshape(m, 2)
-        c_true = ~(feasible & (value.reshape(m, 2) < -stat_tol)).any(axis=1)
-        c_open = c_true & (feasible & ~converged.reshape(m, 2)).any(axis=1)
 
         for i, fid in enumerate(ids[len(reports) : len(reports) + m]):
             if not defined[i] or a_open[i] or c_open[i]:
@@ -549,7 +564,7 @@ def run_battery(
                          for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
             batches = list(line_problems(fmv, pair_list, box, n_grid, margin, schedule, tol,
                                          stat_tol))
-            found = [check_t6(fmv, box, batches, entry.id)]
+            found = [check_t6(batches, entry.id)]
             if entry.expected is not None and entry.expected.get("quasiconvex"):
                 found += check_abc(fmv, box, batches, seed=seed,
                                    function_id=[f"{entry.id}#pair{k}"

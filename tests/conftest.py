@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from dinicvx import eval_many, make_grid, parse, parse_interval
+from dinicvx import dini, eval_many, make_grid, parse, parse_interval
 
 
 def phi_of(source: str, arity: int = 1):
@@ -20,3 +21,16 @@ def unit_interval():
 
 def grid_for(domain: str, n: int = 257, margin: float = 1e-6):
     return make_grid(parse_interval(domain), n, margin)
+
+
+def along(f, x, dirs, box, schedule=None):
+    """The estimates of ``dini._along`` at ``x`` along each row of the (k, n)
+    block ``dirs``, probes outside ``box`` skipped: ``f`` maps (m, n) points
+    to (m,) values and is called once at ``x``, then for the probes.  A
+    zero or non-finite direction raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    norms, u = dini._unit(dirs)
+    base = float(f(x[None, :])[0])
+    return dini._along(lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
+                       np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule,
+                       norms)

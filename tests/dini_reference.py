@@ -4,15 +4,18 @@ This is the scalar, one-row form of the rule that ``dinicvx.dini`` applies
 to whole blocks of rows at once.  The tests compare the block kernel and
 every public Dini function against it bit for bit.
 
-``lower_dini_along`` is the one-direction form that the block form of
-``dinicvx.lower_dini_along`` replaced; each row of a block must match it.
-It estimates its one row with ``_estimate_one``, so it shares no code with
-the kernel it checks.
+``lower_dini_along`` estimates a multivariate function at a point along
+one direction of a box; each row of a kernel block in a box
+(``dinicvx.dini._along``) must match it.  ``is_stationary`` asks it for
+both directions of a line at one point: each point of
+``dinicvx.dini.stationarity_estimates`` must give its estimates, and the
+origin test that T6 and Lpr1 read its verdict.  Both estimate their rows
+with ``_estimate_one``, so they share no code with the kernel they check.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -125,3 +128,41 @@ def lower_dini_along(
         raise ValueError("f undefined at the base point")
     est = _estimate_one(base, f(probes), in_domain, s, schedule.dini_tol)
     return replace(est, value=norm * est.unit_value)
+
+
+@dataclass(frozen=True)
+class StationarityCheck:
+    stationary: bool
+    estimates: dict[str, DiniEstimate]
+    decisive: bool
+
+
+def is_stationary(
+    phi: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    feasible: Interval,
+    schedule: DiniSchedule | None = None,
+    stat_tol: float = 1e-7,
+) -> StationarityCheck:
+    """Whether no feasible direction of the line descends at ``t`` faster
+    than ``-stat_tol``.
+
+    ``estimates`` holds the estimates toward +1 and -1, keyed ``"+1"`` and
+    ``"-1"``, of the directions with a probe in ``feasible``.  Descent
+    along an unfinished trace is still decisive (the running minimum can
+    only fall further), but a "no descent" conclusion from an unconverged
+    estimate is not.  Raises ValueError for a ``t`` outside ``feasible`` or
+    where ``phi`` is undefined.
+    """
+    if not feasible.contains(t):
+        raise ValueError(f"base point {t} outside {feasible}")
+    estimates = {}
+    for label, u in (("+1", 1.0), ("-1", -1.0)):
+        try:
+            estimates[label] = lower_dini_along(lambda pts: phi(pts.reshape(-1)), np.asarray([t]),
+                                                np.asarray([u]), (feasible,), schedule)
+        except DiniDomainError:
+            continue
+    stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
+    decisive = not stationary or all(est.converged for est in estimates.values())
+    return StationarityCheck(stationary, estimates, decisive)

@@ -24,6 +24,7 @@ from dinicvx.cli import (
 )
 
 from conftest import phi_of
+from dini_reference import is_stationary
 
 CUBE = ["classify", "--function", "t^3", "--domain", "[-1,1]"]
 # sub-tolerance creep: individual rises stay under 1e-6 while the total
@@ -197,8 +198,8 @@ class TestClassifyReport:
         assert sorted(ts) == sorted(points)
         phi = phi_of(argv[2])
         for w in wits:
-            fresh = dinicvx.is_stationary(phi, w["points"][0], dinicvx.parse_interval(argv[4]),
-                                          dinicvx.DiniSchedule())
+            fresh = is_stationary(phi, w["points"][0], dinicvx.parse_interval(argv[4]),
+                                  dinicvx.DiniSchedule())
             expected = {("plus" if label == "+1" else "minus"): est
                         for label, est in fresh.estimates.items()}
             assert canonical_json(w["dini"]) == canonical_json(expected)
@@ -295,6 +296,17 @@ class TestDini:
         rep = json.loads(out)
         assert math.isclose(rep["estimate"]["value"], 2.0, abs_tol=1e-5)
         assert math.isclose(rep["estimate"]["unit_value"], 1.0, abs_tol=1e-5)
+
+    @pytest.mark.parametrize("function,domain,at,direction,line", [
+        ("t^2", "[0,1]", "2", "1", "error: base point [2.0] outside [0,1]"),
+        ("log(t)", "[-1,1]", "0", "1", "error: function undefined at the base point [0.0]"),
+        ("t^2", "[0,1]", "1", "1", "error: direction leaves domain"),
+        ("t^2", "[0,1]", "0.5", "0", "error: direction must be finite and nonzero, got 0.0"),
+    ])
+    def test_error_lines(self, capsys, function, domain, at, direction, line):
+        code, out, err = run(["dini", "--function", function, "--domain", domain,
+                              "--at", at, "--dir", direction], capsys)
+        assert (code, out, err.splitlines()[0]) == (EXIT_CONFIG, "", line)
 
 
 class TestParserBuiltOnce:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from dinicvx import (
     DiniDomainError,
     DiniSchedule,
     grid_dini_profile,
-    is_stationary,
     lower_dini,
-    lower_dini_along,
     make_grid,
     parse_interval,
+    restrict,
+    stationarity_estimates,
 )
 
-from conftest import phi_of
+from conftest import along, phi_of
 
 IV = parse_interval("[-1,1]")
 
@@ -148,6 +149,16 @@ class TestLowerDini:
         assert es.value == pytest.approx(scale * e1.value, rel=1e-9, abs=1e-12)
 
 
+def is_stationary(phi, t, feasible, stat_tol=1e-7):
+    """The stationarity verdict at t from ``stationarity_estimates``: no
+    feasible direction descends beyond ``stat_tol``, decisive unless that
+    rests on an unconverged estimate."""
+    [estimates] = stationarity_estimates(phi, [t], feasible)
+    stationary = not any(est.unit_value < -stat_tol for est in estimates.values())
+    decisive = not stationary or all(est.converged for est in estimates.values())
+    return SimpleNamespace(stationary=stationary, decisive=decisive, estimates=estimates)
+
+
 class TestIsStationary:
     def test_smooth_minimum_is_stationary(self):
         chk = is_stationary(phi_of("t^2"), 0.0, IV)
@@ -242,18 +253,18 @@ class TestGridProfile:
         assert not prof.converged[1, :-1].any()
 
 
-class TestLowerDiniAlong:
+class TestAlongInABox:
     BOX = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
 
     def test_matches_univariate_on_axis(self):
         f = phi_of("x1^2 + x2^2", 2)
-        [est] = lower_dini_along(f, np.asarray([0.5, 0.0]), np.asarray([[1.0, 0.0]]), self.BOX)
+        [est] = along(f, np.asarray([0.5, 0.0]), np.asarray([[1.0, 0.0]]), self.BOX)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_direction_normalized_value_rescaled(self):
         f = phi_of("x1 + 2*x2", 2)
         u = np.asarray([[3.0, 4.0]])  # norm 5
-        [est] = lower_dini_along(f, np.asarray([0.0, 0.0]), u, self.BOX)
+        [est] = along(f, np.asarray([0.0, 0.0]), u, self.BOX)
         # directional slope along u is 1*3 + 2*4 = 11
         assert est.value == pytest.approx(11.0, abs=1e-6)
         assert est.unit_value == pytest.approx(11.0 / 5.0, abs=1e-7)
@@ -261,25 +272,25 @@ class TestLowerDiniAlong:
     def test_corner_infeasible_direction(self):
         # a direction with no probe in the box is reported, not raised
         f = phi_of("x1^2 + x2^2", 2)
-        [est] = lower_dini_along(f, np.asarray([1.0, 1.0]), np.asarray([[1.0, 1.0]]), self.BOX)
+        [est] = along(f, np.asarray([1.0, 1.0]), np.asarray([[1.0, 1.0]]), self.BOX)
         assert est.n_probes == 0 and est.tail_min_trace == ()
 
     def test_block_rows_are_independent(self):
         f = phi_of("x1 + 2*x2", 2)
         dirs = np.asarray([[1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])
         x = np.asarray([1.0, 0.0])
-        block = lower_dini_along(f, x, dirs, self.BOX)
+        block = along(f, x, dirs, self.BOX)
         assert [e.n_probes for e in block] == [0, 0, 40]
-        assert block == [lower_dini_along(f, x, d[None, :], self.BOX)[0] for d in dirs]
+        assert block == [along(f, x, d[None, :], self.BOX)[0] for d in dirs]
         assert block[2].value == pytest.approx(-4.0, rel=1e-5)
 
     def test_base_point_outside_box_rejected(self):
+        # a base point in a box is a line's x, which restrict checks
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):
-            lower_dini_along(f, np.asarray([1.5, 0.0]), np.asarray([[-1.0, 0.0]]), self.BOX)
+            restrict(f, np.asarray([1.5, 0.0]), np.asarray([0.5, 0.0]), self.BOX)
 
     def test_zero_direction_rejected(self):
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):
-            lower_dini_along(f, np.asarray([0.0, 0.0]),
-                             np.asarray([[1.0, 0.0], [0.0, 0.0]]), self.BOX)
+            along(f, np.asarray([0.0, 0.0]), np.asarray([[1.0, 0.0], [0.0, 0.0]]), self.BOX)

@@ -21,10 +21,8 @@ from dinicvx import (
     GridDiniProfile,
     golden_battery,
     grid_dini_profile,
-    is_stationary,
     line_problems,
     lower_dini,
-    lower_dini_along,
     make_grid,
     parse_interval,
     sample_directions,
@@ -33,8 +31,8 @@ from dinicvx import (
 from dinicvx import dini
 from dinicvx.domain import Interval, SampledDomain
 
-from conftest import phi_of
-from dini_reference import _estimate_one
+from conftest import along, phi_of
+from dini_reference import _estimate_one, is_stationary
 from dini_reference import lower_dini_along as lower_dini_along_one
 
 
@@ -145,7 +143,7 @@ class TestKernelMatchesReference:
     @given(probe_blocks(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_estimates_bit_identical(self, block, data):
-        # lower_dini_along wraps each kernel row: row r of the block probes
+        # dini._along wraps each kernel row: row r of the block probes
         # along axis r with length scales[r], and the box keeps the last
         # keep[r] of its steps (a ray from an inner point leaves a box
         # once, so its in-box probes are always the smallest steps)
@@ -168,7 +166,7 @@ class TestKernelMatchesReference:
             r = np.argmax(pts, axis=1)
             return vals[np.searchsorted(-s, -pts.max(axis=1)), r]
 
-        ests = lower_dini_along(f, np.zeros(rows), dirs, box, schedule)
+        ests = along(f, np.zeros(rows), dirs, box, schedule)
         for r, est in enumerate(ests):
             in_domain = box[r].contains_many(s)
             assert in_domain.sum() == keep[r]
@@ -689,7 +687,8 @@ def test_interior_grid_probes_only_the_trailing_half():
 
 
 class TestStationarityEstimates:
-    """The witnesses' one kernel call against ``is_stationary`` point by point."""
+    """The witnesses' one kernel call against the reference ``is_stationary``
+    point by point."""
 
     @pytest.mark.parametrize(
         "source,domain",
@@ -745,17 +744,17 @@ class TestLineCallers:
 
     @pytest.mark.parametrize("source,t", [("t^2", 0.0), ("abs(t)", 1.0),
                                           ("sqrt(t)", 0.0), ("t", 0.5)])
-    def test_is_stationary_probes_match_lower_dini(self, source, t):
+    def test_stationarity_probes_match_lower_dini(self, source, t):
         phi = phi_of(source)
         iv = parse_interval("[0,1]")
-        chk = is_stationary(phi, t, iv, SUITE_SCHEDULE)
+        [estimates] = dini.stationarity_estimates(phi, [t], iv, SUITE_SCHEDULE)
         for label, u in (("+1", 1.0), ("-1", -1.0)):
             try:
                 single = lower_dini(phi, t, u, iv, SUITE_SCHEDULE)
             except DiniDomainError:
-                assert label not in chk.estimates
+                assert label not in estimates
                 continue
-            assert chk.estimates[label] == single
+            assert estimates[label] == single
 
     @pytest.mark.parametrize("u", [1e-200, 1e200, -1e-200, -1e200])
     def test_lower_dini_extreme_magnitudes(self, u):
@@ -808,7 +807,7 @@ class TestBlockAlong:
                   (1.0, 0.2), (-0.4, -1.0),  # edges
                   (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]  # corners
         for x in map(np.asarray, points):
-            block = lower_dini_along(f, x, dirs, box, schedule)
+            block = along(f, x, dirs, box, schedule)
             assert len(block) == dirs.shape[0]
             assert_block_matches_one_direction(block, f, x, dirs, box, schedule)
 
@@ -821,7 +820,7 @@ class TestBlockAlong:
         for x in map(np.asarray, [(0.0, -1.0), (1.0, 1.0), (1.0, -1.0), (0.5, 1.0),
                                   (0.5, -1.0)]):
             ests = [e for a in range(0, dirs.shape[0], block)
-                    for e in lower_dini_along(f, x, dirs[a:a + block], box)]
+                    for e in along(f, x, dirs[a:a + block], box)]
             assert_block_matches_one_direction(ests, f, x, dirs, box, DiniSchedule())
 
     # corners of closed and open boxes, and points inside them at every
@@ -843,7 +842,7 @@ class TestBlockAlong:
                 x = np.asarray(corner) + d * inward
                 if not all(iv.contains(v) for iv, v in zip(box, x)):
                     continue
-                block = lower_dini_along(f, x, dirs, box, schedule)
+                block = along(f, x, dirs, box, schedule)
                 assert_block_matches_one_direction(block, f, x, dirs, box, schedule)
 
     def test_one_probe_call_per_block(self):
@@ -856,7 +855,7 @@ class TestBlockAlong:
 
         dirs = block_directions()
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        lower_dini_along(f, np.asarray([1.0, 0.0]), dirs, box)
+        along(f, np.asarray([1.0, 0.0]), dirs, box)
         steps = DiniSchedule().steps
         # no row falls back, so only the trailing half of each row is probed
         assert calls == [(1, 2), (dirs.shape[0] * (steps - steps // 2), 2)]

@@ -28,7 +28,9 @@ from dinicvx import dini, theorems
 from dinicvx.theorems import _longest_run
 
 from conftest import grid_for, phi_of
+from dini_reference import is_stationary
 from theorems_reference import check_abc as check_abc_loop
+from theorems_reference import check_t6_loop
 from theorems_reference import sample_pairs_loop
 from theorems_reference import longest_run_loop
 
@@ -104,7 +106,7 @@ class TestT7:
 class TestT6:
     def test_bowl_all_restrictions_agree(self):
         f = phi_of("x1^2 + x2^2", 2)
-        rep = check_t6(f, BOX, lines(f, sample_pairs(BOX, 6, seed=1)))
+        rep = check_t6(lines(f, sample_pairs(BOX, 6, seed=1)))
         assert rep.implication_holds and not rep.inconclusive
         assert "hold" in rep.notes
 
@@ -113,13 +115,13 @@ class TestT6:
         # no leftward descent at s=0 (premise fails) while 0 is stationary
         # with a strictly lower far end (conclusion fails): a non-vacuous match
         f = phi_of("x1^3", 2)
-        rep = check_t6(f, BOX, lines(f, [([0.0, 0.0], [-0.5, 0.1])]))
+        rep = check_t6(lines(f, [([0.0, 0.0], [-0.5, 0.1])]))
         assert rep.implication_holds and not rep.inconclusive
         assert "fail" in rep.notes
 
     def test_premises_and_conclusions_per_pair(self):
         f = phi_of("abs(x1) + abs(x2)", 2)
-        rep = check_t6(f, BOX, lines(f, sample_pairs(BOX, 4, seed=3)))
+        rep = check_t6(lines(f, sample_pairs(BOX, 4, seed=3)))
         assert len(rep.premise_verdicts) == 4
         assert len(rep.conclusion_verdicts) == 4
 
@@ -135,6 +137,60 @@ class TestT6:
             off = ~(p.dom.points == 0.0).any(axis=1)
             assert off.tolist() == [pairs[0] is near[0]] + [False] * (len(pairs) - 1)
             assert np.array_equal(theorems._line_ends(r, p), want)
+
+    @staticmethod
+    def loop(batches, function_id):
+        """``check_t6_loop`` on the golden entry ``function_id``."""
+        entry, = (e for e in golden_battery() if e.id == function_id)
+        box = tuple(map(parse_interval, entry.box))
+        return check_t6_loop(phi_of(entry.expression, 2), box, batches, function_id)
+
+    @pytest.mark.parametrize("seed,settings", [
+        (0, {}), (4242, {}), (0, {"n_grid": 1025, "tol": 1e-6, "stat_tol": 1e-3})],
+        ids=["seed0", "seed4242", "fine"])
+    def test_battery_matches_a_loop_over_the_reference(self, monkeypatch, seed, settings):
+        entries = golden_battery() if not settings else [
+            e for e in golden_battery() if e.arity == 2]
+        read = []
+        real = theorems._origin
+
+        def origin(p):
+            read.append(p)
+            return real(p)
+
+        monkeypatch.setattr(theorems, "_origin", origin)
+        kept = run_battery(entries, seed=seed, **settings)
+        assert read  # some line's origin test decided its conclusion
+        cube, = (c for c in kept.cases if c.theorem_id == "T6" and c.function_id == "cube-x1")
+        assert (cube.status, cube.detail) == ("ok", "both sides fail")
+        monkeypatch.setattr(theorems, "check_t6", self.loop)
+        assert repr(run_battery(entries, seed=seed, **settings)) == repr(kept)
+
+
+class TestOrigin:
+    GOLDEN_2D = [e for e in golden_battery() if e.arity == 2]
+
+    @pytest.mark.parametrize("entry", GOLDEN_2D, ids=[e.id for e in GOLDEN_2D])
+    def test_each_line_as_the_reference_gives_it(self, entry):
+        # the reference restricts f to each line again and estimates t=0
+        # one direction at a time; the near-face pairs lose some probes
+        f = phi_of(entry.expression, 2)
+        box = tuple(map(parse_interval, entry.box))
+        pairs = (TestAbcMatchesLoopReference.NEAR_FACE + [([0.0, 0.0], [0.5, 0.3])]
+                 + list(sample_pairs(box, 12, 0)))
+        s, seen = SCHED.step_sizes(), set()
+        for r, p in lines(f, pairs, box):
+            phi0, probe_vals, stationary, unsettled = theorems._origin(p)
+            for i, feasible in enumerate(r.feasible):
+                line = restrict(f, r.x[i], r.y[i], box)
+                want = line.phi(np.concatenate([[0.0], s, -s]))
+                want[1:][~feasible.contains_many(np.concatenate([s, -s]))] = np.nan
+                assert np.array_equal(np.concatenate([[phi0[i]], probe_vals[i]]), want,
+                                      equal_nan=True)
+                st = is_stationary(line.phi, 0.0, line.feasible, SCHED, p.stat_tol)
+                assert (stationary[i], unsettled[i]) == (st.stationary, not st.decisive)
+                seen.add(bool(stationary[i]))
+        assert seen == ({False} if entry.id == "plane" else {True, False})
 
 
 class TestAbc:
@@ -473,9 +529,10 @@ class TestSharedBatches:
         for name in ("check_t6", "check_abc"):
             real = getattr(theorems, name)
 
-            def spy(f, box, batches, *args, real=real, name=name, **kwargs):
+            def spy(*args, real=real, name=name, **kwargs):
+                batches = args[0] if name == "check_t6" else args[2]
                 seen.append((name, [p for _, p in batches]))
-                return real(f, box, batches, *args, **kwargs)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(theorems, name, spy)
         assert run_battery(golden_battery()).ok

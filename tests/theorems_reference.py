@@ -3,9 +3,13 @@
 ``check_abc`` is the form that asked ``lower_dini_along`` for one direction
 at a time, in sample order, stopping at the first descending direction;
 the block form in ``dinicvx.theorems`` must give ``repr``-identical
-reports.  ``longest_run_loop`` is the scan ``check_t7`` made over the flat
-cells before it became one array pass, and ``sample_pairs_loop`` the draw of
-one pair at a time that ``sample_pairs`` made before it drew in bulk.
+reports.  ``check_t6_loop`` is the T6 that restricted ``f`` to each line
+again for its origin test, one line at a time; ``check_t6``, which reads
+that test from its batch, must give a ``repr``-identical report.  Both take
+their Dini estimates from ``dini_reference``.  ``longest_run_loop`` is the
+scan ``check_t7`` made over the flat cells before it became one array pass,
+and ``sample_pairs_loop`` the draw of one pair at a time that
+``sample_pairs`` made before it drew in bulk.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from dinicvx.dini import DiniDomainError, DiniSchedule, is_stationary
+from dinicvx.dini import DiniDomainError, DiniSchedule
 from dinicvx.domain import Interval, anchored_grid, restrict
-from dinicvx.oracle import Witness
+from dinicvx.oracle import Witness, pseudoconvex_def, semistrictly_quasiconvex_def
 from dinicvx.theorems import TheoremReport, _report_fail, sample_directions
 
-from dini_reference import lower_dini_along
+from dini_reference import is_stationary, lower_dini_along
 
 
 def sample_pairs_loop(
@@ -142,3 +146,42 @@ def check_abc(
         detail=detail,
     )
     return _report_fail("Lpr1", function_id, (), (), [wit], detail)
+
+
+def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
+    """T6 over the lines of ``batches``, restricting ``f`` to each line again
+    for its ends and its origin test."""
+    premises, conclusions, wits = [], [], []
+    lhs_all = rhs_all = True
+    inconclusive = False
+    for r, p in batches:
+        for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
+            premises.append(pc)
+            conclusions.append(ssq)
+            if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
+                inconclusive = True
+                continue
+            lhs_pair = pc.outcome == "holds"
+            rhs_pair = ssq.outcome == "holds"
+            line = restrict(f, r.x[i], r.y[i], box)
+            fx, fy = (float(v) for v in line.phi(np.asarray([0.0, 1.0])))
+            if rhs_pair and fy < fx - ssq.tol:
+                st = is_stationary(line.phi, 0.0, line.feasible, p.schedule, p.stat_tol)
+                if not st.decisive:
+                    inconclusive = True
+                    continue
+                if st.stationary:
+                    rhs_pair = False
+                    wits.append(Witness(
+                        "stationary_origin", tuple(map(float, line.x)) + tuple(map(float, line.y)),
+                        (fx, fy), "f(y) < f(x) but t=0 is stationary on the restriction"))
+            lhs_all = lhs_all and lhs_pair
+            rhs_all = rhs_all and rhs_pair
+    if inconclusive:
+        return TheoremReport("T6", function_id, tuple(premises), tuple(conclusions), True,
+                             inconclusive=True, notes="a restriction was inconclusive")
+    if lhs_all == rhs_all:
+        return TheoremReport("T6", function_id, tuple(premises), tuple(conclusions), True,
+                             notes=f"both sides {'hold' if lhs_all else 'fail'}")
+    return _report_fail("T6", function_id, premises, conclusions, wits,
+                        "restriction pseudoconvexity and the semistrict form disagree")
