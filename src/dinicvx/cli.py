@@ -303,9 +303,6 @@ def _cmd_classify(cfg: RunConfig) -> int:
     else:
         box = _parse_box(cfg.box, cfg.arity)
         pair_reports = []
-        per_check: dict[str, dict[str, list[str]]] = {
-            c: {} for c in cfg.checks
-        }
         # every line of a batch is decided at once; the report reads outcomes
         for r, p in line_problems(lambda pts: eval_many(fn, pts),
                                   sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
@@ -321,12 +318,10 @@ def _cmd_classify(cfg: RunConfig) -> int:
                     "checks": {check: {name: lines[i] for name, lines in by_name.items()}
                                for check, by_name in outs.items()},
                 })
-            for check, by_name in outs.items():
-                for name, lines in by_name.items():
-                    per_check[check].setdefault(name, []).extend(lines)
         for check in cfg.checks:
-            outcomes[check] = {name: _merge_outcomes(outs)
-                               for name, outs in per_check[check].items()}
+            outcomes[check] = {name: _merge_outcomes([pr["checks"][check][name]
+                                                      for pr in pair_reports])
+                               for name in pair_reports[0]["checks"][check]}
             checks_out[check] = {"methods_aggregate": outcomes[check]}
         report["pairs"] = pair_reports
 

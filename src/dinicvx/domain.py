@@ -66,11 +66,7 @@ class Interval:
         return np.isfinite(self.lo) and np.isfinite(self.hi)
 
     def contains(self, x: float) -> bool:
-        if np.isnan(x):
-            return False
-        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
-        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
-        return bool(lo_ok and hi_ok)
+        return bool(self.contains_many(x))
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -182,11 +182,6 @@ class SampledProblem:
         return np.array([bool(u) for u in self._undefined])
 
     @cached_property
-    def _whole(self) -> bool:
-        """No line is padded or has undefined values: no mask is needed."""
-        return bool(self._valid.all()) and not self._bad.any()
-
-    @cached_property
     def _band(self) -> np.ndarray:
         return auto_tol(self._v) if self.tol is None else np.full(self._n.shape, float(self.tol))
 
@@ -218,24 +213,6 @@ class SampledProblem:
         """``side_min[0, i]`` is the least value left of grid index i and
         ``side_min[1, i]`` the least value right of it (inf where none)."""
         return self._side_min.reshape(self.lines + self._side_min.shape[1:])
-
-    @cached_property
-    def _side_argmin(self) -> np.ndarray:
-        """``[:, k, i]``: the first index on side k of i that holds its side
-        minimum, or i itself where that side is empty."""
-        v, (left, right), w = self._v, self._side_min.transpose(1, 0, 2), self._v.shape[1]
-        idx = np.arange(w)
-        out = np.empty((v.shape[0], 2, w), dtype=np.intp)
-        out[:, 0, 0] = 0
-        # a point below everything before it is the first holder of its value
-        out[:, 0, 1:] = np.maximum.accumulate(np.where(v < left, idx, 0), axis=1)[:, :-1]
-        # a point at or below everything after it holds the least value from
-        # it on, and the leftmost such point at or after j is the first holder
-        # of the least value from j on
-        first = np.minimum.accumulate(np.where(v <= right, idx, w)[:, ::-1], axis=1)
-        out[:, 1, :-1] = first[:, -2::-1]
-        out[:, 1] = np.where(idx >= self._n[:, None] - 1, idx, out[:, 1])
-        return out
 
     @cached_property
     def profile(self) -> GridDiniProfile:
@@ -342,6 +319,14 @@ def _witness(p: SampledProblem, kind: str, idx: tuple[int, ...], detail: str,
     )
 
 
+def _least_on_side(p: SampledProblem, line: int, side: int, x: int) -> int:
+    """The first index of ``line`` holding its least value on side ``side``
+    of grid index x, ``[0, x)`` or ``(x, n)``; x itself where that side is
+    empty."""
+    v = p._v[line, :x] if side == 0 else p._v[line, x + 1 : p._n[line]]
+    return int(np.argmin(v)) + (0 if side == 0 else x + 1) if v.size else int(x)
+
+
 def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     vals, band = p._v[:, None], p._band[:, None, None]
     # hit[line, side, x]: some y left (side 0) or right (side 1) of x triggers
@@ -351,8 +336,7 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     else:
         hit = p._side_min < vals - band
         trigger = "phi(y) < phi(x) - tol"
-    if not p._whole:
-        hit &= p._valid[:, None] & ~p._bad[:, None, None]
+    hit &= p._valid[:, None] & ~p._bad[:, None, None]
     # The hit entries are estimated a block of columns at a time, in grid
     # order.  Once the blocks done hold _WITNESS_CAP failures of every line,
     # each line knows the failures it reports, so the scan stops there and
@@ -380,10 +364,10 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
         # the first (x, side) entries in grid order, left before right
         entries = [(x, side) for x in _first(mask[0] | mask[1])
                    for side in np.flatnonzero(mask[:, x])][:_WITNESS_CAP]
-        return [_witness(p, "no_descent", (x, p._side_argmin[i, side, x]), (
+        return [_witness(p, "no_descent", (x, _least_on_side(p, i, side, x)), (
             f"{trigger} but the lower Dini derivative at x toward y "
             f"is {float(prof.value[i, side, x]):.6g} >= -stat_tol"), i) if fails else
-            _witness(p, "unconverged_dini", (x, p._side_argmin[i, side, x]), (
+            _witness(p, "unconverged_dini", (x, _least_on_side(p, i, side, x)), (
                 f"{trigger}; the Dini estimate toward y did not converge, "
                 "leaving the sign undecided"), i)
             for x, side in entries]
@@ -422,7 +406,7 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
     """
     peaks = (p._side_min < (p._v - p._band[:, None])[:, None]).all(axis=1)
     return _line_verdicts(p, "quasiconvex_def", _outcomes(peaks.any(axis=1)), lambda i: (
-        _witness(p, "interior_peak", (p._side_argmin[i, 0, z], z, p._side_argmin[i, 1, z]),
+        _witness(p, "interior_peak", (_least_on_side(p, i, 0, z), z, _least_on_side(p, i, 1, z)),
                  "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple", i)
         for z in _first(peaks[i])))
 
@@ -478,8 +462,7 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
         left_start[i] = np.searchsorted(-sm[i, 0], -c[i], side="right")
     hits = np.stack((_window_max(vals, xs + 1, right_end) >= c,
                      _window_max(vals, left_start, xs) >= c), axis=2)
-    if not p._whole:
-        hits &= p._valid[..., None]
+    hits &= p._valid[..., None]
 
     def triples(i: int):
         v = vals[i]

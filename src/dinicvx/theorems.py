@@ -7,17 +7,17 @@ function, and reports whether the sides matched.  A report with
 checker bug, never a refuted statement; vacuous cases (failed premise) are
 marked rather than silently passed.
 
-``run_battery`` runs every check over a battery, T6 and Lpr1 on one set of
-line batches per 2-D entry; it compares only 1-D entries' labels with the
-definitional oracles and aggregates the outcome for the CLI and the tests.
-Whether t=0 is stationary on a line, T6's origin test and Lpr1's C, is one
-computation per batch, :func:`_origin`, kept by the batch's problem.
+``run_battery`` runs every check over a battery and aggregates the outcome:
+it compares only 1-D entries' labels with the definitional oracles, and T6
+and then Lpr1 read each line batch of a 2-D entry before the next is made.
+A line's values at t = 0 and 1 and whether t=0 is stationary on it (T6's
+origin test, Lpr1's C) are one evaluation per batch, :func:`_origin`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .oracle import (
     SampledProblem,
     Verdict,
     Witness,
+    _WITNESS_CAP,
     _witness,
     pseudoconvex_def,
     quasiconvex_def,
@@ -266,27 +267,17 @@ def line_problems(
                                 schedule, tol, stat_tol)
 
 
-def _line_ends(r: LineRestriction, p: SampledProblem) -> np.ndarray:
-    """(m, 2): f(x) and f(y) of each line, read from the grid values at the
-    anchors 0 and 1.  An anchor within the margin of an open end is off its
-    grid; then every line's are evaluated."""
-    at = p.dom.points[:, :, None] == np.array([0.0, 1.0])
-    if not at.any(axis=1).all():
-        return r.phi(np.tile([0.0, 1.0], (len(r.feasible), 1)))
-    return np.take_along_axis(p.values, at.argmax(axis=1), axis=1)
-
-
 def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Whether t=0 is stationary on each line of a batch, and what that reads.
+    """The ends of each line of a batch, and whether t=0 is stationary on it.
 
-    Returns (phi0, probe_vals, stationary, open): the value at 0, the values
-    at the in-domain probes ``s`` then ``-s`` of the batch's schedule (the
-    estimator default when None), NaN at the others, (m,) and (m, 2 steps);
-    whether no feasible side descends beyond ``stat_tol``; and whether a
-    stationary line rests on an unconverged estimate.  The values are one
-    ``phi`` call, and one whole-row kernel call takes them as a (steps x 2m)
-    block, a column toward +s and one toward -s per line.  T6's origin test
-    and Lpr1's B and C read it through ``p.verdict``.
+    Returns (ends, probe_vals, stationary, open): f(x) and f(y), the values
+    at t = 0 and 1, (m, 2); the values at the in-domain probes ``s`` then
+    ``-s`` of the batch's schedule (the estimator default when None), NaN at
+    the others, (m, 2 steps); whether no feasible side descends beyond
+    ``stat_tol``; and whether a stationary line rests on an unconverged
+    estimate.  The values are one ``phi`` call; one whole-row kernel call
+    takes the probes as a (steps x 2m) block, a column toward +s and one
+    toward -s per line.  T6 and Lpr1 read it through ``p.verdict``.
     """
     schedule = p.schedule or DiniSchedule()
     s, steps = schedule.step_sizes(), schedule.steps
@@ -294,36 +285,39 @@ def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     m = len(p.dom.interval)
     lo, hi = extent(p.dom.interval)
     inside = (probes >= lo[:, None]) & (probes <= hi[:, None])
-    near = p.phi(np.column_stack([np.zeros(m), np.where(inside, probes, np.nan)]))
-    phi0, probe_vals = near[:, 0], near[:, 1:]
+    near = p.phi(np.column_stack([np.zeros(m), np.ones(m), np.where(inside, probes, np.nan)]))
+    ends, probe_vals = near[:, :2], near[:, 2:]
     value, converged, _, _, n_in = _dini_rows(
-        probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(phi0, 2), s,
-        schedule.dini_tol)
+        probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(ends[:, 0], 2),
+        s, schedule.dini_tol)
     feasible = (n_in > 0).reshape(m, 2)
     stationary = ~(feasible & (value.reshape(m, 2) < -p.stat_tol)).any(axis=1)
     unconverged = (feasible & ~converged.reshape(m, 2)).any(axis=1)
-    return phi0, probe_vals, stationary, stationary & unconverged
+    return ends, probe_vals, stationary, stationary & unconverged
 
 
 def check_t6(
-    batches: Sequence[tuple[LineRestriction, SampledProblem]],
+    batches: Iterable[tuple[LineRestriction, SampledProblem]],
     function_id: str = "",
 ) -> TheoremReport:
     """Restriction sweep: pseudoconvex iff semistrictly quasiconvex and 0
     is non-stationary on every restriction whose far end is strictly lower.
 
     Both sides are quantified over the lines of the :func:`line_problems`
-    ``batches``; the origin test is the one Lpr1's C reads, one kernel call
-    per batch that needs it.
+    ``batches``, read once in order, with one :func:`_origin` read per batch.
+    A failure's witnesses are the first ``_WITNESS_CAP`` lines whose sides
+    disagree, each named ``pair k`` by its place, then every stationary origin.
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []
     lhs_all = rhs_all = True
     inconclusive = False
-    wits: list[Witness] = []
+    mismatches: list[Witness] = []
+    origins: list[Witness] = []
     for r, p in batches:
-        ends = _line_ends(r, p)
+        ends, _, stationary, unsettled = p.verdict(_origin)
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
+            k = len(premises)
             premises.append(pc)
             conclusions.append(ssq)
             if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
@@ -332,16 +326,19 @@ def check_t6(
             lhs_pair = pc.outcome == "holds"
             rhs_pair = ssq.outcome == "holds"
             fx, fy = (float(v) for v in ends[i])
+            xy = tuple(map(float, r.x[i])) + tuple(map(float, r.y[i]))
             if rhs_pair and fy < fx - ssq.tol:
-                _, _, stationary, unsettled = p.verdict(_origin)
                 if unsettled[i]:
                     inconclusive = True
                     continue
                 if stationary[i]:
                     rhs_pair = False
-                    wits.append(Witness(
-                        "stationary_origin", tuple(map(float, r.x[i])) + tuple(map(float, r.y[i])),
-                        (fx, fy), "f(y) < f(x) but t=0 is stationary on the restriction"))
+                    origins.append(Witness("stationary_origin", xy, (fx, fy),
+                                           "f(y) < f(x) but t=0 is stationary on the restriction"))
+            if lhs_pair != rhs_pair and len(mismatches) < _WITNESS_CAP:
+                mismatches.append(Witness("line_mismatch", xy, (fx, fy), (
+                    f"pair{k}: restriction pseudoconvexity {pc.outcome} but the "
+                    f"semistrict form {'holds' if rhs_pair else 'fails'}")))
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
@@ -352,7 +349,7 @@ def check_t6(
         return TheoremReport("T6", function_id, tuple(premises),
                              tuple(conclusions), True,
                              notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report_fail("T6", function_id, premises, conclusions, wits,
+    return _report_fail("T6", function_id, premises, conclusions, mismatches + origins,
                         "restriction pseudoconvexity and the semistrict form disagree")
 
 
@@ -395,15 +392,16 @@ def check_abc(
     ``stat_tol``: T6's origin test.  The report is inconclusive when the
     restriction is undefined at a grid point, when an unconverged feasible
     direction comes before the first descending one in sample order, or
-    when C rests on an unconverged estimate.  Each batch's schedule (the estimator default when None) and
-    ``stat_tol`` decide its lines; its band is never read.
+    when C rests on an unconverged estimate.  Each batch's schedule (the
+    estimator default when None) and ``stat_tol`` decide its lines; its band
+    is never read.
 
     Each pair reads the grid values of its batch.  A probes every defined
     pair's x along every direction as the rows of
     :func:`~dinicvx.dini._probe_rows`, in blocks of ``_BLOCK_ROWS``, after
-    one call of ``f`` at every x.  B's values at 0 and at the in-domain
-    probes ``+-s`` of every line, and C, are the batch's :func:`_origin`,
-    which T6 reads too.  Every report is what the pair gives alone.
+    one call of ``f`` at every x.  B's f(x) and values at the in-domain
+    probes ``+-s``, and C, are the batch's :func:`_origin`, as T6 reads them.
+    Every report is what the pair gives alone.
     """
     n_lines = sum(r.x.shape[0] for r, _ in batches)
     ids = [""] * n_lines if function_id is None else list(function_id)
@@ -442,10 +440,10 @@ def check_abc(
         a_true[defined] = seen == n_dirs
         a_open[defined] = ~(converged.reshape(-1, n_dirs) | unseen).all(axis=1)
 
-        phi0, probe_vals, c_true, c_open = p.verdict(_origin)
+        ends, probe_vals, c_true, c_open = p.verdict(_origin)
         lowest = np.minimum(p.values.min(axis=1),
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
-        b_true = phi0 <= lowest + 1e-12 * (1.0 + np.abs(phi0))
+        b_true = ends[:, 0] <= lowest + 1e-12 * (1.0 + np.abs(ends[:, 0]))
 
         for i, fid in enumerate(ids[len(reports) : len(reports) + m]):
             if not defined[i] or a_open[i] or c_open[i]:
@@ -461,7 +459,7 @@ def check_abc(
                 reports.append(TheoremReport("Lpr1", fid, (), (), True, notes=detail))
                 continue
             wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
-                          values=(float(phi0[i]),), detail=detail)
+                          values=(float(ends[i, 0]),), detail=detail)
             reports.append(_report_fail("Lpr1", fid, (), (), [wit], detail))
     return tuple(reports)
 
@@ -514,9 +512,10 @@ def run_battery(
     A 1-D entry's expected labels are compared with the definitional
     oracles, and T3 (when lower semicontinuous), T4 (when radially
     continuous) and T7 run on its grid.  A 2-D entry's labels are not
-    compared: T6, and Lpr1 when it is labelled quasiconvex, read the same
-    :func:`line_problems` batches of its explicit pairs and ``pairs``
-    sampled ones.  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the
+    compared: T6, and Lpr1 when it is labelled quasiconvex, read the
+    :func:`line_problems` batches of its explicit pairs and ``pairs`` sampled
+    ones batch by batch, T6 first, so one batch at a time is kept (with the
+    one being made).  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the
     bare estimator default, so stationarity conclusions at kinks stay above
     the rounding noise floor.  An expression or interval that does not parse
     raises ValueError naming its entry.
@@ -562,13 +561,19 @@ def run_battery(
             fmv = lambda pts, fn=fn: eval_many(fn, pts)
             pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
                          for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
-            batches = list(line_problems(fmv, pair_list, box, n_grid, margin, schedule, tol,
-                                         stat_tol))
-            found = [check_t6(batches, entry.id)]
-            if entry.expected is not None and entry.expected.get("quasiconvex"):
-                found += check_abc(fmv, box, batches, seed=seed,
-                                   function_id=[f"{entry.id}#pair{k}"
-                                                for k in range(len(pair_list))])
+            lpr1: list[TheoremReport] = []  # a report per line done
+
+            def batches():
+                # T6 reads each batch; when it asks for the next, Lpr1 reads
+                # this one, and then nothing holds it
+                for batch in line_problems(fmv, pair_list, box, n_grid, margin, schedule, tol,
+                                           stat_tol):
+                    yield batch
+                    if entry.expected is not None and entry.expected.get("quasiconvex"):
+                        lpr1.extend(check_abc(fmv, box, [batch], seed=seed, function_id=[
+                            f"{entry.id}#pair{len(lpr1) + k}" for k in range(len(batch[0].x))]))
+
+            found = [check_t6(batches(), entry.id), *lpr1]  # T6 runs Lpr1 as it reads
         reports += found
         cases += [_status(rep) for rep in found]
     return BatteryRunResult(

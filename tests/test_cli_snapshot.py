@@ -57,6 +57,10 @@ def cases() -> dict[str, list[str]]:
     out["verify-theorems/golden-2d"] = ["verify-theorems", "<manifest>", "--seed=1"]
     out["verify-theorems/golden-2d/seed4242"] = ["verify-theorems", "<manifest>", "--seed=4242"]
     out["verify-theorems/golden-2d/tol1e-8"] = ["verify-theorems", "<manifest>", "--tol=1e-8"]
+    # several line batches per entry
+    out["verify-theorems/golden-2d/pairs200"] = ["verify-theorems", "<manifest>", "--pairs=200"]
+    out["verify-theorems/golden-2d/pairs200/seed4242"] = ["verify-theorems", "<manifest>",
+                                                          "--pairs=200", "--seed=4242"]
     # one grid: a block of the Dini kernel at 257 points, many at 16385
     for e in GOLDEN_1D:
         for grid in (257, 16385):

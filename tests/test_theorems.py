@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -127,16 +128,21 @@ class TestT6:
 
     def test_line_ends_are_the_values_at_the_anchors(self):
         # the first line's x lies within the margin of the open face x1 > -1,
-        # so t=0 is off its grid and the ends are evaluated
+        # so t=0 is off its grid; the origin evaluation's ends are phi at 0
+        # and 1 all the same, and the grid values wherever an anchor is on it
         f = phi_of("exp(x1) - 1.3*x2", 2)
         box = (parse_interval("(-1,1]"), parse_interval("[-1,1]"))
         near = [(np.asarray([-1.0 + 1e-9, 0.1]), np.asarray([0.5, 0.3]))]
         for pairs in (near + list(sample_pairs(box, 5, 2)), sample_pairs(box, 5, 2)):
             (r, p), = lines(f, pairs, box)
-            want = r.phi(np.tile([0.0, 1.0], (len(pairs), 1)))
-            off = ~(p.dom.points == 0.0).any(axis=1)
+            ends = theorems._origin(p)[0]
+            assert np.array_equal(ends, r.phi(np.tile([0.0, 1.0], (len(pairs), 1))))
+            at0, at1 = p.dom.points == 0.0, p.dom.points == 1.0
+            off = ~at0.any(axis=1)
             assert off.tolist() == [pairs[0] is near[0]] + [False] * (len(pairs) - 1)
-            assert np.array_equal(theorems._line_ends(r, p), want)
+            assert at1.sum(axis=1).tolist() == [1] * len(pairs)
+            assert np.array_equal(p.values[at0], ends[~off, 0])
+            assert np.array_equal(p.values[at1], ends[:, 1])
 
     @staticmethod
     def loop(batches, function_id):
@@ -160,11 +166,36 @@ class TestT6:
 
         monkeypatch.setattr(theorems, "_origin", origin)
         kept = run_battery(entries, seed=seed, **settings)
-        assert read  # some line's origin test decided its conclusion
+        assert read  # T6 reads each batch's ends and origin test from _origin
         cube, = (c for c in kept.cases if c.theorem_id == "T6" and c.function_id == "cube-x1")
         assert (cube.status, cube.detail) == ("ok", "both sides fail")
         monkeypatch.setattr(theorems, "check_t6", self.loop)
         assert repr(run_battery(entries, seed=seed, **settings)) == repr(kept)
+
+    def test_a_fail_names_the_lines_whose_sides_disagree(self, monkeypatch):
+        # at 1025 points a stationarity tolerance of 1e-3 makes the
+        # definitional oracle fail on four of bowl2's 60 lines, on each of
+        # which the semistrict form holds
+        entry, = (e for e in golden_battery() if e.id == "bowl2")
+        settings = {"n_grid": 1025, "stat_tol": 1e-3, "pairs": 60, "seed": 0}
+        kept = run_battery([entry], **settings)
+        case, rep = kept.cases[0], kept.reports[0]
+        assert (case.theorem_id, case.status) == ("T6", "FAIL") and not kept.ok
+        assert [k for k, v in enumerate(rep.premise_verdicts) if v.outcome == "fails"] == [
+            10, 29, 39, 57]
+        wits = rep.counterexample
+        assert [w.kind for w in wits] == ["line_mismatch"] * 4
+        assert [w.detail.split(":")[0] for w in wits] == ["pair10", "pair29", "pair39", "pair57"]
+        assert case.detail == wits[0].detail == (
+            "pair10: restriction pseudoconvexity fails but the semistrict form holds")
+        f = phi_of(entry.expression, 2)
+        pairs = sample_pairs(tuple(map(parse_interval, entry.box)), 60, 0)
+        for k, w in zip((10, 29, 39, 57), wits):
+            xy = np.array(pairs[k])
+            assert w.points == tuple(map(float, xy.ravel()))
+            assert w.values == tuple(map(float, f(xy)))
+        monkeypatch.setattr(theorems, "check_t6", self.loop)
+        assert repr(run_battery([entry], **settings)) == repr(kept)
 
 
 class TestOrigin:
@@ -180,12 +211,12 @@ class TestOrigin:
                  + list(sample_pairs(box, 12, 0)))
         s, seen = SCHED.step_sizes(), set()
         for r, p in lines(f, pairs, box):
-            phi0, probe_vals, stationary, unsettled = theorems._origin(p)
+            ends, probe_vals, stationary, unsettled = theorems._origin(p)
             for i, feasible in enumerate(r.feasible):
                 line = restrict(f, r.x[i], r.y[i], box)
-                want = line.phi(np.concatenate([[0.0], s, -s]))
-                want[1:][~feasible.contains_many(np.concatenate([s, -s]))] = np.nan
-                assert np.array_equal(np.concatenate([[phi0[i]], probe_vals[i]]), want,
+                want = line.phi(np.concatenate([[0.0, 1.0], s, -s]))
+                want[2:][~feasible.contains_many(np.concatenate([s, -s]))] = np.nan
+                assert np.array_equal(np.concatenate([ends[i], probe_vals[i]]), want,
                                       equal_nan=True)
                 st = is_stationary(line.phi, 0.0, line.feasible, SCHED, p.stat_tol)
                 assert (stationary[i], unsettled[i]) == (st.stationary, not st.decisive)
@@ -427,13 +458,13 @@ class TestAbcMatchesLoopReference:
         xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
         assert len(check_abc(f, BOX, lines(f, pairs))) == m
         # the grids of the m lines; f at every x; the trailing half of the
-        # 64 m probe rows of A, _BLOCK_ROWS rows a call; phi(0) and the B
-        # probes of every line, which C reads too
+        # 64 m probe rows of A, _BLOCK_ROWS rows a call; phi(0), phi(1) and
+        # the B probes of every line, which C reads too
         n = SCHED.steps
         half = n - n // 2
         rows = [min(dini._BLOCK_ROWS, 64 * m - a) for a in range(0, 64 * m, dini._BLOCK_ROWS)]
         width = anchored_grid(restrict(fn, xs, ys, BOX).feasible, 257).points.shape[1]
-        assert calls == [m * width, m] + [k * half for k in rows] + [m * (1 + 2 * n)]
+        assert calls == [m * width, m] + [k * half for k in rows] + [m * (2 + 2 * n)]
 
     # x within the largest step (1e-2) of a face, or on one, so that some
     # +-s probes of B and C, and some of A's, leave the feasible set
@@ -517,6 +548,8 @@ class TestAbcMatchesLoopReference:
 
 class TestSharedBatches:
     def test_t6_and_lpr1_read_one_set_of_batches_per_entry(self, monkeypatch):
+        # 40 pairs take two batches an entry; each batch is read by T6 and
+        # then by Lpr1 before the next one is made
         grids = []
         real_grid = theorems.anchored_grid
 
@@ -526,20 +559,41 @@ class TestSharedBatches:
 
         monkeypatch.setattr(theorems, "anchored_grid", counting_grid)
         seen = []
-        for name in ("check_t6", "check_abc"):
-            real = getattr(theorems, name)
+        real_t6, real_abc = theorems.check_t6, theorems.check_abc
 
-            def spy(*args, real=real, name=name, **kwargs):
-                batches = args[0] if name == "check_t6" else args[2]
-                seen.append((name, [p for _, p in batches]))
-                return real(*args, **kwargs)
+        def t6(batches, *args):
+            def reading():
+                for r, p in batches:
+                    seen.append(("check_t6", p))
+                    yield r, p
+            return real_t6(reading(), *args)
 
-            monkeypatch.setattr(theorems, name, spy)
-        assert run_battery(golden_battery()).ok
-        assert len(grids) == sum(e.arity == 2 for e in golden_battery()) == 6
-        assert [name for name, _ in seen] == ["check_t6", "check_abc"] * 6
-        for (_, t6), (_, abc) in zip(seen[::2], seen[1::2]):
-            assert len(abc) == len(t6) and all(a is b for a, b in zip(abc, t6))
+        def abc(f, box, batches, *args, **kwargs):
+            seen.extend(("check_abc", p) for _, p in batches)
+            return real_abc(f, box, batches, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "check_t6", t6)
+        monkeypatch.setattr(theorems, "check_abc", abc)
+        assert run_battery(golden_battery(), pairs=40).ok
+        assert len(grids) == 2 * sum(e.arity == 2 for e in golden_battery()) == 12
+        assert [name for name, _ in seen] == ["check_t6", "check_abc"] * 12
+        assert all(a is b for (_, a), (_, b) in zip(seen[::2], seen[1::2]))
+        assert len({id(p) for _, p in seen}) == 12
+
+    def test_an_entry_holds_at_most_two_batches(self, monkeypatch):
+        # the batch being made, and the one T6 and Lpr1 read last
+        alive, counts = weakref.WeakSet(), []
+        real = theorems.SampledProblem
+
+        def tracked(*args):
+            p = real(*args)
+            alive.add(p)
+            counts.append(len(alive))
+            return p
+
+        monkeypatch.setattr(theorems, "SampledProblem", tracked)
+        assert run_battery([e for e in golden_battery() if e.arity == 2], pairs=200).ok
+        assert len(counts) == 6 * 7 and max(counts) == 2
 
     # 40 lines take two batches
     @pytest.mark.parametrize("m,n_ids", [(3, 0), (3, 2), (3, 4), (40, 39)])

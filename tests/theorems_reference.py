@@ -3,9 +3,10 @@
 ``check_abc`` is the form that asked ``lower_dini_along`` for one direction
 at a time, in sample order, stopping at the first descending direction;
 the block form in ``dinicvx.theorems`` must give ``repr``-identical
-reports.  ``check_t6_loop`` is the T6 that restricted ``f`` to each line
-again for its origin test, one line at a time; ``check_t6``, which reads
-that test from its batch, must give a ``repr``-identical report.  Both take
+reports.  ``check_t6_loop`` is the T6 that restricts ``f`` to each line
+again for its ends and its origin test, one line at a time; ``check_t6``,
+which reads both from its batch, must give a ``repr``-identical report,
+witnesses of the disagreeing lines included.  Both take
 their Dini estimates from ``dini_reference``.  ``longest_run_loop`` is the
 scan ``check_t7`` made over the flat cells before it became one array pass,
 and ``sample_pairs_loop`` the draw of one pair at a time that
@@ -151,11 +152,12 @@ def check_abc(
 def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
     """T6 over the lines of ``batches``, restricting ``f`` to each line again
     for its ends and its origin test."""
-    premises, conclusions, wits = [], [], []
+    premises, conclusions, mismatches, origins = [], [], [], []
     lhs_all = rhs_all = True
     inconclusive = False
     for r, p in batches:
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
+            k = len(premises)
             premises.append(pc)
             conclusions.append(ssq)
             if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
@@ -165,6 +167,7 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
             rhs_pair = ssq.outcome == "holds"
             line = restrict(f, r.x[i], r.y[i], box)
             fx, fy = (float(v) for v in line.phi(np.asarray([0.0, 1.0])))
+            xy = tuple(map(float, line.x)) + tuple(map(float, line.y))
             if rhs_pair and fy < fx - ssq.tol:
                 st = is_stationary(line.phi, 0.0, line.feasible, p.schedule, p.stat_tol)
                 if not st.decisive:
@@ -172,9 +175,14 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
                     continue
                 if st.stationary:
                     rhs_pair = False
-                    wits.append(Witness(
-                        "stationary_origin", tuple(map(float, line.x)) + tuple(map(float, line.y)),
-                        (fx, fy), "f(y) < f(x) but t=0 is stationary on the restriction"))
+                    origins.append(Witness(
+                        "stationary_origin", xy, (fx, fy),
+                        "f(y) < f(x) but t=0 is stationary on the restriction"))
+            if lhs_pair != rhs_pair and len(mismatches) < 8:
+                mismatches.append(Witness(
+                    "line_mismatch", xy, (fx, fy),
+                    f"pair{k}: restriction pseudoconvexity {pc.outcome} but the "
+                    f"semistrict form {'holds' if rhs_pair else 'fails'}"))
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
@@ -183,5 +191,5 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
     if lhs_all == rhs_all:
         return TheoremReport("T6", function_id, tuple(premises), tuple(conclusions), True,
                              notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report_fail("T6", function_id, premises, conclusions, wits,
+    return _report_fail("T6", function_id, premises, conclusions, mismatches + origins,
                         "restriction pseudoconvexity and the semistrict form disagree")
