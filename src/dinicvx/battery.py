@@ -368,11 +368,3 @@ def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
             **entry, "box": None if box is None else tuple(box), "tags": tuple(entry["tags"]),
             "pairs": None if pairs is None else tuple((tuple(x), tuple(y)) for x, y in pairs)}))
     return tuple(entries)
-
-
-if __name__ == "__main__":
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "battery/golden.json"
-    write_manifest(golden_battery(), target)
-    print(f"wrote {target}")

@@ -4,7 +4,8 @@ Subcommands: ``classify`` (run the definitional and structural classifiers
 and compare them), ``decompose`` (emit the three-part monotone split, with
 optional CSV for plotting), ``dini`` (inspect one lower Dini estimate with
 its trace), and ``verify-theorems`` (run the theorem suite over a battery
-manifest).
+manifest).  Each takes only the flags it reads (``_TAKES``); a flag it does
+not read is refused, and its default still fills the report's config block.
 
 Reports are canonical JSON: keys sorted, floats printed at 17 significant
 digits, infinities and NaN encoded as the strings "inf"/"-inf"/"nan".  A
@@ -268,8 +269,7 @@ def _merge_outcomes(outcomes: list[str]) -> str:
 
 def _cmd_classify(cfg: RunConfig) -> int:
     fn = parse(cfg.function, cfg.arity)
-    # argparse's choices leave both, definitional, characterization, martos
-    want_def = cfg.method in ("both", "definitional")
+    want_def = cfg.method != "structural"
     want_struct = cfg.method != "definitional"
     report: dict = {"command": "classify", "config": _config_json(cfg)}
     checks_out: dict = {}
@@ -344,8 +344,6 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 
 def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
-    if cfg.arity != 1:
-        raise _ConfigError("decompose handles one-variable functions only")
     fn = parse(cfg.function, cfg.arity)
     p = SampledProblem(lambda ts: eval_many(fn, ts),
                        make_grid(parse_interval(cfg.domain), cfg.grid, cfg.margin),
@@ -373,8 +371,6 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
 
 def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
     fn = parse(cfg.function, cfg.arity)
-    if cfg.arity != 1:
-        raise _ConfigError("dini handles one-variable functions only")
     interval = parse_interval(cfg.domain)
     phi = lambda ts: eval_many(fn, ts)
     est = lower_dini(phi, at, direction, interval, cfg.schedule)
@@ -485,32 +481,51 @@ def _scalar_text(v) -> str:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser, problem: bool = True,
-                schedule: DiniSchedule = DiniSchedule()) -> None:
-    """Flags of every subcommand; ``problem`` adds those that pose one
-    function (verify-theorems reads its functions from a manifest), and
-    ``schedule`` gives the defaults of the ``--dini-*`` flags."""
-    p.add_argument("--function", required=problem,
-                   help="expression string, e.g. 't^2' or 'x1^2 + x2^2'")
-    if problem:
-        p.add_argument("--arity", type=int, default=1)
-        p.add_argument("--domain", help="interval such as [-1,1] or (0,1]")
-        p.add_argument("--box", help="product of intervals such as [-1,1]x[-1,1]")
-    p.add_argument("--grid", type=int, default=257,
-                   help=f"grid points, 8 to {MAX_GRID}")
-    p.add_argument("--margin", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=None,
-                   help="equality band; default scales with the grid values")
-    p.add_argument("--stat-tol", type=float, default=1e-7)
-    p.add_argument("--dini-t0", type=float, default=schedule.t0)
-    p.add_argument("--dini-ratio", type=float, default=schedule.ratio)
-    p.add_argument("--dini-steps", type=int, default=schedule.steps,
-                   help=f"probe steps per Dini estimate, 2 to {MAX_DINI_STEPS}")
-    p.add_argument("--dini-tol", type=float, default=schedule.dini_tol)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="json", choices=["json", "text"])
-    p.add_argument("--pairs", type=int, default=24,
-                   help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}")
+# Every flag once, with its argparse keywords and default.  A subcommand
+# adds the flags _TAKES names; each other flag keeps its default here, so
+# RunConfig and the report's config block name every setting.
+_FLAGS: dict[str, dict] = {
+    "--function": dict(required=True, help="expression string, e.g. 't^2' or 'x1^2 + x2^2'"),
+    "--arity": dict(type=int, default=1),
+    "--domain": dict(help="interval such as [-1,1] or (0,1]"),
+    "--box": dict(help="product of intervals such as [-1,1]x[-1,1]"),
+    "--grid": dict(type=int, default=257, help=f"grid points, 8 to {MAX_GRID}"),
+    "--margin": dict(type=float, default=1e-6),
+    "--tol": dict(type=float, help="equality band; default scales with the grid values"),
+    "--stat-tol": dict(type=float, default=1e-7),
+    "--dini-t0": dict(type=float, default=DiniSchedule.t0),
+    "--dini-ratio": dict(type=float, default=DiniSchedule.ratio),
+    "--dini-steps": dict(type=int, default=DiniSchedule.steps,
+                         help=f"probe steps per Dini estimate, 2 to {MAX_DINI_STEPS}"),
+    "--dini-tol": dict(type=float, default=DiniSchedule.dini_tol),
+    "--seed": dict(type=int, default=0),
+    "--output": dict(default="json", choices=["json", "text"]),
+    "--pairs": dict(type=int, default=24,
+                    help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}"),
+    "--method": dict(default="both", choices=["both", "definitional", "structural"]),
+    "--check": dict(action="append", choices=list(_CHECKS) + ["all"],
+                    help="property to test; repeatable; default all"),
+    "--csv": dict(help="write t,value,segment rows to this path"),
+    "--at": dict(type=float, required=True),
+    "--dir": dict(type=float, default=1.0),
+    "manifest": dict(nargs="?", help="battery manifest JSON; default: built-in golden battery"),
+    "--random": dict(type=int, default=0,
+                     help=f"append this many seeded random functions, 0 to {MAX_RANDOM}"),
+}
+_SCHEDULE = ("--dini-t0", "--dini-ratio", "--dini-steps", "--dini-tol")
+# subcommand -> (its help, the flags it reads)
+_TAKES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "classify": ("classify a function", (
+        "--function", "--arity", "--domain", "--box", "--grid", "--margin", "--tol",
+        "--stat-tol", *_SCHEDULE, "--seed", "--output", "--pairs", "--method", "--check")),
+    "decompose": ("three-part monotone split", (
+        "--function", "--domain", "--grid", "--margin", "--tol", "--output", "--csv")),
+    "dini": ("one lower Dini estimate with trace", (
+        "--function", "--domain", *_SCHEDULE, "--output", "--at", "--dir")),
+    "verify-theorems": ("run the theorem suite", (
+        "manifest", "--grid", "--margin", "--tol", "--stat-tol", *_SCHEDULE, "--seed",
+        "--pairs", "--output", "--random")),
+}
 
 
 # Built once per process: parsing leaves the parser unchanged, and an
@@ -520,34 +535,18 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="dinicvx",
                   description="numerical generalized-convexity classifiers")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("classify", help="classify a function", parents=[])
-    _add_common(p)
-    p.add_argument("--method", default="both",
-                   choices=["definitional", "characterization", "martos", "both"])
-    p.add_argument("--check", action="append", choices=list(_CHECKS) + ["all"],
-                   help="property to test; repeatable; default all")
-
-    p = sub.add_parser("decompose", help="three-part monotone split")
-    _add_common(p)
-    p.add_argument("--csv", help="write t,value,segment rows to this path")
-    p.set_defaults(method="both")  # fills the report's config block
-
-    p = sub.add_parser("dini", help="one lower Dini estimate with trace")
-    _add_common(p)
-    p.add_argument("--at", type=float, required=True)
-    p.add_argument("--dir", type=float, default=1.0)
-    p.set_defaults(method="both")
-
-    p = sub.add_parser("verify-theorems", help="run the theorem suite")
-    p.add_argument("manifest", nargs="?", default=None,
-                   help="battery manifest JSON; default: built-in golden battery")
-    p.add_argument("--random", type=int, default=0,
-                   help=f"append this many seeded random functions, 0 to {MAX_RANDOM}")
-    # the theorem suite probes with a noise-safe step floor by default; the
-    # fixed problem fields fill the report's config block
-    _add_common(p, problem=False, schedule=SUITE_SCHEDULE)
-    p.set_defaults(arity=1, domain="[-1,1]", box=None, method="both")
+    for cmd, (text, takes) in _TAKES.items():
+        p = sub.add_parser(cmd, help=text)
+        for name in takes:
+            p.add_argument(name, **_FLAGS[name])
+        p.set_defaults(**{name.lstrip("-").replace("-", "_"): kw.get("default")
+                          for name, kw in _FLAGS.items() if name not in takes})
+    # the theorem suite probes with a noise-safe step floor by default, and
+    # its report's config block names the domain [-1,1], as it always has
+    s = SUITE_SCHEDULE
+    sub.choices["verify-theorems"].set_defaults(
+        domain="[-1,1]", dini_t0=s.t0, dini_ratio=s.ratio, dini_steps=s.steps,
+        dini_tol=s.dini_tol)
     return top
 
 
@@ -557,7 +556,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                                 args.dini_tol)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    checks = getattr(args, "check", None) or ["all"]
+    checks = args.check or ["all"]
     if "all" in checks:
         checks = list(_CHECKS)
     return RunConfig(
@@ -583,8 +582,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "verify-theorems" and args.function:
-            raise _ConfigError("verify-theorems takes a manifest, not --function")
         cfg = _config_from(args)
         if args.cmd == "classify":
             code = _cmd_classify(cfg)

@@ -509,9 +509,9 @@ def run_battery(
 ) -> BatteryRunResult:
     """Theorem sweep plus expected-label verification over a battery.
 
-    A 1-D entry's expected labels are compared with the definitional
-    oracles, and T3 (when lower semicontinuous), T4 (when radially
-    continuous) and T7 run on its grid.  A 2-D entry's labels are not
+    A 1-D entry's expected labels are compared, in sorted label order, with
+    the definitional oracles, and T3 (when lower semicontinuous), T4 (when
+    radially continuous) and T7 run on its grid.  A 2-D entry's labels are not
     compared: T6, and Lpr1 when it is labelled quasiconvex, read the
     :func:`line_problems` batches of its explicit pairs and ``pairs`` sampled
     ones batch by batch, T6 first, so one batch at a time is kept (with the
@@ -546,7 +546,7 @@ def run_battery(
                 make_grid(box[0], n_grid, margin),
                 schedule, tol, stat_tol,
             )
-            for name, want in (entry.expected or {}).items():
+            for name, want in sorted((entry.expected or {}).items()):
                 got = p.verdict(label_checks[name]).outcome
                 want_s = "holds" if want else "fails"
                 status = ("inconclusive" if got == "inconclusive" else

@@ -97,7 +97,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         CUBE,
         ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
-        ["decompose", "--function", "t^2", "--domain", "[-1,1]"],
         ["dini", "--function", "t^2", "--domain", "[-1,1]", "--at", "0.5", "--dir", "1"],
         ["verify-theorems"],
     ])
@@ -113,7 +112,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         CUBE,
         ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]"],
-        ["decompose", "--function", "t^2", "--domain", "[-1,1]"],
         ["dini", "--function", "t^2", "--domain", "[-1,1]", "--at", "0.5", "--dir", "1"],
         ["verify-theorems"],
     ])
@@ -209,6 +207,20 @@ class TestClassifyReport:
         rep = json.loads(out)
         for block in rep["checks"].values():
             assert list(block["methods"]) == ["definitional"]
+
+    def test_method_structural_only(self, capsys):
+        _, out, _ = run(CUBE + ["--method", "structural"], capsys)
+        rep = json.loads(out)
+        assert {check: list(block["methods"]) for check, block in rep["checks"].items()} == {
+            "pseudoconvex": ["characterization"], "strict-pseudoconvex": ["characterization"],
+            "quasiconvex": ["martos"], "semistrict-quasiconvex": ["martos"]}
+        assert "decomposition" in rep
+
+    @pytest.mark.parametrize("method", ["characterization", "martos"])
+    def test_method_names_a_side_not_a_classifier(self, method, capsys):
+        code, out, err = run(CUBE + ["--method", method], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert "invalid choice" in err.splitlines()[0]
 
     def test_single_check_selection(self, capsys):
         _, out, _ = run(CUBE + ["--check", "quasiconvex"], capsys)
@@ -344,6 +356,53 @@ class TestParserDefaults:
         assert cfg.schedule == schedule
 
 
+# A valid run of each subcommand, to which one flag is added.
+BASE_ARGV = {
+    "classify": CUBE,
+    "decompose": ["decompose", "--function=t^2", "--domain=[-1,1]"],
+    "dini": ["dini", "--function=t^2", "--domain=[-1,1]", "--at=0.5"],
+    "verify-theorems": ["verify-theorems"],
+}
+# The flags each subcommand reads, as its --help lists them.
+READS = {
+    "classify": {"--function", "--arity", "--domain", "--box", "--grid", "--margin", "--tol",
+                 "--stat-tol", "--dini-t0", "--dini-ratio", "--dini-steps", "--dini-tol",
+                 "--seed", "--output", "--pairs", "--method", "--check"},
+    "decompose": {"--function", "--domain", "--grid", "--margin", "--tol", "--output",
+                  "--csv"},
+    "dini": {"--function", "--domain", "--dini-t0", "--dini-ratio", "--dini-steps",
+             "--dini-tol", "--output", "--at", "--dir"},
+    "verify-theorems": {"manifest", "--grid", "--margin", "--tol", "--stat-tol", "--dini-t0",
+                        "--dini-ratio", "--dini-steps", "--dini-tol", "--seed", "--pairs",
+                        "--output", "--random"},
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_help_lists_exactly_the_flags_it_reads(self, cmd, capsys):
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        text = capsys.readouterr().out
+        options = {w for w in text.split("options:")[1].split() if w.startswith("--")}
+        assert options - {"--help"} == READS[cmd] - {"manifest"}
+        assert ("positional arguments:\n  manifest" in text) == ("manifest" in READS[cmd])
+
+    @pytest.mark.parametrize("cmd,flag", [(cmd, flag) for cmd in sorted(READS)
+                                          for flag in sorted(set().union(*READS.values()))
+                                          if flag not in READS[cmd]])
+    def test_rejects_flags_it_does_not_read(self, cmd, flag, capsys):
+        # refused at the parser, so before anything is evaluated; a flag
+        # such as --grid on dini would otherwise fail a run on a value it
+        # never reads
+        arg = "some.json" if flag == "manifest" else f"{flag}=1"
+        code, out, err = run(BASE_ARGV[cmd] + [arg], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert lines[0] == f"error: unrecognized arguments: {arg}"
+        assert len(lines) == 2 and lines[1].startswith("elapsed:")
+
+
 class TestVerify:
     def test_small_manifest(self, tmp_path, capsys):
         by_id = {e.id: e for e in golden_battery()}
@@ -365,18 +424,6 @@ class TestVerify:
                            capsys)
         assert code == EXIT_OK
         assert "cases=" in out and "ok=True" in out
-
-    def test_rejects_function_flag(self, capsys):
-        code, _, err = run(["verify-theorems", "--function", "t^2"], capsys)
-        assert code == EXIT_CONFIG
-        assert "manifest" in err
-
-    @pytest.mark.parametrize("flag", ["--method=definitional", "--arity=2",
-                                      "--domain=[0,1]", "--box=[0,1]x[0,1]"])
-    def test_rejects_flags_it_would_ignore(self, flag, capsys):
-        code, _, err = run(["verify-theorems", flag], capsys)
-        assert code == EXIT_CONFIG
-        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("entry,field", [
         ({"expected": {"convex": True}}, "expected"),
