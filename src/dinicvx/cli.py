@@ -131,59 +131,65 @@ class RunConfig:
 # canonical JSON
 
 
-def _f17(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+class _Floats(dict):
+    """The text of each float of one report, formatted on first use.  A zero
+    is formatted each time: 0.0 and -0.0 are one key and print differently."""
+
+    def __missing__(self, x: float) -> str:
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        text = format(x, ".17g")
+        if x:
+            self[x] = text
+        return text
 
 
-def _dump(obj, out: list[str], ind: int) -> None:
-    pad = "  " * ind
-    if isinstance(obj, dict):
+# what any other value is written as, by the first of these types it has
+_PLAIN = ((dict, dict), ((list, tuple), list), (np.bool_, bool), (str, str),
+          ((int, np.integer), int), ((float, np.floating), float))
+
+
+def _text(obj, pad: str, floats: _Floats, shared: dict) -> str:
+    """``obj`` written at the indent ``pad``.  ``shared`` keeps the text of
+    each result object by (id, indent): a report holds one estimate many
+    times, and all of it stays alive while it is written."""
+    t = type(obj)
+    if t is float:
+        return floats[obj]
+    if t is str:
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+    if t is dict or t is list or t is tuple:
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj.keys())
-        for i, k in enumerate(keys):
-            out.append(f'{pad}  "{k}": ')
-            _dump(obj[k], out, ind + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _dump(v, out, ind + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(
-            '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-        )
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_f17(float(obj)))
-    elif is_dataclass(obj):
-        _dump(_fields(obj), out, ind)
-    else:
+            return "{}" if t is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            keyed = [f'"{k}": {_text(obj[k], inner, floats, shared)}' for k in sorted(obj)]
+            return f"{{\n{inner}{sep.join(keyed)}\n{pad}}}"
+        if set(map(type, obj)) == {float}:  # a trace or a point: one join
+            return f"[\n{inner}{sep.join(map(floats.__getitem__, obj))}\n{pad}]"
+        return f"[\n{inner}{sep.join([_text(v, inner, floats, shared) for v in obj])}\n{pad}]"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    for kinds, plain in _PLAIN:
+        if isinstance(obj, kinds):
+            return _text(plain(obj), pad, floats, shared)
+    if not is_dataclass(obj):
         raise TypeError(f"cannot serialize {type(obj)!r}")
+    key = (id(obj), pad)
+    if key not in shared:
+        shared[key] = _text(_fields(obj), pad, floats, shared)
+    return shared[key]
 
 
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _dump(obj, out, 0)
-    return "".join(out) + "\n"
+    return _text(obj, "", _Floats(), {}) + "\n"
 
 
 # ---------------------------------------------------------------------------

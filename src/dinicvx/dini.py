@@ -370,7 +370,7 @@ def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
     schedule = schedule or DiniSchedule()
     least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
     return [
-        DiniEstimate(float(norm * v), float(v), tuple(tr[row]), bool(c), int(k),
+        DiniEstimate(float(norm * v), float(v), tuple(tr[row].tolist()), bool(c), int(k),
                      not row.any())
         for norm, v, c, tr, row, k in zip(norms, *(r.T for r in _probe_rows(
             f, x, u, least, greatest, base, schedule.step_sizes(), schedule.dini_tol)))

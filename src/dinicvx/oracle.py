@@ -16,7 +16,9 @@ values and the side minima (the least value strictly left and strictly
 right of each point): a pair (x, y) triggers its condition for some y on
 one side of x exactly when the least value on that side does, and the
 triple conditions reduce in the same way.  The pair and quasiconvexity
-oracles cost O(n) on an n-point grid, the semistrict one O(n log n).
+oracles cost O(n) on an n-point grid.  The semistrict one searches, in
+O(log n) each, only the points whose neighbour is in their window below
+their level while a point above a value on each side lies beyond it.
 Witnesses are the first violations in grid order, at most
 ``_WITNESS_CAP`` of each kind.
 
@@ -412,30 +414,22 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
 
 
 def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``max(v[..., lo[..., j]:hi[..., j]])`` for every j, row by row, or NaN
-    where the window is empty, so no comparison counts it as a hit.
+    """``max(v[lo[j]:hi[j]])`` for every j; no window is empty.
 
     Level k of a sparse table holds the maximum of every run of ``2**k``
     points; a window is the union of the two longest such runs that start at
-    its left end and end at its right end.  Levels are built one at a time,
-    over all rows at once (no window crosses a row's end): O(n log n) time,
-    O(n) memory.
+    its left end and end at its right end.  Levels are built one at a time:
+    O(n log n) time, O(n) memory.
     """
-    shape = lo.shape
-    if v.ndim > 1 and v.shape[0] > 1:  # row i starts at i * width of the flat rows
-        row = np.arange(0, v.size, v.shape[-1])[:, None]
-        lo, hi = lo + row, hi + row
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
-    out = np.full(lo.shape, np.nan)
-    live = np.flatnonzero(hi > lo)
-    level = np.frexp(hi[live] - lo[live])[1] - 1  # floor(log2(width))
-    run = v.reshape(-1)
+    out = np.empty(lo.shape)
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(width))
+    run = v
     for k in range(int(level.max(initial=-1)) + 1):
         if k:
             run = np.maximum(run[: -(1 << (k - 1))], run[1 << (k - 1) :])
-        at = live[level == k]
+        at = np.flatnonzero(level == k)
         out[at] = np.maximum(run[lo[at]], run[hi[at] - (1 << k)])
-    return out.reshape(shape)
+    return out
 
 
 def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
@@ -443,26 +437,48 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
 
     For every pair with phi(y) < phi(x) - tol, every grid point z strictly
     between x and y must satisfy phi(z) < phi(x) up to the shared band.
-    Rightward from x this fails exactly when some z > x with
-    phi(z) >= phi(x) - tol has a right side minimum below that level.  The
-    right side minima never decrease, so those z form one run, found by a
-    binary search (line by line), and one range-maximum query over all
-    lines decides every x; leftward mirrors this.  O(n log n).  Only the
-    reported (x, side) entries, rightward first, are located by a scan,
-    each with its nearest z and the first such y.
+    Rightward from x this fails exactly when a z > x at or above that level
+    (a hit) has a right side minimum below it; right side minima never
+    decrease, so those z lie in one window right of x.  Leftward mirrors
+    this.  Compares against x + 1 decide each x whose window is empty or
+    holds x + 1 as a hit.  The other x, with x + 1 in the window below the
+    level, are searched only while a point past x + 1 lies above a value on
+    each side, as a hit there does, and at most ``_WITNESS_CAP`` points of
+    the line up to x have a hit: a binary search, line by line, for the
+    window's end, then one range-maximum query over all their windows.
+    O(n log n).  Only the reported (x, side) entries, rightward first, are
+    located by a scan, each with its nearest z and the first such y.
     """
     vals, sm = p._v, p._side_min
-    c = vals - p._band[:, None]
-    xs = np.zeros(vals.shape, dtype=np.intp) + np.arange(vals.shape[1])
-    # side_min[1, z] < c[x] iff z < right_end[x]; side_min[0, z] < c[x] iff z >= left_start[x];
-    # a line with undefined values keeps empty windows
-    right_end, left_start = np.zeros_like(xs), np.full_like(xs, vals.shape[1])
-    for i in np.flatnonzero(~p._bad):
-        right_end[i] = np.searchsorted(sm[i, 1], c[i])
-        left_start[i] = np.searchsorted(-sm[i, 0], -c[i], side="right")
-    hits = np.stack((_window_max(vals, xs + 1, right_end) >= c,
-                     _window_max(vals, left_start, xs) >= c), axis=2)
-    hits &= p._valid[..., None]
+    m, w = vals.shape
+    # a padded x, and each x of a line with undefined values, compares at
+    # level -inf: no side minimum is below it, so both its windows are empty
+    c = np.where(p._valid & ~p._bad[:, None], vals - p._band[:, None], -np.inf)
+    # side by side (rightward, leftward): x + 1 or x - 1 is in x's window,
+    # and is a hit; x has no neighbour at a grid end
+    open_, hits = np.zeros((2, 2, m, w), dtype=bool)
+    open_[0, :, :-1], open_[1, :, 1:] = sm[:, 1, 1:] < c[:, :-1], sm[:, 0, :-1] < c[:, 1:]
+    hits[0, :, :-1], hits[1, :, 1:] = vals[:, 1:] >= c[:, :-1], vals[:, :-1] >= c[:, 1:]
+    hits &= open_
+    rest = open_ ^ hits
+    rest &= np.cumsum(hits.any(axis=0), axis=1) <= _WITNESS_CAP
+    peak, xs = (sm < vals[:, None]).all(axis=1), np.arange(w)
+    rest[0] &= xs + 2 <= np.where(peak, xs, -w).max(axis=1)[:, None]
+    rest[1] &= xs - 2 >= np.where(peak, xs, 2 * w).min(axis=1)[:, None]
+    # the rest by side, then by line, in flat order; at is x's flat index in vals
+    flat = np.flatnonzero(rest)
+    cuts = np.searchsorted(flat, np.arange(0, 2 * m * w + 1, w))
+    at = flat % (m * w)
+    need, edge = c.reshape(-1)[at], np.empty_like(at)
+    for k in np.flatnonzero(np.diff(cuts)).tolist():
+        (s, i), seg = divmod(k, m), slice(cuts[k], cuts[k + 1])
+        edge[seg] = i * w + (np.searchsorted(-sm[i, 0], -need[seg], side="right") if s else
+                             np.searchsorted(sm[i, 1], need[seg]))
+    r = cuts[m]  # edge is the window's end rightward, its start leftward
+    found = _window_max(vals.reshape(-1), np.concatenate((at[:r] + 1, edge[r:])),
+                        np.concatenate((edge[:r], at[r:]))) >= need
+    hits.reshape(-1)[flat[found]] = True
+    hits = np.moveaxis(hits, 0, -1)  # (m, w, 2): x by x, rightward first
 
     def triples(i: int):
         v = vals[i]

@@ -57,11 +57,11 @@ def _finish(
     if steps.size >= 2:
         s_min = float(steps[-1])
         if value > 0 and np.min(diffs) >= _JUMP_FACTOR * value * s_min:
-            return _INF, tuple(trace), True, False
+            return _INF, tuple(trace.tolist()), True, False
         q_max = float(np.max(quots))
         if q_max < 0 and np.max(diffs) <= _JUMP_FACTOR * q_max * s_min:
-            return -_INF, tuple(trace), True, False
-    return value, tuple(trace), converged, False
+            return -_INF, tuple(trace.tolist()), True, False
+    return value, tuple(trace.tolist()), converged, False
 
 
 def _estimate_one(

@@ -1,0 +1,74 @@
+"""Reference for the canonical JSON writer.
+
+The writer that ``dinicvx.cli.canonical_json`` replaced: one ``isinstance``
+chain per value, one formatted float per occurrence, one list append per
+token.  The tests require the package's writer to give the same bytes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+
+
+def _f17(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(float(x), ".17g")
+
+
+def _dump(obj, out: list[str], ind: int) -> None:
+    pad = "  " * ind
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj.keys())
+        for i, k in enumerate(keys):
+            out.append(f'{pad}  "{k}": ')
+            _dump(obj[k], out, ind + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(pad + "  ")
+            _dump(v, out, ind + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(
+            '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+        )
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_f17(float(obj)))
+    elif is_dataclass(obj):
+        _dump(_fields(obj), out, ind)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def canonical_json(obj) -> str:
+    out: list[str] = []
+    _dump(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def _fields(obj) -> dict:
+    """A dataclass as the dict of its fields, unconverted.  Not ``vars()``:
+    a cached property, such as ``DiniSchedule._steps``, is no field."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}

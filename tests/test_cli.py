@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dinicvx
+import report_reference
 from dinicvx import cli, dini, golden_battery, write_manifest
 from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
@@ -31,6 +35,19 @@ CUBE = ["classify", "--function", "t^3", "--domain", "[-1,1]"]
 # drop past t=0.9 is large enough for the definitional scan to notice
 CREEP = ["classify", "--function", "0.0001*t - 0.002*max(0, t - 0.9)",
          "--domain", "[0,1]", "--tol", "1e-6", "--check", "quasiconvex"]
+
+
+# Nested values of every type a report holds, and every kind of float.
+FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                          0.1, 1e308]) | st.floats()
+JSON_VALUES = st.recursive(
+    st.one_of(FLOATS, FLOATS.map(np.float64), st.booleans(), st.booleans().map(np.bool_),
+              st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64),
+              st.text(st.sampled_from('ab\\"\n')), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.sampled_from("ab"), max_size=2), inner, max_size=4)),
+    max_leaves=24)
 
 
 def run(argv, capsys):
@@ -659,7 +676,7 @@ class TestCanonicalJson:
                 return '"inf"' if x > 0 else '"-inf"'
             return format(float(x), ".17g")
 
-        assert cli._f17(x) == numpy_f17(x)
+        assert cli._Floats()[x] == numpy_f17(x)
         assert canonical_json(x) == numpy_f17(x) + "\n"
 
     def test_stable_ordering_nested(self):
@@ -704,3 +721,31 @@ class TestCanonicalJson:
             "      values:",
             "        - 1",
         ]) + "\n"
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_as_the_reference_writer(self, value):
+        # one frozen result object at two indents, and a schedule whose
+        # cached steps are no field
+        shared = Witness("kind", (0.0, -0.0, 0.5), (math.nan,), 'a "b"\n')
+        schedule = DiniSchedule(t0=0.05, steps=12)
+        schedule.step_sizes()
+        obj = {"x": value, "shared": shared, "nested": [shared, {"again": shared}],
+               "schedule": schedule, "floats": [-0.0, 0.0, -0.0, np.float64(-0.0)],
+               "empty": [{}, [], ()]}
+        assert canonical_json(obj) == report_reference.canonical_json(obj)
+
+    def test_writing_a_report_leaves_no_garbage(self, monkeypatch, capsys):
+        reports = []
+        monkeypatch.setattr(cli, "canonical_json", lambda r: reports.append(r) or "")
+        main(["classify", "--function=t^3", "--domain=[-1,1]", "--grid=65"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        try:
+            text = canonical_json(reports[0])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text == report_reference.canonical_json(reports[0])

@@ -11,7 +11,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as ref
@@ -24,7 +24,7 @@ from dinicvx import (
     random_battery,
 )
 from dinicvx.dini import GridDiniProfile
-from dinicvx.domain import Interval, SampledDomain
+from dinicvx.domain import Interval, LineGrids, SampledDomain
 
 from conftest import grid_for, phi_of
 
@@ -109,6 +109,51 @@ def test_structural_scans_match_reference(p):
     if not p.undefined:
         found = charact._stationary(p, np.array([dec.i_hat]))
         assert repr(charact._stationarity_scan(p, 0, found)) == repr(ref.stationarity_scan(p, dec))
+
+
+# Each line's values open windows of every small length both ways: after
+# 3, 1 the window past the neighbour is empty before 0, one point long
+# before 2, 0 and two before 2, 2, 0; with tol = scale, 4, 3 puts x + 1
+# exactly one band below x.
+@st.composite
+def batches(draw):
+    scale = draw(st.sampled_from([1.0, 0.1, 1e6]))
+    tol = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]))
+    motifs = st.sampled_from([[3, 1, 0], [3, 1, 2, 0], [3, 1, 2, 2, 0], [0, 2, 2, 1, 3],
+                              [0, 2, 1, 3], [0, 1, 3], [4, 3], [3, 4]])
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts = draw(st.lists(motifs | st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                              min_size=1, max_size=4))
+        lines.append([v * scale for part in parts for v in part][:16])
+    undefined = draw(st.integers(-1, len(lines) - 1))
+    if undefined >= 0:
+        lines[undefined][draw(st.integers(0, len(lines[undefined]) - 1))] = np.nan
+    return lines, None if tol is None else tol * scale
+
+
+@given(batches())
+# seven points with a hit rightward, then one whose leftward hit is decided
+# by its neighbour and whose rightward hit, reported eighth, needs the search
+@example(([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.4, 2.0, 9.0, 0.0]], 0.5))
+@settings(max_examples=400, deadline=None)
+def test_semistrict_batch_lines_match_each_line_alone(batch):
+    lines, tol = batch
+    n = np.array([len(v) for v in lines])
+    pts = np.full((len(lines), n.max()), np.nan)
+    table = np.full(pts.shape, np.nan)
+    for i, vals in enumerate(lines):
+        pts[i, : n[i]] = np.linspace(0.0, 1.0, n[i]) if n[i] > 1 else 0.5
+        table[i, : n[i]] = vals
+    dom = LineGrids((Interval(-1e-3, 1.001),) * len(lines), pts, n)
+    got = oracle.semistrictly_quasiconvex_def(
+        SampledProblem(lambda ts: table.copy(), dom, tol=tol, stat_tol=STAT_TOL))
+    for i, vals in enumerate(lines):
+        alone = table_problem(vals, tol=tol)
+        assert repr(got[i]) == repr(ref.semistrictly_quasiconvex_def(alone)), i
+        assert repr(got[i]) == repr(oracle.semistrictly_quasiconvex_def(alone)), i
+        if not alone.undefined:
+            assert got[i].outcome == ref.semistrict_triple_loop(alone.values, alone.band), i
 
 
 def test_one_point_grid():
