@@ -213,13 +213,7 @@ def _random_valley(rng: np.random.Generator, lo: float, hi: float) -> tuple[str,
         return _assemble(branches, rcoefs), _exp(True, False, True, True)
 
     c = _breakpoints(rng, lo, hi, 1)[0]
-    if variant == 1:
-        lcoefs, _ = _flank_piece(rng, lo, c, m, -1)
-        branches.append(("<", c, lcoefs))
-        rcoefs, _ = _flank_piece(rng, c, hi, m, +1)
-        return _assemble(branches, rcoefs), _exp(True, True, True, True)
-
-    jump = float(rng.uniform(0.05, 0.7))
+    jump = float(rng.uniform(0.05, 0.7)) if variant == 2 else 0.0
     lcoefs, _ = _flank_piece(rng, lo, c, m + jump, -1)
     branches.append(("<", c, lcoefs))
     rcoefs, _ = _flank_piece(rng, c, hi, m, +1)

@@ -266,11 +266,8 @@ def _run_methods(check: str, want_def: bool, want_struct: bool,
 
 
 def _merge_outcomes(outcomes: list[str]) -> str:
-    if any(o == "fails" for o in outcomes):
-        return "fails"
-    if any(o == "inconclusive" for o in outcomes):
-        return "inconclusive"
-    return "holds"
+    """The first of 'fails' and 'inconclusive' among ``outcomes``, else 'holds'."""
+    return next((o for o in ("fails", "inconclusive") if o in outcomes), "holds")
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
@@ -377,17 +374,15 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
 
 def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
     fn = parse(cfg.function, cfg.arity)
-    interval = parse_interval(cfg.domain)
-    phi = lambda ts: eval_many(fn, ts)
-    est = lower_dini(phi, at, direction, interval, cfg.schedule)
-    report = {
+    est = lower_dini(lambda ts: eval_many(fn, ts), at, direction,
+                     parse_interval(cfg.domain), cfg.schedule)
+    _emit({
         "command": "dini",
         "config": _config_json(cfg),
         "at": at,
         "direction": direction,
         "estimate": est,
-    }
-    _emit(report, cfg.output)
+    }, cfg.output)
     return EXIT_OK if est.converged else EXIT_INCONCLUSIVE
 
 

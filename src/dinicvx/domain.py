@@ -52,9 +52,7 @@ class Interval:
     def __post_init__(self) -> None:
         if np.isnan(self.lo) or np.isnan(self.hi):
             raise ValueError("interval endpoints must not be NaN")
-        if np.isinf(self.lo) and self.lo_closed:
-            raise ValueError("infinite endpoint must be open")
-        if np.isinf(self.hi) and self.hi_closed:
+        if np.isinf(self.lo) and self.lo_closed or np.isinf(self.hi) and self.hi_closed:
             raise ValueError("infinite endpoint must be open")
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")

@@ -413,8 +413,8 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
         for z in _first(peaks[i])))
 
 
-def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``max(v[lo[j]:hi[j]])`` for every j; no window is empty.
+def _window_max(run: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``max(run[lo[j]:hi[j]])`` for every j; no window is empty.
 
     Level k of a sparse table holds the maximum of every run of ``2**k``
     points; a window is the union of the two longest such runs that start at
@@ -423,7 +423,6 @@ def _window_max(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     out = np.empty(lo.shape)
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(width))
-    run = v
     for k in range(int(level.max(initial=-1)) + 1):
         if k:
             run = np.maximum(run[: -(1 << (k - 1))], run[1 << (k - 1) :])

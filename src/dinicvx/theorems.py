@@ -360,12 +360,11 @@ def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
     64-direction sample is a subset of the 128-direction sample (needed for
     the refinement-monotonicity property of the stationarity statement).
     """
+    rng = np.random.default_rng(seed)
     if arity == 2:
-        rng = np.random.default_rng(seed)
         offset = rng.uniform(0.0, 2.0 * np.pi / 64.0)
         ang = offset + 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(seed)
     u = rng.normal(size=(count, arity))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
@@ -484,17 +483,10 @@ class BatteryRunResult:
 
 def _status(report: TheoremReport) -> CaseLine:
     if not report.implication_holds:
-        detail = report.notes
-        if report.counterexample:
-            detail = report.counterexample[0].detail
-        return CaseLine(report.theorem_id, report.function_id, "FAIL", detail)
-    if report.inconclusive:
-        return CaseLine(report.theorem_id, report.function_id, "inconclusive",
-                        report.notes)
-    if report.vacuous:
-        return CaseLine(report.theorem_id, report.function_id, "vacuous",
-                        report.notes)
-    return CaseLine(report.theorem_id, report.function_id, "ok", report.notes)
+        return CaseLine(report.theorem_id, report.function_id, "FAIL",
+                        report.counterexample[0].detail if report.counterexample else report.notes)
+    status = "inconclusive" if report.inconclusive else "vacuous" if report.vacuous else "ok"
+    return CaseLine(report.theorem_id, report.function_id, status, report.notes)
 
 
 def run_battery(
