@@ -33,17 +33,18 @@ CASES = [
 
 def classify(source, domain):
     fn = parse(source, 1)
-    # one problem per function: every classifier below shares its grid
-    # values, equality band and Dini profile
+    # one problem per function, of one line: every classifier below shares
+    # its grid values, equality band and Dini profile, and returns the
+    # verdict of each line
     p = SampledProblem(lambda ts: eval_many(fn, ts),
                        make_grid(parse_interval(domain), 257, 1e-6))
     return {
-        "pseudoconvex (def)": pseudoconvex_def(p),
-        "pseudoconvex (char)": pseudoconvex_char(p),
-        "strictly pseudoconvex": strictly_pseudoconvex_def(p),
-        "quasiconvex (def)": quasiconvex_def(p),
-        "quasiconvex (martos)": quasiconvex_martos(p),
-        "semistrictly quasiconvex": semistrictly_quasiconvex_def(p),
+        "pseudoconvex (def)": pseudoconvex_def(p)[0],
+        "pseudoconvex (char)": pseudoconvex_char(p)[0],
+        "strictly pseudoconvex": strictly_pseudoconvex_def(p)[0],
+        "quasiconvex (def)": quasiconvex_def(p)[0],
+        "quasiconvex (martos)": quasiconvex_martos(p)[0],
+        "semistrictly quasiconvex": semistrictly_quasiconvex_def(p)[0],
     }
 
 

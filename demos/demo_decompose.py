@@ -29,7 +29,8 @@ def show(source, domain):
     fn = parse(source, 1)
     dom = make_grid(parse_interval(domain), 257, 1e-6)
     p = SampledProblem(lambda ts: eval_many(fn, ts), dom)
-    dec = decompose(p)
+    # the one line's decomposition, and its grid
+    dec, pts = decompose(p)[0], dom.points[0]
     print(f"\n{source}  on {domain}")
     if not dec.ok:
         w = dec.witnesses[0]
@@ -37,13 +38,13 @@ def show(source, domain):
         print(f"  no monotone split: {w.kind} at ({pts})")
         return
     lo, hi = dec.i_hat
-    print(f"  falling   : {dom.points[0]:.4g} .. {dom.points[max(lo - 1, 0)]:.4g}"
+    print(f"  falling   : {pts[0]:.4g} .. {pts[max(lo - 1, 0)]:.4g}"
           f"  ({lo} points)")
-    print(f"  minimum   : {dom.points[lo]:.4g} .. {dom.points[hi - 1]:.4g}"
+    print(f"  minimum   : {pts[lo]:.4g} .. {pts[hi - 1]:.4g}"
           f"  ({hi - lo} points at level {dec.min_value:.6g})")
-    print(f"  rising    : {dom.points[min(hi, dom.n - 1)]:.4g} .. {dom.points[-1]:.4g}"
-          f"  ({dom.n - hi} points)")
-    split = martos_segments(p)
+    print(f"  rising    : {pts[min(hi, pts.size - 1)]:.4g} .. {pts[-1]:.4g}"
+          f"  ({pts.size - hi} points)")
+    split = martos_segments(p)[0]
     print(f"  martos    : valid={split.valid}  decreasing={split.decreasing}"
           f"  constant={split.constant}  increasing={split.increasing}")
 

@@ -73,7 +73,7 @@ class MonotoneDecomposition:
         return labels
 
 
-def decompose(p: SampledProblem) -> MonotoneDecomposition:
+def decompose(p: SampledProblem) -> tuple[MonotoneDecomposition, ...]:
     """Split the grid into strict descent, minimum band, strict ascent.
 
     The band is every index whose value lies within ``tol`` of the grid
@@ -84,8 +84,8 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
     an empty band instead: the infimum is not attained.  The lines of a
     problem are split together, one decomposition each.
     """
-    vals, n, w = p._v, p._n, p._v.shape[1]
-    band, deltas = p._band[:, None], p._deltas
+    vals, n, w = p.values, p.dom.n, p.values.shape[1]
+    band, deltas = p.band[:, None], p._deltas
     with np.errstate(invalid="ignore"):
         vmin = np.min(vals, axis=1)
         inband = vals <= vmin[:, None] + band
@@ -94,9 +94,8 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
     gap = np.count_nonzero(inband, axis=1) != b1 - b0 + 1
     rise, fall = deltas > band, deltas < -band
     # strictly monotone toward an open end
-    intervals = p.dom.interval if p.lines else (p.dom.interval,)
-    increasing = (n > 1) & (b0 == 0) & ~np.array([iv.lo_closed for iv in intervals])
-    decreasing = (n > 1) & (b1 == n - 1) & ~np.array([iv.hi_closed for iv in intervals])
+    increasing = (n > 1) & (b0 == 0) & ~np.array([iv.lo_closed for iv in p.dom.interval])
+    decreasing = (n > 1) & (b1 == n - 1) & ~np.array([iv.hi_closed for iv in p.dom.interval])
     increasing &= rise.all(axis=1)
     decreasing &= np.count_nonzero(fall, axis=1) == n - 1
     # the failing steps of the left flank, then of the right flank
@@ -106,23 +105,24 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
     flank_ok = ~(left | right).any(axis=1)
 
     def split(i: int) -> MonotoneDecomposition:
-        b0_i, b1_i, n_i, tol_i = int(b0[i]), int(b1[i]), int(n[i]), float(p._band[i])
+        b0_i, b1_i, n_i, tol_i = int(b0[i]), int(b1[i]), int(n[i]), float(p.band[i])
         if p._bad[i]:
             return MonotoneDecomposition((0, 0), (0, 0), (0, 0), "undefined", float("nan"),
-                                         tol_i, False, p._undefined[i])
+                                         tol_i, False, p.undefined[i])
         if increasing[i]:
             return MonotoneDecomposition((0, 0), (0, 0), (0, n_i), "empty_min_increasing",
                                          float(vmin[i]), tol_i, True)
         if decreasing[i]:
             return MonotoneDecomposition((0, n_i), (0, 0), (n_i, n_i), "empty_min_decreasing",
                                          float(vmin[i]), tol_i, True)
+        witnesses = []
         if gap[i]:
             at = np.flatnonzero(inband[i])
             gaps = [(int(at[g]), int(at[g + 1])) for g in _first(np.diff(at) > 1)]
             witnesses = [_witness(p, "argmin_gap", (a, a + 1 + np.argmax(vals[i, a + 1 : b]), b),
                                   "the set of grid minimizers is not contiguous", i)
                          for a, b in gaps]
-        else:
+        elif not flank_ok[i]:
             flank = [(k, "non_strict_decrease", "left flank is not strictly decreasing")
                      for k in _first(left[i])]
             flank += [(k, "non_strict_increase", "right flank is not strictly increasing")
@@ -132,7 +132,7 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
                                      float(vmin[i]), tol_i, bool(flank_ok[i] and not gap[i]),
                                      tuple(witnesses))
 
-    return p._each([split(i) for i in range(vals.shape[0])])
+    return tuple(split(i) for i in range(vals.shape[0]))
 
 
 def _stationary(p: SampledProblem, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +140,11 @@ def _stationary(p: SampledProblem, hat: np.ndarray) -> tuple[np.ndarray, np.ndar
     outside its band ``hat[i, 0] <= k < hat[i, 1]`` with no descending
     direction, blocked where that call rests on an unconverged estimate.
     One settle serves all the lines."""
-    idx = np.arange(p._pts.shape[1])
+    idx = np.arange(p.dom.points.shape[1])
     outside = p._valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:]))
     p.settle(outside)
-    still = ~p._prof.descent(p.stat_tol).any(axis=1) & outside
-    unconv = p._prof.unconverged().any(axis=1)
+    still = ~p.profile.descent(p.stat_tol).any(axis=1) & outside
+    unconv = p.profile.unconverged().any(axis=1)
     return still & ~unconv, still & unconv
 
 
@@ -165,11 +165,10 @@ def _stationarity_scan(p: SampledProblem, line: int, found: tuple[np.ndarray, np
     ]
 
 
-def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
+def _char_verdict(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
     decs = p.verdict(decompose)
-    decs = decs if p.lines else (decs,)
     # only the lines whose decomposition holds are scanned
-    found = _stationary(p, np.array([dec.i_hat if dec.ok else (0, p._pts.shape[1])
+    found = _stationary(p, np.array([dec.i_hat if dec.ok else (0, p.dom.points.shape[1])
                                      for dec in decs]))
     flat = [strict and dec.pattern == "valley" and dec.band_size() > 2 for dec in decs]
 
@@ -193,13 +192,13 @@ def _char_verdict(p: SampledProblem, strict: bool) -> Verdict:
         lambda p, method, i: _undefined_verdict(p, method, i, band=True))
 
 
-def pseudoconvex_char(p: SampledProblem) -> Verdict:
+def pseudoconvex_char(p: SampledProblem) -> tuple[Verdict, ...]:
     """Structural pseudoconvexity: valid monotone decomposition and no
     stationary grid point outside the minimum band."""
     return _char_verdict(p, strict=False)
 
 
-def strictly_pseudoconvex_char(p: SampledProblem) -> Verdict:
+def strictly_pseudoconvex_char(p: SampledProblem) -> tuple[Verdict, ...]:
     """Structural strict pseudoconvexity: additionally, the minimum band may
     not span more than one grid cell (two adjacent points at most, so ties
     across a single cell are tolerated but plateaus are not)."""
@@ -224,7 +223,7 @@ class SegmentSplit:
     witnesses: tuple[Witness, ...] = ()
 
 
-def martos_segments(p: SampledProblem) -> SegmentSplit:
+def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:
     """Split grid values into strict decrease, a constant run, strict increase.
 
     The scan takes the longest strictly decreasing prefix (consecutive
@@ -234,7 +233,7 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
     flat stretch invalidates it.  The lines of a problem are split
     together, one split each.
     """
-    deltas, band = p._deltas, p._band[:, None]
+    deltas, band = p._deltas, p.band[:, None]
     j = np.arange(deltas.shape[1])
     # a run's length is the index of its first miss (argmin finds the
     # appended False when there is none)
@@ -243,30 +242,31 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
     flat = (np.abs(deltas) <= band) | (j < a[:, None])
     b = np.argmin(np.hstack((flat, stop)), axis=1)
     late = ~(deltas > band) & (j >= b[:, None])
+    valid = ~late.any(axis=1)
 
     def split(i: int) -> SegmentSplit:
-        tol_i, a_i, b_i, n_i = float(p._band[i]), int(a[i]), int(b[i]), int(p._n[i])
+        tol_i, a_i, b_i, n_i = float(p.band[i]), int(a[i]), int(b[i]), int(p.dom.n[i])
         if p._bad[i]:
             return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_i,
-                                p._undefined[i][:1])
-        return SegmentSplit((0, a_i), (a_i, b_i + 1), (b_i + 1, n_i), not late[i].any(), tol_i,
+                                p.undefined[i][:1])
+        return SegmentSplit((0, a_i), (a_i, b_i + 1), (b_i + 1, n_i), bool(valid[i]), tol_i,
                             tuple(_witness(p, "second_descent" if deltas[i, k] < -tol_i else
                                            "plateau_after_rise", (k, k + 1),
                                            "values stop increasing strictly after the "
                                            "constant run", i)
-                                  for k in _first(late[i])))
+                                  for k in (() if valid[i] else _first(late[i]))))
 
-    return p._each([split(i) for i in range(deltas.shape[0])])
+    return tuple(split(i) for i in range(deltas.shape[0]))
 
 
-def quasiconvex_martos(p: SampledProblem) -> Verdict:
+def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
     """Structural quasiconvexity: no strict rise followed by a strict fall.
 
     Equivalent to the grid values being weakly decreasing then weakly
     increasing up to ``tol``; the witness on failure is an ordered triple
     with the interior point above both ends.
     """
-    deltas, band = p._deltas, p._band[:, None]
+    deltas, band = p._deltas, p.band[:, None]
     rises = (deltas > band) & p._valid[:, 1:]
     drops = deltas < -band
     any_rise, any_drop = rises.any(axis=1), drops.any(axis=1)
@@ -280,7 +280,7 @@ def quasiconvex_martos(p: SampledProblem) -> Verdict:
 
     def triple(i: int) -> list[Witness]:
         r, d = int(first_rise[i]), int(last_drop[i])
-        z = r + 1 + int(np.argmax(p._v[i, r + 1 : d + 1]))
+        z = r + 1 + int(np.argmax(p.values[i, r + 1 : d + 1]))
         return [_witness(p, "rise_then_fall", (r, z, d + 1),
                          "a strict rise precedes a strict fall", i)]
 

@@ -131,16 +131,20 @@ class RunConfig:
 # canonical JSON
 
 
-class _Floats(dict):
-    """The text of each float of one report, formatted on first use.  A zero
+class _Texts(dict):
+    """The text of each float and each string of one report, made on first
+    use; a string, a value or a dict key alike, is quoted and escaped.  A zero
     is formatted each time: 0.0 and -0.0 are one key and print differently."""
 
-    def __missing__(self, x: float) -> str:
-        if math.isnan(x):
+    def __missing__(self, x: float | str) -> str:
+        if type(x) is str:
+            text = '"' + x.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+        elif math.isnan(x):
             return '"nan"'
-        if math.isinf(x):
+        elif math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
-        text = format(x, ".17g")
+        else:
+            text = format(x, ".17g")
         if x:
             self[x] = text
         return text
@@ -151,26 +155,24 @@ _PLAIN = ((dict, dict), ((list, tuple), list), (np.bool_, bool), (str, str),
           ((int, np.integer), int), ((float, np.floating), float))
 
 
-def _text(obj, pad: str, floats: _Floats, shared: dict) -> str:
+def _text(obj, pad: str, texts: _Texts, shared: dict) -> str:
     """``obj`` written at the indent ``pad``.  ``shared`` keeps the text of
     each result object by (id, indent): a report holds one estimate many
     times, and all of it stays alive while it is written."""
     t = type(obj)
-    if t is float:
-        return floats[obj]
-    if t is str:
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+    if t is float or t is str:
+        return texts[obj]
     if t is dict or t is list or t is tuple:
         if not obj:
             return "{}" if t is dict else "[]"
         inner = pad + "  "
         sep = ",\n" + inner
         if t is dict:
-            keyed = [f'"{k}": {_text(obj[k], inner, floats, shared)}' for k in sorted(obj)]
+            keyed = [f"{texts[str(k)]}: {_text(obj[k], inner, texts, shared)}" for k in sorted(obj)]
             return f"{{\n{inner}{sep.join(keyed)}\n{pad}}}"
         if set(map(type, obj)) == {float}:  # a trace or a point: one join
-            return f"[\n{inner}{sep.join(map(floats.__getitem__, obj))}\n{pad}]"
-        return f"[\n{inner}{sep.join([_text(v, inner, floats, shared) for v in obj])}\n{pad}]"
+            return f"[\n{inner}{sep.join(map(texts.__getitem__, obj))}\n{pad}]"
+        return f"[\n{inner}{sep.join([_text(v, inner, texts, shared) for v in obj])}\n{pad}]"
     if t is bool:
         return "true" if obj else "false"
     if t is int:
@@ -179,17 +181,17 @@ def _text(obj, pad: str, floats: _Floats, shared: dict) -> str:
         return "null"
     for kinds, plain in _PLAIN:
         if isinstance(obj, kinds):
-            return _text(plain(obj), pad, floats, shared)
+            return _text(plain(obj), pad, texts, shared)
     if not is_dataclass(obj):
         raise TypeError(f"cannot serialize {type(obj)!r}")
     key = (id(obj), pad)
     if key not in shared:
-        shared[key] = _text(_fields(obj), pad, floats, shared)
+        shared[key] = _text(_fields(obj), pad, texts, shared)
     return shared[key]
 
 
 def canonical_json(obj) -> str:
-    return _text(obj, "", _Floats(), {}) + "\n"
+    return _text(obj, "", _Texts(), {}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +237,13 @@ def _config_json(cfg: RunConfig) -> dict:
 # classification plumbing
 
 
-def _semistrict_martos(p: SampledProblem) -> Verdict:
-    splits = martos_segments(p)
-    return p._each([
-        Verdict("holds" if split.valid else "fails", "martos_segments", split.tol, 0.0,
-                split.witnesses)
-        for split in (splits if p.lines else (splits,))
-    ])
+def _semistrict_martos(p: SampledProblem) -> tuple[Verdict, ...]:
+    return tuple(Verdict("holds" if split.valid else "fails", "martos_segments", split.tol, 0.0,
+                         split.witnesses)
+                 for split in martos_segments(p))
 
 
-def _run_methods(check: str, want_def: bool, want_struct: bool,
-                 p: SampledProblem) -> dict[str, Verdict]:
+def _run_methods(check: str, method: str, p: SampledProblem) -> dict[str, tuple[Verdict, ...]]:
     # check -> (definitional oracle, structural method name, structural
     # classifier); built per call, so the classifiers are looked up as the
     # modules now bind them
@@ -257,10 +255,10 @@ def _run_methods(check: str, want_def: bool, want_struct: bool,
         "semistrict-quasiconvex": (semistrictly_quasiconvex_def, "martos",
                                    _semistrict_martos),
     }[check]
-    out: dict[str, Verdict] = {}
-    if want_def:
+    out: dict[str, tuple[Verdict, ...]] = {}
+    if method != "structural":
         out["definitional"] = definitional(p)
-    if want_struct:
+    if method != "definitional":
         out[name] = structural(p)
     return out
 
@@ -270,63 +268,62 @@ def _merge_outcomes(outcomes: list[str]) -> str:
     return next((o for o in ("fails", "inconclusive") if o in outcomes), "holds")
 
 
+def _line_problem(cfg: RunConfig, f) -> SampledProblem:
+    """The one line of a one-variable run: ``f`` on the grid of ``--domain``."""
+    return SampledProblem(f, make_grid(parse_interval(cfg.domain), cfg.grid, cfg.margin),
+                          cfg.schedule, cfg.tol, cfg.stat_tol)
+
+
 def _cmd_classify(cfg: RunConfig) -> int:
     fn = parse(cfg.function, cfg.arity)
-    want_def = cfg.method != "structural"
-    want_struct = cfg.method != "definitional"
+    f = lambda pts: eval_many(fn, pts)
     report: dict = {"command": "classify", "config": _config_json(cfg)}
-    checks_out: dict = {}
-    # check -> method -> outcome, over all pairs for n variables
-    outcomes: dict[str, dict[str, str]] = {}
-
     if cfg.arity == 1:
-        interval = parse_interval(cfg.domain)
-        p = SampledProblem(lambda ts: eval_many(fn, ts),
-                           make_grid(interval, cfg.grid, cfg.margin),
-                           cfg.schedule, cfg.tol, cfg.stat_tol)
-
-        results = {check: _run_methods(check, want_def, want_struct, p)
-                   for check in cfg.checks}
-        # a witness gets the estimates at its first point, a grid point (so
-        # never both 0.0 and -0.0); the checks report many of the same
-        # points, so each is estimated once, all of them in one kernel call
-        firsts = list(dict.fromkeys(float(w.points[0]) for methods in results.values()
-                                    for v in methods.values() for w in v.witnesses
-                                    if w.points))
-        dini_at = dict(zip(firsts, stationarity_estimates(p.phi, firsts, interval,
-                                                          cfg.schedule)))
-        for check, methods in results.items():
-            outcomes[check] = {name: v.outcome for name, v in methods.items()}
-            checks_out[check] = {
-                "methods": {name: _with_dini(v, dini_at) for name, v in methods.items()}
-            }
-        if not p.undefined and want_struct:
-            report["decomposition"] = _with_ranges(p.verdict(decompose), p.dom.points,
-                                                   "i_minus", "i_hat", "i_plus")
+        batches = [(None, _line_problem(cfg, f))]
     else:
         box = _parse_box(cfg.box, cfg.arity)
-        pair_reports = []
-        # every line of a batch is decided at once; the report reads outcomes
-        for r, p in line_problems(lambda pts: eval_many(fn, pts),
-                                  sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
-                                  cfg.margin, cfg.schedule, cfg.tol, cfg.stat_tol):
-            outs = {check: {name: [v.outcome for v in verdicts] for name, verdicts in
-                            _run_methods(check, want_def, want_struct, p).items()}
-                    for check in cfg.checks}
-            for i, feasible in enumerate(r.feasible):
-                pair_reports.append({
-                    "x": [float(v) for v in r.x[i]],
-                    "y": [float(v) for v in r.y[i]],
-                    "feasible": str(feasible),
-                    "checks": {check: {name: lines[i] for name, lines in by_name.items()}
-                               for check, by_name in outs.items()},
-                })
-        for check in cfg.checks:
-            outcomes[check] = {name: _merge_outcomes([pr["checks"][check][name]
-                                                      for pr in pair_reports])
-                               for name in pair_reports[0]["checks"][check]}
-            checks_out[check] = {"methods_aggregate": outcomes[check]}
-        report["pairs"] = pair_reports
+        batches = line_problems(f, sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
+                                cfg.margin, cfg.schedule, cfg.tol, cfg.stat_tol)
+    # every line of a batch is decided at once; check -> method -> the
+    # outcome of each line, batch after batch
+    per_line: dict[str, dict[str, list[str]]] = {check: {} for check in cfg.checks}
+    restrictions = []
+    for r, p in batches:
+        found = {check: _run_methods(check, cfg.method, p) for check in cfg.checks}
+        for check, by_name in found.items():
+            for name, verdicts in by_name.items():
+                per_line[check].setdefault(name, []).extend(v.outcome for v in verdicts)
+        restrictions.append(r)
+    outcomes = {check: {name: _merge_outcomes(outs) for name, outs in by_name.items()}
+                for check, by_name in per_line.items()}
+
+    if cfg.arity == 1:
+        # the report of the one line of the one batch: a witness gets the estimates at its
+        # first point, a grid point (so never both 0.0 and -0.0); the checks
+        # report many of the same points, so each is estimated once, all of
+        # them in one kernel call
+        firsts = list(dict.fromkeys(float(w.points[0]) for methods in found.values()
+                                    for vs in methods.values() for w in vs[0].witnesses
+                                    if w.points))
+        dini_at = dict(zip(firsts, stationarity_estimates(p.phi, firsts, p.dom.interval[0],
+                                                          cfg.schedule)))
+        checks_out = {check: {"methods": {name: _with_dini(vs[0], dini_at)
+                                          for name, vs in methods.items()}}
+                      for check, methods in found.items()}
+        if not p.undefined[0] and cfg.method != "definitional":
+            report["decomposition"] = _with_ranges(p.verdict(decompose)[0], p.dom.points[0],
+                                                   "i_minus", "i_hat", "i_plus")
+    else:
+        # outcomes only, line by line
+        pairs = [pair for r in restrictions for pair in zip(r.x, r.y, r.feasible)]
+        report["pairs"] = [{
+            "x": [float(v) for v in x],
+            "y": [float(v) for v in y],
+            "feasible": str(feasible),
+            "checks": {check: {name: outs[k] for name, outs in by_name.items()}
+                       for check, by_name in per_line.items()},
+        } for k, (x, y, feasible) in enumerate(pairs)]
+        checks_out = {check: {"methods_aggregate": outcomes[check]} for check in cfg.checks}
 
     disagreements = {}
     for check, by_method in outcomes.items():
@@ -348,14 +345,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
     fn = parse(cfg.function, cfg.arity)
-    p = SampledProblem(lambda ts: eval_many(fn, ts),
-                       make_grid(parse_interval(cfg.domain), cfg.grid, cfg.margin),
-                       tol=cfg.tol)
-    pts = p.dom.points
-    dec = decompose(p)
+    p = _line_problem(cfg, lambda ts: eval_many(fn, ts))
+    pts, dec = p.dom.points[0], decompose(p)[0]
     if csv_path is not None:
         lines = ["t,value,segment"]
-        for t, v, lab in zip(pts, p.values, dec.segment_labels(p.dom.n)):
+        for t, v, lab in zip(pts, p.values[0], dec.segment_labels(pts.shape[0])):
             lines.append(f"{format(float(t), '.17g')},{format(float(v), '.17g')},{lab}")
         try:
             with open(csv_path, "w") as fh:
@@ -366,10 +360,10 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
         "command": "decompose",
         "config": _config_json(cfg),
         "decomposition": _with_ranges(dec, pts, "i_minus", "i_hat", "i_plus"),
-        "martos": _with_ranges(martos_segments(p), pts, "decreasing", "constant",
+        "martos": _with_ranges(martos_segments(p)[0], pts, "decreasing", "constant",
                                "increasing"),
     }, cfg.output)
-    return EXIT_INCONCLUSIVE if p.undefined else EXIT_OK
+    return EXIT_INCONCLUSIVE if p.undefined[0] else EXIT_OK
 
 
 def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:

@@ -17,11 +17,10 @@ compared.  :func:`lower_dini` estimates one point of a line in one
 direction, and :func:`stationarity_estimates` both directions of many
 points of a line at once, each one :func:`_probe_rows` call through
 :func:`_along`.  :func:`grid_dini_profile` estimates the grid
-points of one grid, or of the m lines of a batch, both sides of each point
-on one axis: (2, n), ``[0]`` toward lower t, behind a line axis for a
-batch.  A row's bits do not depend on the rows beside it, so a caller
-estimates just the entries it reads, a run of columns at a time, and can
-stop after any run.
+points of the m lines of a batch, both sides of each point on one axis:
+(m, 2, W), ``[:, 0]`` toward lower t.  A row's bits do not depend on the
+rows beside it, so a caller estimates just the entries it reads, a run of
+columns at a time, and can stop after any run.
 
 A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
@@ -44,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Interval, LineGrids, SampledDomain, extent
+from .domain import Interval, LineGrids, extent
 
 __all__ = [
     "DiniSchedule",
@@ -417,13 +416,13 @@ def stationarity_estimates(
 class GridDiniProfile:
     """Unit-direction Dini estimates at the grid points, both directions.
 
-    Each field is (2, n): one column per grid point, row 0 toward lower t
-    (minus), row 1 toward higher t (plus); a batch of m lines puts a line
-    axis in front, (m, 2, W).  Infeasible entries (no in-domain probe) carry
-    NaN values and are never consulted, nor are the entries outside
-    ``estimated``, which read as infeasible.  A settled entry (see
-    :func:`grid_dini_profile`) is converged, its value a quotient below
-    ``-stat_tol`` that bounds the full estimate from above.
+    Each field is (m, 2, W): a line axis, then for each line one column per
+    grid point, row 0 toward lower t (minus), row 1 toward higher t (plus).
+    Infeasible entries (no in-domain probe) carry NaN values and are never
+    consulted, nor are the entries outside ``estimated``, which read as
+    infeasible.  A settled entry (see :func:`grid_dini_profile`) is
+    converged, its value a quotient below ``-stat_tol`` that bounds the full
+    estimate from above.
     """
 
     value: np.ndarray
@@ -439,16 +438,10 @@ class GridDiniProfile:
     plus_converged = property(lambda self: self.converged[..., 1, :])
 
     @classmethod
-    def unestimated(cls, n: int, lines: tuple[int, ...] = ()) -> GridDiniProfile:
-        """A profile of ``n`` points (per line, for the ``lines`` leading
-        shape) with no entry estimated."""
-        shape = (*lines, 2, n)
+    def unestimated(cls, m: int, n: int) -> GridDiniProfile:
+        """A profile of ``m`` lines of ``n`` points with no entry estimated."""
+        shape = (m, 2, n)
         return cls(np.full(shape, np.nan), *(np.zeros(shape, dtype=bool) for _ in range(3)))
-
-    def reshape(self, *shape: int) -> GridDiniProfile:
-        """The same profile, its arrays viewed in ``shape``."""
-        return GridDiniProfile(*(a.reshape(shape) for a in
-                                 (self.value, self.converged, self.feasible, self.estimated)))
 
     def descent(self, stat_tol: float, rows: slice = slice(None)) -> np.ndarray:
         """(..., 2, k) mask over the k grid points ``rows``: the direction
@@ -477,7 +470,7 @@ def _reach(asks: np.ndarray, most: int) -> Callable[[int, int], int]:
 
 def grid_dini_profile(
     phi: Callable[[np.ndarray], np.ndarray],
-    dom: SampledDomain | LineGrids,
+    dom: LineGrids,
     values: np.ndarray,
     schedule: DiniSchedule | None = None,
     mask: np.ndarray | None = None,
@@ -493,9 +486,8 @@ def grid_dini_profile(
     ``stat_tol``, equal to :func:`lower_dini` per point with u = +-1; with
     it, a row that descends beyond it at the largest trailing step is
     settled from that probe, and every other entry is as without it.  For
-    the m lines of a :class:`~dinicvx.domain.LineGrids`, ``phi`` maps an
-    (m, k) parameter array to values line by line; ``values`` is (m, W),
-    the profile (m, 2, W).  One grid is one line.
+    the m lines of ``dom``, ``phi`` maps an (m, k) parameter array to values
+    line by line; ``values`` is (m, W), ``mask`` and the profile (m, 2, W).
 
     Both sides of the grid columns are walked in windows, each the longest
     run of columns, at least one, in which no line asks more than its share
@@ -507,14 +499,12 @@ def grid_dini_profile(
     a true ``until(columns)`` ends the scan, unless the columns end the grid.
     """
     schedule = schedule or DiniSchedule()
-    lines = dom.points.shape[:-1]
-    pts = dom.points.reshape(-1, dom.points.shape[-1])
-    m, w = pts.shape
+    m, w = dom.points.shape
     vals = np.reshape(values, -1)
     s, cut = schedule.step_sizes(), schedule.steps // 2
-    out = out or GridDiniProfile.unestimated(w, lines)
-    want = np.reshape(mask, (m, 2, w)) if mask is not None else np.broadcast_to(
-        (np.arange(w) < np.reshape(dom.n, (-1, 1)))[:, None], (m, 2, w))
+    out = out or GridDiniProfile.unestimated(m, w)
+    want = mask if mask is not None else np.broadcast_to(
+        (np.arange(w) < dom.n[:, None])[:, None], (m, 2, w))
     # A kernel block takes `share` entries a line at most, a window `wide`:
     # as many probes at s[cut] as a block has trailing probes.
     share = _BLOCK_ROWS // m
@@ -528,15 +518,15 @@ def grid_dini_profile(
         n_rows = np.bincount(of, minlength=m)
         k, most = probes.shape[0], int(n_rows.max())
         if n_rows.min() == most:
-            grid = probes.reshape(k, m, most).swapaxes(0, 1).reshape(lines + (-1,))
+            grid = probes.reshape(k, m, most).swapaxes(0, 1).reshape(m, -1)
             return phi(grid).reshape(m, k, most).swapaxes(0, 1).reshape(k, -1)
         at = np.arange(of.shape[0]) - (np.cumsum(n_rows) - n_rows)[of]
         idx = (of * (k * most) + at) + most * np.arange(k)[:, None]
         grid = np.full(m * k * most, np.nan)
         grid[idx] = probes
-        return phi(grid.reshape(lines + (-1,))).reshape(-1)[idx]
+        return phi(grid.reshape(m, -1)).reshape(-1)[idx]
 
-    least, greatest = extent(dom.interval if lines else (dom.interval,))
+    least, greatest = extent(dom.interval)
     sign, every = np.array([-1.0, 1.0]), slice(None)
     value, converged = out.value.reshape(-1), out.converged.reshape(-1)
     feasible, estimated = out.feasible.reshape(-1), out.estimated.reshape(-1)
@@ -550,7 +540,7 @@ def grid_dini_profile(
         line, side, col = np.nonzero(want[:, :, a:b])
         point = line * w + col + a
         entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
-        x, u, first = pts.reshape(-1)[point], sign[side], None
+        x, u, first = dom.points.reshape(-1)[point], sign[side], None
         if stat_tol is not None:
             # every row's probe at s[cut] and _probe_rows's end test: the rows that
             # pass it and descend there settle, and the others' kernel blocks reuse both

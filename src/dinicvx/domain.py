@@ -6,9 +6,11 @@ Interval notation round-trips through :func:`parse_interval` /
 ``Interval.__str__`` using the usual bracket syntax: ``[a,b]``, ``(a,b]``,
 ``[a,b)``, ``(a,b)``, with ``inf`` / ``-inf`` allowed on open ends.
 
-:func:`make_grid` samples a bounded interval uniformly.  Closed endpoints
-are included exactly; an open endpoint is pulled inward by the margin, so
-every grid point is a genuine domain point.
+Every sampled domain is a :class:`LineGrids`: the grids of m lines, a line
+axis leading.  A one-variable problem is one line, and :func:`make_grid`
+samples its bounded interval uniformly.  Closed endpoints are included
+exactly; an open endpoint is pulled inward by the margin, so every grid
+point is a genuine domain point.
 
 :func:`restrict` builds the one-dimensional restriction of a multivariate
 function to the line through two points: ``phi(s) = f((1-s) x + s y)``
@@ -31,7 +33,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "parse_interval",
-    "SampledDomain",
     "LineGrids",
     "make_grid",
     "anchored_grid",
@@ -106,53 +107,67 @@ def parse_interval(text: str) -> Interval:
 
 
 @dataclass(frozen=True)
-class SampledDomain:
-    """A bounded interval with a uniform evaluation grid over it.
+class LineGrids:
+    """The grids of m lines in one array, a line axis leading.
 
-    From :func:`make_grid` and :func:`anchored_grid`, ``points`` is
-    increasing, includes every closed endpoint exactly, and stays strictly
-    inside every open endpoint.
+    Row i of the (m, W) ``points`` holds the ``n[i]`` grid points of line i
+    over ``interval[i]``, increasing, with every closed endpoint exactly
+    and strictly inside every open endpoint, and then NaN up to the width
+    W, the largest ``n``.  A grid of one interval, from :func:`make_grid`,
+    is one line.
     """
 
-    interval: Interval
+    interval: tuple[Interval, ...]
     points: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
+    n: np.ndarray
 
 
-def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> SampledDomain:
-    """Sample ``interval`` at ``n`` uniform points, honoring open endpoints.
+def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray:
+    """The (m, n) uniform grids of m intervals, row i as
+    ``np.linspace(lo, hi, n)`` between its first and last points.
+
+    Every interval is checked before any is gridded; the first that cannot
+    be gridded raises the first of :func:`make_grid`'s errors it meets.
+    """
+    ends = []
+    for iv in intervals:
+        if not iv.bounded:
+            raise ValueError(f"cannot grid unbounded interval {iv}")
+        if iv.lo == iv.hi:
+            raise ValueError("cannot grid a degenerate interval")
+        if n < 2:
+            raise ValueError(f"grid needs n >= 2, got {n}")
+        if not margin > 0:
+            raise ValueError(f"margin must be positive, got {margin}")
+        lo = iv.lo if iv.lo_closed else iv.lo + margin
+        hi = iv.hi if iv.hi_closed else iv.hi - margin
+        if not float(hi) - float(lo) < _INF:
+            raise ValueError(f"cannot grid interval {iv} of infinite width")
+        if lo >= hi:
+            raise ValueError(f"interval {iv} too narrow for margin {margin}")
+        # lo < hi, both between the ends: outside only on an open end
+        if not ((iv.lo_closed or lo > iv.lo) and (iv.hi_closed or hi < iv.hi)):
+            raise ValueError(f"margin {margin} rounds onto an open end of {iv}")
+        ends.append((lo, hi))
+    a, b = np.array(ends, dtype=float).T
+    pts = np.linspace(a, b, n).T
+    # np.linspace takes its denormal route for every row once one row's step
+    # is 0, which is that row's own route alone: the others are gridded again
+    zero = (b - a) / (n - 1) == 0
+    if zero.any():
+        pts[~zero] = np.linspace(a[~zero], b[~zero], n).T
+    return pts
+
+
+def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> LineGrids:
+    """Sample ``interval`` at ``n`` uniform points, honoring open endpoints:
+    a :class:`LineGrids` of one line.
 
     Requires a bounded, non-degenerate interval of finite width, ``n >= 2``,
     ``margin > 0``, and enough room for the margins on open ends: each must
     move its end by at least one ulp, or the grid would start on the end.
     """
-    if not interval.bounded:
-        raise ValueError(f"cannot grid unbounded interval {interval}")
-    if interval.lo == interval.hi:
-        raise ValueError("cannot grid a degenerate interval")
-    if n < 2:
-        raise ValueError(f"grid needs n >= 2, got {n}")
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    lo = interval.lo if interval.lo_closed else interval.lo + margin
-    hi = interval.hi if interval.hi_closed else interval.hi - margin
-    if not float(hi) - float(lo) < _INF:
-        raise ValueError(f"cannot grid interval {interval} of infinite width")
-    if lo >= hi:
-        raise ValueError(
-            f"interval {interval} too narrow for margin {margin}"
-        )
-    if not (interval.contains(lo) and interval.contains(hi)):
-        raise ValueError(f"margin {margin} rounds onto an open end of {interval}")
-    pts = np.linspace(lo, hi, n)
-    return SampledDomain(interval=interval, points=pts)
+    return LineGrids((interval,), _grids((interval,), n, margin), np.full(1, n))
 
 
 def extent(intervals: tuple[Interval, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -162,36 +177,19 @@ def extent(intervals: tuple[Interval, ...]) -> tuple[np.ndarray, np.ndarray]:
             np.array([iv.hi if iv.hi_closed else np.nextafter(iv.hi, -_INF) for iv in intervals]))
 
 
-@dataclass(frozen=True)
-class LineGrids:
-    """The grids of m lines in one array, a line axis leading.
-
-    Row i of the (m, W) ``points`` holds the ``n[i]`` grid points of line i
-    over ``interval[i]``, as :func:`anchored_grid` makes them for that
-    interval alone, and then NaN up to the width W, the largest ``n``.
-    """
-
-    interval: tuple[Interval, ...]
-    points: np.ndarray
-    n: np.ndarray
-
-
-def anchored_grid(interval: Interval | tuple[Interval, ...], n: int,
-                  margin: float = 1e-6) -> SampledDomain | LineGrids:
-    """A uniform grid guaranteed to contain the anchors 0 and 1 exactly, where
-    in range: the parameters of a line restriction's ``x`` and ``y``.
+def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = 1e-6) -> LineGrids:
+    """Uniform grids of ``intervals``, each guaranteed to contain the anchors
+    0 and 1 exactly, where in range: the parameters of a line restriction's
+    ``x`` and ``y``.
 
     An anchor closer to an existing grid point than ``spacing * 1e-6``
     replaces that point instead of being inserted next to it, so grids stay
     free of near-duplicate points (which would defeat strict-monotonicity
     checks on consecutive deltas).  So a grid has ``n``, ``n + 1`` or
-    ``n + 2`` points.  Given a tuple of intervals, the grids of all of them
-    come back as one :class:`LineGrids`, each row as this function makes it
-    for its interval.
+    ``n + 2`` points, each row as this function makes it for its interval
+    alone.
     """
-    one = isinstance(interval, Interval)
-    intervals = (interval,) if one else tuple(interval)
-    pts = np.array([make_grid(iv, n, margin).points for iv in intervals])
+    pts = _grids(intervals, n, margin)
     rows = np.arange(pts.shape[0])
     snap = (pts[:, 1] - pts[:, 0]) * 1e-6
     inserted = []
@@ -201,17 +199,15 @@ def anchored_grid(interval: Interval | tuple[Interval, ...], n: int,
         onto = inside & (np.abs(pts[rows, k] - a) <= snap)
         pts[rows[onto], k[onto]] = a
         inserted.append(inside & ~onto)
-    zero, one_ = inserted
-    counts = n + zero + one_
+    zero, one = inserted
+    counts = n + zero + one
     out = np.full((pts.shape[0], int(counts.max())), np.nan)
     # each point moves right past the anchors inserted below it
-    shift = (zero[:, None] & (pts > 0.0)).astype(np.intp) + (one_[:, None] & (pts > 1.0))
+    shift = (zero[:, None] & (pts > 0.0)).astype(np.intp) + (one[:, None] & (pts > 1.0))
     out[rows[:, None], np.arange(n) + shift] = pts
     out[rows[zero], np.count_nonzero(pts < 0.0, axis=1)[zero]] = 0.0
-    out[rows[one_], (np.count_nonzero(pts < 1.0, axis=1) + zero)[one_]] = 1.0
-    if one:
-        return SampledDomain(interval=interval, points=out[0])
-    return LineGrids(intervals, out, counts)
+    out[rows[one], (np.count_nonzero(pts < 1.0, axis=1) + zero)[one]] = 1.0
+    return LineGrids(tuple(intervals), out, counts)
 
 
 @dataclass(frozen=True)

@@ -446,17 +446,15 @@ def _branch(cmp, left: _Compiled, right: _Compiled, then: _Compiled,
 def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
     """Evaluate ``fn`` at many points.
 
-    ``points`` has shape (m,) for arity 1 or (m, arity) otherwise.  Returns a
-    new float64 array of shape (m,) with NaN marking undefined results;
+    ``points`` is an array of numbers of any shape for arity 1, which the
+    values keep ((1,) for one number), or (m, arity) otherwise, with (m,)
+    values.  Returns a new float64 array with NaN marking undefined results;
     ``points`` is never written.
     """
     pts = np.asarray(points, dtype=float)
     if fn.arity == 1:
-        if pts.ndim == 0:
-            pts = pts.reshape(1)
-        if pts.ndim != 1:
-            pts = pts.reshape(-1)
-        cols = [np.ascontiguousarray(pts)]
+        shape = pts.shape or (1,)
+        cols = [np.ascontiguousarray(pts.reshape(-1))]
     else:
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -464,7 +462,8 @@ def eval_many(fn: FunctionAst, points: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"points have {pts.shape[1]} coordinates, function arity is {fn.arity}"
             )
+        shape = pts.shape[:1]
         cols = [np.ascontiguousarray(pts[:, j]) for j in range(fn.arity)]
     with np.errstate(all="ignore"):
         out = fn.compiled(cols)
-    return out.copy() if any(out is c for c in cols) else out
+    return (out.copy() if any(out is c for c in cols) else out).reshape(shape)

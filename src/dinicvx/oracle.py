@@ -27,10 +27,10 @@ All comparisons share one equality band ``tol``, by default
 alike.  Sign decisions on Dini estimates use the unit-direction value
 against ``stat_tol``.  Every classifier, here and in
 :mod:`dinicvx.charact`, takes one :class:`SampledProblem`, which holds the
-function, the grid (or the grids of a batch of lines) and these settings,
-and computes the shared inputs once.  A verdict is ``inconclusive`` only
-when a Dini estimate the decision depends on failed to converge, or when
-the grid holds undefined or non-finite values.
+function, the grids of its lines and these settings and computes the shared
+inputs once, and returns one verdict per line.  A verdict is
+``inconclusive`` only when a Dini estimate the decision depends on failed
+to converge, or when the grid holds undefined or non-finite values.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .dini import DiniSchedule, GridDiniProfile, grid_dini_profile
-from .domain import LineGrids, SampledDomain
+from .domain import LineGrids
 
 __all__ = [
     "Witness",
@@ -79,83 +79,60 @@ class Verdict:
     notes: str = ""
 
 
-def auto_tol(values: np.ndarray) -> float | np.ndarray:
-    """The default band of a grid's values, or of each row of an (m, W)
-    array: ``1e-9 * (1 + max |finite value|)``."""
+def auto_tol(values: np.ndarray) -> np.ndarray:
+    """The default band of each row of ``values``: ``1e-9 * (1 + max |finite
+    value|)``."""
     with np.errstate(invalid="ignore"):
         scale = np.where(np.isfinite(values), np.abs(values), 0.0).max(axis=-1, initial=0.0)
-    band = 1e-9 * (1.0 + scale)
-    return float(band) if band.ndim == 0 else band
+    return 1e-9 * (1.0 + scale)
 
 
 def grid_values(
-    phi: Callable[[np.ndarray], np.ndarray], dom: SampledDomain | LineGrids
-) -> tuple[np.ndarray, tuple]:
-    """Evaluate phi on the grid; report the first undefined/non-finite points.
+    phi: Callable[[np.ndarray], np.ndarray], dom: LineGrids
+) -> tuple[np.ndarray, tuple[tuple[Witness, ...], ...]]:
+    """Evaluate phi on the grids of ``dom``; report each line's first
+    undefined or non-finite points.
 
-    For the m lines of a :class:`LineGrids` the values are (m, W), +inf past
-    each line's last point, and the witnesses come as one tuple per line.
+    The values are (m, W), +inf past each line's last point, and the
+    witnesses come as one tuple per line.
     """
-    vals = phi(dom.points)
-    rows = vals.reshape(-1, vals.shape[-1])
-    pts = dom.points.reshape(rows.shape)
-    undefined = ~np.isfinite(rows)
-    if vals.ndim > 1:  # past a line's last point: +inf, and not undefined
-        valid = np.arange(rows.shape[1]) < dom.n[:, None]
-        undefined &= valid
-        rows[~valid] = np.inf
-    per_line = tuple(
-        tuple(Witness("undefined_grid_value", (float(pts[i, j]),), (float(rows[i, j]),),
+    vals = np.reshape(phi(dom.points), dom.points.shape)
+    valid = np.arange(vals.shape[1]) < dom.n[:, None]
+    undefined = ~np.isfinite(vals) & valid
+    vals[~valid] = np.inf  # past a line's last point: +inf, and not undefined
+    return vals, tuple(
+        tuple(Witness("undefined_grid_value", (float(dom.points[i, j]),), (float(vals[i, j]),),
                       "phi is undefined or non-finite at a grid point")
               for j in _first(undefined[i])) if bad else ()
         for i, bad in enumerate(undefined.any(axis=1).tolist()))
-    return vals, per_line if vals.ndim > 1 else per_line[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SampledProblem:
-    """Functions on sampled intervals: what every classifier reads.
+    """Functions on sampled lines: what every classifier reads.
 
-    ``dom`` is one grid, a :class:`SampledDomain`, or the grids of a batch of
-    m lines, a :class:`LineGrids`, whose ``phi`` maps an (m, k) parameter
-    array to values line by line.  A classifier decides all the lines at
-    once and returns a tuple of their verdicts (for one grid, the verdict),
-    each what the line gives alone.  The values, band and side minima are
-    computed once, when first read; each entry of the kept Dini profile is
-    estimated at most once, for all lines in one :func:`grid_dini_profile`
-    call per :meth:`estimate`.  Side minima, profile and masks are (2, n)
-    per line, row 0 toward lower t.  ``grid_values`` and
+    ``dom`` holds the grids of m lines, a :class:`LineGrids`, and ``phi``
+    maps an (m, k) parameter array to values line by line.  A one-variable
+    problem is one line.  A classifier decides all the lines at once and
+    returns a tuple of their verdicts, each what the line gives alone.  The
+    values, band and side minima are computed once, when first read; each
+    entry of the kept Dini profile is estimated at most once, for all lines
+    in one :func:`grid_dini_profile` call per :meth:`estimate`.  Every array
+    has the line axis in front; side minima, profile and masks are then
+    (2, W) per line, row 0 toward lower t.  ``grid_values`` and
     ``grid_dini_profile`` are looked up when called, so a rebound module
     attribute (as a tracer installs) is used.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
-    dom: SampledDomain | LineGrids
+    dom: LineGrids
     schedule: DiniSchedule | None = None
     tol: float | None = None
     stat_tol: float = 1e-7
 
-    # every private array below has the line axis in front: (m, ...)
-
-    @property
-    def lines(self) -> tuple[int, ...]:
-        """The leading shape: ``()`` for one grid, ``(m,)`` for m lines."""
-        return self.dom.points.shape[:-1]
-
-    def _each(self, per_line: list):
-        return tuple(per_line) if self.lines else per_line[0]
-
-    @cached_property
-    def _n(self) -> np.ndarray:
-        return np.reshape(self.dom.n, -1)
-
-    @cached_property
-    def _pts(self) -> np.ndarray:
-        return self.dom.points.reshape(self._n.shape[0], -1)
-
     @cached_property
     def _valid(self) -> np.ndarray:
-        return np.arange(self._pts.shape[1]) < self._n[:, None]
+        return np.arange(self.dom.points.shape[1]) < self.dom.n[:, None]
 
     @cached_property
     def _sampled(self) -> tuple[np.ndarray, tuple]:
@@ -163,91 +140,73 @@ class SampledProblem:
 
     @property
     def values(self) -> np.ndarray:
+        """The (m, W) grid values, +inf past each line's last point."""
         return self._sampled[0]
 
     @property
-    def undefined(self) -> tuple:
-        """Witnesses at the first grid points where phi is not finite (a
-        tuple of them per line for m lines)."""
+    def undefined(self) -> tuple[tuple[Witness, ...], ...]:
+        """Witnesses at the first grid points of each line where phi is not
+        finite."""
         return self._sampled[1]
 
     @cached_property
-    def _v(self) -> np.ndarray:
-        return self.values.reshape(self._pts.shape)
-
-    @cached_property
-    def _undefined(self) -> tuple[tuple[Witness, ...], ...]:
-        return self.undefined if self.lines else (self.undefined,)
-
-    @cached_property
     def _bad(self) -> np.ndarray:
-        return np.array([bool(u) for u in self._undefined])
+        return np.array([bool(u) for u in self.undefined])
 
     @cached_property
-    def _band(self) -> np.ndarray:
-        return auto_tol(self._v) if self.tol is None else np.full(self._n.shape, float(self.tol))
-
-    @property
-    def band(self) -> float | np.ndarray:
-        """``tol`` if given, else scaled from the finite grid values; one
-        per line for m lines."""
-        return self._band if self.lines else float(self._band[0])
+    def band(self) -> np.ndarray:
+        """The band of each line: ``tol`` if given, else scaled from its
+        finite grid values."""
+        if self.tol is None:
+            return auto_tol(self.values)
+        return np.full(len(self.dom.n), float(self.tol))
 
     @cached_property
     def _deltas(self) -> np.ndarray:
         """Steps between consecutive values, +inf past a line's last point:
         there no step falls or is flat."""
         with np.errstate(invalid="ignore"):
-            deltas = np.diff(self._v, axis=1)
+            deltas = np.diff(self.values, axis=1)
         deltas[~self._valid[:, 1:]] = np.inf
         return deltas
 
     @cached_property
-    def _side_min(self) -> np.ndarray:
-        v = self._v
+    def side_min(self) -> np.ndarray:
+        """``side_min[l, 0, i]`` and ``side_min[l, 1, i]`` are the least values
+        of line l left and right of grid index i (inf where none)."""
+        v = self.values
         out = np.full((v.shape[0], 2, v.shape[1]), np.inf)
         out[:, 0, 1:] = np.minimum.accumulate(v[:, :-1], axis=1)
         out[:, 1, :-1] = np.minimum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
         return out
 
-    @property
-    def side_min(self) -> np.ndarray:
-        """``side_min[0, i]`` is the least value left of grid index i and
-        ``side_min[1, i]`` the least value right of it (inf where none)."""
-        return self._side_min.reshape(self.lines + self._side_min.shape[1:])
-
     @cached_property
     def profile(self) -> GridDiniProfile:
         """The kept Dini profile: only the entries asked for are estimated."""
-        return GridDiniProfile.unestimated(self._pts.shape[1], self.lines)
-
-    @cached_property
-    def _prof(self) -> GridDiniProfile:
-        return self.profile.reshape(self._pts.shape[0], 2, self._pts.shape[1])
+        return GridDiniProfile.unestimated(*self.dom.points.shape)
 
     def estimate(self, mask: np.ndarray | None = None,
                  until: Callable[[slice], bool] | None = None) -> GridDiniProfile:
-        """The profile, with the entries in the (2, n) ``mask`` (``None``: all)
-        estimated, up to the block of rows after which ``until`` (as
+        """The profile, with the entries in the (m, 2, W) ``mask`` (``None``:
+        all) estimated, up to the block of rows after which ``until`` (as
         :func:`grid_dini_profile` calls it) returns true, and those its
         window settled past it."""
-        todo = self._valid[:, None] if mask is None else np.reshape(mask, self._prof.value.shape)
-        todo = (todo & ~self._prof.estimated).reshape(self.profile.estimated.shape)
+        todo = (self._valid[:, None] if mask is None else mask) & ~self.profile.estimated
         if todo.any():
             grid_dini_profile(self.phi, self.dom, self.values, self.schedule, todo,
                               out=self.profile, until=until, stat_tol=self.stat_tol)
         return self.profile
 
     def settle(self, rows: np.ndarray) -> GridDiniProfile:
-        """The profile with each row in the mask ``rows`` settled: an estimated
-        direction descends beyond ``stat_tol``, or both are.  A row asks for
-        the direction toward the first grid minimizer, and for the other once
-        that one fails to descend; a row at the minimum level asks for both.
-        Each of the two rounds is one estimate for all the lines."""
-        prof, v, rows = self._prof, self._v, np.reshape(rows, self._v.shape)
+        """The profile with each row in the (m, W) mask ``rows`` settled: an
+        estimated direction descends beyond ``stat_tol``, or both are.  A row
+        asks for the direction toward the first grid minimizer, and for the
+        other once that one fails to descend; a row at the minimum level asks
+        for both.  Each of the two rounds is one estimate for all the lines."""
+        prof, v = self.profile, self.values
         if rows.any():
             toward = np.arange(v.shape[1]) > np.argmin(v, axis=1)[:, None]  # minus faces it
-            level = v <= (np.min(v, axis=1) + self._band)[:, None]
+            level = v <= (np.min(v, axis=1) + self.band)[:, None]
             first = np.stack((toward, ~toward), axis=1) | level[:, None]
             for _ in range(2):
                 open_ = rows & ~prof.descent(self.stat_tol).any(axis=1)
@@ -256,13 +215,13 @@ class SampledProblem:
         return self.profile
 
     @cached_property
-    def _verdicts(self) -> dict[Callable[[SampledProblem], Verdict], Verdict]:
+    def _verdicts(self) -> dict[Callable[[SampledProblem], tuple], tuple]:
         return {}
 
-    def verdict(self, oracle: Callable[[SampledProblem], Verdict]) -> Verdict:
-        """``oracle(self)``, run on the first request and then kept: a
-        verdict, or another result read from the problem alone (its
-        decomposition, or the origin test of its lines).
+    def verdict(self, oracle: Callable[[SampledProblem], tuple]) -> tuple:
+        """``oracle(self)``, run on the first request and then kept: the
+        verdicts of the lines, or another result read from the problem alone
+        (their decompositions, or the origin test of the lines).
 
         Kept per oracle function object: a caller that passes the oracle as
         its module binds it now lets a rebound (traced) oracle see that call.
@@ -277,24 +236,24 @@ def _undefined_verdict(p: SampledProblem, method: str, line: int = 0, band: bool
     """Inconclusive: ``line`` has undefined values, the first ``keep`` of
     them witnesses.  An unset tol reads 0, where the structural side
     (``band``) reports the band."""
-    tol = float(p._band[line]) if band else 0.0 if p.tol is None else p.tol
+    tol = float(p.band[line]) if band else 0.0 if p.tol is None else p.tol
     return Verdict("inconclusive", method, tol, p.stat_tol,
-                   p._undefined[line][:keep],
+                   p.undefined[line][:keep],
                    notes="grid evaluation failed")
 
 
 def _line_verdicts(p: SampledProblem, method: str, outcomes, witnesses, notes=None,
-                   undefined=_undefined_verdict) -> Verdict:
+                   undefined=_undefined_verdict) -> tuple[Verdict, ...]:
     """The verdict of each line: ``outcomes[i]``, with the witnesses
     ``witnesses(i)`` unless it holds, and the notes ``notes[i]``; a line
     with undefined values gets ``undefined(p, method, i)``."""
-    return p._each([
+    return tuple(
         undefined(p, method, i) if p._bad[i] else
-        Verdict(o, method, float(p._band[i]), p.stat_tol,
+        Verdict(o, method, float(p.band[i]), p.stat_tol,
                 tuple(witnesses(i)) if o != "holds" else (),
                 "" if notes is None else notes[i])
         for i, o in enumerate(outcomes)
-    ])
+    )
 
 
 def _outcomes(fails: np.ndarray, blocked: np.ndarray | None = None) -> list[str]:
@@ -315,8 +274,8 @@ def _witness(p: SampledProblem, kind: str, idx: tuple[int, ...], detail: str,
     and values."""
     return Witness(
         kind=kind,
-        points=tuple(float(p._pts[line, i]) for i in idx),
-        values=tuple(float(p._v[line, i]) for i in idx),
+        points=tuple(float(p.dom.points[line, i]) for i in idx),
+        values=tuple(float(p.values[line, i]) for i in idx),
         detail=detail,
     )
 
@@ -325,25 +284,25 @@ def _least_on_side(p: SampledProblem, line: int, side: int, x: int) -> int:
     """The first index of ``line`` holding its least value on side ``side``
     of grid index x, ``[0, x)`` or ``(x, n)``; x itself where that side is
     empty."""
-    v = p._v[line, :x] if side == 0 else p._v[line, x + 1 : p._n[line]]
+    v = p.values[line, :x] if side == 0 else p.values[line, x + 1 : p.dom.n[line]]
     return int(np.argmin(v)) + (0 if side == 0 else x + 1) if v.size else int(x)
 
 
-def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
-    vals, band = p._v[:, None], p._band[:, None, None]
+def _pair_based(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
+    vals, band = p.values[:, None], p.band[:, None, None]
     # hit[line, side, x]: some y left (side 0) or right (side 1) of x triggers
     if strict:
-        hit = p._side_min <= vals + band
+        hit = p.side_min <= vals + band
         trigger = "phi(y) <= phi(x) + tol with y != x"
     else:
-        hit = p._side_min < vals - band
+        hit = p.side_min < vals - band
         trigger = "phi(y) < phi(x) - tol"
     hit &= p._valid[:, None] & ~p._bad[:, None, None]
     # The hit entries are estimated a block of columns at a time, in grid
     # order.  Once the blocks done hold _WITNESS_CAP failures of every line,
     # each line knows the failures it reports, so the scan stops there and
     # no later entry is read.
-    prof, stop, found = p._prof, None, 0
+    prof, stop, found = p.profile, None, 0
 
     def enough(rows: slice) -> bool:
         nonlocal found, stop
@@ -378,7 +337,7 @@ def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
                           outcomes, pairs)
 
 
-def pseudoconvex_def(p: SampledProblem) -> Verdict:
+def pseudoconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     """Definitional pseudoconvexity over all ordered grid pairs.
 
     For every pair with phi(y) < phi(x) - tol the lower Dini derivative at
@@ -392,12 +351,12 @@ def pseudoconvex_def(p: SampledProblem) -> Verdict:
     return _pair_based(p, strict=False)
 
 
-def strictly_pseudoconvex_def(p: SampledProblem) -> Verdict:
+def strictly_pseudoconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     """Strict variant: phi(y) <= phi(x) + tol with y != x forces descent."""
     return _pair_based(p, strict=True)
 
 
-def quasiconvex_def(p: SampledProblem) -> Verdict:
+def quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     """Definitional quasiconvexity over all ordered grid triples.
 
     phi(z) <= max(phi(x), phi(y)) + tol fails for some x < z < y exactly
@@ -406,7 +365,7 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
     every triple in O(n).  The first offending z are reported, each with
     the first grid minimizers on its two sides.
     """
-    peaks = (p._side_min < (p._v - p._band[:, None])[:, None]).all(axis=1)
+    peaks = (p.side_min < (p.values - p.band[:, None])[:, None]).all(axis=1)
     return _line_verdicts(p, "quasiconvex_def", _outcomes(peaks.any(axis=1)), lambda i: (
         _witness(p, "interior_peak", (_least_on_side(p, i, 0, z), z, _least_on_side(p, i, 1, z)),
                  "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple", i)
@@ -431,7 +390,7 @@ def _window_max(run: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
+def semistrictly_quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     """Definitional semistrict quasiconvexity over ordered pairs.
 
     For every pair with phi(y) < phi(x) - tol, every grid point z strictly
@@ -448,11 +407,11 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
     O(n log n).  Only the reported (x, side) entries, rightward first, are
     located by a scan, each with its nearest z and the first such y.
     """
-    vals, sm = p._v, p._side_min
+    vals, sm = p.values, p.side_min
     m, w = vals.shape
     # a padded x, and each x of a line with undefined values, compares at
     # level -inf: no side minimum is below it, so both its windows are empty
-    c = np.where(p._valid & ~p._bad[:, None], vals - p._band[:, None], -np.inf)
+    c = np.where(p._valid & ~p._bad[:, None], vals - p.band[:, None], -np.inf)
     # side by side (rightward, leftward): x + 1 or x - 1 is in x's window,
     # and is a hit; x has no neighbour at a grid end
     open_, hits = np.zeros((2, 2, m, w), dtype=bool)

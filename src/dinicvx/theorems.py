@@ -117,15 +117,15 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     Vacuous when the premise fails; requires the function to be declared
     lower semicontinuous by the caller (battery metadata).
     """
-    premise = p.verdict(pseudoconvex_def)
+    premise = p.verdict(pseudoconvex_def)[0]
     if premise.outcome == "inconclusive":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T3", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; vacuous")
-    ssq = p.verdict(semistrictly_quasiconvex_def)
-    qc = p.verdict(quasiconvex_def)
+    ssq = p.verdict(semistrictly_quasiconvex_def)[0]
+    qc = p.verdict(quasiconvex_def)[0]
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
         return _report_fail("T3", function_id, (premise,), (ssq, qc),
@@ -139,16 +139,16 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
 
     Only meaningful for radially continuous functions (battery metadata).
     """
-    lhs = p.verdict(pseudoconvex_def)
-    qc = p.verdict(quasiconvex_def)
+    lhs = p.verdict(pseudoconvex_def)[0]
+    qc = p.verdict(quasiconvex_def)[0]
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
-    vals, profile = p.values, p.settle(np.ones(p.dom.n, dtype=bool))
-    stationary = ~profile.descent(p.stat_tol).any(axis=0) & profile.feasible.any(axis=0)
-    above_min = vals > float(np.min(vals)) + p.band
+    vals, profile = p.values[0], p.settle(p._valid)
+    stationary = ~profile.descent(p.stat_tol)[0].any(axis=0) & profile.feasible[0].any(axis=0)
+    above_min = vals > float(np.min(vals)) + p.band[0]
     offenders = np.flatnonzero(stationary & above_min)
-    unconverged = stationary & profile.unconverged().any(axis=0)
+    unconverged = stationary & profile.unconverged()[0].any(axis=0)
     if unconverged.any():
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True,
@@ -172,18 +172,18 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     because a smooth minimum halfway between grid points produces one
     coincidental tie without any genuine constancy.
     """
-    premise = p.verdict(pseudoconvex_def)
+    premise = p.verdict(pseudoconvex_def)[0]
     if premise.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              inconclusive=True, notes="premise inconclusive")
     if premise.outcome == "fails":
         return TheoremReport("T7", function_id, (premise,), (), True,
                              vacuous=True, notes="premise fails; skipped")
-    strict = p.verdict(strictly_pseudoconvex_def)
+    strict = p.verdict(strictly_pseudoconvex_def)[0]
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
-    longest, where = _longest_run(np.abs(np.diff(p.values)) <= p.band)
+    longest, where = _longest_run(np.abs(np.diff(p.values[0])) <= p.band[0])
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
         return TheoremReport("T7", function_id, (premise,), (strict,), True)
@@ -539,7 +539,7 @@ def run_battery(
                 schedule, tol, stat_tol,
             )
             for name, want in sorted((entry.expected or {}).items()):
-                got = p.verdict(label_checks[name]).outcome
+                got = p.verdict(label_checks[name])[0].outcome
                 want_s = "holds" if want else "fails"
                 status = ("inconclusive" if got == "inconclusive" else
                           "ok" if got == want_s else "FAIL")

@@ -4,11 +4,12 @@ The per-index scans below are the forms that ``dinicvx.oracle`` and
 ``dinicvx.charact`` replace with whole-array passes; the tests require the
 package's results to be ``repr``-identical to theirs.  The literal pair and
 triple loops at the end transcribe each definition with no side minima at
-all, for small grids.  The scans read the Dini profile at any grid point, so
-each first asks the problem to estimate every entry; they take the side
-minima from their own running-minimum loop and decide descent from the
-profile's ``value`` and ``feasible`` entries, so they share neither with
-the package.
+all, for small grids.  Each takes a problem of one line, and reads that
+line's values, band and grid (:func:`_line`).  The scans read the Dini
+profile at any grid point, so each first asks the problem to estimate every
+entry (:func:`_profile`); they take the side minima from their own
+running-minimum loop and decide descent from the profile's ``value`` and
+``feasible`` entries, so they share neither with the package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dinicvx.charact import MonotoneDecomposition, SegmentSplit
+from dinicvx.dini import GridDiniProfile
 from dinicvx.oracle import (
     _WITNESS_CAP,
     SampledProblem,
@@ -25,6 +27,18 @@ from dinicvx.oracle import (
     Witness,
     _undefined_verdict,
 )
+
+
+def _line(p: SampledProblem) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """(values, band, points, n) of the one line of ``p``."""
+    n = int(p.dom.n[0])
+    return p.values[0, :n], float(p.band[0]), p.dom.points[0, :n], n
+
+
+def _profile(p: SampledProblem) -> GridDiniProfile:
+    """The one line's Dini profile with every entry estimated, (2, n)."""
+    prof = p.estimate()
+    return GridDiniProfile(prof.value[0], prof.converged[0], prof.feasible[0], prof.estimated[0])
 
 
 def _side_minima(vals) -> tuple[list[float], list[float]]:
@@ -59,12 +73,12 @@ class _DescentAudit:
 
     def check(self, i: int, side: int, y_index: int, trigger: str) -> None:
         """Require descent at grid index i toward side (-1 left, +1 right)."""
-        profile = self.p.estimate()
+        profile = _profile(self.p)
         row = 0 if side < 0 else 1
         if _descending(profile, row, i, self.p.stat_tol):
             return  # descending; a running minimum below the bar is final
         conv, feas = profile.converged[row, i], profile.feasible[row, i]
-        pts, vals = self.p.dom.points, self.p.values
+        vals, _, pts, _ = _line(self.p)
         x_t, y_t = float(pts[i]), float(pts[y_index])
         x_v, y_v = float(vals[i]), float(vals[y_index])
         if feas and not conv:
@@ -97,12 +111,12 @@ class _DescentAudit:
 
 def _pair_based(p: SampledProblem, strict: bool) -> Verdict:
     method = "strictly_pseudoconvex_def" if strict else "pseudoconvex_def"
-    if p.undefined:
+    if p.undefined[0]:
         return _undefined_verdict(p, method)
-    vals, tol_r = p.values, p.band
+    vals, tol_r, _, n = _line(p)
     pre, suf = _side_minima(vals)
     audit = _DescentAudit(p)
-    for i in range(p.dom.n):
+    for i in range(n):
         if strict:
             left_hit = pre[i] <= vals[i] + tol_r
             right_hit = suf[i] <= vals[i] + tol_r
@@ -131,12 +145,12 @@ def strictly_pseudoconvex_def(p: SampledProblem) -> Verdict:
 
 
 def quasiconvex_def(p: SampledProblem) -> Verdict:
-    if p.undefined:
+    if p.undefined[0]:
         return _undefined_verdict(p, "quasiconvex_def")
-    vals, tol_r, pts = p.values, p.band, p.dom.points
+    vals, tol_r, pts, n = _line(p)
     pre, suf = _side_minima(vals)
     witnesses: list[Witness] = []
-    for z in range(1, p.dom.n - 1):
+    for z in range(1, n - 1):
         if pre[z] < vals[z] - tol_r and suf[z] < vals[z] - tol_r:
             x = int(np.argmin(vals[:z]))
             y = z + 1 + int(np.argmin(vals[z + 1 :]))
@@ -156,11 +170,10 @@ def quasiconvex_def(p: SampledProblem) -> Verdict:
 
 
 def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
-    if p.undefined:
+    if p.undefined[0]:
         return _undefined_verdict(p, "semistrictly_quasiconvex_def")
-    vals, tol_r, pts = p.values, p.band, p.dom.points
+    vals, tol_r, pts, n = _line(p)
     pre, suf = np.array(_side_minima(vals))
-    n = p.dom.n
     witnesses: list[Witness] = []
 
     def emit(x: int, z: int, y: int) -> None:
@@ -208,22 +221,22 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> Verdict:
 
 
 def decompose(p: SampledProblem) -> MonotoneDecomposition:
-    vals, tol_r, dom = p.values, p.band, p.dom
-    n = dom.n
-    if p.undefined:
+    vals, tol_r, points, n = _line(p)
+    interval = p.dom.interval[0]
+    if p.undefined[0]:
         return MonotoneDecomposition(
-            (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, p.undefined
+            (0, 0), (0, 0), (0, 0), "undefined", float("nan"), tol_r, False, p.undefined[0]
         )
     vmin = float(np.min(vals))
     deltas = np.diff(vals)
     band = np.flatnonzero(vals <= vmin + tol_r)
     b0, b1 = int(band[0]), int(band[-1])
 
-    if deltas.size and b0 == 0 and not dom.interval.lo_closed and bool(np.all(deltas > tol_r)):
+    if deltas.size and b0 == 0 and not interval.lo_closed and bool(np.all(deltas > tol_r)):
         return MonotoneDecomposition(
             (0, 0), (0, 0), (0, n), "empty_min_increasing", vmin, tol_r, True
         )
-    if deltas.size and b1 == n - 1 and not dom.interval.hi_closed and bool(np.all(deltas < -tol_r)):
+    if deltas.size and b1 == n - 1 and not interval.hi_closed and bool(np.all(deltas < -tol_r)):
         return MonotoneDecomposition(
             (0, n), (0, 0), (n, n), "empty_min_decreasing", vmin, tol_r, True
         )
@@ -237,7 +250,7 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
             witnesses.append(
                 Witness(
                     kind="argmin_gap",
-                    points=(float(dom.points[i]), float(dom.points[mid]), float(dom.points[j])),
+                    points=(float(points[i]), float(points[mid]), float(points[j])),
                     values=(float(vals[i]), float(vals[mid]), float(vals[j])),
                     detail="the set of grid minimizers is not contiguous",
                 )
@@ -252,7 +265,7 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
             witnesses.append(
                 Witness(
                     kind="non_strict_decrease",
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
+                    points=(float(points[i]), float(points[i + 1])),
                     values=(float(vals[i]), float(vals[i + 1])),
                     detail="left flank is not strictly decreasing",
                 )
@@ -266,7 +279,7 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
             witnesses.append(
                 Witness(
                     kind="non_strict_increase",
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
+                    points=(float(points[i]), float(points[i + 1])),
                     values=(float(vals[i]), float(vals[i + 1])),
                     detail="right flank is not strictly increasing",
                 )
@@ -278,10 +291,9 @@ def decompose(p: SampledProblem) -> MonotoneDecomposition:
 
 
 def martos_segments(p: SampledProblem) -> SegmentSplit:
-    vals, tol_r, dom = p.values, p.band, p.dom
-    n = dom.n
-    if p.undefined:
-        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, p.undefined[:1])
+    vals, tol_r, points, n = _line(p)
+    if p.undefined[0]:
+        return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_r, p.undefined[0][:1])
     deltas = np.diff(vals)
     a = 0
     while a < deltas.size and deltas[a] < -tol_r:
@@ -296,7 +308,7 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
             witnesses.append(
                 Witness(
                     kind=kind,
-                    points=(float(dom.points[i]), float(dom.points[i + 1])),
+                    points=(float(points[i]), float(points[i + 1])),
                     values=(float(vals[i]), float(vals[i + 1])),
                     detail="values stop increasing strictly after the constant run",
                 )
@@ -311,10 +323,11 @@ def martos_segments(p: SampledProblem) -> SegmentSplit:
 def stationarity_scan(
     p: SampledProblem, dec: MonotoneDecomposition
 ) -> tuple[list[Witness], list[Witness]]:
-    profile = p.estimate()
+    profile = _profile(p)
+    vals, _, points, n = _line(p)
     violations: list[Witness] = []
     blocked: list[Witness] = []
-    for i in range(p.dom.n):
+    for i in range(n):
         if dec.i_hat[0] <= i < dec.i_hat[1]:
             continue
         if _descending(profile, 0, i, p.stat_tol) or _descending(profile, 1, i, p.stat_tol):
@@ -324,8 +337,8 @@ def stationarity_scan(
         )
         wit = Witness(
             kind="stationary_outside_min",
-            points=(float(p.dom.points[i]),),
-            values=(float(p.values[i]),),
+            points=(float(points[i]),),
+            values=(float(vals[i]),),
             detail=(
                 "grid point outside the minimum band with no descending "
                 "direction (lower Dini derivative >= -stat_tol both ways)"
@@ -348,7 +361,7 @@ def stationarity_scan(
 
 def _descends(p: SampledProblem, x: int, y: int) -> str:
     """``descends``, ``blocked`` or ``fails``: the Dini estimate at x toward y."""
-    prof = p.estimate()
+    prof = _profile(p)
     row = 0 if y < x else 1
     if _descending(prof, row, x, p.stat_tol):
         return "descends"
@@ -357,10 +370,10 @@ def _descends(p: SampledProblem, x: int, y: int) -> str:
 
 def pair_loop(p: SampledProblem, strict: bool) -> str:
     """Outcome of (strict) pseudoconvexity over every ordered pair x != y."""
-    vals, tol = p.values, p.band
+    vals, tol, _, n = _line(p)
     seen = set()
-    for x in range(p.dom.n):
-        for y in range(p.dom.n):
+    for x in range(n):
+        for y in range(n):
             lower = vals[y] <= vals[x] + tol if strict else vals[y] < vals[x] - tol
             if y != x and lower:
                 seen.add(_descends(p, x, y))

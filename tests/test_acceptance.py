@@ -62,14 +62,14 @@ def verdicts(corpus):
     for e in corpus:
         p = SampledProblem(phi_of(e.expression), grid_for(e.domain))
         out[e.id] = {
-            "pc_def": pseudoconvex_def(p),
-            "pc_char": pseudoconvex_char(p),
-            "spc_def": strictly_pseudoconvex_def(p),
-            "spc_char": strictly_pseudoconvex_char(p),
-            "qc_def": quasiconvex_def(p),
-            "qc_martos": quasiconvex_martos(p),
-            "ssqc_def": semistrictly_quasiconvex_def(p),
-            "split": martos_segments(p),
+            "pc_def": pseudoconvex_def(p)[0],
+            "pc_char": pseudoconvex_char(p)[0],
+            "spc_def": strictly_pseudoconvex_def(p)[0],
+            "spc_char": strictly_pseudoconvex_char(p)[0],
+            "qc_def": quasiconvex_def(p)[0],
+            "qc_martos": quasiconvex_martos(p)[0],
+            "ssqc_def": semistrictly_quasiconvex_def(p)[0],
+            "split": martos_segments(p)[0],
             "lsc": e.lsc,
         }
     return out, time.perf_counter() - t0
@@ -215,21 +215,21 @@ def test_criterion_7_golden_counterexamples(unit_grid):
     cell = 2.0 / 256.0
     problems = []
 
-    cube = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))
+    cube = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))[0]
     if cube.outcome != "fails":
         problems.append("t^3 not flagged")
     elif abs(cube.witnesses[0].points[0]) > cell:
         problems.append(f"t^3 witness at {cube.witnesses[0].points[0]}")
 
     hpr = phi_of("piecewise(t < 0: 1, else: t)")
-    hpr_pc = pseudoconvex_def(SampledProblem(hpr, unit_grid))
-    hpr_ssq = semistrictly_quasiconvex_def(SampledProblem(hpr, unit_grid))
+    hpr_pc = pseudoconvex_def(SampledProblem(hpr, unit_grid))[0]
+    hpr_ssq = semistrictly_quasiconvex_def(SampledProblem(hpr, unit_grid))[0]
     if hpr_pc.outcome != "fails" or hpr_pc.witnesses[0].points[0] >= 0:
         problems.append("plateau-ramp pseudoconvexity witness missing")
     if hpr_ssq.outcome != "fails" or hpr_ssq.witnesses[0].points[1] >= 0:
         problems.append("plateau-ramp semistrict witness missing")
 
-    peak = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))
+    peak = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))[0]
     if peak.outcome != "fails" or peak.witnesses[0].kind != "interior_peak":
         problems.append("-t^2 not flagged with an interior peak")
 

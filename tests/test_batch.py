@@ -1,8 +1,9 @@
 """The lines of a multivariate run decided as one batch.
 
 Every verdict a line gets inside a ragged batch must be ``repr``-equal to
-the verdict of the same line decided alone, as a batch of one and as one
-grid, and, where ``oracle_reference`` has a scan, to that scan.  The guard
+the verdict of the same line decided alone, as a batch of one and on the
+grid of its one-pair restriction, and, where ``oracle_reference`` has a
+scan, to that scan.  The guard
 tests pin how many profile and evaluation calls a run makes, and that no
 batch or kernel block grows past its bound.
 """
@@ -79,15 +80,15 @@ def test_each_line_of_a_ragged_batch_as_it_is_alone(case, seed):
         one = restrict(f, xs[i : i + 1], ys[i : i + 1], box)
         alone = run_all(SampledProblem(one.phi, anchored_grid(one.feasible, N_GRID)))
         line = restrict(f, xs[i], ys[i], box)
-        grid = anchored_grid(line.feasible, N_GRID)
-        assert grid.n == batch.dom.n[i]
-        assert np.array_equal(grid.points, batch.dom.points[i, : grid.n])
+        grid = anchored_grid((line.feasible,), N_GRID)
+        assert grid.n[0] == batch.dom.n[i]
+        assert np.array_equal(grid.points[0], batch.dom.points[i, : grid.n[0]])
         single = run_all(SampledProblem(line.phi, grid))
         for name, _ in VERDICTS:
-            assert repr(got[name][i]) == repr(alone[name][0]) == repr(single[name]), (name, i)
+            assert repr(got[name][i]) == repr(alone[name][0]) == repr(single[name][0]), (name, i)
         for name in REFERENCED:
             fresh = SampledProblem(line.phi, grid)
-            assert repr(getattr(ref, name)(fresh)) == repr(single[name]), (name, i)
+            assert repr(getattr(ref, name)(fresh)) == repr(single[name][0]), (name, i)
 
 
 def test_batches_cover_ragged_lines_open_faces_and_undefined_values():
@@ -116,10 +117,10 @@ def test_line_problems_carry_the_witnesses_of_each_line_alone(case):
     for r, verdicts in got:
         for i in range(len(r.feasible)):
             line = restrict(f, r.x[i], r.y[i], box)
-            single = run_all(SampledProblem(line.phi, anchored_grid(line.feasible, N_GRID)))
+            single = run_all(SampledProblem(line.phi, anchored_grid((line.feasible,), N_GRID)))
             for name, _ in VERDICTS[:8]:
-                assert repr(verdicts[name][i]) == repr(single[name]), (name, i)
-                witnessed += len(single[name].witnesses)
+                assert repr(verdicts[name][i]) == repr(single[name][0]), (name, i)
+                witnessed += len(single[name][0].witnesses)
     assert witnessed or case == "bowl"  # the bowl holds on every line
 
 
@@ -167,6 +168,21 @@ def test_a_one_variable_run_makes_few_evaluation_calls(monkeypatch):
     calls = count_calls(monkeypatch, ["classify", "--function", "t^2", "--domain", "[-1,1]",
                                       "--grid", "16385"])
     assert calls["eval_many"] <= 8
+
+
+def test_only_a_one_variable_report_estimates_its_witnesses(monkeypatch):
+    # the report of n variables keeps outcomes per pair: its failing lines'
+    # witnesses get no Dini estimates, while the one line of a one-variable
+    # run gets them for all its witnesses in one call
+    calls = []
+    real = cli.stationarity_estimates
+    monkeypatch.setattr(cli, "stationarity_estimates",
+                        lambda *args: calls.append(args) or real(*args))
+    assert classify(["classify", "--function", "x1^3 + x2^2", "--arity", "2", "--box",
+                     "[-1,1]x[-1,1]", "--pairs", "24"]) == 0
+    assert calls == []
+    assert classify(["classify", "--function", "t^3", "--domain", "[-1,1]"]) == 0
+    assert len(calls) == 1 and calls[0][1]
 
 
 # the flat function asks for both sides of every point, and no entry settles
@@ -283,5 +299,5 @@ def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(mon
     assert not p.profile.estimated[..., stop.stop :].any()
     for i, verdict in enumerate(verdicts):
         line = restrict(f, r.x[i], r.y[i], box)
-        alone = SampledProblem(line.phi, anchored_grid(line.feasible, 2049))
-        assert repr(verdict) == repr(oracle.pseudoconvex_def(alone))
+        alone = SampledProblem(line.phi, anchored_grid((line.feasible,), 2049))
+        assert repr(verdict) == repr(oracle.pseudoconvex_def(alone)[0])

@@ -676,13 +676,21 @@ class TestCanonicalJson:
                 return '"inf"' if x > 0 else '"-inf"'
             return format(float(x), ".17g")
 
-        assert cli._Floats()[x] == numpy_f17(x)
+        assert cli._Texts()[x] == numpy_f17(x)
         assert canonical_json(x) == numpy_f17(x) + "\n"
 
     def test_stable_ordering_nested(self):
         a = canonical_json({"z": [1.5, {"b": 2, "a": 1}], "y": True})
         b = canonical_json({"y": True, "z": [1.5, {"a": 1, "b": 2}]})
         assert a == b
+
+    def test_keys_are_escaped_as_strings_are(self):
+        # a key holding a quote, a backslash or a newline, here and nested,
+        # next to string values holding the same
+        obj = {'a"b': 1, "c\\d": [2.5, 'e"\\'], "e\nf": {'"': "g\nh", "\\": {"\n": 'i"'}}}
+        text = canonical_json(obj)
+        assert json.loads(text) == obj
+        assert text == canonical_json(json.loads(text))
 
     def test_dataclass_is_written_as_its_fields(self):
         schedule = DiniSchedule(t0=0.05, steps=12)

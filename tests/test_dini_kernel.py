@@ -29,7 +29,7 @@ from dinicvx import (
     sample_pairs,
 )
 from dinicvx import dini
-from dinicvx.domain import Interval, SampledDomain
+from dinicvx.domain import Interval, LineGrids
 
 from conftest import along, phi_of
 from dini_reference import _estimate_one, is_stationary
@@ -182,18 +182,26 @@ class TestKernelMatchesReference:
             assert est.all_undefined == ref.all_undefined
 
 
+def one_line(interval, points):
+    """The grid of one line over ``interval`` at ``points``."""
+    points = np.asarray(points, dtype=float)
+    return LineGrids((interval,), points[None], np.array([points.size]))
+
+
 def reference_profile(phi, dom, schedule):
-    """Per-point, per-direction loop over the scalar reference."""
+    """Per-point, per-direction loop over the scalar reference, on the one
+    line of ``dom``."""
     s = schedule.step_sizes()
-    base = phi(dom.points)
+    points, interval = dom.points[0], dom.interval[0]
+    base = phi(points)
     out = {}
     for label, sign in (("minus", -1.0), ("plus", 1.0)):
-        value = np.full(dom.n, np.nan)
-        conv = np.zeros(dom.n, dtype=bool)
-        feas = np.zeros(dom.n, dtype=bool)
-        for i, t in enumerate(dom.points):
+        value = np.full(points.size, np.nan)
+        conv = np.zeros(points.size, dtype=bool)
+        feas = np.zeros(points.size, dtype=bool)
+        for i, t in enumerate(points):
             probes = t + sign * s
-            in_domain = dom.interval.contains_many(probes)
+            in_domain = interval.contains_many(probes)
             if not in_domain.any() or np.isnan(base[i]):
                 continue
             est = _estimate_one(float(base[i]), phi(probes), in_domain, s,
@@ -205,9 +213,9 @@ def reference_profile(phi, dom, schedule):
 
 def assert_profiles_identical(prof, ref):
     for side, (value, conv, feas) in enumerate((ref["minus"], ref["plus"])):
-        assert prof.value[side].tobytes() == value.tobytes()
-        assert np.array_equal(prof.converged[side], conv)
-        assert np.array_equal(prof.feasible[side], feas)
+        assert prof.value[0, side].tobytes() == value.tobytes()
+        assert np.array_equal(prof.converged[0, side], conv)
+        assert np.array_equal(prof.feasible[0, side], feas)
 
 
 GOLDEN_1D = [e for e in golden_battery() if e.arity == 1]
@@ -250,7 +258,7 @@ class TestGridProfileMatchesReference:
     def test_masked_rows_match_the_whole_profile(self, n):
         dom = make_grid(parse_interval("[-1,1]"), n)
         rng = np.random.default_rng(n)
-        mask = np.stack((rng.random(n) < 0.3, np.arange(n) % 3 == 0))
+        mask = np.stack((rng.random(n) < 0.3, np.arange(n) % 3 == 0))[None]
         for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "exp(t) - 2*t^2"):
             phi = phi_of(source)
             whole = grid_dini_profile(phi, dom, phi(dom.points))
@@ -281,21 +289,21 @@ class TestGridProfileMatchesReference:
 
         def until(rows):
             # both directions of the block are written when it is asked
-            assert part.estimated[:, rows].all()
+            assert part.estimated[..., rows].all()
             asked.append(rows)
             return len(asked) > stop_after
 
-        part = GridDiniProfile.unestimated(n)
+        part = GridDiniProfile.unestimated(1, n)
         assert grid_dini_profile(phi, dom, phi(dom.points), out=part, until=until) is part
         # asked after each block but the last, in grid order
         width = dini._BLOCK_ROWS // 2
         blocks = [slice(a, a + width) for a in range(0, n, width)]
         assert asked == blocks[: min(stop_after + 1, len(blocks) - 1)]
         end = n if stop_after + 1 >= len(blocks) else blocks[stop_after].stop
-        assert part.estimated[:, :end].all()
-        assert not part.estimated[:, end:].any()
+        assert part.estimated[..., :end].all()
+        assert not part.estimated[..., end:].any()
         for name in ("value", "converged", "feasible"):
-            got, want = (getattr(prof, name)[:, :end] for prof in (part, whole))
+            got, want = (getattr(prof, name)[..., :end] for prof in (part, whole))
             assert got.tobytes() == want.tobytes()
 
     def test_descent_and_unconverged_over_a_row_range(self):
@@ -305,13 +313,13 @@ class TestGridProfileMatchesReference:
         for rows in (slice(0, 1024), slice(1000, 2100), slice(2048, None)):
             for part, whole in zip((prof.descent(1e-7, rows), prof.unconverged(rows)),
                                    (prof.descent(1e-7), prof.unconverged())):
-                assert np.array_equal(part, whole[:, rows])
+                assert np.array_equal(part, whole[..., rows])
 
     def test_empty_masks_probe_nothing(self):
         dom = make_grid(parse_interval("[-1,1]"), 257)
         phi = phi_of("t^2")
         calls = []
-        none = np.zeros((2, dom.n), dtype=bool)
+        none = np.zeros((1, 2, dom.n[0]), dtype=bool)
         prof = grid_dini_profile(lambda pts: calls.append(pts) or phi(pts), dom,
                                  phi(dom.points), None, none)
         assert calls == []
@@ -371,7 +379,7 @@ def edge_grid(domain, schedule):
         pts = np.append(pts, iv.lo)
     if iv.hi_closed:
         pts = np.append(pts, iv.hi)
-    return SampledDomain(iv, np.unique(pts[iv.contains_many(pts)]))
+    return one_line(iv, np.unique(pts[iv.contains_many(pts)]))
 
 
 # Rows whose window holds no defined value fall back on the other defined
@@ -403,7 +411,7 @@ class TestProbedProfileRows:
     def test_fallback_rows(self, monkeypatch, block_rows, source, domain, points):
         monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
         phi = phi_of(source)
-        dom = SampledDomain(parse_interval(domain), np.asarray(points))
+        dom = one_line(parse_interval(domain), points)
         for schedule in SCHEDULES:
             ref = reference_profile(phi, dom, schedule)
             assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
@@ -417,8 +425,8 @@ class TestProbedProfileRows:
             dom = edge_grid(domain, schedule)
             ref = reference_profile(phi, dom, schedule)
             assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
-            n_probes = [dom.interval.contains_many(t + sign * schedule.step_sizes()).sum()
-                        for t in dom.points for sign in (-1.0, 1.0)]
+            n_probes = [dom.interval[0].contains_many(t + sign * schedule.step_sizes()).sum()
+                        for t in dom.points[0] for sign in (-1.0, 1.0)]
             assert 1 in n_probes and 0 in n_probes
 
     def test_grid_point_rounded_onto_an_open_end(self, monkeypatch, block_rows):
@@ -429,8 +437,8 @@ class TestProbedProfileRows:
         # so it is built by hand from the points make_grid used to give.
         monkeypatch.setattr(dini, "_BLOCK_ROWS", block_rows)
         iv = parse_interval("(1e8,100000001)")
-        dom = SampledDomain(iv, np.linspace(iv.lo + 1e-9, iv.hi - 1e-9, 9))
-        assert not dom.interval.contains(dom.points[0])
+        dom = one_line(iv, np.linspace(iv.lo + 1e-9, iv.hi - 1e-9, 9))
+        assert not iv.contains(dom.points[0, 0])
         phi = phi_of("0 - (t - 1e8)^2")
         ref = reference_profile(phi, dom, DiniSchedule())
         assert ref["plus"][2][0]
@@ -473,7 +481,7 @@ def test_grid_points_at_every_distance_from_an_end(monkeypatch, block_rows, sour
     for schedule in SCHEDULES:
         d = end_distances(schedule.step_sizes())
         pts = np.concatenate([iv.lo + d, iv.hi - d])
-        dom = SampledDomain(iv, np.unique(pts[(pts >= iv.lo) & (pts <= iv.hi)]))
+        dom = one_line(iv, np.unique(pts[(pts >= iv.lo) & (pts <= iv.hi)]))
         ref = reference_profile(phi, dom, schedule)
         assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
 
@@ -485,10 +493,11 @@ def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
     # row falls back on leading probes.
     schedule = DiniSchedule()
     s, cut = schedule.step_sizes(), schedule.steps // 2
-    dom = SampledDomain(parse_interval("[0,1]"), np.asarray([0.0, 0.004, 0.3, 0.5, 1.0]))
+    dom = one_line(parse_interval("[0,1]"), [0.0, 0.004, 0.3, 0.5, 1.0])
     phi = phi_of("sqrt((t - 0.5)*(t - 0.5 - 0.001))")
-    near = [r for r, (sign, t) in enumerate((sign, t) for sign in (-1.0, 1.0) for t in dom.points)
-            if not dom.interval.contains_many(t + sign * s).all()]
+    near = [r for r, (sign, t) in enumerate((sign, t) for sign in (-1.0, 1.0)
+                                            for t in dom.points[0])
+            if not dom.interval[0].contains_many(t + sign * s).all()]
     assert near == [0, 1, 9]
     built, sizes = [], []
     positions = dini._positions
@@ -510,7 +519,7 @@ def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
     assert built[0][1] == built[1][1] == slice(None)
     assert [list(rows) for _, rows in built[2:]] == [near, [8]]
     # the trailing probes of every row, then the leading ones of row 8
-    assert sizes == [2 * dom.n * (schedule.steps - cut), cut]
+    assert sizes == [2 * dom.n[0] * (schedule.steps - cut), cut]
 
 
 def sliced(block):
@@ -565,12 +574,12 @@ def interior_block(n=16385, a=5120, sign=1.0, schedule=DiniSchedule()):
     """The whole-row block of the 64 points from ``a`` on of an n-point grid
     on [-1, 1], probing toward ``sign``, as grid_dini_profile builds it."""
     dom = make_grid(parse_interval("[-1,1]"), n)
-    pts = dom.points[a:a + 64]
+    pts = dom.points[0, a:a + 64]
     s = schedule.step_sizes()
     probes = pts[None, :] + sign * s[:, None]
     phi = phi_of("exp(t) - 2*t^2 + abs(t - 0.3)")
     return (phi(probes.reshape(-1)).reshape(probes.shape),
-            dom.interval.contains_many(probes), phi(pts), s, schedule.dini_tol)
+            dom.interval[0].contains_many(probes), phi(pts), s, schedule.dini_tol)
 
 
 def column(block, r):
@@ -662,7 +671,7 @@ class TestDensePath:
 
 def test_interior_grid_probes_only_the_trailing_half():
     schedule = DiniSchedule()
-    dom = SampledDomain(parse_interval("[-1,1]"), np.linspace(-0.5, 0.5, 101))
+    dom = one_line(parse_interval("[-1,1]"), np.linspace(-0.5, 0.5, 101))
     phi = phi_of("abs(t) - 0.3*t")
     sizes = []
 
@@ -673,7 +682,7 @@ def test_interior_grid_probes_only_the_trailing_half():
     grid_dini_profile(counting, dom, phi(dom.points), schedule)
     # one block holds both sides of every point
     trailing = schedule.steps - schedule.steps // 2
-    assert sizes == [2 * dom.n * trailing]
+    assert sizes == [2 * dom.n[0] * trailing]
     # with stat_tol, one window probes every row at its largest trailing
     # step and makes the end test, and the kernel takes both for the rows
     # left unsettled, so no probe is evaluated and no end tested twice
@@ -681,8 +690,8 @@ def test_interior_grid_probes_only_the_trailing_half():
     with mock.patch.object(dini, "_inside", wraps=dini._inside) as inside:
         prof = grid_dini_profile(counting, dom, phi(dom.points), schedule, stat_tol=1e-7)
     left = int((~prof.descent(1e-7)).sum())
-    assert 0 < left < 2 * dom.n
-    assert sizes == [2 * dom.n, left * (trailing - 1)]
+    assert 0 < left < 2 * dom.n[0]
+    assert sizes == [2 * dom.n[0], left * (trailing - 1)]
     assert inside.call_count == 1
 
 
@@ -699,7 +708,7 @@ class TestStationarityEstimates:
     def test_each_point_as_is_stationary_gives_it(self, source, domain):
         phi, iv = phi_of(source), parse_interval(domain)
         # a grid, repeated points, both zeros, the ends and points past them
-        ts = make_grid(iv, 65).points.tolist()
+        ts = make_grid(iv, 65).points[0].tolist()
         ts += [ts[3], ts[3], 0.0, -0.0, iv.lo, iv.hi, iv.lo - 0.5, iv.hi + 0.5]
         for schedule in SCHEDULES:
             got = dini.stationarity_estimates(phi, ts, iv, schedule)

@@ -13,6 +13,8 @@ from dinicvx import (
     restrict,
 )
 
+from dinicvx.domain import _grids
+
 from conftest import phi_of
 
 
@@ -55,17 +57,17 @@ class TestInterval:
 class TestMakeGrid:
     def test_closed_endpoints_included_exactly(self):
         g = make_grid(parse_interval("[-1,1]"), 257)
-        assert g.points[0] == -1.0
-        assert g.points[-1] == 1.0
-        assert g.n == 257
+        assert g.points[0, 0] == -1.0
+        assert g.points[0, -1] == 1.0
+        assert g.n[0] == 257
 
     def test_open_endpoints_pulled_in_by_margin(self):
         g = make_grid(parse_interval("(0,1]"), 3, margin=1e-2)
-        assert g.points.tolist() == [0.01, 0.505, 1.0]
+        assert g.points[0].tolist() == [0.01, 0.505, 1.0]
 
     def test_every_point_in_domain(self):
         g = make_grid(parse_interval("(0,1)"), 257)
-        assert g.interval.contains_many(g.points).all()
+        assert g.interval[0].contains_many(g.points[0]).all()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -105,7 +107,7 @@ class TestMakeGrid:
         iv = parse_interval("(3e10,30000000001)")
         ulp = float(np.spacing(3e10))
         g = make_grid(iv, 9, ulp)
-        assert g.points[0] == 3e10 + ulp
+        assert g.points[0, 0] == 3e10 + ulp
         assert iv.contains_many(g.points).all()
 
     @given(st.integers(2, 400), st.booleans(), st.booleans())
@@ -117,32 +119,123 @@ class TestMakeGrid:
         assert iv.contains_many(g.points).all()
 
 
+def seed_grid(iv: Interval, n: int, margin: float) -> np.ndarray:
+    """One interval's grid as the scalar make_grid made it, checks and
+    messages in its order; raises ValueError as it did."""
+    if not iv.bounded:
+        raise ValueError(f"cannot grid unbounded interval {iv}")
+    if iv.lo == iv.hi:
+        raise ValueError("cannot grid a degenerate interval")
+    if n < 2:
+        raise ValueError(f"grid needs n >= 2, got {n}")
+    if not margin > 0:
+        raise ValueError(f"margin must be positive, got {margin}")
+    lo = iv.lo if iv.lo_closed else iv.lo + margin
+    hi = iv.hi if iv.hi_closed else iv.hi - margin
+    if not float(hi) - float(lo) < float("inf"):
+        raise ValueError(f"cannot grid interval {iv} of infinite width")
+    if lo >= hi:
+        raise ValueError(f"interval {iv} too narrow for margin {margin}")
+    if not (iv.contains(lo) and iv.contains(hi)):
+        raise ValueError(f"margin {margin} rounds onto an open end of {iv}")
+    return np.linspace(lo, hi, n)
+
+
+# ends up to +-1e300, near zero (where a width of a few ulps is subnormal
+# and a row's step can round to 0), and where a margin of 1e-6 rounds onto
+# an open end; margins from too wide for a few ulps to not positive
+_ENDS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -5e-324, 1e-320, 1.0, 3e10]))
+_MARGINS = [1e-6, 1e-9, 0.25, 1e-300, 5e-324, 0.0, -1e-6, float("nan")]
+
+
+def _ends(draw) -> tuple[float, float]:
+    """Ends a few ulps apart, or any two ends in order."""
+    lo = hi = draw(_ENDS)
+    for _ in range(draw(st.integers(1, 6))):
+        hi = np.nextafter(hi, np.inf)
+    return lo, float(hi) if draw(st.booleans()) else max(float(hi), draw(_ENDS))
+
+
+@st.composite
+def griddable(draw, margin: float) -> Interval:
+    """An interval that ``margin`` grids: its open ends, where they leave
+    room for it, else closed ones."""
+    lo, hi = _ends(draw)
+    iv = Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    try:
+        seed_grid(iv, 2, margin)
+    except ValueError:
+        return Interval(lo, hi)
+    return iv
+
+
+@st.composite
+def ungriddable(draw) -> Interval:
+    """Unbounded, degenerate, or open on an end a margin may cross or round onto."""
+    lo, hi = _ends(draw)
+    kind = draw(st.sampled_from(["unbounded", "degenerate", "open"]))
+    if kind == "unbounded":
+        return Interval(-np.inf, lo, False, draw(st.booleans()))
+    return Interval(lo, lo) if kind == "degenerate" else Interval(lo, hi, False, False)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_grid_rows_are_linspace_and_errors_the_scalar_ones(data):
+    # a batch of 1 to 30 intervals, maybe with a row whose step is 0 (numpy
+    # grids it apart) and one interval that cannot be gridded, at any place
+    margin = data.draw(st.sampled_from(_MARGINS))
+    n = data.draw(st.integers(0, 300))
+    ivs = data.draw(st.lists(griddable(margin), min_size=1, max_size=30))
+    if data.draw(st.booleans()):
+        ivs.insert(data.draw(st.integers(0, len(ivs))), Interval(0.0, 5e-324))
+    bad = data.draw(st.none() | ungriddable())
+    if bad is not None:
+        ivs.insert(data.draw(st.integers(0, len(ivs))), bad)
+    want = []
+    for iv in ivs:
+        try:
+            want.append(seed_grid(iv, n, margin))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _grids(tuple(ivs), n, margin)
+            assert str(got.value) == str(exc)
+            return
+    got = _grids(tuple(ivs), n, margin)
+    assert got.shape == (len(ivs), n)
+    for row, ref in zip(got, want):
+        assert row.tobytes() == ref.tobytes()
+    if len(ivs) == 1:
+        assert make_grid(ivs[0], n, margin).points.tobytes() == got.tobytes()
+
+
 class TestAnchoredGrid:
     def test_contains_anchors_exactly(self):
-        g = anchored_grid(parse_interval("[-0.3,1.7]"), 257)
+        g = anchored_grid((parse_interval("[-0.3,1.7]"),), 257)
         assert 0.0 in g.points
         assert 1.0 in g.points
 
     def test_out_of_range_anchor_skipped(self):
-        g = anchored_grid(parse_interval("[2,3]"), 64)
+        g = anchored_grid((parse_interval("[2,3]"),), 64)
         assert 0.0 not in g.points and 1.0 not in g.points
-        assert g.n == 64
+        assert g.n[0] == 64
 
     def test_snap_avoids_near_duplicates(self):
         # [0,2] linspace already contains 0.0 and 1.0 exactly: no insertion
-        g = anchored_grid(parse_interval("[0,2]"), 257)
-        assert g.n == 257
-        assert np.min(np.diff(g.points)) > g.spacing * 0.5
+        g = anchored_grid((parse_interval("[0,2]"),), 257)
+        pts = g.points[0]
+        assert g.n[0] == 257
+        assert np.min(np.diff(pts)) > (pts[1] - pts[0]) * 0.5
 
     @given(st.floats(-1, 0, allow_nan=False), st.floats(1, 2, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_no_tiny_gaps(self, lo, hi):
         iv = Interval(float(lo), float(hi))
-        g = anchored_grid(iv, 101)
-        gaps = np.diff(g.points)
+        g = anchored_grid((iv,), 101)
+        gaps = np.diff(g.points[0])
         assert np.all(gaps > 0)
         # snapping keeps every gap a meaningful fraction of the base spacing
-        base = (g.points[-1] - g.points[0]) / 100
+        base = (g.points[0, -1] - g.points[0, 0]) / 100
         assert np.min(gaps) > base * 1e-7
 
 

@@ -43,10 +43,10 @@ H = 2.0 / 256  # spacing of the standard 257-point grid on [-1,1]
 def outcomes(src, domain="[-1,1]", n=257):
     p = SampledProblem(phi_of(src), grid_for(domain, n))
     return {
-        "pc": pseudoconvex_def(p).outcome,
-        "spc": strictly_pseudoconvex_def(p).outcome,
-        "qc": quasiconvex_def(p).outcome,
-        "ssqc": semistrictly_quasiconvex_def(p).outcome,
+        "pc": pseudoconvex_def(p)[0].outcome,
+        "spc": strictly_pseudoconvex_def(p)[0].outcome,
+        "qc": quasiconvex_def(p)[0].outcome,
+        "ssqc": semistrictly_quasiconvex_def(p)[0].outcome,
     }
 
 
@@ -98,7 +98,7 @@ class TestGoldenLabels:
 
 class TestWitnesses:
     def test_cube_no_descent_witness_at_origin(self, unit_grid):
-        v = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))
+        v = pseudoconvex_def(SampledProblem(phi_of("t^3"), unit_grid))[0]
         w = v.witnesses[0]
         assert w.kind == "no_descent"
         assert w.points[0] == 0.0  # the stationary non-minimizer
@@ -107,7 +107,7 @@ class TestWitnesses:
     def test_half_plateau_pc_witness_on_plateau(self, unit_grid):
         v = pseudoconvex_def(
             SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid)
-        )
+        )[0]
         w = v.witnesses[0]
         assert w.kind == "no_descent"
         assert w.points == (-1.0, 0.0)
@@ -116,7 +116,7 @@ class TestWitnesses:
     def test_half_plateau_ssqc_witness_triple(self, unit_grid):
         v = semistrictly_quasiconvex_def(
             SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid)
-        )
+        )[0]
         w = v.witnesses[0]
         assert w.kind == "non_descending_interior"
         x, z, y = w.points
@@ -125,14 +125,14 @@ class TestWitnesses:
         assert w.values[2] < w.values[0]
 
     def test_negated_square_qc_witness(self, unit_grid):
-        v = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))
+        v = quasiconvex_def(SampledProblem(phi_of("-t^2"), unit_grid))[0]
         w = v.witnesses[0]
         assert w.kind == "interior_peak"
         assert w.points == (-1.0, -1.0 + H, 1.0)
 
     def test_witness_values_match_function(self, unit_grid):
         phi = phi_of("-t^2")
-        v = quasiconvex_def(SampledProblem(phi, unit_grid))
+        v = quasiconvex_def(SampledProblem(phi, unit_grid))[0]
         for w in v.witnesses:
             np.testing.assert_allclose(
                 phi(np.asarray(w.points)), np.asarray(w.values)
@@ -142,7 +142,7 @@ class TestWitnesses:
         # a genuine violation found at n=257 is still found at n=513
         for n in (257, 513):
             dom = grid_for("[-1,1]", n)
-            v = pseudoconvex_def(SampledProblem(phi_of("t^3"), dom))
+            v = pseudoconvex_def(SampledProblem(phi_of("t^3"), dom))[0]
             assert v.outcome == "fails"
             assert any(abs(w.points[0]) <= 2.0 / (n - 1) for w in v.witnesses)
 
@@ -156,29 +156,29 @@ class TestToleranceHandling:
     def test_explicit_tol_respected(self, unit_grid):
         # a 0.1-amplitude wiggle vanishes inside a generous band
         v = quasiconvex_def(SampledProblem(
-            phi_of("0.01*t^2 - 0.001*abs(t - 0.3)"), unit_grid, tol=1.0))
+            phi_of("0.01*t^2 - 0.001*abs(t - 0.3)"), unit_grid, tol=1.0))[0]
         assert v.outcome == "holds"
 
     @pytest.mark.parametrize("src", ["t", "t^2", "-t^2", "t^3"])
     def test_infinite_band_gives_verdicts(self, src, unit_grid):
         # every pair of values ties, so no triple can fail semistrictly
         p = SampledProblem(phi_of(src), unit_grid, tol=np.inf)
-        assert semistrictly_quasiconvex_def(p).outcome == "holds"
+        assert semistrictly_quasiconvex_def(p)[0].outcome == "holds"
         for oracle_def in (pseudoconvex_def, strictly_pseudoconvex_def, quasiconvex_def):
-            assert oracle_def(p).outcome in ("holds", "fails", "inconclusive")
+            assert oracle_def(p)[0].outcome in ("holds", "fails", "inconclusive")
 
     def test_verdict_records_tols(self, unit_grid):
         v = pseudoconvex_def(
             SampledProblem(phi_of("t^2"), unit_grid, tol=1e-5, stat_tol=1e-6)
-        )
+        )[0]
         assert v.tol == 1e-5
         assert v.stat_tol == 1e-6
 
     def test_strict_requires_unique_minimum(self, unit_grid):
         # two equal minima: quasiconvex but not strictly pseudoconvex
         phi = phi_of("max(abs(t) - 0.5, 0)")
-        assert strictly_pseudoconvex_def(SampledProblem(phi, unit_grid)).outcome == "fails"
-        assert pseudoconvex_def(SampledProblem(phi, unit_grid)).outcome == "holds"
+        assert strictly_pseudoconvex_def(SampledProblem(phi, unit_grid))[0].outcome == "fails"
+        assert pseudoconvex_def(SampledProblem(phi, unit_grid))[0].outcome == "holds"
 
 
 class TestStrictImpliesNonStrict:
@@ -187,8 +187,8 @@ class TestStrictImpliesNonStrict:
 
     @pytest.mark.parametrize("src", CASES)
     def test_strict_subset(self, src, unit_grid):
-        spc = strictly_pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))
-        pc = pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))
+        spc = strictly_pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))[0]
+        pc = pseudoconvex_def(SampledProblem(phi_of(src), unit_grid))[0]
         assert spc.outcome == "holds"
         assert pc.outcome == "holds"
 
@@ -197,14 +197,14 @@ def grid_function(vals):
     """A phi taking the given values on the standard grid over [0,1]."""
     dom = make_grid(parse_interval("[0,1]"), len(vals))
     table = np.asarray(vals, dtype=float)
-    return (lambda ts: table[np.searchsorted(dom.points, ts)]), dom
+    return (lambda ts: table[np.searchsorted(dom.points[0], ts)]), dom
 
 
 class TestSemistrictScan:
     def test_flat_cell_before_the_last_drop(self):
         # the only y below phi(x) - tol is the point right after the flat z
         phi, dom = grid_function([3.0, 2.0, 2.0, 1.0])
-        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.1))
+        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.1))[0]
         assert v.outcome == "fails"
         assert v.witnesses[0].values == (2.0, 2.0, 1.0)
 
@@ -216,18 +216,18 @@ class TestSemistrictScan:
         fn = parse("x1^3", 2)
         x, y = sample_pairs(box, 24, 1699654999)[18]
         r = restrict(lambda pts: eval_many(fn, pts), x, y, box)
-        dom = anchored_grid(r.feasible, 257, 1e-6)
+        dom = anchored_grid((r.feasible,), 257, 1e-6)
         p = SampledProblem(r.phi, dom)
-        split = martos_segments(p)
+        split = martos_segments(p)[0]
         assert not split.valid
-        assert semistrictly_quasiconvex_def(p).outcome == "fails"
+        assert semistrictly_quasiconvex_def(p)[0].outcome == "fails"
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=9))
     @settings(max_examples=300, deadline=None)
     def test_matches_triple_loop(self, ints):
         vals = [float(v) for v in ints]
         phi, dom = grid_function(vals)
-        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.5))
+        v = semistrictly_quasiconvex_def(SampledProblem(phi, dom, tol=0.5))[0]
         assert v.outcome == semistrict_triple_loop(vals, 0.5)
 
 
@@ -240,7 +240,7 @@ CLASSIFIERS = (
 
 def recording_profiles(monkeypatch):
     """Wrap ``oracle.grid_dini_profile``; returns the list of the entries each
-    call estimated, as full-grid (2, n) masks.
+    call estimated on the one line of its grid, as full-grid (2, n) masks.
 
     The call's arguments are bound to the function's signature and forwarded,
     so any signature works; the mask is read from them by name.  Past the
@@ -254,7 +254,8 @@ def recording_profiles(monkeypatch):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         arg = dict(bound.arguments)
-        end = [arg["dom"].n]
+        n = int(arg["dom"].n[0])
+        end = [n]
         if arg["until"] is not None:
             def watching(rows):
                 stop = arg["until"](rows)
@@ -263,12 +264,12 @@ def recording_profiles(monkeypatch):
                 return stop
 
             bound.arguments["until"] = watching
-        before = (np.zeros((2, arg["dom"].n), dtype=bool) if arg["out"] is None
-                  else arg["out"].estimated.copy())
+        before = (np.zeros((2, n), dtype=bool) if arg["out"] is None
+                  else arg["out"].estimated[0].copy())
         out = real(*bound.args, **bound.kwargs)
         mask = arg["mask"]
-        done = np.ones((2, arg["dom"].n), dtype=bool) if mask is None else mask.copy()
-        done[:, end[0]:] &= out.estimated[:, end[0]:] & ~before[:, end[0]:]
+        done = np.ones((2, n), dtype=bool) if mask is None else mask[0].copy()
+        done[:, end[0]:] &= out.estimated[0, :, end[0]:] & ~before[:, end[0]:]
         calls.append(done)
         return out
 
@@ -296,7 +297,7 @@ def demand_problems():
         f = phi_of(e.expression, e.arity)
         for k, (x, y) in enumerate(sample_pairs(box, 3, 11)):
             r = restrict(f, x, y, box)
-            out.append((f"{e.id}-line{k}", r.phi, anchored_grid(r.feasible, 257, 1e-6)))
+            out.append((f"{e.id}-line{k}", r.phi, anchored_grid((r.feasible,), 257, 1e-6)))
     return out
 
 
@@ -317,7 +318,7 @@ class TestSampledProblem:
             classify(p)
         assert len(grid_calls) == 1
         assert profiles
-        for counts in estimate_counts(profiles, unit_grid.n):
+        for counts in estimate_counts(profiles, unit_grid.n[0]):
             assert counts.max() <= 1
 
     def test_profile_reuses_the_grid_values(self, unit_grid):
@@ -335,7 +336,7 @@ class TestSampledProblem:
 
     def test_nothing_built_before_it_is_read(self, unit_grid):
         p = SampledProblem(phi_of("t^2"), unit_grid)
-        quasiconvex_def(p)
+        quasiconvex_def(p)[0]
         assert "profile" not in vars(p)
         assert "_sampled" in vars(p)
 
@@ -394,13 +395,13 @@ class TestDemandDrivenProfile:
         profiles = recording_profiles(monkeypatch)
         forward = SampledProblem(phi, dom, SUITE_SCHEDULE)
         assert [repr(classify(forward)) for classify in CLASSIFIERS] == expected
-        for counts in estimate_counts(profiles, dom.n):
+        for counts in estimate_counts(profiles, dom.n[0]):
             assert counts.max() <= 1
         profiles.clear()
         backward = SampledProblem(phi, dom, SUITE_SCHEDULE)
         got = [repr(classify(backward)) for classify in reversed(CLASSIFIERS)]
         assert got[::-1] == expected
-        for counts in estimate_counts(profiles, dom.n):
+        for counts in estimate_counts(profiles, dom.n[0]):
             assert counts.max() <= 1
 
     @pytest.mark.parametrize("case", demand_problems(), ids=lambda c: c[0])
@@ -412,7 +413,7 @@ class TestDemandDrivenProfile:
     def test_verdicts_match_a_fully_estimated_profile_on_several_blocks(self, case,
                                                                         monkeypatch):
         _, phi, dom = case
-        assert dom.n > dini._BLOCK_ROWS
+        assert dom.n[0] > dini._BLOCK_ROWS
         start = time.perf_counter()
         self.assert_matches_full_profile(phi, dom, monkeypatch)
         assert time.perf_counter() - start < MULTI_BLOCK_SECONDS
@@ -422,12 +423,12 @@ class TestDemandDrivenProfile:
         profiles = recording_profiles(monkeypatch)
         dom = grid_for("[-1,1]", n)
         p = SampledProblem(phi_of("t^2"), dom)
-        assert pseudoconvex_def(p).outcome == "holds"
-        hit = p.side_min < p.values - p.band
+        assert pseudoconvex_def(p)[0].outcome == "holds"
+        hit = p.side_min[0] < p.values[0] - p.band[0]
         # t^2 has a lower value toward its minimum and none away from it
         assert hit[0].any() and hit[1].any() and not (hit[0] & hit[1]).any()
         assert len(profiles) == 1
-        assert np.array_equal(p.profile.estimated, hit)
+        assert np.array_equal(p.profile.estimated[0], hit)
         assert np.array_equal(estimate_counts(profiles, n), hit.astype(int))
 
     @pytest.mark.parametrize("check", [pseudoconvex_def, strictly_pseudoconvex_def])
@@ -439,28 +440,28 @@ class TestDemandDrivenProfile:
         p = SampledProblem(lambda pts: sizes.append(pts.size) or phi(pts), dom)
         p.values
         sizes.clear()
-        assert check(p).outcome == "holds"
+        assert check(p)[0].outcome == "holds"
         assert sum(sizes) < 2 * p.profile.estimated.sum()
 
     def test_settled_rows_read_one_direction_when_it_descends(self, unit_grid):
         # outside the minimum band of t^2 the direction toward 0 descends, so
         # the characterization estimates that one alone
         p = SampledProblem(phi_of("t^2"), unit_grid)
-        assert pseudoconvex_char(p).outcome == "holds"
-        lo, hi = decompose(p).i_hat
-        prof = p.profile
-        outside = np.ones(unit_grid.n, dtype=bool)
+        assert pseudoconvex_char(p)[0].outcome == "holds"
+        lo, hi = decompose(p)[0].i_hat
+        estimated = p.profile.estimated[0]
+        outside = np.ones(unit_grid.n[0], dtype=bool)
         outside[lo:hi] = False
-        assert (prof.estimated[0] ^ prof.estimated[1])[outside].all()
-        assert not prof.estimated[:, lo:hi].any()
+        assert (estimated[0] ^ estimated[1])[outside].all()
+        assert not estimated[:, lo:hi].any()
 
     def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
         p = SampledProblem(phi_of("t^3"), unit_grid)
         check_t4(p)
         prof = p.profile
-        stationary = ~prof.descent(p.stat_tol).any(axis=0)
+        stationary = ~prof.descent(p.stat_tol)[0].any(axis=0)
         assert stationary.any()
-        assert prof.estimated[:, stationary].all()
+        assert prof.estimated[0][:, stationary].all()
 
     @pytest.mark.parametrize("source,classify", [("-t^2", pseudoconvex_def),
                                                  ("1", strictly_pseudoconvex_def)],
@@ -471,15 +472,15 @@ class TestDemandDrivenProfile:
         profiles = recording_profiles(monkeypatch)
         dom = grid_for("[-1,1]", 16385)
         p = SampledProblem(phi_of(source), dom)
-        verdict = classify(p)
+        verdict = classify(p)[0]
         assert verdict.outcome == "fails"
         assert len(verdict.witnesses) == oracle._WITNESS_CAP
-        counts = estimate_counts(profiles, dom.n)
+        counts = estimate_counts(profiles, dom.n[0])
         assert len(profiles) == 1 and counts.max() == 1
         assert counts[:, : dini._BLOCK_ROWS].any()
         assert not counts[:, dini._BLOCK_ROWS :].any()
         prof = p.profile
-        assert not prof.estimated[:, dini._BLOCK_ROWS :].any()
+        assert not prof.estimated[..., dini._BLOCK_ROWS :].any()
 
     def test_sparse_failures_stop_at_the_block_of_the_eighth(self, monkeypatch):
         p = SampledProblem(phi_of(STAIRS), grid_for("[-1,1]", 16385))
@@ -498,14 +499,15 @@ class TestDemandDrivenProfile:
 
         monkeypatch.setattr(dini, "_probe_rows", rows)
         monkeypatch.setattr(oracle, "grid_dini_profile", profile)
-        verdict = pseudoconvex_def(p)
+        verdict = pseudoconvex_def(p)[0]
         monkeypatch.undo()
         assert verdict.outcome == "fails"
         assert len(verdict.witnesses) == oracle._WITNESS_CAP
-        last = int(np.searchsorted(p.dom.points, verdict.witnesses[-1].points[0]))
+        points = p.dom.points[0]
+        last = int(np.searchsorted(points, verdict.witnesses[-1].points[0]))
         # t rises: every point but the first asks for its left side alone, so
         # a window or a block of k entries is k columns, from column 1
-        hit = p.side_min < p.values - p.band
+        hit = p.side_min[0] < p.values[0] - p.band[0]
         assert not hit[1].any() and np.flatnonzero(~hit[0]).tolist() == [0]
         # until reads column 0, asking nothing, then each block once, in grid
         # order, and stops at the block that holds the eighth failure, well
@@ -514,10 +516,10 @@ class TestDemandDrivenProfile:
         assert stopped and not any(done for _, done in asked[:-1])
         assert columns[0] == slice(0, 1)
         assert [c.start for c in columns[1:]] == [c.stop for c in columns[:-1]]
-        first = int(np.searchsorted(p.dom.points, verdict.witnesses[0].points[0]))
-        assert first < stop.start <= last < stop.stop < p.dom.n // 2
+        first = int(np.searchsorted(points, verdict.witnesses[0].points[0]))
+        assert first < stop.start <= last < stop.stop < points.size // 2
         # the kernel estimated no row past that block, the eighth failure in it
-        kernel = np.searchsorted(p.dom.points, np.concatenate(probed))
+        kernel = np.searchsorted(points, np.concatenate(probed))
         assert last in kernel and kernel.max() < stop.stop
         # windows double from one kernel block's rows; the one holding the
         # stop is estimated up to its end, past the stop only where settled
@@ -525,9 +527,10 @@ class TestDemandDrivenProfile:
         end, size, wide = 1, dini._BLOCK_ROWS, dini._BLOCK_ROWS * (steps - steps // 2)
         while end < stop.stop:
             end, size = end + size, min(2 * size, wide)
-        estimated = p.profile.estimated[0]
+        estimated = p.profile.estimated[0, 0]
         assert estimated[1:end].all() and not estimated[end:].any()
-        assert np.array_equal(estimated[stop.stop:], p.profile.descent(p.stat_tol)[0, stop.stop:])
+        assert np.array_equal(estimated[stop.stop:],
+                              p.profile.descent(p.stat_tol)[0, 0, stop.stop:])
 
     def test_unconverged_entries_do_not_count_toward_the_stop(self):
         # a profile filled in by hand up to its last block: the whole first
@@ -536,14 +539,14 @@ class TestDemandDrivenProfile:
         dom = grid_for("[-1,1]", 3000)
         p = SampledProblem(phi_of("t"), dom)
         prof, block = p.profile, dini._BLOCK_ROWS
-        prof.value[:, : 2 * block] = -1.0
+        prof.value[..., : 2 * block] = -1.0
         for name in ("converged", "feasible", "estimated"):
-            getattr(prof, name)[:, : 2 * block] = True
-        prof.value[0, 1:block] = 0.0
-        prof.converged[0, 1:block] = False
+            getattr(prof, name)[..., : 2 * block] = True
+        prof.value[0, 0, 1:block] = 0.0
+        prof.converged[0, 0, 1:block] = False
         fails = np.arange(block + 76, block + 84)
-        prof.value[0, fails] = 0.0
-        verdict = pseudoconvex_def(p)
+        prof.value[0, 0, fails] = 0.0
+        verdict = pseudoconvex_def(p)[0]
         assert verdict.outcome == "fails"
-        assert [w.points[0] for w in verdict.witnesses] == dom.points[fails].tolist()
-        assert not prof.estimated[:, 2 * block :].any()
+        assert [w.points[0] for w in verdict.witnesses] == dom.points[0, fails].tolist()
+        assert not prof.estimated[..., 2 * block :].any()

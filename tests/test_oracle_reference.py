@@ -24,7 +24,7 @@ from dinicvx import (
     random_battery,
 )
 from dinicvx.dini import GridDiniProfile
-from dinicvx.domain import Interval, LineGrids, SampledDomain
+from dinicvx.domain import Interval, LineGrids
 
 from conftest import grid_for, phi_of
 
@@ -46,11 +46,12 @@ ROWS = {
 
 
 def table_problem(vals, lo_closed=True, hi_closed=True, tol=None, rows=None):
-    """A problem whose phi takes ``vals`` on its grid over [0,1] (any n >= 1),
-    with the Dini profile given by ``rows`` (pairs of ROWS keys) if set."""
+    """A problem of one line whose phi takes ``vals`` on its grid over [0,1]
+    (any n >= 1), with the Dini profile given by ``rows`` (pairs of ROWS
+    keys) if set."""
     n = len(vals)
     pts = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
-    dom = SampledDomain(Interval(-1e-3, 1.001, lo_closed, hi_closed), pts)
+    dom = LineGrids((Interval(-1e-3, 1.001, lo_closed, hi_closed),), pts[None], np.array([n]))
     table = np.asarray(vals, dtype=float)
     p = SampledProblem(lambda ts: table[np.searchsorted(pts, ts)], dom,
                        tol=tol, stat_tol=STAT_TOL)
@@ -59,8 +60,8 @@ def table_problem(vals, lo_closed=True, hi_closed=True, tol=None, rows=None):
         entries = np.array([[ROWS[m] for m, _ in rows], [ROWS[q] for _, q in rows]],
                            dtype=object).transpose(2, 0, 1)
         vars(p)["profile"] = GridDiniProfile(
-            entries[0].astype(float), entries[1].astype(bool), entries[2].astype(bool),
-            np.ones((2, n), dtype=bool),
+            entries[0].astype(float)[None], entries[1].astype(bool)[None],
+            entries[2].astype(bool)[None], np.ones((1, 2, n), dtype=bool),
         )
     return p
 
@@ -87,10 +88,10 @@ def problems(draw):
 @settings(max_examples=600, deadline=None)
 def test_oracles_match_reference_scans_and_loops(p):
     for name in ORACLES:
-        got = getattr(oracle, name)(p)
+        got = getattr(oracle, name)(p)[0]
         assert repr(got) == repr(getattr(ref, name)(p)), name
-        if not p.undefined:
-            vals, tol = p.values, p.band
+        if not p.undefined[0]:
+            vals, tol = p.values[0], p.band[0]
             literal = {
                 "pseudoconvex_def": lambda: ref.pair_loop(p, strict=False),
                 "strictly_pseudoconvex_def": lambda: ref.pair_loop(p, strict=True),
@@ -103,10 +104,10 @@ def test_oracles_match_reference_scans_and_loops(p):
 @given(problems())
 @settings(max_examples=600, deadline=None)
 def test_structural_scans_match_reference(p):
-    assert repr(charact.martos_segments(p)) == repr(ref.martos_segments(p))
-    dec = charact.decompose(p)
+    assert repr(charact.martos_segments(p)[0]) == repr(ref.martos_segments(p))
+    dec = charact.decompose(p)[0]
     assert repr(dec) == repr(ref.decompose(p))
-    if not p.undefined:
+    if not p.undefined[0]:
         found = charact._stationary(p, np.array([dec.i_hat]))
         assert repr(charact._stationarity_scan(p, 0, found)) == repr(ref.stationarity_scan(p, dec))
 
@@ -151,16 +152,16 @@ def test_semistrict_batch_lines_match_each_line_alone(batch):
     for i, vals in enumerate(lines):
         alone = table_problem(vals, tol=tol)
         assert repr(got[i]) == repr(ref.semistrictly_quasiconvex_def(alone)), i
-        assert repr(got[i]) == repr(oracle.semistrictly_quasiconvex_def(alone)), i
-        if not alone.undefined:
-            assert got[i].outcome == ref.semistrict_triple_loop(alone.values, alone.band), i
+        assert repr(got[i]) == repr(oracle.semistrictly_quasiconvex_def(alone)[0]), i
+        if not alone.undefined[0]:
+            assert got[i].outcome == ref.semistrict_triple_loop(alone.values[0], alone.band[0]), i
 
 
 def test_one_point_grid():
     p = table_problem([2.0], rows=[("infeasible", "infeasible")])
     for name in ORACLES:
-        assert getattr(oracle, name)(p).outcome == "holds"
-        assert repr(getattr(oracle, name)(p)) == repr(getattr(ref, name)(p))
+        assert getattr(oracle, name)(p)[0].outcome == "holds"
+        assert repr(getattr(oracle, name)(p)[0]) == repr(getattr(ref, name)(p))
 
 
 def test_witness_cap_in_pair_order():
@@ -168,7 +169,7 @@ def test_witness_cap_in_pair_order():
     # descends: the first eight (x, side) entries are reported, in order
     vals = [float(v) for v in (5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0)]
     p = table_problem(vals, rows=[("flat", "flat")] * len(vals))
-    got = oracle.pseudoconvex_def(p)
+    got = oracle.pseudoconvex_def(p)[0]
     assert repr(got) == repr(ref.pseudoconvex_def(p))
     assert len(got.witnesses) == oracle._WITNESS_CAP
 
@@ -185,11 +186,11 @@ def fine_and_battery_cases():
 def test_battery_grids_match_reference(expression, domain, n):
     p = SampledProblem(phi_of(expression), grid_for(domain, n), SUITE_SCHEDULE)
     for name in ORACLES:
-        assert repr(getattr(oracle, name)(p)) == repr(getattr(ref, name)(p)), name
-    assert repr(charact.martos_segments(p)) == repr(ref.martos_segments(p))
-    dec = charact.decompose(p)
+        assert repr(getattr(oracle, name)(p)[0]) == repr(getattr(ref, name)(p)), name
+    assert repr(charact.martos_segments(p)[0]) == repr(ref.martos_segments(p))
+    dec = charact.decompose(p)[0]
     assert repr(dec) == repr(ref.decompose(p))
-    if not p.undefined:
+    if not p.undefined[0]:
         found = charact._stationary(p, np.array([dec.i_hat]))
         assert repr(charact._stationarity_scan(p, 0, found)) == repr(ref.stationarity_scan(p, dec))
 
@@ -209,7 +210,7 @@ def test_oracles_scale_to_fine_grids(expression):
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
         p = SampledProblem(phi_of(expression), grid_for("[-1,1]", 65537))
-        verdicts = [getattr(oracle, name)(p) for name in ORACLES]
+        verdicts = [getattr(oracle, name)(p)[0] for name in ORACLES]
     except _TooSlow:
         pytest.fail(f"the four oracles on {expression} at 65537 points took over 5 s")
     finally:

@@ -95,7 +95,7 @@ def check_abc(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = restrict(f, x, y, box)
-    dom_r = anchored_grid(r.feasible, n_grid, margin)
+    dom_r = anchored_grid((r.feasible,), n_grid, margin)
     vals = r.phi(dom_r.points)
     if np.isnan(vals).any():
         return TheoremReport("Lpr1", function_id, (), (), True,
