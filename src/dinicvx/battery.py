@@ -57,13 +57,9 @@ class BatteryEntry:
     tags: tuple[str, ...] = ()
 
 
-def _exp(pc: bool, spc: bool, qc: bool, ssqc: bool) -> dict[str, bool]:
-    return {
-        "pseudoconvex": pc,
-        "strictly_pseudoconvex": spc,
-        "quasiconvex": qc,
-        "semistrictly_quasiconvex": ssqc,
-    }
+def _exp(*flags: bool) -> dict[str, bool]:
+    """Expected labels: one flag per label of :data:`LABELS`, in its order."""
+    return dict(zip(LABELS, flags, strict=True))
 
 
 def golden_battery() -> tuple[BatteryEntry, ...]:
@@ -158,21 +154,13 @@ def _flank_piece(
     a = rng.uniform(0.05, 1.2)
     b = rng.uniform(0.0, 0.8)
     c = rng.uniform(0.0, 0.5)
-    coefs = np.zeros(4)
-    if direction < 0:
-        # p(t) = v + a (e-t) + b/2 (e-t)^2 + c/3 (e-t)^3 with e = hi
-        e_ = hi
-        coefs[0] = end_value + a * e_ + (b / 2) * e_**2 + (c / 3) * e_**3
-        coefs[1] = -(a + b * e_ + c * e_**2)
-        coefs[2] = b / 2 + c * e_
-        coefs[3] = -c / 3
-    else:
-        # p(t) = v + a (t-s) + b/2 (t-s)^2 + c/3 (t-s)^3 with s = lo
-        s_ = lo
-        coefs[0] = end_value - a * s_ + (b / 2) * s_**2 - (c / 3) * s_**3
-        coefs[1] = a - b * s_ + c * s_**2
-        coefs[2] = b / 2 - c * s_
-        coefs[3] = c / 3
+    # p(t) = v + d a (t-e) + b/2 (t-e)^2 + d c/3 (t-e)^3, with d the direction
+    # and e the anchored end
+    d, e = direction, (hi if direction < 0 else lo)
+    coefs = np.array([end_value - d * a * e + (b / 2) * e**2 - d * (c / 3) * e**3,
+                      d * a - b * e + d * c * e**2,
+                      b / 2 - d * c * e,
+                      d * c / 3])
     span = hi - lo  # the free end is a whole piece away from the anchored one
     free = end_value + a * span + (b / 2) * span**2 + (c / 3) * span**3
     return coefs, free
@@ -221,33 +209,20 @@ def _random_valley(rng: np.random.Generator, lo: float, hi: float) -> tuple[str,
 
 
 def _random_monotone(rng: np.random.Generator, lo: float, hi: float) -> tuple[str, dict[str, bool]]:
-    increasing = bool(rng.random() < 0.5)
-    k = int(rng.integers(1, 4))
-    bps = _breakpoints(rng, lo, hi, k)
-    branches: list[tuple[str, float, np.ndarray]] = []
-    if increasing:
-        level = float(rng.uniform(-1.0, 1.0))
-        prev = lo
-        coefs_list = []
-        for b in bps + [hi]:
-            coefs, top = _flank_piece(rng, prev, b, level, +1)
-            coefs_list.append(coefs)
-            level = top + (float(rng.uniform(0.05, 0.6)) if rng.random() < 0.5 else 0.0)
-            prev = b
-        # up-jumps keep the breakpoint on the lower (left) piece
-        branches = [("<=", b, c) for b, c in zip(bps, coefs_list[:-1])]
-        return _assemble(branches, coefs_list[-1]), _exp(True, True, True, True)
+    step = 1 if rng.random() < 0.5 else -1  # 1: increasing, -1: decreasing
+    bps = _breakpoints(rng, lo, hi, int(rng.integers(1, 4)))
+    ends = [lo] + bps + [hi]
     level = float(rng.uniform(-1.0, 1.0))
-    prev = hi
     coefs_list = []
-    for b in reversed([lo] + bps):
-        coefs, top = _flank_piece(rng, b, prev, level, -1)
+    # the pieces from the low end outward, each starting at or above the last
+    for a, b in list(zip(ends, ends[1:]))[::step]:
+        coefs, top = _flank_piece(rng, a, b, level, step)
         coefs_list.append(coefs)
         level = top + (float(rng.uniform(0.05, 0.6)) if rng.random() < 0.5 else 0.0)
-        prev = b
-    coefs_list.reverse()
-    # down-jumps keep the breakpoint on the lower (right) piece
-    branches = [("<", b, c) for b, c in zip(bps, coefs_list[:-1])]
+    coefs_list = coefs_list[::step]
+    # a jump keeps the breakpoint on its lower piece: the left one of an
+    # up-jump, the right one of a down-jump
+    branches = [("<=" if step > 0 else "<", b, c) for b, c in zip(bps, coefs_list[:-1])]
     return _assemble(branches, coefs_list[-1]), _exp(True, True, True, True)
 
 

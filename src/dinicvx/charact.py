@@ -10,14 +10,19 @@ property of the package.
 Conventions shared with the oracles: one equality band ``tol`` (auto-scaled
 from the grid values unless given), stationarity decided on unit-direction
 Dini values against ``stat_tol``, and index ranges reported half-open.
+
+:func:`properties` is the one table of the four properties: each with its
+definitional oracle and its structural classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .battery import LABELS
 from .oracle import (
     _WITNESS_CAP,
     SampledProblem,
@@ -28,6 +33,10 @@ from .oracle import (
     _outcomes,
     _undefined_verdict,
     _witness,
+    pseudoconvex_def,
+    quasiconvex_def,
+    semistrictly_quasiconvex_def,
+    strictly_pseudoconvex_def,
 )
 
 __all__ = [
@@ -38,6 +47,9 @@ __all__ = [
     "strictly_pseudoconvex_char",
     "martos_segments",
     "quasiconvex_martos",
+    "semistrictly_quasiconvex_martos",
+    "Property",
+    "properties",
 ]
 
 
@@ -289,3 +301,40 @@ def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
         ["" if f else f"shape: {shape[r, d]}"
          for f, r, d in zip(fails.tolist(), any_rise.tolist(), any_drop.tolist())],
         lambda p, method, i: _undefined_verdict(p, method, i, band=True, keep=1))
+
+
+def semistrictly_quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
+    """Structural semistrict quasiconvexity: the :func:`martos_segments`
+    split is valid.  Its verdict carries the split's band and witnesses and
+    no stationarity tolerance."""
+    return tuple(Verdict("holds" if split.valid else "fails", "martos_segments", split.tol, 0.0,
+                         split.witnesses)
+                 for split in martos_segments(p))
+
+
+@dataclass(frozen=True)
+class Property:
+    """One property: its battery label, its ``classify --check`` name, its
+    definitional oracle, and the name and classifier of its structural
+    method."""
+
+    label: str
+    check: str
+    definition: Callable[[SampledProblem], tuple[Verdict, ...]]
+    method: str
+    characterization: Callable[[SampledProblem], tuple[Verdict, ...]]
+
+
+def properties() -> tuple[Property, ...]:
+    """The four properties, in the order of :data:`~dinicvx.battery.LABELS`.
+
+    Built per call, so each classifier is looked up as this module now binds
+    it: a rebound (traced) name is seen.
+    """
+    return tuple(Property(label, *methods) for label, methods in zip(LABELS, (
+        ("pseudoconvex", pseudoconvex_def, "characterization", pseudoconvex_char),
+        ("strict-pseudoconvex", strictly_pseudoconvex_def, "characterization",
+         strictly_pseudoconvex_char),
+        ("quasiconvex", quasiconvex_def, "martos", quasiconvex_martos),
+        ("semistrict-quasiconvex", semistrictly_quasiconvex_def, "martos",
+         semistrictly_quasiconvex_martos))))

@@ -25,28 +25,16 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable
 
 import numpy as np
 
 from .battery import golden_battery, load_manifest, random_battery
-from .charact import (
-    decompose,
-    martos_segments,
-    pseudoconvex_char,
-    quasiconvex_martos,
-    strictly_pseudoconvex_char,
-)
+from .charact import Property, decompose, martos_segments, properties
 from .dini import DiniSchedule, lower_dini, stationarity_estimates
 from .domain import Interval, make_grid, parse_interval
 from .expr import ExpressionError, eval_many, parse
-from .oracle import (
-    SampledProblem,
-    Verdict,
-    pseudoconvex_def,
-    quasiconvex_def,
-    semistrictly_quasiconvex_def,
-    strictly_pseudoconvex_def,
-)
+from .oracle import SampledProblem, Verdict
 from .theorems import SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
 
 __all__ = ["main", "RunConfig", "canonical_json"]
@@ -56,9 +44,6 @@ EXIT_CONFIG = 1
 EXIT_DISAGREE = 2
 EXIT_INCONCLUSIVE = 3
 
-_CHECKS = ("pseudoconvex", "strict-pseudoconvex", "quasiconvex",
-           "semistrict-quasiconvex")
-
 # Caps on the size flags, checked before anything is allocated.  A grid
 # array at the cap is 8 MB.  At the step cap, the full-step redo arrays of
 # one dini._probe_rows block (dini._BLOCK_ROWS = 520 rows) hold 520 x 1000
@@ -67,6 +52,11 @@ MAX_GRID = 2**20 + 1
 MAX_PAIRS = 10_000
 MAX_RANDOM = 10_000
 MAX_DINI_STEPS = 1_000
+# The work budget: the grid times the lines a run samples, its pairs for a
+# multivariate classify, and for verify-theorems one line per 1-D entry and
+# one per pair of a 2-D entry.  It admits verify-theorems --grid 65537 (165
+# lines); the slowest run measured at the budget took 15 s on a 2-core VM.
+MAX_WORK = 2**24
 
 
 class _ConfigError(Exception):
@@ -119,12 +109,20 @@ class RunConfig:
             raise _ConfigError("pairs must be >= 1")
         if self.pairs > MAX_PAIRS:
             raise _ConfigError(f"pairs must be <= {MAX_PAIRS}, got {self.pairs}")
+        if self.arity > 1:
+            _within_budget(self.grid, self.pairs, "pairs")
         if self.arity < 1:
             raise _ConfigError("arity must be >= 1")
         if self.arity == 1 and self.domain is None:
             raise _ConfigError("1-variable functions need --domain")
         if self.arity > 1 and self.box is None:
             raise _ConfigError("multivariate functions need --box")
+
+
+def _within_budget(grid: int, lines: int, what: str) -> None:
+    if grid * lines > MAX_WORK:
+        raise _ConfigError(f"grid x {what} must be <= {MAX_WORK}, the work budget; "
+                           f"got {grid} x {lines}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +235,13 @@ def _config_json(cfg: RunConfig) -> dict:
 # classification plumbing
 
 
-def _semistrict_martos(p: SampledProblem) -> tuple[Verdict, ...]:
-    return tuple(Verdict("holds" if split.valid else "fails", "martos_segments", split.tol, 0.0,
-                         split.witnesses)
-                 for split in martos_segments(p))
-
-
-def _run_methods(check: str, method: str, p: SampledProblem) -> dict[str, tuple[Verdict, ...]]:
-    # check -> (definitional oracle, structural method name, structural
-    # classifier); built per call, so the classifiers are looked up as the
-    # modules now bind them
-    definitional, name, structural = {
-        "pseudoconvex": (pseudoconvex_def, "characterization", pseudoconvex_char),
-        "strict-pseudoconvex": (strictly_pseudoconvex_def, "characterization",
-                                strictly_pseudoconvex_char),
-        "quasiconvex": (quasiconvex_def, "martos", quasiconvex_martos),
-        "semistrict-quasiconvex": (semistrictly_quasiconvex_def, "martos",
-                                   _semistrict_martos),
-    }[check]
+def _run_methods(prop: Property, method: str, p: SampledProblem) -> dict[str, tuple[Verdict, ...]]:
+    """The verdicts on ``prop`` of the methods ``method`` asks for, by name."""
     out: dict[str, tuple[Verdict, ...]] = {}
     if method != "structural":
-        out["definitional"] = definitional(p)
+        out["definitional"] = prop.definition(p)
     if method != "definitional":
-        out[name] = structural(p)
+        out[prop.method] = prop.characterization(p)
     return out
 
 
@@ -274,7 +256,7 @@ def _line_problem(cfg: RunConfig, f) -> SampledProblem:
                           cfg.schedule, cfg.tol, cfg.stat_tol)
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
+def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     fn = parse(cfg.function, cfg.arity)
     f = lambda pts: eval_many(fn, pts)
     report: dict = {"command": "classify", "config": _config_json(cfg)}
@@ -288,8 +270,9 @@ def _cmd_classify(cfg: RunConfig) -> int:
     # outcome of each line, batch after batch
     per_line: dict[str, dict[str, list[str]]] = {check: {} for check in cfg.checks}
     restrictions = []
+    by_check = {prop.check: prop for prop in properties()}
     for r, p in batches:
-        found = {check: _run_methods(check, cfg.method, p) for check in cfg.checks}
+        found = {check: _run_methods(by_check[check], cfg.method, p) for check in cfg.checks}
         for check, by_name in found.items():
             for name, verdicts in by_name.items():
                 per_line[check].setdefault(name, []).extend(v.outcome for v in verdicts)
@@ -343,19 +326,19 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
+def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
     fn = parse(cfg.function, cfg.arity)
     p = _line_problem(cfg, lambda ts: eval_many(fn, ts))
     pts, dec = p.dom.points[0], decompose(p)[0]
-    if csv_path is not None:
+    if args.csv is not None:
         lines = ["t,value,segment"]
         for t, v, lab in zip(pts, p.values[0], dec.segment_labels(pts.shape[0])):
             lines.append(f"{format(float(t), '.17g')},{format(float(v), '.17g')},{lab}")
         try:
-            with open(csv_path, "w") as fh:
+            with open(args.csv, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
         except OSError as exc:
-            raise _ConfigError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
+            raise _ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
     _emit({
         "command": "decompose",
         "config": _config_json(cfg),
@@ -366,32 +349,34 @@ def _cmd_decompose(cfg: RunConfig, csv_path: str | None) -> int:
     return EXIT_INCONCLUSIVE if p.undefined[0] else EXIT_OK
 
 
-def _cmd_dini(cfg: RunConfig, at: float, direction: float) -> int:
+def _cmd_dini(cfg: RunConfig, args: argparse.Namespace) -> int:
     fn = parse(cfg.function, cfg.arity)
-    est = lower_dini(lambda ts: eval_many(fn, ts), at, direction,
+    est = lower_dini(lambda ts: eval_many(fn, ts), args.at, args.dir,
                      parse_interval(cfg.domain), cfg.schedule)
     _emit({
         "command": "dini",
         "config": _config_json(cfg),
-        "at": at,
-        "direction": direction,
+        "at": args.at,
+        "direction": args.dir,
         "estimate": est,
     }, cfg.output)
     return EXIT_OK if est.converged else EXIT_INCONCLUSIVE
 
 
-def _cmd_verify(cfg: RunConfig, manifest: str | None, n_random: int) -> int:
-    if not 0 <= n_random <= MAX_RANDOM:
-        raise _ConfigError(f"random must be between 0 and {MAX_RANDOM}, got {n_random}")
-    if manifest is not None:
+def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if not 0 <= args.random <= MAX_RANDOM:
+        raise _ConfigError(f"random must be between 0 and {MAX_RANDOM}, got {args.random}")
+    if args.manifest is not None:
         try:
-            entries = load_manifest(manifest)
+            entries = load_manifest(args.manifest)
         except (OSError, ValueError) as exc:
-            raise _ConfigError(f"cannot load manifest {manifest}: {exc}") from exc
+            raise _ConfigError(f"cannot load manifest {args.manifest}: {exc}") from exc
     else:
         entries = golden_battery()
-    if n_random:
-        entries = entries + random_battery(n_random, seed=cfg.seed)
+    if args.random:
+        entries = entries + random_battery(args.random, seed=cfg.seed)
+    _within_budget(cfg.grid, sum(1 if e.arity == 1 else len(e.pairs or ()) + cfg.pairs
+                                 for e in entries), "lines")
     result = run_battery(
         entries, n_grid=cfg.grid, margin=cfg.margin, schedule=cfg.schedule,
         tol=cfg.tol, stat_tol=cfg.stat_tol, pairs=cfg.pairs, seed=cfg.seed,
@@ -496,9 +481,10 @@ _FLAGS: dict[str, dict] = {
     "--seed": dict(type=int, default=0),
     "--output": dict(default="json", choices=["json", "text"]),
     "--pairs": dict(type=int, default=24,
-                    help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}"),
+                    help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}; "
+                         f"grid x lines at most {MAX_WORK}"),
     "--method": dict(default="both", choices=["both", "definitional", "structural"]),
-    "--check": dict(action="append", choices=list(_CHECKS) + ["all"],
+    "--check": dict(action="append", choices=[prop.check for prop in properties()] + ["all"],
                     help="property to test; repeatable; default all"),
     "--csv": dict(help="write t,value,segment rows to this path"),
     "--at": dict(type=float, required=True),
@@ -508,18 +494,20 @@ _FLAGS: dict[str, dict] = {
                      help=f"append this many seeded random functions, 0 to {MAX_RANDOM}"),
 }
 _SCHEDULE = ("--dini-t0", "--dini-ratio", "--dini-steps", "--dini-tol")
-# subcommand -> (its help, the flags it reads)
-_TAKES: dict[str, tuple[str, tuple[str, ...]]] = {
+# subcommand -> (its help, the flags it reads, the function that runs it)
+_TAKES: dict[str, tuple[str, tuple[str, ...], Callable[[RunConfig, argparse.Namespace], int]]] = {
     "classify": ("classify a function", (
         "--function", "--arity", "--domain", "--box", "--grid", "--margin", "--tol",
-        "--stat-tol", *_SCHEDULE, "--seed", "--output", "--pairs", "--method", "--check")),
+        "--stat-tol", *_SCHEDULE, "--seed", "--output", "--pairs", "--method", "--check"),
+        _cmd_classify),
     "decompose": ("three-part monotone split", (
-        "--function", "--domain", "--grid", "--margin", "--tol", "--output", "--csv")),
+        "--function", "--domain", "--grid", "--margin", "--tol", "--output", "--csv"),
+        _cmd_decompose),
     "dini": ("one lower Dini estimate with trace", (
-        "--function", "--domain", *_SCHEDULE, "--output", "--at", "--dir")),
+        "--function", "--domain", *_SCHEDULE, "--output", "--at", "--dir"), _cmd_dini),
     "verify-theorems": ("run the theorem suite", (
         "manifest", "--grid", "--margin", "--tol", "--stat-tol", *_SCHEDULE, "--seed",
-        "--pairs", "--output", "--random")),
+        "--pairs", "--output", "--random"), _cmd_verify),
 }
 
 
@@ -530,7 +518,7 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="dinicvx",
                   description="numerical generalized-convexity classifiers")
     sub = top.add_subparsers(dest="cmd", required=True)
-    for cmd, (text, takes) in _TAKES.items():
+    for cmd, (text, takes, _) in _TAKES.items():
         p = sub.add_parser(cmd, help=text)
         for name in takes:
             p.add_argument(name, **_FLAGS[name])
@@ -553,23 +541,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise _ConfigError(str(exc)) from exc
     checks = args.check or ["all"]
     if "all" in checks:
-        checks = list(_CHECKS)
-    return RunConfig(
-        function=args.function or "",
-        arity=args.arity,
-        domain=args.domain,
-        box=args.box,
-        grid=args.grid,
-        margin=args.margin,
-        tol=args.tol,
-        stat_tol=args.stat_tol,
-        schedule=schedule,
-        method=args.method,
-        seed=args.seed,
-        output=args.output,
-        pairs=args.pairs,
-        checks=tuple(checks),
-    )
+        checks = [prop.check for prop in properties()]
+    # every other setting is the flag of its name
+    built = {"function": args.function or "", "schedule": schedule, "checks": tuple(checks)}
+    return RunConfig(**{f.name: built[f.name] if f.name in built else getattr(args, f.name)
+                        for f in fields(RunConfig)})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -577,15 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
-        if args.cmd == "classify":
-            code = _cmd_classify(cfg)
-        elif args.cmd == "decompose":
-            code = _cmd_decompose(cfg, args.csv)
-        elif args.cmd == "dini":
-            code = _cmd_dini(cfg, args.at, args.dir)
-        else:
-            code = _cmd_verify(cfg, args.manifest, args.random)
+        code = _TAKES[args.cmd][2](_config_from(args), args)
     except (_ConfigError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

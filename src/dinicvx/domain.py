@@ -12,14 +12,14 @@ samples its bounded interval uniformly.  Closed endpoints are included
 exactly; an open endpoint is pulled inward by the margin, so every grid
 point is a genuine domain point.
 
-:func:`restrict` builds the one-dimensional restriction of a multivariate
-function to the line through two points: ``phi(s) = f((1-s) x + s y)``
-together with the feasible parameter interval ``{s : (1-s) x + s y in box}``
-computed in closed form from the box bounds.  The affine form makes
-``phi(0) == f(x)`` and ``phi(1) == f(y)`` hold exactly in floating point.
-Given stacks of m points it restricts to m lines at once, and
-:func:`anchored_grid` grids their m feasible intervals into one
-:class:`LineGrids`: a line axis leads, and each line keeps its own points.
+:func:`restrict` builds the one-dimensional restrictions of a multivariate
+function to the lines through the rows of two (m, d) stacks of points:
+``phi(s) = f((1-s) x + s y)`` on each line, together with its feasible
+parameter interval ``{s : (1-s) x + s y in box}`` computed in closed form
+from the box bounds.  The affine form makes ``phi(0) == f(x)`` and
+``phi(1) == f(y)`` hold exactly in floating point.  :func:`anchored_grid`
+grids the m feasible intervals into one :class:`LineGrids`: a line axis
+leads, and each line keeps its own points.
 """
 
 from __future__ import annotations
@@ -212,19 +212,19 @@ def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = 1e-6)
 
 @dataclass(frozen=True)
 class LineRestriction:
-    """Restriction of ``f`` to the line through ``x`` and ``y``, or to the m
-    lines through the rows of (m, d) stacks ``x`` and ``y``.
+    """Restriction of ``f`` to the m lines through the rows of (m, d) stacks
+    ``x`` and ``y``.
 
     ``phi(s) = f((1-s) x + s y)`` on the feasible set, which always contains
     0 and 1.  ``phi`` accepts a float64 array of parameters and returns the
-    function values with NaN for undefined.  For m lines, ``feasible`` holds
-    one interval per line and ``phi`` maps an (m, k) array, row i along line
-    i; a NaN parameter stands for no point and reads NaN.
+    function values with NaN for undefined.  ``feasible`` holds one interval
+    per line and ``phi`` maps an (m, k) array, row i along line i; a NaN
+    parameter stands for no point and reads NaN.
     """
 
     x: np.ndarray
     y: np.ndarray
-    feasible: Interval | tuple[Interval, ...]
+    feasible: tuple[Interval, ...]
     phi: Callable[[np.ndarray], np.ndarray]
 
 
@@ -234,23 +234,22 @@ def restrict(
     y: np.ndarray,
     box: tuple[Interval, ...],
 ) -> LineRestriction:
-    """Restrict a multivariate ``f`` to the segment line through x and y.
+    """Restrict a multivariate ``f`` to the lines through the rows of the
+    (m, d) stacks x and y.
 
     ``f`` maps an (m, n) array of points to an (m,) array of values.  The
     feasible parameter set is computed per coordinate from the box bounds
     and intersected; openness of binding box faces carries over.  Requires
-    ``x != y`` and both endpoints inside the box.  Given (m, d) stacks of
-    points, the m lines through their rows are restricted at once: every
-    feasible interval comes from one pass of array operations, each line's
-    as it would alone.
+    ``x != y`` and both endpoints inside the box, row by row.  The m lines
+    are restricted at once: every feasible interval comes from one pass of
+    array operations, each line's as it would alone.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim not in (1, 2):
-        raise ValueError("x and y must be equal-length 1-D points, or stacks of them")
-    if len(box) != x.shape[-1]:
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 2:
+        raise ValueError("x and y must be (m, d) stacks of points of one shape")
+    if len(box) != xs.shape[1]:
         raise ValueError("box arity does not match the points")
-    xs, ys = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
     if (xs == ys).all(axis=1).any():
         raise ValueError("x and y must differ")
     least, greatest = extent(box)
@@ -287,8 +286,6 @@ def restrict(
         # coordinate-major, so that each column f reads is contiguous
         cols = (1.0 - grid) * xs.T[:, :, None] + grid * ys.T[:, :, None]
         out = f(cols.reshape(xs.shape[1], -1).T).reshape(grid.shape)
-        if x.ndim == 1:
-            return out.reshape(-1)
         return np.where(np.isnan(grid), np.nan, out).reshape(s.shape)
 
-    return LineRestriction(x, y, feasible if x.ndim > 1 else feasible[0], phi)
+    return LineRestriction(xs, ys, feasible, phi)

@@ -96,7 +96,7 @@ def grid_values(
     The values are (m, W), +inf past each line's last point, and the
     witnesses come as one tuple per line.
     """
-    vals = np.reshape(phi(dom.points), dom.points.shape)
+    vals = phi(dom.points)
     valid = np.arange(vals.shape[1]) < dom.n[:, None]
     undefined = ~np.isfinite(vals) & valid
     vals[~valid] = np.inf  # past a line's last point: +inf, and not undefined

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .battery import BatteryEntry
+from .charact import properties
 from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit
 from .domain import (
     Interval,
@@ -111,6 +112,18 @@ def _report_fail(
     )
 
 
+def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
+                 vacuous_notes: str) -> TheoremReport | None:
+    """The report that ends T3 or T7 at its pseudoconvexity ``premise``
+    unless it holds: inconclusive, or vacuous with ``vacuous_notes``."""
+    if premise.outcome == "holds":
+        return None
+    inconclusive = premise.outcome == "inconclusive"
+    return TheoremReport(theorem_id, function_id, (premise,), (), True, vacuous=not inconclusive,
+                         inconclusive=inconclusive,
+                         notes="premise inconclusive" if inconclusive else vacuous_notes)
+
+
 def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     """Pseudoconvex implies semistrictly quasiconvex and quasiconvex.
 
@@ -118,12 +131,8 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     lower semicontinuous by the caller (battery metadata).
     """
     premise = p.verdict(pseudoconvex_def)[0]
-    if premise.outcome == "inconclusive":
-        return TheoremReport("T3", function_id, (premise,), (), True,
-                             inconclusive=True, notes="premise inconclusive")
-    if premise.outcome == "fails":
-        return TheoremReport("T3", function_id, (premise,), (), True,
-                             vacuous=True, notes="premise fails; vacuous")
+    if ended := _premise_end("T3", function_id, premise, "premise fails; vacuous"):
+        return ended
     ssq = p.verdict(semistrictly_quasiconvex_def)[0]
     qc = p.verdict(quasiconvex_def)[0]
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
@@ -173,12 +182,8 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     coincidental tie without any genuine constancy.
     """
     premise = p.verdict(pseudoconvex_def)[0]
-    if premise.outcome == "inconclusive":
-        return TheoremReport("T7", function_id, (premise,), (), True,
-                             inconclusive=True, notes="premise inconclusive")
-    if premise.outcome == "fails":
-        return TheoremReport("T7", function_id, (premise,), (), True,
-                             vacuous=True, notes="premise fails; skipped")
+    if ended := _premise_end("T7", function_id, premise, "premise fails; skipped"):
+        return ended
     strict = p.verdict(strictly_pseudoconvex_def)[0]
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
@@ -514,13 +519,7 @@ def run_battery(
     """
     if schedule is None:
         schedule = SUITE_SCHEDULE
-    # built per call, so the oracles are looked up as the module now binds them
-    label_checks = {
-        "pseudoconvex": pseudoconvex_def,
-        "strictly_pseudoconvex": strictly_pseudoconvex_def,
-        "quasiconvex": quasiconvex_def,
-        "semistrictly_quasiconvex": semistrictly_quasiconvex_def,
-    }
+    definitions = {prop.label: prop.definition for prop in properties()}
     cases: list[CaseLine] = []
     reports: list[TheoremReport] = []
     mismatches: list[str] = []
@@ -539,7 +538,7 @@ def run_battery(
                 schedule, tol, stat_tol,
             )
             for name, want in sorted((entry.expected or {}).items()):
-                got = p.verdict(label_checks[name])[0].outcome
+                got = p.verdict(definitions[name])[0].outcome
                 want_s = "holds" if want else "fails"
                 status = ("inconclusive" if got == "inconclusive" else
                           "ok" if got == want_s else "FAIL")

@@ -35,7 +35,7 @@ VERDICTS = (
     ("quasiconvex_def", oracle.quasiconvex_def),
     ("quasiconvex_martos", charact.quasiconvex_martos),
     ("semistrictly_quasiconvex_def", oracle.semistrictly_quasiconvex_def),
-    ("semistrict_martos", cli._semistrict_martos),
+    ("semistrictly_quasiconvex_martos", charact.semistrictly_quasiconvex_martos),
     ("decompose", charact.decompose),
     ("martos_segments", charact.martos_segments),
 )
@@ -79,8 +79,8 @@ def test_each_line_of_a_ragged_batch_as_it_is_alone(case, seed):
     for i in range(len(xs)):
         one = restrict(f, xs[i : i + 1], ys[i : i + 1], box)
         alone = run_all(SampledProblem(one.phi, anchored_grid(one.feasible, N_GRID)))
-        line = restrict(f, xs[i], ys[i], box)
-        grid = anchored_grid((line.feasible,), N_GRID)
+        line = restrict(f, xs[i][None], ys[i][None], box)
+        grid = anchored_grid(line.feasible, N_GRID)
         assert grid.n[0] == batch.dom.n[i]
         assert np.array_equal(grid.points[0], batch.dom.points[i, : grid.n[0]])
         single = run_all(SampledProblem(line.phi, grid))
@@ -116,8 +116,8 @@ def test_line_problems_carry_the_witnesses_of_each_line_alone(case):
     witnessed = 0
     for r, verdicts in got:
         for i in range(len(r.feasible)):
-            line = restrict(f, r.x[i], r.y[i], box)
-            single = run_all(SampledProblem(line.phi, anchored_grid((line.feasible,), N_GRID)))
+            line = restrict(f, r.x[i][None], r.y[i][None], box)
+            single = run_all(SampledProblem(line.phi, anchored_grid(line.feasible, N_GRID)))
             for name, _ in VERDICTS[:8]:
                 assert repr(verdicts[name][i]) == repr(single[name][0]), (name, i)
                 witnessed += len(single[name][0].witnesses)
@@ -298,6 +298,6 @@ def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(mon
     assert p.profile.estimated[..., : stop.stop].any(axis=(0, 1)).all()
     assert not p.profile.estimated[..., stop.stop :].any()
     for i, verdict in enumerate(verdicts):
-        line = restrict(f, r.x[i], r.y[i], box)
-        alone = SampledProblem(line.phi, anchored_grid((line.feasible,), 2049))
+        line = restrict(f, r.x[i][None], r.y[i][None], box)
+        alone = SampledProblem(line.phi, anchored_grid(line.feasible, 2049))
         assert repr(verdict) == repr(oracle.pseudoconvex_def(alone)[0])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +620,93 @@ class TestSizeCaps:
         text = capsys.readouterr().out
         for cap in caps:
             assert f"to {cap}" in text
+
+
+BOWL = ["classify", "--function=x1^2 + x2^2", "--arity=2", "--box=[-1,1]x[-1,1]"]
+# the most pairs, or lines, the work budget admits at the largest grid
+_MOST_LINES = cli.MAX_WORK // cli.MAX_GRID
+
+
+def _child(argv: list[str], timeout: float, capped: bool = True):
+    """The CLI run on ``argv`` in a child interpreter, with its wall time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    code = _CAPPED_MAIN if capped else "import sys; from dinicvx.cli import main; sys.exit(main())"
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+    return proc, time.monotonic() - start
+
+
+class TestWorkBudget:
+    """The grid times the lines of a run is capped, checked before the run
+    starts: a multivariate classify samples ``--pairs`` lines, and
+    verify-theorems one per 1-D entry and one per pair of a 2-D entry."""
+
+    @pytest.fixture(scope="class")
+    def bowl_manifest(self, tmp_path_factory) -> str:
+        path = tmp_path_factory.mktemp("budget") / "bowl2.json"
+        write_manifest(tuple(e for e in golden_battery() if e.id == "bowl2"), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        BOWL + ["--grid", str(cli.MAX_GRID), "--pairs", str(cli.MAX_PAIRS)],
+        BOWL + ["--grid", str(cli.MAX_GRID), "--pairs", str(_MOST_LINES + 1)],
+        BOWL + ["--grid", "1678", "--pairs", str(cli.MAX_PAIRS)],
+        ["verify-theorems", "--grid", str(cli.MAX_GRID)],
+        ["verify-theorems", "--grid", "513", "--pairs", str(cli.MAX_PAIRS)],
+        ["verify-theorems", "--grid", "16385", "--random", "1000"],
+        ["verify-theorems", "<bowl2>", "--grid", str(cli.MAX_GRID),
+         "--pairs", str(_MOST_LINES + 1)],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
+    def test_over_budget_exits_one_within_a_second(self, argv, bowl_manifest):
+        argv = [bowl_manifest if a == "<bowl2>" else a for a in argv]
+        proc, elapsed = _child(argv, timeout=10)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stdout == ""
+        message, _ = proc.stderr.splitlines()
+        assert message.startswith("error: grid x ") and "work budget" in message
+        assert elapsed < 1.0
+
+    # These took 9.6 s and 8.7 s on a 2-core VM.  The slowest admitted run
+    # measured there, classify at 1677 grid points x 10000 pairs, took 15 s.
+    @pytest.mark.parametrize("argv", [
+        BOWL + ["--grid", str(cli.MAX_GRID), "--pairs", str(_MOST_LINES)],
+        ["verify-theorems", "<bowl2>", "--grid", str(cli.MAX_GRID), "--pairs", str(_MOST_LINES)],
+    ], ids=["classify", "verify-theorems"])
+    def test_the_largest_admitted_runs_finish_within_a_minute(self, argv, bowl_manifest):
+        argv = [bowl_manifest if a == "<bowl2>" else a for a in argv]
+        proc, elapsed = _child(argv, timeout=60, capped=False)
+        assert proc.returncode != EXIT_CONFIG, proc.stderr
+        assert proc.stdout
+        assert elapsed < 60
+
+    @pytest.mark.parametrize("argv", [
+        BOWL,
+        BOWL + ["--grid", "262145", "--pairs", "2"],
+        ["verify-theorems", "--grid", "65537"],
+        ["verify-theorems", "--random", "200"],
+        ["verify-theorems", "--pairs", "200"],
+    ])
+    def test_the_budget_admits_the_documented_runs(self, argv, monkeypatch):
+        # each run gets past every check to the work itself
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(cli, "line_problems", admitted)
+        monkeypatch.setattr(cli, "run_battery", admitted)
+        with pytest.raises(Admitted):
+            main(argv)
+
+    def test_the_budget_is_in_the_help(self, capsys):
+        for cmd in ("classify", "verify-theorems"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            assert f"grid x lines at most {cli.MAX_WORK}" in " ".join(
+                capsys.readouterr().out.split())
 
 
 class TestExpressionDepth:

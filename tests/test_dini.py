@@ -289,7 +289,7 @@ class TestAlongInABox:
         # a base point in a box is a line's x, which restrict checks
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):
-            restrict(f, np.asarray([1.5, 0.0]), np.asarray([0.5, 0.0]), self.BOX)
+            restrict(f, np.asarray([[1.5, 0.0]]), np.asarray([[0.5, 0.0]]), self.BOX)
 
     def test_zero_direction_rejected(self):
         f = phi_of("x1^2 + x2^2", 2)

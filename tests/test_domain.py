@@ -245,33 +245,33 @@ class TestRestrict:
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
         x = np.asarray([0.3, -0.2])
         y = np.asarray([-0.5, 0.7])
-        r = restrict(f, x, y, box)
+        r = restrict(f, x[None], y[None], box)
         assert r.phi(np.asarray([0.0]))[0] == f(x[None, :])[0]
         assert r.phi(np.asarray([1.0]))[0] == f(y[None, :])[0]
-        assert r.feasible.contains(0.0) and r.feasible.contains(1.0)
+        assert r.feasible[0].contains(0.0) and r.feasible[0].contains(1.0)
 
     def test_feasible_matches_box_membership(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([0.0, 0.0]), np.asarray([1.0, 0.5]), box)
+        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[1.0, 0.5]]), box)
         # s=1 puts the first coordinate at the closed face: still feasible
-        assert r.feasible.hi == 1.0 and r.feasible.hi_closed
+        assert r.feasible[0].hi == 1.0 and r.feasible[0].hi_closed
         # beyond s=1 the first coordinate leaves the box
-        assert not r.feasible.contains(1.0 + 1e-9)
+        assert not r.feasible[0].contains(1.0 + 1e-9)
 
     def test_openness_carries_over(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("(-1,1)"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([0.0, 0.0]), np.asarray([0.5, 0.5]), box)
-        assert not r.feasible.hi_closed  # binding face is open
+        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.5, 0.5]]), box)
+        assert not r.feasible[0].hi_closed  # binding face is open
 
     def test_phi_is_f_along_the_line(self):
         f = phi_of("x1", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([0.0, -1.0]), np.asarray([1.0, 1.0]), box)
+        r = restrict(f, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
         np.testing.assert_allclose(r.phi(np.asarray([0.5])), [0.5])
         f2 = phi_of("x2", 2)
-        r2 = restrict(f2, np.asarray([0.0, -1.0]), np.asarray([1.0, 1.0]), box)
+        r2 = restrict(f2, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
         np.testing.assert_allclose(r2.phi(np.asarray([0.5])), [0.0], atol=1e-15)
 
     def test_rejects_equal_points_and_outside(self):
@@ -279,19 +279,26 @@ class TestRestrict:
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
         p = np.asarray([0.0, 0.0])
         with pytest.raises(ValueError):
-            restrict(f, p, p.copy(), box)
+            restrict(f, p[None], p[None].copy(), box)
         with pytest.raises(ValueError):
-            restrict(f, p, np.asarray([2.0, 0.0]), box)
+            restrict(f, p[None], np.asarray([[2.0, 0.0]]), box)
+
+    def test_rejects_single_points(self):
+        # one pair is a one-line stack, x[None] and y[None]
+        f = phi_of("x1 + x2", 2)
+        box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
+        with pytest.raises(ValueError, match="stacks"):
+            restrict(f, np.asarray([0.0, 0.0]), np.asarray([0.5, 0.5]), box)
 
     def test_subnormal_direction_overflows_to_open_unbounded(self):
         # (hi - x) / d overflows when d is subnormal; the parameter bound
         # must become an open infinity, never a closed one
         f = phi_of("x1^2 + x2^2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([0.0, 0.0]), np.asarray([0.0, 5e-324]), box)
-        assert np.isinf(r.feasible.lo) and np.isinf(r.feasible.hi)
-        assert not r.feasible.lo_closed and not r.feasible.hi_closed
-        assert r.feasible.contains(0.0) and r.feasible.contains(1.0)
+        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.0, 5e-324]]), box)
+        assert np.isinf(r.feasible[0].lo) and np.isinf(r.feasible[0].hi)
+        assert not r.feasible[0].lo_closed and not r.feasible[0].hi_closed
+        assert r.feasible[0].contains(0.0) and r.feasible[0].contains(1.0)
 
     @given(
         st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
@@ -305,9 +312,9 @@ class TestRestrict:
             return
         f = phi_of("x1^2 + x2^2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, x, y, box)
-        lo = max(r.feasible.lo, -10.0)
-        hi = min(r.feasible.hi, 10.0)
+        r = restrict(f, x[None], y[None], box)
+        lo = max(r.feasible[0].lo, -10.0)
+        hi = min(r.feasible[0].hi, 10.0)
         for s in np.linspace(lo + 1e-9, hi - 1e-9, 17):
             pt = (1.0 - s) * x + s * y
             assert all(iv.contains(c) or abs(c) > 1 - 1e-7

@@ -215,8 +215,8 @@ class TestSemistrictScan:
         box = (parse_interval("[-1,1]"),) * 2
         fn = parse("x1^3", 2)
         x, y = sample_pairs(box, 24, 1699654999)[18]
-        r = restrict(lambda pts: eval_many(fn, pts), x, y, box)
-        dom = anchored_grid((r.feasible,), 257, 1e-6)
+        r = restrict(lambda pts: eval_many(fn, pts), x[None], y[None], box)
+        dom = anchored_grid(r.feasible, 257, 1e-6)
         p = SampledProblem(r.phi, dom)
         split = martos_segments(p)[0]
         assert not split.valid
@@ -296,8 +296,8 @@ def demand_problems():
         box = tuple(parse_interval(b) for b in e.box)
         f = phi_of(e.expression, e.arity)
         for k, (x, y) in enumerate(sample_pairs(box, 3, 11)):
-            r = restrict(f, x, y, box)
-            out.append((f"{e.id}-line{k}", r.phi, anchored_grid((r.feasible,), 257, 1e-6)))
+            r = restrict(f, x[None], y[None], box)
+            out.append((f"{e.id}-line{k}", r.phi, anchored_grid(r.feasible, 257, 1e-6)))
     return out
 
 

@@ -213,12 +213,12 @@ class TestOrigin:
         for r, p in lines(f, pairs, box):
             ends, probe_vals, stationary, unsettled = theorems._origin(p)
             for i, feasible in enumerate(r.feasible):
-                line = restrict(f, r.x[i], r.y[i], box)
+                line = restrict(f, r.x[i][None], r.y[i][None], box)
                 want = line.phi(np.concatenate([[0.0, 1.0], s, -s]))
                 want[2:][~feasible.contains_many(np.concatenate([s, -s]))] = np.nan
                 assert np.array_equal(np.concatenate([ends[i], probe_vals[i]]), want,
                                       equal_nan=True)
-                st = is_stationary(line.phi, 0.0, line.feasible, SCHED, p.stat_tol)
+                st = is_stationary(line.phi, 0.0, line.feasible[0], SCHED, p.stat_tol)
                 assert (stationary[i], unsettled[i]) == (st.stationary, not st.decisive)
                 seen.add(bool(stationary[i]))
         assert seen == ({False} if entry.id == "plane" else {True, False})
@@ -490,7 +490,7 @@ class TestAbcMatchesLoopReference:
         left = 0
         for k, (x, y) in enumerate(self.NEAR_FACE):
             x, y = np.asarray(x), np.asarray(y)
-            feasible = restrict(f, x, y, box).feasible
+            feasible, = restrict(f, x[None], y[None], box).feasible
             left += not feasible.contains_many(np.concatenate([s, -s])).all()
             got, = check_abc(f, box, lines(f, [(x, y)], box), function_id=[f"p{k}"])
             want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}")

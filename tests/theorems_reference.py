@@ -94,8 +94,8 @@ def check_abc(
         schedule = DiniSchedule()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = restrict(f, x, y, box)
-    dom_r = anchored_grid((r.feasible,), n_grid, margin)
+    r = restrict(f, x[None], y[None], box)
+    dom_r = anchored_grid(r.feasible, n_grid, margin)
     vals = r.phi(dom_r.points)
     if np.isnan(vals).any():
         return TheoremReport("Lpr1", function_id, (), (), True,
@@ -117,7 +117,7 @@ def check_abc(
     phi0 = float(r.phi(np.asarray([0.0]))[0])
     s = schedule.step_sizes()
     probes = np.concatenate([s, -s])
-    probes = probes[r.feasible.contains_many(probes)]
+    probes = probes[r.feasible[0].contains_many(probes)]
     probe_vals = r.phi(probes) if probes.size else np.asarray([])
     cands = [float(np.min(vals))]
     finite_probes = probe_vals[np.isfinite(probe_vals)] if probe_vals.size else probe_vals
@@ -125,7 +125,7 @@ def check_abc(
         cands.append(float(np.min(finite_probes)))
     b_true = phi0 <= min(cands) + 1e-12 * (1.0 + abs(phi0))
 
-    st = is_stationary(r.phi, 0.0, r.feasible, schedule, stat_tol)
+    st = is_stationary(r.phi, 0.0, r.feasible[0], schedule, stat_tol)
     c_true = st.stationary
     if not st.decisive:
         inconclusive = True
@@ -165,11 +165,11 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
                 continue
             lhs_pair = pc.outcome == "holds"
             rhs_pair = ssq.outcome == "holds"
-            line = restrict(f, r.x[i], r.y[i], box)
+            line = restrict(f, r.x[i][None], r.y[i][None], box)
             fx, fy = (float(v) for v in line.phi(np.asarray([0.0, 1.0])))
-            xy = tuple(map(float, line.x)) + tuple(map(float, line.y))
+            xy = tuple(map(float, line.x[0])) + tuple(map(float, line.y[0]))
             if rhs_pair and fy < fx - ssq.tol:
-                st = is_stationary(line.phi, 0.0, line.feasible, p.schedule, p.stat_tol)
+                st = is_stationary(line.phi, 0.0, line.feasible[0], p.schedule, p.stat_tol)
                 if not st.decisive:
                     inconclusive = True
                     continue
