@@ -109,6 +109,8 @@ class RunConfig:
             raise _ConfigError("pairs must be >= 1")
         if self.pairs > MAX_PAIRS:
             raise _ConfigError(f"pairs must be <= {MAX_PAIRS}, got {self.pairs}")
+        if self.seed < 0:
+            raise _ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.arity > 1:
             _within_budget(self.grid, self.pairs, "pairs")
         if self.arity < 1:

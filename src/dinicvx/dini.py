@@ -13,10 +13,10 @@ and evaluating only the probes the rule can read.  A probe moves
 monotonically with its step, so a row whose largest and smallest probes
 lie in the domain has every probe there, and its window is the trailing
 half of the schedule: only those probes are built, and no bound is
-compared.  :func:`lower_dini` estimates one point of a line in one
-direction, and :func:`stationarity_estimates` both directions of many
-points of a line at once, each one :func:`_probe_rows` call through
-:func:`_along`.  :func:`grid_dini_profile` estimates the grid
+compared.  :func:`stationarity_estimates` estimates both directions of
+many points of a line at once, one :func:`_probe_rows` call through
+:func:`_along`, and :func:`lower_dini` reads one point and direction of
+it.  :func:`grid_dini_profile` estimates the grid
 points of the m lines of a batch, both sides of each point on one axis:
 (m, 2, W), ``[:, 0]`` toward lower t.  A row's bits do not depend on the
 rows beside it, so a caller estimates just the entries it reads, a run of
@@ -345,22 +345,21 @@ def lower_dini(
     figure.  Probe steps that leave ``feasible`` are skipped; if none
     remain, :class:`DiniDomainError` is raised.  Undefined probe values are
     skipped as well, and the estimate is +inf only when every feasible
-    probe is undefined.
+    probe is undefined.  The estimate is the sign(u) entry of
+    :func:`stationarity_estimates` at ``t``.
     """
     if u == 0 or not np.isfinite(u):
         raise ValueError(f"direction must be finite and nonzero, got {u}")
-    x = np.asarray([t], dtype=float)
-    if not feasible.contains(x[0]):
-        raise ValueError(f"base point {x.tolist()} outside {feasible}")
-    base = float(phi(x)[0])
-    if np.isnan(base):
-        raise ValueError(f"function undefined at the base point {x.tolist()}")
-    [est] = _along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), x,
-                   np.array([np.sign(u)], dtype=float), (feasible,), np.full(1, base), schedule,
-                   np.ones(1))
-    if est.n_probes == 0:
-        raise DiniDomainError("direction leaves domain")
-    return replace(est, value=abs(float(u)) * est.unit_value)
+    if not feasible.contains(t):
+        raise ValueError(f"base point {[float(t)]} outside {feasible}")
+    [found] = stationarity_estimates(phi, [t], feasible, schedule)
+    est = found.get("+1" if u > 0 else "-1")
+    if est is not None:
+        return replace(est, value=abs(float(u)) * est.unit_value)
+    # nothing at t is an undefined base, or a domain no probe stays in either way
+    if not found and np.isnan(phi(np.asarray([t], dtype=float))[0]):
+        raise ValueError(f"function undefined at the base point {[float(t)]}")
+    raise DiniDomainError("direction leaves domain")
 
 
 def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
@@ -394,7 +393,7 @@ def stationarity_estimates(
     feasible: Interval,
     schedule: DiniSchedule | None = None,
 ) -> list[dict[str, DiniEstimate]]:
-    """The estimates of :func:`lower_dini` toward +1 and -1 at each t of
+    """The unit-direction estimates toward +1 and -1 at each t of
     ``ts``, keyed ``"+1"`` and ``"-1"``, a direction with no probe in
     ``feasible`` left out, or ``{}`` for a t outside ``feasible`` or where
     ``phi`` is undefined: both directions of every t in one

@@ -68,10 +68,10 @@ class Interval:
         return bool(self.contains_many(x))
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
+        """The :func:`extent` test every probe uses; NaN fails it."""
+        [least], [greatest] = extent((self,))
         xs = np.asarray(xs, dtype=float)
-        lo_ok = xs >= self.lo if self.lo_closed else xs > self.lo
-        hi_ok = xs <= self.hi if self.hi_closed else xs < self.hi
-        return lo_ok & hi_ok & ~np.isnan(xs)
+        return (xs >= least) & (xs <= greatest)
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("

@@ -38,7 +38,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -150,10 +150,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+# A token is (kind, text, offset); the list ends with ("end", "", len(source)).
+_Token = tuple[str, str, int]
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -168,7 +166,8 @@ def _tokenize(source: str) -> list[_Token]:
             except ValueError:
                 raise ExpressionError(f"malformed number {text!r}", pos) from None
         if kind != "space":
-            tokens.append(_Token(kind, text, pos))
+            tokens.append((kind, text, pos))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -188,43 +187,38 @@ _SIGN_POWER = 5
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source: str, arity: int) -> None:
+    def __init__(self, tokens: list[_Token], arity: int) -> None:
         self.tokens = tokens
-        self.source = source
         self.arity = arity
         self.k = 0
         self.level = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
     def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression", len(self.source))
+        tok = self.tokens[self.k]
+        if tok[0] == "end":
+            raise ExpressionError("unexpected end of expression", tok[2])
         self.k += 1
         return tok
 
     def _accept(self, kind: str, texts: str | tuple[str, ...] | None = None) -> _Token | None:
         """The next token, consumed, if it is a ``kind`` with a text in ``texts``
         (any text when ``texts`` is None); None otherwise."""
-        if self.k < len(self.tokens):
-            tok = self.tokens[self.k]
-            if tok.kind == kind and (texts is None or tok.text in texts):
-                self.k += 1
-                return tok
+        tok = self.tokens[self.k]
+        if tok[0] == kind and (texts is None or tok[1] in texts):
+            self.k += 1
+            return tok
         return None
 
     def _expect(self, kind: str) -> None:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+        found, text, pos = self._next()
+        if found != kind:
+            raise ExpressionError(f"expected {kind!r}, found {text!r}", pos)
 
     def _check(self, depth: int, tok: _Token) -> int:
         """``depth``, once ``tok`` is known to keep within MAX_DEPTH."""
         if self.level + depth > MAX_DEPTH:
             raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels",
-                                  tok.pos)
+                                  tok[2])
         return depth
 
     def _nested(self, tok: _Token, rule, *args) -> tuple[Node, int]:
@@ -237,9 +231,9 @@ class _Parser:
 
     def parse(self) -> Node:
         node, _ = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.k]
+        if kind != "end":
+            raise ExpressionError(f"unexpected token {text!r}", pos)
         return node
 
     def expr(self, floor: int = 0) -> tuple[Node, int]:
@@ -249,58 +243,58 @@ class _Parser:
             node, depth = self.atom()
         else:
             node, depth = self._nested(tok, self.expr, _SIGN_POWER)
-            node = Neg(node) if tok.text == "-" else node
-        while (tok := self._peek()) and tok.kind == "op" and _BINDING_POWERS[tok.text][0] >= floor:
+            node = Neg(node) if tok[1] == "-" else node
+        while (tok := self.tokens[self.k])[0] == "op" and _BINDING_POWERS[tok[1]][0] >= floor:
             self.k += 1
-            right = _BINDING_POWERS[tok.text][1]
-            if tok.text == "^":
+            right = _BINDING_POWERS[tok[1]][1]
+            if tok[1] == "^":
                 operand, d = self._nested(tok, self.expr, right)
                 d -= 1  # the level _nested adds is the ^ node, counted below
             else:
                 operand, d = self.expr(right)
-            node, depth = BinOp(tok.text, node, operand), self._check(1 + max(depth, d), tok)
+            node, depth = BinOp(tok[1], node, operand), self._check(1 + max(depth, d), tok)
         return node, depth
 
     def atom(self) -> tuple[Node, int]:
-        tok = self._next()
-        if tok.kind == "num":
-            return Num(float(tok.text)), 1
-        if tok.kind == "lparen":
+        tok = kind, text, pos = self._next()
+        if kind == "num":
+            return Num(float(text)), 1
+        if kind == "lparen":
             found = self._nested(tok, self.expr)
             self._expect("rparen")
             return found
-        if tok.kind == "name":
-            nxt = self._peek()
-            if tok.text == "piecewise":
-                if nxt is None or nxt.kind != "lparen":
-                    raise ExpressionError("piecewise requires an argument list", tok.pos)
+        if kind == "name":
+            called = self.tokens[self.k][0] == "lparen"
+            if text == "piecewise":
+                if not called:
+                    raise ExpressionError("piecewise requires an argument list", pos)
                 return self._nested(tok, self.piecewise, tok)
-            if nxt is not None and nxt.kind == "lparen":
+            if called:
                 return self._nested(tok, self.call, tok)
             return self.variable(tok), 1
-        raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
+        raise ExpressionError(f"unexpected token {text!r}", pos)
 
     def variable(self, tok: _Token) -> Node:
-        name = tok.text
+        _, name, pos = tok
         if name == "t":
             if self.arity != 1:
                 raise ExpressionError(
-                    f"variable 't' requires arity 1, declared arity is {self.arity}", tok.pos
+                    f"variable 't' requires arity 1, declared arity is {self.arity}", pos
                 )
             return Var(0, "t")
         if name.startswith("x") and name[1:].isdecimal():
             idx = int(name[1:])
             if idx < 1 or idx > self.arity:
                 raise ExpressionError(
-                    f"variable {name!r} out of range for arity {self.arity}", tok.pos
+                    f"variable {name!r} out of range for arity {self.arity}", pos
                 )
             return Var(idx - 1, name)
-        raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
+        raise ExpressionError(f"unknown identifier {name!r}", pos)
 
     def call(self, tok: _Token) -> tuple[Node, int]:
-        name = tok.text
+        _, name, pos = tok
         if name not in _CALLS:
-            raise ExpressionError(f"unknown function {name!r}", tok.pos)
+            raise ExpressionError(f"unknown function {name!r}", pos)
         self._expect("lparen")
         args = [self.expr()]
         while self._accept("comma"):
@@ -309,11 +303,11 @@ class _Parser:
         want = _CALLS[name][0]
         if want >= 0 and len(args) != want:
             raise ExpressionError(
-                f"{name} takes {want} argument(s), got {len(args)}", tok.pos
+                f"{name} takes {want} argument(s), got {len(args)}", pos
             )
         if want < 0 and len(args) < -want:
             raise ExpressionError(
-                f"{name} takes at least {-want} arguments, got {len(args)}", tok.pos
+                f"{name} takes at least {-want} arguments, got {len(args)}", pos
             )
         return Call(name, tuple(a for a, _ in args)), max(d for _, d in args)
 
@@ -323,24 +317,23 @@ class _Parser:
         depth = 0
         while not self._accept("name", ("else",)):
             left, d1 = self.expr()
-            cmp_tok = self._next()
-            if cmp_tok.kind != "cmp":
+            kind, cmp, pos = self._next()
+            if kind != "cmp":
                 raise ExpressionError(
-                    f"expected comparison in piecewise guard, found {cmp_tok.text!r}",
-                    cmp_tok.pos,
+                    f"expected comparison in piecewise guard, found {cmp!r}", pos
                 )
             right, d2 = self.expr()
             self._expect("colon")
             value, d3 = self.expr()
             depth = max(depth, d1, d2, d3)
-            branches.append((Guard(left, cmp_tok.text, right), value))
-            sep = self._next()
-            if sep.kind != "comma":
+            branches.append((Guard(left, cmp, right), value))
+            kind, text, pos = self._next()
+            if kind != "comma":
                 raise ExpressionError(
-                    f"expected ',' between piecewise branches, found {sep.text!r}", sep.pos
+                    f"expected ',' between piecewise branches, found {text!r}", pos
                 )
         if not branches:
-            raise ExpressionError("piecewise requires a guarded branch before else", tok.pos)
+            raise ExpressionError("piecewise requires a guarded branch before else", tok[2])
         self._expect("colon")
         otherwise, d = self.expr()
         self._expect("rparen")
@@ -357,9 +350,9 @@ def parse(source: str, arity: int = 1) -> FunctionAst:
     if arity < 1:
         raise ExpressionError(f"arity must be >= 1, got {arity}", 0)
     tokens = _tokenize(source)
-    if not tokens:
+    if len(tokens) == 1:
         raise ExpressionError("empty expression", 0)
-    root = _Parser(tokens, source, arity).parse()
+    root = _Parser(tokens, arity).parse()
     return FunctionAst(root=root, arity=arity, source=source)
 
 

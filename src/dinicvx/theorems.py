@@ -526,17 +526,24 @@ def run_battery(
     parsed = []
     for entry in entries:
         try:
-            parsed.append((entry, parse(entry.expression, entry.arity),
-                           tuple(map(parse_interval, entry.box or (entry.domain,)))))
+            fn = parse(entry.expression, entry.arity)
+            box = tuple(map(parse_interval, entry.box or (entry.domain,)))
+            f = lambda pts, fn=fn: eval_many(fn, pts)
+            # the checks the run makes on the entry's grid or pairs, made now
+            if entry.arity == 1:
+                make_grid(box[0], n_grid, margin)  # gridded again when the entry runs
+                pair_list = []
+            else:
+                pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+                             for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
+                if entry.pairs:
+                    restrict(f, *np.array(entry.pairs, dtype=float).swapaxes(0, 1), box)
         except ValueError as exc:
             raise ValueError(f"entry {entry.id!r}: {exc}") from exc
-    for entry, fn, box in parsed:
+        parsed.append((entry, f, box, pair_list))
+    for entry, f, box, pair_list in parsed:
         if entry.arity == 1:
-            p = SampledProblem(
-                lambda ts, fn=fn: eval_many(fn, ts),
-                make_grid(box[0], n_grid, margin),
-                schedule, tol, stat_tol,
-            )
+            p = SampledProblem(f, make_grid(box[0], n_grid, margin), schedule, tol, stat_tol)
             for name, want in sorted((entry.expected or {}).items()):
                 got = p.verdict(definitions[name])[0].outcome
                 want_s = "holds" if want else "fails"
@@ -549,19 +556,16 @@ def run_battery(
                 (check_t3, entry.lsc), (check_t4, entry.radially_continuous), (check_t7, True))
                 if wanted]
         else:
-            fmv = lambda pts, fn=fn: eval_many(fn, pts)
-            pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-                         for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
             lpr1: list[TheoremReport] = []  # a report per line done
 
             def batches():
                 # T6 reads each batch; when it asks for the next, Lpr1 reads
                 # this one, and then nothing holds it
-                for batch in line_problems(fmv, pair_list, box, n_grid, margin, schedule, tol,
+                for batch in line_problems(f, pair_list, box, n_grid, margin, schedule, tol,
                                            stat_tol):
                     yield batch
                     if entry.expected is not None and entry.expected.get("quasiconvex"):
-                        lpr1.extend(check_abc(fmv, box, [batch], seed=seed, function_id=[
+                        lpr1.extend(check_abc(f, box, [batch], seed=seed, function_id=[
                             f"{entry.id}#pair{len(lpr1) + k}" for k in range(len(batch[0].x))]))
 
             found = [check_t6(batches(), entry.id), *lpr1]  # T6 runs Lpr1 as it reads

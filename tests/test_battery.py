@@ -193,6 +193,35 @@ class TestManifestIO:
         assert err[0] == "error: entry 'last': unexpected end of expression (at offset 3)"
         assert len(golden_battery()) == 26 and calls == []
 
+    # (golden entry, fields of a last entry the run cannot start, message)
+    UNRUNNABLE = [
+        ("sq", {"domain": "(0,inf)"}, "cannot grid unbounded interval (0,inf)"),
+        ("bowl2", {"pairs": (((0.5, 0.5), (0.5, 0.5)),)}, "x and y must differ"),
+        ("bowl2", {"pairs": (((0.1, 0.2), (0.4, 0.2)), ((0.5, 2.0), (0.1, 0.1)))},
+         "endpoint outside the box in coordinate 2"),
+        ("bowl2", {"box": ("(-inf,inf)", "[-1,1]")},
+         "sampling pairs needs a box of finite width"),
+    ]
+
+    @pytest.mark.parametrize("base,fields,message", UNRUNNABLE,
+                             ids=["unbounded-domain", "equal-pair", "pair-outside", "wide-box"])
+    def test_an_unrunnable_last_entry_fails_before_any_entry_runs(
+            self, tmp_path, capsys, monkeypatch, base, fields, message):
+        # the grid, pair and sampling checks of every entry run before the first entry
+        path = tmp_path / "m.json"
+        bad = replace(next(e for e in golden_battery() if e.id == base), id="last", **fields)
+        write_manifest(golden_battery() + (bad,), path)
+        calls = []
+        for name in ("check_t3", "check_t6"):
+            real = getattr(theorems, name)
+            monkeypatch.setattr(theorems, name,
+                                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        assert main(["verify-theorems", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: entry 'last': {message}"
+        assert len(err) == 2 and err[1].startswith("elapsed:")
+        assert calls == []
+
     def test_manifest_without_entries(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"version": 1}')

@@ -142,6 +142,20 @@ class TestExitCodes:
         assert lines[0] == "error: dini_tol must be positive and finite, got inf"
         assert len(lines) == 2 and lines[1].startswith("elapsed:")
 
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["classify", "--function=x1", "--arity=2", "--box=[0,1]x[0,1]"],
+        ["verify-theorems", "--random=1"],
+    ])
+    def test_negative_seed_is_a_config_error(self, argv, capsys):
+        # refused with the flag's name before numpy sees it, also where no
+        # pairs are sampled (a one-variable classify)
+        code, out, err = run(argv + ["--seed=-1"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: seed must be >= 0, got -1"
+        assert len(lines) == 2 and lines[1].startswith("elapsed:")
+
     def test_bad_manifest_path(self, capsys):
         code, _, err = run(["verify-theorems", "/no/such/file.json"], capsys)
         assert code == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from dinicvx import (
     DiniDomainError,
     DiniSchedule,
+    dini,
     grid_dini_profile,
     lower_dini,
     make_grid,
@@ -110,6 +112,15 @@ class TestLowerDini:
         with pytest.raises(DiniDomainError):
             lower_dini(phi_of("t^2"), -1.0, -1.0, IV)
 
+    def test_a_point_domain_tells_its_two_faults_apart(self):
+        # no probe stays in [0,0] either way, so stationarity_estimates gives
+        # nothing at 0 for both functions; only log is undefined there
+        point = parse_interval("[0,0]")
+        with pytest.raises(DiniDomainError, match="direction leaves domain"):
+            lower_dini(phi_of("t^2"), 0.0, 1.0, point)
+        with pytest.raises(ValueError, match=r"function undefined at the base point \[0.0\]"):
+            lower_dini(phi_of("log(t)"), 0.0, 1.0, point)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             DiniSchedule(t0=-1.0)
@@ -147,6 +158,75 @@ class TestLowerDini:
         e1 = lower_dini(phi, float(x), 1.0, IV)
         es = lower_dini(phi, float(x), float(scale), IV)
         assert es.value == pytest.approx(scale * e1.value, rel=1e-9, abs=1e-12)
+
+
+def seed_lower_dini(phi, t, u, feasible, schedule=None):
+    """``lower_dini`` as a path of its own: its checks, a base value, and
+    one kernel row through ``dini._along``."""
+    if u == 0 or not np.isfinite(u):
+        raise ValueError(f"direction must be finite and nonzero, got {u}")
+    x = np.asarray([t], dtype=float)
+    if not feasible.contains(x[0]):
+        raise ValueError(f"base point {x.tolist()} outside {feasible}")
+    base = float(phi(x)[0])
+    if np.isnan(base):
+        raise ValueError(f"function undefined at the base point {x.tolist()}")
+    [est] = dini._along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), x,
+                        np.array([np.sign(u)], dtype=float), (feasible,), np.full(1, base),
+                        schedule, np.ones(1))
+    if est.n_probes == 0:
+        raise DiniDomainError("direction leaves domain")
+    return replace(est, value=abs(float(u)) * est.unit_value)
+
+
+def bits(est):
+    """An estimate's fields, each float as its bytes."""
+    return tuple(np.asarray(v, dtype=float).tobytes() if isinstance(v, (float, tuple)) else v
+                 for v in astuple(est))
+
+
+def outcome(call):
+    """The bits of ``call()``'s estimate, or the type and text of its error."""
+    try:
+        return bits(call())
+    except ValueError as exc:  # DiniDomainError included
+        return type(exc), str(exc)
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0),
+          math.nextafter(-1.0, 0.0), math.nan, math.inf, -math.inf]
+
+
+class TestOnePath:
+    """``lower_dini`` is one entry of ``stationarity_estimates``."""
+
+    @given(
+        st.sampled_from(["t^2", "abs(t)", "sqrt(t)", "log(t)", "1/t", "t^3 - t", "exp(1000*t)",
+                         "piecewise(t < 0: 1, else: t)", "piecewise(t < 0.5: 0, else: 1)",
+                         "piecewise(t < 0: 0/0, else: -t)"]),
+        st.sampled_from(["[-1,1]", "(0,1]", "[0,1)", "(-1,0)", "[0,0]", "(-inf,inf)", "(0,inf)"]),
+        st.sampled_from(_EDGES) | st.floats(-2.0, 2.0),
+        st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300]) | st.floats(-5, 5),
+        st.sampled_from([None, PINNED, DiniSchedule(steps=2),
+                         DiniSchedule(t0=0.5, ratio=0.9, steps=28)]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_lower_dini_is_an_entry_of_stationarity_estimates(self, source, domain, t, u,
+                                                               schedule):
+        phi, iv = phi_of(source), parse_interval(domain)
+        got = outcome(lambda: lower_dini(phi, t, u, iv, schedule))
+        # bit for bit, errors included, what one kernel row of its own gave
+        assert got == outcome(lambda: seed_lower_dini(phi, t, u, iv, schedule))
+        if u == 0 or not math.isfinite(u) or not iv.contains(t):
+            return
+        [found] = stationarity_estimates(phi, [t], iv, schedule)
+        est = found.get("+1" if u > 0 else "-1")
+        if est is None:
+            # an empty result at t is an undefined base, or a domain no probe
+            # stays in either way, as [0,0] is
+            assert got[0] is DiniDomainError or not found
+        else:
+            assert got == bits(replace(est, value=abs(u) * est.unit_value))
 
 
 def is_stationary(phi, t, feasible, stat_tol=1e-7):

@@ -35,6 +35,30 @@ class TestInterval:
         got = iv.contains_many(np.asarray([-0.1, 0.0, 0.5, 1.0, np.nan]))
         assert got.tolist() == [False, True, True, False, False]
 
+    def test_contains_many_is_the_open_closed_test(self):
+        # contains_many is the extent test every probe uses; it must agree
+        # with comparing against each end, strictly where the end is open
+        inf = float("inf")
+        ends = [-inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, inf]
+        checked = 0
+        for lo in ends:
+            for hi in ends:
+                for lo_c in (False, True):
+                    for hi_c in (False, True):
+                        try:
+                            iv = Interval(lo, hi, lo_c, hi_c)
+                        except ValueError:
+                            continue
+                        near = [np.nextafter(e, d) for e in (lo, hi) for d in (-inf, inf)]
+                        xs = np.array(ends + near + [np.nan, -0.0, 0.0, 0.5])
+                        lo_ok = xs >= lo if lo_c else xs > lo
+                        hi_ok = xs <= hi if hi_c else xs < hi
+                        want = lo_ok & hi_ok & ~np.isnan(xs)
+                        assert iv.contains_many(xs).tolist() == want.tolist(), iv
+                        assert [iv.contains(x) for x in xs] == want.tolist(), iv
+                        checked += 1
+        assert checked > 150
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)

@@ -1,6 +1,8 @@
 """Every one-variable ``classify`` report of the CLI snapshot checks against
 its expression (``report_check``), and the checker catches a witness moved
-one grid point, two values swapped and a range boundary moved by one.
+one grid point, two values swapped, a range boundary moved by one, a
+verdict's ``tol`` halved, a witness whose inequality no longer holds and a
+Dini estimate one ulp off.
 
 The ``classify-1d/cube/text`` case is left out: it renders the report of
 ``classify-1d/cube/grid257`` as text.
@@ -33,8 +35,8 @@ def classify(argv: list[str]) -> tuple[int, str]:
 
 
 def test_every_one_variable_report_of_the_snapshot_checks():
-    # the 20 one-variable golden functions at 257 and 16385 points; under
-    # a second on a 2-core VM
+    # the 20 one-variable golden functions at 257 and 16385 points; about a
+    # second on a 2-core VM, reference Dini estimates included
     recorded = json.loads(snapshot.SNAPSHOT.read_text())
     assert len(CASES) == 40
     start = time.monotonic()
@@ -89,3 +91,46 @@ def test_a_range_boundary_moved_by_one_fails(name, end):
 
     assert any("decomposition" in problem
                for problem in mutated("classify-1d/sq/grid257", shift))
+
+
+def verdict_of(report: dict, check: str) -> dict:
+    return report["checks"][check]["methods"]["definitional"]
+
+
+@pytest.mark.parametrize("label", ["classify-1d/cube/grid257", "classify-1d/w-shape/grid16385"])
+def test_a_halved_tol_fails(label):
+    def halve(report):
+        verdict_of(report, "quasiconvex")["tol"] /= 2
+
+    assert any("is not the band" in problem for problem in mutated(label, halve))
+
+
+@pytest.mark.parametrize("check,kind", [("quasiconvex", "interior_peak"),
+                                        ("semistrict-quasiconvex", "non_descending_interior"),
+                                        ("pseudoconvex", "no_descent")])
+def test_a_tol_no_gap_clears_fails_the_witnesses(check, kind):
+    def widen(report):
+        verdict = verdict_of(report, check)
+        assert verdict["witnesses"] and verdict["witnesses"][0]["kind"] == kind
+        verdict["tol"] = 1e6
+
+    problems = mutated("classify-1d/neg-sq/grid257", widen)
+    assert f"{check}/definitional/witness0: the {kind} inequality fails" in problems
+
+
+def test_a_no_descent_estimate_below_a_narrowed_stat_tol_fails():
+    # t^3's estimate at 0 toward -1 is rounding noise, -1.3e-13, above -1e-7
+    def narrow(report):
+        verdict_of(report, "pseudoconvex")["stat_tol"] = 1e-20
+
+    problems = mutated("classify-1d/cube/grid257", narrow)
+    assert "pseudoconvex/definitional/witness0: the no_descent inequality fails" in problems
+
+
+def test_a_dini_estimate_one_ulp_off_fails():
+    def nudge(report):
+        est = verdict_of(report, "pseudoconvex")["witnesses"][0]["dini"]["minus"]
+        est["unit_value"] = float(np.nextafter(est["unit_value"], 0.0))
+
+    problems = mutated("classify-1d/cube/grid257", nudge)
+    assert any("dini -1 unit_value" in problem for problem in problems)
