@@ -324,6 +324,15 @@ class Property:
     method: str
     characterization: Callable[[SampledProblem], tuple[Verdict, ...]]
 
+    def verdicts(self, p: SampledProblem, method: str = "both") -> dict[str, tuple[Verdict, ...]]:
+        """The kept verdicts on ``p`` of each method ``method`` asks for, by name."""
+        out = {}
+        if method != "structural":
+            out["definitional"] = p.verdict(self.definition)
+        if method != "definitional":
+            out[self.method] = p.verdict(self.characterization)
+        return out
+
 
 def properties() -> tuple[Property, ...]:
     """The four properties, in the order of :data:`~dinicvx.battery.LABELS`.

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .battery import golden_battery, load_manifest, random_battery
-from .charact import Property, decompose, martos_segments, properties
+from .charact import decompose, martos_segments, properties
 from .dini import DiniSchedule, lower_dini, stationarity_estimates
 from .domain import Interval, make_grid, parse_interval
 from .expr import ExpressionError, eval_many, parse
@@ -94,6 +94,8 @@ class RunConfig:
             raise _ConfigError(f"grid must be >= 8, got {self.grid}")
         if self.grid > MAX_GRID:
             raise _ConfigError(f"grid must be <= {MAX_GRID}, got {self.grid}")
+        if not self.margin > 0:
+            raise _ConfigError(f"margin must be positive, got {self.margin}")
         if self.schedule.steps > MAX_DINI_STEPS:
             raise _ConfigError(
                 f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.schedule.steps}")
@@ -237,16 +239,6 @@ def _config_json(cfg: RunConfig) -> dict:
 # classification plumbing
 
 
-def _run_methods(prop: Property, method: str, p: SampledProblem) -> dict[str, tuple[Verdict, ...]]:
-    """The verdicts on ``prop`` of the methods ``method`` asks for, by name."""
-    out: dict[str, tuple[Verdict, ...]] = {}
-    if method != "structural":
-        out["definitional"] = prop.definition(p)
-    if method != "definitional":
-        out[prop.method] = prop.characterization(p)
-    return out
-
-
 def _merge_outcomes(outcomes: list[str]) -> str:
     """The first of 'fails' and 'inconclusive' among ``outcomes``, else 'holds'."""
     return next((o for o in ("fails", "inconclusive") if o in outcomes), "holds")
@@ -274,7 +266,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     restrictions = []
     by_check = {prop.check: prop for prop in properties()}
     for r, p in batches:
-        found = {check: _run_methods(by_check[check], cfg.method, p) for check in cfg.checks}
+        found = {check: by_check[check].verdicts(p, cfg.method) for check in cfg.checks}
         for check, by_name in found.items():
             for name, verdicts in by_name.items():
                 per_line[check].setdefault(name, []).extend(v.outcome for v in verdicts)

@@ -353,13 +353,11 @@ def lower_dini(
     if not feasible.contains(t):
         raise ValueError(f"base point {[float(t)]} outside {feasible}")
     [found] = stationarity_estimates(phi, [t], feasible, schedule)
-    est = found.get("+1" if u > 0 else "-1")
-    if est is not None:
-        return replace(est, value=abs(float(u)) * est.unit_value)
-    # nothing at t is an undefined base, or a domain no probe stays in either way
-    if not found and np.isnan(phi(np.asarray([t], dtype=float))[0]):
+    if found is None:
         raise ValueError(f"function undefined at the base point {[float(t)]}")
-    raise DiniDomainError("direction leaves domain")
+    if (est := found.get("+1" if u > 0 else "-1")) is None:
+        raise DiniDomainError("direction leaves domain")
+    return replace(est, value=abs(float(u)) * est.unit_value)
 
 
 def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
@@ -392,12 +390,12 @@ def stationarity_estimates(
     ts: list[float],
     feasible: Interval,
     schedule: DiniSchedule | None = None,
-) -> list[dict[str, DiniEstimate]]:
+) -> list[dict[str, DiniEstimate] | None]:
     """The unit-direction estimates toward +1 and -1 at each t of
     ``ts``, keyed ``"+1"`` and ``"-1"``, a direction with no probe in
-    ``feasible`` left out, or ``{}`` for a t outside ``feasible`` or where
-    ``phi`` is undefined: both directions of every t in one
-    :func:`_probe_rows` call, with a base per row."""
+    ``feasible`` left out, or None for a t with no base: outside
+    ``feasible``, or where ``phi`` is undefined.  Both directions of every
+    t are one :func:`_probe_rows` call, with a base per row."""
     ts = np.asarray(ts, dtype=float)
     ok = np.flatnonzero(feasible.contains_many(ts))
     base = phi(ts[ok]) if ok.size else np.empty(0)
@@ -405,7 +403,7 @@ def stationarity_estimates(
     found = _along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), np.repeat(ts[ok], 2),
                    np.tile([1.0, -1.0], ok.size), (feasible,), base, schedule,
                    np.ones(base.shape)) if ok.size else []
-    out: list[dict[str, DiniEstimate]] = [{} for _ in ts]
+    out: list[dict[str, DiniEstimate] | None] = [None] * len(ts)
     for i, pair in zip(ok, zip(found[::2], found[1::2])):
         out[i] = {label: est for label, est in zip(("+1", "-1"), pair) if est.n_probes}
     return out

@@ -321,7 +321,8 @@ def check_t6(
     origins: list[Witness] = []
     for r, p in batches:
         ends, _, stationary, unsettled = p.verdict(_origin)
-        for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
+        for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
+                                          p.verdict(semistrictly_quasiconvex_def))):
             k = len(premises)
             premises.append(pc)
             conclusions.append(ssq)

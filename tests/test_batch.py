@@ -11,6 +11,7 @@ batch or kernel block grows past its bound.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -158,6 +159,25 @@ def test_a_multivariate_run_makes_few_profile_and_evaluation_calls(monkeypatch):
     # made 24 and 72; with blocks sized for both sides of every column, and
     # with windows of one kernel block's rows, 1 and 14.
     assert calls == {"grid_dini_profile": 1, "eval_many": 5}
+
+
+GOLDEN_2D = [e for e in golden_battery() if e.arity == 2]
+
+
+# 24 lines of 257 points are one batch; of 1025 points, four batches of 7 lines or fewer
+@pytest.mark.parametrize("grid,batches", [(257, 1), (1025, 4)])
+@pytest.mark.parametrize("entry", GOLDEN_2D, ids=[e.id for e in GOLDEN_2D])
+def test_classify_asks_each_classifier_once_per_batch(monkeypatch, entry, grid, batches):
+    calls = Counter()
+    for name, _ in VERDICTS[:8]:
+        real = getattr(charact, name)
+        monkeypatch.setattr(charact, name,
+                            lambda p, real=real, name=name: calls.update([(name, p)]) or real(p))
+    classify(["classify", f"--function={entry.expression}", "--arity", "2",
+              "--box", "x".join(entry.box), "--pairs", "24", "--grid", str(grid)])
+    assert {name for name, _ in calls} == {name for name, _ in VERDICTS[:8]}
+    assert len({p for _, p in calls}) == batches
+    assert list(calls.values()) == [1] * 8 * batches
 
 
 def test_a_one_variable_run_makes_few_evaluation_calls(monkeypatch):

@@ -13,6 +13,7 @@ from dinicvx import (
     strictly_pseudoconvex_char,
     strictly_pseudoconvex_def,
 )
+from dinicvx.charact import properties
 
 from conftest import grid_for, phi_of
 
@@ -240,3 +241,14 @@ class TestCharVerdicts:
     def test_ramp_on_closed_interval_strict(self):
         v = strictly_pseudoconvex_char(SampledProblem(phi_of("t"), grid_for("[0,1]")))[0]
         assert v.outcome == "holds"
+
+
+def test_a_property_gives_the_kept_verdicts_of_the_methods_asked_for():
+    p = SampledProblem(phi_of("t^3"), grid_for("[-1,1]"))
+    for prop in properties():
+        both = prop.verdicts(p)
+        assert list(both) == ["definitional", prop.method]
+        assert both["definitional"] is p.verdict(prop.definition)
+        assert both[prop.method] is p.verdict(prop.characterization)
+        assert prop.verdicts(p, "definitional") == {"definitional": both["definitional"]}
+        assert prop.verdicts(p, "structural") == {prop.method: both[prop.method]}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import dinicvx
 import report_reference
-from dinicvx import cli, dini, golden_battery, write_manifest
+from dinicvx import charact, cli, dini, golden_battery, write_manifest
 from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
 from dinicvx.oracle import Verdict, Witness
@@ -165,6 +166,48 @@ class TestExitCodes:
                             "--at", "0.5", "--dir", "1"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["estimate"]["converged"] is True
+
+
+class TestSplitLine:
+    """One line of a multivariate run where the two methods split.
+
+    A spy flips the characterization's verdict on line 0 of the first batch
+    to ``holds``, with no witnesses; the definition fails on every line of
+    the concave bowl."""
+
+    ARGV = ["classify", "--function=-x1^2-x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]",
+            "--check", "pseudoconvex"]
+
+    def run_split(self, monkeypatch, capsys):
+        real, flipped = charact.pseudoconvex_char, []
+
+        def spy(p):
+            verdicts = real(p)
+            if flipped:
+                return verdicts
+            flipped.append(p)
+            return (replace(verdicts[0], outcome="holds", witnesses=()), *verdicts[1:])
+
+        monkeypatch.setattr(charact, "pseudoconvex_char", spy)
+        code, out, err = run(self.ARGV, capsys)
+        return code, json.loads(out), err
+
+    def test_the_spy_splits_pair_0_alone(self, monkeypatch, capsys):
+        _, report, _ = self.run_split(monkeypatch, capsys)
+        sides = [pair["checks"]["pseudoconvex"] for pair in report["pairs"]]
+        assert sides[0] == {"definitional": "fails", "characterization": "holds"}
+        assert all(side == {"definitional": "fails", "characterization": "fails"}
+                   for side in sides[1:])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "item 15: the methods are compared after each one's outcomes are merged over "
+        "the lines, so a split on one line stays hidden"))
+    def test_a_split_line_is_a_disagreement(self, monkeypatch, capsys):
+        code, report, err = self.run_split(monkeypatch, capsys)
+        assert report["checks"]["pseudoconvex"]["agree"] is False
+        assert code == EXIT_DISAGREE
+        assert any(line.startswith("disagreement on pseudoconvex") and "pair 0" in line
+                   for line in err.splitlines())
 
 
 class TestClassifyReport:
@@ -540,6 +583,14 @@ class TestHostileInput:
             ["classify", "--function=t^2", "--domain=(-1,1)", "--margin", "nan"],
             capsys)
         assert "margin" in message
+
+    @pytest.mark.parametrize("margin", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("cmd", [["classify", "--function=t^2", "--domain=(-1,1)"],
+                                     ["verify-theorems"]])
+    def test_a_bad_margin_is_refused_before_any_entry(self, cmd, margin, capsys):
+        # the flag applies to every entry of a battery, so no entry is named
+        message = self.assert_config_error(cmd + [f"--margin={margin}"], capsys)
+        assert message == f"error: margin must be positive, got {float(margin)}"
 
     def test_infinite_width_domain(self, capsys):
         message = self.assert_config_error(

@@ -113,13 +113,19 @@ class TestLowerDini:
             lower_dini(phi_of("t^2"), -1.0, -1.0, IV)
 
     def test_a_point_domain_tells_its_two_faults_apart(self):
-        # no probe stays in [0,0] either way, so stationarity_estimates gives
-        # nothing at 0 for both functions; only log is undefined there
+        # no probe stays in [0,0] either way; only log is undefined at 0, and
+        # stationarity_estimates tells the two apart with no further phi call:
+        # t^2 is its base and the probes of both ways, log its base alone
         point = parse_interval("[0,0]")
-        with pytest.raises(DiniDomainError, match="direction leaves domain"):
-            lower_dini(phi_of("t^2"), 0.0, 1.0, point)
-        with pytest.raises(ValueError, match=r"function undefined at the base point \[0.0\]"):
-            lower_dini(phi_of("log(t)"), 0.0, 1.0, point)
+        for source, fault, text, sizes in (
+                ("t^2", DiniDomainError, "direction leaves domain", [1, 40]),
+                ("log(t)", ValueError, r"function undefined at the base point \[0.0\]", [1])):
+            calls, phi = [], phi_of(source)
+            with pytest.raises(fault, match=text):
+                lower_dini(lambda ts: calls.append(np.size(ts)) or phi(ts), 0.0, 1.0, point)
+            assert calls == sizes, source
+        assert stationarity_estimates(phi_of("log(t)"), [0.0, 2.0], point) == [None, None]
+        assert stationarity_estimates(phi_of("t^2"), [0.0], point) == [{}]
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -220,11 +226,12 @@ class TestOnePath:
         if u == 0 or not math.isfinite(u) or not iv.contains(t):
             return
         [found] = stationarity_estimates(phi, [t], iv, schedule)
+        if found is None:  # an undefined base
+            assert got[0] is ValueError
+            return
         est = found.get("+1" if u > 0 else "-1")
-        if est is None:
-            # an empty result at t is an undefined base, or a domain no probe
-            # stays in either way, as [0,0] is
-            assert got[0] is DiniDomainError or not found
+        if est is None:  # no probe stays in the domain that way, as in [0,0]
+            assert got[0] is DiniDomainError
         else:
             assert got == bits(replace(est, value=abs(u) * est.unit_value))
 

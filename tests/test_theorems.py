@@ -398,6 +398,18 @@ class TestVerdictPerProblem:
         assert {name for name, _ in calls} == set(DEF_ORACLES)
         assert max(calls.values()) == 1
 
+    def test_t6_keeps_its_verdicts_on_each_batch(self, monkeypatch):
+        # a later reader of the same batch finds the premise decided
+        calls = Counter()
+        real = theorems.pseudoconvex_def
+        monkeypatch.setattr(theorems, "pseudoconvex_def",
+                            lambda p: calls.update([p]) or real(p))
+        batches = lines(phi_of("x1^2 + x2^2", 2), sample_pairs(BOX, 40, 0))
+        assert len(batches) == 2 and check_t6(batches).implication_holds
+        for _, p in batches:
+            p.verdict(theorems.pseudoconvex_def)
+        assert list(calls.values()) == [1, 1]
+
     def test_kept_verdicts_match_recomputed_ones(self, monkeypatch):
         entries = golden_battery() + random_battery(40)
         kept = repr(run_battery(entries))
