@@ -147,23 +147,10 @@ def decompose(p: SampledProblem) -> tuple[MonotoneDecomposition, ...]:
     return tuple(split(i) for i in range(vals.shape[0]))
 
 
-def _stationary(p: SampledProblem, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(violations, blocked): (m, W) masks of the grid points of each line i
-    outside its band ``hat[i, 0] <= k < hat[i, 1]`` with no descending
-    direction, blocked where that call rests on an unconverged estimate.
-    One settle serves all the lines."""
-    idx = np.arange(p.dom.points.shape[1])
-    outside = p._valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:]))
-    p.settle(outside)
-    still = ~p.profile.descent(p.stat_tol).any(axis=1) & outside
-    unconv = p.profile.unconverged().any(axis=1)
-    return still & ~unconv, still & unconv
-
-
 def _stationarity_scan(p: SampledProblem, line: int, found: tuple[np.ndarray, np.ndarray],
                        ) -> tuple[list[Witness], list[Witness]]:
-    """The first (violations, blocked) witnesses of :func:`_stationary` on
-    ``line``, from its masks ``found``."""
+    """The first (violations, blocked) witnesses of ``line``, from ``found``:
+    :meth:`SampledProblem.stationary` outside the minimum bands."""
     violations, blocked = found
     return [
         _witness(p, "stationary_outside_min", (k,), (
@@ -178,10 +165,10 @@ def _stationarity_scan(p: SampledProblem, line: int, found: tuple[np.ndarray, np
 
 
 def _char_verdict(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
-    decs = p.verdict(decompose)
+    decs, idx = p.verdict(decompose), np.arange(p.dom.points.shape[1])
     # only the lines whose decomposition holds are scanned
-    found = _stationary(p, np.array([dec.i_hat if dec.ok else (0, p.dom.points.shape[1])
-                                     for dec in decs]))
+    hat = np.array([dec.i_hat if dec.ok else (0, idx.size) for dec in decs])
+    found = p.stationary(p._valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:])))
     flat = [strict and dec.pattern == "valley" and dec.band_size() > 2 for dec in decs]
 
     def witnesses(i: int) -> tuple[Witness, ...]:
@@ -235,6 +222,11 @@ class SegmentSplit:
     witnesses: tuple[Witness, ...] = ()
 
 
+def _run_length(mask: np.ndarray) -> np.ndarray:
+    """The length of the leading run of True in each row of ``mask``."""
+    return np.logical_and.accumulate(mask, axis=1).sum(axis=1)
+
+
 def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:
     """Split grid values into strict decrease, a constant run, strict increase.
 
@@ -247,12 +239,8 @@ def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:
     """
     deltas, band = p._deltas, p.band[:, None]
     j = np.arange(deltas.shape[1])
-    # a run's length is the index of its first miss (argmin finds the
-    # appended False when there is none)
-    stop = np.zeros((deltas.shape[0], 1), dtype=bool)
-    a = np.argmin(np.hstack((deltas < -band, stop)), axis=1)
-    flat = (np.abs(deltas) <= band) | (j < a[:, None])
-    b = np.argmin(np.hstack((flat, stop)), axis=1)
+    a = _run_length(deltas < -band)
+    b = _run_length((np.abs(deltas) <= band) | (j < a[:, None]))
     late = ~(deltas > band) & (j >= b[:, None])
     valid = ~late.any(axis=1)
 
@@ -282,10 +270,8 @@ def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
     rises = (deltas > band) & p._valid[:, 1:]
     drops = deltas < -band
     any_rise, any_drop = rises.any(axis=1), drops.any(axis=1)
-    # a False column past the end keeps argmax defined on a one-point grid
-    stop = np.zeros((deltas.shape[0], 1), dtype=bool)
-    first_rise = np.argmax(np.hstack((rises, stop)), axis=1)
-    last_drop = deltas.shape[1] - 1 - np.argmax(np.hstack((drops[:, ::-1], stop)), axis=1)
+    first_rise = _run_length(~rises)
+    last_drop = deltas.shape[1] - 1 - _run_length(~drops[:, ::-1])
     fails = any_rise & any_drop & (first_rise < last_drop)
     shape = {(False, False): "constant", (False, True): "weakly_decreasing",
              (True, False): "weakly_increasing", (True, True): "valley"}

@@ -22,6 +22,9 @@ points of the m lines of a batch, both sides of each point on one axis:
 rows beside it, so a caller estimates just the entries it reads, a run of
 columns at a time, and can stop after any run.
 
+:func:`stationary` is the one stationarity rule, which the characterization,
+T4, T6's origin test and Lpr1 read.
+
 A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
 holding a row near an end of the domain, or an undefined value, keeps the
@@ -51,6 +54,7 @@ __all__ = [
     "DiniDomainError",
     "lower_dini",
     "stationarity_estimates",
+    "stationary",
     "GridDiniProfile",
     "grid_dini_profile",
 ]
@@ -335,7 +339,7 @@ def lower_dini(
     t: float,
     u: float,
     feasible: Interval,
-    schedule: DiniSchedule | None = None,
+    schedule: DiniSchedule = DiniSchedule(),
 ) -> DiniEstimate:
     """Estimate the lower Dini derivative of ``phi`` at ``t`` toward ``u``.
 
@@ -360,10 +364,9 @@ def lower_dini(
     return replace(est, value=abs(float(u)) * est.unit_value)
 
 
-def _along(f, x, u, box, base, schedule, norms) -> list[DiniEstimate]:
+def _along(f, x, u, box, base, schedule: DiniSchedule, norms) -> list[DiniEstimate]:
     """The rows of :func:`_probe_rows` in ``box`` as estimates, directions
     of length ``norms``."""
-    schedule = schedule or DiniSchedule()
     least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
     return [
         DiniEstimate(float(norm * v), float(v), tuple(tr[row].tolist()), bool(c), int(k),
@@ -389,7 +392,7 @@ def stationarity_estimates(
     phi: Callable[[np.ndarray], np.ndarray],
     ts: list[float],
     feasible: Interval,
-    schedule: DiniSchedule | None = None,
+    schedule: DiniSchedule = DiniSchedule(),
 ) -> list[dict[str, DiniEstimate] | None]:
     """The unit-direction estimates toward +1 and -1 at each t of
     ``ts``, keyed ``"+1"`` and ``"-1"``, a direction with no probe in
@@ -407,6 +410,16 @@ def stationarity_estimates(
     for i, pair in zip(ok, zip(found[::2], found[1::2])):
         out[i] = {label: est for label, est in zip(("+1", "-1"), pair) if est.n_probes}
     return out
+
+
+def stationary(value, converged, feasible, stat_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(stationary, unsettled) of each point, its unit-direction estimates on
+    the last axis.  Both mean that no feasible direction descends beyond
+    ``stat_tol``: stationary when every feasible estimate converged (so also
+    when no direction is feasible), unsettled when some did not."""
+    still = ~(feasible & (value < -stat_tol)).any(axis=-1)
+    unconverged = (feasible & ~converged).any(axis=-1)
+    return still & ~unconverged, still & unconverged
 
 
 @dataclass(frozen=True)
@@ -469,7 +482,7 @@ def grid_dini_profile(
     phi: Callable[[np.ndarray], np.ndarray],
     dom: LineGrids,
     values: np.ndarray,
-    schedule: DiniSchedule | None = None,
+    schedule: DiniSchedule = DiniSchedule(),
     mask: np.ndarray | None = None,
     out: GridDiniProfile | None = None,
     until: Callable[[slice], bool] | None = None,
@@ -495,7 +508,6 @@ def grid_dini_profile(
     one ``phi`` call each.  After each block, or a window that leaves none,
     a true ``until(columns)`` ends the scan, unless the columns end the grid.
     """
-    schedule = schedule or DiniSchedule()
     m, w = dom.points.shape
     vals = np.reshape(values, -1)
     s, cut = schedule.step_sizes(), schedule.steps // 2

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dini import DiniSchedule, GridDiniProfile, grid_dini_profile
+from .dini import DiniSchedule, GridDiniProfile, grid_dini_profile, stationary
 from .domain import LineGrids
 
 __all__ = [
@@ -126,7 +126,7 @@ class SampledProblem:
 
     phi: Callable[[np.ndarray], np.ndarray]
     dom: LineGrids
-    schedule: DiniSchedule | None = None
+    schedule: DiniSchedule = DiniSchedule()
     tol: float | None = None
     stat_tol: float = 1e-7
 
@@ -197,22 +197,24 @@ class SampledProblem:
                               out=self.profile, until=until, stat_tol=self.stat_tol)
         return self.profile
 
-    def settle(self, rows: np.ndarray) -> GridDiniProfile:
-        """The profile with each row in the (m, W) mask ``rows`` settled: an
-        estimated direction descends beyond ``stat_tol``, or both are.  A row
+    def stationary(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stationary, unsettled): (m, W) masks of :func:`~dinicvx.dini.stationary`
+        over the two sides of each grid point in the mask ``rows``.  A point
         asks for the direction toward the first grid minimizer, and for the
-        other once that one fails to descend; a row at the minimum level asks
-        for both.  Each of the two rounds is one estimate for all the lines."""
+        other once that one fails to descend; a point at the minimum level
+        asks for both.  Each of the two rounds is one estimate for all lines."""
         prof, v = self.profile, self.values
-        if rows.any():
-            toward = np.arange(v.shape[1]) > np.argmin(v, axis=1)[:, None]  # minus faces it
-            level = v <= (np.min(v, axis=1) + self.band)[:, None]
-            first = np.stack((toward, ~toward), axis=1) | level[:, None]
-            for _ in range(2):
-                open_ = rows & ~prof.descent(self.stat_tol).any(axis=1)
-                # a side comes second once the other side of its row is estimated
-                self.estimate(open_[:, None] & (first | prof.estimated[:, ::-1]))
-        return self.profile
+        if not rows.any():
+            return rows, rows
+        toward = np.arange(v.shape[1]) > np.argmin(v, axis=1)[:, None]  # minus faces it
+        level = v <= (np.min(v, axis=1) + self.band)[:, None]
+        first = np.stack((toward, ~toward), axis=1) | level[:, None]
+        sides = [a.swapaxes(1, 2) for a in (prof.value, prof.converged, prof.feasible)]
+        for k in range(3):
+            found = [f & rows for f in stationary(*sides, self.stat_tol)]
+            if k < 2:  # a side comes second once the other side of its point is estimated
+                self.estimate((found[0] | found[1])[:, None] & (first | prof.estimated[:, ::-1]))
+        return found[0], found[1]
 
     @cached_property
     def _verdicts(self) -> dict[Callable[[SampledProblem], tuple], tuple]:

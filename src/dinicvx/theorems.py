@@ -12,6 +12,8 @@ it compares only 1-D entries' labels with the definitional oracles, and T6
 and then Lpr1 read each line batch of a 2-D entry before the next is made.
 A line's values at t = 0 and 1 and whether t=0 is stationary on it (T6's
 origin test, Lpr1's C) are one evaluation per batch, :func:`_origin`.
+Every stationarity call here, T4's, the origin test and Lpr1's A, is
+:func:`~dinicvx.dini.stationary`, the rule the characterization reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .battery import BatteryEntry
 from .charact import properties
-from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit, stationary
 from .domain import (
     Interval,
     LineRestriction,
@@ -146,19 +148,19 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
 def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     """Pseudoconvex iff quasiconvex with every stationary point a minimizer.
 
-    Only meaningful for radially continuous functions (battery metadata).
+    Only the grid points above the minimum level, which alone can refute the
+    right side, are asked about, by :meth:`SampledProblem.stationary`.  Only
+    meaningful for radially continuous functions (battery metadata).
     """
     lhs = p.verdict(pseudoconvex_def)[0]
     qc = p.verdict(quasiconvex_def)[0]
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True, notes="a side is inconclusive")
-    vals, profile = p.values[0], p.settle(p._valid)
-    stationary = ~profile.descent(p.stat_tol)[0].any(axis=0) & profile.feasible[0].any(axis=0)
-    above_min = vals > float(np.min(vals)) + p.band[0]
-    offenders = np.flatnonzero(stationary & above_min)
-    unconverged = stationary & profile.unconverged()[0].any(axis=0)
-    if unconverged.any():
+    vals = p.values[0]
+    found, unsettled = p.stationary((vals > float(np.min(vals)) + p.band[0])[None])
+    offenders = np.flatnonzero(found[0])
+    if unsettled.any():
         return TheoremReport("T4", function_id, (lhs,), (qc,), True,
                              inconclusive=True,
                              notes="stationarity rests on unconverged estimates")
@@ -254,7 +256,7 @@ def line_problems(
     box: tuple[Interval, ...],
     n_grid: int,
     margin: float,
-    schedule: DiniSchedule | None,
+    schedule: DiniSchedule,
     tol: float | None,
     stat_tol: float,
 ) -> Iterator[tuple[LineRestriction, SampledProblem]]:
@@ -275,17 +277,15 @@ def line_problems(
 def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ends of each line of a batch, and whether t=0 is stationary on it.
 
-    Returns (ends, probe_vals, stationary, open): f(x) and f(y), the values
-    at t = 0 and 1, (m, 2); the values at the in-domain probes ``s`` then
-    ``-s`` of the batch's schedule (the estimator default when None), NaN at
-    the others, (m, 2 steps); whether no feasible side descends beyond
-    ``stat_tol``; and whether a stationary line rests on an unconverged
-    estimate.  The values are one ``phi`` call; one whole-row kernel call
-    takes the probes as a (steps x 2m) block, a column toward +s and one
-    toward -s per line.  T6 and Lpr1 read it through ``p.verdict``.
+    Returns (ends, probe_vals, stationary, unsettled): f(x) and f(y), the
+    values at t = 0 and 1, (m, 2); the values at the in-domain probes ``s``
+    then ``-s`` of the batch's schedule, NaN at the others, (m, 2 steps);
+    and :func:`~dinicvx.dini.stationary` over the two sides of t=0, with the
+    batch's ``stat_tol``.  The values are one ``phi`` call; one whole-row
+    kernel call takes the probes as a (steps x 2m) block, a column toward +s
+    and one toward -s per line.  T6 and Lpr1 read it through ``p.verdict``.
     """
-    schedule = p.schedule or DiniSchedule()
-    s, steps = schedule.step_sizes(), schedule.steps
+    s, steps = p.schedule.step_sizes(), p.schedule.steps
     probes = np.concatenate([s, -s])
     m = len(p.dom.interval)
     lo, hi = extent(p.dom.interval)
@@ -294,11 +294,9 @@ def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     ends, probe_vals = near[:, :2], near[:, 2:]
     value, converged, _, _, n_in = _dini_rows(
         probe_vals.reshape(-1, steps).T, inside.reshape(-1, steps).T, np.repeat(ends[:, 0], 2),
-        s, schedule.dini_tol)
-    feasible = (n_in > 0).reshape(m, 2)
-    stationary = ~(feasible & (value.reshape(m, 2) < -p.stat_tol)).any(axis=1)
-    unconverged = (feasible & ~converged.reshape(m, 2)).any(axis=1)
-    return ends, probe_vals, stationary, stationary & unconverged
+        s, p.schedule.dini_tol)
+    return (ends, probe_vals, *stationary(value.reshape(m, 2), converged.reshape(m, 2),
+                                           (n_in > 0).reshape(m, 2), p.stat_tol))
 
 
 def check_t6(
@@ -320,7 +318,7 @@ def check_t6(
     mismatches: list[Witness] = []
     origins: list[Witness] = []
     for r, p in batches:
-        ends, _, stationary, unsettled = p.verdict(_origin)
+        ends, _, at_rest, unsettled = p.verdict(_origin)
         for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
                                           p.verdict(semistrictly_quasiconvex_def))):
             k = len(premises)
@@ -337,7 +335,7 @@ def check_t6(
                 if unsettled[i]:
                     inconclusive = True
                     continue
-                if stationary[i]:
+                if at_rest[i]:
                     rhs_pair = False
                     origins.append(Witness("stationary_origin", xy, (fx, fy),
                                            "f(y) < f(x) but t=0 is stationary on the restriction"))
@@ -387,19 +385,17 @@ def check_abc(
     each line of the :func:`line_problems` ``batches``: a report per line,
     in batch order, named by ``function_id`` (one id per line, or None).
 
-    A: x is stationary for f: no feasible direction of a deterministic
-    sample of ``n_dirs`` descends (approximate, refinable); directions with
-    no probe in the box are skipped.  B: t=0 attains the minimum of the
-    restriction over its feasible set, measured against the grid values
-    together with the Dini probe values near 0 (a pure-grid minimum misses
-    sub-grid dips next to 0 and would assert B spuriously).  C: t=0 is
-    stationary for the restriction, no feasible side of it descending beyond
-    ``stat_tol``: T6's origin test.  The report is inconclusive when the
-    restriction is undefined at a grid point, when an unconverged feasible
-    direction comes before the first descending one in sample order, or
-    when C rests on an unconverged estimate.  Each batch's schedule (the
-    estimator default when None) and ``stat_tol`` decide its lines; its band
-    is never read.
+    A: x is stationary for f over a deterministic sample of ``n_dirs``
+    directions (approximate, refinable), by :func:`~dinicvx.dini.stationary`:
+    any descending direction makes A false, and directions with no probe in
+    the box are skipped.  B: t=0 attains the minimum of the restriction over
+    its feasible set, measured against the grid values together with the
+    Dini probe values near 0 (a pure-grid minimum misses sub-grid dips next
+    to 0 and would assert B spuriously).  C: t=0 is stationary for the
+    restriction: T6's origin test.  The report is inconclusive when the
+    restriction is undefined at a grid point, or when A or C is unsettled:
+    no direction descends but one did not converge.  Each batch's schedule
+    and ``stat_tol`` decide its lines; its band is never read.
 
     Each pair reads the grid values of its batch.  A probes every defined
     pair's x along every direction as the rows of
@@ -420,8 +416,7 @@ def check_abc(
 
     reports: list[TheoremReport] = []
     for r, p in batches:
-        schedule, stat_tol = p.schedule or DiniSchedule(), p.stat_tol
-        s, dini_tol = schedule.step_sizes(), schedule.dini_tol
+        s, dini_tol = p.schedule.step_sizes(), p.schedule.dini_tol
         m = r.x.shape[0]
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
@@ -437,13 +432,10 @@ def check_abc(
                 evaluate, rows[blk], dirs[blk], np.broadcast_to(least, dirs[blk].shape),
                 np.broadcast_to(greatest, dirs[blk].shape), base[blk], s, dini_tol)[:2]
         # a direction with no probe in the box has value +inf and is converged,
-        # so it neither descends nor leaves A open
-        descends = (value < -stat_tol).reshape(-1, n_dirs)
-        seen = np.where(descends.any(axis=1), descends.argmax(axis=1), n_dirs)
-        unseen = np.arange(n_dirs) >= seen[:, None]
+        # so it neither descends nor leaves A open: every one counts as feasible
         a_true, a_open = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
-        a_true[defined] = seen == n_dirs
-        a_open[defined] = ~(converged.reshape(-1, n_dirs) | unseen).all(axis=1)
+        a_true[defined], a_open[defined] = stationary(
+            value.reshape(-1, n_dirs), converged.reshape(-1, n_dirs), True, p.stat_tol)
 
         ends, probe_vals, c_true, c_open = p.verdict(_origin)
         lowest = np.minimum(p.values.min(axis=1),
@@ -499,7 +491,7 @@ def run_battery(
     entries: Sequence[BatteryEntry],
     n_grid: int = 257,
     margin: float = 1e-6,
-    schedule: DiniSchedule | None = None,
+    schedule: DiniSchedule = SUITE_SCHEDULE,
     tol: float | None = None,
     stat_tol: float = 1e-7,
     pairs: int = 12,
@@ -518,8 +510,6 @@ def run_battery(
     the rounding noise floor.  An expression or interval that does not parse
     raises ValueError naming its entry.
     """
-    if schedule is None:
-        schedule = SUITE_SCHEDULE
     definitions = {prop.label: prop.definition for prop in properties()}
     cases: list[CaseLine] = []
     reports: list[TheoremReport] = []

@@ -23,7 +23,7 @@ def grid_for(domain: str, n: int = 257, margin: float = 1e-6):
     return make_grid(parse_interval(domain), n, margin)
 
 
-def along(f, x, dirs, box, schedule=None):
+def along(f, x, dirs, box, schedule=dini.DiniSchedule()):
     """The estimates of ``dini._along`` at ``x`` along each row of the (k, n)
     block ``dirs``, probes outside ``box`` skipped: ``f`` maps (m, n) points
     to (m,) values and is called once at ``x``, then for the probes.  A

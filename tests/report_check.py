@@ -24,7 +24,11 @@ pulled in by the margin.  It checks that
   where there are none;
 - a decomposition's three index ranges tile the grid, each range's size and
   first and last points as its indices give them, and a ``pseudoconvex``
-  characterization that holds comes with a decomposition that is valid.
+  characterization that holds comes with a decomposition that is valid;
+- a valid ``valley`` decomposition's ranges hold the grid values it claims,
+  with its ``tol``: each step inside ``i_minus`` below -tol, each value on
+  ``i_hat`` within tol above the grid minimum, and each step inside
+  ``i_plus`` above tol.  The steps at the junctions belong to the band.
 """
 
 from __future__ import annotations
@@ -128,6 +132,21 @@ def _tiling(dec: dict, grid: np.ndarray) -> list[str]:
     return problems
 
 
+def _split(dec: dict, values: np.ndarray) -> list[str]:
+    """How a valid ``valley`` decomposition's ranges miss the grid ``values``."""
+    if not (dec["ok"] and dec["pattern"] == "valley"):
+        return []
+    tol, low, deltas = _float(dec["tol"]), float(np.min(values)), np.diff(values)
+    (a, b), (c, d), (e, f) = ((int(dec[name]["start"]), int(dec[name]["end"]))
+                              for name in ("i_minus", "i_hat", "i_plus"))
+    return [f"decomposition i_minus step {k} is {float(deltas[k])!r}, not below -tol"
+            for k in range(a, b - 1) if not deltas[k] < -tol] + [
+        f"decomposition i_hat value {k} is {float(values[k])!r}, not within tol of the minimum"
+        for k in range(c, d) if not low <= values[k] <= low + tol] + [
+        f"decomposition i_plus step {k} is {float(deltas[k])!r}, not above tol"
+        for k in range(e, f - 1) if not deltas[k] > tol]
+
+
 def report_problems(text: str) -> list[str]:
     """What in the 1-D ``classify`` report ``text`` disagrees with its
     expression and its grid: empty when the report checks."""
@@ -137,7 +156,8 @@ def report_problems(text: str) -> list[str]:
     grid = grid_of(config)
     fn = parse(config["function"], 1)
     phi = lambda ts: eval_many_reference(fn, ts)
-    band = _band(phi(grid)) if config["tol"] is None else config["tol"]
+    on_grid = phi(grid)
+    band = _band(on_grid) if config["tol"] is None else config["tol"]
     d = config["dini"]
     schedule = DiniSchedule(d["t0"], d["ratio"], int(d["steps"]), d["dini_tol"])
     feasible = parse_interval(config["domain"])
@@ -176,7 +196,7 @@ def report_problems(text: str) -> list[str]:
                                                                   estimates(x))]
     dec = report.get("decomposition")
     if dec is not None:
-        problems += _tiling(dec, grid)
+        problems += _tiling(dec, grid) + _split(dec, on_grid)
     char = report["checks"].get("pseudoconvex", {}).get("methods", {}).get("characterization")
     if char is not None and char["outcome"] == "holds" and not (dec and dec["ok"]):
         problems.append("pseudoconvex characterization holds without a valid decomposition")

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import oracle_reference as ref
-from dinicvx import (GridDiniProfile, anchored_grid, charact, cli, dini, golden_battery,
-                     grid_dini_profile, make_grid, oracle, parse_interval, restrict, theorems)
+from dinicvx import (DiniSchedule, GridDiniProfile, anchored_grid, charact, cli, dini,
+                     golden_battery, grid_dini_profile, make_grid, oracle, parse_interval,
+                     restrict, theorems)
 from dinicvx.oracle import SampledProblem
 from dinicvx.theorems import sample_pairs
 
@@ -112,7 +113,7 @@ def test_line_problems_carry_the_witnesses_of_each_line_alone(case):
     f, box, xs, ys = lines_of(case, 4242)
     pairs = list(zip(xs, ys))
     got = [(r, run_all(p)) for r, p in
-           theorems.line_problems(f, pairs, box, N_GRID, 1e-6, None, None, 1e-7)]
+           theorems.line_problems(f, pairs, box, N_GRID, 1e-6, DiniSchedule(), None, 1e-7)]
     assert sum(len(r.feasible) for r, _ in got) == len(pairs)
     witnessed = 0
     for r, verdicts in got:
@@ -294,7 +295,7 @@ def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(mon
     # first columns on, so its scan stops long before the end of the grid
     f, box = phi_of("-x1^2 - x2^2", 2), tuple(parse_interval("[-1,1]") for _ in range(2))
     pairs = sample_pairs(box, 3, 0)
-    (r, p), = theorems.line_problems(f, pairs, box, 2049, 1e-6, None, None, 1e-7)
+    (r, p), = theorems.line_problems(f, pairs, box, 2049, 1e-6, DiniSchedule(), None, 1e-7)
     blocks = []
     real = oracle.grid_dini_profile
 

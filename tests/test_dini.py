@@ -166,7 +166,7 @@ class TestLowerDini:
         assert es.value == pytest.approx(scale * e1.value, rel=1e-9, abs=1e-12)
 
 
-def seed_lower_dini(phi, t, u, feasible, schedule=None):
+def seed_lower_dini(phi, t, u, feasible, schedule=DiniSchedule()):
     """``lower_dini`` as a path of its own: its checks, a base value, and
     one kernel row through ``dini._along``."""
     if u == 0 or not np.isfinite(u):
@@ -213,7 +213,7 @@ class TestOnePath:
         st.sampled_from(["[-1,1]", "(0,1]", "[0,1)", "(-1,0)", "[0,0]", "(-inf,inf)", "(0,inf)"]),
         st.sampled_from(_EDGES) | st.floats(-2.0, 2.0),
         st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300]) | st.floats(-5, 5),
-        st.sampled_from([None, PINNED, DiniSchedule(steps=2),
+        st.sampled_from([DiniSchedule(), PINNED, DiniSchedule(steps=2),
                          DiniSchedule(t0=0.5, ratio=0.9, steps=28)]),
     )
     @settings(max_examples=400, deadline=None)
@@ -322,7 +322,7 @@ class TestGridProfile:
         phi = phi_of("abs(t) - 0.3*t")
         n = unit_grid.n[0]
         mask = np.stack((np.arange(n) % 2 == 0, np.ones(n, dtype=bool)))[None]
-        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points), None, mask)
+        prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points), DiniSchedule(), mask)
         for name, rows, side in (("minus_feasible", prof.feasible, 0),
                                  ("plus_feasible", prof.feasible, 1),
                                  ("minus_converged", prof.converged, 0),
@@ -382,3 +382,17 @@ class TestAlongInABox:
         f = phi_of("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):
             along(f, np.asarray([0.0, 0.0]), np.asarray([[1.0, 0.0], [0.0, 0.0]]), self.BOX)
+
+
+class TestStationaryRule:
+    def test_each_case_of_the_rule(self):
+        # descends; flat and converged; flat with an unconverged side; no
+        # feasible direction; descends beside an unconverged side; an
+        # infeasible descent beside an unconverged side; a value at -stat_tol
+        value = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [np.nan, np.nan], [-1.0, 0.0],
+                          [-1.0, 0.0], [-1e-7, 0.0]])
+        converged = np.array([[1, 1], [1, 1], [1, 0], [0, 0], [1, 0], [1, 0], [1, 1]], dtype=bool)
+        feasible = np.array([[1, 1], [1, 1], [1, 1], [0, 0], [1, 1], [0, 1], [1, 1]], dtype=bool)
+        found, unsettled = dini.stationary(value, converged, feasible, 1e-7)
+        assert found.tolist() == [False, True, False, True, False, False, True]
+        assert unsettled.tolist() == [False, False, True, False, False, True, False]

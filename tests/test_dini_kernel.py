@@ -262,7 +262,7 @@ class TestGridProfileMatchesReference:
         for source in ("abs(t) - 0.3*t", "log(t + 0.5)", "exp(t) - 2*t^2"):
             phi = phi_of(source)
             whole = grid_dini_profile(phi, dom, phi(dom.points))
-            part = grid_dini_profile(phi, dom, phi(dom.points), None, mask)
+            part = grid_dini_profile(phi, dom, phi(dom.points), DiniSchedule(), mask)
             assert np.array_equal(part.estimated, mask)
             assert whole.estimated.all()
             for name in ("value", "converged", "feasible"):
@@ -272,7 +272,8 @@ class TestGridProfileMatchesReference:
             assert not part.converged[~mask].any()
             assert not part.feasible[~mask].any()
             # the rest, written into the same profile, completes it
-            assert grid_dini_profile(phi, dom, phi(dom.points), None, ~mask, out=part) is part
+            assert grid_dini_profile(phi, dom, phi(dom.points), DiniSchedule(), ~mask,
+                                     out=part) is part
             for field in ("value", "converged", "feasible", "estimated"):
                 assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
 
@@ -321,7 +322,7 @@ class TestGridProfileMatchesReference:
         calls = []
         none = np.zeros((1, 2, dom.n[0]), dtype=bool)
         prof = grid_dini_profile(lambda pts: calls.append(pts) or phi(pts), dom,
-                                 phi(dom.points), None, none)
+                                 phi(dom.points), DiniSchedule(), none)
         assert calls == []
         assert not prof.feasible.any()
 
@@ -337,7 +338,8 @@ def settle_problems():
                                    ("piecewise(t < 0.3: t^2, else: t - 1)", "[-1,1]")]]
     box = (parse_interval("[-1,1]"),) * 2
     f = phi_of("max(abs(x1), abs(x2)) - x1^3", 2)
-    (_, p), = line_problems(f, sample_pairs(box, 24, 7), box, 257, 1e-6, None, None, 1e-7)
+    (_, p), = line_problems(f, sample_pairs(box, 24, 7), box, 257, 1e-6, DiniSchedule(), None,
+                             1e-7)
     return out + [("24 lines", p.phi, p.dom)]
 
 

@@ -1,8 +1,8 @@
 """Every one-variable ``classify`` report of the CLI snapshot checks against
 its expression (``report_check``), and the checker catches a witness moved
 one grid point, two values swapped, a range boundary moved by one, a
-verdict's ``tol`` halved, a witness whose inequality no longer holds and a
-Dini estimate one ulp off.
+verdict's ``tol`` halved, a witness whose inequality no longer holds, a
+Dini estimate one ulp off and a minimum band stretched into a flank.
 
 The ``classify-1d/cube/text`` case is left out: it renders the report of
 ``classify-1d/cube/grid257`` as text.
@@ -91,6 +91,23 @@ def test_a_range_boundary_moved_by_one_fails(name, end):
 
     assert any("decomposition" in problem
                for problem in mutated("classify-1d/sq/grid257", shift))
+
+
+@pytest.mark.parametrize("flank,end,hat_end", [("i_minus", "end", "start"),
+                                               ("i_plus", "start", "end")])
+def test_a_middle_range_stretched_into_a_flank_fails(flank, end, hat_end):
+    # the ranges still tile the grid, but the middle one holds a strict step
+    def stretch(report):
+        dec, grid = report["decomposition"], grid_of(report["config"])
+        step = -1 if flank == "i_minus" else 1
+        dec[flank][end] += step
+        dec["i_hat"][hat_end] += step
+        for r in (dec[flank], dec["i_hat"]):
+            r["size"] = r["end"] - r["start"]
+            r["t_first"], r["t_last"] = float(grid[int(r["start"])]), float(grid[int(r["end"]) - 1])
+
+    problems = mutated("classify-1d/sq/grid257", stretch)
+    assert len(problems) == 1 and problems[0].startswith("decomposition i_hat value")
 
 
 def verdict_of(report: dict, check: str) -> dict:

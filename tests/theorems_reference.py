@@ -1,6 +1,6 @@
 """Loop references for the theorem checks.
 
-``check_abc`` is the form that asked ``lower_dini_along`` for one direction
+``check_abc`` is the form that asks ``lower_dini_along`` for one direction
 at a time, in sample order, stopping at the first descending direction;
 the block form in ``dinicvx.theorems`` must give ``repr``-identical
 reports.  ``check_t6_loop`` is the T6 that restricts ``f`` to each line
@@ -100,9 +100,10 @@ def check_abc(
     if np.isnan(vals).any():
         return TheoremReport("Lpr1", function_id, (), (), True,
                              inconclusive=True, notes="undefined restriction values")
-    inconclusive = False
 
-    a_true = True
+    # a descending direction decides A whatever its place; an unconverged
+    # one leaves A open only when none descends
+    a_true, a_open = True, False
     for u in sample_directions(x.shape[0], n_dirs, seed):
         try:
             est = lower_dini_along(f, x, u, box, schedule)
@@ -111,8 +112,8 @@ def check_abc(
         if est.unit_value < -stat_tol:
             a_true = False
             break
-        if not est.converged:
-            inconclusive = True
+        a_open = a_open or not est.converged
+    inconclusive = a_true and a_open
 
     phi0 = float(r.phi(np.asarray([0.0]))[0])
     s = schedule.step_sizes()
