@@ -223,8 +223,8 @@ class SegmentSplit:
 
 
 def _run_length(mask: np.ndarray) -> np.ndarray:
-    """The length of the leading run of True in each row of ``mask``."""
-    return np.logical_and.accumulate(mask, axis=1).sum(axis=1)
+    """The length of the leading run of True in each row of ``mask``: its first False."""
+    return np.argmin(np.concatenate((mask, np.zeros((len(mask), 1), bool)), axis=1), axis=1)
 
 
 def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:

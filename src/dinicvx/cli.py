@@ -32,7 +32,7 @@ import numpy as np
 from .battery import golden_battery, load_manifest, random_battery
 from .charact import decompose, martos_segments, properties
 from .dini import DiniSchedule, lower_dini, stationarity_estimates
-from .domain import Interval, make_grid, parse_interval
+from .domain import MARGIN, Interval, make_grid, parse_interval
 from .expr import ExpressionError, eval_many, parse
 from .oracle import SampledProblem, Verdict
 from .theorems import SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
@@ -464,9 +464,9 @@ _FLAGS: dict[str, dict] = {
     "--domain": dict(help="interval such as [-1,1] or (0,1]"),
     "--box": dict(help="product of intervals such as [-1,1]x[-1,1]"),
     "--grid": dict(type=int, default=257, help=f"grid points, 8 to {MAX_GRID}"),
-    "--margin": dict(type=float, default=1e-6),
+    "--margin": dict(type=float, default=MARGIN),
     "--tol": dict(type=float, help="equality band; default scales with the grid values"),
-    "--stat-tol": dict(type=float, default=1e-7),
+    "--stat-tol": dict(type=float, default=SampledProblem.stat_tol),
     "--dini-t0": dict(type=float, default=DiniSchedule.t0),
     "--dini-ratio": dict(type=float, default=DiniSchedule.ratio),
     "--dini-steps": dict(type=int, default=DiniSchedule.steps,

@@ -13,14 +13,15 @@ and evaluating only the probes the rule can read.  A probe moves
 monotonically with its step, so a row whose largest and smallest probes
 lie in the domain has every probe there, and its window is the trailing
 half of the schedule: only those probes are built, and no bound is
-compared.  :func:`stationarity_estimates` estimates both directions of
-many points of a line at once, one :func:`_probe_rows` call through
-:func:`_along`, and :func:`lower_dini` reads one point and direction of
-it.  :func:`grid_dini_profile` estimates the grid
-points of the m lines of a batch, both sides of each point on one axis:
-(m, 2, W), ``[:, 0]`` toward lower t.  A row's bits do not depend on the
-rows beside it, so a caller estimates just the entries it reads, a run of
-columns at a time, and can stop after any run.
+compared.  :func:`_rows` runs :func:`_probe_rows` on the rows from points
+along directions, on a line or in a box, ``_BLOCK_ROWS`` rows a call, with
+a plain point function; :func:`stationarity_estimates` (both directions of
+many points of a line; :func:`lower_dini` reads one) and Lpr1's A read it.
+:func:`grid_dini_profile` estimates the grid points of the m lines of a
+batch, both sides of each point on one axis: (m, 2, W), ``[:, 0]`` toward
+lower t.  A row's bits do not depend on the rows beside it, so a caller
+estimates just the entries it reads, a run of columns at a time, and can
+stop after any run.
 
 :func:`stationary` is the one stationarity rule, which the characterization,
 T4, T6's origin test and Lpr1 read.
@@ -364,16 +365,24 @@ def lower_dini(
     return replace(est, value=abs(float(u)) * est.unit_value)
 
 
-def _along(f, x, u, box, base, schedule: DiniSchedule, norms) -> list[DiniEstimate]:
-    """The rows of :func:`_probe_rows` in ``box`` as estimates, directions
-    of length ``norms``."""
+def _rows(f, x, u, box, base, schedule: DiniSchedule):
+    """:func:`_probe_rows` on the rows from ``x[r]`` along ``u[r]`` in ``box``,
+    ``_BLOCK_ROWS`` rows a call.  ``x`` and ``u`` are (rows,) on a line and
+    (rows, n) in a box; ``f`` maps probes (numbers or points) to values."""
     least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
-    return [
-        DiniEstimate(float(norm * v), float(v), tuple(tr[row].tolist()), bool(c), int(k),
-                     not row.any())
-        for norm, v, c, tr, row, k in zip(norms, *(r.T for r in _probe_rows(
-            f, x, u, least, greatest, base, schedule.step_sizes(), schedule.dini_tol)))
-    ]
+    for a in range(0, base.shape[0], _BLOCK_ROWS):
+        blk = slice(a, a + _BLOCK_ROWS)
+        yield _probe_rows(lambda pts, _: f(pts.reshape(-1, *u.shape[1:])).reshape(pts.shape[:2]),
+                          x[blk], u[blk], least[blk], greatest[blk], base[blk],
+                          schedule.step_sizes(), schedule.dini_tol)
+
+
+def _along(f, x, u, box, base, schedule: DiniSchedule) -> list[DiniEstimate]:
+    """The rows of :func:`_rows` as unit-direction estimates."""
+    return [DiniEstimate(float(v), float(v), tuple(tr[row].tolist()), bool(c), int(k),
+                         not row.any())
+            for found in _rows(f, x, u, box, base, schedule)
+            for v, c, tr, row, k in zip(*(r.T for r in found))]
 
 
 def _unit(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,14 +407,13 @@ def stationarity_estimates(
     ``ts``, keyed ``"+1"`` and ``"-1"``, a direction with no probe in
     ``feasible`` left out, or None for a t with no base: outside
     ``feasible``, or where ``phi`` is undefined.  Both directions of every
-    t are one :func:`_probe_rows` call, with a base per row."""
+    t are rows of :func:`_rows`, with a base per row."""
     ts = np.asarray(ts, dtype=float)
     ok = np.flatnonzero(feasible.contains_many(ts))
     base = phi(ts[ok]) if ok.size else np.empty(0)
     ok, base = ok[~np.isnan(base)], np.repeat(base[~np.isnan(base)], 2)
-    found = _along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), np.repeat(ts[ok], 2),
-                   np.tile([1.0, -1.0], ok.size), (feasible,), base, schedule,
-                   np.ones(base.shape)) if ok.size else []
+    found = _along(phi, np.repeat(ts[ok], 2), np.tile([1.0, -1.0], ok.size), (feasible,), base,
+                   schedule)
     out: list[dict[str, DiniEstimate] | None] = [None] * len(ts)
     for i, pair in zip(ok, zip(found[::2], found[1::2])):
         out[i] = {label: est for label, est in zip(("+1", "-1"), pair) if est.n_probes}

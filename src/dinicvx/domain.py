@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+MARGIN = 1e-6  # the default distance of a grid from an open end
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray
     return pts
 
 
-def make_grid(interval: Interval, n: int, margin: float = 1e-6) -> LineGrids:
+def make_grid(interval: Interval, n: int, margin: float = MARGIN) -> LineGrids:
     """Sample ``interval`` at ``n`` uniform points, honoring open endpoints:
     a :class:`LineGrids` of one line.
 
@@ -177,7 +178,7 @@ def extent(intervals: tuple[Interval, ...]) -> tuple[np.ndarray, np.ndarray]:
             np.array([iv.hi if iv.hi_closed else np.nextafter(iv.hi, -_INF) for iv in intervals]))
 
 
-def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = 1e-6) -> LineGrids:
+def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = MARGIN) -> LineGrids:
     """Uniform grids of ``intervals``, each guaranteed to contain the anchors
     0 and 1 exactly, where in range: the parameters of a line restriction's
     ``x`` and ``y``.

@@ -25,8 +25,9 @@ import numpy as np
 
 from .battery import BatteryEntry
 from .charact import properties
-from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _probe_rows, _unit, stationary
+from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _rows, _unit, stationary
 from .domain import (
+    MARGIN,
     Interval,
     LineRestriction,
     anchored_grid,
@@ -82,6 +83,8 @@ _PAIR_DRAWS = 1000
 # one batch, and the values, side minima and profile of a batch stay a few
 # hundred KB however many lines a run samples.
 _BATCH_POINTS = 8192
+
+_DIRECTIONS = 64  # directions over which Lpr1's A asks whether x is stationary
 
 
 @dataclass(frozen=True)
@@ -377,7 +380,6 @@ def check_abc(
     f: Callable[[np.ndarray], np.ndarray],
     box: tuple[Interval, ...],
     batches: Sequence[tuple[LineRestriction, SampledProblem]],
-    n_dirs: int = 64,
     seed: int = 0,
     function_id: Sequence[str] | None = None,
 ) -> tuple[TheoremReport, ...]:
@@ -385,7 +387,7 @@ def check_abc(
     each line of the :func:`line_problems` ``batches``: a report per line,
     in batch order, named by ``function_id`` (one id per line, or None).
 
-    A: x is stationary for f over a deterministic sample of ``n_dirs``
+    A: x is stationary for f over a deterministic sample of ``_DIRECTIONS``
     directions (approximate, refinable), by :func:`~dinicvx.dini.stationary`:
     any descending direction makes A false, and directions with no probe in
     the box are skipped.  B: t=0 attains the minimum of the restriction over
@@ -398,9 +400,8 @@ def check_abc(
     and ``stat_tol`` decide its lines; its band is never read.
 
     Each pair reads the grid values of its batch.  A probes every defined
-    pair's x along every direction as the rows of
-    :func:`~dinicvx.dini._probe_rows`, in blocks of ``_BLOCK_ROWS``, after
-    one call of ``f`` at every x.  B's f(x) and values at the in-domain
+    pair's x along every direction as the rows of :func:`~dinicvx.dini._rows`,
+    after one call of ``f`` at every x.  B's f(x) and values at the in-domain
     probes ``+-s``, and C, are the batch's :func:`_origin`, as T6 reads them.
     Every report is what the pair gives alone.
     """
@@ -408,34 +409,23 @@ def check_abc(
     ids = [""] * n_lines if function_id is None else list(function_id)
     if len(ids) != n_lines:
         raise ValueError(f"{len(ids)} function ids for {n_lines} lines")
-    _, u = _unit(sample_directions(len(box), n_dirs, seed))
-    least, greatest = extent(box)
-
-    def evaluate(pts: np.ndarray, _) -> np.ndarray:
-        return f(pts.reshape(-1, len(box))).reshape(pts.shape[:2])
+    _, u = _unit(sample_directions(len(box), _DIRECTIONS, seed))
 
     reports: list[TheoremReport] = []
     for r, p in batches:
-        s, dini_tol = p.schedule.step_sizes(), p.schedule.dini_tol
         m = r.x.shape[0]
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
         xs = r.x[defined]
-        rows = np.repeat(xs, n_dirs, axis=0)
-        dirs = np.tile(u, (xs.shape[0], 1))
-        base = np.repeat(f(xs), n_dirs) if xs.size else np.empty(0)
-        value = np.empty(rows.shape[0])
-        converged = np.empty(rows.shape[0], dtype=bool)
-        for a in range(0, rows.shape[0], _BLOCK_ROWS):
-            blk = slice(a, a + _BLOCK_ROWS)
-            value[blk], converged[blk] = _probe_rows(
-                evaluate, rows[blk], dirs[blk], np.broadcast_to(least, dirs[blk].shape),
-                np.broadcast_to(greatest, dirs[blk].shape), base[blk], s, dini_tol)[:2]
-        # a direction with no probe in the box has value +inf and is converged,
-        # so it neither descends nor leaves A open: every one counts as feasible
         a_true, a_open = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
-        a_true[defined], a_open[defined] = stationary(
-            value.reshape(-1, n_dirs), converged.reshape(-1, n_dirs), True, p.stat_tol)
+        if xs.size:
+            blocks = _rows(f, np.repeat(xs, _DIRECTIONS, axis=0), np.tile(u, (len(xs), 1)), box,
+                           np.repeat(f(xs), _DIRECTIONS), p.schedule)
+            value, converged = (np.concatenate(col).reshape(-1, _DIRECTIONS)
+                                for col in zip(*(found[:2] for found in blocks)))
+            # a direction with no probe in the box has value +inf and is converged,
+            # so it neither descends nor leaves A open: every one counts as feasible
+            a_true[defined], a_open[defined] = stationary(value, converged, True, p.stat_tol)
 
         ends, probe_vals, c_true, c_open = p.verdict(_origin)
         lowest = np.minimum(p.values.min(axis=1),
@@ -450,7 +440,7 @@ def check_abc(
                     else "undefined restriction values"))
                 continue
             xi, yi = [float(v) for v in r.x[i]], [float(v) for v in r.y[i]]
-            detail = (f"A={bool(a_true[i])} (over {n_dirs} directions), B={bool(b_true[i])}, "
+            detail = (f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
                       f"C={bool(c_true[i])}, x={xi}, y={yi}")
             if (a_true[i] or b_true[i]) == c_true[i]:
                 reports.append(TheoremReport("Lpr1", fid, (), (), True, notes=detail))
@@ -490,10 +480,10 @@ def _status(report: TheoremReport) -> CaseLine:
 def run_battery(
     entries: Sequence[BatteryEntry],
     n_grid: int = 257,
-    margin: float = 1e-6,
+    margin: float = MARGIN,
     schedule: DiniSchedule = SUITE_SCHEDULE,
     tol: float | None = None,
-    stat_tol: float = 1e-7,
+    stat_tol: float = SampledProblem.stat_tol,
     pairs: int = 12,
     seed: int = 0,
 ) -> BatteryRunResult:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,11 @@ def grid_for(domain: str, n: int = 257, margin: float = 1e-6):
 def along(f, x, dirs, box, schedule=dini.DiniSchedule()):
     """The estimates of ``dini._along`` at ``x`` along each row of the (k, n)
     block ``dirs``, probes outside ``box`` skipped: ``f`` maps (m, n) points
-    to (m,) values and is called once at ``x``, then for the probes.  A
+    to (m,) values and is called once at ``x``, then for the probes of each
+    kernel block.  ``value`` is scaled by the length of the direction.  A
     zero or non-finite direction raises ValueError."""
     x = np.asarray(x, dtype=float)
     norms, u = dini._unit(dirs)
     base = float(f(x[None, :])[0])
-    return dini._along(lambda pts, _: f(pts.reshape(-1, x.shape[0])).reshape(pts.shape[:2]),
-                       np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule,
-                       norms)
+    return [replace(e, value=float(n * e.unit_value)) for n, e in zip(norms, dini._along(
+        f, np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule))]

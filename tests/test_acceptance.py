@@ -200,7 +200,7 @@ def test_criterion_6_descent_minimizer_stationarity():
         box = tuple(parse_interval(s) for s in e.box)
         batches = list(line_problems(f, sample_pairs(box, 50, seed=11), box, 257, 1e-6,
                                      SUITE_SCHEDULE, None, 1e-7))
-        for rep in check_abc(f, box, batches, n_dirs=64):
+        for rep in check_abc(f, box, batches):
             n_runs += 1
             n_bad += not rep.implication_holds
             n_inc += rep.inconclusive

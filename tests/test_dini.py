@@ -1,6 +1,7 @@
 import math
 from dataclasses import astuple, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,9 +178,8 @@ def seed_lower_dini(phi, t, u, feasible, schedule=DiniSchedule()):
     base = float(phi(x)[0])
     if np.isnan(base):
         raise ValueError(f"function undefined at the base point {x.tolist()}")
-    [est] = dini._along(lambda pts, _: phi(pts.reshape(-1)).reshape(pts.shape), x,
-                        np.array([np.sign(u)], dtype=float), (feasible,), np.full(1, base),
-                        schedule, np.ones(1))
+    [est] = dini._along(phi, x, np.array([np.sign(u)], dtype=float), (feasible,),
+                        np.full(1, base), schedule)
     if est.n_probes == 0:
         raise DiniDomainError("direction leaves domain")
     return replace(est, value=abs(float(u)) * est.unit_value)
@@ -234,6 +234,25 @@ class TestOnePath:
             assert got[0] is DiniDomainError
         else:
             assert got == bits(replace(est, value=abs(u) * est.unit_value))
+
+    @pytest.mark.parametrize("source", ["exp(t) - 2*t^2", "log(t)"])
+    def test_points_past_one_block_as_each_alone(self, source):
+        # both directions of more than _BLOCK_ROWS // 2 defined points: the
+        # rows span several kernel blocks, and each point is as if alone
+        phi, ts = phi_of(source), np.linspace(-1.0, 1.0, dini._BLOCK_ROWS + 41).tolist()
+        with mock.patch.object(dini, "_probe_rows", wraps=dini._probe_rows) as rows:
+            got = stationarity_estimates(phi, ts, IV)
+        assert 2 * sum(found is not None for found in got) > dini._BLOCK_ROWS
+        assert rows.call_count >= 2
+        # the ends: t = 1 probes one way, and log is undefined at t = -1
+        assert (ts[0], ts[-1]) == (-1.0, 1.0) and list(got[-1]) == ["-1"]
+        assert (got[0] is None) == (source == "log(t)")
+        for t, found in zip(ts, got):
+            [alone] = stationarity_estimates(phi, [t], IV)
+            assert (found is None) == (alone is None), t
+            if found is not None:
+                assert {k: bits(e) for k, e in found.items()} == {
+                    k: bits(e) for k, e in alone.items()}, t
 
 
 def is_stationary(phi, t, feasible, stat_tol=1e-7):
