@@ -24,7 +24,8 @@ estimates just the entries it reads, a run of columns at a time, and can
 stop after any run.
 
 :func:`stationary` is the one stationarity rule, which the characterization,
-T4, T6's origin test and Lpr1 read.
+T4, T6's origin test, Lpr1 and the pair oracles (each grid entry a point
+with one direction) read.
 
 A block of such rows whose values are all defined takes
 :func:`_dense_rows`: the same float operations without masks.  A block
@@ -460,17 +461,6 @@ class GridDiniProfile:
         """A profile of ``m`` lines of ``n`` points with no entry estimated."""
         shape = (m, 2, n)
         return cls(np.full(shape, np.nan), *(np.zeros(shape, dtype=bool) for _ in range(3)))
-
-    def descent(self, stat_tol: float, rows: slice = slice(None)) -> np.ndarray:
-        """(..., 2, k) mask over the k grid points ``rows``: the direction
-        descends beyond stat_tol."""
-        with np.errstate(invalid="ignore"):
-            return self.feasible[..., rows] & (self.value[..., rows] < -stat_tol)
-
-    def unconverged(self, rows: slice = slice(None)) -> np.ndarray:
-        """(..., 2, k) mask over the k grid points ``rows``: the direction is
-        feasible, its estimate unconverged."""
-        return self.feasible[..., rows] & ~self.converged[..., rows]
 
 
 def _reach(asks: np.ndarray, most: int) -> Callable[[int, int], int]:

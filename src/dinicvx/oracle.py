@@ -25,12 +25,15 @@ Witnesses are the first violations in grid order, at most
 All comparisons share one equality band ``tol``, by default
 ``1e-9 * (1 + max |phi|)`` so that ``phi`` and ``1000 * phi`` classify
 alike.  Sign decisions on Dini estimates use the unit-direction value
-against ``stat_tol``.  Every classifier, here and in
-:mod:`dinicvx.charact`, takes one :class:`SampledProblem`, which holds the
-function, the grids of its lines and these settings and computes the shared
-inputs once, and returns one verdict per line.  A verdict is
-``inconclusive`` only when a Dini estimate the decision depends on failed
-to converge, or when the grid holds undefined or non-finite values.
+against ``stat_tol``, through :func:`~dinicvx.dini.stationary`: the pair
+oracles ask it of each (x, side) entry as a point with one direction, a
+failure where it is stationary and blocked where it is unsettled.  Every
+classifier, here and in :mod:`dinicvx.charact`, takes one
+:class:`SampledProblem`, which holds the function, the grids of its lines
+and these settings and computes the shared inputs once, and returns one
+verdict per line.  A verdict is ``inconclusive`` only when a Dini estimate
+the decision depends on failed to converge, or when the grid holds
+undefined or non-finite values.
 """
 
 from __future__ import annotations
@@ -306,19 +309,21 @@ def _pair_based(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
     # no later entry is read.
     prof, stop, found = p.profile, None, 0
 
+    def decided(rows: slice) -> list[np.ndarray]:
+        # (failed, blocked) over the grid points ``rows``: the rule's
+        # (stationary, unsettled), each entry a point with one direction
+        one = (a[..., rows, None] for a in (prof.value, prof.converged, prof.feasible))
+        return [hit[..., rows] & mask for mask in stationary(*one, p.stat_tol)]
+
     def enough(rows: slice) -> bool:
         nonlocal found, stop
-        found = found + (hit[..., rows] & ~(prof.descent(p.stat_tol, rows)
-                                            | prof.unconverged(rows))).sum(axis=(1, 2))
+        found = found + decided(rows)[0].sum(axis=(1, 2))
         if found.min() >= _WITNESS_CAP:
             stop = rows.stop
         return stop is not None
 
     p.estimate(hit, until=enough)
-    done = slice(0, stop)
-    undecided = hit[..., done] & ~prof.descent(p.stat_tol, done)
-    unconverged = prof.unconverged(done)
-    failed, blocked = undecided & ~unconverged, undecided & unconverged
+    failed, blocked = decided(slice(0, stop))
     outcomes = _outcomes(failed.any(axis=(1, 2)), blocked.any(axis=(1, 2)))
 
     def pairs(i: int) -> list[Witness]:

@@ -193,7 +193,7 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if strict.outcome == "inconclusive":
         return TheoremReport("T7", function_id, (premise,), (strict,), True,
                              inconclusive=True, notes="strict side inconclusive")
-    longest, where = _longest_run(np.abs(np.diff(p.values[0])) <= p.band[0])
+    longest, where = _longest_run(np.abs(p._deltas[0]) <= p.band[0])
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
         return TheoremReport("T7", function_id, (premise,), (strict,), True)
@@ -399,11 +399,11 @@ def check_abc(
     no direction descends but one did not converge.  Each batch's schedule
     and ``stat_tol`` decide its lines; its band is never read.
 
-    Each pair reads the grid values of its batch.  A probes every defined
-    pair's x along every direction as the rows of :func:`~dinicvx.dini._rows`,
-    after one call of ``f`` at every x.  B's f(x) and values at the in-domain
-    probes ``+-s``, and C, are the batch's :func:`_origin`, as T6 reads them.
-    Every report is what the pair gives alone.
+    Each pair reads the grid values of its batch and its :func:`_origin`, as
+    T6 reads them: f(x), B's values at the in-domain probes ``+-s``, and C.
+    A probes every defined pair's x along every direction as the rows of
+    :func:`~dinicvx.dini._rows`, each row based at that f(x).  Every report
+    is what the pair gives alone.
     """
     n_lines = sum(r.x.shape[0] for r, _ in batches)
     ids = [""] * n_lines if function_id is None else list(function_id)
@@ -417,17 +417,20 @@ def check_abc(
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
         xs = r.x[defined]
+        ends, probe_vals, c_true, c_open = p.verdict(_origin)
         a_true, a_open = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
         if xs.size:
+            # phi(0) is f(x), but for a -0.0 coordinate that may come back
+            # +0.0: that flips only the sign of a zero base, which no
+            # decision reads
             blocks = _rows(f, np.repeat(xs, _DIRECTIONS, axis=0), np.tile(u, (len(xs), 1)), box,
-                           np.repeat(f(xs), _DIRECTIONS), p.schedule)
+                           np.repeat(ends[defined, 0], _DIRECTIONS), p.schedule)
             value, converged = (np.concatenate(col).reshape(-1, _DIRECTIONS)
                                 for col in zip(*(found[:2] for found in blocks)))
             # a direction with no probe in the box has value +inf and is converged,
             # so it neither descends nor leaves A open: every one counts as feasible
             a_true[defined], a_open[defined] = stationary(value, converged, True, p.stat_tol)
 
-        ends, probe_vals, c_true, c_open = p.verdict(_origin)
         lowest = np.minimum(p.values.min(axis=1),
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
         b_true = ends[:, 0] <= lowest + 1e-12 * (1.0 + np.abs(ends[:, 0]))

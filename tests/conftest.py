@@ -36,3 +36,18 @@ def along(f, x, dirs, box, schedule=dini.DiniSchedule()):
     base = float(f(x[None, :])[0])
     return [replace(e, value=float(n * e.unit_value)) for n, e in zip(norms, dini._along(
         f, np.broadcast_to(x, u.shape), u, box, np.full(u.shape[0], base), schedule))]
+
+
+def entry_rule(prof, stat_tol: float, rows=slice(None)):
+    """(stationary, unsettled): ``dini.stationary`` over each entry of the
+    profile ``prof`` at the grid points ``rows``, a point with its one
+    direction, as the pair oracles read it; (..., 2, k) each.  An entry
+    descends beyond ``stat_tol`` exactly where it is neither."""
+    return dini.stationary(*(a[..., rows, None] for a in (prof.value, prof.converged,
+                                                           prof.feasible)), stat_tol)
+
+
+def descends(prof, stat_tol: float, rows=slice(None)):
+    """The entries of ``prof`` at ``rows`` that descend beyond ``stat_tol``
+    by :func:`entry_rule`."""
+    return ~np.logical_or(*entry_rule(prof, stat_tol, rows))

@@ -1,4 +1,5 @@
-"""A check of a one-variable ``classify`` report against its expression.
+"""A check of a one-variable ``classify``, ``decompose`` or ``dini`` report
+against its expression.
 
 :func:`report_problems` reads the report's JSON text and evaluates the
 expression with ``tests/expr_reference.py`` alone, never with the package's
@@ -28,7 +29,17 @@ pulled in by the margin.  It checks that
 - a valid ``valley`` decomposition's ranges hold the grid values it claims,
   with its ``tol``: each step inside ``i_minus`` below -tol, each value on
   ``i_hat`` within tol above the grid minimum, and each step inside
-  ``i_plus`` above tol.  The steps at the junctions belong to the band.
+  ``i_plus`` above tol.  The steps at the junctions belong to the band;
+- a ``decompose`` report's decomposition checks as above, and its
+  ``"martos"`` ranges tile the grid in the same way.  A valid martos split
+  holds the grid values with its ``tol``: each step up to the first
+  ``constant`` point below -tol, each step inside ``constant`` within tol,
+  and each step from its last point on above tol.  Where a grid value is
+  undefined or not finite, every range of both is empty and neither is
+  valid;
+- a ``dini`` report's ``"estimate"`` is the reference estimate at ``at``
+  toward sign(``direction``), field by field and bit for bit, its ``value``
+  scaled by |``direction``|.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -113,23 +124,74 @@ def _dini_problems(block: dict, want: dict) -> list[str]:
             if not _same_field(got[label][name], ref)]
 
 
-def _tiling(dec: dict, grid: np.ndarray) -> list[str]:
+DECOMPOSITION = ("decomposition", ("i_minus", "i_hat", "i_plus"))
+MARTOS = ("martos", ("decreasing", "constant", "increasing"))
+
+
+def _tiling(split: dict, grid: np.ndarray, of=DECOMPOSITION) -> list[str]:
+    """How the ranges of ``split``, ``of`` = (its label, its range names),
+    fail to tile the grid in order."""
+    label, names = of
     problems, end = [], 0
-    for name in ("i_minus", "i_hat", "i_plus"):
-        r = dec[name]
+    for name in names:
+        r = split[name]
         start, stop = int(r["start"]), int(r["end"])
         if start != end or stop < start:
-            problems.append(f"decomposition {name} [{start}, {stop}) does not follow {end}")
+            problems.append(f"{label} {name} [{start}, {stop}) does not follow {end}")
         if int(r["size"]) != stop - start:
-            problems.append(f"decomposition {name} size {r['size']} is not {stop - start}")
+            problems.append(f"{label} {name} size {r['size']} is not {stop - start}")
         if stop > start and not (0 <= start and stop <= grid.size and _same(
                 _float(r["t_first"]), float(grid[start])) and _same(
                 _float(r["t_last"]), float(grid[stop - 1]))):
-            problems.append(f"decomposition {name} ends are not grid points {start}, {stop - 1}")
+            problems.append(f"{label} {name} ends are not grid points {start}, {stop - 1}")
         end = stop
     if end != grid.size:
-        problems.append(f"decomposition ends at {end}, not at the grid's {grid.size} points")
+        problems.append(f"{label} ends at {end}, not at the grid's {grid.size} points")
     return problems
+
+
+def _empty(split: dict, of, valid: str) -> list[str]:
+    """How ``split``, of a grid with an undefined value, is not empty and invalid."""
+    label, names = of
+    return [f"{label} {name} is not empty at 0" for name in names
+            if (split[name]["start"], split[name]["end"]) != (0, 0)] + (
+        [f"{label} is {valid} on an undefined grid"] if split[valid] else [])
+
+
+def _martos(split: dict, values: np.ndarray) -> list[str]:
+    """How a valid martos split's ranges miss the grid ``values``."""
+    if not split["valid"]:
+        return []
+    tol, deltas = _float(split["tol"]), np.diff(values)
+    a, b = int(split["constant"]["start"]), int(split["constant"]["end"])
+    return [f"martos step {k} is {float(deltas[k])!r}, not below -tol"
+            for k in range(a) if not deltas[k] < -tol] + [
+        f"martos constant step {k} is {float(deltas[k])!r}, not within tol"
+        for k in range(a, b - 1) if not abs(deltas[k]) <= tol] + [
+        f"martos step {k} is {float(deltas[k])!r}, not above tol"
+        for k in range(b - 1, deltas.size) if not deltas[k] > tol]
+
+
+def _decompose_problems(report: dict, grid: np.ndarray, values: np.ndarray) -> list[str]:
+    """How a ``decompose`` report's two splits miss the grid ``values``."""
+    dec, martos = report["decomposition"], report["martos"]
+    if not np.isfinite(values).all():
+        return _empty(dec, DECOMPOSITION, "ok") + _empty(martos, MARTOS, "valid")
+    return (_tiling(dec, grid) + _split(dec, values) + _tiling(martos, grid, MARTOS)
+            + _martos(martos, values))
+
+
+def _estimate_problems(report: dict, phi, feasible, schedule: DiniSchedule) -> list[str]:
+    """How a ``dini`` report's estimate differs from the reference estimate
+    at ``at`` toward sign(``direction``), its value scaled by |direction|."""
+    at, u = _float(report["at"]), _float(report["direction"])
+    est = is_stationary(phi, at, feasible, schedule).estimates.get("+1" if u > 0 else "-1")
+    if est is None:
+        return [f"no reference estimate at {at!r} toward {u!r}"]
+    got = report["estimate"]
+    return [f"estimate {name} is {ref!r}, reported {got[name]!r}"
+            for name, ref in asdict(replace(est, value=abs(u) * est.unit_value)).items()
+            if not _same_field(got[name], ref)]
 
 
 def _split(dec: dict, values: np.ndarray) -> list[str]:
@@ -148,19 +210,24 @@ def _split(dec: dict, values: np.ndarray) -> list[str]:
 
 
 def report_problems(text: str) -> list[str]:
-    """What in the 1-D ``classify`` report ``text`` disagrees with its
-    expression and its grid: empty when the report checks."""
+    """What in the 1-D ``classify``, ``decompose`` or ``dini`` report
+    ``text`` disagrees with its expression and its grid: empty when the
+    report checks."""
     # an integer as a float keeps the sign of a zero printed "-0"
     report = json.loads(text, parse_int=float)
     config = report["config"]
-    grid = grid_of(config)
     fn = parse(config["function"], 1)
     phi = lambda ts: eval_many_reference(fn, ts)
-    on_grid = phi(grid)
-    band = _band(on_grid) if config["tol"] is None else config["tol"]
     d = config["dini"]
     schedule = DiniSchedule(d["t0"], d["ratio"], int(d["steps"]), d["dini_tol"])
     feasible = parse_interval(config["domain"])
+    if report["command"] == "dini":
+        return _estimate_problems(report, phi, feasible, schedule)
+    grid = grid_of(config)
+    on_grid = phi(grid)
+    if report["command"] == "decompose":
+        return _decompose_problems(report, grid, on_grid)
+    band = _band(on_grid) if config["tol"] is None else config["tol"]
     at: dict[str, dict] = {}  # the reference estimates at a point, by its repr
 
     def estimates(t: float) -> dict:

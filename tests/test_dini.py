@@ -20,7 +20,7 @@ from dinicvx import (
     stationarity_estimates,
 )
 
-from conftest import along, phi_of
+from conftest import along, descends, phi_of
 
 IV = parse_interval("[-1,1]")
 
@@ -329,7 +329,7 @@ class TestGridProfile:
     def test_descent_and_stationary_masks(self, unit_grid):
         phi = phi_of("t^2")
         prof = grid_dini_profile(phi, unit_grid, phi(unit_grid.points))
-        down, up = prof.descent(1e-7)[0]
+        down, up = descends(prof, 1e-7)[0]
         stat = ~(down | up)
         assert stat[128]  # t = 0
         assert stat.sum() == 1

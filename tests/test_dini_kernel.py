@@ -31,7 +31,7 @@ from dinicvx import (
 from dinicvx import dini
 from dinicvx.domain import Interval, LineGrids
 
-from conftest import along, phi_of
+from conftest import along, descends, entry_rule, phi_of
 from dini_reference import _estimate_one, is_stationary
 from dini_reference import lower_dini_along as lower_dini_along_one
 
@@ -312,8 +312,7 @@ class TestGridProfileMatchesReference:
         phi = phi_of("exp(t) - 2*t^2")
         prof = grid_dini_profile(phi, dom, phi(dom.points))
         for rows in (slice(0, 1024), slice(1000, 2100), slice(2048, None)):
-            for part, whole in zip((prof.descent(1e-7, rows), prof.unconverged(rows)),
-                                   (prof.descent(1e-7), prof.unconverged())):
+            for part, whole in zip(entry_rule(prof, 1e-7, rows), entry_rule(prof, 1e-7)):
                 assert np.array_equal(part, whole[..., rows])
 
     def test_empty_masks_probe_nothing(self):
@@ -356,8 +355,10 @@ class TestSettledProfile:
             for stat_tol in (1e-7, 1e-3):
                 full = grid_dini_profile(phi, dom, values, schedule)
                 fast = grid_dini_profile(phi, dom, values, schedule, stat_tol=stat_tol)
-                down = full.descent(stat_tol)
-                assert np.array_equal(fast.descent(stat_tol), down)
+                # both masks of the rule: every settled entry descends
+                for got, want in zip(entry_rule(fast, stat_tol), entry_rule(full, stat_tol)):
+                    assert np.array_equal(got, want)
+                down = descends(full, stat_tol)
                 for name in ("feasible", "estimated"):
                     assert np.array_equal(getattr(fast, name), getattr(full, name))
                 assert fast.value[~down].tobytes() == full.value[~down].tobytes()
@@ -691,7 +692,7 @@ def test_interior_grid_probes_only_the_trailing_half():
     sizes.clear()
     with mock.patch.object(dini, "_inside", wraps=dini._inside) as inside:
         prof = grid_dini_profile(counting, dom, phi(dom.points), schedule, stat_tol=1e-7)
-    left = int((~prof.descent(1e-7)).sum())
+    left = int((~descends(prof, 1e-7)).sum())
     assert 0 < left < 2 * dom.n[0]
     assert sizes == [2 * dom.n[0], left * (trailing - 1)]
     assert inside.call_count == 1

@@ -34,7 +34,7 @@ from dinicvx import (
 )
 from dinicvx import dini, oracle
 
-from conftest import grid_for, phi_of
+from conftest import descends, grid_for, phi_of
 from oracle_reference import semistrict_triple_loop
 
 H = 2.0 / 256  # spacing of the standard 257-point grid on [-1,1]
@@ -459,7 +459,7 @@ class TestDemandDrivenProfile:
         p = SampledProblem(phi_of("t^3"), unit_grid)
         p.stationary(p._valid)
         prof = p.profile
-        stationary = ~prof.descent(p.stat_tol)[0].any(axis=0)
+        stationary = ~descends(prof, p.stat_tol)[0].any(axis=0)
         assert stationary.any()
         assert prof.estimated[0][:, stationary].all()
 
@@ -530,7 +530,7 @@ class TestDemandDrivenProfile:
         estimated = p.profile.estimated[0, 0]
         assert estimated[1:end].all() and not estimated[end:].any()
         assert np.array_equal(estimated[stop.stop:],
-                              p.profile.descent(p.stat_tol)[0, 0, stop.stop:])
+                              descends(p.profile, p.stat_tol, slice(stop.stop, None))[0, 0])
 
     def test_unconverged_entries_do_not_count_toward_the_stop(self):
         # a profile filled in by hand up to its last block: the whole first

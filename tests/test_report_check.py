@@ -1,8 +1,10 @@
-"""Every one-variable ``classify`` report of the CLI snapshot checks against
-its expression (``report_check``), and the checker catches a witness moved
-one grid point, two values swapped, a range boundary moved by one, a
-verdict's ``tol`` halved, a witness whose inequality no longer holds, a
-Dini estimate one ulp off and a minimum band stretched into a flank.
+"""Every one-variable ``classify`` report of the CLI snapshot, and its JSON
+``decompose`` and ``dini`` reports, check against their expressions
+(``report_check``), and the checker catches a witness moved one grid point,
+two values swapped, a range boundary moved by one, a verdict's ``tol``
+halved, a witness whose inequality no longer holds, a Dini estimate one ulp
+off, a minimum band stretched into a flank, a martos boundary moved and a
+``dini`` estimate one ulp off.
 
 The ``classify-1d/cube/text`` case is left out: it renders the report of
 ``classify-1d/cube/grid257`` as text.
@@ -24,7 +26,8 @@ from dinicvx import cli
 from report_check import grid_of, report_problems
 
 CASES = {label: argv for label, argv in snapshot.cases().items()
-         if label.startswith("classify-1d/") and "--output=text" not in argv}
+         if (label.startswith("classify-1d/") and "--output=text" not in argv)
+         or label in ("decompose/sq", "decompose/log", "dini/abs/json")}
 
 
 def classify(argv: list[str]) -> tuple[int, str]:
@@ -35,10 +38,11 @@ def classify(argv: list[str]) -> tuple[int, str]:
 
 
 def test_every_one_variable_report_of_the_snapshot_checks():
-    # the 20 one-variable golden functions at 257 and 16385 points; about a
-    # second on a 2-core VM, reference Dini estimates included
+    # the 20 one-variable golden functions at 257 and 16385 points, and the
+    # decompositions of t^2 and log(t) and one Dini estimate; about a second
+    # on a 2-core VM, reference Dini estimates included
     recorded = json.loads(snapshot.SNAPSHOT.read_text())
-    assert len(CASES) == 40
+    assert len(CASES) == 43
     start = time.monotonic()
     for label, argv in sorted(CASES.items()):
         code, text = classify(argv)
@@ -151,3 +155,29 @@ def test_a_dini_estimate_one_ulp_off_fails():
 
     problems = mutated("classify-1d/cube/grid257", nudge)
     assert any("dini -1 unit_value" in problem for problem in problems)
+
+
+@pytest.mark.parametrize("end,into", [("end", "start"), ("start", "end")])
+def test_a_martos_boundary_moved_fails(end, into):
+    # the constant run of t^2 (one point) takes a point of a flank: the
+    # ranges still tile the grid, but a step no longer has its sign
+    def move(report):
+        split, grid = report["martos"], grid_of(report["config"])
+        flank = split["decreasing" if end == "start" else "increasing"]
+        step = -1 if end == "start" else 1
+        split["constant"][end] += step
+        flank[into] += step
+        for r in (flank, split["constant"]):
+            r["size"] = r["end"] - r["start"]
+            r["t_first"], r["t_last"] = float(grid[int(r["start"])]), float(grid[int(r["end"]) - 1])
+
+    problems = mutated("decompose/sq", move)
+    assert len(problems) == 1 and problems[0].startswith("martos constant step")
+
+
+def test_a_dini_report_estimate_one_ulp_off_fails():
+    def nudge(report):
+        est = report["estimate"]
+        est["value"] = float(np.nextafter(est["value"], 0.0))
+
+    assert mutated("dini/abs/json", nudge) == ["estimate value is 1.0, reported 0.9999999999999999"]

@@ -482,14 +482,14 @@ class TestAbcMatchesLoopReference:
         pairs = sample_pairs((parse_interval("[-0.9,0.9]"),) * 2, m, 5)
         xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
         assert len(check_abc(f, BOX, lines(f, pairs))) == m
-        # the grids of the m lines; f at every x; the trailing half of the
-        # 64 m probe rows of A, _BLOCK_ROWS rows a call; phi(0), phi(1) and
-        # the B probes of every line, which C reads too
+        # the grids of the m lines; phi(0), phi(1) and the B probes of every
+        # line, which C reads too and whose phi(0) is A's f(x); the trailing
+        # half of the 64 m probe rows of A, _BLOCK_ROWS rows a call
         n = SCHED.steps
         half = n - n // 2
         rows = [min(dini._BLOCK_ROWS, 64 * m - a) for a in range(0, 64 * m, dini._BLOCK_ROWS)]
         width = anchored_grid(restrict(fn, xs, ys, BOX).feasible, 257).points.shape[1]
-        assert calls == [m * width, m] + [k * half for k in rows] + [m * (2 + 2 * n)]
+        assert calls == [m * width, m * (2 + 2 * n)] + [k * half for k in rows]
 
     # x within the largest step (1e-2) of a face, or on one, so that some
     # +-s probes of B and C, and some of A's, leave the feasible set
@@ -673,18 +673,25 @@ class TestOneStationarityRule:
         for module in (oracle, theorems):
             monkeypatch.setattr(module, "stationary", spy)
 
-        def calls_from(run, name):
+        def calls_from(run, *via):
+            # every call comes through exactly one of ``via``, and each of them calls
             callers.clear()
             run()
-            return bool(callers) and all(name in names for names in callers)
+            return (all(sum(name in names for name in via) == 1 for names in callers)
+                    and all(any(name in names for names in callers) for name in via))
 
         f = phi_of("x1^2 + x2^2", 2)
         batches = lines(f, sample_pairs(BOX, 2, 3))
         assert calls_from(lambda: pseudoconvex_char(SampledProblem(phi_of("t^3"), unit_grid)),
                           "pseudoconvex_char")
+        # the pair oracles ask it of each entry, a point with one direction
+        for pair_oracle in (oracle.pseudoconvex_def, oracle.strictly_pseudoconvex_def):
+            assert calls_from(lambda: pair_oracle(SampledProblem(phi_of("t^3"), unit_grid)),
+                              "_pair_based")
         assert calls_from(lambda: check_t4(SampledProblem(phi_of("t^3"), unit_grid, SCHED)),
                           "check_t4")
-        assert calls_from(lambda: check_t6(batches), "_origin")
+        # the origin test, and the pseudoconvexity of every line
+        assert calls_from(lambda: check_t6(batches), "_origin", "_pair_based")
         # the batches keep their origin test, so check_abc's calls are A's
         assert calls_from(lambda: check_abc(f, BOX, batches), "check_abc")
-        assert not any("_origin" in names for names in callers)
+        assert not any({"_origin", "_pair_based"} & names for names in callers)
