@@ -12,9 +12,9 @@ if __name__ == "__main__":
     result = run_battery(entries, pairs=6)
 
     for line in result.cases:
-        tag = f"[{line.theorem_id}]"
+        tag = f"[{line.theorem}]"
         detail = f"  ({line.detail})" if line.detail else ""
-        print(f"{tag:<8} {line.function_id:<28} {line.status}{detail}")
+        print(f"{tag:<8} {line.function:<28} {line.status}{detail}")
 
     print(f"\ncases={len(result.cases)}  vacuous={result.n_vacuous}"
           f"  inconclusive={result.n_inconclusive}"

@@ -168,7 +168,7 @@ def _char_verdict(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
     decs, idx = p.verdict(decompose), np.arange(p.dom.points.shape[1])
     # only the lines whose decomposition holds are scanned
     hat = np.array([dec.i_hat if dec.ok else (0, idx.size) for dec in decs])
-    found = p.stationary(p._valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:])))
+    found = p.stationary(p.dom.valid & ((idx < hat[:, :1]) | (idx >= hat[:, 1:])))
     flat = [strict and dec.pattern == "valley" and dec.band_size() > 2 for dec in decs]
 
     def witnesses(i: int) -> tuple[Witness, ...]:
@@ -267,7 +267,7 @@ def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
     with the interior point above both ends.
     """
     deltas, band = p._deltas, p.band[:, None]
-    rises = (deltas > band) & p._valid[:, 1:]
+    rises = (deltas > band) & p.dom.valid[:, 1:]
     drops = deltas < -band
     any_rise, any_drop = rises.any(axis=1), drops.any(axis=1)
     first_rise = _run_length(~rises)

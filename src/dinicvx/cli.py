@@ -82,7 +82,7 @@ class RunConfig:
     margin: float
     tol: float | None
     stat_tol: float
-    schedule: DiniSchedule
+    dini: DiniSchedule
     method: str
     seed: int
     output: str
@@ -96,9 +96,9 @@ class RunConfig:
             raise _ConfigError(f"grid must be <= {MAX_GRID}, got {self.grid}")
         if not self.margin > 0:
             raise _ConfigError(f"margin must be positive, got {self.margin}")
-        if self.schedule.steps > MAX_DINI_STEPS:
+        if self.dini.steps > MAX_DINI_STEPS:
             raise _ConfigError(
-                f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.schedule.steps}")
+                f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.dini.steps}")
         if self.tol is not None and not self.tol > 0:
             raise _ConfigError("tol must be positive")
         if self.tol is not None and not math.isfinite(self.tol):
@@ -231,8 +231,7 @@ def _with_ranges(result, pts: np.ndarray, *names: str) -> dict:
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    return {("dini" if k == "schedule" else k): v for k, v in _fields(cfg).items()
-            if k != "output"}
+    return {k: v for k, v in _fields(cfg).items() if k != "output"}
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def _merge_outcomes(outcomes: list[str]) -> str:
 def _line_problem(cfg: RunConfig, f) -> SampledProblem:
     """The one line of a one-variable run: ``f`` on the grid of ``--domain``."""
     return SampledProblem(f, make_grid(parse_interval(cfg.domain), cfg.grid, cfg.margin),
-                          cfg.schedule, cfg.tol, cfg.stat_tol)
+                          cfg.dini, cfg.tol, cfg.stat_tol)
 
 
 def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -259,7 +258,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         box = _parse_box(cfg.box, cfg.arity)
         batches = line_problems(f, sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
-                                cfg.margin, cfg.schedule, cfg.tol, cfg.stat_tol)
+                                cfg.margin, cfg.dini, cfg.tol, cfg.stat_tol)
     # every line of a batch is decided at once; check -> method -> the
     # outcome of each line, batch after batch
     per_line: dict[str, dict[str, list[str]]] = {check: {} for check in cfg.checks}
@@ -283,7 +282,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
                                     for vs in methods.values() for w in vs[0].witnesses
                                     if w.points))
         dini_at = dict(zip(firsts, stationarity_estimates(p.phi, firsts, p.dom.interval[0],
-                                                          cfg.schedule)))
+                                                          cfg.dini)))
         checks_out = {check: {"methods": {name: _with_dini(vs[0], dini_at)
                                           for name, vs in methods.items()}}
                       for check, methods in found.items()}
@@ -346,7 +345,7 @@ def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_dini(cfg: RunConfig, args: argparse.Namespace) -> int:
     fn = parse(cfg.function, cfg.arity)
     est = lower_dini(lambda ts: eval_many(fn, ts), args.at, args.dir,
-                     parse_interval(cfg.domain), cfg.schedule)
+                     parse_interval(cfg.domain), cfg.dini)
     _emit({
         "command": "dini",
         "config": _config_json(cfg),
@@ -372,28 +371,16 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     _within_budget(cfg.grid, sum(1 if e.arity == 1 else len(e.pairs or ()) + cfg.pairs
                                  for e in entries), "lines")
     result = run_battery(
-        entries, n_grid=cfg.grid, margin=cfg.margin, schedule=cfg.schedule,
+        entries, n_grid=cfg.grid, margin=cfg.margin, schedule=cfg.dini,
         tol=cfg.tol, stat_tol=cfg.stat_tol, pairs=cfg.pairs, seed=cfg.seed,
     )
     if cfg.output == "json":
-        report = {
-            "command": "verify-theorems",
-            "config": _config_json(cfg),
-            "cases": [
-                {"theorem": c.theorem_id, "function": c.function_id,
-                 "status": c.status, "detail": c.detail}
-                for c in result.cases
-            ],
-            "label_mismatches": list(result.label_mismatches),
-            "n_vacuous": result.n_vacuous,
-            "n_inconclusive": result.n_inconclusive,
-            "ok": result.ok,
-        }
-        _emit(report, "json")
+        _emit({"command": "verify-theorems", "config": _config_json(cfg),
+               **{k: v for k, v in _fields(result).items() if k != "reports"}}, "json")
     else:
         for c in result.cases:
             detail = f"  ({c.detail})" if c.detail else ""
-            print(f"[{c.theorem_id}] {c.function_id}: {c.status}{detail}")
+            print(f"[{c.theorem}] {c.function}: {c.status}{detail}")
         for m in result.label_mismatches:
             print(f"label mismatch: {m}")
         print(
@@ -529,15 +516,14 @@ def _build_parser() -> _Parser:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     try:
-        schedule = DiniSchedule(args.dini_t0, args.dini_ratio, args.dini_steps,
-                                args.dini_tol)
+        dini = DiniSchedule(args.dini_t0, args.dini_ratio, args.dini_steps, args.dini_tol)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     checks = args.check or ["all"]
     if "all" in checks:
         checks = [prop.check for prop in properties()]
     # every other setting is the flag of its name
-    built = {"function": args.function or "", "schedule": schedule, "checks": tuple(checks)}
+    built = {"function": args.function or "", "dini": dini, "checks": tuple(checks)}
     return RunConfig(**{f.name: built[f.name] if f.name in built else getattr(args, f.name)
                         for f in fields(RunConfig)})
 

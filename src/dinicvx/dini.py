@@ -510,8 +510,7 @@ def grid_dini_profile(
     vals = np.reshape(values, -1)
     s, cut = schedule.step_sizes(), schedule.steps // 2
     out = out or GridDiniProfile.unestimated(m, w)
-    want = mask if mask is not None else np.broadcast_to(
-        (np.arange(w) < dom.n[:, None])[:, None], (m, 2, w))
+    want = mask if mask is not None else np.broadcast_to(dom.valid[:, None], (m, 2, w))
     # A kernel block takes `share` entries a line at most, a window `wide`:
     # as many probes at s[cut] as a block has trailing probes.
     share = _BLOCK_ROWS // m

@@ -7,10 +7,11 @@ Interval notation round-trips through :func:`parse_interval` /
 ``[a,b)``, ``(a,b)``, with ``inf`` / ``-inf`` allowed on open ends.
 
 Every sampled domain is a :class:`LineGrids`: the grids of m lines, a line
-axis leading.  A one-variable problem is one line, and :func:`make_grid`
-samples its bounded interval uniformly.  Closed endpoints are included
-exactly; an open endpoint is pulled inward by the margin, so every grid
-point is a genuine domain point.
+axis leading, and ``LineGrids.valid`` says which of its slots are grid
+points.  A one-variable problem is one line, and :func:`make_grid` samples
+its bounded interval uniformly.  Closed endpoints are included exactly; an
+open endpoint is pulled inward by the margin, so every grid point is a
+genuine domain point.
 
 :func:`restrict` builds the one-dimensional restrictions of a multivariate
 function to the lines through the rows of two (m, d) stacks of points:
@@ -19,13 +20,14 @@ parameter interval ``{s : (1-s) x + s y in box}`` computed in closed form
 from the box bounds.  The affine form makes ``phi(0) == f(x)`` and
 ``phi(1) == f(y)`` hold exactly in floating point.  :func:`anchored_grid`
 grids the m feasible intervals into one :class:`LineGrids`: a line axis
-leads, and each line keeps its own points.
+leads, each line keeps its own points, and a row sort places the anchors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,6 +124,11 @@ class LineGrids:
     points: np.ndarray
     n: np.ndarray
 
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """The (m, W) mask of the slots of ``points`` that hold grid points."""
+        return np.arange(self.points.shape[1]) < self.n[:, None]
+
 
 def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray:
     """The (m, n) uniform grids of m intervals, row i as
@@ -193,21 +200,16 @@ def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = MARGI
     pts = _grids(intervals, n, margin)
     rows = np.arange(pts.shape[0])
     snap = (pts[:, 1] - pts[:, 0]) * 1e-6
-    inserted = []
-    for a in (0.0, 1.0):
+    anchors = np.full((pts.shape[0], 2), np.nan)  # those inserted, NaN where none
+    for j, a in enumerate((0.0, 1.0)):
         k = np.argmin(np.abs(pts - a), axis=1)
         inside = (pts[:, 0] <= a) & (a <= pts[:, -1])
         onto = inside & (np.abs(pts[rows, k] - a) <= snap)
         pts[rows[onto], k[onto]] = a
-        inserted.append(inside & ~onto)
-    zero, one = inserted
-    counts = n + zero + one
-    out = np.full((pts.shape[0], int(counts.max())), np.nan)
-    # each point moves right past the anchors inserted below it
-    shift = (zero[:, None] & (pts > 0.0)).astype(np.intp) + (one[:, None] & (pts > 1.0))
-    out[rows[:, None], np.arange(n) + shift] = pts
-    out[rows[zero], np.count_nonzero(pts < 0.0, axis=1)[zero]] = 0.0
-    out[rows[one], (np.count_nonzero(pts < 1.0, axis=1) + zero)[one]] = 1.0
+        anchors[inside & ~onto, j] = a
+    counts = n + np.count_nonzero(~np.isnan(anchors), axis=1)
+    # NaN sorts last: each row's points, then its padding
+    out = np.sort(np.concatenate((pts, anchors), axis=1), axis=1)[:, :counts.max()].copy()
     return LineGrids(tuple(intervals), out, counts)
 
 

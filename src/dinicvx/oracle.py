@@ -100,9 +100,8 @@ def grid_values(
     witnesses come as one tuple per line.
     """
     vals = phi(dom.points)
-    valid = np.arange(vals.shape[1]) < dom.n[:, None]
-    undefined = ~np.isfinite(vals) & valid
-    vals[~valid] = np.inf  # past a line's last point: +inf, and not undefined
+    undefined = ~np.isfinite(vals) & dom.valid
+    vals[~dom.valid] = np.inf  # past a line's last point: +inf, and not undefined
     return vals, tuple(
         tuple(Witness("undefined_grid_value", (float(dom.points[i, j]),), (float(vals[i, j]),),
                       "phi is undefined or non-finite at a grid point")
@@ -132,10 +131,6 @@ class SampledProblem:
     schedule: DiniSchedule = DiniSchedule()
     tol: float | None = None
     stat_tol: float = 1e-7
-
-    @cached_property
-    def _valid(self) -> np.ndarray:
-        return np.arange(self.dom.points.shape[1]) < self.dom.n[:, None]
 
     @cached_property
     def _sampled(self) -> tuple[np.ndarray, tuple]:
@@ -170,7 +165,7 @@ class SampledProblem:
         there no step falls or is flat."""
         with np.errstate(invalid="ignore"):
             deltas = np.diff(self.values, axis=1)
-        deltas[~self._valid[:, 1:]] = np.inf
+        deltas[~self.dom.valid[:, 1:]] = np.inf
         return deltas
 
     @cached_property
@@ -194,7 +189,7 @@ class SampledProblem:
         all) estimated, up to the block of rows after which ``until`` (as
         :func:`grid_dini_profile` calls it) returns true, and those its
         window settled past it."""
-        todo = (self._valid[:, None] if mask is None else mask) & ~self.profile.estimated
+        todo = (self.dom.valid[:, None] if mask is None else mask) & ~self.profile.estimated
         if todo.any():
             grid_dini_profile(self.phi, self.dom, self.values, self.schedule, todo,
                               out=self.profile, until=until, stat_tol=self.stat_tol)
@@ -302,7 +297,7 @@ def _pair_based(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
     else:
         hit = p.side_min < vals - band
         trigger = "phi(y) < phi(x) - tol"
-    hit &= p._valid[:, None] & ~p._bad[:, None, None]
+    hit &= p.dom.valid[:, None] & ~p._bad[:, None, None]
     # The hit entries are estimated a block of columns at a time, in grid
     # order.  Once the blocks done hold _WITNESS_CAP failures of every line,
     # each line knows the failures it reports, so the scan stops there and
@@ -418,7 +413,7 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     m, w = vals.shape
     # a padded x, and each x of a line with undefined values, compares at
     # level -inf: no side minimum is below it, so both its windows are empty
-    c = np.where(p._valid & ~p._bad[:, None], vals - p.band[:, None], -np.inf)
+    c = np.where(p.dom.valid & ~p._bad[:, None], vals - p.band[:, None], -np.inf)
     # side by side (rightward, leftward): x + 1 or x - 1 is in x's window,
     # and is a hit; x has no neighbour at a grid end
     open_, hits = np.zeros((2, 2, m, w), dtype=bool)

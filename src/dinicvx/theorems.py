@@ -173,7 +173,7 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     wits = list(lhs.witnesses) + list(qc.witnesses)
     wits += [_witness(p, "stationary_nonminimizer", (i,),
                       "stationary grid point above the minimum level")
-             for i in offenders[:4]]
+             for i in offenders[:_WITNESS_CAP]]
     return _report_fail("T4", function_id, (lhs,), (qc,), wits,
                         "pseudoconvexity and the stationarity form disagree")
 
@@ -456,8 +456,8 @@ def check_abc(
 
 @dataclass(frozen=True)
 class CaseLine:
-    theorem_id: str
-    function_id: str
+    theorem: str
+    function: str
     status: str  # ok | vacuous | inconclusive | FAIL
     detail: str = ""
 

@@ -40,11 +40,28 @@ pulled in by the margin.  It checks that
 - a ``dini`` report's ``"estimate"`` is the reference estimate at ``at``
   toward sign(``direction``), field by field and bit for bit, its ``value``
   scaled by |``direction``|.
+
+A multivariate ``classify`` report is checked against its config alone:
+
+- it has ``config.pairs`` pairs, each with x != y, both in the box, its
+  open faces honoured;
+- each pair's ``feasible`` interval holds 0 and 1, and the line's point
+  (1 - s) x + s y at each finite end s lies on a face of the box, within
+  1e-12 relative to max(1, |face|).  An end may be printed as
+  ``np.float64(...)`` (ROADMAP item 1), which is read through;
+- each pair has an outcome, ``holds``, ``fails`` or ``inconclusive``, for
+  exactly the methods of each check that ``--method`` asks for;
+- each check's ``methods_aggregate`` is the merge of its pair outcomes:
+  ``fails`` if any pair fails, else ``inconclusive`` if any is, else
+  ``holds``;
+- each check's ``agree`` and ``outcome``, and the report's ``agreement``
+  and ``inconclusive``, follow from the aggregates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import asdict, replace
@@ -59,6 +76,13 @@ from expr_reference import eval_many_reference
 
 _INTERVAL = re.compile(r"^\s*([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])\s*$")
 _SPECIAL = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+_FLOAT64 = re.compile(r"np\.float64\(([^()]*)\)")
+_OUTCOMES = ("holds", "fails", "inconclusive")
+# the structural method of each check; "both" asks for it and the definitional one
+_STRUCTURAL = {"pseudoconvex": "characterization", "strict-pseudoconvex": "characterization",
+               "quasiconvex": "martos", "semistrict-quasiconvex": "martos"}
 
 
 def _float(v) -> float:
@@ -209,13 +233,113 @@ def _split(dec: dict, values: np.ndarray) -> list[str]:
         for k in range(e, f - 1) if not deltas[k] > tol]
 
 
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    """(lo, hi, lo_closed, hi_closed) of bracket notation, an end maybe
+    printed as ``np.float64(...)``."""
+    lb, lo, hi, rb = _INTERVAL.match(_FLOAT64.sub(r"\1", text)).groups()
+    return float(lo), float(hi), lb == "[", rb == "]"
+
+
+def _within(v: float, iv: tuple[float, float, bool, bool]) -> bool:
+    lo, hi, lo_closed, hi_closed = iv
+    return (lo <= v if lo_closed else lo < v) and (v <= hi if hi_closed else v < hi)
+
+
+def _merge(outcomes) -> str:
+    """``fails`` if any outcome is, else ``inconclusive`` if any is, else ``holds``."""
+    return next((o for o in ("fails", "inconclusive") if o in outcomes), "holds")
+
+
+def _pair_problems(where: str, pair: dict, box: list) -> list[str]:
+    """How a pair's points and feasible interval miss the box."""
+    problems = []
+    x, y = (np.array([_float(v) for v in pair[end]]) for end in ("x", "y"))
+    if (x == y).all():
+        problems.append(f"{where}: x equals y")
+    for name, point in (("x", x), ("y", y)):
+        if point.size != len(box) or not all(map(_within, point.tolist(), box)):
+            problems.append(f"{where}: {name} {point.tolist()} is outside the box")
+    feasible = _interval(pair["feasible"])
+    if not (_within(0.0, feasible) and _within(1.0, feasible)):
+        problems.append(f"{where}: feasible {pair['feasible']} misses 0 or 1")
+    for s in filter(math.isfinite, feasible[:2]):
+        point = ((1.0 - s) * x + s * y).tolist()
+        if not any(abs(v - face) <= 1e-12 * max(1.0, abs(face))
+                   for v, iv in zip(point, box) for face in iv[:2]):
+            problems.append(f"{where}: the point {point} at the feasible end {s!r} "
+                            "is on no face of the box")
+    return problems
+
+
+def _multivariate_problems(report: dict) -> list[str]:
+    """How a multivariate ``classify`` report disagrees with its config and
+    with itself."""
+    config = report["config"]
+    box = [_interval(part) for part in config["box"].split("x")]
+    asked = {check: {"both": {"definitional", _STRUCTURAL[check]},
+                     "definitional": {"definitional"},
+                     "structural": {_STRUCTURAL[check]}}[config["method"]]
+             for check in config["checks"]}
+    problems = [] if len(report["pairs"]) == config["pairs"] else [
+        f"{len(report['pairs'])} pairs, config asks for {config['pairs']}"]
+    outcomes = {check: {method: [] for method in sorted(methods)}
+                for check, methods in asked.items()}
+    for k, pair in enumerate(report["pairs"]):
+        where = f"pair{k}"
+        problems += _pair_problems(where, pair, box)
+        if set(pair["checks"]) != set(asked):
+            problems.append(f"{where}: checks {sorted(pair['checks'])}, asked {sorted(asked)}")
+        for check, methods in asked.items():
+            got = pair["checks"].get(check, {})
+            if set(got) != methods:
+                problems.append(f"{where}: {check} methods {sorted(got)}, asked {sorted(methods)}")
+            for method in sorted(methods & set(got)):
+                if got[method] not in _OUTCOMES:
+                    problems.append(f"{where}: {check}/{method} outcome {got[method]!r}")
+                outcomes[check][method].append(got[method])
+    if set(report["checks"]) != set(asked):
+        problems.append(f"checks {sorted(report['checks'])}, asked {sorted(asked)}")
+    aggregates = []
+    for check, by_method in outcomes.items():
+        found = report["checks"].get(check, {})
+        aggregate = found.get("methods_aggregate")
+        want = {method: _merge(outs) for method, outs in by_method.items()}
+        if aggregate != want:
+            problems.append(f"{check}: methods_aggregate {aggregate}, the pairs merge to {want}")
+        aggregates.append(want)
+        agree = len({o for o in want.values() if o != "inconclusive"}) <= 1
+        if found.get("agree") != agree:
+            problems.append(f"{check}: agree is {found.get('agree')}, the aggregates say {agree}")
+        if found.get("outcome") != _merge(list(want.values())):
+            problems.append(f"{check}: outcome {found.get('outcome')!r}, the aggregates merge "
+                            f"to {_merge(list(want.values()))!r}")
+    agreement = all(len({o for o in a.values() if o != "inconclusive"}) <= 1 for a in aggregates)
+    inconclusive = any("inconclusive" in a.values() for a in aggregates)
+    if (report["agreement"], report["inconclusive"]) != (agreement, inconclusive):
+        problems.append(f"agreement {report['agreement']} and inconclusive "
+                        f"{report['inconclusive']}, the aggregates say {agreement} and "
+                        f"{inconclusive}")
+    return problems
+
+
+def python_reprs(obj) -> list[str]:
+    """The strings in a report that hold a Python repr such as ``np.float64(...)``."""
+    if isinstance(obj, dict):
+        return [r for v in obj.values() for r in python_reprs(v)]
+    if isinstance(obj, list):
+        return [r for v in obj for r in python_reprs(v)]
+    return [obj] if isinstance(obj, str) and re.search(r"\b(np|numpy)\.\w+\(", obj) else []
+
+
 def report_problems(text: str) -> list[str]:
-    """What in the 1-D ``classify``, ``decompose`` or ``dini`` report
-    ``text`` disagrees with its expression and its grid: empty when the
-    report checks."""
+    """What in the ``classify``, 1-D ``decompose`` or ``dini`` report
+    ``text`` disagrees with its expression and its grid, or a multivariate
+    ``classify`` report with its config: empty when the report checks."""
     # an integer as a float keeps the sign of a zero printed "-0"
     report = json.loads(text, parse_int=float)
     config = report["config"]
+    if config["arity"] > 1:
+        return _multivariate_problems(report)
     fn = parse(config["function"], 1)
     phi = lambda ts: eval_many_reference(fn, ts)
     d = config["dini"]

@@ -428,7 +428,7 @@ class TestParserDefaults:
     ], ids=["classify", "decompose", "dini", "verify-theorems"])
     def test_schedule_defaults_are_the_schedule_objects(self, argv, schedule):
         cfg = cli._config_from(cli._build_parser().parse_args(argv))
-        assert cfg.schedule == schedule
+        assert cfg.dini == schedule
 
 
 # A valid run of each subcommand, to which one flag is added.
@@ -672,7 +672,7 @@ class TestSizeCaps:
         cfg = cli._config_from(cli._build_parser().parse_args(
             CUBE + ["--grid", str(cli.MAX_GRID), "--pairs", str(cli.MAX_PAIRS),
                     "--dini-ratio", "0.99", "--dini-steps", str(cli.MAX_DINI_STEPS)]))
-        assert (cfg.grid, cfg.pairs, cfg.schedule.steps) == (
+        assert (cfg.grid, cfg.pairs, cfg.dini.steps) == (
             cli.MAX_GRID, cli.MAX_PAIRS, cli.MAX_DINI_STEPS)
 
     @pytest.mark.parametrize("cmd,caps", [

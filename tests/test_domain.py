@@ -263,6 +263,55 @@ class TestAnchoredGrid:
         assert np.min(gaps) > base * 1e-7
 
 
+def anchored_row(iv: Interval, n: int, margin: float) -> np.ndarray:
+    """One interval's anchored grid by ``np.insert``: each anchor in range
+    replaces the nearest grid point within ``spacing * 1e-6`` of it, or is
+    inserted in order."""
+    pts = make_grid(iv, n, margin).points[0]
+    snap, new = (pts[1] - pts[0]) * 1e-6, []
+    for a in (0.0, 1.0):
+        if pts[0] <= a <= pts[-1]:
+            k = int(np.argmin(np.abs(pts - a)))
+            if abs(pts[k] - a) <= snap:
+                pts[k] = a
+            else:
+                new.append(a)
+    return np.insert(pts, np.searchsorted(pts, new), new)
+
+
+@st.composite
+def near_anchor(draw, n: int) -> Interval:
+    """An interval whose n-point grid with spacing about h puts an anchor
+    outside it, on a grid point, within snap distance of one, or between
+    two, with either end open or closed."""
+    a = draw(st.sampled_from([0.0, 1.0]))
+    h = draw(st.sampled_from([0.125, 0.1, 1 / 3, 0.37, 2.0]))
+    k = draw(st.integers(-2, n + 1))  # the grid index at the anchor
+    off = draw(st.sampled_from([0.0, 3e-7, -3e-7, 0.5, 0.25, -0.4])) * h
+    lo = a - k * h + off
+    return Interval(lo, lo + (n - 1) * h, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_anchored_rows_are_each_interval_alone(data):
+    # a ragged batch: rows of n, n + 1 and n + 2 points
+    n = data.draw(st.integers(2, 60))
+    margin = data.draw(st.sampled_from([1e-6, 1e-9]))
+    loose = st.tuples(st.floats(-3, 3), st.floats(1e-3, 6), st.booleans(), st.booleans()).map(
+        lambda t: Interval(t[0], t[0] + t[1], t[2], t[3]))
+    ivs = tuple(data.draw(st.lists(near_anchor(n) | loose, min_size=1, max_size=12)))
+    g = anchored_grid(ivs, n, margin)
+    assert g.points.flags.c_contiguous
+    assert g.points.shape == (len(ivs), int(g.n.max()))
+    for i, iv in enumerate(ivs):
+        alone, ref = anchored_grid((iv,), n, margin), anchored_row(iv, n, margin)
+        assert g.n[i] == alone.n[0] == ref.size
+        assert g.points[i, :ref.size].tobytes() == alone.points[0].tobytes() == ref.tobytes()
+        assert np.isnan(g.points[i, ref.size:]).all()
+        assert (g.valid[i] == (np.arange(g.points.shape[1]) < ref.size)).all()
+
+
 class TestRestrict:
     def test_endpoint_values_exact(self):
         f = phi_of("x1^2 + x2^2", 2)

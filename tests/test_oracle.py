@@ -457,7 +457,7 @@ class TestDemandDrivenProfile:
 
     def test_settle_estimates_both_directions_of_a_stationary_row(self, unit_grid):
         p = SampledProblem(phi_of("t^3"), unit_grid)
-        p.stationary(p._valid)
+        p.stationary(p.dom.valid)
         prof = p.profile
         stationary = ~descends(prof, p.stat_tol)[0].any(axis=0)
         assert stationary.any()

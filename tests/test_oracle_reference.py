@@ -105,7 +105,7 @@ def outside_band(p, dec):
     """The mask of the grid points of ``p``'s one line outside the minimum
     band of ``dec``."""
     idx = np.arange(p.dom.points.shape[1])
-    return p._valid & ((idx < dec.i_hat[0]) | (idx >= dec.i_hat[1]))
+    return p.dom.valid & ((idx < dec.i_hat[0]) | (idx >= dec.i_hat[1]))
 
 
 @given(problems())

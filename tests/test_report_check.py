@@ -8,6 +8,11 @@ off, a minimum band stretched into a flank, a martos boundary moved and a
 
 The ``classify-1d/cube/text`` case is left out: it renders the report of
 ``classify-1d/cube/grid257`` as text.
+
+Every JSON multivariate ``classify`` report of the snapshot checks against
+its config as well, and the checker catches a pair outcome flipped against
+its aggregate, an x moved outside the box and a ``feasible`` end pulled
+inward.  ``classify/cube-x1/text`` is left out: it is a text rendering.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import time
 
 import numpy as np
@@ -23,11 +29,14 @@ import pytest
 
 import test_cli_snapshot as snapshot
 from dinicvx import cli
-from report_check import grid_of, report_problems
+from report_check import grid_of, python_reprs, report_problems
 
 CASES = {label: argv for label, argv in snapshot.cases().items()
          if (label.startswith("classify-1d/") and "--output=text" not in argv)
          or label in ("decompose/sq", "decompose/log", "dini/abs/json")}
+
+ND_CASES = {label: argv for label, argv in snapshot.cases().items()
+            if label.startswith("classify/") and "--output=text" not in argv}
 
 
 def classify(argv: list[str]) -> tuple[int, str]:
@@ -53,9 +62,30 @@ def test_every_one_variable_report_of_the_snapshot_checks():
     assert time.monotonic() - start < 60
 
 
+def test_every_multivariate_report_of_the_snapshot_checks():
+    # the six golden 2-D functions on two seeds, an open box, undefined
+    # values and a 2049-point grid; about a second on a 2-core VM
+    recorded = json.loads(snapshot.SNAPSHOT.read_text())
+    assert len(ND_CASES) == 15
+    start = time.monotonic()
+    for label, argv in sorted(ND_CASES.items()):
+        code, text = classify(argv)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert {"exit": code, "stdout_sha256": digest} == recorded[label], label
+        assert report_problems(text) == [], label
+    assert time.monotonic() - start < 60
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a pair's feasible ends are printed "
+                                       "as np.float64(...) reprs")
+def test_no_report_value_is_a_python_repr():
+    for label, argv in sorted(ND_CASES.items()):
+        assert python_reprs(json.loads(classify(argv)[1])) == [], label
+
+
 def mutated(label: str, mutate) -> list[str]:
     """The problems of the report of ``label`` once ``mutate`` changed it."""
-    report = json.loads(classify(CASES[label])[1], parse_int=float)
+    report = json.loads(classify({**CASES, **ND_CASES}[label])[1], parse_int=float)
     assert report_problems(json.dumps(report)) == []
     mutate(report)
     return report_problems(json.dumps(report))
@@ -181,3 +211,37 @@ def test_a_dini_report_estimate_one_ulp_off_fails():
         est["value"] = float(np.nextafter(est["value"], 0.0))
 
     assert mutated("dini/abs/json", nudge) == ["estimate value is 1.0, reported 0.9999999999999999"]
+
+
+def test_a_pair_outcome_flipped_against_its_aggregate_fails():
+    def flip(report):
+        assert report["checks"]["quasiconvex"]["methods_aggregate"]["martos"] == "holds"
+        report["pairs"][3]["checks"]["quasiconvex"]["martos"] = "fails"
+
+    assert mutated("classify/bowl2/seed1", flip) == [
+        "quasiconvex: methods_aggregate {'definitional': 'holds', 'martos': 'holds'}, "
+        "the pairs merge to {'definitional': 'holds', 'martos': 'fails'}",
+        "quasiconvex: agree is True, the aggregates say False",
+        "quasiconvex: outcome 'holds', the aggregates merge to 'fails'",
+        "agreement True and inconclusive False, the aggregates say False and False"]
+
+
+def test_an_x_moved_outside_the_box_fails():
+    def move(report):
+        report["pairs"][0]["x"][1] = 1.5
+
+    assert any(p.startswith("pair0: x ") and p.endswith("is outside the box")
+               for p in mutated("classify/open-box", move))
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_a_feasible_end_pulled_inward_fails(end):
+    def pull(report):
+        pair = report["pairs"][0]
+        lo, hi = re.findall(r"np\.float64\(([^()]*)\)", pair["feasible"])
+        ends = [float(lo), float(hi)]
+        ends[end] += (0.5 - ends[end]) * 1e-9
+        pair["feasible"] = f"{pair['feasible'][0]}{ends[0]!r},{ends[1]!r}{pair['feasible'][-1]}"
+
+    problems = mutated("classify/open-box", pull)
+    assert len(problems) == 1 and "is on no face of the box" in problems[0]

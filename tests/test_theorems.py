@@ -83,6 +83,19 @@ class TestT4:
         assert rep.premise_verdicts[0].outcome == "fails"
         assert rep.conclusion_verdicts[0].outcome == "holds"
 
+    def test_a_fail_cuts_its_witnesses_at_the_one_cap(self, unit_grid, monkeypatch):
+        # a decreasing staircase of 9 steps is quasiconvex, and stationary
+        # above its minimum on 8 plateaus; with pseudoconvexity spied to
+        # hold, T4 fails with as many stationary witnesses as any list keeps
+        steps = ", ".join(f"t < {-1 + 2 * k / 9!r}: {10 - k}" for k in range(1, 9))
+        monkeypatch.setattr(theorems, "pseudoconvex_def", lambda p: (
+            oracle.Verdict("holds", "pseudoconvex_def", 0.0, p.stat_tol),))
+        rep = check_t4(SampledProblem(phi_of(f"piecewise({steps}, else: 1)"), unit_grid, SCHED))
+        assert not rep.implication_holds
+        assert rep.conclusion_verdicts[0].outcome == "holds"
+        assert [w.kind for w in rep.counterexample] == (
+            ["stationary_nonminimizer"] * oracle._WITNESS_CAP)
+
     @pytest.mark.parametrize("source", ["abs(t)^1.1", "abs(t) + abs(t)^1.1"])
     def test_unconverged_minimizer_leaves_t4_decided(self, source, unit_grid):
         # the estimates at the minimizer t = 0 settle too slowly to converge,
@@ -177,7 +190,7 @@ class TestT6:
         monkeypatch.setattr(theorems, "_origin", origin)
         kept = run_battery(entries, seed=seed, **settings)
         assert read  # T6 reads each batch's ends and origin test from _origin
-        cube, = (c for c in kept.cases if c.theorem_id == "T6" and c.function_id == "cube-x1")
+        cube, = (c for c in kept.cases if c.theorem == "T6" and c.function == "cube-x1")
         assert (cube.status, cube.detail) == ("ok", "both sides fail")
         monkeypatch.setattr(theorems, "check_t6", self.loop)
         assert repr(run_battery(entries, seed=seed, **settings)) == repr(kept)
@@ -190,7 +203,7 @@ class TestT6:
         settings = {"n_grid": 1025, "stat_tol": 1e-3, "pairs": 60, "seed": 0}
         kept = run_battery([entry], **settings)
         case, rep = kept.cases[0], kept.reports[0]
-        assert (case.theorem_id, case.status) == ("T6", "FAIL") and not kept.ok
+        assert (case.theorem, case.status) == ("T6", "FAIL") and not kept.ok
         assert [k for k, v in enumerate(rep.premise_verdicts) if v.outcome == "fails"] == [
             10, 29, 39, 57]
         wits = rep.counterexample
@@ -374,19 +387,19 @@ class TestRunBattery:
     def test_lsc_flag_gates_t3(self):
         by_id = {e.id: e for e in golden_battery()}
         res = run_battery([by_id["log-partial"]])
-        assert not any(c.theorem_id == "T3" for c in res.cases)
+        assert not any(c.theorem == "T3" for c in res.cases)
 
     def test_rc_flag_gates_t4(self):
         by_id = {e.id: e for e in golden_battery()}
         res = run_battery([by_id["half-plateau-ramp"]])
-        assert not any(c.theorem_id == "T4" for c in res.cases)
-        assert any(c.theorem_id == "T3" for c in res.cases)
+        assert not any(c.theorem == "T4" for c in res.cases)
+        assert any(c.theorem == "T3" for c in res.cases)
 
     def test_multivariate_runs_t6_and_abc(self):
         by_id = {e.id: e for e in golden_battery()}
         res = run_battery([by_id["bowl2"]], pairs=3)
-        assert any(c.theorem_id == "T6" for c in res.cases)
-        assert any(c.theorem_id == "Lpr1" for c in res.cases)
+        assert any(c.theorem == "T6" for c in res.cases)
+        assert any(c.theorem == "Lpr1" for c in res.cases)
 
 
 DEF_ORACLES = ("pseudoconvex_def", "strictly_pseudoconvex_def",
