@@ -10,8 +10,8 @@ monotone draws carry expected labels with comfortable numeric margins
 (piece slopes at least 0.05 in magnitude, jumps at least 0.05); arbitrary
 draws carry no labels and exercise pure oracle/characterization agreement.
 
-Every random function is serialized to an expression string and parsed
-back, so anything the battery classifies also flows through the grammar.
+Every function is an expression string, which ``run_battery`` parses before
+any entry runs, so anything the battery classifies flows through the grammar.
 """
 
 from __future__ import annotations
@@ -286,9 +286,9 @@ def write_manifest(entries: tuple[BatteryEntry, ...], path: str | Path) -> None:
 _DEFAULTS = {f.name: f.default for f in fields(BatteryEntry)}  # MISSING if required
 
 
-def _require(ok: bool, raw: dict, field: str, want: str) -> None:
+def _require(ok: bool, raw: dict, field: str, want: str, n) -> None:
     if not ok:
-        raise ValueError(f"entry {raw.get('id')!r}: {field} must be {want}")
+        raise ValueError(f"entry {raw.get('id')!r}: {field} must be {want.format(n=n)}")
 
 
 def _listof(x, ok, n: int | None = None) -> bool:
@@ -296,28 +296,29 @@ def _listof(x, ok, n: int | None = None) -> bool:
     return isinstance(x, (list, tuple)) and n in (None, len(x)) and all(map(ok, x))
 
 
-def _rules(n: int) -> dict:
-    """field -> (what it must be in an entry of arity ``n``, its test)."""
-    text, flag = (lambda v: isinstance(v, str)), (lambda v: type(v) is bool)
-    point = lambda v: _listof(v, lambda c: type(c) in (int, float), n)
-    return {
-        "id": ("a string", text), "expression": ("a string", text),
-        "domain": ("an interval string", lambda v: text(v) or (v is None and n > 1)),
-        "box": (f"a list of {n} interval strings",
-                lambda v: _listof(v, text, n) or (v is None and n == 1)),
-        "lsc": ("a boolean", flag), "radially_continuous": ("a boolean", flag),
-        "expected": (f"booleans keyed by {', '.join(LABELS)}", lambda v: v is None or (
-            isinstance(v, dict) and v.keys() <= set(LABELS) and all(map(flag, v.values())))),
-        "pairs": (f"a list of pairs of two points of {n} numbers",
-                  lambda v: v is None or _listof(v, lambda p: _listof(p, point, 2))),
-        "tags": ("a list of strings", lambda v: _listof(v, text)),
-    }
+_text, _flag = (lambda v, n=None: isinstance(v, str)), (lambda v, n=None: type(v) is bool)
+# field -> (what it must be in an entry of arity {n}, its test of the value and n);
+# the arity comes first, as the others read it
+_RULES = {
+    "arity": ("an integer >= 1", lambda v, n: type(v) is int and v >= 1),
+    "id": ("a string", _text), "expression": ("a string", _text),
+    "domain": ("an interval string", lambda v, n: _text(v) or (v is None and n > 1)),
+    "box": ("a list of {n} interval strings",
+            lambda v, n: _listof(v, _text, n) or (v is None and n == 1)),
+    "lsc": ("a boolean", _flag), "radially_continuous": ("a boolean", _flag),
+    "expected": (f"booleans keyed by {', '.join(LABELS)}", lambda v, n: v is None or (
+        isinstance(v, dict) and v.keys() <= set(LABELS) and all(map(_flag, v.values())))),
+    "pairs": ("a list of pairs of two points of {n} numbers", lambda v, n: v is None or _listof(
+        v, lambda p: _listof(p, lambda x: _listof(x, lambda c: type(c) in (int, float), n), 2))),
+    "tags": ("a list of strings", lambda v, n: _listof(v, _text)),
+}
 
 
 def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
     """Read a manifest of :func:`write_manifest`; a malformed entry raises
     ValueError naming the entry and the field."""
-    data = json.loads(Path(path).read_text())
+    with open(path) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict) or data.get("version") != 1:
         raise ValueError(f"unsupported manifest version in {path}")
     if not _listof(data.get("entries"), lambda raw: isinstance(raw, dict)):
@@ -327,11 +328,9 @@ def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
         unknown = sorted(raw.keys() - _DEFAULTS.keys())
         if unknown:
             raise ValueError(f"entry {raw.get('id')!r}: unknown field {unknown[0]!r}")
-        n = raw.get("arity")
-        _require(type(n) is int and n >= 1, raw, "arity", "an integer >= 1")
         entry = {name: raw.get(name, default) for name, default in _DEFAULTS.items()}
-        for name, (want, ok) in _rules(n).items():
-            _require(ok(entry[name]), raw, name, want)
+        for name, (want, ok) in _RULES.items():
+            _require(ok(entry[name], entry["arity"]), raw, name, want, entry["arity"])
         box, pairs = entry["box"], entry["pairs"]
         entries.append(BatteryEntry(**{
             **entry, "box": None if box is None else tuple(box), "tags": tuple(entry["tags"]),

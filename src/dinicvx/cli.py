@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring
 from typing import Callable
 
 import numpy as np
@@ -135,12 +136,12 @@ def _within_budget(grid: int, lines: int, what: str) -> None:
 
 class _Texts(dict):
     """The text of each float and each string of one report, made on first
-    use; a string, a value or a dict key alike, is quoted and escaped.  A zero
-    is formatted each time: 0.0 and -0.0 are one key and print differently."""
+    use; a string, a value or a dict key alike, is escaped as JSON requires.  A
+    zero is formatted each time: 0.0 and -0.0 are one key and print differently."""
 
     def __missing__(self, x: float | str) -> str:
         if type(x) is str:
-            text = '"' + x.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+            text = encode_basestring(x)
         elif math.isnan(x):
             return '"nan"'
         elif math.isinf(x):
@@ -187,9 +188,17 @@ def _text(obj, pad: str, texts: _Texts, shared: dict) -> str:
     if not is_dataclass(obj):
         raise TypeError(f"cannot serialize {type(obj)!r}")
     key = (id(obj), pad)
-    if key not in shared:
-        shared[key] = _text(_fields(obj), pad, texts, shared)
+    if key not in shared:  # written as the dict of its fields would be
+        inner = pad + "  "
+        keyed = [f"{inner}{q}{_text(getattr(obj, k), inner, texts, shared)}" for k, q in _names(t)]
+        shared[key] = "{\n" + ",\n".join(keyed) + f"\n{pad}}}" if keyed else "{}"
     return shared[key]
+
+
+@functools.cache
+def _names(t: type) -> tuple[tuple[str, str], ...]:
+    """A result type's sorted field names (no cached property), each with its key text."""
+    return tuple((k, encode_basestring(k) + ": ") for k in sorted(f.name for f in fields(t)))
 
 
 def canonical_json(obj) -> str:
@@ -201,9 +210,8 @@ def canonical_json(obj) -> str:
 
 
 def _fields(obj) -> dict:
-    """A dataclass as the dict of its fields, unconverted.  Not ``vars()``:
-    a cached property, such as ``DiniSchedule._steps``, is no field."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """A dataclass as the dict of its fields, unconverted."""
+    return {name: getattr(obj, name) for name, _ in _names(type(obj))}
 
 
 def _with_dini(v: Verdict, dini_at: dict) -> dict:

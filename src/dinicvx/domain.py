@@ -130,9 +130,9 @@ class LineGrids:
         return np.arange(self.points.shape[1]) < self.n[:, None]
 
 
-def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray:
-    """The (m, n) uniform grids of m intervals, row i as
-    ``np.linspace(lo, hi, n)`` between its first and last points.
+def grid_ends(intervals: tuple[Interval, ...], n: int, margin: float) -> list:
+    """The first and last grid points ``(lo, hi)`` of each interval, which
+    ``n`` points then divide uniformly.
 
     Every interval is checked before any is gridded; the first that cannot
     be gridded raises the first of :func:`make_grid`'s errors it meets.
@@ -157,7 +157,12 @@ def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray
         if not ((iv.lo_closed or lo > iv.lo) and (iv.hi_closed or hi < iv.hi)):
             raise ValueError(f"margin {margin} rounds onto an open end of {iv}")
         ends.append((lo, hi))
-    a, b = np.array(ends, dtype=float).T
+    return ends
+
+
+def _grids(intervals: tuple[Interval, ...], n: int, margin: float) -> np.ndarray:
+    """The (m, n) grids of m intervals, row i as ``np.linspace`` of its ends."""
+    a, b = np.array(grid_ends(intervals, n, margin), dtype=float).T
     pts = np.linspace(a, b, n).T
     # np.linspace takes its denormal route for every row once one row's step
     # is 0, which is that row's own route alone: the others are gridded again
@@ -175,7 +180,8 @@ def make_grid(interval: Interval, n: int, margin: float = MARGIN) -> LineGrids:
     ``margin > 0``, and enough room for the margins on open ends: each must
     move its end by at least one ulp, or the grid would start on the end.
     """
-    return LineGrids((interval,), _grids((interval,), n, margin), np.full(1, n))
+    [(lo, hi)] = grid_ends((interval,), n, margin)
+    return LineGrids((interval,), np.linspace(lo, hi, n)[None], np.full(1, n))
 
 
 def extent(intervals: tuple[Interval, ...]) -> tuple[np.ndarray, np.ndarray]:

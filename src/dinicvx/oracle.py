@@ -427,17 +427,18 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     rest[1] &= xs - 2 >= np.where(peak, xs, 2 * w).min(axis=1)[:, None]
     # the rest by side, then by line, in flat order; at is x's flat index in vals
     flat = np.flatnonzero(rest)
-    cuts = np.searchsorted(flat, np.arange(0, 2 * m * w + 1, w))
-    at = flat % (m * w)
-    need, edge = c.reshape(-1)[at], np.empty_like(at)
-    for k in np.flatnonzero(np.diff(cuts)).tolist():
-        (s, i), seg = divmod(k, m), slice(cuts[k], cuts[k + 1])
-        edge[seg] = i * w + (np.searchsorted(-sm[i, 0], -need[seg], side="right") if s else
-                             np.searchsorted(sm[i, 1], need[seg]))
-    r = cuts[m]  # edge is the window's end rightward, its start leftward
-    found = _window_max(vals.reshape(-1), np.concatenate((at[:r] + 1, edge[r:])),
-                        np.concatenate((edge[:r], at[r:]))) >= need
-    hits.reshape(-1)[flat[found]] = True
+    if flat.size:  # none is left on a valley line, say: no search
+        cuts = np.searchsorted(flat, np.arange(0, 2 * m * w + 1, w))
+        at = flat % (m * w)
+        need, edge = c.reshape(-1)[at], np.empty_like(at)
+        for k in np.flatnonzero(np.diff(cuts)).tolist():
+            (s, i), seg = divmod(k, m), slice(cuts[k], cuts[k + 1])
+            edge[seg] = i * w + (np.searchsorted(-sm[i, 0], -need[seg], side="right") if s else
+                                 np.searchsorted(sm[i, 1], need[seg]))
+        r = cuts[m]  # edge is the window's end rightward, its start leftward
+        found = _window_max(vals.reshape(-1), np.concatenate((at[:r] + 1, edge[r:])),
+                            np.concatenate((edge[:r], at[r:]))) >= need
+        hits.reshape(-1)[flat[found]] = True
     hits = np.moveaxis(hits, 0, -1)  # (m, w, 2): x by x, rightward first
 
     def triples(i: int):

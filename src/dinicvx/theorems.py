@@ -32,6 +32,7 @@ from .domain import (
     LineRestriction,
     anchored_grid,
     extent,
+    grid_ends,
     make_grid,
     parse_interval,
     restrict,
@@ -515,7 +516,7 @@ def run_battery(
             f = lambda pts, fn=fn: eval_many(fn, pts)
             # the checks the run makes on the entry's grid or pairs, made now
             if entry.arity == 1:
-                make_grid(box[0], n_grid, margin)  # gridded again when the entry runs
+                grid_ends(box, n_grid, margin)  # gridded when the entry runs
                 pair_list = []
             else:
                 pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))

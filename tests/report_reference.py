@@ -2,13 +2,15 @@
 
 The writer that ``dinicvx.cli.canonical_json`` replaced: one ``isinstance``
 chain per value, one formatted float per occurrence, one list append per
-token.  The tests require the package's writer to give the same bytes.
+token.  A string, a key included, is escaped as JSON requires.  The tests
+require the package's writer to give the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -30,7 +32,7 @@ def _dump(obj, out: list[str], ind: int) -> None:
         out.append("{\n")
         keys = sorted(obj.keys())
         for i, k in enumerate(keys):
-            out.append(f'{pad}  "{k}": ')
+            out.append(f"{pad}  {encode_basestring(str(k))}: ")
             _dump(obj[k], out, ind + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -49,9 +51,7 @@ def _dump(obj, out: list[str], ind: int) -> None:
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(
-            '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-        )
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

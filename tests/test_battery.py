@@ -14,7 +14,7 @@ from dinicvx import (
     random_battery,
     write_manifest,
 )
-from dinicvx import theorems
+from dinicvx import domain, theorems
 from dinicvx.cli import main
 
 LABELS = ("pseudoconvex", "strictly_pseudoconvex", "quasiconvex",
@@ -221,6 +221,22 @@ class TestManifestIO:
         assert err[0] == f"error: entry 'last': {message}"
         assert len(err) == 2 and err[1].startswith("elapsed:")
         assert calls == []
+
+    def test_a_one_dimensional_entry_is_gridded_once(self, monkeypatch):
+        # its interval is checked before any entry runs and gridded when it
+        # runs; a bad last entry stops the run before anything is gridded
+        entries = tuple(e for e in golden_battery() if e.id in ("sq", "vee", "log-partial"))
+        grids, batches = [], []
+        make_grid, grids_of = theorems.make_grid, domain._grids
+        monkeypatch.setattr(theorems, "make_grid", lambda *a: grids.append(a[0]) or make_grid(*a))
+        monkeypatch.setattr(domain, "_grids", lambda *a: batches.append(a) or grids_of(*a))
+        assert theorems.run_battery(entries).ok
+        assert grids == [parse_interval(e.domain) for e in entries] and batches == []
+        grids.clear()
+        bad = replace(entries[0], id="last", domain="(0,inf)")
+        with pytest.raises(ValueError, match=r"^entry 'last': cannot grid unbounded interval"):
+            theorems.run_battery(entries + (bad,))
+        assert grids == [] and batches == []
 
     def test_manifest_without_entries(self, tmp_path):
         path = tmp_path / "m.json"

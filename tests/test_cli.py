@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5
 JSON_VALUES = st.recursive(
     st.one_of(FLOATS, FLOATS.map(np.float64), st.booleans(), st.booleans().map(np.bool_),
               st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64),
-              st.text(st.sampled_from('ab\\"\n')), st.none()),
+              st.text(st.sampled_from('ab\\"\n\t\x01')), st.none()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(st.sampled_from("ab"), max_size=2), inner, max_size=4)),
@@ -853,6 +853,53 @@ class TestCanonicalJson:
         assert canonical_json(schedule) == canonical_json(fields)
         assert canonical_json({"dini": [schedule]}) == canonical_json({"dini": [fields]})
         assert "_steps" not in canonical_json(schedule)
+
+    def test_field_names_are_sorted_once_per_type(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Unsorted:  # declared out of order
+            b: int
+            c: str
+            a: float
+
+        calls = []
+        monkeypatch.setattr(cli, "fields", lambda t: calls.append(t) or fields(t))
+        obj = [Unsorted(1, "x", 0.5), {"again": Unsorted(2, "y", -0.0)}, Unsorted(3, "z", 1.5)]
+        text = canonical_json(obj)
+        assert calls == [Unsorted]
+        assert text == canonical_json([{"a": 0.5, "b": 1, "c": "x"},
+                                       {"again": {"a": -0.0, "b": 2, "c": "y"}},
+                                       {"a": 1.5, "b": 3, "c": "z"}])
+        assert text == report_reference.canonical_json(obj)
+        # a cached property, stored in the instance, is no field
+        DiniSchedule(t0=0.05).step_sizes()
+        assert cli._names(DiniSchedule) == tuple((name, f'"{name}": ') for name in
+                                                 ("dini_tol", "ratio", "steps", "t0"))
+
+    def test_a_control_character_is_escaped(self):
+        # every U+0000-U+001F, in a value and in a key; nothing else changes
+        chars = "".join(map(chr, range(32))) + 'é"\\\x7f'
+        text = canonical_json({chars: [chars, Witness("k", (), (), chars)]})
+        assert json.loads(text) == {chars: [chars, {"kind": "k", "points": [], "values": [],
+                                                    "detail": chars}]}
+        assert not any(chr(c) in text.replace("\n", "") for c in range(32))
+        assert '"\\u0000\\u0001' in text and "\\t\\n\\u000b\\f\\r" in text
+        assert 'é\\"\\\\\x7f' in text
+
+    def test_a_tab_in_the_function_gives_a_valid_report(self, capsys):
+        code, out, err = run(["classify", "--function=t\t^2", "--domain=[-1,1]"], capsys)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["config"]["function"] == "t\t^2"
+        assert '"function": "t\\t^2"' in out
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\x01"], ids=repr)
+    def test_a_control_character_in_a_manifest_id_and_tag_gives_a_valid_report(
+            self, tmp_path, capsys, char):
+        path = tmp_path / "m.json"
+        sq = next(e for e in golden_battery() if e.id == "sq")
+        write_manifest((replace(sq, id=f"s{char}q", tags=sq.tags + (f"t{char}",)),), path)
+        code, out, err = run(["verify-theorems", str(path)], capsys)
+        assert code == EXIT_OK, err
+        assert {c["function"] for c in json.loads(out)["cases"]} == {f"s{char}q"}
 
     def test_text_renders_a_nested_verdict_as_its_fields(self, capsys):
         verdict = Verdict("fails", "definitional", 0.5, 0.25,

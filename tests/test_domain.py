@@ -227,10 +227,9 @@ def test_grid_rows_are_linspace_and_errors_the_scalar_ones(data):
             return
     got = _grids(tuple(ivs), n, margin)
     assert got.shape == (len(ivs), n)
-    for row, ref in zip(got, want):
+    for iv, row, ref in zip(ivs, got, want):
         assert row.tobytes() == ref.tobytes()
-    if len(ivs) == 1:
-        assert make_grid(ivs[0], n, margin).points.tobytes() == got.tobytes()
+        assert make_grid(iv, n, margin).points.tobytes() == ref.tobytes()
 
 
 class TestAnchoredGrid:

@@ -164,6 +164,27 @@ def test_semistrict_batch_lines_match_each_line_alone(batch):
             assert got[i].outcome == ref.semistrict_triple_loop(alone.values[0], alone.band[0]), i
 
 
+@pytest.mark.parametrize("source,domain", [
+    ("t^2", "[-1,1]"), ("abs(t)", "[-1,1]"), ("max(0, abs(t) - 1)", "[-2,2]"),
+    ("piecewise(t < 0: -t, else: t - 1)", "[-2,2]"),
+])
+def test_semistrict_on_a_valley_line_makes_no_window_search(monkeypatch, source, domain):
+    # no x of a valley line needs the search, so _window_max is never called
+    calls = []
+    real = oracle._window_max
+    monkeypatch.setattr(oracle, "_window_max", lambda *a: calls.append(a) or real(*a))
+    p = SampledProblem(phi_of(source), grid_for(domain), stat_tol=STAT_TOL)
+    got = oracle.semistrictly_quasiconvex_def(p)
+    assert calls == []
+    assert repr(got[0]) == repr(ref.semistrictly_quasiconvex_def(p))
+    assert got[0].outcome == ref.semistrict_triple_loop(p.values[0], p.band[0]) == "holds"
+    # the search still runs where an x needs it: the rightward hit of 7.4
+    p = table_problem([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.4, 2.0, 9.0, 0.0], tol=0.5)
+    got = oracle.semistrictly_quasiconvex_def(p)
+    assert len(calls) == 1
+    assert repr(got[0]) == repr(ref.semistrictly_quasiconvex_def(p))
+
+
 def test_one_point_grid():
     p = table_problem([2.0], rows=[("infeasible", "infeasible")])
     for name in ORACLES:
