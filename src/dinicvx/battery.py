@@ -17,6 +17,7 @@ any entry runs, so anything the battery classifies flows through the grammar.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -296,29 +297,38 @@ def _listof(x, ok, n: int | None = None) -> bool:
     return isinstance(x, (list, tuple)) and n in (None, len(x)) and all(map(ok, x))
 
 
-_text, _flag = (lambda v, n=None: isinstance(v, str)), (lambda v, n=None: type(v) is bool)
+# a text has no lone surrogate, so it encodes; a coordinate is a float or an int a
+# float holds: 2**1024 - 2**970 is the least int that rounds past the largest float
+_SURROGATE, _PAST_FLOAT = re.compile("[\ud800-\udfff]"), 2**1024 - 2**970
+_text = lambda v, n=None: isinstance(v, str) and (v.isascii() or not _SURROGATE.search(v))
+_flag = lambda v, n=None: type(v) is bool
+_number = lambda c: type(c) is float or (type(c) is int and -_PAST_FLOAT < c < _PAST_FLOAT)
 # field -> (what it must be in an entry of arity {n}, its test of the value and n);
 # the arity comes first, as the others read it
 _RULES = {
     "arity": ("an integer >= 1", lambda v, n: type(v) is int and v >= 1),
-    "id": ("a string", _text), "expression": ("a string", _text),
+    "id": ("a string without lone surrogates", _text),
+    "expression": ("a string without lone surrogates", _text),
     "domain": ("an interval string", lambda v, n: _text(v) or (v is None and n > 1)),
     "box": ("a list of {n} interval strings",
             lambda v, n: _listof(v, _text, n) or (v is None and n == 1)),
     "lsc": ("a boolean", _flag), "radially_continuous": ("a boolean", _flag),
     "expected": (f"booleans keyed by {', '.join(LABELS)}", lambda v, n: v is None or (
         isinstance(v, dict) and v.keys() <= set(LABELS) and all(map(_flag, v.values())))),
-    "pairs": ("a list of pairs of two points of {n} numbers", lambda v, n: v is None or _listof(
-        v, lambda p: _listof(p, lambda x: _listof(x, lambda c: type(c) in (int, float), n), 2))),
-    "tags": ("a list of strings", lambda v, n: _listof(v, _text)),
+    "pairs": ("a list of pairs of two points of {n} numbers in float range", lambda v, n: v is None
+              or _listof(v, lambda p: _listof(p, lambda x: _listof(x, _number, n), 2))),
+    "tags": ("a list of strings without lone surrogates", lambda v, n: _listof(v, _text)),
 }
 
 
 def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
     """Read a manifest of :func:`write_manifest`; a malformed entry raises
-    ValueError naming the entry and the field."""
+    ValueError naming the entry and the field, or the manifest if it nests too deeply."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"manifest nests too deeply in {path}") from None
     if not isinstance(data, dict) or data.get("version") != 1:
         raise ValueError(f"unsupported manifest version in {path}")
     if not _listof(data.get("entries"), lambda raw: isinstance(raw, dict)):

@@ -14,7 +14,8 @@ Re-running any command with the same configuration produces byte-identical
 output; timing is printed to stderr only, so it never perturbs the report.
 
 Exit codes: 0 all methods agree and nothing inconclusive; 1 configuration
-or parse error; 2 method disagreement; 3 inconclusive verdicts.
+or parse error; 2 method disagreement; 3 inconclusive verdicts, which
+``verify-theorems`` only counts: it exits 0 when no case is ``FAIL``, else 2.
 """
 
 from __future__ import annotations

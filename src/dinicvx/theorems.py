@@ -2,10 +2,10 @@
 
 Each check evaluates both sides of one implication or equivalence with the
 definition-based oracles and the stationarity machinery, on one concrete
-function, and reports whether the sides matched.  A report with
-``implication_holds = False`` carries a counterexample bundle and means a
-checker bug, never a refuted statement; vacuous cases (failed premise) are
-marked rather than silently passed.
+function, and reports its outcome as the word its case line prints: ``ok``
+(the sides matched), ``vacuous`` (the premise fails), ``inconclusive`` or
+``FAIL`` (the sides disagree, with a counterexample bundle).  A ``FAIL``
+means a checker bug, never a refuted statement.
 
 ``run_battery`` runs every check over a battery and aggregates the outcome:
 it compares only 1-D entries' labels with the definitional oracles, and T6
@@ -94,28 +94,19 @@ class TheoremReport:
     function_id: str
     premise_verdicts: tuple[Verdict, ...]
     conclusion_verdicts: tuple[Verdict, ...]
-    implication_holds: bool
-    vacuous: bool = False
-    inconclusive: bool = False
+    status: str = "ok"  # ok | vacuous | inconclusive | FAIL, as its case line prints it
     counterexample: tuple[Witness, ...] | None = None
     notes: str = ""
 
 
-def _report_fail(
-    theorem_id: str, function_id: str, premises, conclusions, witnesses, notes
-) -> TheoremReport:
-    return TheoremReport(
-        theorem_id=theorem_id,
-        function_id=function_id,
-        premise_verdicts=tuple(premises),
-        conclusion_verdicts=tuple(conclusions),
-        implication_holds=False,
-        counterexample=tuple(witnesses) if witnesses else (
-            Witness(kind="side_mismatch", points=(), values=(),
-                    detail=notes or "sides disagree"),
-        ),
-        notes=notes,
-    )
+def _report(theorem_id: str, function_id: str, premises, conclusions, status: str = "ok",
+            notes: str = "", witnesses=()) -> TheoremReport:
+    """Every report: a ``FAIL`` one carries ``witnesses``, or, with none, one
+    ``side_mismatch`` witness whose detail is ``notes``."""
+    if status == "FAIL":
+        witnesses = tuple(witnesses) or (Witness("side_mismatch", (), (), notes),)
+    return TheoremReport(theorem_id, function_id, tuple(premises), tuple(conclusions), status,
+                         witnesses if status == "FAIL" else None, notes)
 
 
 def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
@@ -124,10 +115,10 @@ def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
     unless it holds: inconclusive, or vacuous with ``vacuous_notes``."""
     if premise.outcome == "holds":
         return None
-    inconclusive = premise.outcome == "inconclusive"
-    return TheoremReport(theorem_id, function_id, (premise,), (), True, vacuous=not inconclusive,
-                         inconclusive=inconclusive,
-                         notes="premise inconclusive" if inconclusive else vacuous_notes)
+    if premise.outcome == "inconclusive":
+        return _report(theorem_id, function_id, (premise,), (), "inconclusive",
+                       "premise inconclusive")
+    return _report(theorem_id, function_id, (premise,), (), "vacuous", vacuous_notes)
 
 
 def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
@@ -143,10 +134,9 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     qc = p.verdict(quasiconvex_def)[0]
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
-        return _report_fail("T3", function_id, (premise,), (ssq, qc),
-                            sum((v.witnesses for v in bad), ()),
-                            "pseudoconvex but a conclusion fails")
-    return TheoremReport("T3", function_id, (premise,), (ssq, qc), True)
+        return _report("T3", function_id, (premise,), (ssq, qc), "FAIL",
+                       "pseudoconvex but a conclusion fails", sum((v.witnesses for v in bad), ()))
+    return _report("T3", function_id, (premise,), (ssq, qc))
 
 
 def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
@@ -159,24 +149,23 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     lhs = p.verdict(pseudoconvex_def)[0]
     qc = p.verdict(quasiconvex_def)[0]
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
-        return TheoremReport("T4", function_id, (lhs,), (qc,), True,
-                             inconclusive=True, notes="a side is inconclusive")
+        return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
+                       "a side is inconclusive")
     vals = p.values[0]
     found, unsettled = p.stationary((vals > float(np.min(vals)) + p.band[0])[None])
     offenders = np.flatnonzero(found[0])
     if unsettled.any():
-        return TheoremReport("T4", function_id, (lhs,), (qc,), True,
-                             inconclusive=True,
-                             notes="stationarity rests on unconverged estimates")
+        return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
+                       "stationarity rests on unconverged estimates")
     rhs = qc.outcome == "holds" and offenders.size == 0
     if (lhs.outcome == "holds") == rhs:
-        return TheoremReport("T4", function_id, (lhs,), (qc,), True)
+        return _report("T4", function_id, (lhs,), (qc,))
     wits = list(lhs.witnesses) + list(qc.witnesses)
     wits += [_witness(p, "stationary_nonminimizer", (i,),
                       "stationary grid point above the minimum level")
              for i in offenders[:_WITNESS_CAP]]
-    return _report_fail("T4", function_id, (lhs,), (qc,), wits,
-                        "pseudoconvexity and the stationarity form disagree")
+    return _report("T4", function_id, (lhs,), (qc,), "FAIL",
+                   "pseudoconvexity and the stationarity form disagree", wits)
 
 
 def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
@@ -192,18 +181,18 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
         return ended
     strict = p.verdict(strictly_pseudoconvex_def)[0]
     if strict.outcome == "inconclusive":
-        return TheoremReport("T7", function_id, (premise,), (strict,), True,
-                             inconclusive=True, notes="strict side inconclusive")
+        return _report("T7", function_id, (premise,), (strict,), "inconclusive",
+                       "strict side inconclusive")
     longest, where = _longest_run(np.abs(p._deltas[0]) <= p.band[0])
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
-        return TheoremReport("T7", function_id, (premise,), (strict,), True)
+        return _report("T7", function_id, (premise,), (strict,))
     wits = list(strict.witnesses)
     if longest >= 2:
         wits.append(_witness(p, "constant_run", (where - longest + 1, where + 1),
                              f"constant run of {longest} grid cells"))
-    return _report_fail("T7", function_id, (premise,), (strict,), wits,
-                        "strictness and nonconstancy disagree")
+    return _report("T7", function_id, (premise,), (strict,), "FAIL",
+                   "strictness and nonconstancy disagree", wits)
 
 
 def _longest_run(flags: np.ndarray) -> tuple[int, int]:
@@ -350,15 +339,14 @@ def check_t6(
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
-        return TheoremReport("T6", function_id, tuple(premises),
-                             tuple(conclusions), True, inconclusive=True,
-                             notes="a restriction was inconclusive")
+        return _report("T6", function_id, premises, conclusions, "inconclusive",
+                       "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return TheoremReport("T6", function_id, tuple(premises),
-                             tuple(conclusions), True,
-                             notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report_fail("T6", function_id, premises, conclusions, mismatches + origins,
-                        "restriction pseudoconvexity and the semistrict form disagree")
+        return _report("T6", function_id, premises, conclusions,
+                       notes=f"both sides {'hold' if lhs_all else 'fail'}")
+    return _report("T6", function_id, premises, conclusions, "FAIL",
+                   "restriction pseudoconvexity and the semistrict form disagree",
+                   mismatches + origins)
 
 
 def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
@@ -438,20 +426,19 @@ def check_abc(
 
         for i, fid in enumerate(ids[len(reports) : len(reports) + m]):
             if not defined[i] or a_open[i] or c_open[i]:
-                reports.append(TheoremReport(
-                    "Lpr1", fid, (), (), True, inconclusive=True,
-                    notes="a Dini estimate did not converge" if defined[i]
-                    else "undefined restriction values"))
+                reports.append(_report("Lpr1", fid, (), (), "inconclusive",
+                                       "a Dini estimate did not converge" if defined[i]
+                                       else "undefined restriction values"))
                 continue
             xi, yi = [float(v) for v in r.x[i]], [float(v) for v in r.y[i]]
             detail = (f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
                       f"C={bool(c_true[i])}, x={xi}, y={yi}")
             if (a_true[i] or b_true[i]) == c_true[i]:
-                reports.append(TheoremReport("Lpr1", fid, (), (), True, notes=detail))
+                reports.append(_report("Lpr1", fid, (), (), notes=detail))
                 continue
             wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
                           values=(float(ends[i, 0]),), detail=detail)
-            reports.append(_report_fail("Lpr1", fid, (), (), [wit], detail))
+            reports.append(_report("Lpr1", fid, (), (), "FAIL", detail, [wit]))
     return tuple(reports)
 
 
@@ -473,12 +460,9 @@ class BatteryRunResult:
     ok: bool
 
 
-def _status(report: TheoremReport) -> CaseLine:
-    if not report.implication_holds:
-        return CaseLine(report.theorem_id, report.function_id, "FAIL",
-                        report.counterexample[0].detail if report.counterexample else report.notes)
-    status = "inconclusive" if report.inconclusive else "vacuous" if report.vacuous else "ok"
-    return CaseLine(report.theorem_id, report.function_id, status, report.notes)
+def _status(r: TheoremReport) -> CaseLine:
+    return CaseLine(r.theorem_id, r.function_id, r.status,
+                    r.counterexample[0].detail if r.counterexample else r.notes)
 
 
 def run_battery(
@@ -562,5 +546,5 @@ def run_battery(
         label_mismatches=tuple(mismatches),
         n_vacuous=sum(1 for c in cases if c.status == "vacuous"),
         n_inconclusive=sum(1 for c in cases if c.status == "inconclusive"),
-        ok=not mismatches and all(r.implication_holds for r in reports),
+        ok=all(c.status != "FAIL" for c in cases),
     )

@@ -56,6 +56,25 @@ A multivariate ``classify`` report is checked against its config alone:
   ``holds``;
 - each check's ``agree`` and ``outcome``, and the report's ``agreement``
   and ``inconclusive``, follow from the aggregates.
+
+A ``verify-theorems`` report is checked against the manifest entries it
+ran on, in their order:
+
+- every case's status is ``ok``, ``vacuous``, ``inconclusive`` or
+  ``FAIL``, and its theorem ``label``, ``T3``, ``T4``, ``T6``, ``T7`` or
+  ``Lpr1``;
+- ``n_vacuous`` and ``n_inconclusive`` count those cases, and ``ok`` is
+  true exactly when no case is ``FAIL``;
+- ``label_mismatches`` names each ``FAIL`` label case once, in case order,
+  as ``"{id}: {label} expected {holds|fails}, got {outcome}"``;
+- a 1-D entry has its label cases in sorted label order, then T3 exactly
+  when ``lsc``, T4 exactly when ``radially_continuous``, then T7; a 2-D
+  entry has T6, then, exactly when it is labelled quasiconvex, an Lpr1
+  case ``{id}#pair{k}`` for each k below its explicit pairs plus
+  ``config.pairs``;
+- an ``ok`` Lpr1 detail has (A or B) == C, and a ``FAIL`` one has them
+  differ; an ``ok`` T6 detail reads ``both sides hold`` or ``both sides
+  fail``.
 """
 
 from __future__ import annotations
@@ -80,6 +99,9 @@ _SPECIAL = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
 
 _FLOAT64 = re.compile(r"np\.float64\(([^()]*)\)")
 _OUTCOMES = ("holds", "fails", "inconclusive")
+_STATUSES = ("ok", "vacuous", "inconclusive", "FAIL")
+_THEOREMS = ("label", "T3", "T4", "T6", "T7", "Lpr1")
+_ABC = re.compile(r"^A=(True|False) \(over \d+ directions\), B=(True|False), C=(True|False), ")
 # the structural method of each check; "both" asks for it and the definitional one
 _STRUCTURAL = {"pseudoconvex": "characterization", "strict-pseudoconvex": "characterization",
                "quasiconvex": "martos", "semistrict-quasiconvex": "martos"}
@@ -322,6 +344,65 @@ def _multivariate_problems(report: dict) -> list[str]:
     return problems
 
 
+def _expected_cases(entries, pairs: int) -> list[tuple[str, str, str | None]]:
+    """(theorem, function, label or None) of each case a run of ``entries``
+    makes, in order."""
+    cases = []
+    for e in entries:
+        if e.arity == 1:
+            cases += [("label", e.id, name) for name in sorted(e.expected or {})]
+            cases += [(t, e.id, None) for t, wanted in (
+                ("T3", e.lsc), ("T4", e.radially_continuous), ("T7", True)) if wanted]
+        else:
+            cases.append(("T6", e.id, None))
+            if (e.expected or {}).get("quasiconvex"):
+                cases += [("Lpr1", f"{e.id}#pair{k}", None)
+                          for k in range(len(e.pairs or ()) + pairs)]
+    return cases
+
+
+def _verify_problems(report: dict, entries) -> list[str]:
+    """How a ``verify-theorems`` report disagrees with the ``entries`` it
+    ran on and with itself."""
+    cases, problems = report["cases"], []
+    for k, c in enumerate(cases):
+        where = f"case{k} [{c['theorem']}] {c['function']}"
+        if c["status"] not in _STATUSES or c["theorem"] not in _THEOREMS:
+            problems.append(f"{where}: status {c['status']!r} or theorem {c['theorem']!r}")
+        if c["theorem"] == "Lpr1" and c["status"] in ("ok", "FAIL"):
+            abc = _ABC.match(c["detail"])  # (A or B) == C is what an ok case shows
+            agree = abc and (abc[1] == "True" or abc[2] == "True") == (abc[3] == "True")
+            if abc is None or agree != (c["status"] == "ok"):
+                problems.append(f"{where}: {c['status']} with detail {c['detail']!r}")
+        if (c["theorem"] == "T6" and c["status"] == "ok"
+                and c["detail"] not in ("both sides hold", "both sides fail")):
+            problems.append(f"{where}: ok with detail {c['detail']!r}")
+    for key, status in (("n_vacuous", "vacuous"), ("n_inconclusive", "inconclusive")):
+        count = sum(c["status"] == status for c in cases)
+        if report[key] != count:
+            problems.append(f"{key} {report[key]}, the cases count {count}")
+    fails = [c for c in cases if c["status"] == "FAIL"]
+    if report["ok"] != (not fails):
+        problems.append(f"ok is {report['ok']} with {len(fails)} FAIL cases")
+    labels = {e.id: e.expected or {} for e in entries}
+    mismatches = []
+    for c in fails:
+        if c["theorem"] == "label":
+            want = labels.get(c["function"], {}).get(c["detail"])
+            mismatches.append(f"{c['function']}: {c['detail']} expected "
+                              f"{'holds' if want else 'fails'}, got {'fails' if want else 'holds'}")
+    if report["label_mismatches"] != mismatches:
+        problems.append(f"label_mismatches {report['label_mismatches']}, the FAIL label cases "
+                        f"give {mismatches}")
+    got = [(c["theorem"], c["function"], c["detail"] if c["theorem"] == "label" else None)
+           for c in cases]
+    want = _expected_cases(entries, int(report["config"]["pairs"]))
+    if got != want:
+        k = next(k for k, (g, w) in enumerate(zip(got + [None], want + [None])) if g != w)
+        problems.append(f"case{k} is {(got + [None])[k]}, the entries make {(want + [None])[k]}")
+    return problems
+
+
 def python_reprs(obj) -> list[str]:
     """The strings in a report that hold a Python repr such as ``np.float64(...)``."""
     if isinstance(obj, dict):
@@ -331,13 +412,16 @@ def python_reprs(obj) -> list[str]:
     return [obj] if isinstance(obj, str) and re.search(r"\b(np|numpy)\.\w+\(", obj) else []
 
 
-def report_problems(text: str) -> list[str]:
+def report_problems(text: str, entries=()) -> list[str]:
     """What in the ``classify``, 1-D ``decompose`` or ``dini`` report
-    ``text`` disagrees with its expression and its grid, or a multivariate
-    ``classify`` report with its config: empty when the report checks."""
+    ``text`` disagrees with its expression and its grid, a multivariate
+    ``classify`` report with its config, or a ``verify-theorems`` report
+    with the manifest ``entries`` it ran on: empty when the report checks."""
     # an integer as a float keeps the sign of a zero printed "-0"
     report = json.loads(text, parse_int=float)
     config = report["config"]
+    if report["command"] == "verify-theorems":
+        return _verify_problems(report, entries)
     if config["arity"] > 1:
         return _multivariate_problems(report)
     fn = parse(config["function"], 1)

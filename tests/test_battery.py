@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,24 @@ from dinicvx.cli import main
 
 LABELS = ("pseudoconvex", "strictly_pseudoconvex", "quasiconvex",
           "semistrictly_quasiconvex")
+
+# name -> (a manifest's text that load_manifest refuses, the start of its one-line error)
+HOSTILE = {
+    # a pair coordinate no float holds
+    "huge-int": ('{"version": 1, "entries": [{"id": "b", "expression": "x1^2 + x2^2", '
+                 '"arity": 2, "box": ["[-1,1]", "[-1,1]"], "domain": null, '
+                 f'"pairs": [[[{10**400}, 0.1], [0.1, 0.2]]]}}]}}',
+                 "entry 'b': pairs must be a list of pairs of two points of 2 numbers in "
+                 "float range"),
+    # tags nested past the JSON reader's recursion limit
+    "deep": ('{"version": 1, "entries": [{"id": "d", "expression": "t^2", "arity": 1, '
+             '"domain": "[-1,1]", "tags": ' + "[" * 100_000 + "]" * 100_000 + "}]}",
+             "manifest nests too deeply in "),
+    # a valid JSON escape that no UTF-8 text holds
+    "surrogate": ('{"version": 1, "entries": [{"id": "s\\udc80q", "expression": "t^2", '
+                  '"arity": 1, "domain": "[-1,1]"}]}',
+                  "entry 's\\udc80q': id must be a string without lone surrogates"),
+}
 
 
 class TestGoldenBattery:
@@ -146,6 +165,10 @@ class TestManifestIO:
         ("bowl2", "pairs", [[[0.5, 0.1]]], "entry 'bowl2': pairs must be"),
         ("bowl2", "box", ["[-1,1]"], "entry 'bowl2': box must be a list of 2 interval"),
         ("bowl2", "domain", 5, "entry 'bowl2': domain must be an interval string"),
+        ("sq", "expression", "t^2\ud800", "entry 'sq': expression must be a string without"),
+        ("sq", "tags", ["ok", "\udfff"], "entry 'sq': tags must be a list of strings without"),
+        ("bowl2", "pairs", [[[0.5, 0.1], [-(2**1024 - 2**970), 0.2]]], "entry 'bowl2': pairs"),
+        ("bowl2", "pairs", [[[0.5, 0.1], [True, 0.2]]], "entry 'bowl2': pairs must be"),
     ]
 
     @pytest.mark.parametrize("entry_id,field,value,message", MALFORMED)
@@ -237,6 +260,41 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=r"^entry 'last': cannot grid unbounded interval"):
             theorems.run_battery(entries + (bad,))
         assert grids == [] and batches == []
+
+    def test_an_int_a_float_holds_is_a_coordinate(self, tmp_path):
+        # the largest such int rounds to the largest float; one more is refused
+        path = tmp_path / "m.json"
+        write_manifest(tuple(e for e in golden_battery() if e.id == "bowl2"), path)
+        data = json.loads(path.read_text())
+        data["entries"][0]["pairs"] = [[[2**1024 - 2**970 - 1, 0], [0.1, 0.2]]]
+        path.write_text(json.dumps(data))
+        x, _ = load_manifest(path)[0].pairs[0]
+        assert float(x[0]) == 1.7976931348623157e308 and x[1] == 0
+
+    def test_non_ascii_text_is_kept(self, tmp_path):
+        # characters outside ASCII, a surrogate pair's included, are text
+        path = tmp_path / "m.json"
+        sq = next(e for e in golden_battery() if e.id == "sq")
+        entries = (replace(sq, id="caf\u00e9 \U0001f600", tags=("\u00fc", "\t")),)
+        write_manifest(entries, path)
+        assert "\\ud83d\\ude00" in path.read_text()
+        assert load_manifest(path) == entries
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_a_hostile_manifest_is_one_error_line(self, tmp_path, capsys, name):
+        # exit 1 with one line naming the entry and the field, or the
+        # manifest, where the run once raised a traceback or wrote a lone
+        # surrogate into its report
+        text, message = HOSTILE[name]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_manifest(path)
+        assert main(["verify-theorems", str(path)]) == 1
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 2 and lines[1].startswith("elapsed:")
+        assert lines[0].startswith(f"error: cannot load manifest {path}: {message}")
 
     def test_manifest_without_entries(self, tmp_path):
         path = tmp_path / "m.json"

@@ -13,6 +13,12 @@ Every JSON multivariate ``classify`` report of the snapshot checks against
 its config as well, and the checker catches a pair outcome flipped against
 its aggregate, an x moved outside the box and a ``feasible`` end pulled
 inward.  ``classify/cube-x1/text`` is left out: it is a text rendering.
+
+Every JSON ``verify-theorems`` report of the snapshot checks against the
+golden entries it ran on, and the checker catches a case flipped from
+``ok`` to ``FAIL`` with ``ok`` left true, ``n_vacuous`` off by one and the
+``C=`` of an ``ok`` Lpr1 detail flipped.  ``verify-theorems/golden-2d/text``
+is left out: it is a text rendering.
 """
 
 from __future__ import annotations
@@ -37,6 +43,22 @@ CASES = {label: argv for label, argv in snapshot.cases().items()
 
 ND_CASES = {label: argv for label, argv in snapshot.cases().items()
             if label.startswith("classify/") and "--output=text" not in argv}
+
+VERIFY_CASES = {label: argv for label, argv in snapshot.cases().items()
+                if label.startswith("verify-theorems/") and "--output=text" not in argv}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory) -> dict:
+    return snapshot.write_manifests(tmp_path_factory.mktemp("manifests"))
+
+
+def verify(label: str, manifests: dict) -> tuple[int, str, list]:
+    """The exit code and report of the ``verify-theorems`` case ``label``,
+    and the golden entries it ran on."""
+    argv = VERIFY_CASES[label]
+    entries = [e for a in argv for e in snapshot.MANIFESTS.get(a, ())]
+    return (*classify([str(manifests.get(a, a)) for a in argv]), entries)
 
 
 def classify(argv: list[str]) -> tuple[int, str]:
@@ -76,6 +98,17 @@ def test_every_multivariate_report_of_the_snapshot_checks():
     assert time.monotonic() - start < 60
 
 
+def test_every_verify_theorems_report_of_the_snapshot_checks(manifests):
+    # the golden 1-D and 2-D manifests, two seeds, a user tol and 200 pairs
+    recorded = json.loads(snapshot.SNAPSHOT.read_text())
+    assert len(VERIFY_CASES) == 6
+    for label in sorted(VERIFY_CASES):
+        code, text, entries = verify(label, manifests)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert {"exit": code, "stdout_sha256": digest} == recorded[label], label
+        assert report_problems(text, entries) == [], label
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a pair's feasible ends are printed "
                                        "as np.float64(...) reprs")
 def test_no_report_value_is_a_python_repr():
@@ -83,12 +116,17 @@ def test_no_report_value_is_a_python_repr():
         assert python_reprs(json.loads(classify(argv)[1])) == [], label
 
 
-def mutated(label: str, mutate) -> list[str]:
-    """The problems of the report of ``label`` once ``mutate`` changed it."""
-    report = json.loads(classify({**CASES, **ND_CASES}[label])[1], parse_int=float)
-    assert report_problems(json.dumps(report)) == []
+def mutated(label: str, mutate, manifests: dict | None = None) -> list[str]:
+    """The problems of the report of ``label`` once ``mutate`` changed it; a
+    ``verify-theorems`` case reads its manifest from ``manifests``."""
+    if label in VERIFY_CASES:
+        _, text, entries = verify(label, manifests)
+    else:
+        text, entries = classify({**CASES, **ND_CASES}[label])[1], []
+    report = json.loads(text, parse_int=float)
+    assert report_problems(json.dumps(report), entries) == []
     mutate(report)
-    return report_problems(json.dumps(report))
+    return report_problems(json.dumps(report), entries)
 
 
 def first_witness(report: dict, distinct: int) -> dict:
@@ -245,3 +283,37 @@ def test_a_feasible_end_pulled_inward_fails(end):
 
     problems = mutated("classify/open-box", pull)
     assert len(problems) == 1 and "is on no face of the box" in problems[0]
+
+
+@pytest.mark.parametrize("label,theorem", [("verify-theorems/golden-1d", "label"),
+                                           ("verify-theorems/golden-2d", "T6")])
+def test_a_case_flipped_to_fail_with_ok_left_true_fails(manifests, label, theorem):
+    def flip(report):
+        case = next(c for c in report["cases"] if c["theorem"] == theorem)
+        assert case["status"] == "ok" and report["ok"] is True
+        case["status"] = "FAIL"
+
+    problems = mutated(label, flip, manifests)
+    assert "ok is True with 1 FAIL cases" in problems
+    # a FAIL label case must be named among the label mismatches
+    assert any(p.startswith("label_mismatches") for p in problems) == (theorem == "label")
+
+
+def test_n_vacuous_off_by_one_fails(manifests):
+    def miscount(report):
+        assert report["n_vacuous"] == 14
+        report["n_vacuous"] += 1
+
+    assert mutated("verify-theorems/golden-1d", miscount, manifests) == [
+        "n_vacuous 15.0, the cases count 14"]
+
+
+def test_an_lpr1_c_flipped_fails(manifests):
+    def flip(report):
+        case = next(c for c in report["cases"] if c["theorem"] == "Lpr1" and c["status"] == "ok")
+        assert case["function"] == "bowl2#pair0" and ", C=False, " in case["detail"]
+        case["detail"] = case["detail"].replace(", C=False, ", ", C=True, ")
+
+    problems = mutated("verify-theorems/golden-2d", flip, manifests)
+    assert len(problems) == 1 and problems[0].startswith(
+        "case1 [Lpr1] bowl2#pair0: ok with detail 'A=False (over 64 directions), B=False, C=True")

@@ -50,26 +50,26 @@ def lines(f, pairs, box=BOX):
 class TestT3:
     def test_square_nonvacuous(self, unit_grid):
         rep = check_t3(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
-        assert rep.implication_holds and not rep.vacuous and not rep.inconclusive
+        assert rep.status == "ok"
         assert len(rep.conclusion_verdicts) == 2
 
     def test_cube_vacuous(self, unit_grid):
         rep = check_t3(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
-        assert rep.implication_holds and rep.vacuous
+        assert rep.status == "vacuous"
 
     def test_undefined_inconclusive(self, unit_grid):
         rep = check_t3(SampledProblem(phi_of("log(t)"), unit_grid, SCHED))
-        assert rep.inconclusive
+        assert rep.status == "inconclusive"
 
 
 class TestT4:
     def test_square_both_sides_hold(self, unit_grid):
         rep = check_t4(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
 
     def test_negated_square_both_sides_fail(self, unit_grid):
         rep = check_t4(SampledProblem(phi_of("-t^2"), unit_grid, SCHED))
-        assert rep.implication_holds
+        assert rep.status != "FAIL"
         assert rep.premise_verdicts[0].outcome == "fails"
         assert rep.conclusion_verdicts[0].outcome == "fails"
 
@@ -79,7 +79,7 @@ class TestT4:
         rep = check_t4(
             SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid, SCHED)
         )
-        assert rep.implication_holds
+        assert rep.status != "FAIL"
         assert rep.premise_verdicts[0].outcome == "fails"
         assert rep.conclusion_verdicts[0].outcome == "holds"
 
@@ -91,7 +91,7 @@ class TestT4:
         monkeypatch.setattr(theorems, "pseudoconvex_def", lambda p: (
             oracle.Verdict("holds", "pseudoconvex_def", 0.0, p.stat_tol),))
         rep = check_t4(SampledProblem(phi_of(f"piecewise({steps}, else: 1)"), unit_grid, SCHED))
-        assert not rep.implication_holds
+        assert rep.status == "FAIL"
         assert rep.conclusion_verdicts[0].outcome == "holds"
         assert [w.kind for w in rep.counterexample] == (
             ["stationary_nonminimizer"] * oracle._WITNESS_CAP)
@@ -101,37 +101,37 @@ class TestT4:
         # the estimates at the minimizer t = 0 settle too slowly to converge,
         # but only the points above the minimum level are asked about
         rep = check_t4(SampledProblem(phi_of(source), unit_grid, SCHED))
-        assert rep.implication_holds and not rep.inconclusive and rep.notes == ""
+        assert rep.status == "ok" and rep.notes == ""
         assert rep.premise_verdicts[0].outcome == "holds"
 
 
 class TestT7:
     def test_square_strict_and_nonconstant(self, unit_grid):
         rep = check_t7(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
-        assert rep.implication_holds and not rep.vacuous
+        assert rep.status == "ok"
 
     def test_plateau_bowl_nonstrict_and_constant_run(self):
         rep = check_t7(
             SampledProblem(phi_of("max(0, abs(t) - 1)"), grid_for("[-2,2]"), SCHED)
         )
-        assert rep.implication_holds
+        assert rep.status != "FAIL"
         assert rep.conclusion_verdicts[0].outcome == "fails"
 
     def test_constant_function(self, unit_grid):
         rep = check_t7(SampledProblem(phi_of("2"), unit_grid, SCHED))
-        assert rep.implication_holds
+        assert rep.status != "FAIL"
         assert rep.conclusion_verdicts[0].outcome == "fails"
 
     def test_cube_vacuous(self, unit_grid):
         rep = check_t7(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
-        assert rep.vacuous
+        assert rep.status == "vacuous"
 
 
 class TestT6:
     def test_bowl_all_restrictions_agree(self):
         f = phi_of("x1^2 + x2^2", 2)
         rep = check_t6(lines(f, sample_pairs(BOX, 6, seed=1)))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
         assert "hold" in rep.notes
 
     def test_cube_slice_fails_both_sides(self):
@@ -140,7 +140,7 @@ class TestT6:
         # with a strictly lower far end (conclusion fails): a non-vacuous match
         f = phi_of("x1^3", 2)
         rep = check_t6(lines(f, [([0.0, 0.0], [-0.5, 0.1])]))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
         assert "fail" in rep.notes
 
     def test_premises_and_conclusions_per_pair(self):
@@ -251,13 +251,13 @@ class TestAbc:
     def test_at_global_minimizer_all_true(self):
         f = phi_of("x1^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [0.5, 0.5])]))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
         assert "A=True" in rep.notes and "B=True" in rep.notes and "C=True" in rep.notes
 
     def test_away_from_minimizer_all_false(self):
         f = phi_of("x1^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.5, -0.3], [0.0, 0.0])]))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
         assert "A=False" in rep.notes and "C=False" in rep.notes
 
     def test_b_sees_the_dip_between_grid_points(self):
@@ -265,7 +265,7 @@ class TestAbc:
         # grid cell, so t = 0 is the grid minimum but not the minimum
         f = phi_of("(x1 - 0.001)^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [1.0, 0.0])]))
-        assert rep.implication_holds and not rep.inconclusive
+        assert rep.status == "ok"
         assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
 
     def test_plateau_edge_of_linf_norm(self):
@@ -274,7 +274,7 @@ class TestAbc:
         # still hold at x1=0 whatever x2 is
         f = phi_of("x1^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.7], [0.3, -0.2])]))
-        assert rep.implication_holds
+        assert rep.status != "FAIL"
         assert "C=True" in rep.notes
 
 
@@ -371,7 +371,7 @@ class TestRunBattery:
         res = run_battery(subset, pairs=4)
         assert res.ok
         assert not res.label_mismatches
-        assert all(r.implication_holds for r in res.reports)
+        assert all(r.status != "FAIL" for r in res.reports)
 
     def test_wrong_label_is_caught(self):
         bad = BatteryEntry(
@@ -428,7 +428,7 @@ class TestVerdictPerProblem:
         monkeypatch.setattr(theorems, "pseudoconvex_def",
                             lambda p: calls.update([p]) or real(p))
         batches = lines(phi_of("x1^2 + x2^2", 2), sample_pairs(BOX, 40, 0))
-        assert len(batches) == 2 and check_t6(batches).implication_holds
+        assert len(batches) == 2 and check_t6(batches).status != "FAIL"
         for _, p in batches:
             p.verdict(theorems.pseudoconvex_def)
         assert list(calls.values()) == [1, 1]
@@ -469,7 +469,7 @@ class TestAbcMatchesLoopReference:
         f = phi_of("abs(x1) + abs(x1)^1.1 - 2*max(x2, 0)", 2)
         args = (f, np.zeros(2), np.asarray([0.0, 0.5]), BOX, SCHED)
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
-        assert not rep.inconclusive
+        assert rep.status != "inconclusive"
         assert rep.notes.startswith("A=False (over 64 directions), B=False, C=False, ")
         assert repr(rep) == repr(check_abc_loop(*args))
 
@@ -477,7 +477,7 @@ class TestAbcMatchesLoopReference:
         f = phi_of("abs(x2) + abs(x2)^1.1 - 2*max(x1, 0)", 2)
         args = (f, np.zeros(2), np.asarray([0.5, 0.0]), BOX, SCHED)
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
-        assert not rep.inconclusive
+        assert rep.status != "inconclusive"
         assert rep.notes.startswith("A=False (over 64 directions), B=False, C=False, ")
         assert repr(rep) == repr(check_abc_loop(*args))
 
@@ -555,7 +555,7 @@ class TestAbcMatchesLoopReference:
         assert [r.notes for r in got[3:5]] == ["undefined restriction values"] * 2
         assert "A=True" in got[0].notes
         assert "A=False (over 64 directions), B=True, C=True" in got[7].notes
-        assert 64 * sum(not r.inconclusive for r in got) > dini._BLOCK_ROWS
+        assert 64 * sum(r.status != "inconclusive" for r in got) > dini._BLOCK_ROWS
 
     @pytest.mark.parametrize("x,y,match", [([0.3, 0.3], [0.3, 0.3], "must differ"),
                                            ([0.3, 1.5], [0.2, 0.1], "outside the box")])

@@ -22,7 +22,7 @@ import numpy as np
 from dinicvx.dini import DiniDomainError, DiniSchedule
 from dinicvx.domain import Interval, anchored_grid, restrict
 from dinicvx.oracle import Witness, pseudoconvex_def, semistrictly_quasiconvex_def
-from dinicvx.theorems import TheoremReport, _report_fail, sample_directions
+from dinicvx.theorems import TheoremReport, _report, sample_directions
 
 from dini_reference import is_stationary, lower_dini_along
 
@@ -98,8 +98,8 @@ def check_abc(
     dom_r = anchored_grid(r.feasible, n_grid, margin)
     vals = r.phi(dom_r.points)
     if np.isnan(vals).any():
-        return TheoremReport("Lpr1", function_id, (), (), True,
-                             inconclusive=True, notes="undefined restriction values")
+        return _report("Lpr1", function_id, (), (), "inconclusive",
+                       "undefined restriction values")
 
     # a descending direction decides A whatever its place; an unconverged
     # one leaves A open only when none descends
@@ -132,22 +132,21 @@ def check_abc(
         inconclusive = True
 
     if inconclusive:
-        return TheoremReport("Lpr1", function_id, (), (), True,
-                             inconclusive=True,
-                             notes="a Dini estimate did not converge")
+        return _report("Lpr1", function_id, (), (), "inconclusive",
+                       "a Dini estimate did not converge")
     detail = (
         f"A={a_true} (over {n_dirs} directions), B={b_true}, C={c_true}, "
         f"x={[float(v) for v in x]}, y={[float(v) for v in y]}"
     )
     if (a_true or b_true) == c_true:
-        return TheoremReport("Lpr1", function_id, (), (), True, notes=detail)
+        return _report("Lpr1", function_id, (), (), notes=detail)
     wit = Witness(
         kind="abc_mismatch",
         points=tuple(float(v) for v in x) + tuple(float(v) for v in y),
         values=(phi0,),
         detail=detail,
     )
-    return _report_fail("Lpr1", function_id, (), (), [wit], detail)
+    return _report("Lpr1", function_id, (), (), "FAIL", detail, [wit])
 
 
 def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
@@ -187,10 +186,11 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
-        return TheoremReport("T6", function_id, tuple(premises), tuple(conclusions), True,
-                             inconclusive=True, notes="a restriction was inconclusive")
+        return _report("T6", function_id, premises, conclusions, "inconclusive",
+                       "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return TheoremReport("T6", function_id, tuple(premises), tuple(conclusions), True,
-                             notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report_fail("T6", function_id, premises, conclusions, mismatches + origins,
-                        "restriction pseudoconvexity and the semistrict form disagree")
+        return _report("T6", function_id, premises, conclusions,
+                       notes=f"both sides {'hold' if lhs_all else 'fail'}")
+    return _report("T6", function_id, premises, conclusions, "FAIL",
+                   "restriction pseudoconvexity and the semistrict form disagree",
+                   mismatches + origins)
