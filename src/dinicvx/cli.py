@@ -7,14 +7,17 @@ its trace), and ``verify-theorems`` (run the theorem suite over a battery
 manifest).  Each takes only the flags it reads (``_TAKES``); a flag it does
 not read is refused, and its default still fills the report's config block.
 
-Reports are canonical JSON: keys sorted, floats printed at 17 significant
-digits, infinities and NaN encoded as the strings "inf"/"-inf"/"nan".  A
-result object (a dataclass such as ``Verdict``) is written as its fields.
-Re-running any command with the same configuration produces byte-identical
-output; timing is printed to stderr only, so it never perturbs the report.
+Every report holds ``command``, ``config`` (every setting but ``--output``)
+and its subcommand's body; ``main`` writes the first two.  Reports are
+canonical JSON: keys sorted, floats printed at 17 significant digits,
+infinities and NaN encoded as the strings "inf"/"-inf"/"nan".  A result
+object (a dataclass such as ``Verdict``) is written as its fields, and
+``--output text`` writes each string as the JSON report does, without the
+quotes.  Re-running any command with the same configuration produces
+byte-identical output; timing is printed to stderr only.
 
-Exit codes: 0 all methods agree and nothing inconclusive; 1 configuration
-or parse error; 2 method disagreement; 3 inconclusive verdicts, which
+Exit codes: 0 all methods agree and nothing inconclusive; 1 a refusal, one
+``error:`` line; 2 method disagreement; 3 inconclusive verdicts, which
 ``verify-theorems`` only counts: it exits 0 when no case is ``FAIL``, else 2.
 """
 
@@ -35,7 +38,7 @@ from .battery import golden_battery, load_manifest, random_battery
 from .charact import decompose, martos_segments, properties
 from .dini import DiniSchedule, lower_dini, stationarity_estimates
 from .domain import MARGIN, Interval, make_grid, parse_interval
-from .expr import ExpressionError, eval_many, parse
+from .expr import eval_many, parse
 from .oracle import SampledProblem, Verdict
 from .theorems import SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
 
@@ -60,16 +63,14 @@ MAX_DINI_STEPS = 1_000
 # lines); the slowest run measured at the budget took 15 s on a 2-core VM.
 MAX_WORK = 2**24
 
-
-class _ConfigError(Exception):
-    pass
+_Write = Callable[[dict], None]  # takes a report's body; main adds the envelope
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exit code 1, not 2."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _ConfigError(message)
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -93,42 +94,41 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.grid < 8:
-            raise _ConfigError(f"grid must be >= 8, got {self.grid}")
+            raise ValueError(f"grid must be >= 8, got {self.grid}")
         if self.grid > MAX_GRID:
-            raise _ConfigError(f"grid must be <= {MAX_GRID}, got {self.grid}")
+            raise ValueError(f"grid must be <= {MAX_GRID}, got {self.grid}")
         if not self.margin > 0:
-            raise _ConfigError(f"margin must be positive, got {self.margin}")
+            raise ValueError(f"margin must be positive, got {self.margin}")
         if self.dini.steps > MAX_DINI_STEPS:
-            raise _ConfigError(
-                f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.dini.steps}")
+            raise ValueError(f"dini-steps must be <= {MAX_DINI_STEPS}, got {self.dini.steps}")
         if self.tol is not None and not self.tol > 0:
-            raise _ConfigError("tol must be positive")
+            raise ValueError("tol must be positive")
         if self.tol is not None and not math.isfinite(self.tol):
-            raise _ConfigError(f"tol must be finite, got {self.tol}")
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if not self.stat_tol > 0:
-            raise _ConfigError("stat-tol must be positive")
+            raise ValueError("stat-tol must be positive")
         if not math.isfinite(self.stat_tol):
-            raise _ConfigError(f"stat-tol must be finite, got {self.stat_tol}")
+            raise ValueError(f"stat-tol must be finite, got {self.stat_tol}")
         if self.pairs < 1:
-            raise _ConfigError("pairs must be >= 1")
+            raise ValueError("pairs must be >= 1")
         if self.pairs > MAX_PAIRS:
-            raise _ConfigError(f"pairs must be <= {MAX_PAIRS}, got {self.pairs}")
+            raise ValueError(f"pairs must be <= {MAX_PAIRS}, got {self.pairs}")
         if self.seed < 0:
-            raise _ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.arity > 1:
             _within_budget(self.grid, self.pairs, "pairs")
         if self.arity < 1:
-            raise _ConfigError("arity must be >= 1")
+            raise ValueError("arity must be >= 1")
         if self.arity == 1 and self.domain is None:
-            raise _ConfigError("1-variable functions need --domain")
+            raise ValueError("1-variable functions need --domain")
         if self.arity > 1 and self.box is None:
-            raise _ConfigError("multivariate functions need --box")
+            raise ValueError("multivariate functions need --box")
 
 
 def _within_budget(grid: int, lines: int, what: str) -> None:
     if grid * lines > MAX_WORK:
-        raise _ConfigError(f"grid x {what} must be <= {MAX_WORK}, the work budget; "
-                           f"got {grid} x {lines}")
+        raise ValueError(f"grid x {what} must be <= {MAX_WORK}, the work budget; "
+                         f"got {grid} x {lines}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +239,6 @@ def _with_ranges(result, pts: np.ndarray, *names: str) -> dict:
     return out
 
 
-def _config_json(cfg: RunConfig) -> dict:
-    return {k: v for k, v in _fields(cfg).items() if k != "output"}
-
-
 # ---------------------------------------------------------------------------
 # classification plumbing
 
@@ -258,10 +254,10 @@ def _line_problem(cfg: RunConfig, f) -> SampledProblem:
                           cfg.dini, cfg.tol, cfg.stat_tol)
 
 
-def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
     fn = parse(cfg.function, cfg.arity)
     f = lambda pts: eval_many(fn, pts)
-    report: dict = {"command": "classify", "config": _config_json(cfg)}
+    report: dict = {}
     if cfg.arity == 1:
         batches = [(None, _line_problem(cfg, f))]
     else:
@@ -318,7 +314,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
             disagreements[check] = by_method
     inconclusive = any("inconclusive" in m.values() for m in outcomes.values())
     report.update(checks=checks_out, agreement=not disagreements, inconclusive=inconclusive)
-    _emit(report, cfg.output)
+    write(report)
     for check, sides in disagreements.items():
         print(f"disagreement on {check}: {sides}", file=sys.stderr)
     if disagreements:
@@ -328,7 +324,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
     fn = parse(cfg.function, cfg.arity)
     p = _line_problem(cfg, lambda ts: eval_many(fn, ts))
     pts, dec = p.dom.points[0], decompose(p)[0]
@@ -340,39 +336,31 @@ def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
             with open(args.csv, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
         except OSError as exc:
-            raise _ConfigError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    _emit({
-        "command": "decompose",
-        "config": _config_json(cfg),
+            raise ValueError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
+    write({
         "decomposition": _with_ranges(dec, pts, "i_minus", "i_hat", "i_plus"),
         "martos": _with_ranges(martos_segments(p)[0], pts, "decreasing", "constant",
                                "increasing"),
-    }, cfg.output)
+    })
     return EXIT_INCONCLUSIVE if p.undefined[0] else EXIT_OK
 
 
-def _cmd_dini(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_dini(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
     fn = parse(cfg.function, cfg.arity)
     est = lower_dini(lambda ts: eval_many(fn, ts), args.at, args.dir,
                      parse_interval(cfg.domain), cfg.dini)
-    _emit({
-        "command": "dini",
-        "config": _config_json(cfg),
-        "at": args.at,
-        "direction": args.dir,
-        "estimate": est,
-    }, cfg.output)
+    write({"at": args.at, "direction": args.dir, "estimate": est})
     return EXIT_OK if est.converged else EXIT_INCONCLUSIVE
 
 
-def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
     if not 0 <= args.random <= MAX_RANDOM:
-        raise _ConfigError(f"random must be between 0 and {MAX_RANDOM}, got {args.random}")
+        raise ValueError(f"random must be between 0 and {MAX_RANDOM}, got {args.random}")
     if args.manifest is not None:
         try:
             entries = load_manifest(args.manifest)
         except (OSError, ValueError) as exc:
-            raise _ConfigError(f"cannot load manifest {args.manifest}: {exc}") from exc
+            raise ValueError(f"cannot load manifest {args.manifest}: {exc}") from exc
     else:
         entries = golden_battery()
     if args.random:
@@ -384,30 +372,25 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         tol=cfg.tol, stat_tol=cfg.stat_tol, pairs=cfg.pairs, seed=cfg.seed,
     )
     if cfg.output == "json":
-        _emit({"command": "verify-theorems", "config": _config_json(cfg),
-               **{k: v for k, v in _fields(result).items() if k != "reports"}}, "json")
+        write({k: v for k, v in _fields(result).items() if k != "reports"})
     else:
         for c in result.cases:
             detail = f"  ({c.detail})" if c.detail else ""
-            print(f"[{c.theorem}] {c.function}: {c.status}{detail}")
+            print(_scalar_text(f"[{c.theorem}] {c.function}: {c.status}{detail}"))
         for m in result.label_mismatches:
-            print(f"label mismatch: {m}")
-        print(
-            f"cases={len(result.cases)} vacuous={result.n_vacuous} "
-            f"inconclusive={result.n_inconclusive} ok={result.ok}"
-        )
+            print(_scalar_text(f"label mismatch: {m}"))
+        print(f"cases={len(result.cases)} vacuous={result.n_vacuous} "
+              f"inconclusive={result.n_inconclusive} ok={result.ok}")
     return EXIT_OK if result.ok else EXIT_DISAGREE
 
 
 def _parse_box(text: str, arity: int) -> tuple[Interval, ...]:
     parts = text.split("x")
     if not all(p.strip() for p in parts):
-        raise _ConfigError(f"malformed box {text!r}: empty interval around an 'x'")
+        raise ValueError(f"malformed box {text!r}: empty interval around an 'x'")
     box = tuple(parse_interval(p) for p in parts)
     if len(box) != arity:
-        raise _ConfigError(
-            f"box has {len(box)} intervals but arity is {arity}"
-        )
+        raise ValueError(f"box has {len(box)} intervals but arity is {arity}")
     return box
 
 
@@ -426,10 +409,10 @@ def _render_text(obj, depth: int) -> None:
         for k in sorted(obj.keys()):
             v = obj[k]
             if is_dataclass(v) or isinstance(v, (dict, list, tuple)) and v:
-                print(f"{pad}{k}:")
+                print(f"{pad}{_scalar_text(str(k))}:")
                 _render_text(v, depth + 1)
             else:
-                print(f"{pad}{k}: {_scalar_text(v)}")
+                print(f"{pad}{_scalar_text(str(k))}: {_scalar_text(v)}")
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             if is_dataclass(v) or isinstance(v, (dict, list, tuple)):
@@ -442,6 +425,8 @@ def _render_text(obj, depth: int) -> None:
 def _scalar_text(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, str):  # as the JSON report writes it, without the quotes
+        return encode_basestring(v)[1:-1]
     if isinstance(v, (dict, list, tuple)) and not v:
         return "(empty)"
     return str(v)
@@ -485,7 +470,8 @@ _FLAGS: dict[str, dict] = {
 }
 _SCHEDULE = ("--dini-t0", "--dini-ratio", "--dini-steps", "--dini-tol")
 # subcommand -> (its help, the flags it reads, the function that runs it)
-_TAKES: dict[str, tuple[str, tuple[str, ...], Callable[[RunConfig, argparse.Namespace], int]]] = {
+_TAKES: dict[str, tuple[str, tuple[str, ...],
+                        Callable[[RunConfig, argparse.Namespace, _Write], int]]] = {
     "classify": ("classify a function", (
         "--function", "--arity", "--domain", "--box", "--grid", "--margin", "--tol",
         "--stat-tol", *_SCHEDULE, "--seed", "--output", "--pairs", "--method", "--check"),
@@ -524,10 +510,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    try:
-        dini = DiniSchedule(args.dini_t0, args.dini_ratio, args.dini_steps, args.dini_tol)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    dini = DiniSchedule(args.dini_t0, args.dini_ratio, args.dini_steps, args.dini_tol)
     checks = args.check or ["all"]
     if "all" in checks:
         checks = [prop.check for prop in properties()]
@@ -539,14 +522,15 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     t_start = time.monotonic()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _TAKES[args.cmd][2](_config_from(args), args)
-    except (_ConfigError, ExpressionError, ValueError) as exc:
+        args = _build_parser().parse_args(argv)
+        cfg = _config_from(args)
+        config = {k: v for k, v in _fields(cfg).items() if k != "output"}
+        write = lambda body: _emit({"command": args.cmd, "config": config, **body}, cfg.output)
+        code = _TAKES[args.cmd][2](cfg, args, write)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
-        elapsed = time.monotonic() - t_start
-        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        print(f"elapsed: {time.monotonic() - t_start:.3f}s", file=sys.stderr)
     return code

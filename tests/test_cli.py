@@ -1,11 +1,13 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +160,22 @@ class TestExitCodes:
         assert len(lines) == 2 and lines[1].startswith("elapsed:")
 
     def test_bad_manifest_path(self, capsys):
-        code, _, err = run(["verify-theorems", "/no/such/file.json"], capsys)
-        assert code == EXIT_CONFIG
+        code, out, err = run(["verify-theorems", "/no/such/file.json"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[:-1] == [
+            "error: cannot load manifest /no/such/file.json: "
+            "[Errno 2] No such file or directory: '/no/such/file.json'"]
+
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["dini", "--function", "t^2", "--domain", "[-1,1]", "--at", "0.5"],
+        ["verify-theorems"],
+    ])
+    def test_a_schedule_error_is_one_line(self, argv, capsys):
+        # DiniSchedule's own message, as it raised it
+        code, out, err = run(argv + ["--dini-ratio", "2"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[:-1] == ["error: ratio must be in (0,1), got 2.0"]
 
     def test_dini_converged(self, capsys):
         code, out, _ = run(["dini", "--function", "t^2", "--domain", "[-1,1]",
@@ -389,11 +405,12 @@ class TestDini:
         ("log(t)", "[-1,1]", "0", "1", "error: function undefined at the base point [0.0]"),
         ("t^2", "[0,1]", "1", "1", "error: direction leaves domain"),
         ("t^2", "[0,1]", "0.5", "0", "error: direction must be finite and nonzero, got 0.0"),
+        ("t^2", "[0,0]", "0", "1", "error: direction leaves domain"),
     ])
     def test_error_lines(self, capsys, function, domain, at, direction, line):
         code, out, err = run(["dini", "--function", function, "--domain", domain,
                               "--at", at, "--dir", direction], capsys)
-        assert (code, out, err.splitlines()[0]) == (EXIT_CONFIG, "", line)
+        assert (code, out, err.splitlines()[:-1]) == (EXIT_CONFIG, "", [line])
 
 
 class TestParserBuiltOnce:
@@ -538,6 +555,50 @@ class TestVerify:
             65, 28, 1e-6)
 
 
+class TestEnvelope:
+    """``main`` writes every report's ``command`` and ``config``; the
+    subcommand writes its body, before anything it prints to stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        CUBE,
+        ["classify", "--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]",
+         "--pairs", "2", "--grid", "33"],
+        ["decompose", "--function", "abs(t)", "--domain", "[-1,1]", "--grid", "33"],
+        ["dini", "--function", "t^2", "--domain", "[0,1]", "--at", "0.5"],
+        ["verify-theorems", "<manifest>", "--grid", "33"],
+    ], ids=["classify", "classify-2d", "decompose", "dini", "verify-theorems"])
+    def test_command_and_config_head_every_report(self, argv, tmp_path, capsys):
+        path = tmp_path / "sq.json"
+        write_manifest([e for e in golden_battery() if e.id == "sq"], path)
+        argv = [str(path) if a == "<manifest>" else a for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        cfg = cli._config_from(cli._build_parser().parse_args(argv))
+        settings = {f.name: getattr(cfg, f.name) for f in fields(cli.RunConfig)}
+        del settings["output"]
+        assert report["command"] == argv[0]
+        assert report["config"] == {**settings, "dini": asdict(cfg.dini),
+                                    "checks": list(cfg.checks)}
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_a_disagreement_line_follows_the_whole_report(self, output):
+        merged = io.StringIO()
+        with contextlib.redirect_stdout(merged), contextlib.redirect_stderr(merged):
+            code = main(CREEP + ["--output", output])
+        lines = merged.getvalue().splitlines()
+        first = next(k for k, line in enumerate(lines) if line.startswith("disagreement on"))
+        assert code == EXIT_DISAGREE
+        assert lines[first:] == [
+            "disagreement on quasiconvex: {'definitional': 'fails', 'martos': 'holds'}",
+            lines[-1]]
+        assert lines[-1].startswith("elapsed: ")
+        if output == "json":
+            assert json.loads("\n".join(lines[:first]))["agreement"] is False
+        else:
+            assert "agreement: False" in lines[:first]
+
+
 class TestHostileBox:
     """Each bad box ends, within a time limit, with exit code 1 and a
     one-line message; the CLI runs in a child process so a hang is killed."""
@@ -620,7 +681,7 @@ class TestHostileInput:
         message = self.assert_config_error(
             ["decompose", "--function=t^2", "--domain=[-1,1]", "--csv", str(target)],
             capsys)
-        assert str(target) in message
+        assert message == f"error: cannot write {target}: No such file or directory"
 
     @pytest.mark.parametrize("cmd", [
         ["decompose", "--function=t^2", "--domain=[-1,1]"],
@@ -900,6 +961,34 @@ class TestCanonicalJson:
         code, out, err = run(["verify-theorems", str(path)], capsys)
         assert code == EXIT_OK, err
         assert {c["function"] for c in json.loads(out)["cases"]} == {f"s{char}q"}
+
+    def test_text_escapes_keys_and_strings_as_the_json_report_does(self, capsys):
+        cli._emit({"a\nb": 'c\x1bd"\\', "e": ["f\tg"]}, "text")
+        assert capsys.readouterr().out == 'a\\nb: c\\u001bd\\"\\\\\ne:\n  - f\\tg\n'
+
+    def test_a_newline_in_the_function_gives_one_text_line(self, capsys):
+        code, out, err = run(["classify", "--function=t\n^2", "--domain=[-1,1]",
+                              "--output=text"], capsys)
+        assert code == EXIT_OK, err
+        assert [line for line in out.splitlines() if "function:" in line or "^2" in line] == [
+            "  function: t\\n^2"]
+
+    def test_a_control_character_in_a_manifest_id_gives_one_text_line_per_case(
+            self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        sq = next(e for e in golden_battery() if e.id == "sq")
+        write_manifest((replace(sq, id="a\nb\u001b[31m", expected={"quasiconvex": False}),),
+                       path)
+        _, out, _ = run(["verify-theorems", str(path)], capsys)
+        report = json.loads(out)
+        code, out, err = run(["verify-theorems", str(path), "--output=text"], capsys)
+        assert code == EXIT_DISAGREE, err
+        lines = out.splitlines()
+        assert len(lines) == len(report["cases"]) + len(report["label_mismatches"]) + 1
+        assert not any(c < " " for c in out.replace("\n", ""))
+        shown = "a\\nb\\u001b[31m"
+        assert [line for line in lines if shown in line] == lines[:-1]
+        assert lines[-2] == f"label mismatch: {shown}: quasiconvex expected fails, got holds"
 
     def test_text_renders_a_nested_verdict_as_its_fields(self, capsys):
         verdict = Verdict("fails", "definitional", 0.5, 0.25,

@@ -3,12 +3,14 @@
 Whatever a manifest holds, a run of ``verify-theorems`` on it must end
 within a time limit, with an exit code in {0, 1, 2, 3} and without a
 traceback, and a run that prints a report (exit 0, 2 or 3) prints JSON
-that encodes as strict UTF-8.  Each manifest holds one or two entries.  Two
-manifests in three hold only valid entries, whose ids and tags may still
-hold control and non-ASCII characters; the others put a hostile value in
-one field of one entry, or nest its tags.  The hostile manifests of
-``test_battery.HOSTILE`` are explicit examples.  The grid is 8 points and
-the pairs 1 so the suite stays quick.
+that encodes as strict UTF-8.  The same run with ``--output text`` prints
+one line per case and per label mismatch and a summary line, with no
+control character but the newlines.  Each manifest holds one or two
+entries.  Two manifests in three hold only valid entries, whose ids and
+tags may still hold control and non-ASCII characters; the others put a
+hostile value in one field of one entry, or nest its tags.  The hostile
+manifests of ``test_battery.HOSTILE`` are explicit examples.  The grid is
+8 points and the pairs 1 so the suite stays quick.
 """
 
 import json
@@ -114,7 +116,14 @@ def test_verify_theorems_survives_hostile_manifests():
             assert "Traceback" not in err, text[:300]
             if code != 1:
                 out.encode("utf-8")  # strict: a lone surrogate raises
-                assert json.loads(out)["command"] == "verify-theorems"
+                report = json.loads(out)
+                assert report["command"] == "verify-theorems"
+                text_code, printed, _ = run_bounded(
+                    ["verify-theorems", path, "--grid=8", "--pairs=1", "--output=text"])
+                assert text_code == code, text[:300]
+                assert not any(c < " " for c in printed.replace("\n", "")), text[:300]
+                lines = len(report["cases"]) + len(report["label_mismatches"]) + 1
+                assert printed.count("\n") == lines and printed.endswith("\n"), text[:300]
             codes.append(code)
 
         run()
