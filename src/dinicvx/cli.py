@@ -7,14 +7,16 @@ its trace), and ``verify-theorems`` (run the theorem suite over a battery
 manifest).  Each takes only the flags it reads (``_TAKES``); a flag it does
 not read is refused, and its default still fills the report's config block.
 
-Every report holds ``command``, ``config`` (every setting but ``--output``)
-and its subcommand's body; ``main`` writes the first two.  Reports are
+Every report holds ``command``, ``config`` (the run's ``RunConfig``) and
+its subcommand's body; ``main`` writes the first two.  Reports are ASCII
 canonical JSON: keys sorted, floats printed at 17 significant digits,
-infinities and NaN encoded as the strings "inf"/"-inf"/"nan".  A result
-object (a dataclass such as ``Verdict``) is written as its fields, and
-``--output text`` writes each string as the JSON report does, without the
-quotes.  Re-running any command with the same configuration produces
-byte-identical output; timing is printed to stderr only.
+infinities and NaN encoded as the strings "inf"/"-inf"/"nan", and a string
+escaped as the ``json`` module does by default.  A result object (a
+dataclass such as ``Verdict``) is written as its fields.  ``--output text``
+lays out that same report in lines (``verify-theorems`` as its case lines,
+any other as ``key: value`` lines), each string and number as the report
+writes it, without the quotes.  Re-running any command with the same
+configuration produces byte-identical output; timing goes to stderr only.
 
 Exit codes: 0 all methods agree and nothing inconclusive; 1 a refusal, one
 ``error:`` line; 2 method disagreement; 3 inconclusive verdicts, which
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -88,7 +91,6 @@ class RunConfig:
     dini: DiniSchedule
     method: str
     seed: int
-    output: str
     pairs: int
     checks: tuple[str, ...]
 
@@ -142,7 +144,7 @@ class _Texts(dict):
 
     def __missing__(self, x: float | str) -> str:
         if type(x) is str:
-            text = encode_basestring(x)
+            text = encode_basestring_ascii(x)
         elif math.isnan(x):
             return '"nan"'
         elif math.isinf(x):
@@ -199,7 +201,8 @@ def _text(obj, pad: str, texts: _Texts, shared: dict) -> str:
 @functools.cache
 def _names(t: type) -> tuple[tuple[str, str], ...]:
     """A result type's sorted field names (no cached property), each with its key text."""
-    return tuple((k, encode_basestring(k) + ": ") for k in sorted(f.name for f in fields(t)))
+    return tuple((k, encode_basestring_ascii(k) + ": ")
+                 for k in sorted(f.name for f in fields(t)))
 
 
 def canonical_json(obj) -> str:
@@ -371,16 +374,7 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
         entries, n_grid=cfg.grid, margin=cfg.margin, schedule=cfg.dini,
         tol=cfg.tol, stat_tol=cfg.stat_tol, pairs=cfg.pairs, seed=cfg.seed,
     )
-    if cfg.output == "json":
-        write({k: v for k, v in _fields(result).items() if k != "reports"})
-    else:
-        for c in result.cases:
-            detail = f"  ({c.detail})" if c.detail else ""
-            print(_scalar_text(f"[{c.theorem}] {c.function}: {c.status}{detail}"))
-        for m in result.label_mismatches:
-            print(_scalar_text(f"label mismatch: {m}"))
-        print(f"cases={len(result.cases)} vacuous={result.n_vacuous} "
-              f"inconclusive={result.n_inconclusive} ok={result.ok}")
+    write({k: v for k, v in _fields(result).items() if k != "reports"})
     return EXIT_OK if result.ok else EXIT_DISAGREE
 
 
@@ -394,42 +388,45 @@ def _parse_box(text: str, arity: int) -> tuple[Interval, ...]:
     return box
 
 
-def _emit(report: dict, output: str) -> None:
-    if output == "json":
-        sys.stdout.write(canonical_json(report))
-        return
-    _render_text(report, 0)
+def _render_text(obj, pad: str = ""):
+    """The lines of a parsed report: ``key: value`` and ``- value``, a nested
+    object or array on the lines under its key or dash, and an empty one
+    under a key as ``(empty)``."""
+    keyed = isinstance(obj, dict)
+    for k, v in obj.items() if keyed else enumerate(obj):
+        head = f"{pad}{_scalar_text(k)}:" if keyed else f"{pad}-"
+        if isinstance(v, (dict, list)) and (v or not keyed):
+            yield head
+            yield from _render_text(v, pad + "  ")
+        else:
+            yield f"{head} {_scalar_text(v)}"
 
 
-def _render_text(obj, depth: int) -> None:
-    pad = "  " * depth
-    if is_dataclass(obj):
-        obj = _fields(obj)
-    if isinstance(obj, dict):
-        for k in sorted(obj.keys()):
-            v = obj[k]
-            if is_dataclass(v) or isinstance(v, (dict, list, tuple)) and v:
-                print(f"{pad}{_scalar_text(str(k))}:")
-                _render_text(v, depth + 1)
-            else:
-                print(f"{pad}{_scalar_text(str(k))}: {_scalar_text(v)}")
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            if is_dataclass(v) or isinstance(v, (dict, list, tuple)):
-                print(f"{pad}-")
-                _render_text(v, depth + 1)
-            else:
-                print(f"{pad}- {_scalar_text(v)}")
+def _case_lines(report: dict):
+    """A parsed ``verify-theorems`` report as one line per case and per label
+    mismatch, then its counts."""
+    for c in report["cases"]:
+        detail = f"  ({c['detail']})" if c["detail"] else ""
+        yield _scalar_text(f"[{c['theorem']}] {c['function']}: {c['status']}{detail}")
+    for m in report["label_mismatches"]:
+        yield _scalar_text(f"label mismatch: {m}")
+    yield (f"cases={len(report['cases'])} vacuous={report['n_vacuous']} "
+           f"inconclusive={report['n_inconclusive']} ok={report['ok']}")
 
 
 def _scalar_text(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
     if isinstance(v, str):  # as the JSON report writes it, without the quotes
-        return encode_basestring(v)[1:-1]
-    if isinstance(v, (dict, list, tuple)) and not v:
-        return "(empty)"
-    return str(v)
+        return encode_basestring_ascii(v)[1:-1]
+    return "(empty)" if isinstance(v, (dict, list)) else str(v)
+
+
+def _emit(report: dict, output: str, layout=_render_text) -> None:
+    """Write ``report``'s JSON, or for ``text`` ``layout``'s lines of it parsed back."""
+    text = canonical_json(report)
+    if output == "text":
+        text = "".join(line + "\n" for line in
+                       layout(json.loads(text, parse_float=str, parse_int=str)))
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +508,7 @@ def _build_parser() -> _Parser:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     dini = DiniSchedule(args.dini_t0, args.dini_ratio, args.dini_steps, args.dini_tol)
-    checks = args.check or ["all"]
+    checks = dict.fromkeys(args.check or ["all"])  # each once, in first-seen order
     if "all" in checks:
         checks = [prop.check for prop in properties()]
     # every other setting is the flag of its name
@@ -525,8 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from(args)
-        config = {k: v for k, v in _fields(cfg).items() if k != "output"}
-        write = lambda body: _emit({"command": args.cmd, "config": config, **body}, cfg.output)
+        layout = _case_lines if args.cmd == "verify-theorems" else _render_text
+        write = lambda body: _emit({"command": args.cmd, "config": cfg, **body}, args.output,
+                                   layout)
         code = _TAKES[args.cmd][2](cfg, args, write)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5
 JSON_VALUES = st.recursive(
     st.one_of(FLOATS, FLOATS.map(np.float64), st.booleans(), st.booleans().map(np.bool_),
               st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64),
-              st.text(st.sampled_from('ab\\"\n\t\x01')), st.none()),
+              st.text(st.sampled_from('ab\\"\n\t\x01é\x7f\U0001f600')), st.none()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(st.sampled_from("ab"), max_size=2), inner, max_size=4)),
@@ -333,6 +333,15 @@ class TestClassifyReport:
         assert code == EXIT_OK
         assert "pseudoconvex" in out and "fails" in out
 
+    def test_a_repeated_check_is_run_and_listed_once(self, capsys):
+        code, out, _ = run(["classify", "--function", "t^2", "--domain", "[-1,1]",
+                            "--check", "quasiconvex", "--check", "pseudoconvex",
+                            "--check", "quasiconvex"], capsys)
+        rep = json.loads(out)
+        assert code == EXIT_OK
+        assert rep["config"]["checks"] == ["quasiconvex", "pseudoconvex"]
+        assert sorted(rep["checks"]) == ["pseudoconvex", "quasiconvex"]
+
 
 class TestDeterminism:
     def test_classify_rerun_byte_identical(self, capsys):
@@ -576,7 +585,6 @@ class TestEnvelope:
         report = json.loads(out)
         cfg = cli._config_from(cli._build_parser().parse_args(argv))
         settings = {f.name: getattr(cfg, f.name) for f in fields(cli.RunConfig)}
-        del settings["output"]
         assert report["command"] == argv[0]
         assert report["config"] == {**settings, "dini": asdict(cfg.dini),
                                     "checks": list(cfg.checks)}
@@ -597,6 +605,24 @@ class TestEnvelope:
             assert json.loads("\n".join(lines[:first]))["agreement"] is False
         else:
             assert "agreement: False" in lines[:first]
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_a_non_ascii_id_is_written_to_an_ascii_stdout(self, output, tmp_path):
+        path = tmp_path / "m.json"
+        sq = next(e for e in golden_battery() if e.id == "sq")
+        write_manifest((replace(sq, id="é"),), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]),
+                   PYTHONIOENCODING="ascii:strict")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinicvx", "verify-theorems", str(path), "--grid", "33",
+             f"--output={output}"], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        if output == "json":
+            assert {c["function"] for c in json.loads(proc.stdout)["cases"]} == {"é"}
+        else:
+            *cases, counts = proc.stdout.splitlines()
+            assert cases and all("] \\u00e9: " in line for line in cases)
+            assert counts.startswith("cases=")
 
 
 class TestHostileBox:
@@ -937,14 +963,15 @@ class TestCanonicalJson:
                                                  ("dini_tol", "ratio", "steps", "t0"))
 
     def test_a_control_character_is_escaped(self):
-        # every U+0000-U+001F, in a value and in a key; nothing else changes
+        # every U+0000-U+001F, in a value and in a key, and a non-ASCII
+        # character and DEL, written as \\uXXXX; nothing else changes
         chars = "".join(map(chr, range(32))) + 'é"\\\x7f'
         text = canonical_json({chars: [chars, Witness("k", (), (), chars)]})
         assert json.loads(text) == {chars: [chars, {"kind": "k", "points": [], "values": [],
                                                     "detail": chars}]}
         assert not any(chr(c) in text.replace("\n", "") for c in range(32))
         assert '"\\u0000\\u0001' in text and "\\t\\n\\u000b\\f\\r" in text
-        assert 'é\\"\\\\\x7f' in text
+        assert '\\u00e9\\"\\\\\\u007f' in text
 
     def test_a_tab_in_the_function_gives_a_valid_report(self, capsys):
         code, out, err = run(["classify", "--function=t\t^2", "--domain=[-1,1]"], capsys)
@@ -1018,6 +1045,22 @@ class TestCanonicalJson:
             "      values:",
             "        - 1",
         ]) + "\n"
+
+    @given(JSON_VALUES, FLOATS, FLOATS, st.integers(-2**63, 2**63 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_text_as_the_reference_renderer(self, value, x, y, n):
+        # result objects, numpy scalars, tuples and empty containers, as a
+        # report holds them, next to every kind of JSON value
+        witness = Witness("descent", (x, np.float64(y)), (), "d\x7f")
+        verdict = Verdict("fails", "definitional", x, y, (witness,), "é")
+        estimate = DiniEstimate(x, y, (x, y), np.bool_(True), np.int64(n))
+        report = {"x": value, "verdict": verdict, "estimates": (estimate, [estimate]),
+                  "numpy": [np.float64(x), np.bool_(False), np.int64(n)], "n": n,
+                  "empty": [{}, [], ()], "none": (), "eé": {}}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(report, "text")
+        assert out.getvalue() == report_reference.render_text(report)
 
     @given(JSON_VALUES)
     @settings(max_examples=300, deadline=None)
