@@ -27,10 +27,10 @@ stop after any run.
 T4, T6's origin test, Lpr1 and the pair oracles (each grid entry a point
 with one direction) read.
 
-A block of such rows whose values are all defined takes
-:func:`_dense_rows`: the same float operations without masks.  A block
-holding a row near an end of the domain, or an undefined value, keeps the
-masked path for all its rows.
+A block of such rows whose values are all defined takes the kernel's
+dense form: the same float operations without masks.  A block holding a
+row near an end of the domain, or an undefined value, keeps the masked
+form for all its rows.
 
 Given ``stat_tol``, :func:`grid_dini_profile` settles a row whose window is
 the trailing half as descending when its quotient at the largest trailing
@@ -98,6 +98,8 @@ class DiniSchedule:
             raise ValueError(f"t0 must be positive and finite, got {self.t0}")
         if not (0 < self.ratio < 1):
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         smallest = self.t0 * self.ratio ** (self.steps - 1)
@@ -147,7 +149,7 @@ def _accumulate(op, a: np.ndarray) -> np.ndarray:
 
 def _dini_rows(
     vals: np.ndarray,
-    in_domain: np.ndarray,
+    in_domain: np.ndarray | None,
     base: np.ndarray,
     s: np.ndarray,
     dini_tol: float,
@@ -165,78 +167,64 @@ def _dini_rows(
     ``dini_tol``.  The block may be the trailing steps of longer rows:
     ``skipped[r]`` counts row r's in-domain probes left out, and a row whose
     window or fallback reaches them is left using no probe, for the caller
-    to estimate from the whole row.
+    to estimate from the whole row.  ``in_domain=None`` marks a dense block,
+    as :func:`_probe_rows` finds one: two steps or more, every probe defined
+    and every row's window the whole block, so the same float operations
+    run without masks, bit for bit as with them.
 
     Returns (value, converged, trace, used, n_in): ``trace[:, r][used[:, r]]``
     is row r's trace and ``n_in[r]`` its count of in-domain probes, skipped
     ones included.  A row that uses no probe has value +inf, is converged
     and has an empty trace.  ``trace`` and ``used`` start at the first step
-    any row uses.  :func:`_dense_rows` is the same rule for rows whose
-    window is the whole block, every probe of it defined.
+    any row uses.
     """
-    n_in = in_domain.sum(axis=0) + skipped
-    defined = in_domain & ~np.isnan(vals)
-    used = defined & (np.cumsum(in_domain, axis=0) > n_in // 2 - skipped)
-    used[:, skipped > n_in // 2] = False
-    empty = ~used.any(axis=0) & (skipped == 0)
-    if empty.any():
-        d = defined[:, empty]
-        used[:, empty] = d & (np.cumsum(d, axis=0) > d.sum(axis=0) // 2)
-    c0 = int(np.argmax(used.any(axis=1)))
-    used, s = used[c0:], s[c0:]
-    last = s.shape[0] - 1 - np.argmax(used[::-1], axis=0)
+    dense = in_domain is None
+    if dense:
+        n_in = skipped + s.shape[0]
+        used = np.ones(vals.shape, dtype=bool)
+        rows, last = slice(None), -1
+    else:
+        n_in = in_domain.sum(axis=0) + skipped
+        defined = in_domain & ~np.isnan(vals)
+        used = defined & (np.cumsum(in_domain, axis=0) > n_in // 2 - skipped)
+        used[:, skipped > n_in // 2] = False
+        empty = ~used.any(axis=0) & (skipped == 0)
+        if empty.any():
+            d = defined[:, empty]
+            used[:, empty] = d & (np.cumsum(d, axis=0) > d.sum(axis=0) // 2)
+        c0 = int(np.argmax(used.any(axis=1)))
+        vals, used, s = vals[c0:], used[c0:], s[c0:]
+        last = s.shape[0] - 1 - np.argmax(used[::-1], axis=0)
+        rows = np.arange(last.shape[0])
+
+    def over_used(a: np.ndarray, fill: float) -> np.ndarray:
+        return a if dense else np.where(used, a, fill)
+
     s_min = s[last]
-    two = used.sum(axis=0) >= 2
     with np.errstate(invalid="ignore", over="ignore"):
-        diffs = vals[c0:] - base
-        quots = diffs / s[:, None]
-        trace = _accumulate(np.minimum, np.where(used, quots, _INF))
+        diffs = vals - base
+        d_min, d_max = over_used(diffs, _INF).min(axis=0), over_used(diffs, -_INF).max(axis=0)
+        quots = np.divide(diffs, s[:, None], out=diffs)
+        q_max = over_used(quots, -_INF).max(axis=0)
+        trace = _accumulate(np.minimum, over_used(quots, _INF))
         value = trace[-1].copy()
-        # a single quotient settles only when it is already infinite
-        prev = trace[last - 1, np.arange(last.shape[0])]
-        converged = np.where(two, np.abs(value - prev) <= dini_tol, np.isinf(value))
+        converged = np.abs(value - trace[last - 1, rows]) <= dini_tol
         # Divergence screen: if the raw differences stay bounded away from
         # zero while the steps vanish, the quotients blow up and the liminf
         # is +-inf.  The threshold compares against what a slope of size
         # |value| could produce at the smallest step, so steep smooth
         # functions never trigger.
-        d_min = np.where(used, diffs, _INF).min(axis=0)
-        up = two & (value > 0) & (d_min >= _JUMP_FACTOR * value * s_min)
-        q_max = np.where(used, quots, -_INF).max(axis=0)
-        d_max = np.where(used, diffs, -_INF).max(axis=0)
-        down = two & (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s_min)
+        up = (value > 0) & (d_min >= _JUMP_FACTOR * value * s_min)
+        down = (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s_min)
+        if not dense:
+            # a single quotient settles only when it is already infinite,
+            # and is never screened
+            two = used.sum(axis=0) >= 2
+            converged = np.where(two, converged, np.isinf(value))
+            up, down = up & two, down & two
     value[up] = _INF
     value[down] = -_INF
     return value, converged | up | down, trace, used, n_in
-
-
-def _dense_rows(
-    vals: np.ndarray,
-    base: np.ndarray,
-    s: np.ndarray,
-    dini_tol: float,
-    n_in: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_dini_rows` on a dense block, where every row uses every step.
-
-    Each mask of the general rule is then all true: ``used`` everywhere,
-    ``two`` on every row, and ``last`` the final step.  So the same float
-    operations run on the unmasked arrays, and every result is bit for bit
-    what the masked path gives.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        diffs = vals - base
-        d_min, d_max = diffs.min(axis=0), diffs.max(axis=0)
-        quots = np.divide(diffs, s[:, None], out=diffs)
-        q_max = quots.max(axis=0)
-        trace = _accumulate(np.minimum, quots)
-        value = trace[-1].copy()
-        converged = np.abs(value - trace[-2]) <= dini_tol
-        up = (value > 0) & (d_min >= _JUMP_FACTOR * value * s[-1])
-        down = (q_max < 0) & (d_max <= _JUMP_FACTOR * q_max * s[-1])
-    value[up] = _INF
-    value[down] = -_INF
-    return value, converged | up | down, trace, np.ones(vals.shape, dtype=bool), n_in
 
 
 def _positions(x: np.ndarray, u: np.ndarray, s: np.ndarray, rows) -> np.ndarray:
@@ -286,7 +274,7 @@ def _probe_rows(
     trailing steps: only those are built and evaluated, with no bound
     compared.  The rows that fail the test get their leading positions and
     their whole in-domain mask.  A block where every row's window is the
-    trailing steps, every value defined, takes :func:`_dense_rows`; any
+    trailing steps, every value defined, takes the kernel's dense form; any
     other the masked kernel on its trailing steps.  When that kernel leaves
     a row using no probe although it skipped some (a fallback, or a window
     reaching the leading steps), the block is rerun on every step, with the
@@ -304,17 +292,15 @@ def _probe_rows(
             vals = np.concatenate((vals, f(tail[1:], every)))
     near = np.flatnonzero(~ends)
     skipped = np.full(base.shape[0], cut)
-    n_in = skipped + trailing.shape[0]
     dense = trailing.shape[0] >= 2
     if near.size:
         whole = _inside(np.concatenate([_positions(x, u, s[:cut], near), tail[:, near]]),
                         least[near], greatest[near])
         skipped[near] = whole[:cut].sum(axis=0)
-        n_in[near] = whole.sum(axis=0)
-        dense = dense and whole[cut:].all() and (skipped[near] == n_in[near] // 2).all()
+        dense = dense and whole[cut:].all() and (skipped[near] == whole.sum(axis=0) // 2).all()
     # dense: every row's window is the trailing steps, all of them defined
     if dense and not np.isnan(vals).any():
-        return _dense_rows(vals, base, trailing, dini_tol, n_in)
+        return _dini_rows(vals, None, base, trailing, dini_tol, skipped)
     window = np.ones(tail.shape[:2], dtype=bool)
     if near.size:
         window[:, near] = whole[cut:]

@@ -19,6 +19,7 @@ Every stationarity call here, T4's, the origin test and Lpr1's A, is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -368,13 +369,14 @@ def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
 def check_abc(
     f: Callable[[np.ndarray], np.ndarray],
     box: tuple[Interval, ...],
-    batches: Sequence[tuple[LineRestriction, SampledProblem]],
+    batches: Iterable[tuple[LineRestriction, SampledProblem]],
     seed: int = 0,
     function_id: Sequence[str] | None = None,
 ) -> tuple[TheoremReport, ...]:
     """A or B iff C, for quasiconvex radially-usc f and the pair (x, y) of
-    each line of the :func:`line_problems` ``batches``: a report per line,
-    in batch order, named by ``function_id`` (one id per line, or None).
+    each line of the :func:`line_problems` ``batches``, read once in order: a
+    report per line, in batch order, named by ``function_id`` (one id per
+    line, or None).
 
     A: x is stationary for f over a deterministic sample of ``_DIRECTIONS``
     directions (approximate, refinable), by :func:`~dinicvx.dini.stationary`:
@@ -392,12 +394,18 @@ def check_abc(
     T6 reads them: f(x), B's values at the in-domain probes ``+-s``, and C.
     A probes every defined pair's x along every direction as the rows of
     :func:`~dinicvx.dini._rows`, each row based at that f(x).  Every report
-    is what the pair gives alone.
+    is what the pair gives alone.  A wrong count of ids raises ValueError:
+    before ``f`` is called when ``batches`` is a sequence, else once read.
     """
-    n_lines = sum(r.x.shape[0] for r, _ in batches)
-    ids = [""] * n_lines if function_id is None else list(function_id)
-    if len(ids) != n_lines:
-        raise ValueError(f"{len(ids)} function ids for {n_lines} lines")
+    ids = None if function_id is None else list(function_id)
+
+    def check_ids(n_lines: int) -> None:
+        if ids is not None and len(ids) != n_lines:
+            raise ValueError(f"{len(ids)} function ids for {n_lines} lines")
+
+    if isinstance(batches, Sequence):
+        check_ids(sum(r.x.shape[0] for r, _ in batches))
+    names = chain(ids or (), repeat(""))
     _, u = _unit(sample_directions(len(box), _DIRECTIONS, seed))
 
     reports: list[TheoremReport] = []
@@ -424,7 +432,7 @@ def check_abc(
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
         b_true = ends[:, 0] <= lowest + 1e-12 * (1.0 + np.abs(ends[:, 0]))
 
-        for i, fid in enumerate(ids[len(reports) : len(reports) + m]):
+        for i, fid in zip(range(m), names):
             if not defined[i] or a_open[i] or c_open[i]:
                 reports.append(_report("Lpr1", fid, (), (), "inconclusive",
                                        "a Dini estimate did not converge" if defined[i]
@@ -439,6 +447,7 @@ def check_abc(
             wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
                           values=(float(ends[i, 0]),), detail=detail)
             reports.append(_report("Lpr1", fid, (), (), "FAIL", detail, [wit]))
+    check_ids(len(reports))
     return tuple(reports)
 
 

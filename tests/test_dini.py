@@ -141,6 +141,11 @@ class TestLowerDini:
             DiniSchedule(ratio=1.5)
         with pytest.raises(ValueError):
             DiniSchedule(steps=1)
+        # np.arange(2.5) has 3 entries, and the grid walk slices at steps // 2
+        for steps in (2.5, 3.0, np.float64(40.0)):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                DiniSchedule(steps=steps)
+        assert DiniSchedule(steps=np.int64(12)).step_sizes().shape == (12,)
         # too deep: smallest step would drop under 1e-12
         with pytest.raises(ValueError):
             DiniSchedule(t0=1e-2, ratio=0.1, steps=40)

@@ -7,6 +7,8 @@ flags and traces must agree exactly, NaN and signed zeros included.
 
 import itertools
 import math
+from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -533,8 +535,10 @@ def sliced(block):
     return vals[cut:], in_domain[cut:], base, s[cut:], dini_tol, in_domain[:cut].sum(axis=0)
 
 
-# Dense rows may hold anything but NaN: infinities, both zeros, the base.
-_DENSE_SPECIAL = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, "base"])
+# Dense rows may hold anything but NaN: infinities, both zeros, the base,
+# and the largest floats, whose differences and quotients overflow.
+_DENSE_SPECIAL = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, "base",
+                                  1.7976931348623157e308, -1.7976931348623157e308])
 
 
 @st.composite
@@ -585,6 +589,24 @@ def interior_block(n=16385, a=5120, sign=1.0, schedule=DiniSchedule()):
             dom.interval[0].contains_many(probes), phi(pts), s, schedule.dini_tol)
 
 
+@contextmanager
+def kernel_calls():
+    """``dini._dini_rows`` under a spy: ``dense`` counts its calls on a dense
+    block (``in_domain`` None), ``masked`` lists the step counts of the
+    others."""
+    kernel, calls = dini._dini_rows, SimpleNamespace(dense=0, masked=[])
+
+    def spy(vals, in_domain, *rest):
+        if in_domain is None:
+            calls.dense += 1
+        else:
+            calls.masked.append(vals.shape[0])
+        return kernel(vals, in_domain, *rest)
+
+    with mock.patch.object(dini, "_dini_rows", spy):
+        yield calls
+
+
 def column(block, r):
     vals, in_domain, base = block[:3]
     return (vals[:, r:r + 1], in_domain[:, r:r + 1], base[r:r + 1]) + block[3:]
@@ -597,6 +619,8 @@ def set_entry(block, name, index, value):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# the reference divides the overflowing differences without silencing numpy
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:dini_reference")
 class TestDensePath:
     @given(dense_blocks())
     @settings(max_examples=150, deadline=None)
@@ -607,10 +631,22 @@ class TestDensePath:
     @example((np.vstack([np.full((6, 2), np.nan), np.tile([1.0, -1.0], (6, 1))]),
               np.ones((12, 2), dtype=bool), np.zeros(2), 0.5 ** np.arange(12), 1e-7))
     def test_dense_blocks_bit_identical(self, block):
-        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+        with kernel_calls() as calls:
             rows = probed_rows(*block)
-        assert dense.call_count == 1
+        assert calls.dense == 1
         assert_rows_match_reference(block, rows)
+
+    # the dense form called directly, against the masked form of the same
+    # sliced block and against the reference
+    @given(dense_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_form_bit_identical_to_masked(self, block):
+        vals, in_domain, base, s, dini_tol, skipped = sliced(block)
+        dense = dini._dini_rows(vals, None, base, s, dini_tol, skipped)
+        masked = dini._dini_rows(vals, in_domain, base, s, dini_tol, skipped)
+        for a, b in zip(dense, masked):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert_rows_match_reference(block, dense)
 
     # one case per side of the selection, each against the reference
     @pytest.mark.parametrize("make,dense", [
@@ -630,20 +666,19 @@ class TestDensePath:
         # through _probe_rows, which takes the dense path for a block whose
         # every row's window is its trailing steps, all defined
         block = make()
-        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as took:
+        with kernel_calls() as calls:
             rows = probed_rows(*block)
-        assert took.call_count == dense
+        assert calls.dense == dense
         assert_rows_match_reference(block, rows)
 
     def test_unsliced_call_is_masked(self):
         # row 7 defines no trailing probe, so it falls back on its leading
         # ones: the whole block is rerun on every step, masked
         block = set_entry(interior_block(), "vals", (slice(20, None), 7), np.nan)
-        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense, \
-                mock.patch.object(dini, "_dini_rows", wraps=dini._dini_rows) as masked:
+        with kernel_calls() as calls:
             rows = probed_rows(*block)
-        assert not dense.called
-        assert [c.args[0].shape[0] for c in masked.call_args_list] == [20, 40]
+        assert not calls.dense
+        assert calls.masked == [20, 40]
         assert_rows_match_reference(block, rows)
 
     def test_rows_skipping_past_their_window_are_masked(self):
@@ -655,9 +690,9 @@ class TestDensePath:
         # row 7's last three steps leave the domain, so its window reaches
         # two leading steps: no dense block, and the row is rerun
         block = set_entry(interior_block(), "in_domain", (slice(-3, None), 7), False)
-        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+        with kernel_calls() as calls:
             rows = probed_rows(*block)
-        assert not dense.called
+        assert not calls.dense
         assert_rows_match_reference(block, rows)
 
     # only the blocks within the largest step of the end a direction probes
@@ -667,9 +702,9 @@ class TestDensePath:
     def test_dense_blocks_of_a_grid_profile(self, n, dense_calls):
         dom = make_grid(parse_interval("[-1,1]"), n)
         phi = phi_of("exp(t) - 2*t^2")
-        with mock.patch.object(dini, "_dense_rows", wraps=dini._dense_rows) as dense:
+        with kernel_calls() as calls:
             grid_dini_profile(phi, dom, phi(dom.points))
-        assert dense.call_count == dense_calls
+        assert calls.dense == dense_calls
 
 
 def test_interior_grid_probes_only_the_trailing_half():

@@ -41,10 +41,16 @@ BOX = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
 SCHED = SUITE_SCHEDULE
 
 
-def lines(f, pairs, box=BOX):
-    """The line batches of ``pairs`` at 257 points under ``SCHED``."""
+def line_batches(f, pairs, box=BOX):
+    """The line batches of ``pairs`` at 257 points under ``SCHED``, as the
+    generator :func:`line_problems` returns."""
     pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in pairs]
-    return list(theorems.line_problems(f, pairs, box, 257, 1e-6, SCHED, None, 1e-7))
+    return theorems.line_problems(f, pairs, box, 257, 1e-6, SCHED, None, 1e-7)
+
+
+def lines(f, pairs, box=BOX):
+    """The line batches of ``pairs`` at 257 points under ``SCHED``, a list."""
+    return list(line_batches(f, pairs, box))
 
 
 class TestT3:
@@ -648,6 +654,21 @@ class TestSharedBatches:
         with pytest.raises(ValueError, match=f"{n_ids} function ids for {m} lines"):
             check_abc(f, BOX, batches, function_id=[f"p{k}" for k in range(n_ids)])
         assert calls == []
+
+    def test_batches_from_a_generator(self):
+        # 40 lines take two batches, read once from the generator: the
+        # reports are those of the list, and a wrong id count still raises
+        f = phi_of("x1^2 + x2^2", 2)
+        pairs = sample_pairs(BOX, 40, 0)
+        assert len(lines(f, pairs)) == 2
+        for ids in (None, [f"p{k}" for k in range(40)]):
+            got = check_abc(f, BOX, line_batches(f, pairs), function_id=ids)
+            assert len(got) == 40
+            assert repr(got) == repr(check_abc(f, BOX, lines(f, pairs), function_id=ids))
+        for n_ids in (39, 41):
+            with pytest.raises(ValueError, match=f"{n_ids} function ids for 40 lines"):
+                check_abc(f, BOX, line_batches(f, pairs),
+                          function_id=[f"p{k}" for k in range(n_ids)])
 
 
 class TestLongestRun:
