@@ -7,9 +7,10 @@ constant / strict-increase segment split.  Agreement with the
 definition-based oracles in :mod:`dinicvx.oracle` is the core acceptance
 property of the package.
 
-Conventions shared with the oracles: one equality band ``tol`` (auto-scaled
-from the grid values unless given), stationarity decided on unit-direction
-Dini values against ``stat_tol``, and index ranges reported half-open.
+Conventions shared with the oracles: one comparison rule, the problem's
+``at_min`` and ``steps`` on its equality band ``tol``, stationarity decided
+on unit-direction Dini values against ``stat_tol``, and index ranges
+reported half-open.
 
 :func:`properties` is the one table of the four properties: each with its
 definitional oracle and its structural classifier.
@@ -96,20 +97,15 @@ def decompose(p: SampledProblem) -> tuple[MonotoneDecomposition, ...]:
     an empty band instead: the infimum is not attained.  The lines of a
     problem are split together, one decomposition each.
     """
-    vals, n, w = p.values, p.dom.n, p.values.shape[1]
-    band, deltas = p.band[:, None], p._deltas
-    with np.errstate(invalid="ignore"):
-        vmin = np.min(vals, axis=1)
-        inband = vals <= vmin[:, None] + band
+    vals, n, w, inband, vmin = p.values, p.dom.n, p.values.shape[1], p.at_min, p.vmin
+    fall, _, rise = p.steps
     b0 = np.argmax(inband, axis=1)
     b1 = w - 1 - np.argmax(inband[:, ::-1], axis=1)
     gap = np.count_nonzero(inband, axis=1) != b1 - b0 + 1
-    rise, fall = deltas > band, deltas < -band
-    # strictly monotone toward an open end
-    increasing = (n > 1) & (b0 == 0) & ~np.array([iv.lo_closed for iv in p.dom.interval])
-    decreasing = (n > 1) & (b1 == n - 1) & ~np.array([iv.hi_closed for iv in p.dom.interval])
-    increasing &= rise.all(axis=1)
-    decreasing &= np.count_nonzero(fall, axis=1) == n - 1
+    # strictly monotone toward an open end, where its minimum band then lies
+    shut = np.array([(iv.lo_closed, iv.hi_closed) for iv in p.dom.interval])
+    increasing = (n > 1) & ~shut[:, 0] & rise.all(axis=1)
+    decreasing = (n > 1) & ~shut[:, 1] & (np.count_nonzero(fall, axis=1) == n - 1)
     # the failing steps of the left flank, then of the right flank
     j = np.arange(w - 1)
     left = ~fall & (j < b0[:, None] - 1)
@@ -237,11 +233,11 @@ def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:
     flat stretch invalidates it.  The lines of a problem are split
     together, one split each.
     """
-    deltas, band = p._deltas, p.band[:, None]
-    j = np.arange(deltas.shape[1])
-    a = _run_length(deltas < -band)
-    b = _run_length((np.abs(deltas) <= band) | (j < a[:, None]))
-    late = ~(deltas > band) & (j >= b[:, None])
+    fall, flat, rise = p.steps
+    j = np.arange(fall.shape[1])
+    a = _run_length(fall)
+    b = _run_length(flat | (j < a[:, None]))
+    late = ~rise & (j >= b[:, None])
     valid = ~late.any(axis=1)
 
     def split(i: int) -> SegmentSplit:
@@ -250,13 +246,13 @@ def martos_segments(p: SampledProblem) -> tuple[SegmentSplit, ...]:
             return SegmentSplit((0, 0), (0, 0), (0, 0), False, tol_i,
                                 p.undefined[i][:1])
         return SegmentSplit((0, a_i), (a_i, b_i + 1), (b_i + 1, n_i), bool(valid[i]), tol_i,
-                            tuple(_witness(p, "second_descent" if deltas[i, k] < -tol_i else
+                            tuple(_witness(p, "second_descent" if fall[i, k] else
                                            "plateau_after_rise", (k, k + 1),
                                            "values stop increasing strictly after the "
                                            "constant run", i)
                                   for k in (() if valid[i] else _first(late[i]))))
 
-    return tuple(split(i) for i in range(deltas.shape[0]))
+    return tuple(split(i) for i in range(fall.shape[0]))
 
 
 def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
@@ -266,13 +262,11 @@ def quasiconvex_martos(p: SampledProblem) -> tuple[Verdict, ...]:
     increasing up to ``tol``; the witness on failure is an ordered triple
     with the interior point above both ends.
     """
-    deltas, band = p._deltas, p.band[:, None]
-    rises = (deltas > band) & p.dom.valid[:, 1:]
-    drops = deltas < -band
-    any_rise, any_drop = rises.any(axis=1), drops.any(axis=1)
+    drops, _, rises = p.steps  # a step past a line's end rises, and comes after its drops
+    any_rise, any_drop = (rises & p.dom.valid[:, 1:]).any(axis=1), drops.any(axis=1)
     first_rise = _run_length(~rises)
-    last_drop = deltas.shape[1] - 1 - _run_length(~drops[:, ::-1])
-    fails = any_rise & any_drop & (first_rise < last_drop)
+    last_drop = drops.shape[1] - 1 - _run_length(~drops[:, ::-1])
+    fails = first_rise < last_drop  # false where there is no rise or no drop
     shape = {(False, False): "constant", (False, True): "weakly_decreasing",
              (True, False): "weakly_increasing", (True, True): "valley"}
 

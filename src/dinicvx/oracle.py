@@ -22,12 +22,15 @@ their level while a point above a value on each side lies beyond it.
 Witnesses are the first violations in grid order, at most
 ``_WITNESS_CAP`` of each kind.
 
-All comparisons share one equality band ``tol``, by default
-``1e-9 * (1 + max |phi|)`` so that ``phi`` and ``1000 * phi`` classify
-alike.  Sign decisions on Dini estimates use the unit-direction value
-against ``stat_tol``, through :func:`~dinicvx.dini.stationary`: the pair
-oracles ask it of each (x, side) entry as a point with one direction, a
-failure where it is stationary and blocked where it is unsettled.  Every
+Comparisons up to each line's equality band ``tol``, by default
+``1e-9 * (1 + max |phi|)``, are one rule: :class:`SampledProblem`'s
+``beyond``, ``at_min`` and ``steps``.  ``1000 * phi`` and ``phi + 10`` move
+no verdict of the batteries, but the band is absolute below 1 and widens
+with a shift, so ``1e-6 * phi``, ``phi + 1e6`` and ``exp(phi)`` move some.
+Sign decisions on Dini estimates use the unit-direction value against
+``stat_tol``, through :func:`~dinicvx.dini.stationary`: the pair oracles
+ask it of each (x, side) entry as a point with one direction, a failure
+where it is stationary and blocked where it is unsettled.  Every
 classifier, here and in :mod:`dinicvx.charact`, takes one
 :class:`SampledProblem`, which holds the function, the grids of its lines
 and these settings and computes the shared inputs once, and returns one
@@ -116,14 +119,15 @@ class SampledProblem:
     ``dom`` holds the grids of m lines, a :class:`LineGrids`, and ``phi``
     maps an (m, k) parameter array to values line by line.  A one-variable
     problem is one line.  A classifier decides all the lines at once and
-    returns a tuple of their verdicts, each what the line gives alone.  The
-    values, band and side minima are computed once, when first read; each
-    entry of the kept Dini profile is estimated at most once, for all lines
-    in one :func:`grid_dini_profile` call per :meth:`estimate`.  Every array
-    has the line axis in front; side minima, profile and masks are then
-    (2, W) per line, row 0 toward lower t.  ``grid_values`` and
-    ``grid_dini_profile`` are looked up when called, so a rebound module
-    attribute (as a tracer installs) is used.
+    returns a tuple of their verdicts, each what the line gives alone.  Every
+    comparison up to the band reads :meth:`beyond`, ``at_min`` or ``steps``.
+    The values, band, side minima and those masks are computed once, when
+    first read; each entry of the kept Dini profile is estimated at most
+    once, for all lines in one :func:`grid_dini_profile` call per
+    :meth:`estimate`.  Every array has the line axis in front; side minima,
+    profile and estimate masks are then (2, W) per line, row 0 toward lower
+    t.  ``grid_values`` and ``grid_dini_profile`` are looked up when called,
+    so a rebound module attribute (as a tracer installs) is used.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -159,14 +163,29 @@ class SampledProblem:
             return auto_tol(self.values)
         return np.full(len(self.dom.n), float(self.tol))
 
+    def beyond(self, b: np.ndarray, sign: float = -1.0) -> np.ndarray:
+        """``b + sign * band``, b's line axis in front: less than ``beyond(b)``
+        is below b beyond the band, at most ``beyond(b, 1.0)`` not above it."""
+        return b + sign * self.band.reshape((-1,) + (1,) * (np.ndim(b) - 1))
+
     @cached_property
-    def _deltas(self) -> np.ndarray:
-        """Steps between consecutive values, +inf past a line's last point:
-        there no step falls or is flat."""
+    def vmin(self) -> np.ndarray:
+        """(m,): each line's least grid value, NaN where one is NaN."""
+        return np.min(self.values, axis=1)
+
+    @cached_property
+    def at_min(self) -> np.ndarray:
+        """(m, W): the values not above ``vmin`` beyond the band."""
+        return self.values <= self.beyond(self.vmin, 1.0)[:, None]
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fall, flat, rise), (m, W - 1): consecutive steps below -band, within
+        it and above it; +inf past a line's end, so rising.  NaN is none."""
         with np.errstate(invalid="ignore"):
-            deltas = np.diff(self.values, axis=1)
-        deltas[~self.dom.valid[:, 1:]] = np.inf
-        return deltas
+            d = np.where(self.dom.valid[:, 1:], np.diff(self.values, axis=1), np.inf)
+        band = self.band[:, None]
+        return d < -band, np.abs(d) <= band, d > band
 
     @cached_property
     def side_min(self) -> np.ndarray:
@@ -205,8 +224,7 @@ class SampledProblem:
         if not rows.any():
             return rows, rows
         toward = np.arange(v.shape[1]) > np.argmin(v, axis=1)[:, None]  # minus faces it
-        level = v <= (np.min(v, axis=1) + self.band)[:, None]
-        first = np.stack((toward, ~toward), axis=1) | level[:, None]
+        first = np.stack((toward, ~toward), axis=1) | self.at_min[:, None]
         sides = [a.swapaxes(1, 2) for a in (prof.value, prof.converged, prof.feasible)]
         for k in range(3):
             found = [f & rows for f in stationary(*sides, self.stat_tol)]
@@ -289,13 +307,12 @@ def _least_on_side(p: SampledProblem, line: int, side: int, x: int) -> int:
 
 
 def _pair_based(p: SampledProblem, strict: bool) -> tuple[Verdict, ...]:
-    vals, band = p.values[:, None], p.band[:, None, None]
     # hit[line, side, x]: some y left (side 0) or right (side 1) of x triggers
     if strict:
-        hit = p.side_min <= vals + band
+        hit = p.side_min <= p.beyond(p.values[:, None], 1.0)
         trigger = "phi(y) <= phi(x) + tol with y != x"
     else:
-        hit = p.side_min < vals - band
+        hit = p.side_min < p.beyond(p.values[:, None])
         trigger = "phi(y) < phi(x) - tol"
     hit &= p.dom.valid[:, None] & ~p._bad[:, None, None]
     # The hit entries are estimated a block of columns at a time, in grid
@@ -367,7 +384,7 @@ def quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     every triple in O(n).  The first offending z are reported, each with
     the first grid minimizers on its two sides.
     """
-    peaks = (p.side_min < (p.values - p.band[:, None])[:, None]).all(axis=1)
+    peaks = (p.side_min < p.beyond(p.values)[:, None]).all(axis=1)
     return _line_verdicts(p, "quasiconvex_def", _outcomes(peaks.any(axis=1)), lambda i: (
         _witness(p, "interior_peak", (_least_on_side(p, i, 0, z), z, _least_on_side(p, i, 1, z)),
                  "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple", i)
@@ -413,7 +430,7 @@ def semistrictly_quasiconvex_def(p: SampledProblem) -> tuple[Verdict, ...]:
     m, w = vals.shape
     # a padded x, and each x of a line with undefined values, compares at
     # level -inf: no side minimum is below it, so both its windows are empty
-    c = np.where(p.dom.valid & ~p._bad[:, None], vals - p.band[:, None], -np.inf)
+    c = np.where(p.dom.valid & ~p._bad[:, None], p.beyond(vals), -np.inf)
     # side by side (rightward, leftward): x + 1 or x - 1 is in x's window,
     # and is a hit; x has no neighbour at a grid end
     open_, hits = np.zeros((2, 2, m, w), dtype=bool)

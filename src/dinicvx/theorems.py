@@ -152,8 +152,7 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
         return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
                        "a side is inconclusive")
-    vals = p.values[0]
-    found, unsettled = p.stationary((vals > float(np.min(vals)) + p.band[0])[None])
+    found, unsettled = p.stationary(~p.at_min)
     offenders = np.flatnonzero(found[0])
     if unsettled.any():
         return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
@@ -184,7 +183,7 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
     if strict.outcome == "inconclusive":
         return _report("T7", function_id, (premise,), (strict,), "inconclusive",
                        "strict side inconclusive")
-    longest, where = _longest_run(np.abs(p._deltas[0]) <= p.band[0])
+    longest, where = _longest_run(p.steps[1][0])
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
         return _report("T7", function_id, (premise,), (strict,))
@@ -307,12 +306,12 @@ def check_t6(
     """
     premises: list[Verdict] = []
     conclusions: list[Verdict] = []
-    lhs_all = rhs_all = True
     inconclusive = False
     mismatches: list[Witness] = []
     origins: list[Witness] = []
     for r, p in batches:
         ends, _, at_rest, unsettled = p.verdict(_origin)
+        lower = ends[:, 1] < p.beyond(ends[:, 0])  # f(y) below f(x) beyond the band
         for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
                                           p.verdict(semistrictly_quasiconvex_def))):
             k = len(premises)
@@ -321,11 +320,10 @@ def check_t6(
             if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
                 inconclusive = True
                 continue
-            lhs_pair = pc.outcome == "holds"
             rhs_pair = ssq.outcome == "holds"
             fx, fy = (float(v) for v in ends[i])
             xy = tuple(map(float, r.x[i])) + tuple(map(float, r.y[i]))
-            if rhs_pair and fy < fx - ssq.tol:
+            if rhs_pair and lower[i]:
                 if unsettled[i]:
                     inconclusive = True
                     continue
@@ -333,15 +331,15 @@ def check_t6(
                     rhs_pair = False
                     origins.append(Witness("stationary_origin", xy, (fx, fy),
                                            "f(y) < f(x) but t=0 is stationary on the restriction"))
-            if lhs_pair != rhs_pair and len(mismatches) < _WITNESS_CAP:
+            if (pc.outcome == "holds") != rhs_pair and len(mismatches) < _WITNESS_CAP:
                 mismatches.append(Witness("line_mismatch", xy, (fx, fy), (
                     f"pair{k}: restriction pseudoconvexity {pc.outcome} but the "
                     f"semistrict form {'holds' if rhs_pair else 'fails'}")))
-            lhs_all = lhs_all and lhs_pair
-            rhs_all = rhs_all and rhs_pair
     if inconclusive:
         return _report("T6", function_id, premises, conclusions, "inconclusive",
                        "a restriction was inconclusive")
+    lhs_all = all(v.outcome == "holds" for v in premises)
+    rhs_all = not origins and all(v.outcome == "holds" for v in conclusions)
     if lhs_all == rhs_all:
         return _report("T6", function_id, premises, conclusions,
                        notes=f"both sides {'hold' if lhs_all else 'fail'}")
@@ -387,8 +385,11 @@ def check_abc(
     to 0 and would assert B spuriously).  C: t=0 is stationary for the
     restriction: T6's origin test.  The report is inconclusive when the
     restriction is undefined at a grid point, or when A or C is unsettled:
-    no direction descends but one did not converge.  Each batch's schedule
-    and ``stat_tol`` decide its lines; its band is never read.
+    no direction descends but one did not converge.  A and C read the
+    batch's schedule and ``stat_tol``.  B claims x is a minimizer, not that
+    two values are level, so its slack is ``1e-12 * (1 + |f(x)|)``, not the
+    band: a wide ``tol`` would take an x near the minimum for one, where A
+    and C are false, and report a false FAIL.
 
     Each pair reads the grid values of its batch and its :func:`_origin`, as
     T6 reads them: f(x), B's values at the in-domain probes ``+-s``, and C.
@@ -428,7 +429,7 @@ def check_abc(
             # so it neither descends nor leaves A open: every one counts as feasible
             a_true[defined], a_open[defined] = stationary(value, converged, True, p.stat_tol)
 
-        lowest = np.minimum(p.values.min(axis=1),
+        lowest = np.minimum(p.vmin,
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
         b_true = ends[:, 0] <= lowest + 1e-12 * (1.0 + np.abs(ends[:, 0]))
 

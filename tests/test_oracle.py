@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinicvx import (
@@ -33,6 +33,7 @@ from dinicvx import (
     strictly_pseudoconvex_def,
 )
 from dinicvx import dini, oracle
+from dinicvx.domain import Interval, LineGrids
 
 from conftest import descends, grid_for, phi_of
 from oracle_reference import semistrict_triple_loop
@@ -179,6 +180,51 @@ class TestToleranceHandling:
         phi = phi_of("max(abs(t) - 0.5, 0)")
         assert strictly_pseudoconvex_def(SampledProblem(phi, unit_grid))[0].outcome == "fails"
         assert pseudoconvex_def(SampledProblem(phi, unit_grid))[0].outcome == "holds"
+
+
+# values with every kind of float a grid can hold: NaN, +-inf, +-0, huge
+RULE_VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                        st.floats(-10.0, 10.0), st.floats())
+
+
+@st.composite
+def ragged_problems(draw) -> SampledProblem:
+    """A batch of one to four lines of one to six points each, padded to the
+    widest, at drawn values, with the band unset or a drawn tol."""
+    n = np.array(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    w = int(n.max())
+    table = np.array(draw(st.lists(RULE_VALUES, min_size=n.size * w, max_size=n.size * w)))
+    points = np.where(np.arange(w) < n[:, None], np.arange(w) / w, np.nan)
+    dom = LineGrids((Interval(0.0, 1.0),) * n.size, points, n)
+    tol = draw(st.none() | st.floats(1e-12, 1e3))
+    return SampledProblem(lambda ts: table.reshape(ts.shape).copy(), dom, tol=tol)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestComparisonRule:
+    """The rule's members equal the band expressions written out, bit for bit."""
+
+    # a NaN step must be none of fall, flat and rise
+    @example(SampledProblem(lambda ts: np.array([[0.0, np.nan, 1.0]]),
+                            make_grid(parse_interval("[0,1]"), 3)))
+    @given(ragged_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_the_rule_is_the_written_out_band_bit_for_bit(self, p):
+        # a value within a band of the float limit overflows both ways alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, band = p.values, p.band
+            assert same_bits(p.beyond(v), v - band[:, None])
+            assert same_bits(p.beyond(v, 1.0), v + band[:, None])
+            assert same_bits(p.beyond(v[:, None], 1.0), v[:, None] + band[:, None, None])
+            assert same_bits(p.beyond(np.min(v, axis=1)), np.min(v, axis=1) - band)
+            assert same_bits(p.at_min, v <= (np.min(v, axis=1) + band)[:, None])
+            d = np.diff(v, axis=1)
+            d[~p.dom.valid[:, 1:]] = np.inf
+            want = (d < -band[:, None], np.abs(d) <= band[:, None], d > band[:, None])
+            assert all(same_bits(got, mask) for got, mask in zip(p.steps, want))
 
 
 class TestStrictImpliesNonStrict:

@@ -6,19 +6,20 @@ halved, a witness whose inequality no longer holds, a Dini estimate one ulp
 off, a minimum band stretched into a flank, a martos boundary moved and a
 ``dini`` estimate one ulp off.
 
-The ``classify-1d/cube/text`` case is left out: it renders the report of
-``classify-1d/cube/grid257`` as text.
-
 Every JSON multivariate ``classify`` report of the snapshot checks against
 its config as well, and the checker catches a pair outcome flipped against
 its aggregate, an x moved outside the box and a ``feasible`` end pulled
-inward.  ``classify/cube-x1/text`` is left out: it is a text rendering.
+inward.
 
 Every JSON ``verify-theorems`` report of the snapshot checks against the
 golden entries it ran on, and the checker catches a case flipped from
 ``ok`` to ``FAIL`` with ``ok`` left true, ``n_vacuous`` off by one and the
-``C=`` of an ``ok`` Lpr1 detail flipped.  ``verify-theorems/golden-2d/text``
-is left out: it is a text rendering.
+``C=`` of an ``ok`` Lpr1 detail flipped.
+
+Every ``--output=text`` case of the snapshot is checked through its JSON
+twin, the same argv without that flag: the twin checks, and the text is
+the reference layout of it, or for ``verify-theorems`` names each case of
+it with its status.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import pytest
 import test_cli_snapshot as snapshot
 from dinicvx import cli
 from report_check import grid_of, python_reprs, report_problems
+from report_reference import render_text
 
 CASES = {label: argv for label, argv in snapshot.cases().items()
          if (label.startswith("classify-1d/") and "--output=text" not in argv)
@@ -46,6 +48,8 @@ ND_CASES = {label: argv for label, argv in snapshot.cases().items()
 
 VERIFY_CASES = {label: argv for label, argv in snapshot.cases().items()
                 if label.startswith("verify-theorems/") and "--output=text" not in argv}
+
+TEXT_CASES = {label: argv for label, argv in snapshot.cases().items() if "--output=text" in argv}
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +111,25 @@ def test_every_verify_theorems_report_of_the_snapshot_checks(manifests):
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert {"exit": code, "stdout_sha256": digest} == recorded[label], label
         assert report_problems(text, entries) == [], label
+
+
+@pytest.mark.parametrize("label", sorted(TEXT_CASES))
+def test_every_text_report_lays_out_its_checked_json_twin(label, manifests):
+    assert len(TEXT_CASES) == 5
+    entries = [e for a in TEXT_CASES[label] for e in snapshot.MANIFESTS.get(a, ())]
+    argv = [str(manifests.get(a, a)) for a in TEXT_CASES[label]]
+    code, text = classify(argv)
+    twin_code, twin = classify([a for a in argv if a != "--output=text"])
+    assert code == twin_code
+    assert report_problems(twin, entries) == [], label
+    report = json.loads(twin)
+    if not label.startswith("verify-theorems/"):
+        assert text == render_text(report)
+        return
+    lines = text.splitlines()
+    assert report["cases"] and len(lines) == len(report["cases"]) + len(report["label_mismatches"]) + 1
+    for line, case in zip(lines, report["cases"]):
+        assert line.startswith(f"[{case['theorem']}] {case['function']}: {case['status']}")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a pair's feasible ends are printed "

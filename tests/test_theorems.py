@@ -274,6 +274,16 @@ class TestAbc:
         assert rep.status == "ok"
         assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
 
+    def test_b_ignores_a_wide_band(self):
+        # the restriction's least value is 2.5e-5 below f(x), well inside a
+        # band of 1e-3: B must still say x is not a minimizer, as A and C do
+        f = phi_of("x1^2 + x2^2", 2)
+        pair = (np.array([0.5, 0.0]), np.array([0.51, 1.0]))
+        rep, = check_abc(f, BOX, theorems.line_problems(f, [pair], BOX, 257, 1e-6, SCHED,
+                                                        1e-3, 1e-7))
+        assert rep.status == "ok"
+        assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
+
     def test_plateau_edge_of_linf_norm(self):
         # x on the flat floor of max(|x1|,|x2|)? there is no flat floor, but
         # the ridge function x1^2 is constant along x2: stationarity must
