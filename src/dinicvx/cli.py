@@ -374,7 +374,7 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> int:
         entries, n_grid=cfg.grid, margin=cfg.margin, schedule=cfg.dini,
         tol=cfg.tol, stat_tol=cfg.stat_tol, pairs=cfg.pairs, seed=cfg.seed,
     )
-    write({k: v for k, v in _fields(result).items() if k != "reports"})
+    write(_fields(result))
     return EXIT_OK if result.ok else EXIT_DISAGREE
 
 

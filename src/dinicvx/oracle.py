@@ -165,8 +165,12 @@ class SampledProblem:
 
     def beyond(self, b: np.ndarray, sign: float = -1.0) -> np.ndarray:
         """``b + sign * band``, b's line axis in front: less than ``beyond(b)``
-        is below b beyond the band, at most ``beyond(b, 1.0)`` not above it."""
-        return b + sign * self.band.reshape((-1,) + (1,) * (np.ndim(b) - 1))
+        is below b beyond the band, at most ``beyond(b, 1.0)`` not above it.
+        A finite b's threshold past the float limit is the nearest finite double."""
+        with np.errstate(over="ignore"):
+            t = b + sign * self.band.reshape((-1,) + (1,) * (np.ndim(b) - 1))
+        big = np.finfo(float).max
+        return np.where(np.isfinite(b), np.clip(t, -big, big), t)
 
     @cached_property
     def vmin(self) -> np.ndarray:
@@ -182,7 +186,7 @@ class SampledProblem:
     def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(fall, flat, rise), (m, W - 1): consecutive steps below -band, within
         it and above it; +inf past a line's end, so rising.  NaN is none."""
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             d = np.where(self.dom.valid[:, 1:], np.diff(self.values, axis=1), np.inf)
         band = self.band[:, None]
         return d < -band, np.abs(d) <= band, d > band

@@ -19,6 +19,7 @@ Every stationarity call here, T4's, the origin test and Lpr1's A, is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,23 +92,19 @@ _DIRECTIONS = 64  # directions over which Lpr1's A asks whether x is stationary
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """``theorem_id`` checked on ``function_id``: the ``status`` and ``notes`` its
+    case line prints, and a ``FAIL``'s ``counterexample``, one witness or more."""
+
     theorem_id: str  # T3 | T4 | T6 | T7 | Lpr1
     function_id: str
-    premise_verdicts: tuple[Verdict, ...]
-    conclusion_verdicts: tuple[Verdict, ...]
-    status: str = "ok"  # ok | vacuous | inconclusive | FAIL, as its case line prints it
+    status: str = "ok"  # ok | vacuous | inconclusive | FAIL
     counterexample: tuple[Witness, ...] | None = None
     notes: str = ""
 
 
-def _report(theorem_id: str, function_id: str, premises, conclusions, status: str = "ok",
-            notes: str = "", witnesses=()) -> TheoremReport:
-    """Every report: a ``FAIL`` one carries ``witnesses``, or, with none, one
-    ``side_mismatch`` witness whose detail is ``notes``."""
-    if status == "FAIL":
-        witnesses = tuple(witnesses) or (Witness("side_mismatch", (), (), notes),)
-    return TheoremReport(theorem_id, function_id, tuple(premises), tuple(conclusions), status,
-                         witnesses if status == "FAIL" else None, notes)
+def _report(theorem_id: str, function_id: str, status: str = "ok", notes: str = "",
+            witnesses=()) -> TheoremReport:
+    return TheoremReport(theorem_id, function_id, status, tuple(witnesses) or None, notes)
 
 
 def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
@@ -117,9 +114,8 @@ def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
     if premise.outcome == "holds":
         return None
     if premise.outcome == "inconclusive":
-        return _report(theorem_id, function_id, (premise,), (), "inconclusive",
-                       "premise inconclusive")
-    return _report(theorem_id, function_id, (premise,), (), "vacuous", vacuous_notes)
+        return _report(theorem_id, function_id, "inconclusive", "premise inconclusive")
+    return _report(theorem_id, function_id, "vacuous", vacuous_notes)
 
 
 def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
@@ -135,9 +131,9 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     qc = p.verdict(quasiconvex_def)[0]
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
-        return _report("T3", function_id, (premise,), (ssq, qc), "FAIL",
+        return _report("T3", function_id, "FAIL",
                        "pseudoconvex but a conclusion fails", sum((v.witnesses for v in bad), ()))
-    return _report("T3", function_id, (premise,), (ssq, qc))
+    return _report("T3", function_id)
 
 
 def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
@@ -150,21 +146,20 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     lhs = p.verdict(pseudoconvex_def)[0]
     qc = p.verdict(quasiconvex_def)[0]
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
-        return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
-                       "a side is inconclusive")
+        return _report("T4", function_id, "inconclusive", "a side is inconclusive")
     found, unsettled = p.stationary(~p.at_min)
     offenders = np.flatnonzero(found[0])
     if unsettled.any():
-        return _report("T4", function_id, (lhs,), (qc,), "inconclusive",
+        return _report("T4", function_id, "inconclusive",
                        "stationarity rests on unconverged estimates")
     rhs = qc.outcome == "holds" and offenders.size == 0
     if (lhs.outcome == "holds") == rhs:
-        return _report("T4", function_id, (lhs,), (qc,))
+        return _report("T4", function_id)
     wits = list(lhs.witnesses) + list(qc.witnesses)
     wits += [_witness(p, "stationary_nonminimizer", (i,),
                       "stationary grid point above the minimum level")
              for i in offenders[:_WITNESS_CAP]]
-    return _report("T4", function_id, (lhs,), (qc,), "FAIL",
+    return _report("T4", function_id, "FAIL",
                    "pseudoconvexity and the stationarity form disagree", wits)
 
 
@@ -181,18 +176,16 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
         return ended
     strict = p.verdict(strictly_pseudoconvex_def)[0]
     if strict.outcome == "inconclusive":
-        return _report("T7", function_id, (premise,), (strict,), "inconclusive",
-                       "strict side inconclusive")
+        return _report("T7", function_id, "inconclusive", "strict side inconclusive")
     longest, where = _longest_run(p.steps[1][0])
     nonconstant = longest < 2
     if (strict.outcome == "holds") == nonconstant:
-        return _report("T7", function_id, (premise,), (strict,))
+        return _report("T7", function_id)
     wits = list(strict.witnesses)
     if longest >= 2:
         wits.append(_witness(p, "constant_run", (where - longest + 1, where + 1),
                              f"constant run of {longest} grid cells"))
-    return _report("T7", function_id, (premise,), (strict,), "FAIL",
-                   "strictness and nonconstancy disagree", wits)
+    return _report("T7", function_id, "FAIL", "strictness and nonconstancy disagree", wits)
 
 
 def _longest_run(flags: np.ndarray) -> tuple[int, int]:
@@ -304,8 +297,9 @@ def check_t6(
     A failure's witnesses are the first ``_WITNESS_CAP`` lines whose sides
     disagree, each named ``pair k`` by its place, then every stationary origin.
     """
-    premises: list[Verdict] = []
-    conclusions: list[Verdict] = []
+    done = 0  # lines read before this batch
+    lhs_all = True  # restriction pseudoconvexity holds on every line so far
+    rhs_all = True  # and the semistrict form, with no stationary origin
     inconclusive = False
     mismatches: list[Witness] = []
     origins: list[Witness] = []
@@ -314,36 +308,29 @@ def check_t6(
         lower = ends[:, 1] < p.beyond(ends[:, 0])  # f(y) below f(x) beyond the band
         for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
                                           p.verdict(semistrictly_quasiconvex_def))):
-            k = len(premises)
-            premises.append(pc)
-            conclusions.append(ssq)
-            if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
+            rhs_pair = ssq.outcome == "holds"
+            asks_origin = rhs_pair and lower[i]  # then the origin test decides the right side
+            if "inconclusive" in (pc.outcome, ssq.outcome) or (asks_origin and unsettled[i]):
                 inconclusive = True
                 continue
-            rhs_pair = ssq.outcome == "holds"
             fx, fy = (float(v) for v in ends[i])
             xy = tuple(map(float, r.x[i])) + tuple(map(float, r.y[i]))
-            if rhs_pair and lower[i]:
-                if unsettled[i]:
-                    inconclusive = True
-                    continue
-                if at_rest[i]:
-                    rhs_pair = False
-                    origins.append(Witness("stationary_origin", xy, (fx, fy),
-                                           "f(y) < f(x) but t=0 is stationary on the restriction"))
+            if asks_origin and at_rest[i]:
+                rhs_pair = False
+                origins.append(Witness("stationary_origin", xy, (fx, fy),
+                                       "f(y) < f(x) but t=0 is stationary on the restriction"))
             if (pc.outcome == "holds") != rhs_pair and len(mismatches) < _WITNESS_CAP:
                 mismatches.append(Witness("line_mismatch", xy, (fx, fy), (
-                    f"pair{k}: restriction pseudoconvexity {pc.outcome} but the "
+                    f"pair{done + i}: restriction pseudoconvexity {pc.outcome} but the "
                     f"semistrict form {'holds' if rhs_pair else 'fails'}")))
+            lhs_all = lhs_all and pc.outcome == "holds"
+            rhs_all = rhs_all and rhs_pair
+        done += len(ends)
     if inconclusive:
-        return _report("T6", function_id, premises, conclusions, "inconclusive",
-                       "a restriction was inconclusive")
-    lhs_all = all(v.outcome == "holds" for v in premises)
-    rhs_all = not origins and all(v.outcome == "holds" for v in conclusions)
+        return _report("T6", function_id, "inconclusive", "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return _report("T6", function_id, premises, conclusions,
-                       notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report("T6", function_id, premises, conclusions, "FAIL",
+        return _report("T6", function_id, notes=f"both sides {'hold' if lhs_all else 'fail'}")
+    return _report("T6", function_id, "FAIL",
                    "restriction pseudoconvexity and the semistrict form disagree",
                    mismatches + origins)
 
@@ -435,7 +422,7 @@ def check_abc(
 
         for i, fid in zip(range(m), names):
             if not defined[i] or a_open[i] or c_open[i]:
-                reports.append(_report("Lpr1", fid, (), (), "inconclusive",
+                reports.append(_report("Lpr1", fid, "inconclusive",
                                        "a Dini estimate did not converge" if defined[i]
                                        else "undefined restriction values"))
                 continue
@@ -443,11 +430,11 @@ def check_abc(
             detail = (f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
                       f"C={bool(c_true[i])}, x={xi}, y={yi}")
             if (a_true[i] or b_true[i]) == c_true[i]:
-                reports.append(_report("Lpr1", fid, (), (), notes=detail))
+                reports.append(_report("Lpr1", fid, notes=detail))
                 continue
             wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
                           values=(float(ends[i, 0]),), detail=detail)
-            reports.append(_report("Lpr1", fid, (), (), "FAIL", detail, [wit]))
+            reports.append(_report("Lpr1", fid, "FAIL", detail, [wit]))
     check_ids(len(reports))
     return tuple(reports)
 
@@ -463,7 +450,6 @@ class CaseLine:
 @dataclass(frozen=True)
 class BatteryRunResult:
     cases: tuple[CaseLine, ...]
-    reports: tuple[TheoremReport, ...]
     label_mismatches: tuple[str, ...]
     n_vacuous: int
     n_inconclusive: int
@@ -487,27 +473,25 @@ def run_battery(
 ) -> BatteryRunResult:
     """Theorem sweep plus expected-label verification over a battery.
 
-    A 1-D entry's expected labels are compared, in sorted label order, with
-    the definitional oracles, and T3 (when lower semicontinuous), T4 (when
-    radially continuous) and T7 run on its grid.  A 2-D entry's labels are not
-    compared: T6, and Lpr1 when it is labelled quasiconvex, read the
-    :func:`line_problems` batches of its explicit pairs and ``pairs`` sampled
-    ones batch by batch, T6 first, so one batch at a time is kept (with the
-    one being made).  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the
-    bare estimator default, so stationarity conclusions at kinks stay above
-    the rounding noise floor.  An expression or interval that does not parse
-    raises ValueError naming its entry.
+    Every entry is parsed, or a ValueError names it, before the first runs.  A
+    1-D entry's expected labels are compared, in sorted label order, with the
+    definitional oracles, and T3 (when lower semicontinuous), T4 (when radially
+    continuous) and T7 run on its grid.  A 2-D entry's labels are not compared:
+    T6, and Lpr1 when it is labelled quasiconvex, read the :func:`line_problems`
+    batches of its explicit pairs and ``pairs`` sampled ones batch by batch, T6
+    first.  One entry at a time is kept, as one batch is (with the one being
+    made).  ``schedule`` defaults to :data:`SUITE_SCHEDULE`, not the bare
+    estimator default, so stationarity conclusions at kinks stay above the
+    rounding noise floor.
     """
     definitions = {prop.label: prop.definition for prop in properties()}
     cases: list[CaseLine] = []
-    reports: list[TheoremReport] = []
     mismatches: list[str] = []
     parsed = []
     for entry in entries:
         try:
-            fn = parse(entry.expression, entry.arity)
+            f = partial(eval_many, parse(entry.expression, entry.arity))
             box = tuple(map(parse_interval, entry.box or (entry.domain,)))
-            f = lambda pts, fn=fn: eval_many(fn, pts)
             # the checks the run makes on the entry's grid or pairs, made now
             if entry.arity == 1:
                 grid_ends(box, n_grid, margin)  # gridded when the entry runs
@@ -520,7 +504,9 @@ def run_battery(
         except ValueError as exc:
             raise ValueError(f"entry {entry.id!r}: {exc}") from exc
         parsed.append((entry, f, box, pair_list))
-    for entry, f, box, pair_list in parsed:
+    parsed.reverse()  # popped in entry order, so that no entry outlives its run
+    while parsed:
+        entry, f, box, pair_list = parsed.pop()
         if entry.arity == 1:
             p = SampledProblem(f, make_grid(box[0], n_grid, margin), schedule, tol, stat_tol)
             for name, want in sorted((entry.expected or {}).items()):
@@ -534,6 +520,7 @@ def run_battery(
             found = [check(p, entry.id) for check, wanted in (
                 (check_t3, entry.lsc), (check_t4, entry.radially_continuous), (check_t7, True))
                 if wanted]
+            del p  # with its f, which a 2-D entry run next would keep alive
         else:
             lpr1: list[TheoremReport] = []  # a report per line done
 
@@ -548,11 +535,9 @@ def run_battery(
                             f"{entry.id}#pair{len(lpr1) + k}" for k in range(len(batch[0].x))]))
 
             found = [check_t6(batches(), entry.id), *lpr1]  # T6 runs Lpr1 as it reads
-        reports += found
         cases += [_status(rep) for rep in found]
     return BatteryRunResult(
         cases=tuple(cases),
-        reports=tuple(reports),
         label_mismatches=tuple(mismatches),
         n_vacuous=sum(1 for c in cases if c.status == "vacuous"),
         n_inconclusive=sum(1 for c in cases if c.status == "inconclusive"),

@@ -651,6 +651,27 @@ class TestHostileBox:
         assert elapsed.startswith("elapsed: ")
 
 
+class TestFloatLimit:
+    """A function within a band of the largest double, or with a step past it,
+    is decided alike by both methods, with nothing on stderr but the elapsed
+    line."""
+
+    @pytest.mark.parametrize("function,strict", [
+        ("1.7976931348623157e308*t", "holds"), ("1.7976931348623157e308 + 0*t", "fails"),
+        ("-1.7976931348623157e308 + 0*t", "fails"),
+        ("piecewise(t < 0: -1.7976931348623157e308, else: 1.7976931348623157e308)", "fails")])
+    def test_exits_zero_with_a_clean_stderr(self, function, strict):
+        env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinicvx", "classify", f"--function={function}",
+             "--domain=[-1,1]"], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        elapsed, = proc.stderr.splitlines()
+        assert elapsed.startswith("elapsed: ")
+        methods = json.loads(proc.stdout)["checks"]["strict-pseudoconvex"]["methods"]
+        assert [m["outcome"] for m in methods.values()] == [strict] * 2
+
+
 class TestHostileInput:
     """Bad margins, widths, paths and flags end with exit code 1 and a
     one-line message on stderr (plus the elapsed line), nothing on stdout."""

@@ -204,27 +204,46 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def held(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The threshold ``t`` of ``b``, where a finite b's overflows, at the
+    largest double of its sign."""
+    return np.where(np.isinf(t) & np.isfinite(b), np.copysign(np.finfo(float).max, t), t)
+
+
 class TestComparisonRule:
-    """The rule's members equal the band expressions written out, bit for bit."""
+    """The rule's members equal the band expressions written out, bit for bit,
+    a finite value's threshold held to the finite doubles."""
 
     # a NaN step must be none of fall, flat and rise
     @example(SampledProblem(lambda ts: np.array([[0.0, np.nan, 1.0]]),
                             make_grid(parse_interval("[0,1]"), 3)))
+    # each end's threshold outward overflows, and the step between the ends
+    @example(SampledProblem(lambda ts: np.array([[-1.7976931348623157e308, 0.0,
+                                                  1.7976931348623157e308]]),
+                            make_grid(parse_interval("[0,1]"), 3)))
+    @example(SampledProblem(lambda ts: np.array([[-1.7976931348623157e308,
+                                                  1.7976931348623157e308]]),
+                            make_grid(parse_interval("[0,1]"), 2)))
     @given(ragged_problems())
     @settings(max_examples=300, deadline=None)
     def test_the_rule_is_the_written_out_band_bit_for_bit(self, p):
-        # a value within a band of the float limit overflows both ways alike
+        # the rule warns of nothing (a warning is an error here), not even
+        # for a value within a band of the float limit
+        v, band, vmin = p.values, p.band, np.min(p.values, axis=1)
+        below, above = p.beyond(v), p.beyond(v, 1.0)
+        above3, below_min = p.beyond(v[:, None], 1.0), p.beyond(vmin)
+        at_min, steps = p.at_min, p.steps
+        # written out, such a value overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            v, band = p.values, p.band
-            assert same_bits(p.beyond(v), v - band[:, None])
-            assert same_bits(p.beyond(v, 1.0), v + band[:, None])
-            assert same_bits(p.beyond(v[:, None], 1.0), v[:, None] + band[:, None, None])
-            assert same_bits(p.beyond(np.min(v, axis=1)), np.min(v, axis=1) - band)
-            assert same_bits(p.at_min, v <= (np.min(v, axis=1) + band)[:, None])
+            assert same_bits(below, held(v - band[:, None], v))
+            assert same_bits(above, held(v + band[:, None], v))
+            assert same_bits(above3, held(v[:, None] + band[:, None, None], v[:, None]))
+            assert same_bits(below_min, held(vmin - band, vmin))
+            assert same_bits(at_min, v <= held(vmin + band, vmin)[:, None])
             d = np.diff(v, axis=1)
             d[~p.dom.valid[:, 1:]] = np.inf
             want = (d < -band[:, None], np.abs(d) <= band[:, None], d > band[:, None])
-            assert all(same_bits(got, mask) for got, mask in zip(p.steps, want))
+            assert all(same_bits(got, mask) for got, mask in zip(steps, want))
 
 
 class TestStrictImpliesNonStrict:

@@ -1,3 +1,4 @@
+import gc
 import sys
 import weakref
 from collections import Counter
@@ -55,9 +56,12 @@ def lines(f, pairs, box=BOX):
 
 class TestT3:
     def test_square_nonvacuous(self, unit_grid):
-        rep = check_t3(SampledProblem(phi_of("t^2"), unit_grid, SCHED))
+        p = SampledProblem(phi_of("t^2"), unit_grid, SCHED)
+        rep = check_t3(p)
         assert rep.status == "ok"
-        assert len(rep.conclusion_verdicts) == 2
+        # both conclusions were read, and hold
+        assert [p.verdict(c)[0].outcome for c in (
+            oracle.semistrictly_quasiconvex_def, oracle.quasiconvex_def)] == ["holds"] * 2
 
     def test_cube_vacuous(self, unit_grid):
         rep = check_t3(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
@@ -74,20 +78,20 @@ class TestT4:
         assert rep.status == "ok"
 
     def test_negated_square_both_sides_fail(self, unit_grid):
-        rep = check_t4(SampledProblem(phi_of("-t^2"), unit_grid, SCHED))
+        p = SampledProblem(phi_of("-t^2"), unit_grid, SCHED)
+        rep = check_t4(p)
         assert rep.status != "FAIL"
-        assert rep.premise_verdicts[0].outcome == "fails"
-        assert rep.conclusion_verdicts[0].outcome == "fails"
+        assert p.verdict(oracle.pseudoconvex_def)[0].outcome == "fails"
+        assert p.verdict(oracle.quasiconvex_def)[0].outcome == "fails"
 
     def test_half_plateau_fails_by_stationary_nonminimizer(self, unit_grid):
         # quasiconvex holds, yet the plateau is stationary above the minimum,
         # so the right side fails exactly as pseudoconvexity does
-        rep = check_t4(
-            SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid, SCHED)
-        )
+        p = SampledProblem(phi_of("piecewise(t < 0: 1, else: t)"), unit_grid, SCHED)
+        rep = check_t4(p)
         assert rep.status != "FAIL"
-        assert rep.premise_verdicts[0].outcome == "fails"
-        assert rep.conclusion_verdicts[0].outcome == "holds"
+        assert p.verdict(oracle.pseudoconvex_def)[0].outcome == "fails"
+        assert p.verdict(oracle.quasiconvex_def)[0].outcome == "holds"
 
     def test_a_fail_cuts_its_witnesses_at_the_one_cap(self, unit_grid, monkeypatch):
         # a decreasing staircase of 9 steps is quasiconvex, and stationary
@@ -96,9 +100,10 @@ class TestT4:
         steps = ", ".join(f"t < {-1 + 2 * k / 9!r}: {10 - k}" for k in range(1, 9))
         monkeypatch.setattr(theorems, "pseudoconvex_def", lambda p: (
             oracle.Verdict("holds", "pseudoconvex_def", 0.0, p.stat_tol),))
-        rep = check_t4(SampledProblem(phi_of(f"piecewise({steps}, else: 1)"), unit_grid, SCHED))
+        p = SampledProblem(phi_of(f"piecewise({steps}, else: 1)"), unit_grid, SCHED)
+        rep = check_t4(p)
         assert rep.status == "FAIL"
-        assert rep.conclusion_verdicts[0].outcome == "holds"
+        assert p.verdict(oracle.quasiconvex_def)[0].outcome == "holds"
         assert [w.kind for w in rep.counterexample] == (
             ["stationary_nonminimizer"] * oracle._WITNESS_CAP)
 
@@ -106,9 +111,10 @@ class TestT4:
     def test_unconverged_minimizer_leaves_t4_decided(self, source, unit_grid):
         # the estimates at the minimizer t = 0 settle too slowly to converge,
         # but only the points above the minimum level are asked about
-        rep = check_t4(SampledProblem(phi_of(source), unit_grid, SCHED))
+        p = SampledProblem(phi_of(source), unit_grid, SCHED)
+        rep = check_t4(p)
         assert rep.status == "ok" and rep.notes == ""
-        assert rep.premise_verdicts[0].outcome == "holds"
+        assert p.verdict(oracle.pseudoconvex_def)[0].outcome == "holds"
 
 
 class TestT7:
@@ -117,16 +123,16 @@ class TestT7:
         assert rep.status == "ok"
 
     def test_plateau_bowl_nonstrict_and_constant_run(self):
-        rep = check_t7(
-            SampledProblem(phi_of("max(0, abs(t) - 1)"), grid_for("[-2,2]"), SCHED)
-        )
+        p = SampledProblem(phi_of("max(0, abs(t) - 1)"), grid_for("[-2,2]"), SCHED)
+        rep = check_t7(p)
         assert rep.status != "FAIL"
-        assert rep.conclusion_verdicts[0].outcome == "fails"
+        assert p.verdict(oracle.strictly_pseudoconvex_def)[0].outcome == "fails"
 
     def test_constant_function(self, unit_grid):
-        rep = check_t7(SampledProblem(phi_of("2"), unit_grid, SCHED))
+        p = SampledProblem(phi_of("2"), unit_grid, SCHED)
+        rep = check_t7(p)
         assert rep.status != "FAIL"
-        assert rep.conclusion_verdicts[0].outcome == "fails"
+        assert p.verdict(oracle.strictly_pseudoconvex_def)[0].outcome == "fails"
 
     def test_cube_vacuous(self, unit_grid):
         rep = check_t7(SampledProblem(phi_of("t^3"), unit_grid, SCHED))
@@ -150,10 +156,14 @@ class TestT6:
         assert "fail" in rep.notes
 
     def test_premises_and_conclusions_per_pair(self):
+        # T6 reads a premise and a conclusion verdict of each of the 4 lines
         f = phi_of("abs(x1) + abs(x2)", 2)
-        rep = check_t6(lines(f, sample_pairs(BOX, 4, seed=3)))
-        assert len(rep.premise_verdicts) == 4
-        assert len(rep.conclusion_verdicts) == 4
+        batches = lines(f, sample_pairs(BOX, 4, seed=3))
+        rep = check_t6(batches)
+        for side in (oracle.pseudoconvex_def, oracle.semistrictly_quasiconvex_def):
+            read = [v.outcome for _, p in batches for v in p.verdict(side)]
+            assert read == ["holds"] * 4
+        assert (rep.status, rep.notes) == ("ok", "both sides hold")
 
     def test_line_ends_are_the_values_at_the_anchors(self):
         # the first line's x lies within the margin of the open face x1 > -1,
@@ -208,17 +218,23 @@ class TestT6:
         entry, = (e for e in golden_battery() if e.id == "bowl2")
         settings = {"n_grid": 1025, "stat_tol": 1e-3, "pairs": 60, "seed": 0}
         kept = run_battery([entry], **settings)
-        case, rep = kept.cases[0], kept.reports[0]
+        case = kept.cases[0]
         assert (case.theorem, case.status) == ("T6", "FAIL") and not kept.ok
-        assert [k for k, v in enumerate(rep.premise_verdicts) if v.outcome == "fails"] == [
-            10, 29, 39, 57]
+        # check_t6 on the line batches the run made gives the case's witnesses
+        f = phi_of(entry.expression, 2)
+        box = tuple(map(parse_interval, entry.box))
+        pairs = sample_pairs(box, 60, 0)
+        batches = list(theorems.line_problems(f, pairs, box, 1025, theorems.MARGIN, SCHED,
+                                              None, 1e-3))
+        rep = check_t6(batches, entry.id)
+        assert rep.status == "FAIL"
+        premises = [v for _, p in batches for v in p.verdict(oracle.pseudoconvex_def)]
+        assert [k for k, v in enumerate(premises) if v.outcome == "fails"] == [10, 29, 39, 57]
         wits = rep.counterexample
         assert [w.kind for w in wits] == ["line_mismatch"] * 4
         assert [w.detail.split(":")[0] for w in wits] == ["pair10", "pair29", "pair39", "pair57"]
         assert case.detail == wits[0].detail == (
             "pair10: restriction pseudoconvexity fails but the semistrict form holds")
-        f = phi_of(entry.expression, 2)
-        pairs = sample_pairs(tuple(map(parse_interval, entry.box)), 60, 0)
         for k, w in zip((10, 29, 39, 57), wits):
             xy = np.array(pairs[k])
             assert w.points == tuple(map(float, xy.ravel()))
@@ -387,7 +403,7 @@ class TestRunBattery:
         res = run_battery(subset, pairs=4)
         assert res.ok
         assert not res.label_mismatches
-        assert all(r.status != "FAIL" for r in res.reports)
+        assert all(c.status != "FAIL" for c in res.cases)
 
     def test_wrong_label_is_caught(self):
         bad = BatteryEntry(
@@ -416,6 +432,33 @@ class TestRunBattery:
         res = run_battery([by_id["bowl2"]], pairs=3)
         assert any(c.theorem == "T6" for c in res.cases)
         assert any(c.theorem == "Lpr1" for c in res.cases)
+
+    @pytest.mark.parametrize("entries", [random_battery(40, seed=3), golden_battery()],
+                             ids=["random", "golden"])
+    def test_a_run_frees_each_entry_once_it_has_run(self, entries, monkeypatch):
+        # every entry is parsed before the first runs; when the k-th runs its
+        # T7 (1-D) or T6 (2-D), the function of no earlier entry is alive
+        asts, alive = [], []
+        real_parse = theorems.parse
+
+        def parse(*args):
+            fn = real_parse(*args)
+            asts.append(weakref.ref(fn))
+            return fn
+
+        def counting(check):
+            def run(*args):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in asts[: len(alive)]))
+                return check(*args)
+            return run
+
+        monkeypatch.setattr(theorems, "parse", parse)
+        for name in ("check_t6", "check_t7"):
+            monkeypatch.setattr(theorems, name, counting(getattr(theorems, name)))
+        run_battery(entries, pairs=2)
+        assert len(asts) == len(entries)
+        assert alive == [0] * len(entries)
 
 
 DEF_ORACLES = ("pseudoconvex_def", "strictly_pseudoconvex_def",

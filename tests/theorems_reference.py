@@ -98,7 +98,7 @@ def check_abc(
     dom_r = anchored_grid(r.feasible, n_grid, margin)
     vals = r.phi(dom_r.points)
     if np.isnan(vals).any():
-        return _report("Lpr1", function_id, (), (), "inconclusive",
+        return _report("Lpr1", function_id, "inconclusive",
                        "undefined restriction values")
 
     # a descending direction decides A whatever its place; an unconverged
@@ -132,34 +132,33 @@ def check_abc(
         inconclusive = True
 
     if inconclusive:
-        return _report("Lpr1", function_id, (), (), "inconclusive",
+        return _report("Lpr1", function_id, "inconclusive",
                        "a Dini estimate did not converge")
     detail = (
         f"A={a_true} (over {n_dirs} directions), B={b_true}, C={c_true}, "
         f"x={[float(v) for v in x]}, y={[float(v) for v in y]}"
     )
     if (a_true or b_true) == c_true:
-        return _report("Lpr1", function_id, (), (), notes=detail)
+        return _report("Lpr1", function_id, notes=detail)
     wit = Witness(
         kind="abc_mismatch",
         points=tuple(float(v) for v in x) + tuple(float(v) for v in y),
         values=(phi0,),
         detail=detail,
     )
-    return _report("Lpr1", function_id, (), (), "FAIL", detail, [wit])
+    return _report("Lpr1", function_id, "FAIL", detail, [wit])
 
 
 def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
     """T6 over the lines of ``batches``, restricting ``f`` to each line again
     for its ends and its origin test."""
-    premises, conclusions, mismatches, origins = [], [], [], []
+    mismatches, origins = [], []
     lhs_all = rhs_all = True
     inconclusive = False
+    k = -1  # the place of the line being read
     for r, p in batches:
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
-            k = len(premises)
-            premises.append(pc)
-            conclusions.append(ssq)
+            k += 1
             if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
                 inconclusive = True
                 continue
@@ -186,11 +185,11 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
-        return _report("T6", function_id, premises, conclusions, "inconclusive",
+        return _report("T6", function_id, "inconclusive",
                        "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return _report("T6", function_id, premises, conclusions,
+        return _report("T6", function_id,
                        notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report("T6", function_id, premises, conclusions, "FAIL",
+    return _report("T6", function_id, "FAIL",
                    "restriction pseudoconvexity and the semistrict form disagree",
                    mismatches + origins)
