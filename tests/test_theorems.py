@@ -742,6 +742,83 @@ class TestLongestRun:
         assert longest_run_loop(flags) == want
 
 
+def _verdict(outcome: str):
+    """An oracle that gives ``outcome`` on every line, with no witness."""
+    return lambda p: (oracle.Verdict(outcome, "spied", 0.0, p.stat_tol),) * p.values.shape[0]
+
+
+def _a_negated(value, converged, feasible, stat_tol):
+    """``dini.stationary`` with Lpr1's A, the one call whose every direction
+    counts as feasible, negated."""
+    found, unsettled = dini.stationary(value, converged, feasible, stat_tol)
+    return (~found if feasible is True else found), unsettled
+
+
+STAIRCASE = "piecewise({}, else: 1)".format(
+    ", ".join(f"t < {-1 + 2 * k / 9!r}: {10 - k}" for k in range(1, 9)))
+
+
+class TestFailLines:
+    """The exact case line of a ``FAIL`` of each check, forced by spying an
+    oracle: the detail is the first counterexample's, else the check's note."""
+
+    @pytest.mark.parametrize("expression,domain,spies,want", [
+        # the first witness of the first failing conclusion (T3), of the
+        # failing quasiconvexity (T4), and of the failing strict form (T7)
+        ("-t^2", "[-1,1]", {"pseudoconvex_def": "holds"}, [
+            ("T3", "FAIL", "phi(y) < phi(x) - tol but an interior point does not drop "
+                           "strictly below phi(x)"),
+            ("T4", "FAIL", "phi(z) > max(phi(x), phi(y)) + tol on an ordered triple"),
+            ("T7", "FAIL", "phi(y) <= phi(x) + tol with y != x but the lower Dini derivative "
+                           "at x toward y is 1.99999 >= -stat_tol")]),
+        # quasiconvex, and stationary above its minimum on 8 plateaus
+        (STAIRCASE, "[-1,1]", {"pseudoconvex_def": "holds"}, [
+            ("T3", "FAIL", "phi(y) < phi(x) - tol but an interior point does not drop "
+                           "strictly below phi(x)"),
+            ("T4", "FAIL", "stationary grid point above the minimum level"),
+            ("T7", "ok", "")]),
+        ("max(0, abs(t) - 1)", "[-2,2]", {"strictly_pseudoconvex_def": "holds"}, [
+            ("T3", "ok", ""), ("T4", "ok", ""), ("T7", "FAIL", "constant run of 128 grid cells")]),
+        # failing verdicts with no witness: the note
+        ("t^2", "[-1,1]", {"semistrictly_quasiconvex_def": "fails",
+                           "strictly_pseudoconvex_def": "fails"}, [
+            ("T3", "FAIL", "pseudoconvex but a conclusion fails"), ("T4", "ok", ""),
+            ("T7", "FAIL", "strictness and nonconstancy disagree")]),
+        ("t^2", "[-1,1]", {"pseudoconvex_def": "fails"}, [
+            ("T3", "vacuous", "premise fails; vacuous"),
+            ("T4", "FAIL", "pseudoconvexity and the stationarity form disagree"),
+            ("T7", "vacuous", "premise fails; skipped")]),
+    ], ids=["first-witness", "stationary-point", "constant-run", "t3-t7-notes", "t4-note"])
+    def test_1d(self, monkeypatch, expression, domain, spies, want):
+        for name, outcome in spies.items():
+            monkeypatch.setattr(theorems, name, _verdict(outcome))
+        entry = BatteryEntry(id="f", expression=expression, arity=1, domain=domain)
+        assert run_battery([entry]).cases == tuple(theorems.CaseLine(t, "f", s, d)
+                                                   for t, s, d in want)
+
+    def test_t6(self):
+        # at 1025 points a stationarity tolerance of 1e-3 makes pseudoconvexity
+        # fail on 4 of bowl2's 60 lines; the first of them names the FAIL
+        entry, = (e for e in golden_battery() if e.id == "bowl2")
+        run = run_battery([entry], n_grid=1025, stat_tol=1e-3, pairs=60, seed=0)
+        assert run.cases[0] == theorems.CaseLine(
+            "T6", "bowl2", "FAIL",
+            "pair10: restriction pseudoconvexity fails but the semistrict form holds")
+
+    def test_lpr1(self, monkeypatch):
+        # away from the minimizer A, B and C are false; with A negated, Lpr1
+        # fails and prints what it prints for an ok
+        monkeypatch.setattr(theorems, "stationary", _a_negated)
+        entry = BatteryEntry(id="bowl", expression="x1^2 + x2^2", arity=2,
+                             box=("[-1,1]", "[-1,1]"), expected={"quasiconvex": True},
+                             pairs=(((0.5, -0.3), (0.0, 0.0)),))
+        assert run_battery([entry], pairs=0).cases == (
+            theorems.CaseLine("T6", "bowl", "ok", "both sides hold"),
+            theorems.CaseLine("Lpr1", "bowl#pair0", "FAIL",
+                              "A=True (over 64 directions), B=False, C=False, "
+                              "x=[0.5, -0.3], y=[0.0, 0.0]"))
+
+
 class TestOneStationarityRule:
     """Every stationarity call is ``dini.stationary``, looked up where
     ``oracle`` and ``theorems`` hold it."""
