@@ -225,10 +225,11 @@ class LineRestriction:
     ``x`` and ``y``.
 
     ``phi(s) = f((1-s) x + s y)`` on the feasible set, which always contains
-    0 and 1.  ``phi`` accepts a float64 array of parameters and returns the
-    function values with NaN for undefined.  ``feasible`` holds one interval
-    per line and ``phi`` maps an (m, k) array, row i along line i; a NaN
-    parameter stands for no point and reads NaN.
+    0 and 1, a point rounded past a face of the box taken back onto it.
+    ``phi`` accepts a float64 array of parameters and returns the function
+    values with NaN for undefined.  ``feasible`` holds one interval per line
+    and ``phi`` maps an (m, k) array, row i along line i; a NaN parameter
+    stands for no point and reads NaN.
     """
 
     x: np.ndarray
@@ -288,12 +289,15 @@ def restrict(
     hi_closed = np.where(hi_s == s_hi[:, None], hi_sc, True).all(axis=1)
     feasible = tuple(Interval(s_lo[i], s_hi[i], bool(lo_closed[i]), bool(hi_closed[i]))
                      for i in range(xs.shape[0]))
+    least, greatest = least[:, None, None], greatest[:, None, None]
 
     def phi(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         grid = s.reshape(xs.shape[0], -1)
         # coordinate-major, so that each column f reads is contiguous
         cols = (1.0 - grid) * xs.T[:, :, None] + grid * ys.T[:, :, None]
+        # at a feasible end the sum can round one ulp past a face
+        np.clip(cols, least, greatest, out=cols)
         out = f(cols.reshape(xs.shape[1], -1).T).reshape(grid.shape)
         return np.where(np.isnan(grid), np.nan, out).reshape(s.shape)
 

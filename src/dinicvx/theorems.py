@@ -2,10 +2,11 @@
 
 Each check evaluates both sides of one implication or equivalence with the
 definition-based oracles and the stationarity machinery, on one concrete
-function, and reports its outcome as the word its case line prints: ``ok``
-(the sides matched), ``vacuous`` (the premise fails), ``inconclusive`` or
-``FAIL`` (the sides disagree, with a counterexample bundle).  A ``FAIL``
-means a checker bug, never a refuted statement.
+function, and returns the :class:`CaseLine` the report prints.  Its status
+is ``ok`` (the sides matched), ``vacuous`` (the premise fails),
+``inconclusive`` or ``FAIL`` (the sides disagree), and a ``FAIL`` line names
+its first counterexample.  A ``FAIL`` means a checker bug, never a refuted
+statement.
 
 ``run_battery`` runs every check over a battery and aggregates the outcome:
 it compares only 1-D entries' labels with the definitional oracles, and T6
@@ -43,9 +44,6 @@ from .expr import eval_many, parse
 from .oracle import (
     SampledProblem,
     Verdict,
-    Witness,
-    _WITNESS_CAP,
-    _witness,
     pseudoconvex_def,
     quasiconvex_def,
     semistrictly_quasiconvex_def,
@@ -54,7 +52,7 @@ from .oracle import (
 
 __all__ = [
     "SUITE_SCHEDULE",
-    "TheoremReport",
+    "CaseLine",
     "check_t3",
     "check_t4",
     "check_t6",
@@ -63,7 +61,6 @@ __all__ = [
     "sample_directions",
     "sample_pairs",
     "line_problems",
-    "CaseLine",
     "BatteryRunResult",
     "run_battery",
 ]
@@ -91,34 +88,29 @@ _DIRECTIONS = 64  # directions over which Lpr1's A asks whether x is stationary
 
 
 @dataclass(frozen=True)
-class TheoremReport:
-    """``theorem_id`` checked on ``function_id``: the ``status`` and ``notes`` its
-    case line prints, and a ``FAIL``'s ``counterexample``, one witness or more."""
+class CaseLine:
+    """``theorem`` checked on ``function``: the case line the report prints.
+    A ``FAIL``'s ``detail`` is its first counterexample's, else the check's
+    note."""
 
-    theorem_id: str  # T3 | T4 | T6 | T7 | Lpr1
-    function_id: str
+    theorem: str  # T3 | T4 | T6 | T7 | Lpr1, or label
+    function: str
     status: str = "ok"  # ok | vacuous | inconclusive | FAIL
-    counterexample: tuple[Witness, ...] | None = None
-    notes: str = ""
+    detail: str = ""
 
 
-def _report(theorem_id: str, function_id: str, status: str = "ok", notes: str = "",
-            witnesses=()) -> TheoremReport:
-    return TheoremReport(theorem_id, function_id, status, tuple(witnesses) or None, notes)
-
-
-def _premise_end(theorem_id: str, function_id: str, premise: Verdict,
-                 vacuous_notes: str) -> TheoremReport | None:
-    """The report that ends T3 or T7 at its pseudoconvexity ``premise``
-    unless it holds: inconclusive, or vacuous with ``vacuous_notes``."""
+def _premise_end(theorem: str, function_id: str, premise: Verdict,
+                 vacuous_detail: str) -> CaseLine | None:
+    """The line that ends T3 or T7 at its pseudoconvexity ``premise``
+    unless it holds: inconclusive, or vacuous with ``vacuous_detail``."""
     if premise.outcome == "holds":
         return None
     if premise.outcome == "inconclusive":
-        return _report(theorem_id, function_id, "inconclusive", "premise inconclusive")
-    return _report(theorem_id, function_id, "vacuous", vacuous_notes)
+        return CaseLine(theorem, function_id, "inconclusive", "premise inconclusive")
+    return CaseLine(theorem, function_id, "vacuous", vacuous_detail)
 
 
-def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
+def check_t3(p: SampledProblem, function_id: str = "") -> CaseLine:
     """Pseudoconvex implies semistrictly quasiconvex and quasiconvex.
 
     Vacuous when the premise fails; requires the function to be declared
@@ -131,12 +123,13 @@ def check_t3(p: SampledProblem, function_id: str = "") -> TheoremReport:
     qc = p.verdict(quasiconvex_def)[0]
     bad = [v for v in (ssq, qc) if v.outcome == "fails"]
     if bad:
-        return _report("T3", function_id, "FAIL",
-                       "pseudoconvex but a conclusion fails", sum((v.witnesses for v in bad), ()))
-    return _report("T3", function_id)
+        return CaseLine("T3", function_id, "FAIL", next(
+            (v.witnesses[0].detail for v in bad if v.witnesses),
+            "pseudoconvex but a conclusion fails"))
+    return CaseLine("T3", function_id)
 
 
-def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
+def check_t4(p: SampledProblem, function_id: str = "") -> CaseLine:
     """Pseudoconvex iff quasiconvex with every stationary point a minimizer.
 
     Only the grid points above the minimum level, which alone can refute the
@@ -146,24 +139,21 @@ def check_t4(p: SampledProblem, function_id: str = "") -> TheoremReport:
     lhs = p.verdict(pseudoconvex_def)[0]
     qc = p.verdict(quasiconvex_def)[0]
     if lhs.outcome == "inconclusive" or qc.outcome == "inconclusive":
-        return _report("T4", function_id, "inconclusive", "a side is inconclusive")
+        return CaseLine("T4", function_id, "inconclusive", "a side is inconclusive")
     found, unsettled = p.stationary(~p.at_min)
-    offenders = np.flatnonzero(found[0])
     if unsettled.any():
-        return _report("T4", function_id, "inconclusive",
-                       "stationarity rests on unconverged estimates")
-    rhs = qc.outcome == "holds" and offenders.size == 0
-    if (lhs.outcome == "holds") == rhs:
-        return _report("T4", function_id)
-    wits = list(lhs.witnesses) + list(qc.witnesses)
-    wits += [_witness(p, "stationary_nonminimizer", (i,),
-                      "stationary grid point above the minimum level")
-             for i in offenders[:_WITNESS_CAP]]
-    return _report("T4", function_id, "FAIL",
-                   "pseudoconvexity and the stationarity form disagree", wits)
+        return CaseLine("T4", function_id, "inconclusive",
+                        "stationarity rests on unconverged estimates")
+    offender = found[0].any()
+    if (lhs.outcome == "holds") == (qc.outcome == "holds" and not offender):
+        return CaseLine("T4", function_id)
+    wits = lhs.witnesses + qc.witnesses
+    return CaseLine("T4", function_id, "FAIL", wits[0].detail if wits else
+                    "stationary grid point above the minimum level" if offender else
+                    "pseudoconvexity and the stationarity form disagree")
 
 
-def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
+def check_t7(p: SampledProblem, function_id: str = "") -> CaseLine:
     """For pseudoconvex functions: strict variant iff radially nonconstant.
 
     Nonconstancy proxy on the grid: no run of two or more consecutive cells
@@ -176,27 +166,21 @@ def check_t7(p: SampledProblem, function_id: str = "") -> TheoremReport:
         return ended
     strict = p.verdict(strictly_pseudoconvex_def)[0]
     if strict.outcome == "inconclusive":
-        return _report("T7", function_id, "inconclusive", "strict side inconclusive")
-    longest, where = _longest_run(p.steps[1][0])
-    nonconstant = longest < 2
-    if (strict.outcome == "holds") == nonconstant:
-        return _report("T7", function_id)
-    wits = list(strict.witnesses)
-    if longest >= 2:
-        wits.append(_witness(p, "constant_run", (where - longest + 1, where + 1),
-                             f"constant run of {longest} grid cells"))
-    return _report("T7", function_id, "FAIL", "strictness and nonconstancy disagree", wits)
+        return CaseLine("T7", function_id, "inconclusive", "strict side inconclusive")
+    longest = _longest_run(p.steps[1][0])
+    if (strict.outcome == "holds") == (longest < 2):
+        return CaseLine("T7", function_id)
+    return CaseLine("T7", function_id, "FAIL",
+                    strict.witnesses[0].detail if strict.witnesses else
+                    f"constant run of {longest} grid cells" if longest >= 2 else
+                    "strictness and nonconstancy disagree")
 
 
-def _longest_run(flags: np.ndarray) -> tuple[int, int]:
-    """Length and last index of the first longest run of True in ``flags``;
-    (0, 0) when there is none."""
+def _longest_run(flags: np.ndarray) -> int:
+    """The length of the longest run of True in ``flags``; 0 when there is
+    none."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], flags, [0]))))
-    lengths = edges[1::2] - edges[::2]
-    if not lengths.size:
-        return 0, 0
-    k = int(np.argmax(lengths))
-    return int(lengths[k]), int(edges[2 * k + 1]) - 1
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def sample_pairs(
@@ -288,22 +272,21 @@ def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 def check_t6(
     batches: Iterable[tuple[LineRestriction, SampledProblem]],
     function_id: str = "",
-) -> TheoremReport:
+) -> CaseLine:
     """Restriction sweep: pseudoconvex iff semistrictly quasiconvex and 0
     is non-stationary on every restriction whose far end is strictly lower.
 
     Both sides are quantified over the lines of the :func:`line_problems`
     ``batches``, read once in order, with one :func:`_origin` read per batch.
-    A failure's witnesses are the first ``_WITNESS_CAP`` lines whose sides
-    disagree, each named ``pair k`` by its place, then every stationary origin.
+    A ``FAIL`` names the first line whose sides disagree, ``pair k`` by its
+    place: when the sides disagree over all lines, some decided line does.
     """
     done = 0  # lines read before this batch
     lhs_all = True  # restriction pseudoconvexity holds on every line so far
     rhs_all = True  # and the semistrict form, with no stationary origin
     inconclusive = False
-    mismatches: list[Witness] = []
-    origins: list[Witness] = []
-    for r, p in batches:
+    mismatch = ""  # the first disagreeing line
+    for _, p in batches:
         ends, _, at_rest, unsettled = p.verdict(_origin)
         lower = ends[:, 1] < p.beyond(ends[:, 0])  # f(y) below f(x) beyond the band
         for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
@@ -313,26 +296,19 @@ def check_t6(
             if "inconclusive" in (pc.outcome, ssq.outcome) or (asks_origin and unsettled[i]):
                 inconclusive = True
                 continue
-            fx, fy = (float(v) for v in ends[i])
-            xy = tuple(map(float, r.x[i])) + tuple(map(float, r.y[i]))
             if asks_origin and at_rest[i]:
-                rhs_pair = False
-                origins.append(Witness("stationary_origin", xy, (fx, fy),
-                                       "f(y) < f(x) but t=0 is stationary on the restriction"))
-            if (pc.outcome == "holds") != rhs_pair and len(mismatches) < _WITNESS_CAP:
-                mismatches.append(Witness("line_mismatch", xy, (fx, fy), (
-                    f"pair{done + i}: restriction pseudoconvexity {pc.outcome} but the "
-                    f"semistrict form {'holds' if rhs_pair else 'fails'}")))
+                rhs_pair = False  # f(y) < f(x) but t=0 is stationary on the restriction
+            if (pc.outcome == "holds") != rhs_pair and not mismatch:
+                mismatch = (f"pair{done + i}: restriction pseudoconvexity {pc.outcome} but the "
+                            f"semistrict form {'holds' if rhs_pair else 'fails'}")
             lhs_all = lhs_all and pc.outcome == "holds"
             rhs_all = rhs_all and rhs_pair
         done += len(ends)
     if inconclusive:
-        return _report("T6", function_id, "inconclusive", "a restriction was inconclusive")
+        return CaseLine("T6", function_id, "inconclusive", "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return _report("T6", function_id, notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report("T6", function_id, "FAIL",
-                   "restriction pseudoconvexity and the semistrict form disagree",
-                   mismatches + origins)
+        return CaseLine("T6", function_id, detail=f"both sides {'hold' if lhs_all else 'fail'}")
+    return CaseLine("T6", function_id, "FAIL", mismatch)
 
 
 def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
@@ -357,10 +333,10 @@ def check_abc(
     batches: Iterable[tuple[LineRestriction, SampledProblem]],
     seed: int = 0,
     function_id: Sequence[str] | None = None,
-) -> tuple[TheoremReport, ...]:
+) -> tuple[CaseLine, ...]:
     """A or B iff C, for quasiconvex radially-usc f and the pair (x, y) of
     each line of the :func:`line_problems` ``batches``, read once in order: a
-    report per line, in batch order, named by ``function_id`` (one id per
+    case line per line, in batch order, named by ``function_id`` (one id per
     line, or None).
 
     A: x is stationary for f over a deterministic sample of ``_DIRECTIONS``
@@ -370,7 +346,7 @@ def check_abc(
     its feasible set, measured against the grid values together with the
     Dini probe values near 0 (a pure-grid minimum misses sub-grid dips next
     to 0 and would assert B spuriously).  C: t=0 is stationary for the
-    restriction: T6's origin test.  The report is inconclusive when the
+    restriction: T6's origin test.  The line is inconclusive when the
     restriction is undefined at a grid point, or when A or C is unsettled:
     no direction descends but one did not converge.  A and C read the
     batch's schedule and ``stat_tol``.  B claims x is a minimizer, not that
@@ -381,7 +357,7 @@ def check_abc(
     Each pair reads the grid values of its batch and its :func:`_origin`, as
     T6 reads them: f(x), B's values at the in-domain probes ``+-s``, and C.
     A probes every defined pair's x along every direction as the rows of
-    :func:`~dinicvx.dini._rows`, each row based at that f(x).  Every report
+    :func:`~dinicvx.dini._rows`, each row based at that f(x).  Every line
     is what the pair gives alone.  A wrong count of ids raises ValueError:
     before ``f`` is called when ``batches`` is a sequence, else once read.
     """
@@ -396,7 +372,7 @@ def check_abc(
     names = chain(ids or (), repeat(""))
     _, u = _unit(sample_directions(len(box), _DIRECTIONS, seed))
 
-    reports: list[TheoremReport] = []
+    cases: list[CaseLine] = []
     for r, p in batches:
         m = r.x.shape[0]
         # p.values is +inf past each line's last point: not NaN, and no minimum
@@ -422,29 +398,17 @@ def check_abc(
 
         for i, fid in zip(range(m), names):
             if not defined[i] or a_open[i] or c_open[i]:
-                reports.append(_report("Lpr1", fid, "inconclusive",
-                                       "a Dini estimate did not converge" if defined[i]
-                                       else "undefined restriction values"))
+                cases.append(CaseLine("Lpr1", fid, "inconclusive",
+                                      "a Dini estimate did not converge" if defined[i]
+                                      else "undefined restriction values"))
                 continue
             xi, yi = [float(v) for v in r.x[i]], [float(v) for v in r.y[i]]
-            detail = (f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
-                      f"C={bool(c_true[i])}, x={xi}, y={yi}")
-            if (a_true[i] or b_true[i]) == c_true[i]:
-                reports.append(_report("Lpr1", fid, notes=detail))
-                continue
-            wit = Witness(kind="abc_mismatch", points=tuple(xi) + tuple(yi),
-                          values=(float(ends[i, 0]),), detail=detail)
-            reports.append(_report("Lpr1", fid, "FAIL", detail, [wit]))
-    check_ids(len(reports))
-    return tuple(reports)
-
-
-@dataclass(frozen=True)
-class CaseLine:
-    theorem: str
-    function: str
-    status: str  # ok | vacuous | inconclusive | FAIL
-    detail: str = ""
+            cases.append(CaseLine(
+                "Lpr1", fid, "ok" if (a_true[i] or b_true[i]) == c_true[i] else "FAIL",
+                f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
+                f"C={bool(c_true[i])}, x={xi}, y={yi}"))
+    check_ids(len(cases))
+    return tuple(cases)
 
 
 @dataclass(frozen=True)
@@ -454,11 +418,6 @@ class BatteryRunResult:
     n_vacuous: int
     n_inconclusive: int
     ok: bool
-
-
-def _status(r: TheoremReport) -> CaseLine:
-    return CaseLine(r.theorem_id, r.function_id, r.status,
-                    r.counterexample[0].detail if r.counterexample else r.notes)
 
 
 def run_battery(
@@ -522,7 +481,7 @@ def run_battery(
                 if wanted]
             del p  # with its f, which a 2-D entry run next would keep alive
         else:
-            lpr1: list[TheoremReport] = []  # a report per line done
+            lpr1: list[CaseLine] = []  # a case line per line done
 
             def batches():
                 # T6 reads each batch; when it asks for the next, Lpr1 reads
@@ -535,7 +494,7 @@ def run_battery(
                             f"{entry.id}#pair{len(lpr1) + k}" for k in range(len(batch[0].x))]))
 
             found = [check_t6(batches(), entry.id), *lpr1]  # T6 runs Lpr1 as it reads
-        cases += [_status(rep) for rep in found]
+        cases += found
     return BatteryRunResult(
         cases=tuple(cases),
         label_mismatches=tuple(mismatches),

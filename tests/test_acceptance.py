@@ -182,7 +182,7 @@ def test_criterion_5_stationarity_equivalence():
         p = SampledProblem(phi_of(e.expression), grid_for(e.domain), SUITE_SCHEDULE)
         rep = check_t4(p)
         if rep.status in ("inconclusive", "FAIL"):
-            failures.append(f"{e.id}: {rep.notes or 'sides disagree'}")
+            failures.append(f"{e.id}: {rep.detail or 'sides disagree'}")
     report(5, len(entries) >= 12 and required <= ids and not failures,
            f"{len(entries)} radially continuous functions "
            f"(minimum 12; shape coverage {sorted(required)}), "

@@ -671,6 +671,21 @@ class TestFloatLimit:
         methods = json.loads(proc.stdout)["checks"]["strict-pseudoconvex"]["methods"]
         assert [m["outcome"] for m in methods.values()] == [strict] * 2
 
+    def test_a_line_through_the_box_stays_in_it(self):
+        # (1 - s) x + s y can round one ulp past a face at a feasible end of
+        # a line, where this function overflows; every check is decided
+        env = dict(os.environ, PYTHONPATH=str(Path(dinicvx.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dinicvx", "classify", "--arity=2",
+             "--function=1.7976931348623157e308*x1 + 0*x2", "--box=[-1,1]x[-1,1]"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        elapsed, = proc.stderr.splitlines()
+        assert elapsed.startswith("elapsed: ")
+        checks = json.loads(proc.stdout)["checks"]
+        assert {name: sorted(set(c["methods_aggregate"].values()))
+                for name, c in checks.items()} == {name: ["holds"] for name in checks}
+
 
 class TestHostileInput:
     """Bad margins, widths, paths and flags end with exit code 1 and a

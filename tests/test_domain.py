@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dinicvx import (
@@ -13,7 +13,7 @@ from dinicvx import (
     restrict,
 )
 
-from dinicvx.domain import _grids
+from dinicvx.domain import _grids, extent
 
 from conftest import phi_of
 
@@ -371,6 +371,34 @@ class TestRestrict:
         assert np.isinf(r.feasible[0].lo) and np.isinf(r.feasible[0].hi)
         assert not r.feasible[0].lo_closed and not r.feasible[0].hi_closed
         assert r.feasible[0].contains(0.0) and r.feasible[0].contains(1.0)
+
+    # a coordinate anywhere in [-1, 1], on a face, or near one
+    NEAR_FACE = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]),
+                          st.floats(-1.0, -0.99), st.floats(0.99, 1.0))
+
+    @given(st.lists(st.booleans(), min_size=4, max_size=4),
+           st.lists(NEAR_FACE, min_size=4, max_size=4))
+    # its greatest feasible parameter once took x2 to 1.0000000000000002
+    @example([True] * 4, [-0.21676199894367754, 0.7805487040095846,
+                          -0.5456848129332406, 0.24637428937208483])
+    @settings(max_examples=300, deadline=None)
+    def test_phi_calls_f_inside_the_box_only(self, closed, coords):
+        # from the least to the greatest feasible parameter, on a box of
+        # [-1, 1] sides each closed or open at either end
+        box = tuple(Interval(-1.0, 1.0, closed[2 * k], closed[2 * k + 1]) for k in range(2))
+        least, greatest = extent(box)
+        x, y = np.clip(np.reshape(coords, (2, 2)), least, greatest)
+        assume(np.abs(y - x).max() > 1e-3)  # a line of bounded feasible parameters
+        seen = []
+
+        def f(pts):
+            seen.append(pts.copy())
+            return pts[:, 0]
+
+        r = restrict(f, x[None], y[None], box)
+        r.phi(np.linspace(*np.concatenate(extent(r.feasible)), 33)[None])
+        pts = np.concatenate(seen)
+        assert ((pts >= least) & (pts <= greatest)).all()
 
     @given(
         st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),

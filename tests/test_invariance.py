@@ -174,7 +174,7 @@ def test_every_band_comparison_reads_the_rule(monkeypatch):
 
 
 def _t6_pass(wide_tol: bool = False) -> list:
-    """T6's status and witness kinds on each line of the 2-D golden entries,
+    """T6's status and detail on each line of the 2-D golden entries,
     one line a batch, with ``WIDE`` times the line's band as ``tol`` when
     ``wide_tol``.  The lines are each entry's explicit pairs, three sampled
     ones and the pair from the origin to (-0.01, 1): on cube-x1 that line's
@@ -195,7 +195,7 @@ def _t6_pass(wide_tol: bool = False) -> list:
             if wide_tol:
                 found = batches(WIDE * float(found[0][1].band[0]))
             rep = check_t6(found, entry.id)
-            out.append((entry.id, rep.status, tuple(w.kind for w in rep.counterexample or ())))
+            out.append((entry.id, rep.status, rep.detail))
     return out
 
 

@@ -93,19 +93,17 @@ class TestT4:
         assert p.verdict(oracle.pseudoconvex_def)[0].outcome == "fails"
         assert p.verdict(oracle.quasiconvex_def)[0].outcome == "holds"
 
-    def test_a_fail_cuts_its_witnesses_at_the_one_cap(self, unit_grid, monkeypatch):
+    def test_a_fail_names_a_stationary_point_above_the_minimum(self, unit_grid,
+                                                                monkeypatch):
         # a decreasing staircase of 9 steps is quasiconvex, and stationary
         # above its minimum on 8 plateaus; with pseudoconvexity spied to
-        # hold, T4 fails with as many stationary witnesses as any list keeps
-        steps = ", ".join(f"t < {-1 + 2 * k / 9!r}: {10 - k}" for k in range(1, 9))
-        monkeypatch.setattr(theorems, "pseudoconvex_def", lambda p: (
-            oracle.Verdict("holds", "pseudoconvex_def", 0.0, p.stat_tol),))
-        p = SampledProblem(phi_of(f"piecewise({steps}, else: 1)"), unit_grid, SCHED)
+        # hold, T4 fails, and with no witness of either side its line names
+        # a stationary point
+        monkeypatch.setattr(theorems, "pseudoconvex_def", _verdict("holds"))
+        p = SampledProblem(phi_of(STAIRCASE), unit_grid, SCHED)
         rep = check_t4(p)
-        assert rep.status == "FAIL"
         assert p.verdict(oracle.quasiconvex_def)[0].outcome == "holds"
-        assert [w.kind for w in rep.counterexample] == (
-            ["stationary_nonminimizer"] * oracle._WITNESS_CAP)
+        assert (rep.status, rep.detail) == ("FAIL", "stationary grid point above the minimum level")
 
     @pytest.mark.parametrize("source", ["abs(t)^1.1", "abs(t) + abs(t)^1.1"])
     def test_unconverged_minimizer_leaves_t4_decided(self, source, unit_grid):
@@ -113,7 +111,7 @@ class TestT4:
         # but only the points above the minimum level are asked about
         p = SampledProblem(phi_of(source), unit_grid, SCHED)
         rep = check_t4(p)
-        assert rep.status == "ok" and rep.notes == ""
+        assert rep.status == "ok" and rep.detail == ""
         assert p.verdict(oracle.pseudoconvex_def)[0].outcome == "holds"
 
 
@@ -144,7 +142,7 @@ class TestT6:
         f = phi_of("x1^2 + x2^2", 2)
         rep = check_t6(lines(f, sample_pairs(BOX, 6, seed=1)))
         assert rep.status == "ok"
-        assert "hold" in rep.notes
+        assert "hold" in rep.detail
 
     def test_cube_slice_fails_both_sides(self):
         # along x = (0,0), y = (-0.5, 0.1) the restriction is -0.125 s^3:
@@ -153,7 +151,7 @@ class TestT6:
         f = phi_of("x1^3", 2)
         rep = check_t6(lines(f, [([0.0, 0.0], [-0.5, 0.1])]))
         assert rep.status == "ok"
-        assert "fail" in rep.notes
+        assert "fail" in rep.detail
 
     def test_premises_and_conclusions_per_pair(self):
         # T6 reads a premise and a conclusion verdict of each of the 4 lines
@@ -163,7 +161,7 @@ class TestT6:
         for side in (oracle.pseudoconvex_def, oracle.semistrictly_quasiconvex_def):
             read = [v.outcome for _, p in batches for v in p.verdict(side)]
             assert read == ["holds"] * 4
-        assert (rep.status, rep.notes) == ("ok", "both sides hold")
+        assert (rep.status, rep.detail) == ("ok", "both sides hold")
 
     def test_line_ends_are_the_values_at_the_anchors(self):
         # the first line's x lies within the margin of the open face x1 > -1,
@@ -220,25 +218,20 @@ class TestT6:
         kept = run_battery([entry], **settings)
         case = kept.cases[0]
         assert (case.theorem, case.status) == ("T6", "FAIL") and not kept.ok
-        # check_t6 on the line batches the run made gives the case's witnesses
+        # check_t6 on the line batches the run made gives the case's line,
+        # which names the first of the lines whose premise fails
         f = phi_of(entry.expression, 2)
         box = tuple(map(parse_interval, entry.box))
-        pairs = sample_pairs(box, 60, 0)
-        batches = list(theorems.line_problems(f, pairs, box, 1025, theorems.MARGIN, SCHED,
-                                              None, 1e-3))
-        rep = check_t6(batches, entry.id)
-        assert rep.status == "FAIL"
+        batches = list(theorems.line_problems(f, sample_pairs(box, 60, 0), box, 1025,
+                                              theorems.MARGIN, SCHED, None, 1e-3))
+        assert check_t6(batches, entry.id) == case
         premises = [v for _, p in batches for v in p.verdict(oracle.pseudoconvex_def)]
         assert [k for k, v in enumerate(premises) if v.outcome == "fails"] == [10, 29, 39, 57]
-        wits = rep.counterexample
-        assert [w.kind for w in wits] == ["line_mismatch"] * 4
-        assert [w.detail.split(":")[0] for w in wits] == ["pair10", "pair29", "pair39", "pair57"]
-        assert case.detail == wits[0].detail == (
+        conclusions = [v for _, p in batches for v in p.verdict(
+            oracle.semistrictly_quasiconvex_def)]
+        assert all(conclusions[k].outcome == "holds" for k in (10, 29, 39, 57))
+        assert case.detail == (
             "pair10: restriction pseudoconvexity fails but the semistrict form holds")
-        for k, w in zip((10, 29, 39, 57), wits):
-            xy = np.array(pairs[k])
-            assert w.points == tuple(map(float, xy.ravel()))
-            assert w.values == tuple(map(float, f(xy)))
         monkeypatch.setattr(theorems, "check_t6", self.loop)
         assert repr(run_battery([entry], **settings)) == repr(kept)
 
@@ -274,13 +267,13 @@ class TestAbc:
         f = phi_of("x1^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [0.5, 0.5])]))
         assert rep.status == "ok"
-        assert "A=True" in rep.notes and "B=True" in rep.notes and "C=True" in rep.notes
+        assert "A=True" in rep.detail and "B=True" in rep.detail and "C=True" in rep.detail
 
     def test_away_from_minimizer_all_false(self):
         f = phi_of("x1^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.5, -0.3], [0.0, 0.0])]))
         assert rep.status == "ok"
-        assert "A=False" in rep.notes and "C=False" in rep.notes
+        assert "A=False" in rep.detail and "C=False" in rep.detail
 
     def test_b_sees_the_dip_between_grid_points(self):
         # along x1 the restriction dips to 0 at t = 1e-3, inside the first
@@ -288,7 +281,7 @@ class TestAbc:
         f = phi_of("(x1 - 0.001)^2 + x2^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.0], [1.0, 0.0])]))
         assert rep.status == "ok"
-        assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
+        assert "A=False" in rep.detail and "B=False" in rep.detail and "C=False" in rep.detail
 
     def test_b_ignores_a_wide_band(self):
         # the restriction's least value is 2.5e-5 below f(x), well inside a
@@ -298,7 +291,7 @@ class TestAbc:
         rep, = check_abc(f, BOX, theorems.line_problems(f, [pair], BOX, 257, 1e-6, SCHED,
                                                         1e-3, 1e-7))
         assert rep.status == "ok"
-        assert "A=False" in rep.notes and "B=False" in rep.notes and "C=False" in rep.notes
+        assert "A=False" in rep.detail and "B=False" in rep.detail and "C=False" in rep.detail
 
     def test_plateau_edge_of_linf_norm(self):
         # x on the flat floor of max(|x1|,|x2|)? there is no flat floor, but
@@ -307,7 +300,7 @@ class TestAbc:
         f = phi_of("x1^2", 2)
         rep, = check_abc(f, BOX, lines(f, [([0.0, 0.7], [0.3, -0.2])]))
         assert rep.status != "FAIL"
-        assert "C=True" in rep.notes
+        assert "C=True" in rep.detail
 
 
 class TestSampling:
@@ -529,7 +522,7 @@ class TestAbcMatchesLoopReference:
         args = (f, np.zeros(2), np.asarray([0.0, 0.5]), BOX, SCHED)
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert rep.status != "inconclusive"
-        assert rep.notes.startswith("A=False (over 64 directions), B=False, C=False, ")
+        assert rep.detail.startswith("A=False (over 64 directions), B=False, C=False, ")
         assert repr(rep) == repr(check_abc_loop(*args))
 
     def test_unconverged_direction_after_first_descent_is_ignored(self):
@@ -537,7 +530,7 @@ class TestAbcMatchesLoopReference:
         args = (f, np.zeros(2), np.asarray([0.5, 0.0]), BOX, SCHED)
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert rep.status != "inconclusive"
-        assert rep.notes.startswith("A=False (over 64 directions), B=False, C=False, ")
+        assert rep.detail.startswith("A=False (over 64 directions), B=False, C=False, ")
         assert repr(rep) == repr(check_abc_loop(*args))
 
     @pytest.mark.parametrize("m", [1, 8, 9, 20])
@@ -611,9 +604,9 @@ class TestAbcMatchesLoopReference:
         got = check_abc(f, box, lines(f, pairs, box), function_id=ids)
         want = [check_abc_loop(f, x, y, box, SCHED, function_id=k) for x, y, k in zip(xs, ys, ids)]
         assert [repr(r) for r in got] == [repr(r) for r in want]
-        assert [r.notes for r in got[3:5]] == ["undefined restriction values"] * 2
-        assert "A=True" in got[0].notes
-        assert "A=False (over 64 directions), B=True, C=True" in got[7].notes
+        assert [r.detail for r in got[3:5]] == ["undefined restriction values"] * 2
+        assert "A=True" in got[0].detail
+        assert "A=False (over 64 directions), B=True, C=True" in got[7].detail
         assert 64 * sum(r.status != "inconclusive" for r in got) > dini._BLOCK_ROWS
 
     @pytest.mark.parametrize("x,y,match", [([0.3, 0.3], [0.3, 0.3], "must differ"),
@@ -731,11 +724,11 @@ class TestLongestRun:
         assert _longest_run(np.asarray(flags, dtype=bool)) == longest_run_loop(flags)
 
     @pytest.mark.parametrize("flags,want", [
-        ([], (0, 0)),
-        ([False, False], (0, 0)),
-        ([True] * 5, (5, 4)),
-        ([True, True, False, True, True], (2, 1)),  # a tie: the first run wins
-        ([False, True, False, True, True, True, False], (3, 5)),
+        ([], 0),
+        ([False, False], 0),
+        ([True] * 5, 5),
+        ([True, True, False, True, True], 2),
+        ([False, True, False, True, True, True, False], 3),
     ])
     def test_cases(self, flags, want):
         assert _longest_run(np.asarray(flags, dtype=bool)) == want

@@ -3,10 +3,10 @@
 ``check_abc`` is the form that asks ``lower_dini_along`` for one direction
 at a time, in sample order, stopping at the first descending direction;
 the block form in ``dinicvx.theorems`` must give ``repr``-identical
-reports.  ``check_t6_loop`` is the T6 that restricts ``f`` to each line
+case lines.  ``check_t6_loop`` is the T6 that restricts ``f`` to each line
 again for its ends and its origin test, one line at a time; ``check_t6``,
-which reads both from its batch, must give a ``repr``-identical report,
-witnesses of the disagreeing lines included.  Both take
+which reads both from its batch, must give a ``repr``-identical case line,
+the first disagreeing line included.  Both take
 their Dini estimates from ``dini_reference``.  ``longest_run_loop`` is the
 scan ``check_t7`` made over the flat cells before it became one array pass,
 and ``sample_pairs_loop`` the draw of one pair at a time that
@@ -21,8 +21,8 @@ import numpy as np
 
 from dinicvx.dini import DiniDomainError, DiniSchedule
 from dinicvx.domain import Interval, anchored_grid, restrict
-from dinicvx.oracle import Witness, pseudoconvex_def, semistrictly_quasiconvex_def
-from dinicvx.theorems import TheoremReport, _report, sample_directions
+from dinicvx.oracle import pseudoconvex_def, semistrictly_quasiconvex_def
+from dinicvx.theorems import CaseLine, sample_directions
 
 from dini_reference import is_stationary, lower_dini_along
 
@@ -55,16 +55,14 @@ def sample_pairs_loop(
     return tuple(out)
 
 
-def longest_run_loop(flags) -> tuple[int, int]:
+def longest_run_loop(flags) -> int:
     """The literal scan ``check_t7`` used for its longest run of flat cells."""
     run = 0
     longest = 0
-    where = 0
-    for i, f in enumerate(flags):
+    for f in flags:
         run = run + 1 if f else 0
-        if run > longest:
-            longest, where = run, i
-    return longest, where
+        longest = max(longest, run)
+    return longest
 
 
 def check_abc(
@@ -80,7 +78,7 @@ def check_abc(
     n_grid: int = 257,
     margin: float = 1e-6,
     function_id: str = "",
-) -> TheoremReport:
+) -> CaseLine:
     """A or B iff C, for quasiconvex radially-usc f and a pair (x, y).
 
     A: x is stationary for f (no descent over a deterministic direction
@@ -98,8 +96,8 @@ def check_abc(
     dom_r = anchored_grid(r.feasible, n_grid, margin)
     vals = r.phi(dom_r.points)
     if np.isnan(vals).any():
-        return _report("Lpr1", function_id, "inconclusive",
-                       "undefined restriction values")
+        return CaseLine("Lpr1", function_id, "inconclusive",
+                        "undefined restriction values")
 
     # a descending direction decides A whatever its place; an unconverged
     # one leaves A open only when none descends
@@ -132,27 +130,20 @@ def check_abc(
         inconclusive = True
 
     if inconclusive:
-        return _report("Lpr1", function_id, "inconclusive",
-                       "a Dini estimate did not converge")
+        return CaseLine("Lpr1", function_id, "inconclusive",
+                        "a Dini estimate did not converge")
     detail = (
         f"A={a_true} (over {n_dirs} directions), B={b_true}, C={c_true}, "
         f"x={[float(v) for v in x]}, y={[float(v) for v in y]}"
     )
-    if (a_true or b_true) == c_true:
-        return _report("Lpr1", function_id, notes=detail)
-    wit = Witness(
-        kind="abc_mismatch",
-        points=tuple(float(v) for v in x) + tuple(float(v) for v in y),
-        values=(phi0,),
-        detail=detail,
-    )
-    return _report("Lpr1", function_id, "FAIL", detail, [wit])
+    return CaseLine("Lpr1", function_id, "ok" if (a_true or b_true) == c_true else "FAIL",
+                    detail)
 
 
-def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
+def check_t6_loop(f, box, batches, function_id: str = "") -> CaseLine:
     """T6 over the lines of ``batches``, restricting ``f`` to each line again
     for its ends and its origin test."""
-    mismatches, origins = [], []
+    mismatches = []
     lhs_all = rhs_all = True
     inconclusive = False
     k = -1  # the place of the line being read
@@ -166,7 +157,6 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
             rhs_pair = ssq.outcome == "holds"
             line = restrict(f, r.x[i][None], r.y[i][None], box)
             fx, fy = (float(v) for v in line.phi(np.asarray([0.0, 1.0])))
-            xy = tuple(map(float, line.x[0])) + tuple(map(float, line.y[0]))
             if rhs_pair and fy < fx - ssq.tol:
                 st = is_stationary(line.phi, 0.0, line.feasible[0], p.schedule, p.stat_tol)
                 if not st.decisive:
@@ -174,22 +164,16 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> TheoremReport:
                     continue
                 if st.stationary:
                     rhs_pair = False
-                    origins.append(Witness(
-                        "stationary_origin", xy, (fx, fy),
-                        "f(y) < f(x) but t=0 is stationary on the restriction"))
-            if lhs_pair != rhs_pair and len(mismatches) < 8:
-                mismatches.append(Witness(
-                    "line_mismatch", xy, (fx, fy),
+            if lhs_pair != rhs_pair:
+                mismatches.append(
                     f"pair{k}: restriction pseudoconvexity {pc.outcome} but the "
-                    f"semistrict form {'holds' if rhs_pair else 'fails'}"))
+                    f"semistrict form {'holds' if rhs_pair else 'fails'}")
             lhs_all = lhs_all and lhs_pair
             rhs_all = rhs_all and rhs_pair
     if inconclusive:
-        return _report("T6", function_id, "inconclusive",
-                       "a restriction was inconclusive")
+        return CaseLine("T6", function_id, "inconclusive",
+                        "a restriction was inconclusive")
     if lhs_all == rhs_all:
-        return _report("T6", function_id,
-                       notes=f"both sides {'hold' if lhs_all else 'fail'}")
-    return _report("T6", function_id, "FAIL",
-                   "restriction pseudoconvexity and the semistrict form disagree",
-                   mismatches + origins)
+        return CaseLine("T6", function_id, "ok",
+                        f"both sides {'hold' if lhs_all else 'fail'}")
+    return CaseLine("T6", function_id, "FAIL", mismatches[0])
