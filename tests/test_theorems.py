@@ -621,19 +621,26 @@ class TestAbcMatchesLoopReference:
                 lines(f, pairs)
             assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("seed", [0, 4242])
-    def test_battery_matches_a_loop_over_the_reference(self, monkeypatch, seed):
-        kept = repr(run_battery(golden_battery(), seed=seed))
+    # 40 pairs take two batches an entry, so a line's name runs on across them
+    @pytest.mark.parametrize("seed,pairs", [(0, 12), (4242, 12), (0, 40)])
+    def test_battery_matches_a_loop_over_the_reference(self, monkeypatch, seed, pairs):
+        result = run_battery(golden_battery(), seed=seed, pairs=pairs)
+        kept = repr(result)
+        # every 2-D golden entry is labelled quasiconvex: a line per pair, in
+        # order, bowl2#pair0 ... bowl2#pair39 to cube-x1#pair0 ... cube-x1#pair40
+        assert [c.function for c in result.cases if c.theorem == "Lpr1"] == [
+            f"{e.id}#pair{k}" for e in golden_battery() if e.arity == 2
+            for k in range(len(e.pairs or ()) + pairs)]
 
         # the battery's batches are at the reference's default grid and margin
         def loop(f, box, batches, seed, function_id):
-            pairs = [(a, b, p) for r, p in batches for a, b in zip(r.x, r.y)]
+            ends = [(a, b, p) for r, p in batches for a, b in zip(r.x, r.y)]
             return tuple(check_abc_loop(f, a, b, box, p.schedule, stat_tol=p.stat_tol, seed=seed,
                                         function_id=k)
-                         for (a, b, p), k in zip(pairs, function_id, strict=True))
+                         for (a, b, p), k in zip(ends, function_id, strict=True))
 
         monkeypatch.setattr(theorems, "check_abc", loop)
-        assert repr(run_battery(golden_battery(), seed=seed)) == kept
+        assert repr(run_battery(golden_battery(), seed=seed, pairs=pairs)) == kept
 
 
 class TestSharedBatches:
