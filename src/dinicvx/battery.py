@@ -341,6 +341,9 @@ def load_manifest(path: str | Path) -> tuple[BatteryEntry, ...]:
         entry = {name: raw.get(name, default) for name, default in _DEFAULTS.items()}
         for name, (want, ok) in _RULES.items():
             _require(ok(entry[name], entry["arity"]), raw, name, want, entry["arity"])
+        # an entry of arity 1 runs on its domain, any other on its box and pairs
+        for name in ("box", "pairs") if entry["arity"] == 1 else ("domain",):
+            _require(entry[name] is None, raw, name, "absent at arity {n}", entry["arity"])
         box, pairs = entry["box"], entry["pairs"]
         entries.append(BatteryEntry(**{
             **entry, "box": None if box is None else tuple(box), "tags": tuple(entry["tags"]),

@@ -262,7 +262,7 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> in
     f = lambda pts: eval_many(fn, pts)
     report: dict = {}
     if cfg.arity == 1:
-        batches = [(None, _line_problem(cfg, f))]
+        batches = [(0, (), (), _line_problem(cfg, f))]
     else:
         box = _parse_box(cfg.box, cfg.arity)
         batches = line_problems(f, sample_pairs(box, cfg.pairs, cfg.seed), box, cfg.grid,
@@ -270,14 +270,14 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> in
     # every line of a batch is decided at once; check -> method -> the
     # outcome of each line, batch after batch
     per_line: dict[str, dict[str, list[str]]] = {check: {} for check in cfg.checks}
-    restrictions = []
+    pairs = []  # (x, y, feasible) of each line
     by_check = {prop.check: prop for prop in properties()}
-    for r, p in batches:
+    for _, x, y, p in batches:
         found = {check: by_check[check].verdicts(p, cfg.method) for check in cfg.checks}
         for check, by_name in found.items():
             for name, verdicts in by_name.items():
                 per_line[check].setdefault(name, []).extend(v.outcome for v in verdicts)
-        restrictions.append(r)
+        pairs += zip(x, y, p.dom.interval)
     outcomes = {check: {name: _merge_outcomes(outs) for name, outs in by_name.items()}
                 for check, by_name in per_line.items()}
 
@@ -299,7 +299,6 @@ def _cmd_classify(cfg: RunConfig, args: argparse.Namespace, write: _Write) -> in
                                                    "i_minus", "i_hat", "i_plus")
     else:
         # outcomes only, line by line
-        pairs = [pair for r in restrictions for pair in zip(r.x, r.y, r.feasible)]
         report["pairs"] = [{
             "x": [float(v) for v in x],
             "y": [float(v) for v in y],

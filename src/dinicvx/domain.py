@@ -14,11 +14,12 @@ open endpoint is pulled inward by the margin, so every grid point is a
 genuine domain point.
 
 :func:`restrict` builds the one-dimensional restrictions of a multivariate
-function to the lines through the rows of two (m, d) stacks of points:
-``phi(s) = f((1-s) x + s y)`` on each line, together with its feasible
-parameter interval ``{s : (1-s) x + s y in box}`` computed in closed form
-from the box bounds.  The affine form makes ``phi(0) == f(x)`` and
-``phi(1) == f(y)`` hold exactly in floating point.  :func:`anchored_grid`
+function to the lines through the rows of two (m, d) stacks of points, and
+returns ``(feasible, phi)``: the feasible parameter interval
+``{s : (1-s) x + s y in box}`` of each line, computed in closed form from
+the box bounds, and ``phi(s) = f((1-s) x + s y)`` on every line at once.
+The affine form makes ``phi(0) == f(x)`` and ``phi(1) == f(y)`` hold
+exactly in floating point.  :func:`anchored_grid`
 grids the m feasible intervals into one :class:`LineGrids`: a line axis
 leads, each line keeps its own points, and a row sort places the anchors.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "LineGrids",
     "make_grid",
     "anchored_grid",
-    "LineRestriction",
     "restrict",
 ]
 
@@ -219,33 +219,20 @@ def anchored_grid(intervals: tuple[Interval, ...], n: int, margin: float = MARGI
     return LineGrids(tuple(intervals), out, counts)
 
 
-@dataclass(frozen=True)
-class LineRestriction:
-    """Restriction of ``f`` to the m lines through the rows of (m, d) stacks
-    ``x`` and ``y``.
-
-    ``phi(s) = f((1-s) x + s y)`` on the feasible set, which always contains
-    0 and 1, a point rounded past a face of the box taken back onto it.
-    ``phi`` accepts a float64 array of parameters and returns the function
-    values with NaN for undefined.  ``feasible`` holds one interval per line
-    and ``phi`` maps an (m, k) array, row i along line i; a NaN parameter
-    stands for no point and reads NaN.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    feasible: tuple[Interval, ...]
-    phi: Callable[[np.ndarray], np.ndarray]
-
-
 def restrict(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
     box: tuple[Interval, ...],
-) -> LineRestriction:
-    """Restrict a multivariate ``f`` to the lines through the rows of the
-    (m, d) stacks x and y.
+) -> tuple[tuple[Interval, ...], Callable[[np.ndarray], np.ndarray]]:
+    """Restrict a multivariate ``f`` to the m lines through the rows of the
+    (m, d) stacks x and y: ``(feasible, phi)``.
+
+    ``phi(s) = f((1-s) x + s y)`` on the feasible set, which always contains
+    0 and 1, a point rounded past a face of the box taken back onto it.
+    ``phi`` maps an (m, k) float64 array of parameters, row i along line i,
+    to the function values with NaN for undefined; a NaN parameter stands
+    for no point and reads NaN.  ``feasible`` holds one interval per line.
 
     ``f`` maps an (m, n) array of points to an (m,) array of values.  The
     feasible parameter set is computed per coordinate from the box bounds
@@ -301,4 +288,4 @@ def restrict(
         out = f(cols.reshape(xs.shape[1], -1).T).reshape(grid.shape)
         return np.where(np.isnan(grid), np.nan, out).reshape(s.shape)
 
-    return LineRestriction(xs, ys, feasible, phi)
+    return feasible, phi

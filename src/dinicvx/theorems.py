@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ from .dini import _BLOCK_ROWS, DiniSchedule, _dini_rows, _rows, _unit, stationar
 from .domain import (
     MARGIN,
     Interval,
-    LineRestriction,
     anchored_grid,
     extent,
     grid_ends,
@@ -85,6 +83,8 @@ _PAIR_DRAWS = 1000
 _BATCH_POINTS = 8192
 
 _DIRECTIONS = 64  # directions over which Lpr1's A asks whether x is stationary
+
+LineBatch = tuple[int, np.ndarray, np.ndarray, SampledProblem]  # see line_problems
 
 
 @dataclass(frozen=True)
@@ -229,19 +229,22 @@ def line_problems(
     schedule: DiniSchedule,
     tol: float | None,
     stat_tol: float,
-) -> Iterator[tuple[LineRestriction, SampledProblem]]:
-    """Each batch of the lines through the pairs: its :class:`LineRestriction`
-    and its :class:`SampledProblem` on anchored grids.  A batch holds at
-    least one line, and at most ``_BATCH_POINTS`` grid points and
-    ``_BLOCK_ROWS // 2`` lines, so that both sides of a grid column of every
-    line fit in one Dini block."""
+) -> Iterator[LineBatch]:
+    """Each batch of the lines through the pairs: ``(first, x, y, p)``, the
+    index of its first line among the pairs, its rows of x and y, and the
+    :class:`SampledProblem` of its restrictions on anchored grids, whose
+    ``phi`` and ``dom.interval`` are the lines' :func:`restrict` and
+    feasible intervals.  A batch holds at least one line, and at most
+    ``_BATCH_POINTS`` grid points and ``_BLOCK_ROWS // 2`` lines, so that
+    both sides of a grid column of every line fit in one Dini block."""
     xs = np.array([x for x, _ in pairs], dtype=float)
     ys = np.array([y for _, y in pairs], dtype=float)
     size = max(1, min(_BLOCK_ROWS // 2, _BATCH_POINTS // (n_grid + 2)))
     for a in range(0, len(pairs), size):
-        r = restrict(f, xs[a : a + size], ys[a : a + size], box)
-        yield r, SampledProblem(r.phi, anchored_grid(r.feasible, n_grid, margin),
-                                schedule, tol, stat_tol)
+        x, y = xs[a : a + size], ys[a : a + size]
+        feasible, phi = restrict(f, x, y, box)
+        yield a, x, y, SampledProblem(phi, anchored_grid(feasible, n_grid, margin), schedule,
+                                      tol, stat_tol)
 
 
 def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -269,24 +272,21 @@ def _origin(p: SampledProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
                                            (n_in > 0).reshape(m, 2), p.stat_tol))
 
 
-def check_t6(
-    batches: Iterable[tuple[LineRestriction, SampledProblem]],
-    function_id: str = "",
-) -> CaseLine:
+def check_t6(batches: Iterable[LineBatch], function_id: str = "") -> CaseLine:
     """Restriction sweep: pseudoconvex iff semistrictly quasiconvex and 0
     is non-stationary on every restriction whose far end is strictly lower.
 
     Both sides are quantified over the lines of the :func:`line_problems`
     ``batches``, read once in order, with one :func:`_origin` read per batch.
     A ``FAIL`` names the first line whose sides disagree, ``pair k`` by its
-    place: when the sides disagree over all lines, some decided line does.
+    index k in the run, ``first + i`` for line i of a batch: when the sides
+    disagree over all lines, some decided line does.
     """
-    done = 0  # lines read before this batch
     lhs_all = True  # restriction pseudoconvexity holds on every line so far
     rhs_all = True  # and the semistrict form, with no stationary origin
     inconclusive = False
     mismatch = ""  # the first disagreeing line
-    for _, p in batches:
+    for first, _, _, p in batches:
         ends, _, at_rest, unsettled = p.verdict(_origin)
         lower = ends[:, 1] < p.beyond(ends[:, 0])  # f(y) below f(x) beyond the band
         for i, (pc, ssq) in enumerate(zip(p.verdict(pseudoconvex_def),
@@ -299,11 +299,10 @@ def check_t6(
             if asks_origin and at_rest[i]:
                 rhs_pair = False  # f(y) < f(x) but t=0 is stationary on the restriction
             if (pc.outcome == "holds") != rhs_pair and not mismatch:
-                mismatch = (f"pair{done + i}: restriction pseudoconvexity {pc.outcome} but the "
+                mismatch = (f"pair{first + i}: restriction pseudoconvexity {pc.outcome} but the "
                             f"semistrict form {'holds' if rhs_pair else 'fails'}")
             lhs_all = lhs_all and pc.outcome == "holds"
             rhs_all = rhs_all and rhs_pair
-        done += len(ends)
     if inconclusive:
         return CaseLine("T6", function_id, "inconclusive", "a restriction was inconclusive")
     if lhs_all == rhs_all:
@@ -330,14 +329,14 @@ def sample_directions(arity: int, count: int, seed: int) -> np.ndarray:
 def check_abc(
     f: Callable[[np.ndarray], np.ndarray],
     box: tuple[Interval, ...],
-    batches: Iterable[tuple[LineRestriction, SampledProblem]],
+    batches: Iterable[LineBatch],
     seed: int = 0,
-    function_id: Sequence[str] | None = None,
+    function_id: str = "",
 ) -> tuple[CaseLine, ...]:
     """A or B iff C, for quasiconvex radially-usc f and the pair (x, y) of
     each line of the :func:`line_problems` ``batches``, read once in order: a
-    case line per line, in batch order, named by ``function_id`` (one id per
-    line, or None).
+    case line per line, in batch order, line i of a batch named
+    ``{function_id}#pair{first + i}`` by its index in the run.
 
     A: x is stationary for f over a deterministic sample of ``_DIRECTIONS``
     directions (approximate, refinable), by :func:`~dinicvx.dini.stationary`:
@@ -358,26 +357,16 @@ def check_abc(
     T6 reads them: f(x), B's values at the in-domain probes ``+-s``, and C.
     A probes every defined pair's x along every direction as the rows of
     :func:`~dinicvx.dini._rows`, each row based at that f(x).  Every line
-    is what the pair gives alone.  A wrong count of ids raises ValueError:
-    before ``f`` is called when ``batches`` is a sequence, else once read.
+    is what the pair gives alone.
     """
-    ids = None if function_id is None else list(function_id)
-
-    def check_ids(n_lines: int) -> None:
-        if ids is not None and len(ids) != n_lines:
-            raise ValueError(f"{len(ids)} function ids for {n_lines} lines")
-
-    if isinstance(batches, Sequence):
-        check_ids(sum(r.x.shape[0] for r, _ in batches))
-    names = chain(ids or (), repeat(""))
     _, u = _unit(sample_directions(len(box), _DIRECTIONS, seed))
 
     cases: list[CaseLine] = []
-    for r, p in batches:
-        m = r.x.shape[0]
+    for first, x, y, p in batches:
+        m = len(x)
         # p.values is +inf past each line's last point: not NaN, and no minimum
         defined = ~np.isnan(p.values).any(axis=1)
-        xs = r.x[defined]
+        xs = x[defined]
         ends, probe_vals, c_true, c_open = p.verdict(_origin)
         a_true, a_open = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
         if xs.size:
@@ -396,18 +385,18 @@ def check_abc(
                             np.where(np.isfinite(probe_vals), probe_vals, np.inf).min(axis=1))
         b_true = ends[:, 0] <= lowest + 1e-12 * (1.0 + np.abs(ends[:, 0]))
 
-        for i, fid in zip(range(m), names):
+        for i in range(m):
+            fid = f"{function_id}#pair{first + i}"
             if not defined[i] or a_open[i] or c_open[i]:
                 cases.append(CaseLine("Lpr1", fid, "inconclusive",
                                       "a Dini estimate did not converge" if defined[i]
                                       else "undefined restriction values"))
                 continue
-            xi, yi = [float(v) for v in r.x[i]], [float(v) for v in r.y[i]]
+            xi, yi = [float(v) for v in x[i]], [float(v) for v in y[i]]
             cases.append(CaseLine(
                 "Lpr1", fid, "ok" if (a_true[i] or b_true[i]) == c_true[i] else "FAIL",
                 f"A={bool(a_true[i])} (over {_DIRECTIONS} directions), B={bool(b_true[i])}, "
                 f"C={bool(c_true[i])}, x={xi}, y={yi}"))
-    check_ids(len(cases))
     return tuple(cases)
 
 
@@ -456,8 +445,7 @@ def run_battery(
                 grid_ends(box, n_grid, margin)  # gridded when the entry runs
                 pair_list = []
             else:
-                pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-                             for x, y in entry.pairs or ()] + list(sample_pairs(box, pairs, seed))
+                pair_list = [*(entry.pairs or ()), *sample_pairs(box, pairs, seed)]
                 if entry.pairs:
                     restrict(f, *np.array(entry.pairs, dtype=float).swapaxes(0, 1), box)
         except ValueError as exc:
@@ -490,8 +478,7 @@ def run_battery(
                                            stat_tol):
                     yield batch
                     if entry.expected is not None and entry.expected.get("quasiconvex"):
-                        lpr1.extend(check_abc(f, box, [batch], seed=seed, function_id=[
-                            f"{entry.id}#pair{len(lpr1) + k}" for k in range(len(batch[0].x))]))
+                        lpr1.extend(check_abc(f, box, [batch], seed=seed, function_id=entry.id))
 
             found = [check_t6(batches(), entry.id), *lpr1]  # T6 runs Lpr1 as it reads
         cases += found

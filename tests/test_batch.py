@@ -74,22 +74,22 @@ def run_all(p: SampledProblem) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_line_of_a_ragged_batch_as_it_is_alone(case, seed):
     f, box, xs, ys = lines_of(case, seed)
-    r = restrict(f, xs, ys, box)
-    batch = SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID))
+    feasible, phi = restrict(f, xs, ys, box)
+    batch = SampledProblem(phi, anchored_grid(feasible, N_GRID))
     got = run_all(batch)
     assert batch.dom.points.shape == (len(xs), int(batch.dom.n.max()))
     for i in range(len(xs)):
-        one = restrict(f, xs[i : i + 1], ys[i : i + 1], box)
-        alone = run_all(SampledProblem(one.phi, anchored_grid(one.feasible, N_GRID)))
-        line = restrict(f, xs[i][None], ys[i][None], box)
-        grid = anchored_grid(line.feasible, N_GRID)
+        one_feasible, one_phi = restrict(f, xs[i : i + 1], ys[i : i + 1], box)
+        alone = run_all(SampledProblem(one_phi, anchored_grid(one_feasible, N_GRID)))
+        line_feasible, line_phi = restrict(f, xs[i][None], ys[i][None], box)
+        grid = anchored_grid(line_feasible, N_GRID)
         assert grid.n[0] == batch.dom.n[i]
         assert np.array_equal(grid.points[0], batch.dom.points[i, : grid.n[0]])
-        single = run_all(SampledProblem(line.phi, grid))
+        single = run_all(SampledProblem(line_phi, grid))
         for name, _ in VERDICTS:
             assert repr(got[name][i]) == repr(alone[name][0]) == repr(single[name][0]), (name, i)
         for name in REFERENCED:
-            fresh = SampledProblem(line.phi, grid)
+            fresh = SampledProblem(line_phi, grid)
             assert repr(getattr(ref, name)(fresh)) == repr(single[name][0]), (name, i)
 
 
@@ -97,8 +97,8 @@ def test_batches_cover_ragged_lines_open_faces_and_undefined_values():
     counts = set()
     for case in CASES:
         f, box, xs, ys = lines_of(case, 1)
-        r = restrict(f, xs, ys, box)
-        p = SampledProblem(r.phi, anchored_grid(r.feasible, N_GRID))
+        feasible, phi = restrict(f, xs, ys, box)
+        p = SampledProblem(phi, anchored_grid(feasible, N_GRID))
         counts |= set((p.dom.n - N_GRID).tolist())
         if case == "sqrt-undefined":
             outcomes = {v.outcome for v in oracle.pseudoconvex_def(p)}
@@ -112,14 +112,16 @@ def test_line_problems_carry_the_witnesses_of_each_line_alone(case):
     # with their witnesses, as the line gets them as one grid
     f, box, xs, ys = lines_of(case, 4242)
     pairs = list(zip(xs, ys))
-    got = [(r, run_all(p)) for r, p in
+    got = [(first, x, y, run_all(p)) for first, x, y, p in
            theorems.line_problems(f, pairs, box, N_GRID, 1e-6, DiniSchedule(), None, 1e-7)]
-    assert sum(len(r.feasible) for r, _ in got) == len(pairs)
+    assert [first for first, *_ in got] == list(range(0, len(pairs), len(got[0][1])))
+    assert sum(len(x) for _, x, _, _ in got) == len(pairs)
     witnessed = 0
-    for r, verdicts in got:
-        for i in range(len(r.feasible)):
-            line = restrict(f, r.x[i][None], r.y[i][None], box)
-            single = run_all(SampledProblem(line.phi, anchored_grid(line.feasible, N_GRID)))
+    for first, x, y, verdicts in got:
+        for i in range(len(x)):
+            assert np.array_equal(x[i], xs[first + i]) and np.array_equal(y[i], ys[first + i])
+            feasible, phi = restrict(f, x[i][None], y[i][None], box)
+            single = run_all(SampledProblem(phi, anchored_grid(feasible, N_GRID)))
             for name, _ in VERDICTS[:8]:
                 assert repr(verdicts[name][i]) == repr(single[name][0]), (name, i)
                 witnessed += len(single[name][0].witnesses)
@@ -257,8 +259,8 @@ def parity_problems():
     out = [(phi_of(source), make_grid(parse_interval(domain), n)) for source, domain, n in one]
     for case in sorted(CASES):
         f, box, xs, ys = lines_of(case, 1)
-        r = restrict(f, xs, ys, box)
-        out.append((r.phi, anchored_grid(r.feasible, N_GRID)))
+        feasible, phi = restrict(f, xs, ys, box)
+        out.append((phi, anchored_grid(feasible, N_GRID)))
     return out
 
 
@@ -295,7 +297,8 @@ def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(mon
     # first columns on, so its scan stops long before the end of the grid
     f, box = phi_of("-x1^2 - x2^2", 2), tuple(parse_interval("[-1,1]") for _ in range(2))
     pairs = sample_pairs(box, 3, 0)
-    (r, p), = theorems.line_problems(f, pairs, box, 2049, 1e-6, DiniSchedule(), None, 1e-7)
+    (_, x, y, p), = theorems.line_problems(f, pairs, box, 2049, 1e-6, DiniSchedule(), None,
+                                           1e-7)
     blocks = []
     real = oracle.grid_dini_profile
 
@@ -319,6 +322,6 @@ def test_a_failing_batch_stops_at_the_block_of_the_last_lines_eighth_failure(mon
     assert p.profile.estimated[..., : stop.stop].any(axis=(0, 1)).all()
     assert not p.profile.estimated[..., stop.stop :].any()
     for i, verdict in enumerate(verdicts):
-        line = restrict(f, r.x[i][None], r.y[i][None], box)
-        alone = SampledProblem(line.phi, anchored_grid(line.feasible, 2049))
+        feasible, phi = restrict(f, x[i][None], y[i][None], box)
+        alone = SampledProblem(phi, anchored_grid(feasible, 2049))
         assert repr(verdict) == repr(oracle.pseudoconvex_def(alone)[0])

@@ -339,8 +339,8 @@ def settle_problems():
                                    ("piecewise(t < 0.3: t^2, else: t - 1)", "[-1,1]")]]
     box = (parse_interval("[-1,1]"),) * 2
     f = phi_of("max(abs(x1), abs(x2)) - x1^3", 2)
-    (_, p), = line_problems(f, sample_pairs(box, 24, 7), box, 257, 1e-6, DiniSchedule(), None,
-                             1e-7)
+    (*_, p), = line_problems(f, sample_pairs(box, 24, 7), box, 257, 1e-6, DiniSchedule(), None,
+                              1e-7)
     return out + [("24 lines", p.phi, p.dom)]
 
 

@@ -317,34 +317,34 @@ class TestRestrict:
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
         x = np.asarray([0.3, -0.2])
         y = np.asarray([-0.5, 0.7])
-        r = restrict(f, x[None], y[None], box)
-        assert r.phi(np.asarray([0.0]))[0] == f(x[None, :])[0]
-        assert r.phi(np.asarray([1.0]))[0] == f(y[None, :])[0]
-        assert r.feasible[0].contains(0.0) and r.feasible[0].contains(1.0)
+        (feasible,), phi = restrict(f, x[None], y[None], box)
+        assert phi(np.asarray([0.0]))[0] == f(x[None, :])[0]
+        assert phi(np.asarray([1.0]))[0] == f(y[None, :])[0]
+        assert feasible.contains(0.0) and feasible.contains(1.0)
 
     def test_feasible_matches_box_membership(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[1.0, 0.5]]), box)
+        (feasible,), _ = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[1.0, 0.5]]), box)
         # s=1 puts the first coordinate at the closed face: still feasible
-        assert r.feasible[0].hi == 1.0 and r.feasible[0].hi_closed
+        assert feasible.hi == 1.0 and feasible.hi_closed
         # beyond s=1 the first coordinate leaves the box
-        assert not r.feasible[0].contains(1.0 + 1e-9)
+        assert not feasible.contains(1.0 + 1e-9)
 
     def test_openness_carries_over(self):
         f = phi_of("x1 + x2", 2)
         box = (parse_interval("(-1,1)"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.5, 0.5]]), box)
-        assert not r.feasible[0].hi_closed  # binding face is open
+        (feasible,), _ = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.5, 0.5]]), box)
+        assert not feasible.hi_closed  # binding face is open
 
     def test_phi_is_f_along_the_line(self):
         f = phi_of("x1", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
-        np.testing.assert_allclose(r.phi(np.asarray([0.5])), [0.5])
+        _, phi = restrict(f, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
+        np.testing.assert_allclose(phi(np.asarray([0.5])), [0.5])
         f2 = phi_of("x2", 2)
-        r2 = restrict(f2, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
-        np.testing.assert_allclose(r2.phi(np.asarray([0.5])), [0.0], atol=1e-15)
+        _, phi2 = restrict(f2, np.asarray([[0.0, -1.0]]), np.asarray([[1.0, 1.0]]), box)
+        np.testing.assert_allclose(phi2(np.asarray([0.5])), [0.0], atol=1e-15)
 
     def test_rejects_equal_points_and_outside(self):
         f = phi_of("x1 + x2", 2)
@@ -367,10 +367,10 @@ class TestRestrict:
         # must become an open infinity, never a closed one
         f = phi_of("x1^2 + x2^2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.0, 5e-324]]), box)
-        assert np.isinf(r.feasible[0].lo) and np.isinf(r.feasible[0].hi)
-        assert not r.feasible[0].lo_closed and not r.feasible[0].hi_closed
-        assert r.feasible[0].contains(0.0) and r.feasible[0].contains(1.0)
+        (feasible,), _ = restrict(f, np.asarray([[0.0, 0.0]]), np.asarray([[0.0, 5e-324]]), box)
+        assert np.isinf(feasible.lo) and np.isinf(feasible.hi)
+        assert not feasible.lo_closed and not feasible.hi_closed
+        assert feasible.contains(0.0) and feasible.contains(1.0)
 
     # a coordinate anywhere in [-1, 1], on a face, or near one
     NEAR_FACE = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]),
@@ -395,8 +395,8 @@ class TestRestrict:
             seen.append(pts.copy())
             return pts[:, 0]
 
-        r = restrict(f, x[None], y[None], box)
-        r.phi(np.linspace(*np.concatenate(extent(r.feasible)), 33)[None])
+        (feasible,), phi = restrict(f, x[None], y[None], box)
+        phi(np.linspace(*np.concatenate(extent((feasible,))), 33)[None])
         pts = np.concatenate(seen)
         assert ((pts >= least) & (pts <= greatest)).all()
 
@@ -412,9 +412,9 @@ class TestRestrict:
             return
         f = phi_of("x1^2 + x2^2", 2)
         box = (parse_interval("[-1,1]"), parse_interval("[-1,1]"))
-        r = restrict(f, x[None], y[None], box)
-        lo = max(r.feasible[0].lo, -10.0)
-        hi = min(r.feasible[0].hi, 10.0)
+        (feasible,), phi = restrict(f, x[None], y[None], box)
+        lo = max(feasible.lo, -10.0)
+        hi = min(feasible.hi, 10.0)
         for s in np.linspace(lo + 1e-9, hi - 1e-9, 17):
             pt = (1.0 - s) * x + s * y
             assert all(iv.contains(c) or abs(c) > 1 - 1e-7

@@ -193,7 +193,7 @@ def _t6_pass(wide_tol: bool = False) -> list:
                                           MARGIN, SUITE_SCHEDULE, tol, 1e-7))
             found = batches(None)
             if wide_tol:
-                found = batches(WIDE * float(found[0][1].band[0]))
+                found = batches(WIDE * float(found[0][3].band[0]))
             rep = check_t6(found, entry.id)
             out.append((entry.id, rep.status, rep.detail))
     return out

@@ -280,9 +280,8 @@ class TestSemistrictScan:
         box = (parse_interval("[-1,1]"),) * 2
         fn = parse("x1^3", 2)
         x, y = sample_pairs(box, 24, 1699654999)[18]
-        r = restrict(lambda pts: eval_many(fn, pts), x[None], y[None], box)
-        dom = anchored_grid(r.feasible, 257, 1e-6)
-        p = SampledProblem(r.phi, dom)
+        feasible, phi = restrict(lambda pts: eval_many(fn, pts), x[None], y[None], box)
+        p = SampledProblem(phi, anchored_grid(feasible, 257, 1e-6))
         split = martos_segments(p)[0]
         assert not split.valid
         assert semistrictly_quasiconvex_def(p)[0].outcome == "fails"
@@ -361,8 +360,8 @@ def demand_problems():
         box = tuple(parse_interval(b) for b in e.box)
         f = phi_of(e.expression, e.arity)
         for k, (x, y) in enumerate(sample_pairs(box, 3, 11)):
-            r = restrict(f, x[None], y[None], box)
-            out.append((f"{e.id}-line{k}", r.phi, anchored_grid(r.feasible, 257, 1e-6)))
+            feasible, phi = restrict(f, x[None], y[None], box)
+            out.append((f"{e.id}-line{k}", phi, anchored_grid(feasible, 257, 1e-6)))
     return out
 
 

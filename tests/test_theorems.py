@@ -2,6 +2,7 @@ import gc
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestT6:
         batches = lines(f, sample_pairs(BOX, 4, seed=3))
         rep = check_t6(batches)
         for side in (oracle.pseudoconvex_def, oracle.semistrictly_quasiconvex_def):
-            read = [v.outcome for _, p in batches for v in p.verdict(side)]
+            read = [v.outcome for *_, p in batches for v in p.verdict(side)]
             assert read == ["holds"] * 4
         assert (rep.status, rep.detail) == ("ok", "both sides hold")
 
@@ -171,9 +172,9 @@ class TestT6:
         box = (parse_interval("(-1,1]"), parse_interval("[-1,1]"))
         near = [(np.asarray([-1.0 + 1e-9, 0.1]), np.asarray([0.5, 0.3]))]
         for pairs in (near + list(sample_pairs(box, 5, 2)), sample_pairs(box, 5, 2)):
-            (r, p), = lines(f, pairs, box)
+            (*_, p), = lines(f, pairs, box)
             ends = theorems._origin(p)[0]
-            assert np.array_equal(ends, r.phi(np.tile([0.0, 1.0], (len(pairs), 1))))
+            assert np.array_equal(ends, p.phi(np.tile([0.0, 1.0], (len(pairs), 1))))
             at0, at1 = p.dom.points == 0.0, p.dom.points == 1.0
             off = ~at0.any(axis=1)
             assert off.tolist() == [pairs[0] is near[0]] + [False] * (len(pairs) - 1)
@@ -225,9 +226,9 @@ class TestT6:
         batches = list(theorems.line_problems(f, sample_pairs(box, 60, 0), box, 1025,
                                               theorems.MARGIN, SCHED, None, 1e-3))
         assert check_t6(batches, entry.id) == case
-        premises = [v for _, p in batches for v in p.verdict(oracle.pseudoconvex_def)]
+        premises = [v for *_, p in batches for v in p.verdict(oracle.pseudoconvex_def)]
         assert [k for k, v in enumerate(premises) if v.outcome == "fails"] == [10, 29, 39, 57]
-        conclusions = [v for _, p in batches for v in p.verdict(
+        conclusions = [v for *_, p in batches for v in p.verdict(
             oracle.semistrictly_quasiconvex_def)]
         assert all(conclusions[k].outcome == "holds" for k in (10, 29, 39, 57))
         assert case.detail == (
@@ -248,15 +249,15 @@ class TestOrigin:
         pairs = (TestAbcMatchesLoopReference.NEAR_FACE + [([0.0, 0.0], [0.5, 0.3])]
                  + list(sample_pairs(box, 12, 0)))
         s, seen = SCHED.step_sizes(), set()
-        for r, p in lines(f, pairs, box):
+        for _, x, y, p in lines(f, pairs, box):
             ends, probe_vals, stationary, unsettled = theorems._origin(p)
-            for i, feasible in enumerate(r.feasible):
-                line = restrict(f, r.x[i][None], r.y[i][None], box)
-                want = line.phi(np.concatenate([[0.0, 1.0], s, -s]))
+            for i, feasible in enumerate(p.dom.interval):
+                (alone,), phi = restrict(f, x[i][None], y[i][None], box)
+                want = phi(np.concatenate([[0.0, 1.0], s, -s]))
                 want[2:][~feasible.contains_many(np.concatenate([s, -s]))] = np.nan
                 assert np.array_equal(np.concatenate([ends[i], probe_vals[i]]), want,
                                       equal_nan=True)
-                st = is_stationary(line.phi, 0.0, line.feasible[0], SCHED, p.stat_tol)
+                st = is_stationary(phi, 0.0, alone, SCHED, p.stat_tol)
                 assert (stationary[i], unsettled[i]) == (st.stationary, not st.decisive)
                 seen.add(bool(stationary[i]))
         assert seen == ({False} if entry.id == "plane" else {True, False})
@@ -481,7 +482,7 @@ class TestVerdictPerProblem:
                             lambda p: calls.update([p]) or real(p))
         batches = lines(phi_of("x1^2 + x2^2", 2), sample_pairs(BOX, 40, 0))
         assert len(batches) == 2 and check_t6(batches).status != "FAIL"
-        for _, p in batches:
+        for *_, p in batches:
             p.verdict(theorems.pseudoconvex_def)
         assert list(calls.values()) == [1, 1]
 
@@ -504,14 +505,13 @@ class TestAbcMatchesLoopReference:
         f = phi_of(entry.expression, 2)
         box = tuple(parse_interval(b) for b in entry.box)
         pairs = sample_pairs(box, 50, seed)
-        batch = check_abc(f, box, lines(f, pairs, box), seed=seed,
-                          function_id=[f"p{k}" for k in range(50)])
+        batch = check_abc(f, box, lines(f, pairs, box), seed=seed, function_id="p")
         assert len(batch) == 50
         for k, (x, y) in enumerate(pairs):
-            got, = check_abc(f, box, lines(f, [(x, y)], box), seed=seed, function_id=[f"p{k}"])
-            want = check_abc_loop(f, x, y, box, SCHED, seed=seed, function_id=f"p{k}")
+            got, = check_abc(f, box, lines(f, [(x, y)], box), seed=seed, function_id="p")
+            want = check_abc_loop(f, x, y, box, SCHED, seed=seed, function_id="p#pair0")
             assert repr(got) == repr(want)
-            assert repr(batch[k]) == repr(want)
+            assert repr(batch[k]) == repr(replace(want, function=f"p#pair{k}"))
 
     # In both functions x = 0 is a kink: the directions that do not
     # descend have the slowly settling term |.|^1.1 and stay unconverged.
@@ -523,7 +523,7 @@ class TestAbcMatchesLoopReference:
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert rep.status != "inconclusive"
         assert rep.detail.startswith("A=False (over 64 directions), B=False, C=False, ")
-        assert repr(rep) == repr(check_abc_loop(*args))
+        assert repr(rep) == repr(check_abc_loop(*args, function_id="#pair0"))
 
     def test_unconverged_direction_after_first_descent_is_ignored(self):
         f = phi_of("abs(x2) + abs(x2)^1.1 - 2*max(x1, 0)", 2)
@@ -531,7 +531,7 @@ class TestAbcMatchesLoopReference:
         rep, = check_abc(f, BOX, lines(f, [args[1:3]]))
         assert rep.status != "inconclusive"
         assert rep.detail.startswith("A=False (over 64 directions), B=False, C=False, ")
-        assert repr(rep) == repr(check_abc_loop(*args))
+        assert repr(rep) == repr(check_abc_loop(*args, function_id="#pair0"))
 
     @pytest.mark.parametrize("m", [1, 8, 9, 20])
     def test_directions_probed_in_one_call(self, m):
@@ -553,7 +553,7 @@ class TestAbcMatchesLoopReference:
         n = SCHED.steps
         half = n - n // 2
         rows = [min(dini._BLOCK_ROWS, 64 * m - a) for a in range(0, 64 * m, dini._BLOCK_ROWS)]
-        width = anchored_grid(restrict(fn, xs, ys, BOX).feasible, 257).points.shape[1]
+        width = anchored_grid(restrict(fn, xs, ys, BOX)[0], 257).points.shape[1]
         assert calls == [m * width, m * (2 + 2 * n)] + [k * half for k in rows]
 
     # x within the largest step (1e-2) of a face, or on one, so that some
@@ -580,10 +580,10 @@ class TestAbcMatchesLoopReference:
         left = 0
         for k, (x, y) in enumerate(self.NEAR_FACE):
             x, y = np.asarray(x), np.asarray(y)
-            feasible, = restrict(f, x[None], y[None], box).feasible
+            (feasible,), _ = restrict(f, x[None], y[None], box)
             left += not feasible.contains_many(np.concatenate([s, -s])).all()
-            got, = check_abc(f, box, lines(f, [(x, y)], box), function_id=[f"p{k}"])
-            want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}")
+            got, = check_abc(f, box, lines(f, [(x, y)], box), function_id=f"p{k}")
+            want = check_abc_loop(f, x, y, box, SCHED, function_id=f"p{k}#pair0")
             assert repr(got) == repr(want)
         assert left == len(self.NEAR_FACE)
 
@@ -600,9 +600,9 @@ class TestAbcMatchesLoopReference:
         pairs = (self.NEAR_FACE[:3] + self.UNDEFINED + self.NEAR_FACE[3:]
                  + [([0.5, 0.2], [0.5, 0.9])] + list(sample_pairs(box, 4, 3)))
         xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
-        ids = [f"p{k}" for k in range(len(pairs))]
-        got = check_abc(f, box, lines(f, pairs, box), function_id=ids)
-        want = [check_abc_loop(f, x, y, box, SCHED, function_id=k) for x, y, k in zip(xs, ys, ids)]
+        got = check_abc(f, box, lines(f, pairs, box), function_id="p")
+        want = [check_abc_loop(f, x, y, box, SCHED, function_id=f"p#pair{k}")
+                for k, (x, y) in enumerate(zip(xs, ys))]
         assert [repr(r) for r in got] == [repr(r) for r in want]
         assert [r.detail for r in got[3:5]] == ["undefined restriction values"] * 2
         assert "A=True" in got[0].detail
@@ -634,10 +634,9 @@ class TestAbcMatchesLoopReference:
 
         # the battery's batches are at the reference's default grid and margin
         def loop(f, box, batches, seed, function_id):
-            ends = [(a, b, p) for r, p in batches for a, b in zip(r.x, r.y)]
             return tuple(check_abc_loop(f, a, b, box, p.schedule, stat_tol=p.stat_tol, seed=seed,
-                                        function_id=k)
-                         for (a, b, p), k in zip(ends, function_id, strict=True))
+                                        function_id=f"{function_id}#pair{first + i}")
+                         for first, x, y, p in batches for i, (a, b) in enumerate(zip(x, y)))
 
         monkeypatch.setattr(theorems, "check_abc", loop)
         assert repr(run_battery(golden_battery(), seed=seed, pairs=pairs)) == kept
@@ -660,13 +659,13 @@ class TestSharedBatches:
 
         def t6(batches, *args):
             def reading():
-                for r, p in batches:
-                    seen.append(("check_t6", p))
-                    yield r, p
+                for batch in batches:
+                    seen.append(("check_t6", batch[3]))
+                    yield batch
             return real_t6(reading(), *args)
 
         def abc(f, box, batches, *args, **kwargs):
-            seen.extend(("check_abc", p) for _, p in batches)
+            seen.extend(("check_abc", p) for *_, p in batches)
             return real_abc(f, box, batches, *args, **kwargs)
 
         monkeypatch.setattr(theorems, "check_t6", t6)
@@ -692,36 +691,16 @@ class TestSharedBatches:
         assert run_battery([e for e in golden_battery() if e.arity == 2], pairs=200).ok
         assert len(counts) == 6 * 7 and max(counts) == 2
 
-    # 40 lines take two batches
-    @pytest.mark.parametrize("m,n_ids", [(3, 0), (3, 2), (3, 4), (40, 39)])
-    def test_wrong_id_count_raises_before_f_is_called(self, m, n_ids):
-        calls = []
-        fn = phi_of("x1^2 + x2^2", 2)
-
-        def f(pts):
-            calls.append(pts.shape)
-            return fn(pts)
-
-        batches = lines(f, sample_pairs(BOX, m, 0))
-        assert sum(r.x.shape[0] for r, _ in batches) == m
-        with pytest.raises(ValueError, match=f"{n_ids} function ids for {m} lines"):
-            check_abc(f, BOX, batches, function_id=[f"p{k}" for k in range(n_ids)])
-        assert calls == []
-
     def test_batches_from_a_generator(self):
-        # 40 lines take two batches, read once from the generator: the
-        # reports are those of the list, and a wrong id count still raises
+        # 40 lines take two batches, read once from the generator: the case
+        # lines are those of the list, each named by its line's index
         f = phi_of("x1^2 + x2^2", 2)
         pairs = sample_pairs(BOX, 40, 0)
-        assert len(lines(f, pairs)) == 2
-        for ids in (None, [f"p{k}" for k in range(40)]):
-            got = check_abc(f, BOX, line_batches(f, pairs), function_id=ids)
-            assert len(got) == 40
-            assert repr(got) == repr(check_abc(f, BOX, lines(f, pairs), function_id=ids))
-        for n_ids in (39, 41):
-            with pytest.raises(ValueError, match=f"{n_ids} function ids for 40 lines"):
-                check_abc(f, BOX, line_batches(f, pairs),
-                          function_id=[f"p{k}" for k in range(n_ids)])
+        assert [first for first, *_ in lines(f, pairs)] == [0, 31]
+        for fid in ("", "p"):
+            got = check_abc(f, BOX, line_batches(f, pairs), function_id=fid)
+            assert [c.function for c in got] == [f"{fid}#pair{k}" for k in range(40)]
+            assert repr(got) == repr(check_abc(f, BOX, lines(f, pairs), function_id=fid))
 
 
 class TestLongestRun:

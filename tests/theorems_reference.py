@@ -92,9 +92,8 @@ def check_abc(
         schedule = DiniSchedule()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = restrict(f, x[None], y[None], box)
-    dom_r = anchored_grid(r.feasible, n_grid, margin)
-    vals = r.phi(dom_r.points)
+    (feasible,), phi = restrict(f, x[None], y[None], box)
+    vals = phi(anchored_grid((feasible,), n_grid, margin).points)
     if np.isnan(vals).any():
         return CaseLine("Lpr1", function_id, "inconclusive",
                         "undefined restriction values")
@@ -113,18 +112,18 @@ def check_abc(
         a_open = a_open or not est.converged
     inconclusive = a_true and a_open
 
-    phi0 = float(r.phi(np.asarray([0.0]))[0])
+    phi0 = float(phi(np.asarray([0.0]))[0])
     s = schedule.step_sizes()
     probes = np.concatenate([s, -s])
-    probes = probes[r.feasible[0].contains_many(probes)]
-    probe_vals = r.phi(probes) if probes.size else np.asarray([])
+    probes = probes[feasible.contains_many(probes)]
+    probe_vals = phi(probes) if probes.size else np.asarray([])
     cands = [float(np.min(vals))]
     finite_probes = probe_vals[np.isfinite(probe_vals)] if probe_vals.size else probe_vals
     if finite_probes.size:
         cands.append(float(np.min(finite_probes)))
     b_true = phi0 <= min(cands) + 1e-12 * (1.0 + abs(phi0))
 
-    st = is_stationary(r.phi, 0.0, r.feasible[0], schedule, stat_tol)
+    st = is_stationary(phi, 0.0, feasible, schedule, stat_tol)
     c_true = st.stationary
     if not st.decisive:
         inconclusive = True
@@ -147,7 +146,7 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> CaseLine:
     lhs_all = rhs_all = True
     inconclusive = False
     k = -1  # the place of the line being read
-    for r, p in batches:
+    for _, xs, ys, p in batches:
         for i, (pc, ssq) in enumerate(zip(pseudoconvex_def(p), semistrictly_quasiconvex_def(p))):
             k += 1
             if pc.outcome == "inconclusive" or ssq.outcome == "inconclusive":
@@ -155,10 +154,10 @@ def check_t6_loop(f, box, batches, function_id: str = "") -> CaseLine:
                 continue
             lhs_pair = pc.outcome == "holds"
             rhs_pair = ssq.outcome == "holds"
-            line = restrict(f, r.x[i][None], r.y[i][None], box)
-            fx, fy = (float(v) for v in line.phi(np.asarray([0.0, 1.0])))
+            (feasible,), phi = restrict(f, xs[i][None], ys[i][None], box)
+            fx, fy = (float(v) for v in phi(np.asarray([0.0, 1.0])))
             if rhs_pair and fy < fx - ssq.tol:
-                st = is_stationary(line.phi, 0.0, line.feasible[0], p.schedule, p.stat_tol)
+                st = is_stationary(phi, 0.0, feasible, p.schedule, p.stat_tol)
                 if not st.decisive:
                     inconclusive = True
                     continue
