@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dinicvx
 import report_reference
-from dinicvx import charact, cli, dini, golden_battery, write_manifest
+from dinicvx import BatteryEntry, charact, cli, dini, golden_battery, write_manifest
 from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
 from dinicvx.oracle import Verdict, Witness
@@ -318,15 +318,21 @@ class TestClassifyReport:
         rep = json.loads(out)
         assert list(rep["checks"]) == ["quasiconvex"]
 
-    def test_multivariate_pairs(self, capsys):
-        code, out, _ = run(["classify", "--function", "x1^2 + x2^2",
-                            "--arity", "2", "--box", "[-1,1]x[-1,1]",
-                            "--pairs", "3", "--check", "quasiconvex"], capsys)
+    @pytest.mark.parametrize("argv,n_pairs,checks", [
+        (["--function", "x1^2 + x2^2", "--arity", "2", "--box", "[-1,1]x[-1,1]",
+          "--pairs", "3", "--check", "quasiconvex"], 3, 1),
+        # three variables, at the default 24 pairs: every check by both methods
+        (["--function", "x1^2 + x2^2 + x3^2", "--arity", "3",
+          "--box", "[-1,1]x[-1,1]x[-1,1]"], 24, 4),
+    ], ids=["2-D", "3-D"])
+    def test_multivariate_pairs(self, argv, n_pairs, checks, capsys):
+        code, out, _ = run(["classify", *argv], capsys)
         rep = json.loads(out)
         assert code == EXIT_OK
-        assert len(rep["pairs"]) == 3
-        agg = rep["checks"]["quasiconvex"]["methods_aggregate"]
-        assert agg["definitional"] == "holds"
+        assert len(rep["pairs"]) == n_pairs
+        assert len(rep["checks"]) == checks
+        for check in rep["checks"].values():
+            assert list(check["methods_aggregate"].values()) == ["holds"] * 2
 
     def test_text_output(self, capsys):
         code, out, _ = run(CUBE + ["--output", "text"], capsys)
@@ -516,6 +522,19 @@ class TestVerify:
         assert rep["label_mismatches"] == []
         assert any(c["theorem"] == "T3" and c["status"] == "vacuous"
                    for c in rep["cases"])
+
+    def test_three_variables(self, tmp_path, capsys):
+        # T6, and Lpr1 with its directions drawn in three dimensions
+        path = tmp_path / "ball3.json"
+        write_manifest((BatteryEntry(
+            id="ball3", expression="x1^2 + x2^2 + x3^2", arity=3,
+            box=("[-1,1]",) * 3, expected={"quasiconvex": True}),), path)
+        code, out, _ = run(["verify-theorems", str(path)], capsys)
+        assert code == EXIT_OK
+        cases = [(c["theorem"], c["function"], c["status"]) for c in json.loads(out)["cases"]]
+        assert cases == [("T6", "ball3", "ok")] + [
+            ("Lpr1", f"ball3#pair{k}", "ok") for k in range(24)]
+        assert json.loads(out)["cases"][0]["detail"] == "both sides hold"
 
     def test_text_mode(self, tmp_path, capsys):
         by_id = {e.id: e for e in golden_battery()}
