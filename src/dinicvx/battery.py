@@ -304,19 +304,19 @@ _text = lambda v, n=None: isinstance(v, str) and (v.isascii() or not _SURROGATE.
 _flag = lambda v, n=None: type(v) is bool
 _number = lambda c: type(c) is float or (type(c) is int and -_PAST_FLOAT < c < _PAST_FLOAT)
 # field -> (what it must be in an entry of arity {n}, its test of the value and n);
-# the arity comes first, as the others read it
+# the arity comes first, as the others read it, and a field the arity leaves out
+# passes here, to be refused as present after
 _RULES = {
     "arity": ("an integer >= 1", lambda v, n: type(v) is int and v >= 1),
     "id": ("a string without lone surrogates", _text),
     "expression": ("a string without lone surrogates", _text),
-    "domain": ("an interval string", lambda v, n: _text(v) or (v is None and n > 1)),
-    "box": ("a list of {n} interval strings",
-            lambda v, n: _listof(v, _text, n) or (v is None and n == 1)),
+    "domain": ("an interval string", lambda v, n: _text(v) or n > 1),
+    "box": ("a list of {n} interval strings", lambda v, n: _listof(v, _text, n) or n == 1),
     "lsc": ("a boolean", _flag), "radially_continuous": ("a boolean", _flag),
     "expected": (f"booleans keyed by {', '.join(LABELS)}", lambda v, n: v is None or (
         isinstance(v, dict) and v.keys() <= set(LABELS) and all(map(_flag, v.values())))),
     "pairs": ("a list of pairs of two points of {n} numbers in float range", lambda v, n: v is None
-              or _listof(v, lambda p: _listof(p, lambda x: _listof(x, _number, n), 2))),
+              or n == 1 or _listof(v, lambda p: _listof(p, lambda x: _listof(x, _number, n), 2))),
     "tags": ("a list of strings without lone surrogates", lambda v, n: _listof(v, _text)),
 }
 

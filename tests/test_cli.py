@@ -555,8 +555,10 @@ class TestVerify:
         ({"arity": 2, "box": ["[-1,1]", "[-1,1]"], "pairs": [[[0, 0, 0], [1, 1]]]}, "pairs"),
         ({"arity": 0}, "arity"),
         ({"lsc": "no"}, "lsc"),
+        # run on its box, -t^2 would be pseudoconvex: a 1-D entry runs on its domain
+        ({"expression": "-t^2", "box": ["[0.5,1]"], "expected": {"pseudoconvex": False}}, "box"),
     ], ids=["expected-label", "expected-string", "expected-list", "expression", "domain",
-            "box", "pair-coordinates", "arity", "lsc"])
+            "box", "pair-coordinates", "arity", "lsc", "boxed-1d"])
     def test_malformed_entry_is_one_error_line(self, entry, field, tmp_path, capsys):
         raw = {"id": "bad", "expression": "t^2", "arity": 1, "domain": "[-1,1]", **entry}
         path = tmp_path / "bad.json"
