@@ -43,7 +43,7 @@ from .dini import DiniSchedule, lower_dini, stationarity_estimates
 from .domain import MARGIN, Interval, make_grid, parse_interval
 from .expr import eval_many, parse
 from .oracle import SampledProblem, Verdict
-from .theorems import SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
+from .theorems import GRID, PAIRS, SUITE_SCHEDULE, line_problems, run_battery, sample_pairs
 
 __all__ = ["main", "RunConfig", "canonical_json"]
 
@@ -440,7 +440,7 @@ _FLAGS: dict[str, dict] = {
     "--arity": dict(type=int, default=1),
     "--domain": dict(help="interval such as [-1,1] or (0,1]"),
     "--box": dict(help="product of intervals such as [-1,1]x[-1,1]"),
-    "--grid": dict(type=int, default=257, help=f"grid points, 8 to {MAX_GRID}"),
+    "--grid": dict(type=int, default=GRID, help=f"grid points, 8 to {MAX_GRID}"),
     "--margin": dict(type=float, default=MARGIN),
     "--tol": dict(type=float, help="equality band; default scales with the grid values"),
     "--stat-tol": dict(type=float, default=SampledProblem.stat_tol),
@@ -451,7 +451,7 @@ _FLAGS: dict[str, dict] = {
     "--dini-tol": dict(type=float, default=DiniSchedule.dini_tol),
     "--seed": dict(type=int, default=0),
     "--output": dict(default="json", choices=["json", "text"]),
-    "--pairs": dict(type=int, default=24,
+    "--pairs": dict(type=int, default=PAIRS,
                     help=f"sampled (x,y) pairs for multivariate runs, 1 to {MAX_PAIRS}; "
                          f"grid x lines at most {MAX_WORK}"),
     "--method": dict(default="both", choices=["both", "definitional", "structural"]),

@@ -37,7 +37,7 @@ the trailing half as descending when its quotient at the largest trailing
 step is below ``-stat_tol``: the estimate, a running minimum of quotients,
 can only fall further.  A window of columns, bounded by probes (one a
 row), is settled at once; only the rows it leaves go to :func:`_probe_rows`,
-with those probes' values, in kernel blocks bounded by rows.
+which probes them afresh, in kernel blocks bounded by rows.
 """
 
 from __future__ import annotations
@@ -227,12 +227,12 @@ def _dini_rows(
     return value, converged | up | down, trace, used, n_in
 
 
-def _positions(x: np.ndarray, u: np.ndarray, s: np.ndarray, rows) -> np.ndarray:
-    """The probes ``x[r] + s[k] * u[r]`` of ``rows``, (len(s), rows): a
-    number per probe for the (rows,) arrays of a line, a point along the
-    trailing axis for (rows, n) ones."""
-    p = s.reshape((-1,) + (1,) * u.ndim) * u[rows]
-    p += x[rows]
+def _positions(x: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The probes ``x[r] + s[k] * u[r]``, (len(s), rows): a number per
+    probe for the (rows,) arrays of a line, a point along the trailing axis
+    for (rows, n) ones."""
+    p = s.reshape((-1,) + (1,) * u.ndim) * u
+    p += x
     return p
 
 
@@ -244,7 +244,7 @@ def _inside(p: np.ndarray, least: np.ndarray, greatest: np.ndarray) -> np.ndarra
 
 
 def _probe_rows(
-    f: Callable[[np.ndarray, np.ndarray | slice], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     u: np.ndarray,
     least: np.ndarray,
@@ -252,7 +252,6 @@ def _probe_rows(
     base: np.ndarray,
     s: np.ndarray,
     dini_tol: float,
-    given: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_dini_rows` on the whole rows probing from ``x[r]`` along
     ``u[r]``, with probes built and ``f`` evaluated only where it reads.
@@ -260,10 +259,8 @@ def _probe_rows(
     Row r probes ``x[r] + s[k] * u[r]``; ``x``, ``u``, ``least`` and
     ``greatest`` are (rows,) on a line and (rows, n) in a box, whose probes
     are points.  A probe is in the domain when it lies in ``[least[r],
-    greatest[r]]``, coordinate by coordinate.  ``f(probes, rows)`` gives the
-    (k, r) values of a (k, r) block of probes of ``rows``.  ``given``, when
-    the caller has them, holds the values at the largest trailing step and
-    the end test below, (rows,) each.
+    greatest[r]]``, coordinate by coordinate.  ``f(probes)`` gives the (k,
+    rows) values of a (k, rows) block of probes, every row's.
 
     Each coordinate of ``fl(x + s * u)`` is monotone in the step, so a
     row's in-domain steps run without a gap, and when its largest and its
@@ -277,49 +274,34 @@ def _probe_rows(
     trailing steps, every value defined, takes the kernel's dense form; any
     other the masked kernel on its trailing steps.  When that kernel leaves
     a row using no probe although it skipped some (a fallback, or a window
-    reaching the leading steps), the block is rerun on every step, with the
-    leading probes of those rows evaluated then.
+    reaching the leading steps), the leading probes of every row are
+    evaluated, in one call, and the block is rerun on every step.
     """
     steps, cut = s.shape[0], s.shape[0] // 2
-    every, trailing = slice(None), s[cut:]
-    tail = _positions(x, u, trailing, every)
-    if given is None:
-        vals = f(tail, every)
-        ends = _inside(_positions(x, u, s[[0, -1]], every), least, greatest).all(axis=0)
-    else:
-        vals, ends = given[0][None], given[1]
-        if tail.shape[0] > 1:
-            vals = np.concatenate((vals, f(tail[1:], every)))
+    trailing = s[cut:]
+    tail = _positions(x, u, trailing)
+    vals = f(tail)
+    ends = _inside(_positions(x, u, s[[0, -1]]), least, greatest).all(axis=0)
     near = np.flatnonzero(~ends)
     skipped = np.full(base.shape[0], cut)
     dense = trailing.shape[0] >= 2
     if near.size:
-        whole = _inside(np.concatenate([_positions(x, u, s[:cut], near), tail[:, near]]),
+        whole = _inside(np.concatenate([_positions(x[near], u[near], s[:cut]), tail[:, near]]),
                         least[near], greatest[near])
         skipped[near] = whole[:cut].sum(axis=0)
         dense = dense and whole[cut:].all() and (skipped[near] == whole.sum(axis=0) // 2).all()
     # dense: every row's window is the trailing steps, all of them defined
     if dense and not np.isnan(vals).any():
         return _dini_rows(vals, None, base, trailing, dini_tol, skipped)
-    window = np.ones(tail.shape[:2], dtype=bool)
-    if near.size:
-        window[:, near] = whole[cut:]
-    found = _dini_rows(vals, window, base, trailing, dini_tol, skipped)
-    redo = np.flatnonzero(~found[3].any(axis=0) & (skipped > 0))
-    if not redo.size:
-        return found
-    # The whole block again, the redo rows with their leading probes.  The
-    # other rows never read theirs, so NaN stands in, and an interior row's
-    # probes are all in the domain.
-    lead = _positions(x, u, s[:cut], redo)
     in_domain = np.ones((steps, base.shape[0]), dtype=bool)
     if near.size:
         in_domain[:, near] = whole
-    in_domain[:, redo] = _inside(np.concatenate([lead, tail[:, redo]]), least[redo], greatest[redo])
-    full = np.full(in_domain.shape, np.nan)
-    full[cut:] = vals
-    full[:cut, redo] = f(lead, redo)
-    return _dini_rows(full, in_domain, base, s, dini_tol)
+    found = _dini_rows(vals, in_domain[cut:], base, trailing, dini_tol, skipped)
+    if not (~found[3].any(axis=0) & (skipped > 0)).any():
+        return found
+    # an interior row's probes are all in the domain
+    vals = np.concatenate((f(_positions(x, u, s[:cut])), vals))
+    return _dini_rows(vals, in_domain, base, s, dini_tol)
 
 
 def lower_dini(
@@ -359,7 +341,7 @@ def _rows(f, x, u, box, base, schedule: DiniSchedule):
     least, greatest = (np.broadcast_to(b, u.shape) for b in extent(box))
     for a in range(0, base.shape[0], _BLOCK_ROWS):
         blk = slice(a, a + _BLOCK_ROWS)
-        yield _probe_rows(lambda pts, _: f(pts.reshape(-1, *u.shape[1:])).reshape(pts.shape[:2]),
+        yield _probe_rows(lambda pts: f(pts.reshape(-1, *u.shape[1:])).reshape(pts.shape[:2]),
                           x[blk], u[blk], least[blk], greatest[blk], base[blk],
                           schedule.step_sizes(), schedule.dini_tol)
 
@@ -489,7 +471,8 @@ def grid_dini_profile(
     ``_BLOCK_ROWS`` at first, doubling).  A window's settling probes are one
     ``phi`` call; the rows it leaves go to :func:`_probe_rows` in kernel
     blocks, split from its columns by the same rule with ``_BLOCK_ROWS``,
-    one ``phi`` call each.  After each block, or a window that leaves none,
+    one ``phi`` call each, two for a block with a row that falls back on
+    its leading probes.  After each block, or a window that leaves none,
     a true ``until(columns)`` ends the scan, unless the columns end the grid.
     """
     m, w = dom.points.shape
@@ -519,7 +502,7 @@ def grid_dini_profile(
         return phi(grid.reshape(m, -1)).reshape(-1)[idx]
 
     least, greatest = extent(dom.interval)
-    sign, every = np.array([-1.0, 1.0]), slice(None)
+    sign = np.array([-1.0, 1.0])
     value, converged = out.value.reshape(-1), out.converged.reshape(-1)
     feasible, estimated = out.feasible.reshape(-1), out.estimated.reshape(-1)
     a = reach(0, 0)  # the first column that asks for an entry
@@ -532,20 +515,18 @@ def grid_dini_profile(
         line, side, col = np.nonzero(want[:, :, a:b])
         point = line * w + col + a
         entry = point + (line + side) * w  # at [line, side, col] of (m, 2, w)
-        x, u, first = dom.points.reshape(-1)[point], sign[side], None
+        x, u = dom.points.reshape(-1)[point], sign[side]
         if stat_tol is not None:
             # every row's probe at s[cut] and _probe_rows's end test: the rows that
-            # pass it and descend there settle, and the others' kernel blocks reuse both
-            first = evaluate(_positions(x, u, s[cut:cut + 1], every), line)[0]
-            ends = _inside(_positions(x, u, s[[0, -1]], every), least[line],
-                           greatest[line]).all(axis=0)
+            # pass it and descend there settle, and the others' kernel blocks make both again
+            first = evaluate(_positions(x, u, s[cut:cut + 1]), line)[0]
+            ends = _inside(_positions(x, u, s[[0, -1]]), least[line], greatest[line]).all(axis=0)
             with np.errstate(invalid="ignore", over="ignore"):
                 q = (first - vals[point]) / s[cut]
             down = (q < -stat_tol) & ends
             value[entry[down]] = q[down]
             converged[entry[down]] = feasible[entry[down]] = estimated[entry[down]] = True
-            line, col, point, entry, x, u, first, ends = (
-                r[~down] for r in (line, col, point, entry, x, u, first, ends))
+            line, col, point, entry, x, u = (r[~down] for r in (line, col, point, entry, x, u))
         # the others in kernel blocks of the window's columns, from its first;
         # the block search runs only where a line leaves more than a block's
         # share, so a 257-point grid's one block costs no search
@@ -558,9 +539,8 @@ def grid_dini_profile(
             of, at, base = line[rows], entry[rows], vals[point[rows]]
             if at.size:
                 v, conv, _, _, n_in = _probe_rows(
-                    lambda p, r: evaluate(p, of[r]), x[rows], u[rows], least[of], greatest[of],
-                    base, s, schedule.dini_tol,
-                    None if first is None else (first[rows], ends[rows]))
+                    lambda p: evaluate(p, of), x[rows], u[rows], least[of], greatest[of],
+                    base, s, schedule.dini_tol)
                 f = (n_in > 0) & ~np.isnan(base)
                 value[at], converged[at], feasible[at], estimated[at] = (
                     np.where(f, v, np.nan), conv & f, f, True)

@@ -82,6 +82,8 @@ _PAIR_DRAWS = 1000
 # hundred KB however many lines a run samples.
 _BATCH_POINTS = 8192
 
+GRID = 257  # the default grid points of a line, here and on the command line
+PAIRS = 24  # the default sampled (x, y) pairs of a function of several variables
 _DIRECTIONS = 64  # directions over which Lpr1's A asks whether x is stationary
 
 LineBatch = tuple[int, np.ndarray, np.ndarray, SampledProblem]  # see line_problems
@@ -411,12 +413,12 @@ class BatteryRunResult:
 
 def run_battery(
     entries: Sequence[BatteryEntry],
-    n_grid: int = 257,
+    n_grid: int = GRID,
     margin: float = MARGIN,
     schedule: DiniSchedule = SUITE_SCHEDULE,
     tol: float | None = None,
     stat_tol: float = SampledProblem.stat_tol,
-    pairs: int = 12,
+    pairs: int = PAIRS,
     seed: int = 0,
 ) -> BatteryRunResult:
     """Theorem sweep plus expected-label verification over a battery.

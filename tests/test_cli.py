@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import dinicvx
 import report_reference
-from dinicvx import BatteryEntry, charact, cli, dini, golden_battery, write_manifest
+from dinicvx import (BatteryEntry, charact, cli, dini, golden_battery, load_manifest,
+                     run_battery, write_manifest)
 from dinicvx.dini import DiniEstimate, DiniSchedule
 from dinicvx.expr import MAX_DEPTH
 from dinicvx.oracle import Verdict, Witness
@@ -535,6 +536,17 @@ class TestVerify:
         assert cases == [("T6", "ball3", "ok")] + [
             ("Lpr1", f"ball3#pair{k}", "ok") for k in range(24)]
         assert json.loads(out)["cases"][0]["detail"] == "both sides hold"
+
+    def test_library_defaults_check_the_lines_the_command_checks(self, tmp_path, capsys):
+        # run_battery and verify-theorems read one grid size and one count
+        # of sampled pairs: cube-x1 gets its explicit pair and 24 sampled
+        path = tmp_path / "mini.json"
+        write_manifest(tuple(e for e in golden_battery() if e.id in ("sq", "cube-x1")), path)
+        code, out, _ = run(["verify-theorems", str(path)], capsys)
+        cases = json.loads(out)["cases"]
+        assert cases == [asdict(c) for c in run_battery(load_manifest(path)).cases]
+        assert [c["function"] for c in cases if c["theorem"] == "Lpr1"] == [
+            f"cube-x1#pair{k}" for k in range(25)]
 
     def test_text_mode(self, tmp_path, capsys):
         by_id = {e.id: e for e in golden_battery()}

@@ -8,8 +8,10 @@ The one-grid digests (1-D ``classify`` at two grid sizes, ``decompose`` and
 grid and a batch of lines shared one Dini block rule.  The golden 2-D
 ``verify-theorems`` cases on seed 4242 and at ``--tol=1e-8`` were recorded
 before T6 and Lpr1 read one set of line batches, whose problems Lpr1 once
-built without the user's ``tol``.  The ``--output=text`` and ``dini`` cases
-were recorded before the report was written from the result objects' fields.
+built without the user's ``tol``.  The ``--output=text`` and ``dini/abs`` cases
+were recorded before the report was written from the result objects' fields,
+and the two ``fallback`` cases before a kernel block whose row falls back on
+its leading probes was rerun whole.
 Record them again with
 ``PYTHONPATH=src python tests/test_cli_snapshot.py`` only for a change that
 means to alter the output.
@@ -82,6 +84,13 @@ def cases() -> dict[str, list[str]]:
                                      "--at=0", "--dir=-1", f"--output={output}"]
     out["verify-theorems/golden-2d/text"] = ["verify-theorems", "<manifest>",
                                              "--output=text"]
+    # a row defined only at its leading probes, which the Dini kernel falls
+    # back on: at a point, and in a grid profile
+    out["dini/fallback"] = ["dini", "--function=piecewise(t <= 0: 0, t < 1e-6: log(-1), else: t)",
+                            "--domain=[-1,1]", "--at=0", "--dir=1"]
+    out["classify-1d/fallback"] = ["classify",
+                                   "--function=piecewise(t <= 0: 1 - t, t < 1e-6: log(-1), else: t)",
+                                   "--domain=[-1,1]"]
     return out
 
 

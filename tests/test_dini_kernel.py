@@ -97,7 +97,7 @@ def probed_rows(vals, in_domain, base, s, dini_tol):
     inside = in_domain.any(axis=0)
     least = np.where(inside, s[vals.shape[0] - 1 - np.argmax(in_domain[::-1], axis=0)], np.inf)
     greatest = np.where(inside, s[np.argmax(in_domain, axis=0)], -np.inf)
-    return dini._probe_rows(lambda p, r: vals[np.searchsorted(-s, -p), rows[r]],
+    return dini._probe_rows(lambda p: vals[np.searchsorted(-s, -p), rows],
                             np.zeros(rows.shape), np.ones(rows.shape), least, greatest,
                             base, s, dini_tol)
 
@@ -491,7 +491,7 @@ def test_grid_points_at_every_distance_from_an_end(monkeypatch, block_rows, sour
         assert_profiles_identical(grid_dini_profile(phi, dom, phi(dom.points), schedule), ref)
 
 
-def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
+def test_leading_probes_for_rows_near_an_end_or_in_a_falling_back_block(monkeypatch):
     # Rows are side by side, minus then plus, one per point and side.  The
     # points 0 and 0.004 have minus probes outside [0,1], and 1 plus ones;
     # at 0.5 going right only the steps of 1e-3 and up are defined, so that
@@ -500,16 +500,16 @@ def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
     s, cut = schedule.step_sizes(), schedule.steps // 2
     dom = one_line(parse_interval("[0,1]"), [0.0, 0.004, 0.3, 0.5, 1.0])
     phi = phi_of("sqrt((t - 0.5)*(t - 0.5 - 0.001))")
-    near = [r for r, (sign, t) in enumerate((sign, t) for sign in (-1.0, 1.0)
-                                            for t in dom.points[0])
+    rows = [(sign, t) for sign in (-1.0, 1.0) for t in dom.points[0]]
+    near = [r for r, (sign, t) in enumerate(rows)
             if not dom.interval[0].contains_many(t + sign * s).all()]
     assert near == [0, 1, 9]
     built, sizes = [], []
     positions = dini._positions
 
-    def recording(x, u, steps, rows):
-        built.append((steps.shape[0], rows))
-        return positions(x, u, steps, rows)
+    def recording(x, u, steps):
+        built.append((steps.shape[0], [rows.index((v, p)) for p, v in zip(x, u)]))
+        return positions(x, u, steps)
 
     def counting(pts):
         sizes.append(pts.size)
@@ -519,12 +519,11 @@ def test_leading_probes_only_for_rows_near_an_end_or_falling_back(monkeypatch):
     prof = grid_dini_profile(counting, dom, phi(dom.points), schedule)
     assert_profiles_identical(prof, reference_profile(phi, dom, schedule))
     # every row's trailing steps and two end probes; the leading steps of
-    # the near rows, then of the row that falls back
-    assert [n for n, _ in built] == [schedule.steps - cut, 2, cut, cut]
-    assert built[0][1] == built[1][1] == slice(None)
-    assert [list(rows) for _, rows in built[2:]] == [near, [8]]
-    # the trailing probes of every row, then the leading ones of row 8
-    assert sizes == [2 * dom.n[0] * (schedule.steps - cut), cut]
+    # the near rows, then, as row 8 falls back, of every row of the block
+    every = list(range(2 * dom.n[0]))
+    assert built == [(schedule.steps - cut, every), (2, every), (cut, near), (cut, every)]
+    # the trailing probes of every row, then the leading ones, each once
+    assert sizes == [2 * dom.n[0] * (schedule.steps - cut), 2 * dom.n[0] * cut]
 
 
 def sliced(block):
@@ -722,15 +721,15 @@ def test_interior_grid_probes_only_the_trailing_half():
     trailing = schedule.steps - schedule.steps // 2
     assert sizes == [2 * dom.n[0] * trailing]
     # with stat_tol, one window probes every row at its largest trailing
-    # step and makes the end test, and the kernel takes both for the rows
-    # left unsettled, so no probe is evaluated and no end tested twice
+    # step and makes the end test; the kernel block of the rows left
+    # unsettled probes them at every trailing step and tests their ends again
     sizes.clear()
     with mock.patch.object(dini, "_inside", wraps=dini._inside) as inside:
         prof = grid_dini_profile(counting, dom, phi(dom.points), schedule, stat_tol=1e-7)
     left = int((~descends(prof, 1e-7)).sum())
     assert 0 < left < 2 * dom.n[0]
-    assert sizes == [2 * dom.n[0], left * (trailing - 1)]
-    assert inside.call_count == 1
+    assert sizes == [2 * dom.n[0], left * trailing]
+    assert inside.call_count == 2
 
 
 class TestStationarityEstimates:

@@ -41,7 +41,7 @@ from report_reference import render_text
 
 CASES = {label: argv for label, argv in snapshot.cases().items()
          if (label.startswith("classify-1d/") and "--output=text" not in argv)
-         or label in ("decompose/sq", "decompose/log", "dini/abs/json")}
+         or label in ("decompose/sq", "decompose/log", "dini/abs/json", "dini/fallback")}
 
 ND_CASES = {label: argv for label, argv in snapshot.cases().items()
             if label.startswith("classify/") and "--output=text" not in argv}
@@ -73,11 +73,12 @@ def classify(argv: list[str]) -> tuple[int, str]:
 
 
 def test_every_one_variable_report_of_the_snapshot_checks():
-    # the 20 one-variable golden functions at 257 and 16385 points, and the
-    # decompositions of t^2 and log(t) and one Dini estimate; about a second
-    # on a 2-core VM, reference Dini estimates included
+    # the 20 one-variable golden functions at 257 and 16385 points, the
+    # decompositions of t^2 and log(t), one Dini estimate, and a classify and
+    # a Dini estimate whose row falls back on its leading probes; about a
+    # second on a 2-core VM, reference Dini estimates included
     recorded = json.loads(snapshot.SNAPSHOT.read_text())
-    assert len(CASES) == 43
+    assert len(CASES) == 45
     start = time.monotonic()
     for label, argv in sorted(CASES.items()):
         code, text = classify(argv)
